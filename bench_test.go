@@ -165,8 +165,7 @@ func BenchmarkE7EagerVsLazy(b *testing.B) {
 		name string
 		opts []engine.Option
 	}{
-		{"eager-heap", []engine.Option{engine.WithScheduler(engine.SchedulerHeap)}},
-		{"eager-wheel", []engine.Option{engine.WithScheduler(engine.SchedulerWheel)}},
+		{"eager", nil},
 		{"lazy-16", []engine.Option{engine.WithSweep(engine.SweepLazy, 16)}},
 	}
 	sessions := workload.Sessions(5000, 3, 10, 200, 5)

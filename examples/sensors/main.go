@@ -15,7 +15,7 @@ import (
 )
 
 func main() {
-	db := expdb.Open(expdb.WithTimingWheel())
+	db := expdb.Open()
 	db.MustExec(`CREATE TABLE readings (sensor INT, temp INT)`)
 
 	// 20 sensors reporting for 10 rounds; each reading valid for 40

@@ -292,10 +292,6 @@ func WithEagerSweep() EngineOption { return engine.WithSweep(engine.SweepEager, 
 // WithLazySweep batches physical removal every period ticks.
 func WithLazySweep(period Time) EngineOption { return engine.WithSweep(engine.SweepLazy, period) }
 
-// WithTimingWheel drives eager expiration with a hierarchical timing
-// wheel instead of a heap.
-func WithTimingWheel() EngineOption { return engine.WithScheduler(engine.SchedulerWheel) }
-
 // WithDurability makes the database durable: every mutation is logged to
 // a write-ahead log under dir before it is acknowledged, periodic
 // Checkpoint calls bound recovery time, and any state found in dir is
@@ -647,7 +643,7 @@ func (db *DB) MetricsHandler() http.Handler {
 }
 
 // Events returns the retained lifecycle events, oldest first: expiry
-// batches, sweeps, compactions, view invalidations/recomputes/patches,
+// batches, sweeps, view invalidations/recomputes/patches,
 // budget evictions, and wire materialisations, each tagged with the
 // trace ID of the statement or Advance that caused it.
 func (db *DB) Events() []Event { return db.eng.Events().Snapshot(0) }

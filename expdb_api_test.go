@@ -55,7 +55,7 @@ func TestAPIValuesAndTuples(t *testing.T) {
 
 func TestAPIOpenVariants(t *testing.T) {
 	var buf strings.Builder
-	db := expdb.OpenWithNotify(&buf, expdb.WithEagerSweep(), expdb.WithTimingWheel())
+	db := expdb.OpenWithNotify(&buf, expdb.WithEagerSweep())
 	db.MustExec(`CREATE TABLE s (id INT)`)
 	db.MustExec(`CREATE TRIGGER gone ON s ON EXPIRE DO NOTIFY 'bye'`)
 	if err := db.Insert("s", expdb.Ints(1), 5); err != nil {

@@ -44,7 +44,7 @@ func TestPublicSQLRoundTrip(t *testing.T) {
 }
 
 func TestPublicProgrammaticAPI(t *testing.T) {
-	db := expdb.Open(expdb.WithTimingWheel())
+	db := expdb.Open()
 	if err := db.Engine().CreateTable("s", expdb.Schema{Cols: []expdb.Column{
 		{Name: "id", Kind: expdb.Int(0).Kind()},
 	}}); err != nil {

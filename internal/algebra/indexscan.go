@@ -109,23 +109,7 @@ func (s *IndexScan) Eval(tau xtime.Time) (*relation.Relation, error) {
 // in the lock plan), which is what makes the probe safe against
 // concurrent maintenance.
 func (s *IndexScan) Stream(tau xtime.Time, emit func(relation.Row)) error {
-	idx := s.Base.Rel.IndexNamed(s.Index)
-	residual := s.Residual
-	pass := func(e index.Entry) bool {
-		if residual != nil && !residual.Holds(e.Tuple) {
-			return true
-		}
-		emit(relation.Row{Tuple: e.Tuple, Texp: e.Texp})
-		return true
-	}
-	switch ix := idx.(type) {
-	case *index.Hash:
-		if s.EqKey != "" {
-			ix.Probe(s.EqKey, tau, pass)
-			return nil
-		}
-	case *index.Ordered:
-		ix.Ascend(s.Lo, s.LoInc, s.Hi, s.HiInc, tau, pass)
+	if s.Probe(tau, func(e index.Entry) { emit(relation.Row{Tuple: e.Tuple, Texp: e.Texp}) }) {
 		return nil
 	}
 	// Index dropped (or re-created with an incompatible shape) since the
@@ -135,6 +119,33 @@ func (s *IndexScan) Stream(tau xtime.Time, emit func(relation.Row)) error {
 			emit(row)
 		}
 	})
+}
+
+// Probe hands fn every index entry alive at tau that the probe matches
+// and the residual accepts — set key included, which is what lets a
+// DELETE remove its victims without re-encoding them. It reports false,
+// having emitted nothing, when the index is gone or no longer fits the
+// probe; the caller then scans with Full. fn must not modify the
+// relation.
+func (s *IndexScan) Probe(tau xtime.Time, fn func(index.Entry)) bool {
+	residual := s.Residual
+	pass := func(e index.Entry) bool {
+		if residual == nil || residual.Holds(e.Tuple) {
+			fn(e)
+		}
+		return true
+	}
+	switch ix := s.Base.Rel.IndexNamed(s.Index).(type) {
+	case *index.Hash:
+		if s.EqKey != "" {
+			ix.Probe(s.EqKey, tau, pass)
+			return true
+		}
+	case *index.Ordered:
+		ix.Ascend(s.Lo, s.LoInc, s.Hi, s.HiInc, tau, pass)
+		return true
+	}
+	return false
 }
 
 func (s *IndexScan) String() string {

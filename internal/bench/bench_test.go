@@ -27,7 +27,7 @@ func TestAllExperimentsRun(t *testing.T) {
 		"=== E6",
 		"patched (Theorem 3)",
 		"=== E7",
-		"eager/wheel",
+		"lazy/period=16",
 		"=== E8",
 		"interval/backward",
 		"=== E9",

@@ -97,12 +97,9 @@ func RunE12(w io.Writer) error {
 	}
 	recoverWall := time.Since(start)
 	t.add("durable (snapshot)", loadWall, info.Rows, info.Records, recoverWall)
-	if info.Pending != info.Rows {
-		return fmt.Errorf("e12: re-derived schedule has %d events for %d rows", info.Pending, info.Rows)
-	}
 
-	// The catch-up advance fires every expiration the recovered schedule
-	// holds, proving the schedule survives the WAL round trip.
+	// The catch-up advance fires every expiration the recovered rows
+	// carry, proving stored texp alone survives the WAL round trip.
 	if err := snapped.Advance(horizon + 1); err != nil {
 		return err
 	}

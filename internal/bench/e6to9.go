@@ -105,7 +105,7 @@ func RunE6(w io.Writer) error {
 	return nil
 }
 
-// RunE7 measures eager (heap and wheel) versus lazy sweeping on a churn-
+// RunE7 measures eager versus lazy sweeping on a churn-
 // heavy session workload: advance throughput and trigger latency.
 func RunE7(w io.Writer) error {
 	const sessions = 20000
@@ -131,8 +131,7 @@ func RunE7(w io.Writer) error {
 		opts []engine.Option
 	}
 	for _, c := range []cfg{
-		{"eager/heap", []engine.Option{engine.WithScheduler(engine.SchedulerHeap)}},
-		{"eager/wheel", []engine.Option{engine.WithScheduler(engine.SchedulerWheel)}},
+		{"eager", nil},
 		{"lazy/period=16", []engine.Option{engine.WithSweep(engine.SweepLazy, 16)}},
 		{"lazy/period=256", []engine.Option{engine.WithSweep(engine.SweepLazy, 256)}},
 	} {

@@ -46,8 +46,12 @@ type IndexDef struct {
 // Catalog maps names to relations and views. It is safe for concurrent
 // use.
 type Catalog struct {
-	mu      sync.RWMutex
-	tables  map[string]*relation.Relation
+	mu     sync.RWMutex
+	tables map[string]*relation.Relation
+	// set is the name-sorted image of tables that TableSet hands out. It
+	// is rebuilt, never edited, on CREATE/DROP TABLE, so the clock's
+	// heartbeat — which walks it on every Advance — allocates nothing.
+	set     []NamedTable
 	views   map[string]*view.View
 	indexes map[string]*IndexDef
 }
@@ -73,7 +77,18 @@ func (c *Catalog) CreateTable(name string, schema tuple.Schema) (*relation.Relat
 	}
 	r := relation.New(schema)
 	c.tables[name] = r
+	c.rebuildSet()
 	return r, nil
+}
+
+// rebuildSet recomputes the TableSet image. Caller holds the write lock.
+func (c *Catalog) rebuildSet() {
+	set := make([]NamedTable, 0, len(c.tables))
+	for n, r := range c.tables {
+		set = append(set, NamedTable{Name: n, Rel: r})
+	}
+	sort.Slice(set, func(i, j int) bool { return set[i].Name < set[j].Name })
+	c.set = set
 }
 
 // DropTable removes the named relation, along with the registry entries
@@ -86,6 +101,7 @@ func (c *Catalog) DropTable(name string) error {
 		return fmt.Errorf("%w: %q", ErrNoSuchTable, name)
 	}
 	delete(c.tables, name)
+	c.rebuildSet()
 	for n, def := range c.indexes {
 		if def.Table == name {
 			delete(c.indexes, n)
@@ -186,16 +202,12 @@ func (c *Catalog) Tables() []string {
 
 // TableSet returns a name-sorted snapshot of the registered relations.
 // Callers iterate the snapshot without holding the catalog lock, so
-// sweeps can lock tables one at a time.
+// sweeps can lock tables one at a time. The slice is shared and
+// immutable: callers must not modify it.
 func (c *Catalog) TableSet() []NamedTable {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make([]NamedTable, 0, len(c.tables))
-	for n, r := range c.tables {
-		out = append(out, NamedTable{Name: n, Rel: r})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return c.set
 }
 
 // NamedTable pairs a relation with its catalog name.

@@ -161,30 +161,25 @@ func BenchmarkEmptyAdvance(b *testing.B) {
 }
 
 // BenchmarkAdvanceLargeDelta advances an eager engine across huge sparse
-// clock jumps: a handful of scheduled expirations separated by million-
-// tick empty spans. With the per-tick wheel this cost O(Δt) per jump;
-// with skip-ahead it costs O(occupied slots).
+// clock jumps: a handful of expirations separated by million-tick empty
+// spans. Draining a texp-ordered index costs O(expired), never O(Δt).
 func BenchmarkAdvanceLargeDelta(b *testing.B) {
-	for _, sched := range []SchedulerKind{SchedulerHeap, SchedulerWheel} {
-		b.Run(sched.String(), func(b *testing.B) {
-			const span = xtime.Time(1_000_000)
-			for i := 0; i < b.N; i++ {
-				e, names := benchTables(b, 1, WithScheduler(sched))
-				now := xtime.Time(0)
-				for k := 0; k < 16; k++ {
-					now += span
-					if err := e.Insert(names[0], tuple.Ints(int64(k), 0), now); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := e.Advance(now + 1); err != nil {
-					b.Fatal(err)
-				}
-				if got := e.Stats().TuplesExpired; got != 16 {
-					b.Fatalf("expired = %d", got)
-				}
+	const span = xtime.Time(1_000_000)
+	for i := 0; i < b.N; i++ {
+		e, names := benchTables(b, 1)
+		now := xtime.Time(0)
+		for k := 0; k < 16; k++ {
+			now += span
+			if err := e.Insert(names[0], tuple.Ints(int64(k), 0), now); err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
+		if err := e.Advance(now + 1); err != nil {
+			b.Fatal(err)
+		}
+		if got := e.Stats().TuplesExpired; got != 16 {
+			b.Fatalf("expired = %d", got)
+		}
 	}
 }
 
@@ -258,6 +253,44 @@ func BenchmarkIndexedPointLookup(b *testing.B) {
 		}
 		if qr.Rel.CountAt(qr.At) != 1 {
 			b.Fatal("probe missed")
+		}
+	}
+}
+
+// BenchmarkIndexedDelete measures DELETE … WHERE over a hash-index probe
+// that finds one row: lock, probe, one map delete with index and epoch
+// maintenance, unlock. CI pins it at 2 allocs/op — the victim key slice
+// and the closure that fills it; nothing may scale with the table.
+func BenchmarkIndexedDelete(b *testing.B) {
+	e, names := benchTables(b, 1)
+	if err := e.CreateIndex(&catalog.IndexDef{
+		Name: "t0_id", Table: names[0], Cols: []int{0},
+		ColNames: []string{"id"}, Kind: index.KindHash,
+	}); err != nil {
+		b.Fatal(err)
+	}
+	base, err := e.Base(names[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	const resident = 20_000 // rows the deletes must not touch
+	plans := make([]*algebra.IndexScan, b.N)
+	for r := 0; r < resident+b.N; r++ {
+		if err := e.InsertTTL(names[0], tuple.Ints(int64(r), int64(r%7)), 1_000_000); err != nil {
+			b.Fatal(err)
+		}
+		if r < b.N {
+			probe := tuple.Ints(int64(r))
+			plans[r] = algebra.NewIndexScan(base, "t0_id",
+				algebra.ColConst{Col: 0, Op: algebra.OpEq, Const: probe[0]}, nil)
+			plans[r].Eq, plans[r].EqKey = probe, probe.Key()
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n, _, err := e.DeleteWhere(plans[i]); err != nil || n != 1 {
+			b.Fatalf("deleted %d rows, err %v", n, err)
 		}
 	}
 }

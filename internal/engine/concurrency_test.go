@@ -85,7 +85,7 @@ func TestConcurrentInsertQueryAdvance(t *testing.T) {
 
 // TestCrossTableParallelStress hammers several tables at once — inserts,
 // deletes, single-table queries, cross-table joins and a clock advancer —
-// under every sweep/scheduler configuration; run with -race. Per-table
+// under every sweep configuration; run with -race. Per-table
 // locking must keep every combination linearisable: after the horizon all
 // tables drain to empty.
 func TestCrossTableParallelStress(t *testing.T) {
@@ -93,8 +93,7 @@ func TestCrossTableParallelStress(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"eager-heap", []Option{WithScheduler(SchedulerHeap)}},
-		{"eager-wheel", []Option{WithScheduler(SchedulerWheel)}},
+		{"eager", nil},
 		{"lazy-8", []Option{WithSweep(SweepLazy, 8)}},
 	}
 	for _, cfg := range configs {

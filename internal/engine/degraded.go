@@ -264,7 +264,7 @@ func (e *Engine) recoverDiskLocked() error {
 		e.mu.RLock()
 		now := e.now
 		e.mu.RUnlock()
-		events = e.sweepTables(now, trace.NextID(), false)
+		events = e.sweepTables(now, trace.NextID(), false, false)
 		old.ReleaseReserve()
 	}
 

@@ -5,11 +5,9 @@ import (
 	"sort"
 
 	"expdb/internal/catalog"
-	"expdb/internal/pqueue"
 	"expdb/internal/relation"
 	"expdb/internal/trace"
 	"expdb/internal/wal"
-	"expdb/internal/wheel"
 	"expdb/internal/xtime"
 )
 
@@ -22,10 +20,9 @@ import (
 // operations a crash must reconstruct are logged: inserts (with the
 // resolved absolute texp), deletes, clock advances, sweeps and DDL.
 // Expiration removals are never logged individually — they are implied
-// by the advance/sweep record that caused them, and the whole expiry
-// schedule is re-derived from stored texp values at recovery, exactly as
-// the paper's model permits: texp is durable metadata, the wheel/heap is
-// a cache over it.
+// by the advance/sweep record that caused them, and nothing else about
+// expiry is persisted: texp is durable metadata, and each table's
+// texp-ordered index is derived state that replaying the rows rebuilds.
 //
 // Trigger semantics across a crash: an advance's record is durable
 // before its ON-EXPIRE triggers run, so replay never re-fires a trigger
@@ -56,8 +53,6 @@ type RecoveryInfo struct {
 	// Truncated reports that a torn or corrupt log tail was cut back to
 	// the last valid record.
 	Truncated bool
-	// Pending is the size of the re-derived expiration schedule.
-	Pending int
 	// TraceID tags the recovery: the boot lifecycle event carries it, and
 	// the first Advance after recovery — the catch-up batch that fires
 	// expirations missed during downtime — inherits it.
@@ -79,8 +74,7 @@ func (e *Engine) DurabilityDir() string { return e.walDir }
 
 // OpenDurability opens (or creates) the write-ahead log in the engine's
 // configured directory and recovers any prior state: the highest
-// complete snapshot, the log suffix on top of it, and the expiration
-// schedule re-derived from the recovered texp values. compileView
+// complete snapshot and the log suffix on top of it. compileView
 // recompiles a logged CREATE VIEW statement (the facade passes the SQL
 // session's Exec); it may be nil if no views will ever be logged.
 //
@@ -147,9 +141,11 @@ func (e *Engine) CloseDurability() error {
 	return log.Close()
 }
 
-// replay rebuilds engine state from disk: snapshot, then log suffix,
-// then schedule re-derivation. Runs with e.recovering set, so the apply
-// paths it calls into do not re-log.
+// replay rebuilds engine state from disk: snapshot, then log suffix.
+// Runs with e.recovering set, so the apply paths it calls into do not
+// re-log. No expiration schedule is reconstructed: the replayed rows fill
+// each table's texp-ordered index as they are inserted, and the first
+// Advance drains whatever expired during the downtime.
 func (e *Engine) replay(r *wal.Recovered) (*RecoveryInfo, error) {
 	info := &RecoveryInfo{TraceID: trace.NextID(), SnapshotGen: r.SnapshotGen}
 	if snap := r.Snapshot; snap != nil {
@@ -195,7 +191,6 @@ func (e *Engine) replay(r *wal.Recovered) (*RecoveryInfo, error) {
 	for _, nt := range e.cat.TableSet() {
 		info.Rows += nt.Rel.Len()
 	}
-	info.Pending = e.rederiveSchedule()
 	return info, nil
 }
 
@@ -258,8 +253,7 @@ func (e *Engine) applyRecord(rec *wal.Record) error {
 
 // replayAdvance moves the recovering clock to to, physically removing
 // exactly the tuples the original advance removed — without firing
-// triggers (they fired before the crash) and without touching the
-// scheduler (the schedule is re-derived afterwards).
+// triggers (they fired before the crash).
 func (e *Engine) replayAdvance(to xtime.Time) {
 	if e.sweepMode == SweepEager {
 		// Eager expiry removed every tuple with texp ≤ to at the tick it
@@ -299,32 +293,6 @@ func (e *Engine) recoverView(name, def string) error {
 	}
 	e.viewDefs[name] = def
 	return nil
-}
-
-// rederiveSchedule rebuilds the eager expiry schedule from the recovered
-// texp values: one event per alive finite-texp row, zero stale entries —
-// the re-derivation the paper's durable-texp premise promises. The
-// scheduler structures are rebuilt from scratch (the wheel repositioned
-// at the recovered clock), so a large downtime Δt costs nothing beyond
-// the live rows. Returns the number of scheduled events.
-func (e *Engine) rederiveSchedule() int {
-	e.heap = pqueue.New[expiryEvent](0)
-	e.timeWheel = wheel.New[expiryEvent](e.now)
-	e.stale = 0
-	if e.sweepMode != SweepEager {
-		return 0
-	}
-	n := 0
-	for _, nt := range e.cat.TableSet() {
-		table := nt.Name
-		nt.Rel.All(func(row relation.Row) {
-			if row.Texp.IsFinite() {
-				e.schedule(table, row.Tuple.Key(), row.Texp)
-				n++
-			}
-		})
-	}
-	return n
 }
 
 // walAppend logs one record. Callers hold e.mu (that is what makes WAL
@@ -447,7 +415,8 @@ func (e *Engine) Checkpoint() error {
 func (e *Engine) lockAllTables() []catalog.NamedTable {
 	var tables []catalog.NamedTable
 	for {
-		tables = e.cat.TableSet()
+		// Copy before sorting: the catalog's table set is shared.
+		tables = append(tables[:0], e.cat.TableSet()...)
 		sort.Slice(tables, func(i, j int) bool {
 			return tables[i].Rel.LockOrder() < tables[j].Rel.LockOrder()
 		})

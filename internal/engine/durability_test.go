@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"testing"
 
@@ -91,19 +90,6 @@ func recordFirings(t *testing.T, e *Engine, tables ...string) *[]firing {
 	return fired
 }
 
-func sortFirings(fs []firing) {
-	sort.Slice(fs, func(i, j int) bool {
-		a, b := fs[i], fs[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.table != b.table {
-			return a.table < b.table
-		}
-		return a.key < b.key
-	})
-}
-
 // walOp is one engine operation of the crash-recovery property test,
 // together with how many WAL records it emits.
 type walOp struct {
@@ -186,8 +172,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"eager-heap", []Option{WithScheduler(SchedulerHeap)}},
-		{"eager-wheel", []Option{WithScheduler(SchedulerWheel)}},
+		{"eager", nil},
 		{"lazy-16", []Option{WithSweep(SweepLazy, 16)}},
 	}
 	for _, cfg := range configs {
@@ -231,25 +216,25 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				}
 				sameState(t, "post-recovery", recovered, oracle)
 
-				// The re-derived schedule carries every remaining finite
-				// row and nothing stale.
-				if cfg.name != "lazy-16" {
-					finite := 0
-					for _, rows := range tableRows(recovered) {
-						for _, texp := range rows {
-							if texp.IsFinite() {
-								finite++
-							}
+				// Recovery rebuilt the texp-ordered indexes from the
+				// replayed rows and nothing else: every finite row has its
+				// pair, and stale pairs stay within the per-table bound.
+				finite, rows := 0, 0
+				for _, byKey := range tableRows(recovered) {
+					for _, texp := range byKey {
+						rows++
+						if texp.IsFinite() {
+							finite++
 						}
 					}
-					pending, stale := recovered.SchedulerLoad()
-					if pending != finite || stale != 0 {
-						t.Errorf("schedule = (%d pending, %d stale), want (%d, 0)", pending, stale, finite)
-					}
+				}
+				if pending := recovered.texpPending(); pending < finite || pending > 2*rows+2*1024 {
+					t.Errorf("texp index holds %d pairs for %d finite rows of %d", pending, finite, rows)
 				}
 
 				// From here both engines must fire identical triggers at
-				// identical (original) expiration times. A cut inside the
+				// identical (original) expiration times, in the same order:
+				// dispatch order is a function of the stored rows alone. A cut inside the
 				// create-table records leaves fewer tables; register on
 				// what survived (identical in both by sameState above).
 				var tables []string
@@ -265,8 +250,6 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				if err := oracle.Advance(horizon); err != nil {
 					t.Fatal(err)
 				}
-				sortFirings(*gotF)
-				sortFirings(*wantF)
 				if len(*gotF) != len(*wantF) {
 					t.Fatalf("firings = %d, want %d", len(*gotF), len(*wantF))
 				}
@@ -284,87 +267,83 @@ func TestCrashRecoveryProperty(t *testing.T) {
 // TestRecoveryCatchUpAdvance: expirations whose tick passed while the
 // engine was "down" (the clock jump happens in the first advance after
 // boot) fire exactly once, at their original texp, under the recovery
-// trace ID — for both scheduler backends, across a large Δt.
+// trace ID, across a large Δt.
 func TestRecoveryCatchUpAdvance(t *testing.T) {
-	for _, sched := range []SchedulerKind{SchedulerHeap, SchedulerWheel} {
-		t.Run(sched.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			e, _ := openDurable(t, dir, WithScheduler(sched))
-			if err := e.CreateTable("s", tuple.IntCols("id")); err != nil {
-				t.Fatal(err)
-			}
-			const n = 500
-			for i := int64(0); i < n; i++ {
-				// Expirations spread over a wide range, some far out.
-				if err := e.Insert("s", tuple.Ints(i), xtime.Time(10+i*37)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := e.Insert("s", tuple.Ints(int64(n)), xtime.Infinity); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Advance(5); err != nil {
-				t.Fatal(err)
-			}
+	dir := t.TempDir()
+	e, _ := openDurable(t, dir)
+	if err := e.CreateTable("s", tuple.IntCols("id")); err != nil {
+		t.Fatal(err)
+	}
+	const n = 500
+	for i := int64(0); i < n; i++ {
+		// Expirations spread over a wide range, some far out.
+		if err := e.Insert("s", tuple.Ints(i), xtime.Time(10+i*37)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Insert("s", tuple.Ints(int64(n)), xtime.Infinity); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Advance(5); err != nil {
+		t.Fatal(err)
+	}
 
-			// Crash, recover.
-			e2, info := openDurable(t, dir, WithScheduler(sched))
-			if pending, stale := e2.SchedulerLoad(); pending != n || stale != 0 {
-				t.Fatalf("re-derived schedule = (%d, %d), want (%d, 0)", pending, stale, n)
-			}
-			fired := recordFirings(t, e2, "s")
+	// Crash, recover.
+	e2, info := openDurable(t, dir)
+	if pending := e2.texpPending(); pending != n {
+		t.Fatalf("recovered texp index = %d pairs, want %d", pending, n)
+	}
+	fired := recordFirings(t, e2, "s")
 
-			// One catch-up advance across a large Δt fires everything.
-			const horizon = xtime.Time(1 << 30)
-			if err := e2.Advance(horizon); err != nil {
-				t.Fatal(err)
-			}
-			if len(*fired) != n {
-				t.Fatalf("fired %d triggers, want %d", len(*fired), n)
-			}
-			seen := make(map[string]xtime.Time)
-			for _, f := range *fired {
-				if _, dup := seen[f.key]; dup {
-					t.Errorf("row %q fired twice", f.key)
-				}
-				seen[f.key] = f.at
-			}
-			for i := int64(0); i < n; i++ {
-				key := tuple.Ints(i).Key()
-				if at, ok := seen[key]; !ok || at != xtime.Time(10+i*37) {
-					t.Errorf("row %d fired at %v, want %v", i, at, xtime.Time(10+i*37))
-				}
-			}
-			if pending, stale := e2.SchedulerLoad(); pending != 0 || stale != 0 {
-				t.Errorf("schedule after catch-up = (%d, %d), want (0, 0)", pending, stale)
-			}
-			// The catch-up batch carries the recovery trace ID.
-			var expiryTrace trace.ID
-			for _, ev := range e2.Events().Snapshot(0) {
-				if ev.Kind == trace.EvExpiry {
-					expiryTrace = ev.Trace
-					break
-				}
-			}
-			if expiryTrace != info.TraceID {
-				t.Errorf("catch-up expiry trace = %v, want recovery trace %v", expiryTrace, info.TraceID)
-			}
-			// A second advance must not re-fire anything (and the
-			// Infinity row must never fire at all).
-			if err := e2.Advance(horizon + 10); err != nil {
-				t.Fatal(err)
-			}
-			if len(*fired) != n {
-				t.Errorf("second advance re-fired: %d total firings, want %d", len(*fired), n)
-			}
-		})
+	// One catch-up advance across a large Δt fires everything.
+	const horizon = xtime.Time(1 << 30)
+	if err := e2.Advance(horizon); err != nil {
+		t.Fatal(err)
+	}
+	if len(*fired) != n {
+		t.Fatalf("fired %d triggers, want %d", len(*fired), n)
+	}
+	seen := make(map[string]xtime.Time)
+	for _, f := range *fired {
+		if _, dup := seen[f.key]; dup {
+			t.Errorf("row %q fired twice", f.key)
+		}
+		seen[f.key] = f.at
+	}
+	for i := int64(0); i < n; i++ {
+		key := tuple.Ints(i).Key()
+		if at, ok := seen[key]; !ok || at != xtime.Time(10+i*37) {
+			t.Errorf("row %d fired at %v, want %v", i, at, xtime.Time(10+i*37))
+		}
+	}
+	if pending := e2.texpPending(); pending != 0 {
+		t.Errorf("texp index after catch-up = %d pairs, want 0", pending)
+	}
+	// The catch-up batch carries the recovery trace ID.
+	var expiryTrace trace.ID
+	for _, ev := range e2.Events().Snapshot(0) {
+		if ev.Kind == trace.EvExpiry {
+			expiryTrace = ev.Trace
+			break
+		}
+	}
+	if expiryTrace != info.TraceID {
+		t.Errorf("catch-up expiry trace = %v, want recovery trace %v", expiryTrace, info.TraceID)
+	}
+	// A second advance must not re-fire anything (and the
+	// Infinity row must never fire at all).
+	if err := e2.Advance(horizon + 10); err != nil {
+		t.Fatal(err)
+	}
+	if len(*fired) != n {
+		t.Errorf("second advance re-fired: %d total firings, want %d", len(*fired), n)
 	}
 }
 
-// TestRederivedScheduleStaleAccounting: deletes after recovery strand
-// exactly one re-derived event each; the stale count tracks them and
-// compaction/pop reclaims them without double-firing.
-func TestRederivedScheduleStaleAccounting(t *testing.T) {
+// TestRecoveredDeletesNeverFire: deletes after recovery leave stale pairs
+// in the rebuilt texp-ordered index; the next advance discards them
+// without firing.
+func TestRecoveredDeletesNeverFire(t *testing.T) {
 	dir := t.TempDir()
 	e, _ := openDurable(t, dir)
 	if err := e.CreateTable("s", tuple.IntCols("id")); err != nil {
@@ -382,8 +361,8 @@ func TestRederivedScheduleStaleAccounting(t *testing.T) {
 			t.Fatalf("delete %d: ok=%v err=%v", i, ok, err)
 		}
 	}
-	if pending, stale := e2.SchedulerLoad(); pending != n || stale != n/2 {
-		t.Fatalf("schedule = (%d, %d), want (%d, %d)", pending, stale, n, n/2)
+	if pending := e2.texpPending(); pending != n {
+		t.Fatalf("texp index = %d pairs, want %d (half of them stale)", pending, n)
 	}
 	fired := recordFirings(t, e2, "s")
 	if err := e2.Advance(1000); err != nil {
@@ -392,8 +371,8 @@ func TestRederivedScheduleStaleAccounting(t *testing.T) {
 	if len(*fired) != n/2 {
 		t.Fatalf("fired %d, want %d", len(*fired), n/2)
 	}
-	if pending, stale := e2.SchedulerLoad(); pending != 0 || stale != 0 {
-		t.Errorf("schedule after advance = (%d, %d), want (0, 0)", pending, stale)
+	if pending := e2.texpPending(); pending != 0 {
+		t.Errorf("texp index after advance = %d pairs, want 0", pending)
 	}
 }
 
@@ -482,8 +461,8 @@ func TestConcurrentInsertCheckpoint(t *testing.T) {
 	if info.Rows != workers*each {
 		t.Fatalf("recovered %d rows, want %d", info.Rows, workers*each)
 	}
-	if pending, stale := e2.SchedulerLoad(); pending != workers*each || stale != 0 {
-		t.Errorf("schedule = (%d, %d), want (%d, 0)", pending, stale, workers*each)
+	if pending := e2.texpPending(); pending != workers*each {
+		t.Errorf("texp index = %d pairs, want %d", pending, workers*each)
 	}
 }
 

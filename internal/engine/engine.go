@@ -10,28 +10,30 @@
 // Concurrency: row storage is sharded behind per-table locks (the RWMutex
 // each relation.Relation carries), so inserts, deletes and queries on
 // different tables proceed in parallel. The engine's own mutex guards only
-// the clock, the expiry scheduler, triggers, watches and counters, and is
-// held for short, bounded sections. See DESIGN.md "Locking model" for the
-// lock hierarchy and ordering rules.
+// the clock, write epochs, triggers, watches and the WAL append point, and
+// is held for short, bounded sections. The engine keeps no expiration
+// schedule: each table's texp-ordered index is the only record of when its
+// rows expire, and Advance drains those indexes table by table. See
+// DESIGN.md "Locking model" for the lock hierarchy and ordering rules.
 package engine
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"expdb/internal/algebra"
 	"expdb/internal/catalog"
+	"expdb/internal/index"
 	"expdb/internal/monitor"
-	"expdb/internal/pqueue"
 	"expdb/internal/relation"
 	"expdb/internal/trace"
 	"expdb/internal/tuple"
 	"expdb/internal/vfs"
 	"expdb/internal/view"
 	"expdb/internal/wal"
-	"expdb/internal/wheel"
 	"expdb/internal/xtime"
 )
 
@@ -74,39 +76,10 @@ func (m SweepMode) String() string {
 	return "lazy"
 }
 
-// SchedulerKind selects the data structure driving eager expiration.
-type SchedulerKind uint8
-
-const (
-	// SchedulerHeap uses a binary min-heap: O(log n) per event.
-	SchedulerHeap SchedulerKind = iota
-	// SchedulerWheel uses a hierarchical timing wheel: O(1) amortised,
-	// the structure behind the "real-time performance guarantees" the
-	// paper cites.
-	SchedulerWheel
-)
-
-// String names the scheduler.
-func (k SchedulerKind) String() string {
-	if k == SchedulerHeap {
-		return "heap"
-	}
-	return "wheel"
-}
-
 // TriggerFunc is invoked when a tuple expires. at is the tick the trigger
 // fires; row.Texp is the tick the tuple expired (they differ under lazy
 // sweeping).
 type TriggerFunc func(table string, row relation.Row, at xtime.Time)
-
-// expiryEvent is a scheduled check that a tuple has expired. key is the
-// tuple's set key (tuple.Tuple.Key) within table; events carry keys
-// rather than tuples so scheduling never clones.
-type expiryEvent struct {
-	table string
-	key   string
-	texp  xtime.Time
-}
 
 // Stats carries engine counters — the legacy flat form, derived from the
 // richer Metrics snapshot (see Engine.Metrics for histograms, scheduler
@@ -118,14 +91,7 @@ type Stats struct {
 	TriggersFired  int
 	TriggerLatency int64 // Σ (fire tick − expiration tick), lazy sweeping only
 	Sweeps         int
-	Compactions    int // stale-event compactions of the heap scheduler
 }
-
-// compactMinStale is the stale-event count below which the heap scheduler
-// never compacts; past it, compaction runs once stale events outnumber
-// live ones. Small enough to bound waste, large enough that steady-state
-// churn never pays the rebuild.
-const compactMinStale = 1024
 
 // Engine is an expiration-time-enabled in-memory database.
 //
@@ -139,9 +105,9 @@ type Engine struct {
 	// held and therefore must not call Advance or Sweep.
 	advMu sync.Mutex
 
-	// mu guards the clock, the eager scheduler, triggers, watches and
-	// stats. It is a leaf lock: never acquire any other engine lock while
-	// holding it.
+	// mu guards the clock, write epochs, triggers and watches, and orders
+	// WAL appends. It is a leaf lock: never acquire any other engine lock
+	// while holding it.
 	mu  sync.RWMutex
 	cat *catalog.Catalog
 	now xtime.Time
@@ -149,21 +115,6 @@ type Engine struct {
 	sweepMode  SweepMode
 	sweepEvery xtime.Time // lazy sweep period
 	lastSweep  xtime.Time
-
-	sched     SchedulerKind
-	heap      *pqueue.Queue[expiryEvent]
-	timeWheel *wheel.Wheel[expiryEvent]
-	// stale counts queued events that no longer match their tuple's
-	// stored expiration — superseded by a delete or a lifetime extension.
-	// The invariant backing the count: every row with a finite texp has
-	// exactly one live event queued (schedule runs exactly when an insert
-	// changes the stored row), so a delete or extension strands exactly
-	// one event, and a stranded event is detected — and the count
-	// decremented — when it pops and fails expireBatch's texp check, or
-	// when compaction discards it. Stale events waste scheduler memory
-	// but never fire: expireBatch only removes a tuple whose stored texp
-	// equals the event's.
-	stale int
 
 	// epochs counts writes per table name: Insert/Delete/DDL bump the
 	// table's epoch inside the same mu critical section that applies the
@@ -238,11 +189,6 @@ func WithSweep(mode SweepMode, period xtime.Time) Option {
 	}
 }
 
-// WithScheduler selects the eager scheduler backend.
-func WithScheduler(k SchedulerKind) Option {
-	return func(e *Engine) { e.sched = k }
-}
-
 // New returns an engine at tick 0.
 func New(opts ...Option) *Engine {
 	e := &Engine{
@@ -250,8 +196,6 @@ func New(opts ...Option) *Engine {
 		sweepEvery: 16,
 		triggers:   make(map[string][]TriggerFunc),
 		epochs:     make(map[string]uint64),
-		heap:       pqueue.New[expiryEvent](0),
-		timeWheel:  wheel.New[expiryEvent](0),
 		events:     trace.NewLog(DefaultEventLogCapacity),
 		traces:     trace.NewStore(DefaultTraceLogCapacity),
 		viewAgg:    &view.AggMetrics{},
@@ -283,19 +227,20 @@ func (e *Engine) Stats() Stats {
 		TriggersFired:  int(e.m.TriggersFired.Load()),
 		TriggerLatency: e.m.TriggerLagTicks.Load(),
 		Sweeps:         int(e.m.Sweeps.Load()),
-		Compactions:    int(e.m.Compactions.Load()),
 	}
 }
 
-// SchedulerLoad reports how many events the eager scheduler holds and how
-// many of them are stale. Exposed for tests and operational introspection.
-func (e *Engine) SchedulerLoad() (pending, stale int) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.sched == SchedulerWheel {
-		return e.timeWheel.Len(), e.stale
+// texpPending sums the pairs, stale ones included, held by every table's
+// texp-ordered index — all the expiration bookkeeping the engine has. It
+// read-locks one table at a time and allocates nothing.
+func (e *Engine) texpPending() int {
+	n := 0
+	for _, nt := range e.cat.TableSet() {
+		nt.Rel.RLock()
+		n += nt.Rel.TexpPending()
+		nt.Rel.RUnlock()
 	}
-	return e.heap.Len(), e.stale
+	return n
 }
 
 // CreateTable registers a new base relation. DDL is logged and applied
@@ -327,44 +272,22 @@ func (e *Engine) CreateTable(name string, schema tuple.Schema) error {
 	return nil
 }
 
-// DropTable removes a base relation. Under eager sweeping, every queued
-// expiry event of the dropped table becomes stale and is accounted so
-// scheduler compaction can reclaim it.
+// DropTable removes a base relation; its expiration bookkeeping dies with
+// it.
 func (e *Engine) DropTable(name string) error {
-	rel, err := e.cat.Table(name)
-	if err != nil {
-		return err
-	}
-	// Hold the table's read lock across the drop so the count of queued
-	// events (one per finite-texp row) cannot drift between counting and
-	// dropping: writers on this table serialise behind it.
-	rel.RLock()
-	finite := 0
-	rel.All(func(row relation.Row) {
-		if row.Texp.IsFinite() {
-			finite++
-		}
-	})
 	e.mu.Lock()
 	if _, err := e.cat.Table(name); err != nil {
-		// Lost a race with a concurrent drop.
 		e.mu.Unlock()
-		rel.RUnlock()
 		return err
 	}
 	seq, err := e.walAppend(&wal.Record{Kind: wal.KindDropTable, Name: name})
 	if err != nil {
 		e.mu.Unlock()
-		rel.RUnlock()
 		return err
 	}
 	e.cat.DropTable(name)
 	e.epochs[name]++
-	if e.sweepMode == SweepEager {
-		e.stale += finite
-	}
 	e.mu.Unlock()
-	rel.RUnlock()
 	if err := e.walSync(seq); err != nil {
 		return e.walFail(err, true)
 	}
@@ -447,22 +370,13 @@ func (e *Engine) insert(table string, t tuple.Tuple, texpAt func(xtime.Time) xti
 		rel.Unlock()
 		return err
 	}
-	changed, prev, had := rel.InsertKeyed(key, t, texp)
+	changed, _, _ := rel.InsertKeyed(key, t, texp)
 	e.m.Inserts.Inc()
 	if changed {
 		// Invalidate cached results over this table. A no-change duplicate
 		// leaves every result identical, so it keeps the epoch too.
 		e.epochs[table]++
 	}
-	if changed && e.sweepMode == SweepEager {
-		if had && prev != xtime.Infinity {
-			// Lifetime extension: the event queued at prev is now stale.
-			e.stale++
-		}
-		e.schedule(table, key, texp)
-	}
-	// A no-change duplicate keeps its existing event; scheduling another
-	// would only grow the stale backlog.
 	e.mu.Unlock()
 	rel.Unlock()
 	if err := e.walSync(seq); err != nil {
@@ -476,7 +390,8 @@ func (e *Engine) insert(table string, t tuple.Tuple, texpAt func(xtime.Time) xti
 }
 
 // Delete removes t from table immediately (an explicit delete, the
-// operation expiration times are designed to make rare).
+// operation expiration times are designed to make rare). A tuple that has
+// already expired is not there to delete, swept or not.
 func (e *Engine) Delete(table string, t tuple.Tuple) (bool, error) {
 	rel, err := e.cat.Table(table)
 	if err != nil {
@@ -484,111 +399,91 @@ func (e *Engine) Delete(table string, t tuple.Tuple) (bool, error) {
 	}
 	key := t.Key()
 	rel.Lock()
-	e.mu.Lock()
+	n, _, err := e.deleteKeys(table, rel, []string{key})
+	return n == 1, err
+}
+
+// DeleteWhere removes, as one atomic step, every tuple alive at the
+// current tick that plan selects, and returns their number and that tick.
+// plan is the access path the SQL planner chose for the statement: a base
+// table (every row), σ[pred](base), or an index probe of base. The victims
+// are read straight off the index or the live relation under the table's
+// write lock — no snapshot, and their stored set keys are reused, so
+// nothing is re-encoded. A multi-row delete is durable record by record:
+// a crash may keep any prefix of it.
+func (e *Engine) DeleteWhere(plan algebra.Expr) (int, xtime.Time, error) {
+	var base *algebra.Base
+	var pred algebra.Predicate // nil selects every row
+	var ix *algebra.IndexScan  // nil scans
+	switch p := plan.(type) {
+	case *algebra.Base:
+		base = p
+	case *algebra.Select:
+		base, _ = p.Child.(*algebra.Base)
+		pred = p.Pred
+	case *algebra.IndexScan:
+		ix, base, pred = p, p.Base, p.Full
+	}
+	if base == nil {
+		return 0, 0, fmt.Errorf("engine: DELETE needs a single-table access path, got %s", plan)
+	}
+	rel := base.Rel
+	rel.Lock()
+	now := e.Now()
+	var keys []string
+	if ix == nil || !ix.Probe(now, func(en index.Entry) { keys = append(keys, en.Key) }) {
+		rel.AliveKeyedAt(now, func(key string, row relation.Row) {
+			if pred == nil || pred.Holds(row.Tuple) {
+				keys = append(keys, key)
+			}
+		})
+	}
+	return e.deleteKeys(base.Name, rel, keys)
+}
+
+// deleteKeys removes the rows of table stored under keys and alive at the
+// current tick, logging one delete record per row in apply order and
+// bumping the table's epoch once; it returns the rows removed and the
+// tick. The caller holds rel's write lock, which deleteKeys releases
+// before the statement's single fsync. A log failure stops the loop: rows
+// already removed stay removed (and logged), the rest are untouched.
+func (e *Engine) deleteKeys(table string, rel *relation.Relation, keys []string) (n int, now xtime.Time, err error) {
+	rec := wal.Record{Kind: wal.KindDelete, Name: table}
 	var seq uint64
-	row, ok := rel.RowByKey(key)
-	if ok {
-		// Log only deletes that remove something: a replayed no-op delete
-		// would be harmless, but skipping it keeps the log minimal.
-		seq, err = e.walAppend(&wal.Record{Kind: wal.KindDelete, Name: table, Key: key})
-		if err != nil {
-			e.mu.Unlock()
-			rel.Unlock()
-			return false, err
+	e.mu.Lock()
+	now = e.now
+	if cur, cerr := e.cat.Table(table); cerr != nil || cur != rel {
+		// Lost a race with DROP TABLE: logging against the dropped (or
+		// re-created) name would make the log unreplayable.
+		keys, err = nil, fmt.Errorf("%w: %q", ErrNoSuchTable, table)
+	}
+	for _, key := range keys {
+		// The clock may have moved since the caller picked its victims; a
+		// row that expired meanwhile belongs to the expiry pipeline.
+		row, ok := rel.RowByKey(key)
+		if !ok || row.Texp <= now {
+			continue
 		}
+		rec.Key = key
+		s, aerr := e.walAppend(&rec)
+		if aerr != nil {
+			err = aerr
+			break
+		}
+		seq = s
 		rel.DeleteKey(key)
-		e.m.Deletes.Inc()
+		n++
+	}
+	if n > 0 {
+		e.m.Deletes.Add(int64(n))
 		e.epochs[table]++
-		if e.sweepMode == SweepEager && row.Texp != xtime.Infinity {
-			// The row's queued event is now stranded.
-			e.stale++
-		}
 	}
 	e.mu.Unlock()
 	rel.Unlock()
-	if err := e.walSync(seq); err != nil {
-		return ok, e.walFail(err, true)
+	if serr := e.walSync(seq); serr != nil && err == nil {
+		err = e.walFail(serr, true)
 	}
-	return ok, nil
-}
-
-// schedule registers an eager expiry event for the tuple stored under key
-// in table. Callers hold e.mu and must only call it when the insert
-// changed the stored row, keeping the one-live-event-per-finite-row
-// invariant behind the stale count.
-func (e *Engine) schedule(table, key string, texp xtime.Time) {
-	if texp == xtime.Infinity {
-		return
-	}
-	ev := expiryEvent{table: table, key: key, texp: texp}
-	if e.sched == SchedulerWheel {
-		e.timeWheel.Schedule(texp, ev)
-	} else {
-		e.heap.Push(texp, ev)
-	}
-}
-
-// maybeCompact rebuilds the heap without stale events once they both pass
-// compactMinStale and outnumber live events, bounding scheduler memory
-// under churny workloads with long TTLs. It runs at the head of each
-// Advance — the only point where advMu is held and no other lock is, so
-// liveness can be checked against the tables themselves (an event is live
-// iff its tuple's stored expiration equals the event's). Only the heap
-// compacts: wheel buckets shed stale entries as their slots are visited.
-func (e *Engine) maybeCompact(tid trace.ID) {
-	e.mu.Lock()
-	if e.sched != SchedulerHeap || e.stale < compactMinStale || 2*e.stale < e.heap.Len() {
-		e.mu.Unlock()
-		return
-	}
-	// Steal the heap; concurrent inserts push into the fresh one and are
-	// merged back with the surviving events below. No event can pop in
-	// the window: only Advance pops, and advMu is held.
-	old := e.heap
-	e.heap = pqueue.New[expiryEvent](max(old.Len()-e.stale, 0))
-	e.mu.Unlock()
-
-	byTable := make(map[string][]pqueue.Item[expiryEvent])
-	total := 0
-	for {
-		it, ok := old.Pop()
-		if !ok {
-			break
-		}
-		byTable[it.Value.table] = append(byTable[it.Value.table], it)
-		total++
-	}
-	live := make([]pqueue.Item[expiryEvent], 0, total)
-	for table, items := range byTable {
-		rel, err := e.cat.Table(table)
-		if err != nil {
-			continue // table dropped: every event is dead
-		}
-		rel.RLock()
-		for _, it := range items {
-			if row, ok := rel.RowByKey(it.Value.key); ok && row.Texp == it.Value.texp {
-				live = append(live, it)
-			}
-		}
-		rel.RUnlock()
-	}
-
-	e.mu.Lock()
-	for _, it := range live {
-		e.heap.Push(it.At, it.Value)
-	}
-	e.stale -= total - len(live)
-	if e.stale < 0 {
-		e.stale = 0
-	}
-	e.m.Compactions.Inc()
-	e.m.StaleDropped.Add(int64(total - len(live)))
-	now := e.now
-	e.mu.Unlock()
-	e.events.Emit(trace.Event{
-		Trace: tid, Kind: trace.EvCompaction, Tick: now,
-		Count: int64(total - len(live)),
-	})
+	return n, now, err
 }
 
 // firedEvent is an expiration whose triggers are due for dispatch.
@@ -607,8 +502,8 @@ type firedEvent struct {
 func (e *Engine) Advance(to xtime.Time) error { return e.AdvanceTraced(to, 0) }
 
 // AdvanceTraced is Advance with the caller's trace ID, so the lifecycle
-// events the advance causes (expiry batches, sweeps, compactions, view
-// invalidations) are attributable to the statement that moved the clock.
+// events the advance causes (expiry batches, sweeps, view invalidations)
+// are attributable to the statement that moved the clock.
 // A zero ID is replaced with a fresh one.
 func (e *Engine) AdvanceTraced(to xtime.Time, tid trace.ID) error {
 	e.advMu.Lock()
@@ -638,7 +533,6 @@ func (e *Engine) AdvanceTraced(to xtime.Time, tid trace.ID) error {
 		tid = trace.NextID()
 	}
 
-	e.maybeCompact(tid)
 	e.mu.Lock()
 	if to < e.now {
 		now := e.now
@@ -646,11 +540,8 @@ func (e *Engine) AdvanceTraced(to xtime.Time, tid trace.ID) error {
 		return fmt.Errorf("engine: cannot advance backwards from %v to %v", now, to)
 	}
 	seq, walErr := e.walAppendRelaxed(&wal.Record{Kind: wal.KindAdvance, Texp: to})
-	var due []expiryEvent
 	var sweeps []xtime.Time
-	if e.sweepMode == SweepEager {
-		due = e.popDue(to)
-	} else {
+	if e.sweepMode == SweepLazy {
 		// Sweep at each multiple of sweepEvery crossed by the advance, so
 		// trigger latency is bounded by the period.
 		for tick := e.lastSweep + e.sweepEvery; tick <= to; tick += e.sweepEvery {
@@ -683,10 +574,10 @@ func (e *Engine) AdvanceTraced(to xtime.Time, tid trace.ID) error {
 
 	var events []firedEvent
 	if e.sweepMode == SweepEager {
-		events = e.expireBatch(due, to, tid, catchup)
+		events = e.sweepTables(to, tid, catchup, true)
 	} else {
 		for _, tick := range sweeps {
-			events = append(events, e.sweepTables(tick, tid, catchup)...)
+			events = append(events, e.sweepTables(tick, tid, catchup, false)...)
 		}
 	}
 	watches := e.checkWatches(to, tid)
@@ -700,118 +591,65 @@ func (e *Engine) AdvanceTraced(to xtime.Time, tid trace.ID) error {
 	return nil
 }
 
-// popDue drains scheduler events due at or before to. Stale events
-// (deleted or lifetime-extended tuples) are still among them; expireBatch
-// filters them against each table's stored expirations. Callers hold
-// e.mu.
-func (e *Engine) popDue(to xtime.Time) []expiryEvent {
-	if e.sched == SchedulerWheel {
-		return e.timeWheel.Advance(to)
-	}
-	var due []expiryEvent
-	for _, it := range e.heap.PopDue(to) {
-		due = append(due, it.Value)
-	}
-	return due
-}
-
-// expireBatch physically removes the tuples behind due events, taking
-// each table's lock once per batch. An event only fires if the tuple's
-// stored expiration still equals the event's: stale events — the tuple
-// was deleted, its lifetime extended (the later event is already
-// queued), or concurrently re-inserted since popDue — are dropped here
-// and deducted from the stale count. The returned events preserve the
-// scheduler's time order for dispatch. One lifecycle event per table
-// records the batch in the engine's event log, tagged with tid. Each
-// expired tuple's dispatch lag (to − texp) feeds the SLO tracker; a
-// catchup batch (the first advance after recovery) goes to its own
-// labelled series so downtime never reads as a lag breach.
-func (e *Engine) expireBatch(due []expiryEvent, to xtime.Time, tid trace.ID, catchup bool) []firedEvent {
-	if len(due) == 0 {
-		return nil
-	}
-	byTable := make(map[string][]int)
-	for i, ev := range due {
-		byTable[ev.table] = append(byTable[ev.table], i)
-	}
-	expired := make([]bool, len(due))
-	rows := make([]relation.Row, len(due))
-	n := 0
-	for table, idxs := range byTable {
-		rel, err := e.cat.Table(table)
-		if err != nil {
-			continue // table dropped
-		}
-		removed := 0
-		rel.Lock()
-		for _, i := range idxs {
-			ev := due[i]
-			if row, ok := rel.RowByKey(ev.key); ok && row.Texp == ev.texp {
-				rel.DeleteKey(ev.key)
-				rows[i] = row
-				expired[i] = true
-				removed++
-			}
-		}
-		rel.Unlock()
-		n += removed
-		if removed > 0 {
-			e.events.Emit(trace.Event{
-				Trace: tid, Kind: trace.EvExpiry, Name: table,
-				Tick: to, Count: int64(removed),
-			})
-		}
-	}
-	e.m.TuplesExpired.Add(int64(n))
-	e.m.StaleDropped.Add(int64(len(due) - n))
-	e.m.ExpiryBatch.Observe(int64(n))
-	e.mu.Lock()
-	// Events that failed the texp check were stale — stranded by a
-	// delete, a lifetime extension or a dropped table.
-	e.stale -= len(due) - n
-	if e.stale < 0 {
-		e.stale = 0
-	}
-	e.mu.Unlock()
-	if n == 0 {
-		return nil
-	}
-	events := make([]firedEvent, 0, n)
-	slo := e.slo()
-	for i, ev := range due {
-		if expired[i] {
-			slo.ObserveDispatch(int64(to-ev.texp), catchup)
-			events = append(events, firedEvent{table: ev.table, row: rows[i], at: ev.texp})
-		}
-	}
-	return events
-}
-
-// sweepTables removes every tuple expired at tick from every table,
-// locking tables one at a time. Each table that shed tuples gets a sweep
+// sweepTables removes every tuple expired at tick from every table by
+// draining each table's texp-ordered index, one table lock at a time;
+// tables with nothing due are only read-locked for the peek. Eager
+// expiration is a sweep on every advance that stamps each trigger with
+// the tuple's own expiration time (at = texp, in texp order across
+// tables); a lazy or manual sweep stamps the sweep tick, so tick − texp
+// is the §3.2 grid-period latency. Each table that shed tuples gets one
 // lifecycle event tagged with tid, and each removed tuple's dispatch lag
-// (tick − texp, the §3.2 grid-period latency) feeds the SLO tracker.
-func (e *Engine) sweepTables(tick xtime.Time, tid trace.ID, catchup bool) []firedEvent {
+// feeds the SLO tracker — a catchup batch (the first advance after
+// recovery) goes to its own labelled series so downtime never reads as a
+// lag breach.
+func (e *Engine) sweepTables(tick xtime.Time, tid trace.ID, catchup, eager bool) []firedEvent {
 	var events []firedEvent
 	var latency int64
+	kind, shed := trace.EvSweep, 0
+	if eager {
+		kind = trace.EvExpiry
+	}
 	slo := e.slo()
 	for _, nt := range e.cat.TableSet() {
+		nt.Rel.RLock()
+		due := nt.Rel.ExpiresBy(tick)
+		nt.Rel.RUnlock()
+		if !due {
+			continue
+		}
 		nt.Rel.Lock()
 		removed := nt.Rel.RemoveExpired(tick)
 		nt.Rel.Unlock()
+		if len(removed) == 0 {
+			continue
+		}
+		shed++
 		for _, row := range removed {
-			latency += int64(tick - row.Texp)
+			at := tick
+			if eager {
+				at = row.Texp
+			}
+			latency += int64(at - row.Texp)
 			slo.ObserveDispatch(int64(tick-row.Texp), catchup)
-			events = append(events, firedEvent{table: nt.Name, row: row, at: tick})
+			events = append(events, firedEvent{table: nt.Name, row: row, at: at})
 		}
-		if len(removed) > 0 {
-			e.events.Emit(trace.Event{
-				Trace: tid, Kind: trace.EvSweep, Name: nt.Name,
-				Tick: tick, Count: int64(len(removed)),
-			})
-		}
+		e.events.Emit(trace.Event{
+			Trace: tid, Kind: kind, Name: nt.Name,
+			Tick: tick, Count: int64(len(removed)),
+		})
 	}
-	e.m.Sweeps.Inc()
+	if eager {
+		if shed > 1 {
+			// Each table's batch is already in (texp, key) order; a stable
+			// sort over tables visited by name fixes the merged order.
+			sort.SliceStable(events, func(i, j int) bool { return events[i].at < events[j].at })
+		}
+		if len(events) == 0 {
+			return nil
+		}
+	} else {
+		e.m.Sweeps.Inc()
+	}
 	e.m.TuplesExpired.Add(int64(len(events)))
 	e.m.TriggerLagTicks.Add(latency)
 	e.m.ExpiryBatch.Observe(int64(len(events)))
@@ -838,7 +676,7 @@ func (e *Engine) Sweep() error {
 	if walErr != nil {
 		e.walFail(walErr, false)
 	}
-	events := e.sweepTables(now, trace.NextID(), false)
+	events := e.sweepTables(now, trace.NextID(), false, false)
 	e.dispatch(events)
 	return nil
 }

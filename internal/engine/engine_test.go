@@ -112,32 +112,30 @@ func TestInsertTTL(t *testing.T) {
 }
 
 func TestEagerTriggersFireOnTime(t *testing.T) {
-	for _, sched := range []SchedulerKind{SchedulerHeap, SchedulerWheel} {
-		e := newsEngine(t, WithScheduler(sched))
-		var mu sync.Mutex
-		fired := map[int64]xtime.Time{}
-		err := e.OnExpire("el", func(table string, row relation.Row, at xtime.Time) {
-			mu.Lock()
-			defer mu.Unlock()
-			fired[row.Tuple[0].AsInt()] = at
-		})
-		if err != nil {
+	e := newsEngine(t)
+	var mu sync.Mutex
+	fired := map[int64]xtime.Time{}
+	err := e.OnExpire("el", func(table string, row relation.Row, at xtime.Time) {
+		mu.Lock()
+		defer mu.Unlock()
+		fired[row.Tuple[0].AsInt()] = at
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tick := xtime.Time(1); tick <= 20; tick++ {
+		if err := e.Advance(tick); err != nil {
 			t.Fatal(err)
 		}
-		for tick := xtime.Time(1); tick <= 20; tick++ {
-			if err := e.Advance(tick); err != nil {
-				t.Fatal(err)
-			}
+	}
+	want := map[int64]xtime.Time{4: 2, 2: 3, 1: 5}
+	for uid, at := range want {
+		if fired[uid] != at {
+			t.Errorf("trigger for UID %d fired at %v, want %v", uid, fired[uid], at)
 		}
-		want := map[int64]xtime.Time{4: 2, 2: 3, 1: 5}
-		for uid, at := range want {
-			if fired[uid] != at {
-				t.Errorf("%s: trigger for UID %d fired at %v, want %v", sched, uid, fired[uid], at)
-			}
-		}
-		if e.Stats().TuplesExpired < 3 {
-			t.Errorf("%s: expired = %d", sched, e.Stats().TuplesExpired)
-		}
+	}
+	if e.Stats().TuplesExpired < 3 {
+		t.Errorf("expired = %d", e.Stats().TuplesExpired)
 	}
 }
 
@@ -344,48 +342,11 @@ func TestManualSweepKeepsGridAnchored(t *testing.T) {
 	}
 }
 
-// TestStaleEventCompaction is the regression test for unbounded scheduler
-// growth: deleted or lifetime-extended tuples used to leave their events
-// in the heap until the original expiration passed. Past the threshold
-// the next Advance now compacts stale events away.
-func TestStaleEventCompaction(t *testing.T) {
-	e := New(WithScheduler(SchedulerHeap))
-	if err := e.CreateTable("s", tuple.IntCols("id")); err != nil {
-		t.Fatal(err)
-	}
-	const n = 1500 // > compactMinStale
-	for i := 0; i < n; i++ {
-		if err := e.Insert("s", tuple.Ints(int64(i)), 1_000_000); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		if ok, err := e.Delete("s", tuple.Ints(int64(i))); err != nil || !ok {
-			t.Fatalf("delete %d: ok=%v err=%v", i, ok, err)
-		}
-	}
-	if _, stale := e.SchedulerLoad(); stale != n {
-		t.Fatalf("after churn: stale=%d, want %d", stale, n)
-	}
-	// Advancing nowhere near texp=1_000_000 compacts the stale backlog
-	// away instead of letting all n events linger until it passes.
-	if err := e.Advance(1); err != nil {
-		t.Fatal(err)
-	}
-	pending, stale := e.SchedulerLoad()
-	if pending != 0 || stale != 0 {
-		t.Fatalf("after Advance: pending=%d stale=%d, want 0/0", pending, stale)
-	}
-	if e.Stats().Compactions == 0 {
-		t.Fatal("no compaction recorded")
-	}
-}
-
 // TestDuplicateInsertSchedulesOnce: re-inserting a tuple with the same or
-// an earlier expiration is a no-change insert and must not enqueue a
-// duplicate event.
+// an earlier expiration is a no-change insert and must not add a pair to
+// the table's texp-ordered index.
 func TestDuplicateInsertSchedulesOnce(t *testing.T) {
-	e := New(WithScheduler(SchedulerHeap))
+	e := New()
 	if err := e.CreateTable("s", tuple.IntCols("id")); err != nil {
 		t.Fatal(err)
 	}
@@ -394,16 +355,15 @@ func TestDuplicateInsertSchedulesOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if pending, _ := e.SchedulerLoad(); pending != 1 {
-		t.Fatalf("pending events = %d, want 1", pending)
+	if pending := e.Metrics().Scheduler.Pending; pending != 1 {
+		t.Fatalf("pending pairs = %d, want 1", pending)
 	}
-	// An extension schedules a replacement and marks the old event stale.
+	// An extension pushes a replacement; the old pair goes stale.
 	if err := e.Insert("s", tuple.Ints(1), 80); err != nil {
 		t.Fatal(err)
 	}
-	pending, stale := e.SchedulerLoad()
-	if pending != 2 || stale != 1 {
-		t.Fatalf("after extension: pending=%d stale=%d, want 2/1", pending, stale)
+	if pending := e.Metrics().Scheduler.Pending; pending != 2 {
+		t.Fatalf("after extension: pending=%d, want 2", pending)
 	}
 	fired := 0
 	if err := e.OnExpire("s", func(string, relation.Row, xtime.Time) { fired++ }); err != nil {
@@ -415,8 +375,8 @@ func TestDuplicateInsertSchedulesOnce(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("triggers = %d, want 1", fired)
 	}
-	if pending, stale := e.SchedulerLoad(); pending != 0 || stale != 0 {
-		t.Fatalf("after drain: pending=%d stale=%d", pending, stale)
+	if pending := e.Metrics().Scheduler.Pending; pending != 0 {
+		t.Fatalf("after drain: pending=%d", pending)
 	}
 }
 

@@ -2,9 +2,7 @@ package engine
 
 import (
 	"expdb/internal/metrics"
-	"expdb/internal/pqueue"
 	"expdb/internal/view"
-	"expdb/internal/wheel"
 	"expdb/internal/xtime"
 )
 
@@ -19,11 +17,7 @@ type Metrics struct {
 	TuplesExpired metrics.Counter
 	TriggersFired metrics.Counter
 	Sweeps        metrics.Counter
-	Compactions   metrics.Counter
 	Advances      metrics.Counter
-	// StaleDropped counts scheduler events discarded because their tuple
-	// was deleted, its lifetime extended, or its table dropped.
-	StaleDropped metrics.Counter
 	// TriggerLagTicks is Σ (fire tick − expiration tick); non-zero only
 	// under lazy sweeping, where it measures the §3.2 latency trade-off.
 	TriggerLagTicks metrics.Counter
@@ -74,14 +68,12 @@ type WALMetricsSnapshot struct {
 	Degraded string `json:"degraded,omitempty"`
 }
 
-// SchedulerMetrics describes the eager expiry scheduler in a snapshot.
+// SchedulerMetrics describes the expiration bookkeeping in a snapshot.
 type SchedulerMetrics struct {
-	Kind    string `json:"kind"`
-	Pending int    `json:"pending"`
-	Stale   int    `json:"stale"`
-	// Exactly one of Wheel/Heap is set, matching Kind.
-	Wheel *wheel.Stats  `json:"wheel,omitempty"`
-	Heap  *pqueue.Stats `json:"heap,omitempty"`
+	// Pending is the number of (texp, key) pairs across every table's
+	// texp-ordered index, stale pairs included; each table keeps its share
+	// within 2×rows + 1024.
+	Pending int `json:"pending"`
 }
 
 // ViewMetrics is the per-view slice of a snapshot: the recompute vs patch
@@ -109,9 +101,7 @@ type MetricsSnapshot struct {
 	TuplesExpired    int64                     `json:"tuples_expired"`
 	TriggersFired    int64                     `json:"triggers_fired"`
 	Sweeps           int64                     `json:"sweeps"`
-	Compactions      int64                     `json:"compactions"`
 	Advances         int64                     `json:"advances"`
-	StaleDropped     int64                     `json:"stale_dropped"`
 	TriggerLagTicks  int64                     `json:"trigger_lag_ticks"`
 	Checkpoints      int64                     `json:"checkpoints,omitempty"`
 	DiskFaults       int64                     `json:"disk_faults,omitempty"`
@@ -135,9 +125,10 @@ type MetricsSnapshot struct {
 }
 
 // Metrics returns a consistent-enough snapshot of the engine's counters,
-// histograms, scheduler load and per-view maintenance split. It takes
-// only the engine leaf lock and each view's own lock, so it is safe to
-// call from a monitoring goroutine at any frequency.
+// histograms, expiration bookkeeping and per-view maintenance split. It
+// takes the engine leaf lock, each table's read lock (briefly, one at a
+// time) and each view's own lock, so it is safe to call from a monitoring
+// goroutine at any frequency.
 func (e *Engine) Metrics() MetricsSnapshot {
 	s := MetricsSnapshot{
 		Inserts:          e.m.Inserts.Load(),
@@ -145,9 +136,7 @@ func (e *Engine) Metrics() MetricsSnapshot {
 		TuplesExpired:    e.m.TuplesExpired.Load(),
 		TriggersFired:    e.m.TriggersFired.Load(),
 		Sweeps:           e.m.Sweeps.Load(),
-		Compactions:      e.m.Compactions.Load(),
 		Advances:         e.m.Advances.Load(),
-		StaleDropped:     e.m.StaleDropped.Load(),
 		TriggerLagTicks:  e.m.TriggerLagTicks.Load(),
 		Checkpoints:      e.m.Checkpoints.Load(),
 		DiskFaults:       e.m.DiskFaults.Load(),
@@ -184,20 +173,8 @@ func (e *Engine) Metrics() MetricsSnapshot {
 			s.WAL.Degraded = err.Error()
 		}
 	}
-	e.mu.RLock()
-	s.Now = e.now
-	s.Scheduler.Kind = e.sched.String()
-	s.Scheduler.Stale = e.stale
-	if e.sched == SchedulerWheel {
-		s.Scheduler.Pending = e.timeWheel.Len()
-		ws := e.timeWheel.Stats()
-		s.Scheduler.Wheel = &ws
-	} else {
-		s.Scheduler.Pending = e.heap.Len()
-		hs := e.heap.Stats()
-		s.Scheduler.Heap = &hs
-	}
-	e.mu.RUnlock()
+	s.Now = e.Now()
+	s.Scheduler.Pending = e.texpPending()
 
 	if rc, err := e.ResultCacheStats(); err == nil {
 		s.ResultCache = &rc

@@ -12,13 +12,13 @@ import (
 
 // Monitor wiring: the engine owns a monitor.Monitor when WithMonitor is
 // given, feeding it three ways. History series are registered against
-// the engine's atomic counters (and two short-RLock gauges for scheduler
-// depth), so a sampler tick stays allocation-free. The SLO tracker is
-// fed inline from the Advance pipeline — per-tuple dispatch lag at
-// expiry, routed to the catch-up series when the advance consumed the
-// recovery trace ID — and the health checks below hand the watchdog the
-// engine-owned failure conditions (poisoned WAL, pending recovery
-// catch-up). Monitor lifecycle (Start/Stop) belongs to the embedder: the
+// the engine's atomic counters (and one gauge that read-locks each table
+// for its texp-index size), so a sampler tick stays allocation-free. The
+// SLO tracker is fed inline from the Advance pipeline — per-tuple
+// dispatch lag at expiry, routed to the catch-up series when the advance
+// consumed the recovery trace ID — and the health checks below hand the
+// watchdog the engine-owned failure conditions (poisoned WAL, pending
+// recovery catch-up). Monitor lifecycle (Start/Stop) belongs to the embedder: the
 // facade starts it after OpenDurability and stops it on Close.
 
 // WithMonitor enables continuous monitoring with the given options.
@@ -112,29 +112,17 @@ func (e *Engine) initMonitor() {
 	reg("engine_tuples_expired", monitor.SeriesCounter, e.m.TuplesExpired.Load)
 	reg("engine_triggers_fired", monitor.SeriesCounter, e.m.TriggersFired.Load)
 	reg("engine_sweeps", monitor.SeriesCounter, e.m.Sweeps.Load)
-	reg("engine_compactions", monitor.SeriesCounter, e.m.Compactions.Load)
 	reg("engine_advances", monitor.SeriesCounter, e.m.Advances.Load)
-	reg("engine_stale_dropped", monitor.SeriesCounter, e.m.StaleDropped.Load)
 	reg("engine_checkpoints", monitor.SeriesCounter, e.m.Checkpoints.Load)
-	reg("scheduler_pending", monitor.SeriesGauge, func() int64 {
-		e.mu.RLock()
-		defer e.mu.RUnlock()
-		if e.sched == SchedulerWheel {
-			return int64(e.timeWheel.Len())
-		}
-		return int64(e.heap.Len())
-	})
-	reg("scheduler_stale", monitor.SeriesGauge, func() int64 {
-		e.mu.RLock()
-		defer e.mu.RUnlock()
-		return int64(e.stale)
-	})
+	reg("scheduler_pending", monitor.SeriesGauge, func() int64 { return int64(e.texpPending()) })
 	reg("events_emitted", monitor.SeriesCounter, func() int64 { return int64(e.events.Total()) })
 	reg("events_dropped", monitor.SeriesCounter, func() int64 { return int64(e.events.Dropped()) })
 	reg("traces_recorded", monitor.SeriesCounter, func() int64 { return int64(e.traces.Total()) })
 	reg("cache_hits", monitor.SeriesCounter, func() int64 { return e.cacheCounter(func(m *resultCacheMetrics) int64 { return m.Hits.Load() }) })
 	reg("cache_misses", monitor.SeriesCounter, func() int64 { return e.cacheCounter(func(m *resultCacheMetrics) int64 { return m.Misses.Load() }) })
-	reg("cache_invalidations", monitor.SeriesCounter, func() int64 { return e.cacheCounter(func(m *resultCacheMetrics) int64 { return m.Invalidations.Load() + m.EpochInvalidations.Load() }) })
+	reg("cache_invalidations", monitor.SeriesCounter, func() int64 {
+		return e.cacheCounter(func(m *resultCacheMetrics) int64 { return m.Invalidations.Load() + m.EpochInvalidations.Load() })
+	})
 	reg("cache_evictions", monitor.SeriesCounter, func() int64 { return e.cacheCounter(func(m *resultCacheMetrics) int64 { return m.Evictions.Load() }) })
 	reg("view_reads", monitor.SeriesCounter, e.viewAgg.Reads.Load)
 	reg("view_cache_hits", monitor.SeriesCounter, e.viewAgg.ServedFromMat.Load)

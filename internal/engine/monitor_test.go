@@ -16,43 +16,39 @@ import (
 // steady-state p99 lag stays within the configured budget and nothing
 // lands in the catch-up series.
 func TestMonitorSeededLoadDispatchLag(t *testing.T) {
-	for _, sched := range []SchedulerKind{SchedulerHeap, SchedulerWheel} {
-		t.Run(sched.String(), func(t *testing.T) {
-			const threshold = 2
-			e := New(WithScheduler(sched), WithMonitor(monitor.Options{LagThresholdTicks: threshold}))
-			if err := e.CreateTable("s", tuple.IntCols("id")); err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(42))
-			const n = 2000
-			for i := int64(0); i < n; i++ {
-				texp := xtime.Time(1 + rng.Intn(n))
-				if err := e.Insert("s", tuple.Ints(i), texp); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for tick := xtime.Time(1); tick <= n+10; tick++ {
-				if err := e.Advance(tick); err != nil {
-					t.Fatal(err)
-				}
-			}
-			slo := e.Monitor().SLO
-			if got := slo.DispatchLag.Count(); got != n {
-				t.Fatalf("dispatch observations = %d, want %d", got, n)
-			}
-			if got := slo.CatchupLag.Count(); got != 0 {
-				t.Fatalf("catch-up observations = %d, want 0 (no recovery happened)", got)
-			}
-			if p99 := slo.P99Lag(); p99 > threshold {
-				t.Fatalf("p99 dispatch lag = %d ticks, want <= %d", p99, threshold)
-			}
-			if slo.Breached() {
-				t.Fatal("SLO breached under normal tick-by-tick operation")
-			}
-			if got := slo.HeartbeatGap.Count(); got != n+10-1 {
-				t.Fatalf("heartbeat gaps = %d, want %d", got, n+10-1)
-			}
-		})
+	const threshold = 2
+	e := New(WithMonitor(monitor.Options{LagThresholdTicks: threshold}))
+	if err := e.CreateTable("s", tuple.IntCols("id")); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(42))
+	const n = 2000
+	for i := int64(0); i < n; i++ {
+		texp := xtime.Time(1 + rng.Intn(n))
+		if err := e.Insert("s", tuple.Ints(i), texp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for tick := xtime.Time(1); tick <= n+10; tick++ {
+		if err := e.Advance(tick); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slo := e.Monitor().SLO
+	if got := slo.DispatchLag.Count(); got != n {
+		t.Fatalf("dispatch observations = %d, want %d", got, n)
+	}
+	if got := slo.CatchupLag.Count(); got != 0 {
+		t.Fatalf("catch-up observations = %d, want 0 (no recovery happened)", got)
+	}
+	if p99 := slo.P99Lag(); p99 > threshold {
+		t.Fatalf("p99 dispatch lag = %d ticks, want <= %d", p99, threshold)
+	}
+	if slo.Breached() {
+		t.Fatal("SLO breached under normal tick-by-tick operation")
+	}
+	if got := slo.HeartbeatGap.Count(); got != n+10-1 {
+		t.Fatalf("heartbeat gaps = %d, want %d", got, n+10-1)
 	}
 }
 

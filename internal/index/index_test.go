@@ -203,6 +203,37 @@ func TestTexpHeap(t *testing.T) {
 	}
 }
 
+// TestTexpHeapPopOrderIgnoresHistory: pairs pop in (texp, key) order
+// whatever order they were pushed in, and Due is an exact "nothing to
+// pop" test.
+func TestTexpHeapPopOrderIgnoresHistory(t *testing.T) {
+	live := map[string]xtime.Time{}
+	current := func(k string) (xtime.Time, bool) { v, ok := live[k]; return v, ok }
+	var want []string
+	for i := 0; i < 200; i++ {
+		k := fmt.Sprintf("k%03d", i)
+		live[k] = xtime.Time(10 + i/50) // four texp values, 50-way ties
+		want = append(want, k)
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		th := NewTexpHeap()
+		if th.Due(1 << 40) {
+			t.Fatal("empty heap reports something due")
+		}
+		for _, i := range rand.New(rand.NewSource(seed)).Perm(len(want)) {
+			th.Push(want[i], live[want[i]])
+		}
+		if th.Due(9) || !th.Due(10) {
+			t.Fatalf("Due(9)=%v Due(10)=%v, want false/true", th.Due(9), th.Due(10))
+		}
+		var got []string
+		th.PopDue(13, current, func(k string, _ xtime.Time) { got = append(got, k) })
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("seed %d: pop order depends on push order:\n%v", seed, got)
+		}
+	}
+}
+
 func TestOrderedCompositeTiebreak(t *testing.T) {
 	o := NewOrdered([]int{0, 1})
 	o.Insert(mk(1, 2, xtime.Infinity))

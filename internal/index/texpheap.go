@@ -3,13 +3,19 @@ package index
 import "expdb/internal/xtime"
 
 // TexpHeap is the per-table texp-ordered index: a binary min-heap of
-// (texp, set key) pairs with lazy deletion. It makes the two operations
-// the engine used to answer with an O(n) scan cheap:
+// (texp, set key) pairs with lazy deletion. It is the table's one record
+// of when its rows expire — the engine keeps no schedule of its own — and
+// makes the two operations that would otherwise scan the table cheap:
 //
 //   - NextExpiration (the per-table texp(e) floor) becomes a peek after
 //     discarding stale tops, and
-//   - sweep-candidate enumeration (every row with texp <= tick) becomes
+//   - expiry enumeration (every row with texp <= tick) becomes
 //     O(k log n) pops instead of a full-table walk.
+//
+// Pairs order by texp, then by key, so the pop order — the order ON
+// EXPIRE triggers fire in — depends only on the table's contents, never
+// on the history that produced them (insertion order, heap rebuilds,
+// crash recovery).
 //
 // Deletes and texp extensions do not search the heap; they simply leave a
 // stale pair behind. A pair is authoritative only if the owning
@@ -24,6 +30,10 @@ type TexpHeap struct {
 type texpPair struct {
 	texp xtime.Time
 	key  string
+}
+
+func (p texpPair) less(q texpPair) bool {
+	return p.texp < q.texp || (p.texp == q.texp && p.key < q.key)
 }
 
 // NewTexpHeap returns an empty heap.
@@ -41,7 +51,7 @@ func (th *TexpHeap) Push(key string, texp xtime.Time) {
 	i := len(th.h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if th.h[p].texp <= th.h[i].texp {
+		if !th.h[i].less(th.h[p]) {
 			break
 		}
 		th.h[p], th.h[i] = th.h[i], th.h[p]
@@ -93,6 +103,13 @@ func (th *TexpHeap) NextAfter(tau xtime.Time, current func(key string) (xtime.Ti
 	return next
 }
 
+// Due reports whether some pair, stale or not, has texp <= tick: a false
+// answer proves PopDue(tick) would deliver nothing. It does not modify
+// the heap, so the owning relation's read lock suffices.
+func (th *TexpHeap) Due(tick xtime.Time) bool {
+	return len(th.h) > 0 && th.h[0].texp <= tick
+}
+
 // PopDue pops every authoritative pair with texp <= tick, calling expire
 // for each. Stale pairs encountered on the way are discarded silently.
 // Returns the number of expirations delivered.
@@ -118,10 +135,10 @@ func (th *TexpHeap) pop() texpPair {
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < last && th.h[l].texp < th.h[small].texp {
+		if l < last && th.h[l].less(th.h[small]) {
 			small = l
 		}
-		if r < last && th.h[r].texp < th.h[small].texp {
+		if r < last && th.h[r].less(th.h[small]) {
 			small = r
 		}
 		if small == i {

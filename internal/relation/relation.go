@@ -66,7 +66,9 @@ type Relation struct {
 	indexes []NamedIndex
 	// texpIdx is the per-table texp-ordered index (a lazy-deletion
 	// min-heap): it makes NextExpiration a peek and RemoveExpired O(k)
-	// instead of O(n). Enabled by the engine on base tables.
+	// instead of O(n). Enabled by the engine on base tables, where it is
+	// the only record of when rows expire; boundTexpIdx keeps it within
+	// 2×rows + texpSlack pairs.
 	texpIdx *index.TexpHeap
 }
 
@@ -164,9 +166,8 @@ func (r *Relation) Insert(t tuple.Tuple, texp xtime.Time) bool {
 }
 
 // InsertPrev is Insert, additionally reporting the tuple's previous
-// expiration time when an equal tuple was already present. Schedulers use
-// prev to detect that an event queued for the old expiration has become
-// stale (the tuple's lifetime was extended).
+// expiration time when an equal tuple was already present (a changed
+// insert with had set is a lifetime extension).
 func (r *Relation) InsertPrev(t tuple.Tuple, texp xtime.Time) (changed bool, prev xtime.Time, had bool) {
 	return r.InsertKeyed(t.Key(), t, texp)
 }
@@ -234,6 +235,7 @@ func (r *Relation) DeleteKey(key string) bool {
 	r.detach()
 	delete(r.rows, key)
 	r.idxRemove(key, row.Tuple)
+	r.boundTexpIdx()
 	return true
 }
 
@@ -280,6 +282,17 @@ func (r *Relation) AliveAt(tau xtime.Time, fn func(Row)) {
 	for _, row := range r.rows {
 		if row.Texp > tau {
 			fn(row)
+		}
+	}
+}
+
+// AliveKeyedAt is AliveAt that also hands fn each row's set key, so a
+// caller about to DeleteKey the rows it picks need not re-encode them.
+func (r *Relation) AliveKeyedAt(tau xtime.Time, fn func(key string, row Row)) {
+	tau = r.effTau(tau)
+	for k, row := range r.rows {
+		if row.Texp > tau {
+			fn(k, row)
 		}
 	}
 }
@@ -365,6 +378,7 @@ func (r *Relation) RemoveExpired(tau xtime.Time) []Row {
 			delete(r.rows, key)
 			r.idxRemove(key, row.Tuple)
 		})
+		r.boundTexpIdx()
 		return removed
 	}
 	for k, row := range r.rows {
@@ -375,6 +389,26 @@ func (r *Relation) RemoveExpired(tau xtime.Time) []Row {
 		}
 	}
 	return removed
+}
+
+// ExpiresBy reports whether RemoveExpired(tau) could remove anything. A
+// true answer may be a false alarm (a stale heap pair); a false one is
+// exact. It mutates nothing, so callers need only the read lock — the
+// engine uses it to leave tables with nothing due unlocked for writing.
+func (r *Relation) ExpiresBy(tau xtime.Time) bool {
+	if r.texpIdx != nil {
+		return r.texpIdx.Due(tau)
+	}
+	return len(r.rows) > 0
+}
+
+// TexpPending returns the number of pairs in the texp-ordered index,
+// stale ones included (0 when the index is not enabled).
+func (r *Relation) TexpPending() int {
+	if r.texpIdx == nil {
+		return 0
+	}
+	return r.texpIdx.Len()
 }
 
 // NextExpiration returns the smallest finite texp strictly greater than
@@ -503,6 +537,7 @@ func (r *Relation) idxUpdate(key string, t tuple.Tuple, texp xtime.Time) {
 	}
 	if r.texpIdx != nil {
 		r.texpIdx.Push(key, texp)
+		r.boundTexpIdx()
 	}
 }
 
@@ -559,14 +594,36 @@ func (r *Relation) Indexes() []NamedIndex { return r.indexes }
 // EnableTexpIndex turns on the texp-ordered index, backfilling it from
 // the stored rows. Idempotent; caller holds the write lock.
 func (r *Relation) EnableTexpIndex() {
-	if r.texpIdx != nil {
-		return
+	if r.texpIdx == nil {
+		r.rebuildTexpIdx()
 	}
+}
+
+// rebuildTexpIdx replaces the texp heap with one pair per stored
+// finite-texp row.
+func (r *Relation) rebuildTexpIdx() {
 	th := index.NewTexpHeap()
 	for k, row := range r.rows {
 		th.Push(k, row.Texp)
 	}
 	r.texpIdx = th
+}
+
+// texpSlack is the number of texp-heap pairs tolerated beyond 2×rows:
+// large enough that steady churn on a small table never pays a rebuild.
+const texpSlack = 1024
+
+// boundTexpIdx rebuilds the texp heap from the stored rows once the
+// stale pairs that deletes and lifetime extensions leave behind push it
+// past 2×rows + texpSlack, so delete-heavy churn with long TTLs cannot
+// grow it without bound. A rebuild leaves at most rows pairs, so the next
+// one is at least rows + texpSlack mutations away: amortised O(1). Every
+// mutator that can break the bound calls it under the write lock it
+// already holds.
+func (r *Relation) boundTexpIdx() {
+	if r.texpIdx != nil && r.texpIdx.Len() > 2*len(r.rows)+texpSlack {
+		r.rebuildTexpIdx()
+	}
 }
 
 // Index is a hash index over a column subset, mapping projected keys to

@@ -275,3 +275,79 @@ func TestQuickSnapshotMatchesContains(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// texpBoundHolds is the invariant boundTexpIdx maintains: the texp heap
+// never holds more than 2×rows + texpSlack pairs, stale ones included.
+func texpBoundHolds(t *testing.T, r *Relation, when string) {
+	t.Helper()
+	if got, max := r.TexpPending(), 2*r.Len()+texpSlack; got > max {
+		t.Fatalf("%s: texp heap holds %d pairs for %d rows (bound %d)", when, got, r.Len(), max)
+	}
+}
+
+// TestTexpHeapBoundedUnderDeleteChurn: rows with long TTLs inserted and
+// deleted over and over never expire, so nothing ever pops their stale
+// pairs; the relation must rebuild the heap instead of letting it grow.
+func TestTexpHeapBoundedUnderDeleteChurn(t *testing.T) {
+	r := New(tuple.IntCols("id"))
+	r.EnableTexpIndex()
+	const live, rounds = 100, 200
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < live; i++ {
+			r.Insert(tuple.Ints(int64(round*live+i)), 1_000_000)
+			texpBoundHolds(t, r, "insert")
+		}
+		for i := 0; i < live; i++ {
+			if !r.Delete(tuple.Ints(int64(round*live + i))) {
+				t.Fatal("delete missed a live row")
+			}
+			texpBoundHolds(t, r, "delete")
+		}
+	}
+	// live×rounds pairs were pushed in all; without the rebuild they would
+	// all still be here.
+	if got := r.TexpPending(); got > texpSlack {
+		t.Fatalf("empty table keeps %d stale pairs", got)
+	}
+}
+
+// TestTexpHeapBoundedUnderExtension: extending one key's lifetime again
+// and again strands one pair per extension.
+func TestTexpHeapBoundedUnderExtension(t *testing.T) {
+	r := New(tuple.IntCols("id"))
+	r.EnableTexpIndex()
+	for texp := xtime.Time(1_000_000); texp < 1_010_000; texp++ {
+		r.Insert(tuple.Ints(1), texp)
+		texpBoundHolds(t, r, "extension")
+	}
+	// The one live pair survives every rebuild and still expires the row.
+	if next := r.NextExpiration(0); next != 1_009_999 {
+		t.Fatalf("NextExpiration = %v, want 1009999", next)
+	}
+	if removed := r.RemoveExpired(1_009_999); len(removed) != 1 || r.TexpPending() != 0 {
+		t.Fatalf("removed %d rows, %d pairs left; want 1 and 0", len(removed), r.TexpPending())
+	}
+}
+
+// TestRemoveExpiredOrder: expired rows come back in (texp, key) order,
+// the order their triggers fire in, whatever the insertion order was.
+func TestRemoveExpiredOrder(t *testing.T) {
+	r := New(tuple.IntCols("id"))
+	r.EnableTexpIndex()
+	for _, id := range []int64{5, 3, 9, 1, 7, 2, 8} {
+		r.Insert(tuple.Ints(id), xtime.Time(10+id%2))
+	}
+	if r.ExpiresBy(9) || !r.ExpiresBy(10) {
+		t.Fatalf("ExpiresBy(9)=%v ExpiresBy(10)=%v, want false/true", r.ExpiresBy(9), r.ExpiresBy(10))
+	}
+	var got []int64
+	for _, row := range r.RemoveExpired(11) {
+		got = append(got, row.Tuple[0].AsInt())
+	}
+	want := []int64{2, 8, 1, 3, 5, 7, 9}
+	for i := range want {
+		if len(got) != len(want) || got[i] != want[i] {
+			t.Fatalf("RemoveExpired order = %v, want %v", got, want)
+		}
+	}
+}

@@ -380,38 +380,41 @@ func (s *Session) execInsert(st *Insert) (*Result, error) {
 		len(st.Rows), st.Table, texp), At: now}, nil
 }
 
+// execDelete hands the statement's access path to the engine, which
+// picks and removes the victims in one critical section.
 func (s *Session) execDelete(st *Delete) (*Result, error) {
+	sp := s.span.Child("plan")
+	plan, err := s.planDelete(st)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	sp = s.span.Child("execute")
+	n, at, err := s.eng.DeleteWhere(plan)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Msg: fmt.Sprintf("%d tuple(s) deleted from %s", n, st.Table), At: at}, nil
+}
+
+// planDelete lowers DELETE to σ[where](table) and runs it through the
+// optimizer SELECT uses, so a sargable WHERE probes an index instead of
+// scanning. Without a WHERE the plan is the bare table.
+func (s *Session) planDelete(st *Delete) (algebra.Expr, error) {
 	base, err := s.eng.Base(st.Table)
 	if err != nil {
 		return nil, err
 	}
-	now := s.eng.Now()
-	var pred algebra.Predicate = algebra.True{}
-	if st.Where != nil {
-		sc := newScope(st.Table, base.Schema())
-		pred, err = condToPredicate(st.Where, sc)
-		if err != nil {
-			return nil, err
-		}
+	if st.Where == nil {
+		return base, nil
 	}
-	// Query returns an independent snapshot taken under the engine lock,
-	// so collecting victims does not race with writers.
-	snap, err := s.eng.Query(base)
+	pred, err := condToPredicate(st.Where, newScope(st.Table, base.Schema()))
 	if err != nil {
 		return nil, err
 	}
-	var victims []tuple.Tuple
-	snap.AliveAt(now, func(row relation.Row) {
-		if pred.Holds(row.Tuple) {
-			victims = append(victims, row.Tuple)
-		}
-	})
-	for _, v := range victims {
-		if _, err := s.eng.Delete(st.Table, v); err != nil {
-			return nil, err
-		}
-	}
-	return &Result{Msg: fmt.Sprintf("%d tuple(s) deleted from %s", len(victims), st.Table), At: now}, nil
+	plan, _ := s.optimize(&algebra.Select{Pred: pred, Child: base})
+	return plan, nil
 }
 
 func (s *Session) execCreateView(st *CreateView) (*Result, error) {

@@ -10,8 +10,8 @@ import (
 // EventKind classifies a lifecycle event. The taxonomy follows the
 // paper's maintenance decisions: tuples expiring (§3.2), views
 // invalidating and being recomputed or patched (Theorems 1–3), patch
-// queues truncated by a budget (§3.4.2), and the sweep/compaction
-// housekeeping behind eager and lazy expiration.
+// queues truncated by a budget (§3.4.2), and the sweeps behind lazy
+// expiration.
 type EventKind uint8
 
 const (
@@ -19,8 +19,6 @@ const (
 	EvExpiry EventKind = iota
 	// EvSweep: a lazy (or manual) sweep removed expired tuples.
 	EvSweep
-	// EvCompaction: the heap scheduler shed stale events.
-	EvCompaction
 	// EvViewInvalid: an advance crossed a view's texp(e), invalidating
 	// its materialisation.
 	EvViewInvalid
@@ -96,7 +94,6 @@ const (
 var eventKindNames = [...]string{
 	EvExpiry:          "expiry",
 	EvSweep:           "sweep",
-	EvCompaction:      "compaction",
 	EvViewInvalid:     "view-invalid",
 	EvViewRecompute:   "view-recompute",
 	EvViewPatch:       "view-patch",

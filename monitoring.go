@@ -132,9 +132,7 @@ func (db *DB) WritePrometheus(w io.Writer) error {
 	p.Counter("expdb_tuples_expired_total", "Tuples physically expired.", nil, em.TuplesExpired)
 	p.Counter("expdb_triggers_fired_total", "ON EXPIRE triggers fired.", nil, em.TriggersFired)
 	p.Counter("expdb_sweeps_total", "Lazy sweep passes.", nil, em.Sweeps)
-	p.Counter("expdb_compactions_total", "Storage compactions.", nil, em.Compactions)
 	p.Counter("expdb_advances_total", "Advance calls.", nil, em.Advances)
-	p.Counter("expdb_stale_dropped_total", "Stale scheduler events dropped.", nil, em.StaleDropped)
 	p.Counter("expdb_trigger_lag_ticks_total", "Sum of (fire tick - expiration tick) under lazy sweeping.", nil, em.TriggerLagTicks)
 	p.Counter("expdb_checkpoints_total", "Durability checkpoints completed.", nil, em.Checkpoints)
 	p.Counter("expdb_disk_faults_total", "Transitions into disk-degraded read-only mode.", nil, em.DiskFaults)
@@ -144,9 +142,7 @@ func (db *DB) WritePrometheus(w io.Writer) error {
 	p.Histogram("expdb_advance_duration_nanos", "Advance wall-clock latency.", nil, em.AdvanceNanos)
 	p.Histogram("expdb_expiry_batch_size", "Tuples expired per batch or sweep tick.", nil, em.ExpiryBatch)
 
-	sched := []Label{{Key: "kind", Value: em.Scheduler.Kind}}
-	p.Gauge("expdb_scheduler_pending", "Scheduled future expirations.", sched, int64(em.Scheduler.Pending))
-	p.Gauge("expdb_scheduler_stale", "Stale entries awaiting compaction.", sched, int64(em.Scheduler.Stale))
+	p.Gauge("expdb_scheduler_pending", "Pairs in the per-table texp-ordered indexes, stale ones included.", nil, int64(em.Scheduler.Pending))
 
 	// Observability rings: one family per measure, ring name as label.
 	rings := []struct {

@@ -1,0 +1,36 @@
+#!/usr/bin/env bash
+# Hot-path allocation budgets: runs each benchmark in the table below and
+# fails if its allocs/op exceed the budget. One-shot runs over-report
+# (map growth amortises away); 10000x is deterministic at these budgets
+# and each benchmark still runs in well under a second.
+#
+# benchmark | package | max allocs/op | what the budget protects
+set -euo pipefail
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
+
+gates='
+BenchmarkInsertMetricsOverhead ./internal/engine  5  insert: stored tuple, row-map entry, texp-index pair (measured 3)
+BenchmarkDurableInsert         ./internal/engine  4  the WAL append reuses the group-commit buffer: nothing over the in-memory insert (measured 3)
+BenchmarkEmptyAdvance          ./internal/engine  0  the idle heartbeat walks the cached table set and peeks each texp index
+BenchmarkViewReadServe         ./internal/engine  6  a shared snapshot, however large the materialisation (measured 3)
+BenchmarkCacheHit              ./internal/engine  4  map probe, epoch check, LRU touch, snapshot header (measured 1)
+BenchmarkIndexedPointLookup    ./internal/engine  6  lock plan and probe free; result relation, row map, bucket, key, closure (measured 5)
+BenchmarkIndexedDelete         ./internal/engine  2  victim key slice and the closure filling it; nothing scales with the table
+BenchmarkSamplerTick           ./internal/monitor 0  the sampler runs forever: one allocation per tick is a slow leak
+'
+
+fail=0
+while read -r bench pkg max why; do
+  [ -n "$bench" ] || continue
+  out=$(go test "$pkg" -run '^$' -bench "^${bench}\$" -benchtime=10000x -benchmem)
+  echo "$out" | grep "^${bench}" || true
+  allocs=$(echo "$out" | awk -v b="$bench" '$1 ~ "^"b {for (i=1; i<=NF; i++) if ($i == "allocs/op") print $(i-1)}')
+  if [ -z "$allocs" ]; then
+    echo "FAIL $bench: could not parse allocs/op" >&2
+    fail=1
+  elif [ "$allocs" -gt "$max" ]; then
+    echo "FAIL $bench: $allocs allocs/op, budget $max — $why" >&2
+    fail=1
+  fi
+done <<<"$gates"
+exit $fail
