@@ -163,15 +163,16 @@ func (e *Engine) replay(r *wal.Recovered) (*RecoveryInfo, error) {
 				rel.InsertOwned(row.Tuple.Key(), row.Tuple, row.Texp)
 			}
 		}
-		for _, v := range snap.Views {
-			if err := e.recoverView(v.Name, v.Def); err != nil {
+		// Indexes after the rows — the attach-time backfill sees the full
+		// table — and before the views, whose recompiled plans are chosen
+		// once, from the indexes attached at that moment.
+		for _, ix := range snap.Indexes {
+			if err := e.recoverIndex(ix.Name, ix.Def); err != nil {
 				return nil, err
 			}
 		}
-		// Indexes last: every snapshot row is in place, so the attach-time
-		// backfill sees the full table.
-		for _, ix := range snap.Indexes {
-			if err := e.recoverIndex(ix.Name, ix.Def); err != nil {
+		for _, v := range snap.Views {
+			if err := e.recoverView(v.Name, v.Def); err != nil {
 				return nil, err
 			}
 		}

@@ -254,11 +254,13 @@ func (e *Engine) QueryStamped(expr algebra.Expr, key string, tid trace.ID) (Quer
 
 	c.m.Misses.Inc()
 	e.events.Emit(trace.Event{Trace: tid, Kind: trace.EvCacheMiss, Tick: now, Texp: texp})
-	e.cacheStore(c, key, rel, now, texp, tables, epochs)
 	// Hand the caller a shared snapshot, not the stored relation itself:
 	// the store is immutable from here on, and a caller mutating its
-	// result copies-on-write instead of corrupting the cache.
+	// result copies-on-write instead of corrupting the cache. Taken before
+	// the entry is published: afterwards only cacheServe, under the cache
+	// lock, may snapshot the stored relation (a snapshot marks its source).
 	res.Rel = rel.SnapshotShared(now)
+	e.cacheStore(c, key, rel, now, texp, tables, epochs)
 	return res, nil
 }
 

@@ -10,7 +10,7 @@ package relation
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -441,8 +441,7 @@ func (r *Relation) currentTexp(key string) (xtime.Time, bool) {
 
 // Rows returns the rows of expτ(R) in unspecified order — the
 // allocation-lean form for executor hot paths that only need the alive
-// set. Deterministic consumers (rendering, tests, the wire) want
-// RowsSorted.
+// set. Deterministic consumers (rendering, tests) want RowsSorted.
 func (r *Relation) Rows(tau xtime.Time) []Row {
 	tau = r.effTau(tau)
 	out := make([]Row, 0, len(r.rows))
@@ -455,10 +454,11 @@ func (r *Relation) Rows(tau xtime.Time) []Row {
 }
 
 // RowsSorted returns the rows of expτ(R) sorted by tuple order — a
-// deterministic view for tests, rendering and wire transfer.
+// deterministic view for tests, rendering and ORDER BY's base order. A set
+// has no order: callers that only consume the rows want AliveAt or Rows.
 func (r *Relation) RowsSorted(tau xtime.Time) []Row {
 	out := r.Rows(tau)
-	sort.Slice(out, func(i, j int) bool { return out[i].Tuple.Compare(out[j].Tuple) < 0 })
+	slices.SortFunc(out, func(a, b Row) int { return a.Tuple.Compare(b.Tuple) })
 	return out
 }
 

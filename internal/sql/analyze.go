@@ -117,19 +117,20 @@ func (a *analyzed) Eval(tau xtime.Time) (*relation.Relation, error) {
 	return out, nil
 }
 
-// execExplainAnalyze executes the rewritten plan through the wrapper
+// execExplainAnalyze executes the physical plan through the wrapper
 // tree and renders the plan annotated with actuals. Everything — the
 // plan-time texp derivation, the validity intervals and the execution —
 // happens inside one Engine.Inspect lock session, so plan and actual
-// figures describe the same frozen instant. key is the plan's result
-// cache key ("" when the plan is uncacheable); ANALYZE probes the cache
-// state without serving from it, because its purpose is the actuals.
-func (s *Session) execExplainAnalyze(expr, rewritten, phys algebra.Expr, choices []planChoice, key string) (*Result, error) {
+// figures describe the same frozen instant. ANALYZE probes the cache
+// state under the plan's key without serving from it, because its purpose
+// is the actuals.
+func (s *Session) execExplainAnalyze(p *Plan) (*Result, error) {
+	phys := p.Physical
 	var cacheLine string
-	if key == "" {
+	if p.Key == "" {
 		cacheLine = "uncacheable (plan embeds a view snapshot)"
 	} else {
-		switch probe := s.eng.CacheProbe(key); probe {
+		switch probe := s.eng.CacheProbe(p.Key); probe {
 		case "hit":
 			cacheLine = "hit (a SELECT would be served from the result cache, zero re-evaluation)"
 		case "disabled":
@@ -171,13 +172,7 @@ func (s *Session) execExplainAnalyze(expr, rewritten, phys algebra.Expr, choices
 	// plan for these fragments starts from measured rows, not guesses.
 	s.harvestActuals(root)
 	var b strings.Builder
-	fmt.Fprintf(&b, "plan:      %s\n", expr)
-	if rewritten.String() != expr.String() {
-		fmt.Fprintf(&b, "rewritten: %s\n", rewritten)
-	}
-	if phys.String() != rewritten.String() {
-		fmt.Fprintf(&b, "physical:  %s\n", phys)
-	}
+	p.header(&b)
 	fmt.Fprintf(&b, "as-of:     t=%s (execution snapshot; plan and actual derivations share it)\n", now)
 	fmt.Fprintf(&b, "monotonic: %v\n", phys.Monotonic())
 	if root.texpErr == nil && root.texp != planTexp {
@@ -188,14 +183,7 @@ func (s *Session) execExplainAnalyze(expr, rewritten, phys algebra.Expr, choices
 	fmt.Fprintf(&b, "validity:  %s\n", validity)
 	fmt.Fprintf(&b, "cache:     %s\n", cacheLine)
 	fmt.Fprintf(&b, "actual:    %d row(s), wall %s, trace %s\n", root.rowsOut, root.wall, s.tid)
-	if len(choices) > 0 {
-		b.WriteString("access paths:\n")
-		for _, c := range choices {
-			for _, line := range c.lines() {
-				b.WriteString("  " + line + "\n")
-			}
-		}
-	}
+	p.accessPaths(&b)
 	b.WriteString("tree:\n")
 	analyzeNode(&b, root, "", "")
 	return &Result{Rel: rel, At: now, Msg: strings.TrimRight(b.String(), "\n")}, nil

@@ -38,16 +38,16 @@ const (
 	selOther = 0.50 // anything the estimator cannot decompose
 )
 
-// planChoice records one costed decision for EXPLAIN: the chosen
+// Choice records one costed decision for EXPLAIN: the chosen
 // alternative first, rejected ones after it.
-type planChoice struct {
+type Choice struct {
 	site     string  // the logical fragment the decision was made for
 	chosen   string  // physical form selected
 	cost     float64 // its estimated cost
 	rejected []string
 }
 
-func (c planChoice) lines() []string {
+func (c Choice) lines() []string {
 	out := []string{fmt.Sprintf("%s → %s (est cost %.1f)", c.site, c.chosen, c.cost)}
 	for _, r := range c.rejected {
 		out = append(out, "  rejected: "+r)
@@ -59,14 +59,14 @@ func (c planChoice) lines() []string {
 // cardinalities and harvested actuals) and the decisions taken.
 type planner struct {
 	s       *Session
-	choices []planChoice
+	choices []Choice
 }
 
 // optimize lowers a logical expression to its physical plan. The input
-// must already be selection-pushed (the Select execution path reuses the
-// canonical rewrite it computed for the cache key). Returns the physical
-// plan and the costed decisions for EXPLAIN.
-func (s *Session) optimize(rewritten algebra.Expr) (algebra.Expr, []planChoice) {
+// must already be selection-pushed (Session.Plan, the only caller, hands
+// over the canonical rewrite it computed for the cache key). Returns the
+// physical plan and the costed decisions for EXPLAIN.
+func (s *Session) optimize(rewritten algebra.Expr) (algebra.Expr, []Choice) {
 	p := &planner{s: s}
 	return p.rewrite(rewritten), p.choices
 }
@@ -140,7 +140,7 @@ func (p *planner) chooseAccess(sel *algebra.Select, base *algebra.Base) algebra.
 		consider(ix)
 	}
 	if len(rejected) > 0 {
-		p.choices = append(p.choices, planChoice{
+		p.choices = append(p.choices, Choice{
 			site: sel.String(), chosen: best.desc, cost: best.cost, rejected: rejected,
 		})
 	}
@@ -465,7 +465,7 @@ func (p *planner) reorderChain(j *algebra.Join) (algebra.Expr, bool) {
 		for i, t := range order {
 			names[i] = termName(terms[t])
 		}
-		p.choices = append(p.choices, planChoice{
+		p.choices = append(p.choices, Choice{
 			site:   "join chain (" + fmt.Sprint(n) + " tables)",
 			chosen: "order " + strings.Join(names, " ⋈ "), cost: accCard,
 			rejected: []string{"original left-deep order"},

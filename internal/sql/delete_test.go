@@ -96,11 +96,11 @@ func TestDeleteEquivalenceProperty(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						plan, err := s.planDelete(stmt.(*Delete))
+						plan, err := s.Plan(stmt)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if _, ok := plan.(*algebra.IndexScan); ok {
+						if _, ok := plan.Physical.(*algebra.IndexScan); ok {
 							probed++
 						}
 					}

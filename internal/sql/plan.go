@@ -84,23 +84,12 @@ type Session struct {
 	// tracing costs nothing. Single-goroutine like the Session itself.
 	tid  trace.ID
 	span *trace.Span
-	// viewReads counts view resolutions performed by planFrom. A SELECT
-	// whose planning resolved a view is uncacheable: the view's snapshot
-	// is baked into the plan and the read itself may have mutated the
-	// view, so the plan string is not a stable key.
-	viewReads int
 	// actuals maps plan-node strings to observed output cardinalities,
 	// harvested from EXPLAIN ANALYZE runs. The cost-based planner prefers
 	// them over its selectivity guesses, so analyzing a query teaches the
 	// session real cardinalities for subsequent plans.
 	actuals map[string]int
 }
-
-// ViewReads returns the session's cumulative count of view resolutions
-// during planning. Callers snapshot it around PlanQuery to learn whether
-// the produced plan embeds a view snapshot (and is therefore not
-// addressable by a normalized-plan cache key).
-func (s *Session) ViewReads() int { return s.viewReads }
 
 // NewSession opens a session on eng. Trigger notifications are written to
 // notify (pass nil to discard them).
@@ -121,10 +110,94 @@ func NewSessionWithMetrics(eng *engine.Engine, notify io.Writer, m *Metrics) *Se
 // Metrics returns the session's metrics sink.
 func (s *Session) Metrics() *Metrics { return s.m }
 
-// PlanQuery parses q (which must be a SELECT) and lowers it to an algebra
-// expression bound to the engine's relations, without evaluating it. The
-// wire server uses it to materialise queries for remote nodes.
-func (s *Session) PlanQuery(q string) (algebra.Expr, error) {
+// Plan is what the planning pipeline makes of one statement. Every read
+// path — Exec, EXPLAIN, DELETE, CREATE VIEW, DB.Plan and the wire server —
+// takes its tree from Session.Plan and from nowhere else.
+type Plan struct {
+	// Logical is the statement lowered as written, over the engine's live
+	// relations and, where it names a view, the snapshot the view's read
+	// returned.
+	Logical algebra.Expr
+	// Key is the canonical plan string, PushDownSelections(Logical): the
+	// result-cache key. No access path enters it, so indexed and unindexed
+	// engines share keys. It is empty when the tree embeds a view snapshot,
+	// a point-in-time relation no string names (and for DELETE, which
+	// caches nothing).
+	Key string
+	// Physical is the cost-based plan that runs. Each substitution keeps
+	// rows, per-tuple texp and texp(e) (Theorem 1 applied to a physical
+	// plan), which is why Key may stay logical.
+	Physical algebra.Expr
+	// Choices are the costed decisions behind Physical, for EXPLAIN.
+	Choices []Choice
+	// Until is the earliest ValidUntil of the views resolved while
+	// planning, ∞ without one. A snapshot stops being its view's answer
+	// then, so nothing computed from it may be stamped valid any later.
+	Until xtime.Time
+
+	rewritten algebra.Expr   // Logical, selections pushed: what Key prints
+	view      *view.ReadInfo // how the last view resolved was read; nil without one
+}
+
+// Plan runs the pipeline on a parsed SELECT (ORDER BY/LIMIT are the
+// caller's to apply) or DELETE: lower, canonicalise, optimise.
+func (s *Session) Plan(stmt Statement) (Plan, error) {
+	p := Plan{Until: xtime.Infinity}
+	switch st := stmt.(type) {
+	case *Select:
+		expr, err := s.planSelect(&p, st)
+		if err != nil {
+			return Plan{}, err
+		}
+		p.Logical, p.rewritten = expr, algebra.PushDownSelections(expr)
+		if p.view == nil {
+			p.Key = p.rewritten.String()
+		}
+	case *Delete:
+		// σ[where](table), or the bare table: canonical as lowered.
+		base, err := s.eng.Base(st.Table)
+		if err != nil {
+			return Plan{}, err
+		}
+		p.Logical = base
+		if st.Where != nil {
+			pred, err := condToPredicate(st.Where, newScope(st.Table, base.Schema()))
+			if err != nil {
+				return Plan{}, err
+			}
+			p.Logical = &algebra.Select{Pred: pred, Child: base}
+		}
+		p.rewritten = p.Logical
+	default:
+		return Plan{}, fmt.Errorf("sql: only SELECT and DELETE are planned, got %T", stmt)
+	}
+	p.Physical, p.Choices = s.optimize(p.rewritten)
+	return p, nil
+}
+
+// Query evaluates p at the current tick and stamps the answer with its
+// validity window. A plan that is a view's own leaf is served as ReadView
+// serves it: the shared snapshot, at the instant and under the window the
+// view reported. Any other answer holds until texp(e) or until a view it
+// was computed from changes, whichever comes first.
+func (s *Session) Query(p *Plan) (engine.QueryResult, error) {
+	if b, ok := p.Physical.(*algebra.Base); ok && p.view != nil {
+		return engine.QueryResult{Rel: b.Rel, At: p.view.At, Validity: p.view.Validity}, nil
+	}
+	qr, err := s.eng.QueryStamped(p.Physical, p.Key, s.tid)
+	qr.Validity.ValidUntil = xtime.Min(qr.Validity.ValidUntil, p.Until)
+	return qr, err
+}
+
+// SetTrace makes tid the trace ID of what the session plans and evaluates
+// next: the wire server passes the remote client's, so the view reads and
+// cache events a request causes carry it. Exec mints one per statement.
+func (s *Session) SetTrace(tid trace.ID) { s.tid = tid }
+
+// ParseQuery parses q, which must be one SELECT without ORDER BY/LIMIT —
+// a statement that denotes a relation, the only kind that can be returned
+// as an expression or materialised on a remote node.
+func ParseQuery(q string) (*Select, error) {
 	stmt, err := Parse(q)
 	if err != nil {
 		return nil, err
@@ -136,15 +209,21 @@ func (s *Session) PlanQuery(q string) (algebra.Expr, error) {
 	if len(sel.OrderBy) > 0 || sel.Limit >= 0 {
 		return nil, fmt.Errorf("sql: ORDER BY/LIMIT are presentation-level and cannot be planned as an expression")
 	}
-	return s.planSelect(sel)
+	return sel, nil
 }
 
-// PlanQueryTraced is PlanQuery with the caller's trace ID: view reads
-// performed while planning are attributed to that ID — the wire server
-// uses it to tag server-side events with the remote client's trace.
-func (s *Session) PlanQueryTraced(q string, tid trace.ID) (algebra.Expr, error) {
-	s.tid = tid
-	return s.PlanQuery(q)
+// PlanQuery lowers the SELECT q to an algebra expression bound to the
+// engine's relations, without evaluating it: Plan.Logical.
+func (s *Session) PlanQuery(q string) (algebra.Expr, error) {
+	sel, err := ParseQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	p, err := s.Plan(sel)
+	if err != nil {
+		return nil, err
+	}
+	return p.Logical, nil
 }
 
 // Exec parses and executes one statement.
@@ -253,32 +332,14 @@ func (s *Session) execStmt(stmt Statement) (*Result, error) {
 		return s.execDelete(st)
 
 	case *Select:
-		viewsBefore := s.viewReads
 		sp := s.span.Child("plan")
-		expr, err := s.planSelect(st)
+		p, err := s.Plan(st)
 		sp.End()
 		if err != nil {
 			return nil, err
 		}
-		// The cache key is the canonical (selection-pushed) LOGICAL plan
-		// string — ORDER BY/LIMIT are presentation-level and applied
-		// after, so differently-dressed readings of the same relation
-		// share an entry, and indexed and unindexed engines share keys
-		// because physical access-path choices never enter the key.
-		// Plans that resolved a view are uncacheable: their tree embeds a
-		// point-in-time view snapshot.
-		rewritten := algebra.PushDownSelections(expr)
-		key := ""
-		if s.viewReads == viewsBefore {
-			key = rewritten.String()
-		}
-		// Execute the cost-based physical plan: index probes for sargable
-		// selections, reordered joins, chosen build sides. Every
-		// substitution preserves rows, per-tuple expiration times and the
-		// derived validity interval, so the logical key stays honest.
-		phys, _ := s.optimize(rewritten)
 		sp = s.span.Child("execute")
-		qr, err := s.eng.QueryStamped(phys, key, s.tid)
+		qr, err := s.Query(&p)
 		sp.End()
 		if err != nil {
 			return nil, err
@@ -291,7 +352,7 @@ func (s *Session) execStmt(stmt Statement) (*Result, error) {
 		// Advance could have moved since.
 		res := &Result{Rel: qr.Rel, At: qr.At, Validity: qr.Validity, Cached: qr.Cached}
 		if len(st.OrderBy) > 0 || st.Limit >= 0 {
-			if err := s.orderAndLimit(st, expr, res); err != nil {
+			if err := s.orderAndLimit(st, p.Logical, res); err != nil {
 				return nil, err
 			}
 		}
@@ -380,17 +441,18 @@ func (s *Session) execInsert(st *Insert) (*Result, error) {
 		len(st.Rows), st.Table, texp), At: now}, nil
 }
 
-// execDelete hands the statement's access path to the engine, which
-// picks and removes the victims in one critical section.
+// execDelete hands the statement's access path — planned by the optimizer
+// SELECT uses, so a sargable WHERE probes an index instead of scanning — to
+// the engine, which picks and removes the victims in one critical section.
 func (s *Session) execDelete(st *Delete) (*Result, error) {
 	sp := s.span.Child("plan")
-	plan, err := s.planDelete(st)
+	p, err := s.Plan(st)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
 	sp = s.span.Child("execute")
-	n, at, err := s.eng.DeleteWhere(plan)
+	n, at, err := s.eng.DeleteWhere(p.Physical)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -398,34 +460,18 @@ func (s *Session) execDelete(st *Delete) (*Result, error) {
 	return &Result{Msg: fmt.Sprintf("%d tuple(s) deleted from %s", n, st.Table), At: at}, nil
 }
 
-// planDelete lowers DELETE to σ[where](table) and runs it through the
-// optimizer SELECT uses, so a sargable WHERE probes an index instead of
-// scanning. Without a WHERE the plan is the bare table.
-func (s *Session) planDelete(st *Delete) (algebra.Expr, error) {
-	base, err := s.eng.Base(st.Table)
-	if err != nil {
-		return nil, err
-	}
-	if st.Where == nil {
-		return base, nil
-	}
-	pred, err := condToPredicate(st.Where, newScope(st.Table, base.Schema()))
-	if err != nil {
-		return nil, err
-	}
-	plan, _ := s.optimize(&algebra.Select{Pred: pred, Child: base})
-	return plan, nil
-}
-
 func (s *Session) execCreateView(st *CreateView) (*Result, error) {
 	if len(st.Query.OrderBy) > 0 || st.Query.Limit >= 0 {
 		return nil, fmt.Errorf("sql: a view is a relation (a set); ORDER BY/LIMIT belong in the reading query")
 	}
-	expr, err := s.planSelect(st.Query)
+	// The view keeps the physical plan and recomputes through it. It is
+	// planned once, here (and again when recovery recompiles the
+	// statement), never on later DDL: an IndexScan whose index was dropped
+	// degrades to the scan it replaced, so a stored plan cannot go stale.
+	p, err := s.Plan(st.Query)
 	if err != nil {
 		return nil, err
 	}
-	expr = algebra.PushDownSelections(expr)
 	var opts []view.Option
 	mode := view.ModeTexp
 	for _, opt := range st.Options {
@@ -464,7 +510,7 @@ func (s *Session) execCreateView(st *CreateView) (*Result, error) {
 			return nil, fmt.Errorf("sql: unknown view option %q", opt)
 		}
 	}
-	v, err := s.eng.CreateViewDef(st.Name, st.Src, expr, opts...)
+	v, err := s.eng.CreateViewDef(st.Name, st.Src, p.Physical, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -634,20 +680,14 @@ func (s *Session) execShow(st *Show) (*Result, error) {
 }
 
 func (s *Session) execExplain(st *Explain) (*Result, error) {
-	viewsBefore := s.viewReads
-	expr, err := s.planSelect(st.Query)
+	p, err := s.Plan(st.Query)
 	if err != nil {
 		return nil, err
 	}
-	rewritten := algebra.PushDownSelections(expr)
-	phys, choices := s.optimize(rewritten)
 	if st.Analyze {
-		key := ""
-		if s.viewReads == viewsBefore {
-			key = rewritten.String()
-		}
-		return s.execExplainAnalyze(expr, rewritten, phys, choices, key)
+		return s.execExplainAnalyze(&p)
 	}
+	phys := p.Physical
 	// Engine.Inspect holds the plan's base-relation read locks while we
 	// derive: texp(e), the validity intervals and every per-node
 	// annotation see one frozen instant — a concurrent Advance cannot
@@ -664,25 +704,12 @@ func (s *Session) execExplain(st *Explain) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(&b, "plan:      %s\n", expr)
-		if rewritten.String() != expr.String() {
-			fmt.Fprintf(&b, "rewritten: %s\n", rewritten)
-		}
-		if phys.String() != rewritten.String() {
-			fmt.Fprintf(&b, "physical:  %s\n", phys)
-		}
+		p.header(&b)
 		fmt.Fprintf(&b, "as-of:     t=%s (single snapshot; every derivation below uses this instant)\n", now)
 		fmt.Fprintf(&b, "monotonic: %v\n", phys.Monotonic())
 		fmt.Fprintf(&b, "texp(e):   %s\n", texp)
 		fmt.Fprintf(&b, "validity:  %s\n", validity)
-		if len(choices) > 0 {
-			b.WriteString("access paths:\n")
-			for _, c := range choices {
-				for _, line := range c.lines() {
-					b.WriteString("  " + line + "\n")
-				}
-			}
-		}
+		p.accessPaths(&b)
 		b.WriteString("tree:\n")
 		explainNode(&b, phys, now, "", "")
 		return nil
@@ -691,6 +718,30 @@ func (s *Session) execExplain(st *Explain) (*Result, error) {
 		return nil, err
 	}
 	return &Result{Msg: strings.TrimRight(b.String(), "\n"), At: now}, nil
+}
+
+// header prints the plan's three forms, each only where it differs from
+// the one above it.
+func (p *Plan) header(b *strings.Builder) {
+	fmt.Fprintf(b, "plan:      %s\n", p.Logical)
+	if p.rewritten.String() != p.Logical.String() {
+		fmt.Fprintf(b, "rewritten: %s\n", p.rewritten)
+	}
+	if p.Physical.String() != p.rewritten.String() {
+		fmt.Fprintf(b, "physical:  %s\n", p.Physical)
+	}
+}
+
+// accessPaths lists the costed decisions, chosen alternative first.
+func (p *Plan) accessPaths(b *strings.Builder) {
+	if len(p.Choices) > 0 {
+		b.WriteString("access paths:\n")
+	}
+	for _, c := range p.Choices {
+		for _, line := range c.lines() {
+			b.WriteString("  " + line + "\n")
+		}
+	}
 }
 
 // explainNode renders one node of the lowered algebra tree with its

@@ -7,6 +7,7 @@ import (
 
 	"expdb/internal/algebra"
 	"expdb/internal/tuple"
+	"expdb/internal/xtime"
 )
 
 // scope maps column references to 0-based indices of the current
@@ -162,15 +163,15 @@ func compareToPredicate(n *Compare, sc *scope) (algebra.Predicate, error) {
 }
 
 // planSelect lowers a SELECT into an algebra expression over the engine's
-// base relations (or view snapshots).
-func (s *Session) planSelect(sel *Select) (algebra.Expr, error) {
-	expr, sc, err := s.planFrom(sel.From)
+// base relations (or view snapshots, whose reads it records in p).
+func (s *Session) planSelect(p *Plan, sel *Select) (algebra.Expr, error) {
+	expr, sc, err := s.planFrom(p, sel.From)
 	if err != nil {
 		return nil, err
 	}
 	for i := range sel.Joins {
 		j := &sel.Joins[i]
-		right, rightSc, err := s.planFrom(j.Table)
+		right, rightSc, err := s.planFrom(p, j.Table)
 		if err != nil {
 			return nil, err
 		}
@@ -201,7 +202,7 @@ func (s *Session) planSelect(sel *Select) (algebra.Expr, error) {
 		return nil, err
 	}
 	if sel.Set != nil {
-		right, err := s.planSelect(sel.Set.Right)
+		right, err := s.planSelect(p, sel.Set.Right)
 		if err != nil {
 			return nil, err
 		}
@@ -220,13 +221,12 @@ func (s *Session) planSelect(sel *Select) (algebra.Expr, error) {
 // planFrom resolves a FROM source: a base table becomes an algebra leaf
 // bound to the live relation; a view becomes a leaf over the view's
 // current answer (reads go through the view's maintenance machinery).
-func (s *Session) planFrom(ref TableRef) (algebra.Expr, *scope, error) {
+func (s *Session) planFrom(p *Plan, ref TableRef) (algebra.Expr, *scope, error) {
 	base, tblErr := s.eng.Base(ref.Name)
 	if tblErr == nil {
 		return base, newScope(ref.Name, base.Schema()), nil
 	}
 	sp := s.span.Child("read view " + ref.Name)
-	s.viewReads++
 	rel, info, err := s.eng.ReadViewTraced(ref.Name, s.tid)
 	sp.End()
 	if err != nil {
@@ -239,8 +239,8 @@ func (s *Session) planFrom(ref TableRef) (algebra.Expr, *scope, error) {
 	if info.PatchesApplied > 0 {
 		sp.Set("patches", fmt.Sprint(info.PatchesApplied))
 	}
-	vbase := algebra.NewBase(ref.Name, rel)
-	return vbase, newScope(ref.Name, rel.Schema()), nil
+	p.view, p.Until = &info, xtime.Min(p.Until, info.Validity.ValidUntil)
+	return algebra.NewBase(ref.Name, rel), newScope(ref.Name, rel.Schema()), nil
 }
 
 // planItems applies grouping/aggregation and the final projection.

@@ -13,10 +13,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"expdb/internal/algebra"
 	"expdb/internal/engine"
+	"expdb/internal/relation"
 	"expdb/internal/sql"
 	"expdb/internal/trace"
+	"expdb/internal/tuple"
 	"expdb/internal/xtime"
 )
 
@@ -83,7 +84,7 @@ func WithDrainTimeout(d time.Duration) ServerOption {
 // counted in WireMetrics and emitted as a trace lifecycle event.
 type Server struct {
 	eng  *engine.Engine
-	sqlm *sql.Metrics // shared by every per-request planning session
+	sqlm *sql.Metrics // shared by every connection's planning session
 	ln   net.Listener
 	cfg  serverConfig
 	wm   Metrics
@@ -134,7 +135,7 @@ type connState struct {
 }
 
 // SQLMetrics returns the server's aggregated SQL planning metrics. The
-// same sink is handed to every per-request session, so remote
+// same sink is handed to every connection's session, so remote
 // materialisations show up alongside local statements when the caller
 // merges snapshots.
 func (s *Server) SQLMetrics() *sql.Metrics { return s.sqlm }
@@ -383,6 +384,7 @@ func (s *Server) handle(conn net.Conn, st *connState) (err error) {
 	cw := &countingWriter{w: conn}
 	dec := gob.NewDecoder(cr)
 	enc := gob.NewEncoder(cw)
+	sess := sql.NewSessionWithMetrics(s.eng, nil, s.sqlm)
 	for {
 		var req Request
 		capped.Reset()
@@ -410,7 +412,7 @@ func (s *Server) handle(conn net.Conn, st *connState) (err error) {
 		if hook != nil {
 			hook(&req)
 		}
-		resp := s.respond(&req)
+		resp := s.respond(sess, &req)
 		conn.SetDeadline(time.Now().Add(s.cfg.idleTimeout))
 		if err := enc.Encode(resp); err != nil {
 			st.inFlight.Store(false)
@@ -443,11 +445,10 @@ func (s *Server) noteTimeout(err error) error {
 	return err
 }
 
-func (s *Server) respond(req *Request) *Response {
+func (s *Server) respond(sess *sql.Session, req *Request) *Response {
 	resp := &Response{Now: s.eng.Now()}
 	switch req.Kind {
 	case MsgTime:
-		return resp
 	case MsgMaterialize:
 		// Adopt the client's trace ID (or mint one) so server-side
 		// lifecycle events and the echoed Response carry the same
@@ -457,67 +458,55 @@ func (s *Server) respond(req *Request) *Response {
 			tid = trace.NextID()
 		}
 		resp.TraceID = uint64(tid)
-		sess := sql.NewSessionWithMetrics(s.eng, nil, s.sqlm)
-		viewsBefore := sess.ViewReads()
-		expr, err := sess.PlanQueryTraced(req.Query, tid)
-		if err != nil {
+		sess.SetTrace(tid)
+		if err := s.materialize(sess, req, resp); err != nil {
 			resp.Err = err.Error()
 			return resp
 		}
-		if !req.WantPatches {
-			// Patch-free materialisations go through the validity-interval
-			// result cache: a repeated remote query is answered with zero
-			// re-evaluation while its window holds. Patched differences
-			// keep the dedicated path below — their texp folds the helper
-			// budget, which is per-request and uncacheable.
-			key := ""
-			if sess.ViewReads() == viewsBefore {
-				key = algebra.PushDownSelections(expr).String()
-			}
-			qr, err := s.eng.QueryStamped(expr, key, tid)
-			if err != nil {
-				resp.Err = err.Error()
-				return resp
-			}
-			resp.Now = qr.At
-			resp.Texp = qr.Validity.ValidUntil
-			resp.Cached = qr.Cached
-			for _, c := range qr.Rel.Schema().Cols {
-				resp.Cols = append(resp.Cols, WireColumn{Name: c.Name, Kind: c.Kind})
-			}
-			for _, row := range qr.Rel.RowsSorted(qr.At) {
-				wr := WireRow{Texp: row.Texp, Vals: make([]WireValue, len(row.Tuple))}
-				for i, v := range row.Tuple {
-					wr.Vals[i] = ToWire(v)
-				}
-				resp.Rows = append(resp.Rows, wr)
-			}
-			s.eng.Events().Emit(trace.Event{
-				Trace: tid, Kind: trace.EvWireMaterialize, Name: req.Query,
-				Tick: qr.At, Texp: resp.Texp, Count: int64(len(resp.Rows)),
-			})
-			return resp
+		s.eng.Events().Emit(trace.Event{
+			Trace: tid, Kind: trace.EvWireMaterialize, Name: req.Query,
+			Tick: resp.Now, Texp: resp.Texp, Count: int64(len(resp.Rows)),
+		})
+	default:
+		resp.Err = "wire: unknown request kind"
+	}
+	return resp
+}
+
+// materialize answers one MsgMaterialize into resp. The plan is the one
+// sql.Session.Plan gives every read path: the physical tree runs (a point
+// query probes its index), under the logical key.
+func (s *Server) materialize(sess *sql.Session, req *Request, resp *Response) error {
+	sel, err := sql.ParseQuery(req.Query)
+	if err != nil {
+		return err
+	}
+	plan, err := sess.Plan(sel)
+	if err != nil {
+		return err
+	}
+	var rel *relation.Relation
+	if !req.WantPatches {
+		// Patch-free materialisations go through the validity-interval
+		// result cache: a repeated remote query is answered with zero
+		// re-evaluation while its window holds. Patched differences keep
+		// the dedicated path below — their texp folds the helper budget,
+		// which is per-request and uncacheable.
+		qr, err := sess.Query(&plan)
+		if err != nil {
+			return err
 		}
+		rel, resp.Now, resp.Texp, resp.Cached = qr.Rel, qr.At, qr.Validity.ValidUntil, qr.Cached
+	} else {
 		// MaterializeExpr holds the engine lock, so the rows, texp(e) and
 		// helper are one consistent snapshot even while the server's
-		// clock advances concurrently.
-		rel, texp, helper, now, err := s.eng.MaterializeExpr(expr, req.WantPatches)
+		// clock advances concurrently. The optimiser keeps a root
+		// difference a difference, so the helper is still there to ship.
+		mat, texp, helper, now, err := s.eng.MaterializeExpr(plan.Physical, true)
 		if err != nil {
-			resp.Err = err.Error()
-			return resp
+			return err
 		}
-		resp.Now = now
-		for _, c := range rel.Schema().Cols {
-			resp.Cols = append(resp.Cols, WireColumn{Name: c.Name, Kind: c.Kind})
-		}
-		for _, row := range rel.RowsSorted(now) {
-			wr := WireRow{Texp: row.Texp, Vals: make([]WireValue, len(row.Tuple))}
-			for i, v := range row.Tuple {
-				wr.Vals[i] = ToWire(v)
-			}
-			resp.Rows = append(resp.Rows, wr)
-		}
-		resp.Texp = texp
+		rel, resp.Now, resp.Texp = mat, now, xtime.Min(texp, plan.Until)
 		// Ship only critical helper rows (those that will actually
 		// reappear), soonest first; a patch budget truncates the queue
 		// and pulls Texp back to the first event that did not fit
@@ -530,25 +519,29 @@ func (s *Server) respond(req *Request) *Response {
 		}
 		sort.Slice(crit, func(i, j int) bool { return crit[i].InS < crit[j].InS })
 		if req.PatchBudget > 0 && len(crit) > req.PatchBudget {
-			resp.Texp = minTime(resp.Texp, crit[req.PatchBudget].InS)
+			resp.Texp = xtime.Min(resp.Texp, crit[req.PatchBudget].InS)
 			crit = crit[:req.PatchBudget]
 		}
 		for _, h := range crit {
-			wp := WirePatch{InS: h.InS, InR: h.InR, Vals: make([]WireValue, len(h.Tuple))}
-			for i, v := range h.Tuple {
-				wp.Vals[i] = ToWire(v)
-			}
-			resp.Patches = append(resp.Patches, wp)
+			resp.Patches = append(resp.Patches, WirePatch{InS: h.InS, InR: h.InR, Vals: toWire(h.Tuple)})
 		}
-		s.eng.Events().Emit(trace.Event{
-			Trace: tid, Kind: trace.EvWireMaterialize, Name: req.Query,
-			Tick: now, Texp: resp.Texp, Count: int64(len(resp.Rows)),
-		})
-		return resp
-	default:
-		resp.Err = "wire: unknown request kind"
-		return resp
 	}
+	for _, c := range rel.Schema().Cols {
+		resp.Cols = append(resp.Cols, WireColumn{Name: c.Name, Kind: c.Kind})
+	}
+	// A relation is a set and the client rebuilds one: no order is owed.
+	rel.AliveAt(resp.Now, func(row relation.Row) {
+		resp.Rows = append(resp.Rows, WireRow{Texp: row.Texp, Vals: toWire(row.Tuple)})
+	})
+	return nil
+}
+
+func toWire(t tuple.Tuple) []WireValue {
+	vals := make([]WireValue, len(t))
+	for i, v := range t {
+		vals[i] = ToWire(v)
+	}
+	return vals
 }
 
 type countingReader struct {
@@ -571,11 +564,4 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.n += int64(n)
 	return n, err
-}
-
-func minTime(a, b xtime.Time) xtime.Time {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -382,5 +382,5 @@ func TestServerMintsTraceID(t *testing.T) {
 func srvRespond(t *testing.T, eng *engine.Engine, req *Request) *Response {
 	t.Helper()
 	s := NewServer(eng)
-	return s.respond(req)
+	return s.respond(sql.NewSession(eng, nil), req)
 }
