@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"expdb/internal/index"
@@ -27,17 +28,21 @@ import (
 //
 // The node holds the index NAME, not the structure: the index is resolved
 // against the relation at evaluation time, under the table's read lock.
-// If it was dropped (or its shape no longer matches the probe) the node
-// degrades to a scan filtered by Full — plans never go stale, they just
-// lose the speed-up.
+// If it was dropped, or an index of another kind or over other columns now
+// carries the name, the node degrades to a scan filtered by Full — plans
+// never go stale (a view keeps its plan for life), they just lose the
+// speed-up.
 type IndexScan struct {
 	Base  *Base  // table leaf: locking, schema, fallback scan
 	Index string // attached index name
+	// Cols are the column positions the index covered when the probe was
+	// planned; the probe runs only against an index that still covers
+	// exactly these. Nil (a hand-built node) trusts the name.
+	Cols []int
 
-	// Equality probe (hash indexes, or an ordered index probed on its
-	// full column prefix): EqKey is the pre-encoded probe key — computed
-	// once at plan time with the same tuple.KeyCols encoding index
-	// maintenance uses — and Eq holds the constant values for display.
+	// Equality probe (hash indexes only): EqKey is the pre-encoded probe
+	// key — computed once at plan time with the same tuple.KeyCols encoding
+	// index maintenance uses — and Eq holds the constant values for display.
 	EqKey string
 	Eq    []value.Value
 
@@ -135,15 +140,23 @@ func (s *IndexScan) Probe(tau xtime.Time, fn func(index.Entry)) bool {
 		}
 		return true
 	}
-	switch ix := s.Base.Rel.IndexNamed(s.Index).(type) {
+	ix := s.Base.Rel.IndexNamed(s.Index)
+	if ix == nil || s.Cols != nil && !slices.Equal(ix.Cols(), s.Cols) {
+		return false
+	}
+	// EqKey tells a hash probe from a range probe: a plan made for one kind
+	// must not run against a same-named index of the other.
+	switch ix := ix.(type) {
 	case *index.Hash:
 		if s.EqKey != "" {
 			ix.Probe(s.EqKey, tau, pass)
 			return true
 		}
 	case *index.Ordered:
-		ix.Ascend(s.Lo, s.LoInc, s.Hi, s.HiInc, tau, pass)
-		return true
+		if s.EqKey == "" {
+			ix.Ascend(s.Lo, s.LoInc, s.Hi, s.HiInc, tau, pass)
+			return true
+		}
 	}
 	return false
 }

@@ -155,10 +155,7 @@ func (s *Session) execExplainAnalyze(p *Plan) (*Result, error) {
 		var err error
 		// Plan-time prediction first, then the instrumented execution;
 		// both under the same locks and instant.
-		if planTexp, err = phys.ExprTexp(now); err != nil {
-			return err
-		}
-		if validity, err = phys.Validity(now); err != nil {
+		if planTexp, validity, err = p.window(now); err != nil {
 			return err
 		}
 		rel, err = root.Eval(now)
@@ -175,8 +172,8 @@ func (s *Session) execExplainAnalyze(p *Plan) (*Result, error) {
 	p.header(&b)
 	fmt.Fprintf(&b, "as-of:     t=%s (execution snapshot; plan and actual derivations share it)\n", now)
 	fmt.Fprintf(&b, "monotonic: %v\n", phys.Monotonic())
-	if root.texpErr == nil && root.texp != planTexp {
-		fmt.Fprintf(&b, "texp(e):   plan=%s actual=%s\n", planTexp, root.texp)
+	if actual := xtime.Min(root.texp, p.Until); root.texpErr == nil && actual != planTexp {
+		fmt.Fprintf(&b, "texp(e):   plan=%s actual=%s\n", planTexp, actual)
 	} else {
 		fmt.Fprintf(&b, "texp(e):   %s (plan = actual)\n", planTexp)
 	}

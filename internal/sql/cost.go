@@ -38,19 +38,20 @@ const (
 	selOther = 0.50 // anything the estimator cannot decompose
 )
 
-// Choice records one costed decision for EXPLAIN: the chosen
-// alternative first, rejected ones after it.
+// Choice records one costed decision: the logical fragment it was made
+// for, the physical form chosen, and the alternatives rejected.
 type Choice struct {
-	site     string  // the logical fragment the decision was made for
-	chosen   string  // physical form selected
-	cost     float64 // its estimated cost
+	site     string
+	chosen   string
+	cost     float64 // estimated, of the chosen form
 	rejected []string
 }
 
-func (c Choice) lines() []string {
-	out := []string{fmt.Sprintf("%s → %s (est cost %.1f)", c.site, c.chosen, c.cost)}
+// String is the decision as EXPLAIN lists it, one more line per rejected path.
+func (c Choice) String() string {
+	out := fmt.Sprintf("%s → %s (est cost %.1f)", c.site, c.chosen, c.cost)
 	for _, r := range c.rejected {
-		out = append(out, "  rejected: "+r)
+		out += "\n    rejected: " + r
 	}
 	return out
 }
@@ -176,6 +177,7 @@ func (p *planner) buildProbe(sel *algebra.Select, base *algebra.Base, def *catal
 	}
 
 	ix := algebra.NewIndexScan(base, def.Name, sel.Pred, nil)
+	ix.Cols = def.Cols
 	sl := 1.0
 	switch def.Kind {
 	case index.KindHash:

@@ -88,7 +88,7 @@ func TestViewReadCarriesTheViewsWindow(t *testing.T) {
 func TestMovedViewReadAnswersAtTheMovedInstant(t *testing.T) {
 	for _, recovery := range []string{"backward", "forward"} {
 		t.Run(recovery, func(t *testing.T) {
-			s := newSession(t) // Figure 1: the difference is invalid on [3, 5)
+			s := newSession(t) // Figure 1: the difference is invalid on [3, 15)
 			mustExec(t, s, "CREATE VIEW vi WITH (mode=interval, recovery="+recovery+
 				") AS SELECT uid FROM pol EXCEPT SELECT uid FROM el")
 			mustExec(t, s, "ADVANCE TO 4")
@@ -107,6 +107,45 @@ func TestMovedViewReadAnswersAtTheMovedInstant(t *testing.T) {
 				t.Fatalf("%d rows, %d alive at the moved instant", got, want)
 			}
 		})
+	}
+}
+
+// TestComputedReadOverAnIntervalView: a query that computes over a moved
+// view is refused — its rows would be the moved instant's under the current
+// tick's stamp — and one over a view answering from a later stretch of its
+// validity set is stamped with that stretch. No window is ever inverted.
+func TestComputedReadOverAnIntervalView(t *testing.T) {
+	for _, recovery := range []string{"backward", "forward"} {
+		s := newSession(t) // Figure 1: the difference is invalid on [3, 15)
+		mustExec(t, s, "CREATE VIEW vi WITH (mode=interval, recovery="+recovery+
+			") AS SELECT uid FROM pol EXCEPT SELECT uid FROM el")
+		const filtered = "SELECT uid FROM vi WHERE uid > 0"
+		for tick := xtime.Time(0); tick < 18; tick++ {
+			mustExec(t, s, "ADVANCE TO "+tick.String())
+			bare := mustExec(t, s, "SELECT * FROM vi")
+			if !bare.Validity.Contains(bare.At) {
+				t.Fatalf("%s, tick %v: bare read at %v stamped %v", recovery, tick, bare.At, bare.Validity)
+			}
+			res, err := s.Exec(filtered)
+			if bare.At != tick {
+				if err == nil {
+					t.Fatalf("%s, tick %v: computed over a view moved to %v: at %v, %v", recovery, tick, bare.At, res.At, res.Validity)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := mustExec(t, s, "SELECT uid FROM pol WHERE uid > 0 EXCEPT SELECT uid FROM el")
+			if res.At != tick || !res.Validity.Contains(tick) || res.Validity.ValidUntil != bare.Validity.ValidUntil ||
+				!res.Rel.EqualAt(fresh.Rel, tick) {
+				t.Fatalf("%s, tick %v: at %v, %v (view %v)\n%swant\n%s", recovery, tick, res.At, res.Validity,
+					bare.Validity, res.Rel.Render(tick), fresh.Rel.Render(tick))
+			}
+			if ex := mustExec(t, s, "EXPLAIN "+filtered).Msg; !strings.Contains(ex, "validity:  {"+res.Validity.String()+"}") {
+				t.Fatalf("%s, tick %v: Exec stamps %v, EXPLAIN prints\n%s", recovery, tick, res.Validity, ex)
+			}
+		}
 	}
 }
 
@@ -168,6 +207,20 @@ func TestViewStoresThePhysicalPlan(t *testing.T) {
 	v, _ := s.eng.Catalog().View("r")
 	if v.Stats().Recomputations == 0 {
 		t.Fatal("view r never recomputed: the stored plan was not exercised")
+	}
+	// The names come back over another column, then as another kind: the
+	// stored probes must not run against either.
+	for _, ddl := range []string{
+		"CREATE INDEX pol_deg ON pol (uid); CREATE INDEX el_uid ON el (deg)",
+		"DROP INDEX pol_deg; DROP INDEX el_uid; CREATE INDEX pol_deg ON pol (deg) USING ORDERED; CREATE INDEX el_uid ON el (uid) USING ORDERED",
+	} {
+		if _, err := s.ExecScript(ddl); err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, s, "INSERT INTO pol VALUES (25, 1)")
+		mustExec(t, s, "REFRESH VIEW d")
+		mustExec(t, s, "REFRESH VIEW r")
+		check("index names reused: " + ddl)
 	}
 }
 

@@ -137,6 +137,7 @@ type Plan struct {
 
 	rewritten algebra.Expr   // Logical, selections pushed: what Key prints
 	view      *view.ReadInfo // how the last view resolved was read; nil without one
+	moved     error          // set when a view's read was moved off the current tick
 }
 
 // Plan runs the pipeline on a parsed SELECT (ORDER BY/LIMIT are the
@@ -148,6 +149,10 @@ func (s *Session) Plan(stmt Statement) (Plan, error) {
 		expr, err := s.planSelect(&p, st)
 		if err != nil {
 			return Plan{}, err
+		}
+		// A moved view answers for another instant: only its own leaf can carry it.
+		if _, bare := expr.(*algebra.Base); p.moved != nil && !bare {
+			return Plan{}, p.moved
 		}
 		p.Logical, p.rewritten = expr, algebra.PushDownSelections(expr)
 		if p.view == nil {
@@ -696,11 +701,7 @@ func (s *Session) execExplain(st *Explain) (*Result, error) {
 	var now xtime.Time
 	err = s.eng.Inspect(phys, func(snap xtime.Time) error {
 		now = snap
-		texp, err := phys.ExprTexp(now)
-		if err != nil {
-			return err
-		}
-		validity, err := phys.Validity(now)
+		texp, validity, err := p.window(now)
 		if err != nil {
 			return err
 		}
@@ -718,6 +719,17 @@ func (s *Session) execExplain(st *Explain) (*Result, error) {
 		return nil, err
 	}
 	return &Result{Msg: strings.TrimRight(b.String(), "\n"), At: now}, nil
+}
+
+// window derives texp(e) and the validity set of the physical plan at now,
+// both cut at Until, so EXPLAIN prints the window Query would stamp.
+func (p *Plan) window(now xtime.Time) (xtime.Time, interval.Set, error) {
+	texp, err := p.Physical.ExprTexp(now)
+	if err != nil {
+		return 0, interval.Set{}, err
+	}
+	validity, err := p.Physical.Validity(now)
+	return xtime.Min(texp, p.Until), validity.Intersect(interval.NewSet(interval.Interval{End: p.Until})), err
 }
 
 // header prints the plan's three forms, each only where it differs from
@@ -738,9 +750,7 @@ func (p *Plan) accessPaths(b *strings.Builder) {
 		b.WriteString("access paths:\n")
 	}
 	for _, c := range p.Choices {
-		for _, line := range c.lines() {
-			b.WriteString("  " + line + "\n")
-		}
+		b.WriteString("  " + c.String() + "\n")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"expdb/internal/algebra"
 	"expdb/internal/tuple"
+	"expdb/internal/view"
 	"expdb/internal/xtime"
 )
 
@@ -240,6 +241,9 @@ func (s *Session) planFrom(p *Plan, ref TableRef) (algebra.Expr, *scope, error) 
 		sp.Set("patches", fmt.Sprint(info.PatchesApplied))
 	}
 	p.view, p.Until = &info, xtime.Min(p.Until, info.Validity.ValidUntil)
+	if info.Source == view.SourceMovedBackward || info.Source == view.SourceMovedForward {
+		p.moved = fmt.Errorf("sql: view %[1]s is not valid now and answers for instant %[2]s instead: read it whole (SELECT * FROM %[1]s) or REFRESH it", ref.Name, info.At)
+	}
 	return algebra.NewBase(ref.Name, rel), newScope(ref.Name, rel.Schema()), nil
 }
 

@@ -451,6 +451,15 @@ func (v *View) Read(tau xtime.Time) (*relation.Relation, ReadInfo, error) {
 	// window is derived from the same post-read state.
 	info.Texp = v.texp
 	info.Validity = interval.Validity{At: v.matAt, ValidUntil: v.texp}
+	if !info.Validity.Contains(info.At) {
+		// Interval mode answered from a later stretch of the validity set
+		// than the first: the stamp is the stretch holding that instant.
+		for _, iv := range v.validity.Intervals() {
+			if iv.Contains(info.At) {
+				info.Validity = interval.Validity{At: iv.Start, ValidUntil: iv.End}
+			}
+		}
+	}
 	info.Cached = info.Source == SourceMaterialised
 	return rel, info, nil
 }

@@ -359,6 +359,33 @@ func TestRemoteCopyOfAViewExpiresWithTheView(t *testing.T) {
 	}
 }
 
+// TestMovedViewOverTheWire: while a recovery=backward view is invalid its
+// whole read travels stamped with the instant it was moved to, patches
+// wanted or not, and a query computed over it is refused rather than sent
+// with rows of one instant under the stamp of another.
+func TestMovedViewOverTheWire(t *testing.T) {
+	eng := figure1Engine(t) // the difference is invalid on [3, 15)
+	sess := sql.NewSession(eng, nil)
+	if _, err := sess.Exec("CREATE VIEW vi WITH (mode=interval, recovery=backward) AS SELECT uid FROM pol EXCEPT SELECT uid FROM el"); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Advance(4); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(eng)
+	for _, patches := range []bool{false, true} {
+		resp := srv.respond(sess, &Request{Kind: MsgMaterialize, Query: "SELECT * FROM vi", WantPatches: patches})
+		if resp.Err != "" || resp.Now != 2 || resp.Texp != 3 || len(resp.Rows) != 1 {
+			t.Fatalf("patches=%v: now %v, texp %v, %d rows, err %q; want the answer of instant 2, valid until 3",
+				patches, resp.Now, resp.Texp, len(resp.Rows), resp.Err)
+		}
+		resp = srv.respond(sess, &Request{Kind: MsgMaterialize, Query: "SELECT uid FROM vi WHERE uid > 0", WantPatches: patches})
+		if resp.Err == "" {
+			t.Fatalf("patches=%v: computed over a moved view: now %v, texp %v", patches, resp.Now, resp.Texp)
+		}
+	}
+}
+
 // BenchmarkWireRespondPoint is one MsgMaterialize through Server.respond
 // with no socket: a point query on a 5 000-row indexed table, result cache
 // off. It pins what a request costs beyond the probe — parse, one Plan,

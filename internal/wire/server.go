@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"expdb/internal/algebra"
 	"expdb/internal/engine"
 	"expdb/internal/relation"
 	"expdb/internal/sql"
@@ -486,12 +487,12 @@ func (s *Server) materialize(sess *sql.Session, req *Request, resp *Response) er
 		return err
 	}
 	var rel *relation.Relation
-	if !req.WantPatches {
-		// Patch-free materialisations go through the validity-interval
-		// result cache: a repeated remote query is answered with zero
-		// re-evaluation while its window holds. Patched differences keep
-		// the dedicated path below — their texp folds the helper budget,
-		// which is per-request and uncacheable.
+	if _, diff := plan.Physical.(*algebra.Diff); !req.WantPatches || !diff {
+		// Without patches (none wanted, or no root difference to patch) a
+		// materialisation goes through the validity-interval result cache:
+		// a repeated remote query costs zero re-evaluation while its window
+		// holds. Patched differences keep the dedicated path below — their
+		// texp folds the helper budget, per-request and uncacheable.
 		qr, err := sess.Query(&plan)
 		if err != nil {
 			return err
