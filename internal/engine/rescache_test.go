@@ -2,10 +2,12 @@ package engine
 
 import (
 	"errors"
+	"sort"
 	"testing"
 
 	"expdb/internal/algebra"
 	"expdb/internal/catalog"
+	"expdb/internal/relation"
 	"expdb/internal/trace"
 	"expdb/internal/tuple"
 	"expdb/internal/xtime"
@@ -489,4 +491,58 @@ func TestCacheHitAllocs(t *testing.T) {
 	if allocs > 4 {
 		t.Fatalf("cache hit = %.1f allocs/op, budget 4", allocs)
 	}
+}
+
+// A stored entry is sorted once: the miss and every hit of it return rows
+// in tuple order equal to a fresh sort, each caller's slice is its own
+// (ORDER BY re-sorts it in place), rows that expire inside the entry's
+// window drop out of later hits without disturbing the order, and a write
+// starts a new entry with a new order.
+func TestCacheHitsKeepTupleOrder(t *testing.T) {
+	e := New()
+	if err := e.CreateTable("t", tuple.IntCols("id", "v")); err != nil {
+		t.Fatal(err)
+	}
+	for r := int64(0); r < 200; r++ {
+		if err := e.Insert("t", tuple.Ints((r*73)%200, r%5), xtime.Time(5+r%20)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, _ := e.Base("t")
+	freshSort := func(qr QueryResult) []relation.Row {
+		rows := qr.Rel.Rows(qr.At)
+		sort.Slice(rows, func(i, j int) bool { return rows[i].Tuple.Compare(rows[j].Tuple) < 0 })
+		return rows
+	}
+	check := func(tick xtime.Time, cached bool, wantRows int) {
+		t.Helper()
+		if err := e.Advance(tick); err != nil {
+			t.Fatal(err)
+		}
+		qr := stamped(t, e, b)
+		if qr.Cached != cached {
+			t.Fatalf("tick %v: cached = %v, want %v", tick, qr.Cached, cached)
+		}
+		want, got := freshSort(qr), qr.Rel.RowsSorted(qr.At)
+		if len(got) != wantRows || len(want) != wantRows {
+			t.Fatalf("tick %v: %d rows (fresh sort %d), want %d", tick, len(got), len(want), wantRows)
+		}
+		for i := range got {
+			if !got[i].Tuple.Equal(want[i].Tuple) || got[i].Texp != want[i].Texp {
+				t.Fatalf("tick %v: row %d is %v, want %v", tick, i, got[i].Tuple, want[i].Tuple)
+			}
+		}
+		for i, j := 0, len(got)-1; i < j; i, j = i+1, j-1 {
+			got[i], got[j] = got[j], got[i] // the next caller must not see this
+		}
+	}
+	check(0, false, 200)
+	check(0, true, 200)
+	check(0, true, 200)
+	check(6, true, 180) // texp 5 and 6 expired under the entry; eager expiry bumps no epoch
+	if err := e.Insert("t", tuple.Ints(1000, 0), 50); err != nil {
+		t.Fatal(err)
+	}
+	check(6, false, 181)
+	check(7, true, 171)
 }

@@ -58,6 +58,10 @@ type Relation struct {
 	// immutable) and the write goes to the private copy, so snapshots
 	// handed out earlier never observe later mutations.
 	shared bool
+	// sorted is the remembered tuple order of a shared row map, the same
+	// pointer in every handle that aliases the map; nil on a private map
+	// and on a shared one with fewer than two rows. See sortedRows.
+	sorted *sortedRows
 	// indexes are the attached secondary indexes, maintained inline by
 	// every mutator under the caller's write lock. Only engine-owned base
 	// tables carry them; snapshots, clones and operator results never do
@@ -71,6 +75,31 @@ type Relation struct {
 	// 2×rows + texpSlack pairs.
 	texpIdx *index.TexpHeap
 }
+
+// sortedRows holds every row of one frozen row map in tuple order, sorted
+// on first use and at most once. A shared map is never written again, and
+// expiry only hides rows — filtering a sorted slice keeps it sorted — so
+// the order stands for as long as the map does: there is nothing to
+// invalidate, and a handle that detaches simply lets go of the pointer.
+type sortedRows struct {
+	once sync.Once
+	rows []Row
+}
+
+// of returns the rows of m, the frozen map s was created for, in tuple
+// order. Handles on different goroutines may race here: one sorts.
+func (s *sortedRows) of(m map[string]Row) []Row {
+	s.once.Do(func() {
+		s.rows = make([]Row, 0, len(m))
+		for _, row := range m {
+			s.rows = append(s.rows, row)
+		}
+		slices.SortFunc(s.rows, compareRows)
+	})
+	return s.rows
+}
+
+func compareRows(a, b Row) int { return a.Tuple.Compare(b.Tuple) }
 
 // NamedIndex pairs an attached secondary index with its catalog name.
 type NamedIndex struct {
@@ -126,7 +155,9 @@ func (r *Relation) effTau(tau xtime.Time) xtime.Time {
 
 // detach gives r a private row map before a mutation when the current map
 // is shared with snapshots. Rows dead at the floor are dropped while
-// copying — they were invisible anyway. Tuples are never copied.
+// copying — they were invisible anyway. Tuples are never copied. This is
+// the one place a handle leaves a shared map, so also where it gives up the
+// map's remembered order; the handles still on the map keep theirs.
 func (r *Relation) detach() {
 	if !r.shared {
 		return
@@ -139,6 +170,7 @@ func (r *Relation) detach() {
 	}
 	r.rows = rows
 	r.shared = false
+	r.sorted = nil
 }
 
 // Len returns the number of stored tuples, including ones that may already
@@ -340,14 +372,22 @@ func (r *Relation) Snapshot(tau xtime.Time) *Relation {
 // writing (tuples are immutable and stay shared), so the snapshot is
 // effectively immutable from the moment it is taken. Views use it to
 // serve reads from the materialisation without copying it.
+//
+// Freezing the map freezes its tuple order too, so every handle on it
+// shares one sortedRows (fewer than two rows have no order worth the
+// allocation). Like any write to r, the call needs r exclusively.
 func (r *Relation) SnapshotShared(tau xtime.Time) *Relation {
 	r.shared = true
+	if r.sorted == nil && len(r.rows) > 1 {
+		r.sorted = new(sortedRows)
+	}
 	return &Relation{
 		order:  lockSeq.Add(1),
 		schema: r.schema,
 		rows:   r.rows,
 		floor:  r.effTau(tau),
 		shared: true,
+		sorted: r.sorted,
 	}
 }
 
@@ -456,9 +496,24 @@ func (r *Relation) Rows(tau xtime.Time) []Row {
 // RowsSorted returns the rows of expτ(R) sorted by tuple order — a
 // deterministic view for tests, rendering and ORDER BY's base order. A set
 // has no order: callers that only consume the rows want AliveAt or Rows.
+// The slice is the caller's own (ORDER BY re-sorts it in place). A private
+// map is collected and sorted per call; a shared one — a materialised view,
+// a cached result, every snapshot of either — is sorted once for all its
+// handles and filtered to the rows alive past max(floor, τ) per call.
 func (r *Relation) RowsSorted(tau xtime.Time) []Row {
-	out := r.Rows(tau)
-	slices.SortFunc(out, func(a, b Row) int { return a.Tuple.Compare(b.Tuple) })
+	if r.sorted == nil {
+		out := r.Rows(tau)
+		slices.SortFunc(out, compareRows)
+		return out
+	}
+	tau = r.effTau(tau)
+	all := r.sorted.of(r.rows)
+	out := make([]Row, 0, len(all))
+	for _, row := range all {
+		if row.Texp > tau {
+			out = append(out, row)
+		}
+	}
 	return out
 }
 

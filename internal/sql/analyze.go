@@ -152,7 +152,10 @@ func (s *Session) execExplainAnalyze(p *Plan) (*Result, error) {
 	)
 	err = s.eng.Inspect(root, func(snap xtime.Time) error {
 		now = snap
-		var err error
+		err := p.expiredAt(now)
+		if err != nil {
+			return err
+		}
 		// Plan-time prediction first, then the instrumented execution;
 		// both under the same locks and instant.
 		if planTexp, validity, err = p.window(now); err != nil {

@@ -1,11 +1,20 @@
 package sql
 
 import (
+	"errors"
+	"fmt"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"expdb/internal/algebra"
 	"expdb/internal/engine"
+	"expdb/internal/interval"
+	"expdb/internal/relation"
+	"expdb/internal/view"
 	"expdb/internal/xtime"
 )
 
@@ -254,4 +263,206 @@ func TestPlanIsWhatEveryStatementRuns(t *testing.T) {
 	if _, err := s.Plan(&Show{What: "TABLES"}); err == nil {
 		t.Fatal("planned a statement that is neither SELECT nor DELETE")
 	}
+}
+
+// TestOrderBySortsItsOwnCopy: a view and a cached result remember their
+// tuple order and every reader of either filters the same sorted slice.
+// ORDER BY sorts in place — it must be sorting a copy, or the next plain
+// read would come back in the previous statement's order.
+func TestOrderBySortsItsOwnCopy(t *testing.T) {
+	s := NewSession(engine.New(), nil)
+	mustExec(t, s, "CREATE TABLE pol (uid INT, deg INT)")
+	for uid := 0; uid < 50; uid++ {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO pol VALUES (%d, %d) EXPIRES AT %d", (uid*37)%50, uid%7, 20+uid%9))
+	}
+	mustExec(t, s, "CREATE VIEW v AS SELECT uid, deg FROM pol")
+	uids := func(rows []relation.Row) []int64 {
+		out := make([]int64, len(rows))
+		for i, row := range rows {
+			out[i] = row.Tuple[0].AsInt()
+		}
+		return out
+	}
+	for _, from := range []string{"v", "pol"} { // a view's snapshot; a cached result
+		plain := "SELECT * FROM " + from
+		warm := mustExec(t, s, plain) // fills the cache for pol
+		want := uids(warm.Rows())
+		if len(want) != 50 || !slices.IsSorted(want) {
+			t.Fatalf("%s: plain read is not in tuple order: %v", from, want)
+		}
+		desc := mustExec(t, s, plain+" ORDER BY uid DESC")
+		if from == "pol" && !desc.Cached {
+			t.Fatal("the ORDER BY statement did not reuse the cached result")
+		}
+		got := uids(desc.Rows())
+		slices.Reverse(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: ORDER BY uid DESC returned %v", from, uids(desc.Rows()))
+		}
+		after := mustExec(t, s, plain)
+		mustExec(t, s, plain+" ORDER BY deg DESC LIMIT 5") // scribbles once more
+		for _, res := range []*Result{after, warm, mustExec(t, s, plain)} {
+			if got := uids(res.Rows()); !slices.Equal(got, want) {
+				t.Fatalf("%s: plain read after an ORDER BY returned %v", from, got)
+			}
+		}
+	}
+}
+
+// TestPlanOutlivedByItsView: a plan over a view holds the snapshot one read
+// of the view returned, good until Plan.Until. When an ADVANCE lands
+// between Plan and Query, the parent commit evaluated the stale snapshot at
+// the new tick and stamped it [t, t[. Query now reports the plan expired;
+// planning again reads the view's new answer. The view's own leaf still
+// answers for the instant it was read at.
+func TestPlanOutlivedByItsView(t *testing.T) {
+	s := windowSession(t)
+	computed, err := Parse("SELECT deg FROM hist WHERE deg >= 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.Plan(computed)
+	if err != nil || p.Until != 5 {
+		t.Fatalf("plan until %v, err %v; want 5", p.Until, err)
+	}
+	if err := s.eng.Advance(5); err != nil {
+		t.Fatal(err)
+	}
+	if qr, err := s.Query(&p); !errors.Is(err, view.ErrInvalid) || !strings.Contains(err.Error(), "plan expired") {
+		t.Fatalf("a plan valid until 5 ran at 5: result %+v, err %v", qr, err)
+	}
+	for _, explain := range []func(*Plan) (*Result, error){s.explain, s.execExplainAnalyze} {
+		if res, err := explain(&p); !errors.Is(err, view.ErrInvalid) {
+			t.Fatalf("EXPLAIN of an expired plan: %v, err %v", res, err)
+		}
+	}
+	p, err = s.Plan(computed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qr, err := s.Query(&p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two groups of one row each are left: the counts no longer change.
+	if want := (interval.Validity{At: 5, ValidUntil: xtime.Infinity}); qr.At != 5 || qr.Validity != want || qr.Rel.CountAt(qr.At) != 2 {
+		t.Fatalf("re-planned: %d rows at %v, valid %v; want 2 rows at 5, valid %v", qr.Rel.CountAt(qr.At), qr.At, qr.Validity, want)
+	}
+
+	bare, err := Parse("SELECT * FROM hist")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err = s.Plan(bare); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.eng.Advance(7); err != nil {
+		t.Fatal(err)
+	}
+	if qr, err = s.Query(&p); err != nil || qr.At != 5 || !qr.Validity.Contains(qr.At) {
+		t.Fatalf("the view's own leaf: at %v, valid %v, err %v; want the read at 5 under its own window", qr.At, qr.Validity, err)
+	}
+}
+
+// TestExpiredPlansAreMadeAgain drives the loop Exec and EXPLAIN run their
+// plans through, with the concurrent ADVANCE played by the callback: one
+// expiry costs one more plan, and a clock that outruns every plan is
+// reported after three.
+func TestExpiredPlansAreMadeAgain(t *testing.T) {
+	// Eight rows in one group, one expiring per tick: the count changes at
+	// every tick, so the view's windows are [0,1[, [1,2[, … [6,7[, [7,∞[.
+	s := NewSession(engine.New(), nil)
+	mustExec(t, s, "CREATE TABLE pol (uid INT, deg INT)")
+	for uid := 1; uid <= 8; uid++ {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO pol VALUES (%d, 25) EXPIRES AT %d", uid, uid))
+	}
+	mustExec(t, s, "CREATE VIEW hist AS SELECT deg, COUNT(*) FROM pol GROUP BY deg")
+	stmt, err := Parse("SELECT deg FROM hist WHERE deg >= 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		plans int
+		qr    engine.QueryResult
+	)
+	outrun := func(times int) error {
+		plans = 0
+		return s.planAndRun(stmt, func(p Plan) (err error) {
+			if plans++; plans <= times {
+				if err := s.eng.Advance(p.Until); err != nil {
+					t.Fatal(err)
+				}
+			}
+			qr, err = s.Query(&p)
+			return err
+		})
+	}
+	if err := outrun(1); err != nil || plans != 2 || qr.At != 1 || qr.Validity.ValidUntil != 2 {
+		t.Fatalf("one expiry: %d plans, at %v valid %v, err %v; want 2 plans, at 1 until 2", plans, qr.At, qr.Validity, err)
+	}
+	if err := outrun(2); err != nil || plans != 3 || qr.At != 3 || qr.Validity.ValidUntil != 4 {
+		t.Fatalf("two expiries: %d plans, at %v valid %v, err %v; want 3 plans, at 3 until 4", plans, qr.At, qr.Validity, err)
+	}
+	if err := outrun(planAttempts); !errors.Is(err, view.ErrInvalid) || plans != planAttempts {
+		t.Fatalf("a clock that outruns every plan: %d plans, err %v", plans, err)
+	}
+	if res := mustExec(t, s, "SELECT deg FROM hist WHERE deg >= 0"); res.At != 6 || res.Validity.ValidUntil != 7 {
+		t.Fatalf("the statement after: at %v valid %v, want at 6 until 7", res.At, res.Validity)
+	}
+}
+
+// TestNoReadOverAViewIsStampedEmpty: sessions read through a view whose
+// window ends at every tick while the clock advances under them. Whatever
+// the interleaving, no answer may be stamped with a window that does not
+// hold its own instant. Run under -race.
+func TestNoReadOverAViewIsStampedEmpty(t *testing.T) {
+	eng := engine.New()
+	s := NewSession(eng, nil)
+	mustExec(t, s, "CREATE TABLE pol (uid INT, deg INT)")
+	const ticks = 120
+	for uid := 0; uid < 2*ticks; uid++ {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO pol VALUES (%d, %d) EXPIRES AT %d", uid, uid%4, 1+uid%ticks))
+	}
+	mustExec(t, s, "CREATE VIEW hist AS SELECT deg, COUNT(*) FROM pol GROUP BY deg")
+
+	var (
+		reads atomic.Int64
+		done  atomic.Bool
+		wg    sync.WaitGroup
+	)
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sess := NewSession(eng, nil)
+			for i := 0; !done.Load(); i++ {
+				q := "SELECT deg FROM hist WHERE deg >= 0"
+				if (i+r)%4 == 0 {
+					q = "EXPLAIN ANALYZE " + q
+				}
+				res, err := sess.Exec(q)
+				reads.Add(1)
+				switch {
+				case errors.Is(err, view.ErrInvalid): // outrun three times in a row: reported, not mis-stamped
+				case err != nil:
+					t.Errorf("%s: %v", q, err)
+					return
+				case res.Validity != (interval.Validity{}) && !res.Validity.Contains(res.At):
+					t.Errorf("%s: answer at %v stamped %v", q, res.At, res.Validity)
+					return
+				}
+			}
+		}()
+	}
+	for tick := xtime.Time(1); tick <= ticks; tick++ {
+		if err := eng.Advance(tick); err != nil {
+			t.Error(err)
+			break
+		}
+		for target := reads.Load() + 4; reads.Load() < target && !t.Failed(); {
+			runtime.Gosched()
+		}
+	}
+	done.Store(true)
+	wg.Wait()
 }

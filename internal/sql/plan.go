@@ -2,9 +2,10 @@ package sql
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -184,14 +185,58 @@ func (s *Session) Plan(stmt Statement) (Plan, error) {
 // validity window. A plan that is a view's own leaf is served as ReadView
 // serves it: the shared snapshot, at the instant and under the window the
 // view reported. Any other answer holds until texp(e) or until a view it
-// was computed from changes, whichever comes first.
+// was computed from changes, whichever comes first. When the clock has
+// reached Until by the time the plan is evaluated — a concurrent ADVANCE
+// between Plan and Query — no view stands behind the snapshot any more and
+// the answer would carry the empty window [t, t[: Query reports that the
+// plan expired (an error matching view.ErrInvalid) and the caller plans
+// again, as Exec, EXPLAIN and the wire server do.
 func (s *Session) Query(p *Plan) (engine.QueryResult, error) {
 	if b, ok := p.Physical.(*algebra.Base); ok && p.view != nil {
 		return engine.QueryResult{Rel: b.Rel, At: p.view.At, Validity: p.view.Validity}, nil
 	}
 	qr, err := s.eng.QueryStamped(p.Physical, p.Key, s.tid)
+	if err == nil {
+		err = p.expiredAt(qr.At)
+	}
+	if err != nil {
+		return engine.QueryResult{}, err
+	}
 	qr.Validity.ValidUntil = xtime.Min(qr.Validity.ValidUntil, p.Until)
-	return qr, err
+	return qr, nil
+}
+
+// expiredAt is nil while a plan evaluated at now still reads view
+// snapshots their views answer for, i.e. before Until.
+func (p *Plan) expiredAt(now xtime.Time) error {
+	if now < p.Until {
+		return nil
+	}
+	return fmt.Errorf("sql: plan expired: it reads a view snapshot valid until %s and the clock is at %s: %w",
+		p.Until, now, view.ErrInvalid)
+}
+
+// planAttempts bounds the re-planning of one statement whose plans keep
+// expiring before they run.
+const planAttempts = 3
+
+// planAndRun plans stmt and hands the plan to run; when run reports the
+// plan expired under it, the statement is planned again against the views'
+// new answers — planAttempts times in all, then the error stands. run gets
+// the Plan by value: a pointer handed to a func value would move every
+// statement's Plan to the heap.
+func (s *Session) planAndRun(stmt Statement, run func(Plan) error) error {
+	for attempt := 1; ; attempt++ {
+		sp := s.span.Child("plan")
+		p, err := s.Plan(stmt)
+		sp.End()
+		if err != nil {
+			return err
+		}
+		if err = run(p); attempt == planAttempts || !errors.Is(err, view.ErrInvalid) {
+			return err
+		}
+	}
 }
 
 // SetTrace makes tid the trace ID of what the session plans and evaluates
@@ -337,29 +382,28 @@ func (s *Session) execStmt(stmt Statement) (*Result, error) {
 		return s.execDelete(st)
 
 	case *Select:
-		sp := s.span.Child("plan")
-		p, err := s.Plan(st)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		sp = s.span.Child("execute")
-		qr, err := s.Query(&p)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		if qr.Cached {
-			s.span.Set("cache", "hit")
-		}
-		// At is the tick the evaluation actually used (read under the
-		// query's locks), not a re-read of the clock that a concurrent
-		// Advance could have moved since.
-		res := &Result{Rel: qr.Rel, At: qr.At, Validity: qr.Validity, Cached: qr.Cached}
-		if len(st.OrderBy) > 0 || st.Limit >= 0 {
-			if err := s.orderAndLimit(st, p.Logical, res); err != nil {
-				return nil, err
+		var res *Result
+		err := s.planAndRun(st, func(p Plan) error {
+			sp := s.span.Child("execute")
+			qr, err := s.Query(&p)
+			sp.End()
+			if err != nil {
+				return err
 			}
+			if qr.Cached {
+				s.span.Set("cache", "hit")
+			}
+			// At is the tick the evaluation actually used (read under the
+			// query's locks), not a re-read of the clock that a concurrent
+			// Advance could have moved since.
+			res = &Result{Rel: qr.Rel, At: qr.At, Validity: qr.Validity, Cached: qr.Cached}
+			if len(st.OrderBy) > 0 || st.Limit >= 0 {
+				return s.orderAndLimit(st, p.Logical, res)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		return res, nil
 
@@ -685,13 +729,20 @@ func (s *Session) execShow(st *Show) (*Result, error) {
 }
 
 func (s *Session) execExplain(st *Explain) (*Result, error) {
-	p, err := s.Plan(st.Query)
-	if err != nil {
-		return nil, err
-	}
-	if st.Analyze {
-		return s.execExplainAnalyze(&p)
-	}
+	var res *Result
+	err := s.planAndRun(st.Query, func(p Plan) (err error) {
+		if st.Analyze {
+			res, err = s.execExplainAnalyze(&p)
+		} else {
+			res, err = s.explain(&p)
+		}
+		return err
+	})
+	return res, err
+}
+
+// explain renders p as plain EXPLAIN prints it, without executing it.
+func (s *Session) explain(p *Plan) (*Result, error) {
 	phys := p.Physical
 	// Engine.Inspect holds the plan's base-relation read locks while we
 	// derive: texp(e), the validity intervals and every per-node
@@ -699,8 +750,11 @@ func (s *Session) execExplain(st *Explain) (*Result, error) {
 	// make the tree inconsistent with its own header.
 	var b strings.Builder
 	var now xtime.Time
-	err = s.eng.Inspect(phys, func(snap xtime.Time) error {
+	err := s.eng.Inspect(phys, func(snap xtime.Time) error {
 		now = snap
+		if err := p.expiredAt(now); err != nil {
+			return err
+		}
 		texp, validity, err := p.window(now)
 		if err != nil {
 			return err
@@ -851,18 +905,20 @@ func (s *Session) orderAndLimit(st *Select, expr algebra.Expr, res *Result) erro
 	}
 	// RowsSorted gives a deterministic base order, so rows tied on every
 	// ORDER BY key still come out in a stable, reproducible order.
+	// The slice is ours to re-order: RowsSorted never hands out the order
+	// a view or a cached result remembers, only a copy of it.
 	rows := res.Rel.RowsSorted(res.At)
-	sort.SliceStable(rows, func(i, j int) bool {
+	slices.SortStableFunc(rows, func(a, b relation.Row) int {
 		for _, k := range keys {
-			c := rows[i].Tuple[k.col].Compare(rows[j].Tuple[k.col])
+			c := a.Tuple[k.col].Compare(b.Tuple[k.col])
 			if k.desc {
 				c = -c
 			}
 			if c != 0 {
-				return c < 0
+				return c
 			}
 		}
-		return false
+		return 0
 	})
 	if st.Limit >= 0 && st.Limit < len(rows) {
 		rows = rows[:st.Limit]

@@ -1,6 +1,7 @@
 package view
 
 import (
+	"sort"
 	"testing"
 
 	"expdb/internal/algebra"
@@ -98,5 +99,109 @@ func TestReadAllocsConstant(t *testing.T) {
 		}
 	}); n > 2 {
 		t.Fatalf("serve-from-materialisation read allocates %.1f objects/op for 5000 rows, want ≤ 2", n)
+	}
+}
+
+// freshSort is what RowsSorted did before a frozen map remembered its
+// order: collect the alive rows and sort them, on every call.
+func freshSort(rel *relation.Relation, tau xtime.Time) []relation.Row {
+	rows := rel.Rows(tau)
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Tuple.Compare(rows[j].Tuple) < 0 })
+	return rows
+}
+
+func sameRows(t *testing.T, what string, got, want []relation.Row) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if !got[i].Tuple.Equal(want[i].Tuple) || got[i].Texp != want[i].Texp {
+			t.Fatalf("%s: row %d is %v@%v, want %v@%v", what, i, got[i].Tuple, got[i].Texp, want[i].Tuple, want[i].Texp)
+		}
+	}
+}
+
+// TestReadOrderAcrossPatchAndRefresh: the reads between two changes of the
+// materialisation share one sort, so the order has to survive exactly what
+// the rows survive. Read, Theorem 3 patch, read, REFRESH, read: every
+// RowsSorted equals a fresh sort of the same handle, a caller that
+// re-sorts its slice disturbs nobody, and a handle served before the patch
+// keeps the pre-patch answer.
+func TestReadOrderAcrossPatchAndRefresh(t *testing.T) {
+	// Pol holds uids 0..59; El hides 0..29 until its rows expire at 5
+	// (even uids) and 8 (odd): thirty rows to start, fifteen re-enter at
+	// each of the two patch instants.
+	polR := relation.New(tuple.IntCols("UID", "Deg"))
+	elR := relation.New(tuple.IntCols("UID", "Deg"))
+	for i := int64(0); i < 60; i++ {
+		polR.MustInsertInts(xtime.Time(100+i%7), (i*37)%60, i)
+		if uid := (i * 37) % 60; uid < 30 {
+			elR.MustInsertInts(xtime.Time(5+3*(uid%2)), uid, 0)
+		}
+	}
+	p1, err := algebra.NewProject([]int{0}, algebra.NewBase("Pol", polR))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := algebra.NewProject([]int{0}, algebra.NewBase("El", elR))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := algebra.NewDiff(p1, p2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := New("diff", d, WithPatching())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Materialize(0); err != nil {
+		t.Fatal(err)
+	}
+
+	// read reads twice at tau and checks both answers against a fresh
+	// sort, reversing the first caller's slice in between.
+	read := func(tau xtime.Time, wantRows, wantPatches int) *relation.Relation {
+		t.Helper()
+		rel, info, err := v.Read(tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.PatchesApplied != wantPatches {
+			t.Fatalf("read at %v applied %d patches, want %d", tau, info.PatchesApplied, wantPatches)
+		}
+		want := freshSort(rel, tau)
+		if len(want) != wantRows {
+			t.Fatalf("read at %v: %d rows, want %d", tau, len(want), wantRows)
+		}
+		mine := rel.RowsSorted(tau)
+		sameRows(t, "first caller", mine, want)
+		for i, j := 0, len(mine)-1; i < j; i, j = i+1, j-1 {
+			mine[i], mine[j] = mine[j], mine[i]
+		}
+		again, _, err := v.Read(tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, "second read after the first caller reversed its slice", again.RowsSorted(tau), want)
+		sameRows(t, "first handle again", rel.RowsSorted(tau), want)
+		return rel
+	}
+
+	before := read(0, 30, 0)
+	kept := freshSort(before, 0)
+	read(4, 30, 0)
+	read(5, 45, 15) // the patch detaches the materialisation from `before`
+	sameRows(t, "handle served before the patch", before.RowsSorted(0), kept)
+	read(7, 45, 0)
+	read(8, 60, 15)
+	if err := v.Materialize(9); err != nil { // REFRESH
+		t.Fatal(err)
+	}
+	read(9, 60, 0)
+	sameRows(t, "handle served before the refresh", before.RowsSorted(0), kept)
+	if s := v.Stats(); s.Recomputations != 0 || s.PatchesApplied != 30 {
+		t.Fatalf("stats %+v: want 30 patches and no read-triggered recomputation", s)
 	}
 }

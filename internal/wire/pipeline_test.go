@@ -1,16 +1,20 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"expdb/internal/algebra"
 	"expdb/internal/engine"
 	"expdb/internal/relation"
 	"expdb/internal/sql"
+	"expdb/internal/view"
 	"expdb/internal/xtime"
 )
 
@@ -384,6 +388,89 @@ func TestMovedViewOverTheWire(t *testing.T) {
 			t.Fatalf("patches=%v: computed over a moved view: now %v, texp %v", patches, resp.Now, resp.Texp)
 		}
 	}
+}
+
+// TestServerPlansAgainWhenAViewOutrunsThePlan: the server's clock advances
+// while it answers. A plan over a view that expired before it was evaluated
+// is reported (on both branches: through Session.Query, and through
+// MaterializeExpr when patches are wanted) and respond plans again, so no
+// response ever travels with Texp ≤ Now — a copy the client would have to
+// discard on arrival.
+func TestServerPlansAgainWhenAViewOutrunsThePlan(t *testing.T) {
+	for _, req := range []*Request{
+		{Kind: MsgMaterialize, Query: "SELECT deg FROM hist WHERE deg >= 0"},
+		{Kind: MsgMaterialize, Query: "SELECT deg FROM hist EXCEPT SELECT deg FROM el", WantPatches: true},
+	} {
+		eng := figure1Engine(t)
+		sess := sql.NewSession(eng, nil)
+		if _, err := sess.Exec("CREATE VIEW hist AS SELECT deg, COUNT(*) FROM pol GROUP BY deg"); err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(eng)
+		sel, err := sql.ParseQuery(req.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := sess.Plan(sel)
+		if err != nil || plan.Until != 10 {
+			t.Fatalf("%s: plan until %v, err %v; want 10", req.Query, plan.Until, err)
+		}
+		if err := eng.Advance(10); err != nil {
+			t.Fatal(err)
+		}
+		var stale Response
+		if err := srv.evaluate(sess, &plan, req, &stale); !errors.Is(err, view.ErrInvalid) {
+			t.Fatalf("%s: a plan valid until 10 ran at 10: now %v texp %v, err %v", req.Query, stale.Now, stale.Texp, err)
+		}
+		if resp := srv.respond(sess, req); resp.Err != "" || resp.Now != 10 || resp.Texp <= resp.Now || len(resp.Rows) != 1 {
+			t.Fatalf("%s: planned again: now %v, texp %v, %d rows, err %q", req.Query, resp.Now, resp.Texp, len(resp.Rows), resp.Err)
+		}
+	}
+
+	// The same under a clock that really runs: every window of this view
+	// is one tick long, four connections keep asking, nothing arrives
+	// stamped empty. Run under -race.
+	eng, _ := benchEngine(t, 80, nil)
+	srv := NewServer(eng)
+	var (
+		answers atomic.Int64
+		done    atomic.Bool
+		wg      sync.WaitGroup
+	)
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sess := sql.NewSession(eng, nil)
+			req := &Request{Kind: MsgMaterialize, Query: "SELECT uid FROM v_hist WHERE uid >= 0"}
+			if c%2 == 1 {
+				req = &Request{Kind: MsgMaterialize, Query: "SELECT uid FROM v_hist EXCEPT SELECT uid FROM usr WHERE grp = 1", WantPatches: true}
+			}
+			for !done.Load() {
+				resp := srv.respond(sess, req)
+				answers.Add(1)
+				if resp.Err != "" && !strings.Contains(resp.Err, "plan expired") {
+					t.Errorf("%s: %s", req.Query, resp.Err)
+					return
+				}
+				if resp.Err == "" && resp.Texp <= resp.Now {
+					t.Errorf("%s: answer of instant %v valid until %v", req.Query, resp.Now, resp.Texp)
+					return
+				}
+			}
+		}()
+	}
+	for tick := xtime.Time(1); tick <= 40; tick++ {
+		if err := eng.Advance(tick); err != nil {
+			t.Error(err)
+			break
+		}
+		for target := answers.Load() + 8; answers.Load() < target && !t.Failed(); {
+			runtime.Gosched()
+		}
+	}
+	done.Store(true)
+	wg.Wait()
 }
 
 // BenchmarkWireRespondPoint is one MsgMaterialize through Server.respond

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"log"
 	"net"
@@ -19,6 +20,7 @@ import (
 	"expdb/internal/sql"
 	"expdb/internal/trace"
 	"expdb/internal/tuple"
+	"expdb/internal/view"
 	"expdb/internal/xtime"
 )
 
@@ -482,10 +484,24 @@ func (s *Server) materialize(sess *sql.Session, req *Request, resp *Response) er
 	if err != nil {
 		return err
 	}
-	plan, err := sess.Plan(sel)
-	if err != nil {
-		return err
+	// The clock advances while the server answers, so a plan over a view
+	// can expire before it is evaluated: it is then made again, against the
+	// view's new answer — three plans at most, then the error goes out.
+	for attempt := 1; ; attempt++ {
+		plan, err := sess.Plan(sel)
+		if err != nil {
+			return err
+		}
+		if err = s.evaluate(sess, &plan, req, resp); attempt == 3 || !errors.Is(err, view.ErrInvalid) {
+			return err
+		}
 	}
+}
+
+// evaluate runs plan and writes the answer into resp. A plan that expired
+// first is reported the way sql.Session.Query reports it, by an error
+// matching view.ErrInvalid, with resp untouched.
+func (s *Server) evaluate(sess *sql.Session, plan *sql.Plan, req *Request, resp *Response) error {
 	var rel *relation.Relation
 	if _, diff := plan.Physical.(*algebra.Diff); !req.WantPatches || !diff {
 		// Without patches (none wanted, or no root difference to patch) a
@@ -493,7 +509,7 @@ func (s *Server) materialize(sess *sql.Session, req *Request, resp *Response) er
 		// a repeated remote query costs zero re-evaluation while its window
 		// holds. Patched differences keep the dedicated path below — their
 		// texp folds the helper budget, per-request and uncacheable.
-		qr, err := sess.Query(&plan)
+		qr, err := sess.Query(plan)
 		if err != nil {
 			return err
 		}
@@ -506,6 +522,10 @@ func (s *Server) materialize(sess *sql.Session, req *Request, resp *Response) er
 		mat, texp, helper, now, err := s.eng.MaterializeExpr(plan.Physical, true)
 		if err != nil {
 			return err
+		}
+		if now >= plan.Until {
+			return fmt.Errorf("wire: plan expired: it reads a view snapshot valid until %s and the clock is at %s: %w",
+				plan.Until, now, view.ErrInvalid)
 		}
 		rel, resp.Now, resp.Texp = mat, now, xtime.Min(texp, plan.Until)
 		// Ship only critical helper rows (those that will actually

@@ -1,11 +1,14 @@
 package wire
 
 import (
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"expdb/internal/engine"
+	"expdb/internal/relation"
 	"expdb/internal/sql"
 	"expdb/internal/trace"
 	"expdb/internal/tuple"
@@ -187,6 +190,59 @@ func TestRemoteDiffWithPatchesNeverRefetches(t *testing.T) {
 	}
 	if s := c.Stats(); s.MessagesSent != 1 {
 		t.Fatalf("traffic: %s", s)
+	}
+}
+
+// The client's local reads hand out snapshots of one local copy, so the
+// reads between two patches share one sort: each must still come back in
+// tuple order, in a slice of the caller's own, and a handle read before a
+// patch keeps the pre-patch answer.
+func TestLocalReadsKeepTupleOrderAcrossPatches(t *testing.T) {
+	eng, _, addr := startServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Materialize("SELECT uid FROM pol EXCEPT SELECT uid FROM el", true); err != nil {
+		t.Fatal(err)
+	}
+	uids := func(rows []relation.Row) []int64 {
+		out := make([]int64, len(rows))
+		for i, row := range rows {
+			out[i] = row.Tuple[0].AsInt()
+		}
+		return out
+	}
+	var held *relation.Relation // read at tick 4, between the two patches
+	for tau := xtime.Time(0); tau <= 16; tau++ {
+		if err := eng.Advance(tau); err != nil {
+			t.Fatal(err)
+		}
+		want := expectedDiff(tau)
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		for read := 0; read < 3; read++ {
+			rel, err := c.Read(tau)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := rel.RowsSorted(tau)
+			if got := uids(rows); !slices.Equal(got, want) {
+				t.Fatalf("tick %v read %d: uids %v, want %v", tau, read, got, want)
+			}
+			slices.Reverse(rows) // a caller re-ordering its own slice
+			if tau == 4 {
+				held = rel
+			}
+		}
+		if held != nil {
+			if got := uids(held.RowsSorted(4)); !slices.Equal(got, []int64{2, 3}) {
+				t.Fatalf("tick %v: the handle read at tick 4 now answers %v", tau, got)
+			}
+		}
+	}
+	if c.Rematerializations != 0 || c.PatchesApplied != 2 {
+		t.Fatalf("%d re-fetches and %d patches, want 0 and 2", c.Rematerializations, c.PatchesApplied)
 	}
 }
 
