@@ -62,6 +62,9 @@ type (
 	// Streamer is implemented by operators that can produce their result
 	// as a push stream (the pipelined execution path).
 	Streamer = ialg.Streamer
+	// Evaluation is what Evaluate returns: rows, texp(e) and a root
+	// difference's critical tuples.
+	Evaluation = ialg.Evaluation
 )
 
 // Comparison operators.
@@ -127,9 +130,11 @@ var (
 	Window = ialg.Window
 	// IsMonotonic re-derives monotonicity structurally.
 	IsMonotonic = ialg.IsMonotonic
-	// EvalStream computes an expression through the pipelined streaming
-	// executor, collecting the stream into a relation (same result as
-	// Eval, no per-operator intermediates).
+	// Evaluate computes an expression's rows and its texp(e) in one pass
+	// through the pipelined streaming executor.
+	Evaluate = ialg.Evaluate
+	// EvalStream is Evaluate for callers that want the rows only (same
+	// result as Eval, no per-operator intermediates).
 	EvalStream = ialg.EvalStream
 	// StreamExpr pushes an expression's result rows into emit one at a
 	// time; non-streaming nodes are evaluated and their rows replayed.

@@ -1,8 +1,9 @@
 package algebra
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"expdb/internal/interval"
@@ -69,8 +70,8 @@ const (
 	// strictly follows (8), as the paper notes.
 	PolicyNeutral
 	// PolicyExact computes the change-point functions χ and ν (formula
-	// (9)) by simulating the partition's future: tuples expire exactly
-	// when the aggregate value changes or the partition empties.
+	// (9)) from the partition's future values: tuples expire exactly when
+	// the aggregate value changes or the partition empties.
 	PolicyExact
 )
 
@@ -105,6 +106,11 @@ func (p AggPolicy) String() string {
 // projections still inherit exactly T_P because projection takes the
 // maximum over duplicates (formula (3)) and the longest-lived tuple of a
 // partition has texp_R(r) ≥ T_P.
+//
+// Everything the node can be asked — its rows, texp(e), I(e), the §3.4.1
+// change count — is read off one walk over the child (fold): the rows,
+// the partition times and texp(e) are the same partitions seen once, which
+// is how the paper defines them.
 type Agg struct {
 	GroupCols []int // 0-based grouping attributes j1..jn (may be empty: one global partition)
 	Funcs     []AggFunc
@@ -184,343 +190,329 @@ func (a *Agg) funcKind(f AggFunc) value.Kind {
 // Monotonic implements Expr: aggregation is non-monotonic.
 func (a *Agg) Monotonic() bool { return false }
 
-// partition is φexp_{j1..jn}(R, r) for one equivalence class: the rows of
-// the input that share the group key (formula (7)).
+// partition is φexp_{j1..jn}(R, r) for one equivalence class (formula (7)),
+// as fold hands it on: the rows in expiration order, so that the
+// time-sliced sets of §2.6.1 — the tuples sharing one expiration time —
+// are the contiguous runs rows[runs[k]:runs[k+1]], with every aggregate
+// function's value over each suffix of slices already taken.
 type partition struct {
-	key  string
 	rows []relation.Row
+	runs []int // start of each time slice in rows
+	// vals holds, function after function, f over rows[runs[k]:] for every
+	// slice k: the value at τ (k = 0) and the value a recomputation returns
+	// once slices 0..k−1 have expired.
+	vals []value.Value
+	time xtime.Time // T_P under the node's policy
 }
 
-func (a *Agg) partitions(tau xtime.Time) ([]*partition, error) {
-	// Aggregation is a pipeline breaker: it needs set input, so the child
-	// stream is collected (and deduplicated) before partitioning.
-	in, err := EvalStream(a.Child, tau)
-	if err != nil {
-		return nil, err
+// suffix returns the values of function i over each suffix of slices.
+func (p *partition) suffix(i int) []value.Value {
+	return p.vals[i*len(p.runs) : (i+1)*len(p.runs)]
+}
+
+// value is function i over the whole partition: the aggregate at τ.
+func (p *partition) value(i int) value.Value { return p.vals[i*len(p.runs)] }
+
+// last is the latest expiration time in the partition: when it empties.
+func (p *partition) last() xtime.Time { return p.rows[len(p.rows)-1].Texp }
+
+// byTexp puts a partition in expiration order. Ties may fall either way:
+// count, min, max and integer sums do not depend on the order of a slice.
+func byTexp(a, b relation.Row) int { return cmp.Compare(a.Texp, b.Texp) }
+
+// byTexpThenTuple is the canonical order of a partition that feeds a
+// floating-point sum, where the order of the additions shows in the last
+// bits: one order, whatever the iteration order of the storage below.
+func byTexpThenTuple(a, b relation.Row) int {
+	if c := cmp.Compare(a.Texp, b.Texp); c != 0 {
+		return c
 	}
-	byKey := map[string]*partition{}
-	var order []*partition
-	in.AliveAt(tau, func(row relation.Row) {
-		k := row.Tuple.KeyCols(a.GroupCols)
-		p := byKey[k]
-		if p == nil {
-			p = &partition{key: k}
-			byKey[k] = p
-			order = append(order, p)
-		}
-		p.rows = append(p.rows, row)
-	})
-	return order, nil
+	return a.Tuple.Compare(b.Tuple)
 }
 
-// apply computes f over the rows alive strictly after tau′ (pass tau′ = -1
-// to use all rows). The boolean reports whether any row remains.
-func applyFunc(f AggFunc, rows []relation.Row, after xtime.Time) (value.Value, bool) {
-	any := false
+// fold is the one function that walks the aggregation's child. A
+// duplicate-free child streams straight into the partitions, any other is
+// collected into a set first (a streamed duplicate would be counted twice);
+// each partition is put in expiration order once and handed to visit with
+// its aggregate values and its time T_P filled in. fold returns texp(e)
+// of the subtree: the child's, lowered to every T_P that part of its
+// partition outlives — a recomputation then shows tuples the
+// materialisation lost, the first case of the paper's χ analysis; a
+// partition that simply empties at T_P invalidates nothing (§2.6.1). The
+// partition visit sees is scratch, overwritten for the next one.
+func (a *Agg) fold(tau xtime.Time, visit func(*partition)) (xtime.Time, error) {
 	var (
-		count   int64
-		sumI    int64
-		sumF    float64
-		isFloat bool
-		nNum    int64
-		best    value.Value
-		haveB   bool
+		parts  [][]relation.Row
+		byKey  = map[string]int{}
+		key    []byte
+		sums   []int // the columns a sum or avg adds up
+		floats bool  // one of them holds a FLOAT
 	)
-	for _, r := range rows {
-		if r.Texp <= after {
-			continue
-		}
-		any = true
-		var v value.Value
-		if f.Col >= 0 {
-			v = r.Tuple[f.Col]
-		}
-		switch f.Kind {
-		case AggCount:
-			if f.Col < 0 || !v.IsNull() {
-				count++
-			}
-		case AggSum, AggAvg:
-			if v.IsNull() {
-				continue
-			}
-			nNum++
-			if v.Kind() == value.KindFloat {
-				isFloat = true
-			}
-			sumI += v.AsInt()
-			sumF += v.AsFloat()
-		case AggMin:
-			if v.IsNull() {
-				continue
-			}
-			if !haveB || v.Compare(best) < 0 {
-				best, haveB = v, true
-			}
-		case AggMax:
-			if v.IsNull() {
-				continue
-			}
-			if !haveB || v.Compare(best) > 0 {
-				best, haveB = v, true
-			}
+	for _, f := range a.Funcs {
+		if f.Kind == AggSum || f.Kind == AggAvg {
+			sums = append(sums, f.Col)
 		}
 	}
-	if !any {
-		return value.Null, false
+	add := func(row relation.Row) {
+		key = row.Tuple.AppendKeyCols(key[:0], a.GroupCols)
+		i, ok := byKey[string(key)]
+		if !ok {
+			i = len(parts)
+			byKey[string(key)] = i
+			parts = append(parts, nil)
+		}
+		parts[i] = append(parts[i], row)
+		for _, c := range sums {
+			floats = floats || row.Tuple[c].Kind() == value.KindFloat
+		}
+	}
+	var (
+		texp xtime.Time
+		err  error
+	)
+	if duplicateFree(a.Child) {
+		texp, err = stream(a.Child, tau, add)
+	} else {
+		var in *relation.Relation
+		if in, texp, err = collect(a.Child, tau); err == nil {
+			in.AliveAt(tau, add)
+		}
+	}
+	if err != nil {
+		return 0, err
+	}
+	order := byTexp
+	if floats {
+		order = byTexpThenTuple
+	}
+	var p partition
+	for _, rows := range parts {
+		slices.SortFunc(rows, order)
+		p.rows, p.runs = rows, p.runs[:0]
+		for i := range rows {
+			if i == 0 || rows[i].Texp != rows[i-1].Texp {
+				p.runs = append(p.runs, i)
+			}
+		}
+		n := len(a.Funcs) * len(p.runs)
+		p.vals = slices.Grow(p.vals[:0], n)[:n]
+		p.time = xtime.Infinity
+		for i, f := range a.Funcs {
+			vals := p.suffix(i)
+			f.suffixes(&p, vals)
+			p.time = xtime.Min(p.time, a.funcTime(f, &p, vals))
+		}
+		if p.last() > p.time {
+			texp = xtime.Min(texp, p.time)
+		}
+		visit(&p)
+	}
+	return texp, nil
+}
+
+// running is one aggregate function folded over tuples one at a time.
+type running struct {
+	count, nNum, sumI int64
+	sumF              float64
+	isFloat, haveBest bool
+	best              value.Value
+}
+
+// add folds t in. NULLs count for count(*) only (§2.4).
+func (s *running) add(f AggFunc, t tuple.Tuple) {
+	if f.Col < 0 {
+		s.count++
+		return
+	}
+	v := t[f.Col]
+	if v.IsNull() {
+		return
 	}
 	switch f.Kind {
 	case AggCount:
-		return value.Int(count), true
-	case AggSum:
-		if nNum == 0 {
-			return value.Null, true
+		s.count++
+	case AggSum, AggAvg:
+		s.nNum++
+		if v.Kind() == value.KindFloat {
+			s.isFloat = true
 		}
-		if isFloat {
-			return value.Float(sumF), true
+		s.sumI += v.AsInt()
+		s.sumF += v.AsFloat()
+	case AggMin:
+		if !s.haveBest || v.Compare(s.best) < 0 {
+			s.best, s.haveBest = v, true
 		}
-		return value.Int(sumI), true
-	case AggAvg:
-		if nNum == 0 {
-			return value.Null, true
+	case AggMax:
+		if !s.haveBest || v.Compare(s.best) > 0 {
+			s.best, s.haveBest = v, true
 		}
-		return value.Float(sumF / float64(nNum)), true
+	}
+}
+
+// value is f over the tuples added so far, at least one: NULL when none of
+// them carried a value.
+func (s *running) value(f AggFunc) value.Value {
+	switch {
+	case f.Kind == AggCount:
+		return value.Int(s.count)
+	case f.Kind == AggMin || f.Kind == AggMax:
+		return s.best // the zero Value is NULL
+	case s.nNum == 0:
+		return value.Null
+	case f.Kind == AggAvg:
+		return value.Float(s.sumF / float64(s.nNum))
+	case s.isFloat:
+		return value.Float(s.sumF)
 	default:
-		if !haveB {
-			return value.Null, true
-		}
-		return best, true
+		return value.Int(s.sumI)
 	}
 }
 
-// Eval implements Expr, formula (8) with the selected expiration policy.
-func (a *Agg) Eval(tau xtime.Time) (*relation.Relation, error) {
-	parts, err := a.partitions(tau)
-	if err != nil {
-		return nil, err
-	}
-	out := relation.New(a.Schema())
-	for _, p := range parts {
-		vals := make([]value.Value, len(a.Funcs))
-		for i, f := range a.Funcs {
-			vals[i], _ = applyFunc(f, p.rows, tau)
-		}
-		pt := a.partitionTime(p, tau)
-		for _, row := range p.rows {
-			t := make(tuple.Tuple, 0, len(row.Tuple)+len(vals))
-			t = append(t, row.Tuple...)
-			t = append(t, vals...)
-			out.InsertOwnedRow(relation.Row{Tuple: t, Texp: xtime.Min(row.Texp, pt.time)})
+// suffixes sets vals[k] to f over p.rows[p.runs[k]:] for every slice k in
+// one sweep from the longest-lived row down. Every value is then a prefix
+// of the same fold: vals[0] is the aggregate at τ and vals[k] is, bit for
+// bit, what evaluating after slice k−1 expired returns — no value is
+// derived from another by subtraction, which floats would not survive.
+func (f AggFunc) suffixes(p *partition, vals []value.Value) {
+	var s running
+	k := len(p.runs) - 1
+	for i := len(p.rows) - 1; i >= 0; i-- {
+		s.add(f, p.rows[i].Tuple)
+		if i == p.runs[k] {
+			vals[k] = s.value(f)
+			k--
 		}
 	}
-	return out, nil
 }
 
-// partitionEvent describes the fate of one partition under a policy: the
-// partition time T_P and whether reaching it invalidates the whole
-// materialised expression (true when the partition outlives the event, so
-// a recomputation would show tuples the materialisation lost — the first
-// case of the paper's χ analysis; false when the partition simply empties,
-// the second case).
-type partitionEvent struct {
-	time        xtime.Time
-	invalidates bool
-}
-
-func (a *Agg) partitionTime(p *partition, tau xtime.Time) partitionEvent {
-	ev := partitionEvent{time: xtime.Infinity}
-	for _, f := range a.Funcs {
-		var ft xtime.Time
-		switch a.Policy {
-		case PolicyNaive:
-			ft = naiveTime(p)
-		case PolicyNeutral:
-			ft = neutralTime(f, p)
-		default:
-			ft = exactTime(f, p, tau)
+// funcTime is the partition time function f alone would set under the
+// node's policy; vals are f's suffix values.
+func (a *Agg) funcTime(f AggFunc, p *partition, vals []value.Value) xtime.Time {
+	switch {
+	case a.Policy == PolicyNaive, a.Policy == PolicyNeutral && f.Kind == AggCount:
+		// Formula (8): the minimum expiration time in the partition — which
+		// count strictly follows, only the empty set being neutral for it.
+		return p.rows[0].Texp
+	case a.Policy == PolicyNeutral:
+		return neutralTime(f, p, vals[0])
+	default:
+		// The change-point function ν of formula (9): the first slice whose
+		// expiry changes the value or empties the partition, ∞ when that
+		// slice never expires.
+		k := 0
+		for k < len(vals)-1 && vals[k+1].Equal(vals[0]) {
+			k++
 		}
-		ev.time = xtime.Min(ev.time, ft)
+		return p.rows[p.runs[k]].Texp
 	}
-	// The event invalidates the expression iff some tuple of the
-	// partition is still alive at the event time.
-	for _, r := range p.rows {
-		if r.Texp > ev.time {
-			ev.invalidates = true
-			break
-		}
-	}
-	return ev
 }
 
-// naiveTime is formula (8): the minimum expiration time in the partition.
-func naiveTime(p *partition) xtime.Time {
-	t := xtime.Infinity
-	for _, r := range p.rows {
-		t = xtime.Min(t, r.Texp)
-	}
-	return t
-}
-
-// slice is a time-sliced set: the tuples of a partition sharing one
-// expiration time (§2.6.1).
-type slice struct {
-	texp xtime.Time
-	rows []relation.Row
-}
-
-func timeSlices(p *partition) []slice {
-	byT := map[xtime.Time][]relation.Row{}
-	for _, r := range p.rows {
-		byT[r.Texp] = append(byT[r.Texp], r)
-	}
-	out := make([]slice, 0, len(byT))
-	for t, rows := range byT {
-		out = append(out, slice{texp: t, rows: rows})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].texp < out[j].texp })
-	return out
-}
-
-// neutralTime implements Table 1 + Definition 2: the partition time is the
-// minimum expiration among the contributing set C = P − ∪(time-sliced
-// neutral subsets), or the maximum expiration of P when C is empty (the
-// aggregate value stays valid until the whole partition expires).
-func neutralTime(f AggFunc, p *partition) xtime.Time {
-	if f.Kind == AggCount {
-		// count strictly follows (8): only the empty set is neutral.
-		return naiveTime(p)
-	}
-	slices := timeSlices(p)
-	minC := xtime.Infinity
-	maxP := xtime.Time(0)
-	haveC := false
-	for _, s := range slices {
-		maxP = xtime.Max(maxP, s.texp)
-		if !sliceNeutral(f, s, p) {
-			haveC = true
-			minC = xtime.Min(minC, s.texp)
-		}
-	}
-	if !haveC {
-		return maxP
-	}
-	return minC
-}
-
-// sliceNeutral checks the per-function conditions of Table 1 for a
-// time-sliced subset N of partition P.
-func sliceNeutral(f AggFunc, n slice, p *partition) bool {
-	switch f.Kind {
-	case AggSum:
-		// Σ_{t∈N} t(i) = 0.
-		var sum float64
-		for _, r := range n.rows {
-			v := r.Tuple[f.Col]
-			if v.IsNull() {
-				continue
+// neutralTime implements Table 1 + Definition 2 for min, max, sum and avg:
+// the partition time is the minimum expiration among the contributing set
+// C = P − ∪(time-sliced neutral subsets), or the maximum expiration of P
+// when C is empty (the aggregate value stays valid until the whole
+// partition expires). v0 is f over P.
+func neutralTime(f AggFunc, p *partition, v0 value.Value) xtime.Time {
+	if f.Kind == AggMin || f.Kind == AggMax {
+		// Tuples off the extremum, and extremal ones that a longer-lived
+		// extremal tuple outlasts, are removable: C is the slice of the
+		// longest-lived extremal tuple.
+		for i := len(p.rows) - 1; i >= 0; i-- {
+			if v := p.rows[i].Tuple[f.Col]; !v.IsNull() && v.Equal(v0) {
+				return p.rows[i].Texp
 			}
+		}
+		return p.last()
+	}
+	sumP, cntP := sumCount(f.Col, p.rows)
+	for k, lo := range p.runs {
+		hi := len(p.rows)
+		if k+1 < len(p.runs) {
+			hi = p.runs[k+1]
+		}
+		// sum: Σ_{t∈N} t(i) = 0; avg: Σ_{t∈N} t(i) = (|N|/|P|) Σ_{r∈P} r(i),
+		// both over non-NULL values.
+		sumN, cntN := sumCount(f.Col, p.rows[lo:hi])
+		neutral := sumN == 0
+		if f.Kind == AggAvg {
+			neutral = cntP == 0 || sumN*cntP == sumP*cntN
+		}
+		if !neutral {
+			return p.rows[lo].Texp
+		}
+	}
+	return p.last()
+}
+
+// sumCount adds up the non-NULL values of column col and counts them.
+func sumCount(col int, rows []relation.Row) (sum, n float64) {
+	for _, r := range rows {
+		if v := r.Tuple[col]; !v.IsNull() {
 			sum += v.AsFloat()
+			n++
 		}
-		return sum == 0
-	case AggAvg:
-		// Σ_{t∈N} t(i) = (|N|/|P|) Σ_{r∈P} r(i), over non-NULL values.
-		var sumN, sumP float64
-		var cntN, cntP float64
-		for _, r := range n.rows {
-			if v := r.Tuple[f.Col]; !v.IsNull() {
-				sumN += v.AsFloat()
-				cntN++
-			}
-		}
-		for _, r := range p.rows {
-			if v := r.Tuple[f.Col]; !v.IsNull() {
-				sumP += v.AsFloat()
-				cntP++
-			}
-		}
-		if cntP == 0 {
-			return true
-		}
-		return sumN*cntP == sumP*cntN
-	case AggMin, AggMax:
-		fP, ok := applyFunc(f, p.rows, -1)
-		if !ok || fP.IsNull() {
-			return true
-		}
-		// The latest expiration among tuples achieving the extremum.
-		extTexp := xtime.Time(0)
-		for _, r := range p.rows {
-			if v := r.Tuple[f.Col]; !v.IsNull() && v.Equal(fP) {
-				extTexp = xtime.Max(extTexp, r.Texp)
-			}
-		}
-		for _, r := range n.rows {
-			v := r.Tuple[f.Col]
-			if v.IsNull() {
-				continue // non-contributing, removable
-			}
-			if v.Equal(fP) {
-				// An extremal tuple is removable only if a longer-lived
-				// extremal tuple remains.
-				if r.Texp >= extTexp {
-					return false
-				}
-				continue
-			}
-			// Strictly worse than the extremum is always removable.
-			if f.Kind == AggMin && v.Compare(fP) < 0 {
-				return false
-			}
-			if f.Kind == AggMax && v.Compare(fP) > 0 {
-				return false
-			}
-		}
-		return true
-	default: // AggCount handled by caller
-		return false
 	}
+	return sum, n
 }
 
-// exactTime implements the change-point function ν of formula (9) by
-// simulation: the smallest τ′ ≥ tau at which the aggregate value computed
-// over the unexpired part of the partition differs from its value at tau
-// (χ(τ′−…)), or at which the partition empties; ∞ when neither ever
-// happens (some tuples never expire and the value is stable).
-func exactTime(f AggFunc, p *partition, tau xtime.Time) xtime.Time {
-	v0, _ := applyFunc(f, p.rows, tau)
-	for _, s := range timeSlices(p) {
-		if s.texp <= tau || s.texp == xtime.Infinity {
-			continue
+// Stream implements Streamer, formula (8) with the selected expiration
+// policy: every input row extended with its partition's aggregate values.
+func (a *Agg) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
+	return a.fold(tau, func(p *partition) {
+		for _, row := range p.rows {
+			t := make(tuple.Tuple, 0, len(row.Tuple)+len(a.Funcs))
+			t = append(t, row.Tuple...)
+			for i := range a.Funcs {
+				t = append(t, p.value(i))
+			}
+			emit(relation.Row{Tuple: t, Texp: xtime.Min(row.Texp, p.time)})
 		}
-		v, nonEmpty := applyFunc(f, p.rows, s.texp)
-		if !nonEmpty {
-			return s.texp // partition empties here
-		}
-		if !v.Equal(v0) {
-			return s.texp // value changes here
+	})
+}
+
+// groupsOnly reports whether cols, positions in the node's result schema,
+// name grouping attributes and aggregate values only — the GROUP BY shape.
+func (a *Agg) groupsOnly(cols []int) bool {
+	arity := a.Child.Schema().Arity()
+	for _, c := range cols {
+		if c < arity && !slices.Contains(a.GroupCols, c) {
+			return false
 		}
 	}
-	return xtime.Infinity
+	return true
+}
+
+// streamGroups is π_cols over the aggregation for cols that groupsOnly
+// accepts. Every row of a partition then projects onto the same tuple, and
+// formula (3) gives that tuple max_r min(texp_R(r), T_P) = min(max_r
+// texp_R(r), T_P): one row per partition, without the |R| extended rows it
+// stands for.
+func (a *Agg) streamGroups(tau xtime.Time, cols []int, emit func(relation.Row)) (xtime.Time, error) {
+	arity := a.Child.Schema().Arity()
+	return a.fold(tau, func(p *partition) {
+		t := make(tuple.Tuple, len(cols))
+		for i, c := range cols {
+			if c < arity {
+				t[i] = p.rows[0].Tuple[c]
+			} else {
+				t[i] = p.value(c - arity)
+			}
+		}
+		emit(relation.Row{Tuple: t, Texp: xtime.Min(p.last(), p.time)})
+	})
+}
+
+// Eval implements Expr: the stream, collected.
+func (a *Agg) Eval(tau xtime.Time) (*relation.Relation, error) {
+	rel, _, err := collect(a, tau)
+	return rel, err
 }
 
 // ExprTexp implements Expr: the materialised aggregation becomes invalid
 // when the argument expires or when some partition's aggregate value
 // changes before the partition has fully expired (§2.6.1's texp formula).
 func (a *Agg) ExprTexp(tau xtime.Time) (xtime.Time, error) {
-	t, err := a.Child.ExprTexp(tau)
-	if err != nil {
-		return 0, err
-	}
-	parts, err := a.partitions(tau)
-	if err != nil {
-		return 0, err
-	}
-	for _, p := range parts {
-		if ev := a.partitionTime(p, tau); ev.invalidates {
-			t = xtime.Min(t, ev.time)
-		}
-	}
-	return t, nil
+	return a.fold(tau, func(*partition) {})
 }
 
 // Validity implements Expr (§3.4.1): the materialisation is valid exactly
@@ -533,28 +525,14 @@ func (a *Agg) Validity(tau xtime.Time) (interval.Set, error) {
 	if err != nil {
 		return interval.Set{}, err
 	}
-	parts, err := a.partitions(tau)
-	if err != nil {
-		return interval.Set{}, err
-	}
-	for _, p := range parts {
-		ev := a.partitionTime(p, tau)
-		pv := interval.NewSet(interval.Interval{Start: tau, End: ev.time})
-		empty := xtime.Time(0)
-		finite := true
-		for _, r := range p.rows {
-			if !r.Texp.IsFinite() {
-				finite = false
-				break
-			}
-			empty = xtime.Max(empty, r.Texp)
-		}
-		if finite {
-			pv = pv.Union(interval.From(empty))
+	_, err = a.fold(tau, func(p *partition) {
+		pv := interval.NewSet(interval.Interval{Start: tau, End: p.time})
+		if p.last().IsFinite() {
+			pv = pv.Union(interval.From(p.last()))
 		}
 		v = v.Intersect(pv)
-	}
-	return v, nil
+	})
+	return v, err
 }
 
 // FutureChanges counts, over all partitions, how many times an aggregate
@@ -562,30 +540,18 @@ func (a *Agg) Validity(tau xtime.Time) (interval.Set, error) {
 // bound on the memory needed to store the future states of an aggregation
 // (at most |R|).
 func (a *Agg) FutureChanges(tau xtime.Time) (int, error) {
-	parts, err := a.partitions(tau)
-	if err != nil {
-		return 0, err
-	}
 	total := 0
-	for _, p := range parts {
-		for _, f := range a.Funcs {
-			prev, _ := applyFunc(f, p.rows, tau)
-			for _, s := range timeSlices(p) {
-				if s.texp <= tau || s.texp == xtime.Infinity {
-					continue
-				}
-				v, nonEmpty := applyFunc(f, p.rows, s.texp)
-				if !nonEmpty {
-					break
-				}
-				if !v.Equal(prev) {
+	_, err := a.fold(tau, func(p *partition) {
+		for i := range a.Funcs {
+			vals := p.suffix(i)
+			for k := 1; k < len(vals); k++ {
+				if !vals[k].Equal(vals[k-1]) {
 					total++
-					prev = v
 				}
 			}
 		}
-	}
-	return total, nil
+	})
+	return total, err
 }
 
 // Children implements Expr.

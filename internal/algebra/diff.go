@@ -1,7 +1,9 @@
 package algebra
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"expdb/internal/interval"
 	"expdb/internal/relation"
@@ -19,6 +21,10 @@ import (
 // validity intervals refine formula (12); and the helper relation of
 // Theorem 3 turns those events into patches, removing the need to
 // recompute entirely.
+//
+// The result rows, the critical tuples and the helper relation are three
+// readings of one anti-join, so one walk over the arguments (run) yields
+// whichever of them a caller asks for.
 type Diff struct {
 	Left, Right Expr
 }
@@ -38,74 +44,130 @@ func (d *Diff) Schema() tuple.Schema { return d.Left.Schema() }
 // Monotonic implements Expr: difference is non-monotonic.
 func (d *Diff) Monotonic() bool { return false }
 
-// Eval implements Expr, formula (10).
-func (d *Diff) Eval(tau xtime.Time) (*relation.Relation, error) {
-	l, r, err := d.evalArgs(tau)
+// run is the one function that walks the difference's arguments, each
+// once: S is collected into a set; R streams past it when it is
+// duplicate-free and is collected first otherwise (a duplicate's lower
+// texp_R must not decide whether a tuple is critical). A tuple of R alive
+// in S belongs to the helper relation of Theorem 3 and goes to helper; the
+// others are the result, formula (10), and go to emit beside their set key,
+// which the probe of S needed anyway. run returns min(texp(R), texp(S)).
+func (d *Diff) run(tau xtime.Time, emit func(key string, row relation.Row), helper func(CriticalRow)) (xtime.Time, error) {
+	// Streams carry rows alive at tau only, so s holds no expired tuple.
+	s, st, err := collect(d.Right, tau)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	out := relation.New(d.Schema())
-	l.AliveAt(tau, func(row relation.Row) {
-		if !r.Contains(row.Tuple, tau) {
-			out.InsertOwnedRow(row)
+	split := func(key string, row relation.Row) {
+		if inS, ok := s.TexpKey(key); ok {
+			helper(CriticalRow{Tuple: row.Tuple, InS: inS, InR: row.Texp})
+		} else {
+			emit(key, row)
 		}
-	})
-	return out, nil
+	}
+	var rt xtime.Time
+	if duplicateFree(d.Left) {
+		rt, err = stream(d.Left, tau, func(row relation.Row) { split(row.Tuple.Key(), row) })
+	} else {
+		var r *relation.Relation
+		if r, rt, err = collect(d.Left, tau); err == nil {
+			r.AliveKeyedAt(tau, split)
+		}
+	}
+	return xtime.Min(rt, st), err
 }
 
-func (d *Diff) evalArgs(tau xtime.Time) (l, r *relation.Relation, err error) {
-	// Difference is a pipeline breaker: both arguments are collected from
-	// their streams (deduplicated set input) before the anti-join.
-	if l, err = EvalStream(d.Left, tau); err != nil {
-		return nil, nil, err
-	}
-	if r, err = EvalStream(d.Right, tau); err != nil {
-		return nil, nil, err
-	}
-	return l, r, nil
-}
-
-// CriticalRow describes one tuple of the critical set
-// {t | t ∈ R ∧ t ∈ S ∧ texp_R(t) > texp_S(t)}: the tuple should appear in
-// the result during [InS, InR[.
+// CriticalRow describes one tuple alive in both R and S — a row of the
+// helper relation of Theorem 3. It belongs to the critical set
+// {t | t ∈ R ∧ t ∈ S ∧ texp_R(t) > texp_S(t)} when it outlives its twin in
+// S: the tuple should then appear in the result during [InS, InR[.
 type CriticalRow struct {
 	Tuple tuple.Tuple
 	InS   xtime.Time // texp_S(t): when it expires in S and must appear
 	InR   xtime.Time // texp_R(t): when it expires in R and must vanish again
 }
 
-// CriticalSet returns the critical rows at time tau, the set §3.1's
-// rewrites aim to shrink.
-func (d *Diff) CriticalSet(tau xtime.Time) ([]CriticalRow, error) {
-	l, r, err := d.evalArgs(tau)
-	if err != nil {
-		return nil, err
-	}
-	var crit []CriticalRow
-	l.AliveAt(tau, func(row relation.Row) {
-		if st, ok := r.Texp(row.Tuple); ok && st > tau && row.Texp > st {
-			crit = append(crit, CriticalRow{Tuple: row.Tuple, InS: st, InR: row.Texp})
-		}
-	})
-	return crit, nil
-}
+// critical reports case (3a) of Table 2. The other helper rows would be
+// patched in already expired.
+func (c CriticalRow) critical() bool { return c.InR > c.InS }
 
-// ExprTexp implements Expr, formula (11):
+// Stream implements Streamer, formulas (10) and (11):
 //
 //	texp(R − S) = min(texp(R), texp(S), min{texp_S(t) | t critical}).
+func (d *Diff) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
+	first := xtime.Infinity
+	texp, err := d.run(tau, func(_ string, row relation.Row) { emit(row) }, func(h CriticalRow) {
+		if h.critical() {
+			first = xtime.Min(first, h.InS)
+		}
+	})
+	return xtime.Min(texp, first), err
+}
+
+// criticalSet runs the difference keeping its critical rows, in (texp_S,
+// tuple) order — the order their patches fall due, made total so that a
+// budget cuts the same rows every time. The second result is
+// min(texp(R), texp(S)).
+func (d *Diff) criticalSet(tau xtime.Time, emit func(string, relation.Row)) ([]CriticalRow, xtime.Time, error) {
+	var crit []CriticalRow
+	texp, err := d.run(tau, emit, func(h CriticalRow) {
+		if h.critical() {
+			crit = append(crit, h)
+		}
+	})
+	slices.SortFunc(crit, func(a, b CriticalRow) int {
+		if c := cmp.Compare(a.InS, b.InS); c != 0 {
+			return c
+		}
+		return a.Tuple.Compare(b.Tuple)
+	})
+	return crit, texp, err
+}
+
+// evaluate is Evaluate for a difference at the root.
+func (d *Diff) evaluate(tau xtime.Time) (Evaluation, error) {
+	rel := relation.New(d.Schema())
+	crit, texp, err := d.criticalSet(tau, func(key string, row relation.Row) {
+		rel.InsertOwned(key, row.Tuple, row.Texp)
+	})
+	if err != nil {
+		return Evaluation{}, err
+	}
+	ev := Evaluation{Rel: rel, Texp: texp, Critical: crit, PatchedTexp: texp}
+	if len(crit) > 0 {
+		ev.Texp = xtime.Min(texp, crit[0].InS)
+	}
+	return ev, nil
+}
+
+// Patches is the §3.4.2 queue-size decision for a patched copy of the
+// evaluated difference: with budget > 0 only the budget critical tuples
+// falling due soonest are kept, and the copy is good until the first one
+// that did not fit falls due; with budget ≤ 0, or room for all of them,
+// until its arguments expire (Theorem 3). It returns the rows to queue, in
+// the order they fall due, and that expiration time.
+func (ev Evaluation) Patches(budget int) ([]CriticalRow, xtime.Time) {
+	if budget > 0 && len(ev.Critical) > budget {
+		return ev.Critical[:budget], xtime.Min(ev.PatchedTexp, ev.Critical[budget].InS)
+	}
+	return ev.Critical, ev.PatchedTexp
+}
+
+// Eval implements Expr: the stream, collected.
+func (d *Diff) Eval(tau xtime.Time) (*relation.Relation, error) {
+	rel, _, err := collect(d, tau)
+	return rel, err
+}
+
+// ExprTexp implements Expr, formula (11).
 func (d *Diff) ExprTexp(tau xtime.Time) (xtime.Time, error) {
-	t, err := minChildTexp(tau, d.Left, d.Right)
-	if err != nil {
-		return 0, err
-	}
-	crit, err := d.CriticalSet(tau)
-	if err != nil {
-		return 0, err
-	}
-	for _, c := range crit {
-		t = xtime.Min(t, c.InS)
-	}
-	return t, nil
+	return d.Stream(tau, func(relation.Row) {})
+}
+
+// CriticalSet returns the critical rows at time tau, the set §3.1's
+// rewrites aim to shrink, in (texp_S, tuple) order.
+func (d *Diff) CriticalSet(tau xtime.Time) ([]CriticalRow, error) {
+	crit, _, err := d.criticalSet(tau, func(string, relation.Row) {})
+	return crit, err
 }
 
 // Validity implements Expr. The paper's closed form (12) removes the
@@ -171,15 +233,7 @@ func (d *Diff) String() string { return fmt.Sprintf("(%s − %s)", d.Left, d.Rig
 // materialised difference with expiration texp_R(t); views drive this
 // through a patch queue, extending the materialisation's lifetime to ∞.
 func (d *Diff) Helper(tau xtime.Time) ([]CriticalRow, error) {
-	l, r, err := d.evalArgs(tau)
-	if err != nil {
-		return nil, err
-	}
 	var rows []CriticalRow
-	l.AliveAt(tau, func(row relation.Row) {
-		if st, ok := r.Texp(row.Tuple); ok && st > tau {
-			rows = append(rows, CriticalRow{Tuple: row.Tuple, InS: st, InR: row.Texp})
-		}
-	})
-	return rows, nil
+	_, err := d.run(tau, func(string, relation.Row) {}, func(h CriticalRow) { rows = append(rows, h) })
+	return rows, err
 }

@@ -101,25 +101,21 @@ func (s *IndexScan) Children() []Expr {
 
 // Eval implements Expr.
 func (s *IndexScan) Eval(tau xtime.Time) (*relation.Relation, error) {
-	out := relation.New(s.Schema())
-	err := s.Stream(tau, func(row relation.Row) { out.InsertOwnedRow(row) })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	out, _, err := collect(s, tau)
+	return out, err
 }
 
 // Stream implements Streamer: probe the index and push the survivors.
 // The caller holds the table's read lock (the Base child puts the table
 // in the lock plan), which is what makes the probe safe against
 // concurrent maintenance.
-func (s *IndexScan) Stream(tau xtime.Time, emit func(relation.Row)) error {
+func (s *IndexScan) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
 	if s.Probe(tau, func(e index.Entry) { emit(relation.Row{Tuple: e.Tuple, Texp: e.Texp}) }) {
-		return nil
+		return xtime.Infinity, nil
 	}
 	// Index dropped (or re-created with an incompatible shape) since the
 	// plan was built: degrade to the scan the node replaced.
-	return StreamExpr(s.Base, tau, func(row relation.Row) {
+	return stream(s.Base, tau, func(row relation.Row) {
 		if s.Full == nil || s.Full.Holds(row.Tuple) {
 			emit(row)
 		}

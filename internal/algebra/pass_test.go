@@ -1,0 +1,200 @@
+package algebra
+
+import (
+	"cmp"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"expdb/internal/index"
+	"expdb/internal/relation"
+	"expdb/internal/tuple"
+	"expdb/internal/value"
+	"expdb/internal/xtime"
+)
+
+// passRel builds a random relation ⟨g INT, v INT, x FLOAT⟩ for the pass
+// property test: a tiny group domain, NULLs in both value columns, float
+// values whose sum depends on the order of addition, expiration times drawn
+// from a range small enough that slices of several tuples are common, some
+// tuples that never expire, and now and then no tuples at all. A hash index
+// on g is attached for the IndexScan shape.
+func passRel(rng *rand.Rand, name string) *Base {
+	r := relation.New(tuple.NewSchema(
+		tuple.Col("g", value.KindInt), tuple.Col("v", value.KindInt), tuple.Col("x", value.KindFloat)))
+	r.AttachIndex(name+"_g", index.NewHash([]int{0}))
+	floats := []float64{0, 0.5, -0.5, 0.1, 0.2, 0.3, 0.7, 1e16, -1e16}
+	n := rng.Intn(14)
+	if rng.Intn(8) == 0 {
+		n = 0
+	}
+	for i := 0; i < n; i++ {
+		t := tuple.T(value.Int(int64(rng.Intn(3))), value.Null, value.Null)
+		if rng.Intn(5) > 0 {
+			t[1] = value.Int(int64(rng.Intn(5) - 2))
+		}
+		if rng.Intn(5) > 0 {
+			t[2] = value.Float(floats[rng.Intn(len(floats))])
+		}
+		texp := xtime.Time(1 + rng.Intn(8))
+		if rng.Intn(6) == 0 {
+			texp = xtime.Infinity
+		}
+		r.Insert(t, texp)
+	}
+	return NewBase(name, r)
+}
+
+// passShapes are the expression shapes the pass treats differently, built
+// over R and S for one aggregate function f (f2 rides along in the
+// multi-function shape) and one policy.
+func passShapes(t *testing.T, R, S *Base, f, f2 AggFunc, policy AggPolicy) map[string]Expr {
+	t.Helper()
+	must := func(e Expr, err error) Expr {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	agg := func(group []int, child Expr, fs ...AggFunc) Expr { return must(NewAgg(group, fs, policy, child)) }
+	groupBy := func(child Expr, fs ...AggFunc) Expr { return must(GroupBy([]int{0}, fs, policy, child)) }
+	g1 := ColConst{Col: 0, Op: OpEq, Const: value.Int(1)}
+	probe := NewIndexScan(R, R.Name+"_g", g1, nil)
+	probe.Eq = []value.Value{value.Int(1)}
+	probe.EqKey = tuple.Tuple(probe.Eq).Key()
+	gone := NewIndexScan(R, "dropped", g1, nil) // degrades to the scan
+	gone.EqKey = probe.EqKey
+	return map[string]Expr{
+		"grouped":          agg([]int{0}, R, f),
+		"global":           agg(nil, R, f),
+		"group-by":         groupBy(R, f),
+		"π non-group col":  must(NewProject([]int{1, 3}, agg([]int{0}, R, f))),
+		"π aggregate only": must(NewProject([]int{3}, agg([]int{0}, R, f))),
+		"multi-function":   groupBy(R, f, f2, countStar()),
+		"agg over diff":    groupBy(must(NewDiff(R, S)), f),
+		"diff over agg":    must(NewDiff(groupBy(R, f), groupBy(S, f))),
+		"diff over ext":    must(NewDiff(agg([]int{0}, R, f), agg([]int{0}, S, f))),
+		"join agg build":   must(EquiJoin(R, 0, groupBy(S, f), 0)),
+		"join agg probe":   must(EquiJoin(groupBy(R, f), 0, S, 0)),
+		"σ child":          groupBy(must(NewSelect(ColConst{Col: 1, Op: OpGe, Const: value.Int(0)}, R)), f),
+		"index child":      groupBy(probe, f),
+		"dropped index":    groupBy(gone, f),
+		"π child":          groupBy(must(NewProject([]int{0, 1, 1}, R)), AggFunc{Kind: f.Kind, Col: min(f.Col, 1)}),
+		"∪ child":          agg([]int{0}, must(NewUnion(R, S)), f),
+		"agg over agg":     groupBy(agg([]int{0}, R, f), AggFunc{Kind: AggMax, Col: 3}),
+		"diff":             must(NewDiff(R, S)),
+		"diff of π":        must(NewDiff(must(NewProject([]int{0, 1}, R)), must(NewProject([]int{0, 1}, S)))),
+		"diff of σ":        must(NewDiff(must(NewSelect(g1, R)), S)),
+		"σ over diff":      must(NewSelect(g1, must(NewDiff(R, S)))),
+	}
+}
+
+// TestPassMatchesReference: the evaluation pass — Evaluate, and the Eval /
+// ExprTexp / CriticalSet / Helper / FutureChanges readers of the same walk —
+// agrees with the reference evaluator on rows, per-tuple expiration times,
+// texp(e), critical set, helper relation and change count, for every shape ×
+// policy × function, at instants from before the first expiration to past
+// the last.
+func TestPassMatchesReference(t *testing.T) {
+	funcs := []AggFunc{
+		{Kind: AggMin, Col: 1}, {Kind: AggMax, Col: 2}, {Kind: AggSum, Col: 1}, {Kind: AggSum, Col: 2},
+		{Kind: AggCount, Col: 1}, countStar(), {Kind: AggAvg, Col: 1}, {Kind: AggAvg, Col: 2},
+	}
+	rng := rand.New(rand.NewSource(18))
+	cases := 0
+	for round := 0; round < 8; round++ {
+		R, S := passRel(rng, "R"), passRel(rng, "S")
+		// S shares tuples with R, under other lifetimes, so that differences
+		// have helper rows of both kinds.
+		R.Rel.All(func(row relation.Row) {
+			if rng.Intn(2) == 0 {
+				S.Rel.Insert(row.Tuple, xtime.Time(1+rng.Intn(9)))
+			}
+		})
+		for fi, f := range funcs {
+			for _, policy := range []AggPolicy{PolicyNaive, PolicyNeutral, PolicyExact} {
+				for name, e := range passShapes(t, R, S, f, funcs[(fi+3)%len(funcs)], policy) {
+					for _, tau := range []xtime.Time{0, xtime.Time(1 + rng.Intn(7)), 9} {
+						cases++
+						checkAgainstReference(t, fmt.Sprintf("round %d, %s, %s at τ=%v", round, name, e, tau), e, tau)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d cases", cases)
+}
+
+func checkAgainstReference(t *testing.T, label string, e Expr, tau xtime.Time) {
+	t.Helper()
+	want, wantTexp := refEval(e, tau)
+	ev, err := Evaluate(e, tau)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if !ev.Rel.EqualAt(want, tau) {
+		t.Fatalf("%s: rows differ\npass:\n%s\nreference:\n%s", label, ev.Rel.Render(tau), want.Render(tau))
+	}
+	if ev.Texp != wantTexp {
+		t.Fatalf("%s: texp(e) = %v, reference %v", label, ev.Texp, wantTexp)
+	}
+	// The readers of the same walk.
+	if rel := mustEval(t, e, tau); !rel.EqualAt(want, tau) {
+		t.Fatalf("%s: Eval differs from the reference", label)
+	}
+	if got := mustTexp(t, e, tau); got != wantTexp {
+		t.Fatalf("%s: ExprTexp = %v, reference %v", label, got, wantTexp)
+	}
+	switch n := e.(type) {
+	case *Agg:
+		got, err := n.FutureChanges(tau)
+		if err != nil || got != refFutureChanges(n, tau) {
+			t.Fatalf("%s: FutureChanges = %d (%v), reference %d", label, got, err, refFutureChanges(n, tau))
+		}
+	case *Diff:
+		l, lt := refEval(n.Left, tau)
+		r, rt := refEval(n.Right, tau)
+		helper := refHelper(l, r, tau)
+		var critical []CriticalRow
+		for _, h := range helper {
+			if h.InR > h.InS {
+				critical = append(critical, h)
+			}
+		}
+		if !slices.IsSortedFunc(ev.Critical, func(a, b CriticalRow) int { return cmp.Compare(a.InS, b.InS) }) {
+			t.Fatalf("%s: critical rows not in InS order: %v", label, ev.Critical)
+		}
+		sameHelperRows(t, label+": Evaluate's critical set", ev.Critical, critical)
+		if ev.PatchedTexp != xtime.Min(lt, rt) {
+			t.Fatalf("%s: PatchedTexp = %v, reference %v", label, ev.PatchedTexp, xtime.Min(lt, rt))
+		}
+		got, err := n.CriticalSet(tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameHelperRows(t, label+": CriticalSet", got, critical)
+		if got, err = n.Helper(tau); err != nil {
+			t.Fatal(err)
+		}
+		sameHelperRows(t, label+": Helper", got, helper)
+	}
+}
+
+// sameHelperRows compares two sets of helper rows.
+func sameHelperRows(t *testing.T, label string, got, want []CriticalRow) {
+	t.Helper()
+	byKey := map[string]CriticalRow{}
+	for _, h := range want {
+		byKey[h.Tuple.Key()] = h
+	}
+	for _, h := range got {
+		if w, ok := byKey[h.Tuple.Key()]; !ok || w.InS != h.InS || w.InR != h.InR {
+			t.Fatalf("%s: got %+v, reference %+v (present %v)", label, h, w, ok)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, reference %d", label, len(got), len(want))
+	}
+}

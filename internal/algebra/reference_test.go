@@ -1,0 +1,281 @@
+package algebra
+
+import (
+	"sort"
+
+	"expdb/internal/relation"
+	"expdb/internal/tuple"
+	"expdb/internal/value"
+	"expdb/internal/xtime"
+)
+
+// The reference evaluator: the paper's formulas written as literally as it
+// states them, sharing nothing with the evaluation pass — every node builds
+// its whole result, an aggregation extends each input row (formula (8)) and
+// leaves GROUP BY to a real π, time slices are a map from expiration time to
+// tuples, ν of (9) is found by simulating the partition's future, and the
+// critical tuples of (11) come from a second walk over both arguments. It is
+// the oracle the pass is property-tested against, and the seed of a naive
+// evaluator for the whole algebra (ROADMAP item 4).
+
+// refEval returns the rows of e at tau and texp(e).
+func refEval(e Expr, tau xtime.Time) (*relation.Relation, xtime.Time) {
+	switch n := e.(type) {
+	case *Base:
+		return n.Rel.Snapshot(tau), xtime.Infinity // texp(R) = ∞ (§2.3)
+	case *IndexScan: // ≡ σ[Full](Base)
+		return refEval(&Select{Pred: n.Full, Child: n.Base}, tau)
+	case *Agg:
+		in, texp := refEval(n.Child, tau)
+		out, own := refAgg(n, in, tau)
+		return out, xtime.Min(texp, own)
+	case *Diff:
+		l, lt := refEval(n.Left, tau)
+		r, rt := refEval(n.Right, tau)
+		out := relation.New(n.Schema())
+		l.AliveAt(tau, func(row relation.Row) { // formula (10)
+			if !r.Contains(row.Tuple, tau) {
+				out.InsertRow(row)
+			}
+		})
+		texp := xtime.Min(lt, rt) // formula (11)
+		for _, h := range refHelper(l, r, tau) {
+			if h.InR > h.InS {
+				texp = xtime.Min(texp, h.InS)
+			}
+		}
+		return out, texp
+	default:
+		// A monotonic operator: its materialising Eval over the reference
+		// results of its arguments; texp(e) is the minimum of theirs (§2.6).
+		texp := xtime.Infinity
+		kids := make([]Expr, len(e.Children()))
+		for i, k := range e.Children() {
+			rel, t := refEval(k, tau)
+			kids[i], texp = NewBase("ref", rel), xtime.Min(texp, t)
+		}
+		m, err := ReplaceChildren(e, kids)
+		if err != nil {
+			panic(err)
+		}
+		rel, err := m.Eval(tau)
+		if err != nil {
+			panic(err)
+		}
+		return rel, texp
+	}
+}
+
+// refHelper is the helper relation of Theorem 3 over evaluated arguments:
+// every tuple alive in both; the critical ones have InR > InS.
+func refHelper(l, r *relation.Relation, tau xtime.Time) []CriticalRow {
+	var rows []CriticalRow
+	l.AliveAt(tau, func(row relation.Row) {
+		if st, ok := r.Texp(row.Tuple); ok && st > tau {
+			rows = append(rows, CriticalRow{Tuple: row.Tuple, InS: st, InR: row.Texp})
+		}
+	})
+	return rows
+}
+
+// refPartitions is φexp (formula (7)): the rows of in grouped by a's grouping
+// attributes, each partition in (texp, tuple) order — the order a float sum
+// is defined to add in, longest-lived tuple first.
+func refPartitions(a *Agg, in *relation.Relation, tau xtime.Time) [][]relation.Row {
+	byKey := map[string][]relation.Row{}
+	in.AliveAt(tau, func(row relation.Row) {
+		k := row.Tuple.KeyCols(a.GroupCols)
+		byKey[k] = append(byKey[k], row)
+	})
+	var parts [][]relation.Row
+	for _, rows := range byKey {
+		sort.Slice(rows, func(i, j int) bool {
+			if rows[i].Texp != rows[j].Texp {
+				return rows[i].Texp < rows[j].Texp
+			}
+			return rows[i].Tuple.Compare(rows[j].Tuple) < 0
+		})
+		parts = append(parts, rows)
+	}
+	return parts
+}
+
+// refAgg is formula (8) with a's policy: every row extended with the
+// aggregate values of its partition, expiring at min(texp_R(r), T_P). The
+// second result is the earliest T_P that part of its partition outlives.
+func refAgg(a *Agg, in *relation.Relation, tau xtime.Time) (*relation.Relation, xtime.Time) {
+	out, texp := relation.New(a.Schema()), xtime.Infinity
+	for _, rows := range refPartitions(a, in, tau) {
+		tp := xtime.Infinity
+		var vals tuple.Tuple
+		for _, f := range a.Funcs {
+			v, _ := refApply(f, rows, tau)
+			vals = append(vals, v)
+			tp = xtime.Min(tp, refFuncTime(a.Policy, f, rows, tau))
+		}
+		for _, row := range rows {
+			out.InsertRow(relation.Row{Tuple: row.Tuple.Concat(vals), Texp: xtime.Min(row.Texp, tp)})
+			if row.Texp > tp {
+				texp = xtime.Min(texp, tp)
+			}
+		}
+	}
+	return out, texp
+}
+
+// refApply computes f over the rows alive strictly after `after`, folding
+// from the last row to the first. The boolean reports whether any remains.
+func refApply(f AggFunc, rows []relation.Row, after xtime.Time) (value.Value, bool) {
+	var (
+		alive, count, nNum, sumI int64
+		sumF                     float64
+		isFloat                  bool
+		best                     = value.Null
+	)
+	for i := len(rows) - 1; i >= 0; i-- {
+		if rows[i].Texp <= after {
+			continue
+		}
+		alive++
+		if f.Col < 0 {
+			count++
+			continue
+		}
+		v := rows[i].Tuple[f.Col]
+		if v.IsNull() {
+			continue
+		}
+		count++
+		nNum++
+		isFloat = isFloat || v.Kind() == value.KindFloat
+		sumI += v.AsInt()
+		sumF += v.AsFloat()
+		if best.IsNull() || f.Kind == AggMin && v.Compare(best) < 0 || f.Kind == AggMax && v.Compare(best) > 0 {
+			best = v
+		}
+	}
+	switch {
+	case alive == 0:
+		return value.Null, false
+	case f.Kind == AggCount:
+		return value.Int(count), true
+	case nNum == 0:
+		return value.Null, true
+	case f.Kind == AggMin || f.Kind == AggMax:
+		return best, true
+	case f.Kind == AggAvg:
+		return value.Float(sumF / float64(nNum)), true
+	case isFloat:
+		return value.Float(sumF), true
+	default:
+		return value.Int(sumI), true
+	}
+}
+
+// refSlices are the time-sliced sets of a partition (§2.6.1): its tuples by
+// expiration time, earliest first.
+func refSlices(rows []relation.Row) [][]relation.Row {
+	byT := map[xtime.Time][]relation.Row{}
+	for _, r := range rows {
+		byT[r.Texp] = append(byT[r.Texp], r)
+	}
+	var out [][]relation.Row
+	for _, s := range byT {
+		out = append(out, s)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i][0].Texp < out[j][0].Texp })
+	return out
+}
+
+// refFuncTime is the partition time f alone sets under policy.
+func refFuncTime(policy AggPolicy, f AggFunc, rows []relation.Row, tau xtime.Time) xtime.Time {
+	naive, last := xtime.Infinity, xtime.Time(0)
+	for _, r := range rows {
+		naive, last = xtime.Min(naive, r.Texp), xtime.Max(last, r.Texp)
+	}
+	switch {
+	case policy == PolicyNaive, policy == PolicyNeutral && f.Kind == AggCount:
+		return naive // formula (8), which count strictly follows
+	case policy == PolicyNeutral:
+		// Definition 2: the earliest slice of the contributing set C, or
+		// the partition's last expiration when every slice is neutral.
+		for _, s := range refSlices(rows) {
+			if !refNeutral(f, s, rows) {
+				return s[0].Texp
+			}
+		}
+		return last
+	default:
+		// ν of formula (9) by simulation: the first instant at which the
+		// value over the unexpired tuples differs from the value at tau, or
+		// the partition empties.
+		v0, _ := refApply(f, rows, tau)
+		for _, s := range refSlices(rows) {
+			if t := s[0].Texp; t.IsFinite() {
+				if v, nonEmpty := refApply(f, rows, t); !nonEmpty || !v.Equal(v0) {
+					return t
+				}
+			}
+		}
+		return xtime.Infinity
+	}
+}
+
+// refNeutral checks Table 1's condition for the time-sliced subset n of
+// partition p.
+func refNeutral(f AggFunc, n, p []relation.Row) bool {
+	sum := func(rows []relation.Row) (s, c float64) {
+		for _, r := range rows {
+			if v := r.Tuple[f.Col]; !v.IsNull() {
+				s, c = s+v.AsFloat(), c+1
+			}
+		}
+		return s, c
+	}
+	sumN, cntN := sum(n)
+	sumP, cntP := sum(p)
+	switch f.Kind {
+	case AggSum: // Σ_{t∈N} t(i) = 0
+		return sumN == 0
+	case AggAvg: // Σ_{t∈N} t(i) = (|N|/|P|) Σ_{r∈P} r(i)
+		return cntP == 0 || sumN*cntP == sumP*cntN
+	default:
+		// min, max: a tuple is removable unless it is the longest-lived one
+		// achieving the extremum.
+		fP, _ := refApply(f, p, -1)
+		extTexp := xtime.Time(0)
+		for _, r := range p {
+			if v := r.Tuple[f.Col]; !v.IsNull() && v.Equal(fP) {
+				extTexp = xtime.Max(extTexp, r.Texp)
+			}
+		}
+		for _, r := range n {
+			if v := r.Tuple[f.Col]; !v.IsNull() && v.Equal(fP) && r.Texp >= extTexp {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// refFutureChanges counts the value changes ahead of a's partitions
+// (§3.4.1) by evaluating after every slice.
+func refFutureChanges(a *Agg, tau xtime.Time) int {
+	in, _ := refEval(a.Child, tau)
+	total := 0
+	for _, rows := range refPartitions(a, in, tau) {
+		for _, f := range a.Funcs {
+			prev, _ := refApply(f, rows, tau)
+			for _, s := range refSlices(rows) {
+				v, nonEmpty := refApply(f, rows, s[0].Texp)
+				if !nonEmpty {
+					break
+				}
+				if !v.Equal(prev) {
+					total, prev = total+1, v
+				}
+			}
+		}
+	}
+	return total
+}

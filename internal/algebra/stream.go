@@ -6,9 +6,10 @@ import (
 	"expdb/internal/xtime"
 )
 
-// This file implements the pipelined, push-based execution path: operators
-// push rows through the tree one at a time instead of materialising a
-// relation per node (see DESIGN.md "Execution engine").
+// This file implements the evaluation pass: operators push rows through
+// the tree one at a time instead of materialising a relation per node, and
+// every operator hands back texp(e) of its subtree from the same call (see
+// DESIGN.md "Execution engine").
 //
 // Correctness of streaming without per-operator duplicate elimination: a
 // stream may carry several rows with equal tuples and different expiration
@@ -16,67 +17,132 @@ import (
 // monotonic operator either passes expiration times through (σ, π) or
 // combines them with min (×, ⋈, ∩), and duplicate elimination takes max —
 // and max_i min(a_i, s) = min(max_i a_i, s), so deduplicating once at the
-// top (EvalStream's collector, or any relation the rows are inserted into)
-// yields exactly the rows and texp values Eval produces. Non-monotonic
-// operators (Agg, Diff) do need set input and therefore act as pipeline
-// breakers: StreamExpr falls back to their Eval, which collects each child
-// through EvalStream.
+// top (the collector, or any relation the rows are inserted into) yields
+// exactly the rows and texp values Eval produces. Non-monotonic operators
+// (Agg, Diff) do need set input and therefore act as pipeline breakers:
+// they collect a child that may stream duplicates, once, and stream their
+// own result on.
+//
+// texp(e) of a tree is the minimum of the event times its Agg and Diff
+// nodes set — a base relation has ∞ (§2.3) and every monotonic operator
+// only takes the min of its arguments (§2.6) — and each of those nodes
+// learns its event time from the very partitions or critical tuples it
+// produces its rows from. So the rows and texp(e) come out of one pass, a
+// minimum handed up the tree beside the stream.
 
 // Streamer is implemented by operators able to produce their result as a
-// push stream. Stream calls emit once per result row at time tau; rows
-// with equal tuples may be emitted more than once (see above). Emitted
-// tuples are shared storage — the immutability invariant of
+// push stream. Stream calls emit once per result row at time tau — rows
+// with equal tuples may be emitted more than once (see above) — and
+// returns texp(e) of the subtree for a materialisation made at tau.
+// Emitted tuples are shared storage — the immutability invariant of
 // relation.Relation applies — and emit runs on the calling goroutine, so
 // it needs no internal locking.
 type Streamer interface {
-	Stream(tau xtime.Time, emit func(relation.Row)) error
+	Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error)
 }
 
 // StreamExpr streams the result of e at tau into emit. Expressions that do
-// not implement Streamer (pipeline breakers like Agg and Diff, or wrapper
-// nodes such as EXPLAIN ANALYZE's instrumentation) are evaluated and their
-// result pushed row by row, so any tree streams.
+// not implement Streamer (wrapper nodes such as EXPLAIN ANALYZE's
+// instrumentation) are evaluated and their result pushed row by row, so
+// any tree streams.
 func StreamExpr(e Expr, tau xtime.Time, emit func(relation.Row)) error {
+	_, err := stream(e, tau, emit)
+	return err
+}
+
+// stream is StreamExpr that also hands back texp(e), which a node without
+// Stream is asked for separately.
+func stream(e Expr, tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
 	if s, ok := e.(Streamer); ok {
 		return s.Stream(tau, emit)
 	}
 	rel, err := e.Eval(tau)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	rel.AliveAt(tau, emit)
-	return nil
+	return e.ExprTexp(tau)
 }
 
-// EvalStream computes e at tau through the streaming path, collecting the
-// stream into a relation. The collector's duplicate handling (max texp
-// wins) is the single point of duplicate elimination for the whole
-// monotonic pipeline; the result is Eval's, without the per-operator
-// intermediate relations. It is the evaluation entry point used by the
-// engine, views and the SQL layer.
-func EvalStream(e Expr, tau xtime.Time) (*relation.Relation, error) {
+// collect gathers the stream of e into a relation. Its duplicate handling
+// (max texp wins) is the single point of duplicate elimination for the
+// monotonic pipeline below it.
+func collect(e Expr, tau xtime.Time) (*relation.Relation, xtime.Time, error) {
 	out := relation.New(e.Schema())
-	err := StreamExpr(e, tau, func(row relation.Row) {
+	texp, err := stream(e, tau, func(row relation.Row) {
 		out.InsertOwnedRow(row)
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return out, nil
+	return out, texp, nil
+}
+
+// EvalStream computes e at tau: Evaluate for callers that want the rows
+// only. The result is Eval's, without the per-operator intermediate
+// relations.
+func EvalStream(e Expr, tau xtime.Time) (*relation.Relation, error) {
+	rel, _, err := collect(e, tau)
+	return rel, err
+}
+
+// Evaluation is what one pass over an expression at one instant yields.
+type Evaluation struct {
+	// Rel holds the result with its derived per-tuple expiration times,
+	// owned by the caller.
+	Rel *relation.Relation
+	// Texp is texp(e): Rel, expired as time passes, equals a recomputation
+	// at every instant before it (Theorem 2).
+	Texp xtime.Time
+	// Critical is, for a difference at the root, its critical set in
+	// (texp_S, tuple) order — the tuples Theorem 3 patches back in, each at
+	// its InS. Nil for every other root.
+	Critical []CriticalRow
+	// PatchedTexp is texp(e) of a materialisation that will receive every
+	// one of those patches: formula (11) without its critical term, i.e.
+	// the arguments' own expiration. Equal to Texp when Critical is empty.
+	PatchedTexp xtime.Time
+}
+
+// Evaluate computes e at tau in one pass over the tree: the rows, texp(e)
+// and — for a root difference — the critical tuples all come from the same
+// walk, each base relation scanned once per occurrence and each pipeline
+// breaker doing its work once. It is the evaluation entry point of the
+// engine, views and the wire server; the caller holds the read locks of
+// the base relations.
+func Evaluate(e Expr, tau xtime.Time) (Evaluation, error) {
+	if d, ok := e.(*Diff); ok {
+		return d.evaluate(tau)
+	}
+	rel, texp, err := collect(e, tau)
+	return Evaluation{Rel: rel, Texp: texp, PatchedTexp: texp}, err
+}
+
+// duplicateFree reports whether e streams each result tuple once, so that
+// a pipeline breaker can take the stream for the set it needs.
+func duplicateFree(e Expr) bool {
+	switch n := e.(type) {
+	case *Base, *IndexScan, *Agg, *Diff:
+		return true
+	case *Select:
+		return duplicateFree(n.Child)
+	default:
+		return false
+	}
 }
 
 // Stream implements Streamer: a base scan pushes expτ(R) straight out of
 // the stored relation — no snapshot, no clone. The caller must hold the
 // table's read lock, exactly as for Eval.
-func (b *Base) Stream(tau xtime.Time, emit func(relation.Row)) error {
+func (b *Base) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
 	b.Rel.AliveAt(tau, emit)
-	return nil
+	return xtime.Infinity, nil
 }
 
 // Stream implements Streamer, formula (1). A selection directly over a
 // base relation is the fused fast path for parallel execution: the scan is
 // chunked and the predicate evaluated across the worker pool.
-func (s *Select) Stream(tau xtime.Time, emit func(relation.Row)) error {
+func (s *Select) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
 	if b, ok := s.Child.(*Base); ok {
 		if rows, big := parallelRows(b.Rel, tau); big {
 			parallelFilterMap(rows, func(row relation.Row, out *[]relation.Row) {
@@ -84,10 +150,10 @@ func (s *Select) Stream(tau xtime.Time, emit func(relation.Row)) error {
 					*out = append(*out, row)
 				}
 			}, emit)
-			return nil
+			return xtime.Infinity, nil
 		}
 	}
-	return StreamExpr(s.Child, tau, func(row relation.Row) {
+	return stream(s.Child, tau, func(row relation.Row) {
 		if s.Pred.Holds(row.Tuple) {
 			emit(row)
 		}
@@ -95,36 +161,44 @@ func (s *Select) Stream(tau xtime.Time, emit func(relation.Row)) error {
 }
 
 // Stream implements Streamer, formula (3): project each row, pass texp
-// through. Duplicate merging (max) happens at the collector.
-func (p *Project) Stream(tau xtime.Time, emit func(relation.Row)) error {
-	return StreamExpr(p.Child, tau, func(row relation.Row) {
+// through. Duplicate merging (max) happens at the collector. Onto the
+// grouping attributes and aggregate values of an aggregation — GROUP BY —
+// it is one row per partition.
+func (p *Project) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
+	if a, ok := p.Child.(*Agg); ok && a.groupsOnly(p.Cols) {
+		return a.streamGroups(tau, p.Cols, emit)
+	}
+	return stream(p.Child, tau, func(row relation.Row) {
 		emit(relation.Row{Tuple: row.Tuple.Project(p.Cols), Texp: row.Texp})
 	})
 }
 
 // Stream implements Streamer, formula (2): the right argument is collected
 // once (deduplicated), then left rows stream through and pair with it.
-func (p *Product) Stream(tau xtime.Time, emit func(relation.Row)) error {
-	r, err := EvalStream(p.Right, tau)
+func (p *Product) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
+	r, rt, err := collect(p.Right, tau)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	rrows := r.Rows(tau)
-	return StreamExpr(p.Left, tau, func(lr relation.Row) {
+	lt, err := stream(p.Left, tau, func(lr relation.Row) {
 		for _, rr := range rrows {
 			emit(relation.Row{Tuple: lr.Tuple.Concat(rr.Tuple), Texp: xtime.Min(lr.Texp, rr.Texp)})
 		}
 	})
+	return xtime.Min(lt, rt), err
 }
 
 // Stream implements Streamer, formula (4): both argument streams are
 // forwarded; the max-texp rule for tuples in both arguments is the
 // collector's duplicate handling.
-func (u *Union) Stream(tau xtime.Time, emit func(relation.Row)) error {
-	if err := StreamExpr(u.Left, tau, emit); err != nil {
-		return err
+func (u *Union) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
+	lt, err := stream(u.Left, tau, emit)
+	if err != nil {
+		return 0, err
 	}
-	return StreamExpr(u.Right, tau, emit)
+	rt, err := stream(u.Right, tau, emit)
+	return xtime.Min(lt, rt), err
 }
 
 // Stream implements Streamer, formula (5): the right (build) side is
@@ -134,39 +208,36 @@ func (u *Union) Stream(tau xtime.Time, emit func(relation.Row)) error {
 // lock-free — with results merged back in probe order on the calling
 // goroutine. Without equality conjuncts it degrades to a streamed nested
 // loop over the hoisted right rows.
-func (j *Join) Stream(tau xtime.Time, emit func(relation.Row)) error {
+func (j *Join) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
 	build, probeSide := j.Right, j.Left
 	if j.BuildLeft {
 		build, probeSide = j.Left, j.Right
 	}
-	b, err := EvalStream(build, tau)
+	b, bt, err := collect(build, tau)
 	if err != nil {
-		return err
+		return 0, err
+	}
+	// The concatenation order is always left ++ right, whichever side was
+	// hoisted.
+	concat := func(pr, br relation.Row) tuple.Tuple {
+		if j.BuildLeft {
+			return br.Tuple.Concat(pr.Tuple)
+		}
+		return pr.Tuple.Concat(br.Tuple)
 	}
 	leftCols, rightCols, rest, ok := j.equiCols()
 	if !ok {
 		// No equality conjuncts: streamed nested loop over the hoisted
-		// build rows. The concatenation order is always left ++ right,
-		// whichever side was hoisted.
+		// build rows.
 		brows := b.Rows(tau)
-		if j.BuildLeft {
-			return StreamExpr(probeSide, tau, func(rr relation.Row) {
-				for _, lr := range brows {
-					t := lr.Tuple.Concat(rr.Tuple)
-					if j.Pred.Holds(t) {
-						emit(relation.Row{Tuple: t, Texp: xtime.Min(lr.Texp, rr.Texp)})
-					}
-				}
-			})
-		}
-		return StreamExpr(probeSide, tau, func(lr relation.Row) {
-			for _, rr := range brows {
-				t := lr.Tuple.Concat(rr.Tuple)
-				if j.Pred.Holds(t) {
-					emit(relation.Row{Tuple: t, Texp: xtime.Min(lr.Texp, rr.Texp)})
+		pt, err := stream(probeSide, tau, func(pr relation.Row) {
+			for _, br := range brows {
+				if t := concat(pr, br); j.Pred.Holds(t) {
+					emit(relation.Row{Tuple: t, Texp: xtime.Min(pr.Texp, br.Texp)})
 				}
 			}
 		})
+		return xtime.Min(bt, pt), err
 	}
 	buildCols, probeCols := rightCols, leftCols
 	if j.BuildLeft {
@@ -175,58 +246,51 @@ func (j *Join) Stream(tau xtime.Time, emit func(relation.Row)) error {
 	idx := b.BuildIndex(tau, buildCols)
 	probe := func(pr relation.Row, out *[]relation.Row) {
 		for _, br := range idx.ProbeKey(pr.Tuple.KeyCols(probeCols)) {
-			var t tuple.Tuple
-			if j.BuildLeft {
-				t = br.Tuple.Concat(pr.Tuple)
-			} else {
-				t = pr.Tuple.Concat(br.Tuple)
-			}
-			if holdsAll(rest, t) {
+			if t := concat(pr, br); holdsAll(rest, t) {
 				*out = append(*out, relation.Row{Tuple: t, Texp: xtime.Min(pr.Texp, br.Texp)})
 			}
 		}
 	}
-	if workerCount() > 1 {
-		var prows []relation.Row
-		if err := StreamExpr(probeSide, tau, func(row relation.Row) {
-			prows = append(prows, row)
-		}); err != nil {
-			return err
-		}
-		if len(prows) >= 2*streamChunk {
-			parallelFilterMap(prows, probe, emit)
-			return nil
-		}
-		var buf []relation.Row
-		for _, pr := range prows {
-			buf = buf[:0]
-			probe(pr, &buf)
-			for _, row := range buf {
-				emit(row)
-			}
-		}
-		return nil
-	}
 	var buf []relation.Row
-	return StreamExpr(probeSide, tau, func(pr relation.Row) {
+	probeInline := func(pr relation.Row) {
 		buf = buf[:0]
 		probe(pr, &buf)
 		for _, row := range buf {
 			emit(row)
 		}
+	}
+	if workerCount() < 2 {
+		pt, err := stream(probeSide, tau, probeInline)
+		return xtime.Min(bt, pt), err
+	}
+	var prows []relation.Row
+	pt, err := stream(probeSide, tau, func(row relation.Row) {
+		prows = append(prows, row)
 	})
+	if err != nil {
+		return 0, err
+	}
+	if len(prows) >= 2*streamChunk {
+		parallelFilterMap(prows, probe, emit)
+	} else {
+		for _, pr := range prows {
+			probeInline(pr)
+		}
+	}
+	return xtime.Min(bt, pt), nil
 }
 
 // Stream implements Streamer, formula (6): the right argument is collected
 // for membership probes, then left rows stream through.
-func (x *Intersect) Stream(tau xtime.Time, emit func(relation.Row)) error {
-	r, err := EvalStream(x.Right, tau)
+func (x *Intersect) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
+	r, rt, err := collect(x.Right, tau)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return StreamExpr(x.Left, tau, func(row relation.Row) {
-		if rt, ok := r.Texp(row.Tuple); ok && rt > tau {
-			emit(relation.Row{Tuple: row.Tuple, Texp: xtime.Min(row.Texp, rt)})
+	lt, err := stream(x.Left, tau, func(row relation.Row) {
+		if t, ok := r.Texp(row.Tuple); ok && t > tau {
+			emit(relation.Row{Tuple: row.Tuple, Texp: xtime.Min(row.Texp, t)})
 		}
 	})
+	return xtime.Min(lt, rt), err
 }

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -39,27 +40,16 @@ func TestStreamEvalEquivalenceRandom(t *testing.T) {
 	}
 }
 
-// TestStreamEvalEquivalenceNonMonotonic: same property over trees with
-// aggregation and difference — the pipeline breakers collect their
-// children from streams, so the streamed tree must still match Eval.
+// TestStreamEvalEquivalenceNonMonotonic: random trees with aggregation and
+// difference anywhere in them. Eval and ExprTexp of those two operators read
+// the same pass EvalStream runs, so the oracle is the reference evaluator:
+// rows, per-tuple expiration times and texp(e) must match it.
 func TestStreamEvalEquivalenceNonMonotonic(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	for trial := 0; trial < 300; trial++ {
 		bases := []*Base{randRel(rng, "R"), randRel(rng, "S"), randRel(rng, "T")}
 		e := randExpr(rng, bases, 1+rng.Intn(3), false)
-		tau := xtime.Time(rng.Intn(10))
-		want, err := e.Eval(tau)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		got, err := EvalStream(e, tau)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !got.EqualAt(want, tau) {
-			t.Fatalf("trial %d: Stream ≢ Eval for %s at τ=%v\nstream:\n%s\neval:\n%s",
-				trial, e, tau, got.Render(tau), want.Render(tau))
-		}
+		checkAgainstReference(t, fmt.Sprintf("trial %d: %s", trial, e), e, xtime.Time(rng.Intn(10)))
 	}
 }
 

@@ -1,12 +1,14 @@
 package engine_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"expdb/internal/engine"
 	"expdb/internal/relation"
 	"expdb/internal/sql"
 	"expdb/internal/tuple"
+	"expdb/internal/xtime"
 )
 
 var viewRows []relation.Row
@@ -43,4 +45,61 @@ func BenchmarkViewReadRows(b *testing.B) {
 			b.Fatalf("%d rows", len(viewRows))
 		}
 	}
+}
+
+// benchRecompute times REFRESH VIEW over the view_maintenance tables at the
+// given size: pol(uid, deg) with polRows rows in the given number of deg
+// groups and el with half as many, lifetimes spread so that equal
+// expiration times, duplicates under π[uid] and critical tuples all occur.
+func benchRecompute(b *testing.B, polRows, groups int, query string) {
+	e := engine.New()
+	s := sql.NewSession(e, nil)
+	for _, ddl := range []string{"CREATE TABLE pol (uid INT, deg INT)", "CREATE TABLE el (uid INT, deg INT)"} {
+		if _, err := s.Exec(ddl); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(18))
+	users := int64(float64(polRows) / 0.9)
+	for i := 0; i < polRows; i++ {
+		t := tuple.Ints(rng.Int63n(users), rng.Int63n(int64(groups)))
+		if err := e.Insert("pol", t, xtime.Time(1+rng.Int63n(int64(3*polRows)))); err != nil {
+			b.Fatal(err)
+		}
+		if i%2 == 0 {
+			t = tuple.Ints(rng.Int63n(users), rng.Int63n(int64(groups)))
+			if err := e.Insert("el", t, xtime.Time(1+rng.Int63n(int64(3*polRows)))); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if _, err := s.Exec("CREATE MATERIALIZED VIEW v AS " + query); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Exec("REFRESH VIEW v"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+const (
+	histQuery = "SELECT deg, COUNT(*) FROM pol GROUP BY deg"
+	diffQuery = "SELECT uid FROM pol EXCEPT SELECT uid FROM el"
+)
+
+// BenchmarkViewRecomputeHist and BenchmarkViewRecomputeDiff are what a
+// view_maintenance read pays when its view has invalidated: one evaluation
+// pass that yields the rows and texp(e) together. Sized (500 / 250 rows, 20
+// groups) for scripts/alloc-gates.sh; BenchmarkViewRecomputeFull runs the
+// same two statements at the load benchmark's size.
+func BenchmarkViewRecomputeHist(b *testing.B) { benchRecompute(b, 500, 20, histQuery) }
+
+func BenchmarkViewRecomputeDiff(b *testing.B) { benchRecompute(b, 500, 20, diffQuery) }
+
+func BenchmarkViewRecomputeFull(b *testing.B) {
+	b.Run("hist", func(b *testing.B) { benchRecompute(b, 5000, 100, histQuery) })
+	b.Run("diff", func(b *testing.B) { benchRecompute(b, 5000, 100, diffQuery) })
 }

@@ -733,40 +733,18 @@ func (e *Engine) Query(expr algebra.Expr) (*relation.Relation, error) {
 	return algebra.EvalStream(expr, now)
 }
 
-// MaterializeExpr atomically evaluates expr at the current tick and
-// derives its expression expiration time texp(e); with wantHelper it also
-// extracts the Theorem 3 helper rows when expr is a difference (patched
-// remote copies then invalidate only with the arguments, so the returned
-// texp is the arguments' minimum). It returns the tick the
-// materialisation reflects.
-func (e *Engine) MaterializeExpr(expr algebra.Expr, wantHelper bool) (rel *relation.Relation, texp xtime.Time, helper []algebra.CriticalRow, now xtime.Time, err error) {
+// MaterializeExpr evaluates expr at the current tick under the read locks of
+// its base relations and returns the evaluation with the tick it reflects:
+// rows, texp(e) and, for a root difference, the critical tuples a patched
+// remote copy is maintained with are one consistent snapshot.
+func (e *Engine) MaterializeExpr(expr algebra.Expr) (algebra.Evaluation, xtime.Time, error) {
 	unlock := e.rlockBases(expr)
 	defer unlock()
 	e.mu.RLock()
-	now = e.now
+	now := e.now
 	e.mu.RUnlock()
-	rel, err = algebra.EvalStream(expr, now)
-	if err != nil {
-		return nil, 0, nil, now, err
-	}
-	texp, err = expr.ExprTexp(now)
-	if err != nil {
-		return nil, 0, nil, now, err
-	}
-	if wantHelper {
-		if d, ok := expr.(*algebra.Diff); ok {
-			helper, err = d.Helper(now)
-			if err != nil {
-				return nil, 0, nil, now, err
-			}
-			texpL, errL := d.Left.ExprTexp(now)
-			texpR, errR := d.Right.ExprTexp(now)
-			if errL == nil && errR == nil {
-				texp = xtime.Min(texpL, texpR)
-			}
-		}
-	}
-	return rel, texp, helper, now, nil
+	ev, err := algebra.Evaluate(expr, now)
+	return ev, now, err
 }
 
 // CreateView registers and materialises a view at the current tick.

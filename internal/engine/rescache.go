@@ -193,7 +193,8 @@ func (e *Engine) ResultCacheStats() (ResultCacheMetrics, error) {
 }
 
 // QueryStamped evaluates expr at the current tick and stamps the answer
-// with its validity interval [now, texp(e)). With a non-empty cache key —
+// with its validity interval [now, texp(e)), both from one evaluation pass.
+// With a non-empty cache key —
 // the normalized plan string — a cached materialisation still inside its
 // window and untouched by base-table writes is served instead, with zero
 // re-evaluation (the hot path is one map probe, two epoch compares and an
@@ -220,16 +221,12 @@ func (e *Engine) QueryStamped(expr algebra.Expr, key string, tid trace.ID) (Quer
 	e.mu.RLock()
 	now := e.now
 	e.mu.RUnlock()
-	rel, err := algebra.EvalStream(expr, now)
+	ev, err := algebra.Evaluate(expr, now)
 	if err != nil {
 		runlockRels(rels)
 		return QueryResult{}, err
 	}
-	texp, err := expr.ExprTexp(now)
-	if err != nil {
-		runlockRels(rels)
-		return QueryResult{}, err
-	}
+	rel, texp := ev.Rel, ev.Texp
 	res := QueryResult{
 		Rel:      rel,
 		At:       now,

@@ -91,18 +91,14 @@ func (inc *Incremental) eval(e algebra.Expr, tau xtime.Time) (*nodeState, error)
 			return nil, err
 		}
 	}
-	mat, err := algebra.EvalStream(rebuilt, tau)
-	if err != nil {
-		return nil, err
-	}
 	// The rebuilt node sees its children as base relations (texp ∞), so
-	// its ExprTexp reflects only this operator's own invalidation; the
+	// the pass's texp reflects only this operator's own invalidation; the
 	// children's lifetimes are folded in via min.
-	own, err := rebuilt.ExprTexp(tau)
+	ev, err := algebra.Evaluate(rebuilt, tau)
 	if err != nil {
 		return nil, err
 	}
-	st := &nodeState{mat: mat, matAt: tau, texp: xtime.Min(texp, own)}
+	st := &nodeState{mat: ev.Rel, matAt: tau, texp: xtime.Min(texp, ev.Texp)}
 	inc.nodes[e] = st
 	return st, nil
 }

@@ -13,7 +13,6 @@ package view
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -314,67 +313,43 @@ func (v *View) Unlock() { v.mu.Unlock() }
 // Expr returns the view's expression.
 func (v *View) Expr() algebra.Expr { return v.expr }
 
-// Materialize (re)computes the view at time tau, refreshing texp(e), the
-// validity intervals and, if enabled, the patch queue.
+// Materialize (re)computes the view at time tau: one evaluation pass gives
+// the rows, texp(e) and, for a patched difference, the critical tuples its
+// queue is filled from. Interval mode alone walks the expression again, for
+// I(e).
 func (v *View) Materialize(tau xtime.Time) error {
-	mat, err := algebra.EvalStream(v.expr, tau)
+	ev, err := algebra.Evaluate(v.expr, tau)
 	if err != nil {
 		return err
 	}
-	v.mat = mat
-	v.matAt = tau
+	v.mat, v.matAt, v.texp = ev.Rel, tau, ev.Texp
 	if v.patching {
-		d := v.expr.(*algebra.Diff)
-		// Only critical tuples (reappearing before they vanish) need
-		// patches; the rest of the helper relation would insert tuples
-		// that are born expired.
-		crit, err := d.CriticalSet(tau)
-		if err != nil {
-			return err
-		}
-		// Theorem 3: with patches the critical-tuple term of (11)
-		// vanishes; only the arguments' own expiration remains…
-		texpL, err := d.Left.ExprTexp(tau)
-		if err != nil {
-			return err
-		}
-		texpR, err := d.Right.ExprTexp(tau)
-		if err != nil {
-			return err
-		}
-		v.texp = xtime.Min(texpL, texpR)
-		// …unless a budget bounds the queue (§3.4.2): then the
-		// materialisation is only patchable up to the first critical
-		// event that did not fit.
-		if v.budget > 0 && len(crit) > v.budget {
-			sort.Slice(crit, func(i, j int) bool { return crit[i].InS < crit[j].InS })
-			v.texp = xtime.Min(v.texp, crit[v.budget].InS)
-			v.stats.BudgetEvictions += len(crit) - v.budget
+		// Theorem 3: with patches the critical-tuple term of (11) vanishes
+		// and only the arguments' own expiration remains — unless a budget
+		// bounds the queue (§3.4.2): then the materialisation is patchable
+		// up to the first critical event that did not fit. Only critical
+		// tuples (reappearing before they vanish) need patches; the rest of
+		// the helper relation would insert tuples that are born expired.
+		var crit []algebra.CriticalRow
+		crit, v.texp = ev.Patches(v.budget)
+		if evicted := len(ev.Critical) - len(crit); evicted > 0 {
+			v.stats.BudgetEvictions += evicted
 			if v.agg != nil {
-				v.agg.BudgetEvictions.Add(int64(len(crit) - v.budget))
+				v.agg.BudgetEvictions.Add(int64(evicted))
 			}
-			crit = crit[:v.budget]
 		}
 		v.queue = pqueue.New[patch](len(crit))
 		for _, h := range crit {
 			v.queue.Push(h.InS, patch{tuple: h.Tuple, inR: h.InR})
 		}
-		v.validity = interval.NewSet(interval.Interval{Start: tau, End: v.texp})
-		return nil
 	}
-	texp, err := v.expr.ExprTexp(tau)
-	if err != nil {
-		return err
-	}
-	v.texp = texp
-	if v.mode == ModeInterval {
+	v.validity = interval.NewSet(interval.Interval{Start: tau, End: v.texp})
+	if v.mode == ModeInterval && !v.patching {
 		val, err := v.expr.Validity(tau)
 		if err != nil {
 			return err
 		}
 		v.validity = val
-	} else {
-		v.validity = interval.NewSet(interval.Interval{Start: tau, End: texp})
 	}
 	return nil
 }

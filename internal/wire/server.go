@@ -9,7 +9,6 @@ import (
 	"log"
 	"net"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -515,11 +514,11 @@ func (s *Server) evaluate(sess *sql.Session, plan *sql.Plan, req *Request, resp 
 		}
 		rel, resp.Now, resp.Texp, resp.Cached = qr.Rel, qr.At, qr.Validity.ValidUntil, qr.Cached
 	} else {
-		// MaterializeExpr holds the engine lock, so the rows, texp(e) and
-		// helper are one consistent snapshot even while the server's
-		// clock advances concurrently. The optimiser keeps a root
-		// difference a difference, so the helper is still there to ship.
-		mat, texp, helper, now, err := s.eng.MaterializeExpr(plan.Physical, true)
+		// MaterializeExpr holds the table locks, so the rows, texp(e) and
+		// critical tuples are one consistent snapshot even while the
+		// server's clock advances concurrently. The optimiser keeps a root
+		// difference a difference, so they are still there to ship.
+		ev, now, err := s.eng.MaterializeExpr(plan.Physical)
 		if err != nil {
 			return err
 		}
@@ -527,22 +526,11 @@ func (s *Server) evaluate(sess *sql.Session, plan *sql.Plan, req *Request, resp 
 			return fmt.Errorf("wire: plan expired: it reads a view snapshot valid until %s and the clock is at %s: %w",
 				plan.Until, now, view.ErrInvalid)
 		}
-		rel, resp.Now, resp.Texp = mat, now, xtime.Min(texp, plan.Until)
-		// Ship only critical helper rows (those that will actually
-		// reappear), soonest first; a patch budget truncates the queue
-		// and pulls Texp back to the first event that did not fit
-		// (§3.4.2).
-		crit := helper[:0:0]
-		for _, h := range helper {
-			if h.InR > h.InS {
-				crit = append(crit, h)
-			}
-		}
-		sort.Slice(crit, func(i, j int) bool { return crit[i].InS < crit[j].InS })
-		if req.PatchBudget > 0 && len(crit) > req.PatchBudget {
-			resp.Texp = xtime.Min(resp.Texp, crit[req.PatchBudget].InS)
-			crit = crit[:req.PatchBudget]
-		}
+		// Ship the critical tuples (those that will actually reappear),
+		// soonest first; a patch budget truncates the queue and pulls Texp
+		// back to the first event that did not fit (§3.4.2).
+		crit, texp := ev.Patches(req.PatchBudget)
+		rel, resp.Now, resp.Texp = ev.Rel, now, xtime.Min(texp, plan.Until)
 		for _, h := range crit {
 			resp.Patches = append(resp.Patches, WirePatch{InS: h.InS, InR: h.InR, Vals: toWire(h.Tuple)})
 		}
