@@ -139,10 +139,4 @@ var (
 	// StreamExpr pushes an expression's result rows into emit one at a
 	// time; non-streaming nodes are evaluated and their rows replayed.
 	StreamExpr = ialg.StreamExpr
-	// SetParallelism bounds the streaming executor's worker pool
-	// (n ≤ 0 restores the GOMAXPROCS default) and returns the previous
-	// bound.
-	SetParallelism = ialg.SetParallelism
-	// Parallelism returns the current effective worker bound.
-	Parallelism = ialg.Parallelism
 )

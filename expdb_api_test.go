@@ -355,13 +355,8 @@ func TestAPIAlgebraSurface(t *testing.T) {
 	var _ []algebra.CriticalRow // Theorem 3 helper-queue element type
 	var _ algebra.AggKind = algebra.AggCount
 
-	// The streaming executor: EvalStream matches Eval, StreamExpr pushes
-	// the same rows, and the worker-pool bound round-trips.
-	prev := algebra.SetParallelism(2)
-	defer algebra.SetParallelism(prev)
-	if got := algebra.Parallelism(); got != 2 {
-		t.Fatalf("Parallelism = %d, want 2", got)
-	}
+	// The streaming executor: EvalStream matches Eval and StreamExpr
+	// pushes the same rows.
 	var _ algebra.Streamer = pol // base scans stream
 	for _, e := range []algebra.Expr{proj, join, union, inter, diff} {
 		want, err := e.Eval(0)

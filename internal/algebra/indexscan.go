@@ -115,8 +115,9 @@ func (s *IndexScan) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time,
 	}
 	// Index dropped (or re-created with an incompatible shape) since the
 	// plan was built: degrade to the scan the node replaced.
+	holds := compile(s.Full)
 	return stream(s.Base, tau, func(row relation.Row) {
-		if s.Full == nil || s.Full.Holds(row.Tuple) {
+		if holds == nil || holds(row.Tuple) {
 			emit(row)
 		}
 	})
@@ -129,9 +130,9 @@ func (s *IndexScan) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time,
 // probe; the caller then scans with Full. fn must not modify the
 // relation.
 func (s *IndexScan) Probe(tau xtime.Time, fn func(index.Entry)) bool {
-	residual := s.Residual
+	residual := compile(s.Residual)
 	pass := func(e index.Entry) bool {
-		if residual == nil || residual.Holds(e.Tuple) {
+		if residual == nil || residual(e.Tuple) {
 			fn(e)
 		}
 		return true

@@ -319,21 +319,22 @@ func (j *Join) Eval(tau xtime.Time) (*relation.Relation, error) {
 		})
 		return out, nil
 	}
+	// Hash the right side and probe it with the left, or the other way
+	// round; the result tuple is left ++ right either way.
+	build, buildCols, probe, probeCols := r, rightCols, l, leftCols
 	if j.BuildLeft {
-		idx := l.BuildIndex(tau, leftCols)
-		r.AliveAt(tau, func(rr relation.Row) {
-			for _, lr := range idx.ProbeKey(rr.Tuple.KeyCols(rightCols)) {
-				t := lr.Tuple.Concat(rr.Tuple)
-				if holdsAll(rest, t) {
-					out.InsertOwnedRow(relation.Row{Tuple: t, Texp: xtime.Min(lr.Texp, rr.Texp)})
-				}
-			}
-		})
-		return out, nil
+		build, buildCols, probe, probeCols = l, leftCols, r, rightCols
 	}
-	idx := r.BuildIndex(tau, rightCols)
-	l.AliveAt(tau, func(lr relation.Row) {
-		for _, rr := range idx.ProbeKey(lr.Tuple.KeyCols(leftCols)) {
+	idx := build.BuildIndex(tau, buildCols)
+	var key []byte
+	probe.AliveAt(tau, func(pr relation.Row) {
+		var brows []relation.Row
+		brows, key = idx.Probe(pr.Tuple, probeCols, key)
+		for _, br := range brows {
+			lr, rr := pr, br
+			if j.BuildLeft {
+				lr, rr = br, pr
+			}
 			t := lr.Tuple.Concat(rr.Tuple)
 			if holdsAll(rest, t) {
 				out.InsertOwnedRow(relation.Row{Tuple: t, Texp: xtime.Min(lr.Texp, rr.Texp)})

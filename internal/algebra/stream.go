@@ -139,22 +139,15 @@ func (b *Base) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, erro
 	return xtime.Infinity, nil
 }
 
-// Stream implements Streamer, formula (1). A selection directly over a
-// base relation is the fused fast path for parallel execution: the scan is
-// chunked and the predicate evaluated across the worker pool.
+// Stream implements Streamer, formula (1): the child's rows pass through
+// the compiled predicate on the calling goroutine.
 func (s *Select) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
-	if b, ok := s.Child.(*Base); ok {
-		if rows, big := parallelRows(b.Rel, tau); big {
-			parallelFilterMap(rows, func(row relation.Row, out *[]relation.Row) {
-				if s.Pred.Holds(row.Tuple) {
-					*out = append(*out, row)
-				}
-			}, emit)
-			return xtime.Infinity, nil
-		}
+	holds := compile(s.Pred)
+	if holds == nil {
+		return stream(s.Child, tau, emit)
 	}
 	return stream(s.Child, tau, func(row relation.Row) {
-		if s.Pred.Holds(row.Tuple) {
+		if holds(row.Tuple) {
 			emit(row)
 		}
 	})
@@ -203,11 +196,12 @@ func (u *Union) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, err
 
 // Stream implements Streamer, formula (5): the right (build) side is
 // collected and hash-indexed on the equi-join columns, then left (probe)
-// rows stream through the index. Large probe sides fan out across the
-// worker pool — the index is immutable after build, so probing is
-// lock-free — with results merged back in probe order on the calling
-// goroutine. Without equality conjuncts it degrades to a streamed nested
-// loop over the hoisted right rows.
+// rows stream through the index. Each probe encodes its key into one buffer
+// that belongs to this call — concurrent evaluations of a shared plan never
+// see each other's — and looks it up without building a string, so the probe
+// side allocates per result row, not per row probed. Without equality
+// conjuncts it degrades to a streamed nested loop over the hoisted build
+// rows.
 func (j *Join) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
 	build, probeSide := j.Right, j.Left
 	if j.BuildLeft {
@@ -217,67 +211,42 @@ func (j *Join) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, erro
 	if err != nil {
 		return 0, err
 	}
-	// The concatenation order is always left ++ right, whichever side was
-	// hoisted.
-	concat := func(pr, br relation.Row) tuple.Tuple {
-		if j.BuildLeft {
-			return br.Tuple.Concat(pr.Tuple)
-		}
-		return pr.Tuple.Concat(br.Tuple)
-	}
 	leftCols, rightCols, rest, ok := j.equiCols()
-	if !ok {
-		// No equality conjuncts: streamed nested loop over the hoisted
-		// build rows.
-		brows := b.Rows(tau)
-		pt, err := stream(probeSide, tau, func(pr relation.Row) {
-			for _, br := range brows {
-				if t := concat(pr, br); j.Pred.Holds(t) {
-					emit(relation.Row{Tuple: t, Texp: xtime.Min(pr.Texp, br.Texp)})
-				}
-			}
-		})
-		return xtime.Min(bt, pt), err
-	}
-	buildCols, probeCols := rightCols, leftCols
-	if j.BuildLeft {
-		buildCols, probeCols = leftCols, rightCols
-	}
-	idx := b.BuildIndex(tau, buildCols)
-	probe := func(pr relation.Row, out *[]relation.Row) {
-		for _, br := range idx.ProbeKey(pr.Tuple.KeyCols(probeCols)) {
-			if t := concat(pr, br); holdsAll(rest, t) {
-				*out = append(*out, relation.Row{Tuple: t, Texp: xtime.Min(pr.Texp, br.Texp)})
-			}
+	// candidates yields the build rows a probe row may pair with; holds is
+	// what of the predicate is left to test on each pair.
+	var candidates func(pr relation.Row) []relation.Row
+	var holds func(tuple.Tuple) bool
+	if ok {
+		buildCols, probeCols := rightCols, leftCols
+		if j.BuildLeft {
+			buildCols, probeCols = leftCols, rightCols
 		}
-	}
-	var buf []relation.Row
-	probeInline := func(pr relation.Row) {
-		buf = buf[:0]
-		probe(pr, &buf)
-		for _, row := range buf {
-			emit(row)
+		idx := b.BuildIndex(tau, buildCols)
+		var key []byte
+		candidates = func(pr relation.Row) (brows []relation.Row) {
+			brows, key = idx.Probe(pr.Tuple, probeCols, key)
+			return brows
 		}
-	}
-	if workerCount() < 2 {
-		pt, err := stream(probeSide, tau, probeInline)
-		return xtime.Min(bt, pt), err
-	}
-	var prows []relation.Row
-	pt, err := stream(probeSide, tau, func(row relation.Row) {
-		prows = append(prows, row)
-	})
-	if err != nil {
-		return 0, err
-	}
-	if len(prows) >= 2*streamChunk {
-		parallelFilterMap(prows, probe, emit)
+		holds = compileAll(rest)
 	} else {
-		for _, pr := range prows {
-			probeInline(pr)
-		}
+		brows := b.Rows(tau)
+		candidates = func(relation.Row) []relation.Row { return brows }
+		holds = compile(j.Pred)
 	}
-	return xtime.Min(bt, pt), nil
+	pt, err := stream(probeSide, tau, func(pr relation.Row) {
+		for _, br := range candidates(pr) {
+			// The concatenation order is always left ++ right, whichever
+			// side was hoisted.
+			l, r := pr.Tuple, br.Tuple
+			if j.BuildLeft {
+				l, r = r, l
+			}
+			if t := l.Concat(r); holds == nil || holds(t) {
+				emit(relation.Row{Tuple: t, Texp: xtime.Min(pr.Texp, br.Texp)})
+			}
+		}
+	})
+	return xtime.Min(bt, pt), err
 }
 
 // Stream implements Streamer, formula (6): the right argument is collected

@@ -8,7 +8,6 @@ import (
 
 	"expdb/internal/relation"
 	"expdb/internal/tuple"
-	"expdb/internal/value"
 	"expdb/internal/xtime"
 )
 
@@ -53,8 +52,8 @@ func TestStreamEvalEquivalenceNonMonotonic(t *testing.T) {
 	}
 }
 
-// bigRel builds a base relation large enough (≥ 2·streamChunk rows) that
-// the parallel chunked paths actually engage.
+// bigRel builds a base relation of n random rows, a tenth of them
+// immortal.
 func bigRel(rng *rand.Rand, name string, n int) *Base {
 	r := relation.New(tuple.IntCols("a", "b"))
 	for i := 0; i < n; i++ {
@@ -67,90 +66,14 @@ func bigRel(rng *rand.Rand, name string, n int) *Base {
 	return NewBase(name, r)
 }
 
-// TestStreamParallelEquivalence forces a multi-worker pool on inputs big
-// enough to chunk, covering the fused parallel base scan (σ over a base)
-// and the parallel hash-join probe, and checks the results against Eval.
-func TestStreamParallelEquivalence(t *testing.T) {
-	prev := SetParallelism(4)
-	defer SetParallelism(prev)
-
-	rng := rand.New(rand.NewSource(53))
-	n := 4 * streamChunk
-	l := bigRel(rng, "L", n)
-	r := bigRel(rng, "S", n)
-
-	sel, err := NewSelect(ColConst{Col: 1, Op: OpLt, Const: value.Int(10)}, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	join, err := EquiJoin(l, 0, r, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	selJoin, err := NewSelect(ColConst{Col: 1, Op: OpGe, Const: value.Int(5)}, join)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range []Expr{sel, join, selJoin} {
-		for _, tau := range []xtime.Time{0, 7, 25} {
-			want, err := e.Eval(tau)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := EvalStream(e, tau)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.EqualAt(want, tau) {
-				t.Fatalf("parallel Stream ≢ Eval for %s at τ=%v (|stream|=%d, |eval|=%d)",
-					e, tau, got.CountAt(tau), want.CountAt(tau))
-			}
-		}
-	}
-}
-
-// TestParallelFilterMapOrder: the merge is deterministic — rows come out
-// in input order no matter how the workers are scheduled.
-func TestParallelFilterMapOrder(t *testing.T) {
-	prev := SetParallelism(8)
-	defer SetParallelism(prev)
-
-	n := 10*streamChunk + 37 // deliberately not a chunk multiple
-	rows := make([]relation.Row, n)
-	for i := range rows {
-		rows[i] = relation.Row{Tuple: tuple.Ints(int64(i)), Texp: xtime.Infinity}
-	}
-	for rep := 0; rep < 5; rep++ {
-		var got []int64
-		parallelFilterMap(rows, func(row relation.Row, out *[]relation.Row) {
-			if row.Tuple[0].AsInt()%2 == 0 {
-				*out = append(*out, row)
-			}
-		}, func(row relation.Row) {
-			got = append(got, row.Tuple[0].AsInt())
-		})
-		if len(got) != n/2+1 {
-			t.Fatalf("rep %d: %d rows, want %d", rep, len(got), n/2+1)
-		}
-		for i, v := range got {
-			if v != int64(2*i) {
-				t.Fatalf("rep %d: out-of-order merge at %d: got %d want %d", rep, i, v, 2*i)
-			}
-		}
-	}
-}
-
-// TestStreamConcurrent runs streaming queries over shared base relations
-// from many goroutines with a forced worker pool — under -race this
-// exercises the immutable-tuple sharing, the frozen join index and the
-// pooled key buffers for data races.
+// TestStreamConcurrent streams one join plan over shared base relations
+// from many goroutines. Under -race this is what proves that the tuples are
+// shared read-only and that the hash index and the probe-key buffer belong
+// to one Stream call, not to the plan node.
 func TestStreamConcurrent(t *testing.T) {
-	prev := SetParallelism(4)
-	defer SetParallelism(prev)
-
 	rng := rand.New(rand.NewSource(54))
-	l := bigRel(rng, "L", 3*streamChunk)
-	r := bigRel(rng, "S", 3*streamChunk)
+	l := bigRel(rng, "L", 768)
+	r := bigRel(rng, "S", 768)
 	join, err := EquiJoin(l, 0, r, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -183,21 +106,5 @@ func TestStreamConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-// TestSetParallelism: the bound round-trips and n ≤ 0 restores the
-// GOMAXPROCS default.
-func TestSetParallelism(t *testing.T) {
-	orig := Parallelism()
-	if prev := SetParallelism(3); prev != orig {
-		t.Fatalf("SetParallelism returned %d, want %d", prev, orig)
-	}
-	if got := Parallelism(); got != 3 {
-		t.Fatalf("Parallelism = %d, want 3", got)
-	}
-	SetParallelism(0)
-	if got := Parallelism(); got < 1 {
-		t.Fatalf("Parallelism = %d after reset", got)
 	}
 }

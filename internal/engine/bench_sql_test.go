@@ -103,3 +103,71 @@ func BenchmarkViewRecomputeFull(b *testing.B) {
 	b.Run("hist", func(b *testing.B) { benchRecompute(b, 5000, 100, histQuery) })
 	b.Run("diff", func(b *testing.B) { benchRecompute(b, 5000, 100, diffQuery) })
 }
+
+// benchRead times one uncached SELECT, Rows() included, over the load
+// benchmark's session tables: sess(sid, uid, score) with sessRows rows whose
+// score is uniform on [0, 100 000) and usr(uid, grp) with usrRows rows in 25
+// groups. Any index DDL runs after the load.
+func benchRead(b *testing.B, sessRows, usrRows int, query string, indexDDL ...string) {
+	e := engine.New(engine.WithResultCache(0))
+	s := sql.NewSession(e, nil)
+	for _, ddl := range []string{"CREATE TABLE sess (sid INT, uid INT, score INT)", "CREATE TABLE usr (uid INT, grp INT)"} {
+		if _, err := s.Exec(ddl); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(20))
+	for uid := 0; uid < usrRows; uid++ {
+		if err := e.Insert("usr", tuple.Ints(int64(uid), int64(uid%25)), xtime.Infinity); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for sid := 0; sid < sessRows; sid++ {
+		t := tuple.Ints(int64(sid), rng.Int63n(int64(usrRows)), rng.Int63n(100_000))
+		if err := e.Insert("sess", t, xtime.Time(1+rng.Int63n(1_000_000))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, ddl := range indexDDL {
+		if _, err := s.Exec(ddl); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := s.Exec(query)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if viewRows = res.Rows(); len(viewRows) == 0 {
+			b.Fatal("no rows")
+		}
+	}
+}
+
+const (
+	rangeQuery = "SELECT * FROM sess WHERE score >= 40000 AND score < 42000"
+	joinQuery  = "SELECT sess.sid, sess.score, usr.grp FROM sess JOIN usr ON sess.uid = usr.uid WHERE usr.grp = 7 AND sess.score >= "
+)
+
+// BenchmarkScanFilter and BenchmarkJoinProbe are the two statements most of
+// a remote_reads or dashboard_reads miss is made of: a range selection that
+// scans 2 000 rows to return about 40, and a join that streams 2 000 rows
+// through a selection and a hash probe against the 20 rows of usr in one
+// group, to return about 40 as well. What they allocate follows the rows
+// they return and the build side, never the rows they scan or probe. Sized
+// for scripts/alloc-gates.sh; BenchmarkReadFull runs the same statements at
+// the load benchmark's sizes.
+func BenchmarkScanFilter(b *testing.B) { benchRead(b, 2000, 500, rangeQuery) }
+
+func BenchmarkJoinProbe(b *testing.B) { benchRead(b, 2000, 500, joinQuery+"50000") }
+
+func BenchmarkReadFull(b *testing.B) {
+	b.Run("range5000", func(b *testing.B) { benchRead(b, 5000, 500, rangeQuery) })
+	b.Run("join5000", func(b *testing.B) { benchRead(b, 5000, 500, joinQuery+"50000") })
+	b.Run("join20000indexed", func(b *testing.B) {
+		benchRead(b, 20000, 2000, joinQuery+"75000",
+			"CREATE INDEX sess_sid ON sess (sid)", "CREATE INDEX sess_score ON sess (score) USING ORDERED")
+	})
+}

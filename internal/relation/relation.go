@@ -682,23 +682,29 @@ func (r *Relation) boundTexpIdx() {
 }
 
 // Index is a hash index over a column subset, mapping projected keys to
-// rows. It accelerates joins, intersections and difference probes.
+// rows: the build side of a hash join.
 type Index struct {
-	cols []int
-	m    map[string][]Row
+	cols    []int
+	buckets map[string]int // key of the indexed columns → position in rows
+	rows    [][]Row
+	key     []byte // Add's scratch; a key string is made once per bucket
 }
 
 // NewIndex returns an empty index over the given 0-based columns; feed it
-// with Add. The streaming executor uses it to build the join hash table
-// from a child stream instead of a materialised relation.
+// with Add.
 func NewIndex(cols []int) *Index {
-	return &Index{cols: cols, m: make(map[string][]Row)}
+	return &Index{cols: cols, buckets: make(map[string]int)}
 }
 
 // Add indexes one row under the key of its indexed columns.
 func (idx *Index) Add(row Row) {
-	k := row.Tuple.KeyCols(idx.cols)
-	idx.m[k] = append(idx.m[k], row)
+	idx.key = row.Tuple.AppendKeyCols(idx.key[:0], idx.cols)
+	if i, ok := idx.buckets[string(idx.key)]; ok {
+		idx.rows[i] = append(idx.rows[i], row)
+		return
+	}
+	idx.buckets[string(idx.key)] = len(idx.rows)
+	idx.rows = append(idx.rows, []Row{row})
 }
 
 // BuildIndex builds an index of expτ(R) on the given 0-based columns.
@@ -708,21 +714,16 @@ func (r *Relation) BuildIndex(tau xtime.Time, cols []int) *Index {
 	return idx
 }
 
-// Probe returns the rows whose indexed columns equal the projection of
-// key onto those columns; key must have the full schema arity.
-func (idx *Index) Probe(key tuple.Tuple) []Row {
-	return idx.m[key.KeyCols(idx.cols)]
-}
-
-// ProbeProjected returns the rows for an already-projected key tuple.
-func (idx *Index) ProbeProjected(projected tuple.Tuple) []Row {
-	return idx.m[projected.Key()]
-}
-
-// ProbeKey returns the rows stored under an already-encoded key (a value
-// of Tuple.KeyCols over the index columns).
-func (idx *Index) ProbeKey(key string) []Row {
-	return idx.m[key]
+// Probe returns the rows whose indexed columns equal ⟨t(c) | c ∈ cols⟩. The
+// key is encoded into buf and looked up without becoming a string, so a
+// probe allocates nothing once buf has grown; buf comes back for the next
+// probe. Goroutines probing one index each bring their own buffer.
+func (idx *Index) Probe(t tuple.Tuple, cols []int, buf []byte) ([]Row, []byte) {
+	buf = t.AppendKeyCols(buf[:0], cols)
+	if i, ok := idx.buckets[string(buf)]; ok {
+		return idx.rows[i], buf
+	}
+	return nil, buf
 }
 
 // Sum of lifetimes helper: TotalRemainingLifetime returns Σ max(0,

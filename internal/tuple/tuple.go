@@ -136,7 +136,9 @@ func (t Tuple) AppendKeyCols(dst []byte, cols []int) []byte {
 }
 
 // KeyCols returns Project(cols).Key() without allocating the intermediate
-// tuple; hash joins and grouping use it on their probe hot paths.
+// tuple: the key a secondary hash index files a row under. A caller that
+// only looks a key up (a join probe, a GROUP BY partition) encodes it with
+// AppendKeyCols into its own buffer instead and never makes the string.
 func (t Tuple) KeyCols(cols []int) string {
 	bp := keyBufPool.Get().(*[]byte)
 	b := t.AppendKeyCols((*bp)[:0], cols)

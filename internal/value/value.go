@@ -124,6 +124,11 @@ func (v Value) AsString() string { return v.s }
 // AsBool returns the boolean payload (false for non-bools).
 func (v Value) AsBool() bool { return v.kind == KindBool && v.i != 0 }
 
+// Int64 returns the payload of an INT and whether v is one. It takes a
+// pointer so that a per-row kernel reads the attribute in place instead of
+// copying the Value out of its tuple.
+func (v *Value) Int64() (int64, bool) { return v.i, v.kind == KindInt }
+
 // IsNumeric reports whether v is an INT or FLOAT.
 func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
 
@@ -144,6 +149,11 @@ func (a Value) Equal(b Value) bool {
 // Compare totally orders values: NULL < BOOL < numbers < STRING, with
 // numeric coercion between INT and FLOAT. It returns -1, 0 or +1.
 func (a Value) Compare(b Value) int {
+	// Two INTs — nearly every comparison a sort, a B+tree bound or a
+	// predicate makes — need no ranking.
+	if a.kind == KindInt && b.kind == KindInt {
+		return cmpInt(a.i, b.i)
+	}
 	ra, rb := a.rank(), b.rank()
 	if ra != rb {
 		return cmpInt(int64(ra), int64(rb))
@@ -155,9 +165,7 @@ func (a Value) Compare(b Value) int {
 		return cmpInt(a.i, b.i)
 	case a.kind == KindString:
 		return strings.Compare(a.s, b.s)
-	case a.kind == KindInt && b.kind == KindInt:
-		return cmpInt(a.i, b.i)
-	default: // at least one float
+	default: // numeric, at least one float
 		af, bf := a.AsFloat(), b.AsFloat()
 		switch {
 		case af < bf:
@@ -289,24 +297,14 @@ func (v Value) AppendKey(dst []byte) []byte {
 		// keys (Int(1) and Float(1) are Equal and must collide). Integers
 		// outside the exact float64 range get their own encoding so that
 		// distinct large ints never merge.
+		tag, bits := byte('f'), uint64(0)
 		if v.kind == KindInt && int64(float64(v.i)) != v.i {
-			dst = append(dst, 'i')
-			u := uint64(v.i)
-			for shift := 56; shift >= 0; shift -= 8 {
-				dst = append(dst, byte(u>>uint(shift)))
-			}
-			return dst
+			tag, bits = 'i', uint64(v.i)
+		} else if f := v.AsFloat(); f != 0 { // ±0 share the all-zero pattern
+			bits = math.Float64bits(f)
 		}
-		f := v.AsFloat()
-		if f == 0 { // normalise -0
-			f = 0
-		}
-		bits := math.Float64bits(f)
-		dst = append(dst, 'f')
-		for shift := 56; shift >= 0; shift -= 8 {
-			dst = append(dst, byte(bits>>uint(shift)))
-		}
-		return dst
+		return append(dst, tag, byte(bits>>56), byte(bits>>48), byte(bits>>40), byte(bits>>32),
+			byte(bits>>24), byte(bits>>16), byte(bits>>8), byte(bits))
 	default: // KindString
 		dst = append(dst, 's')
 		n := len(v.s)

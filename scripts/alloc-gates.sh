@@ -19,6 +19,8 @@ BenchmarkViewRecomputeHist     ./internal/engine  260 REFRESH of a GROUP BY view
 BenchmarkViewRecomputeDiff     ./internal/engine  1750 REFRESH of π(pol) − π(el) over 500 / 250 rows: each argument collected once, a projected tuple and a set key per argument row, the output reusing the keys; no second pass for texp(e) (measured 1 545; 4 147 before)
 BenchmarkCacheHit              ./internal/engine  4  map probe, epoch check, LRU touch, snapshot header (measured 1)
 BenchmarkIndexedPointLookup    ./internal/engine  6  lock plan and probe free; result relation, row map, bucket, key, closure (measured 5)
+BenchmarkScanFilter            ./internal/engine  125 an unindexed range over 2 000 rows returning about 40: parse, plan, the compiled predicate (7), then a set key, a map slot and a result-slice slot per row returned; allocations follow output rows, never scanned rows (measured 117)
+BenchmarkJoinProbe             ./internal/engine  385 2 000 rows streamed through a selection and a hash probe against a 20-row build side, about 40 rows out: a key and a bucket per build row, a tuple, a projection and a set key per row returned; the probe encodes into one buffer and allocates nothing per probed row (measured 365; 1 331 when every probe made a string)
 BenchmarkIndexedDelete         ./internal/engine  2  victim key slice and the closure filling it; nothing scales with the table
 BenchmarkSamplerTick           ./internal/monitor 0  the sampler runs forever: one allocation per tick is a slow leak
 BenchmarkWireRespondPoint      ./internal/wire    75 a remote point read: parse, one Plan, the probe, the response; no per-request session, second key derivation or sort (measured 70; 110 and 170 KB when it scanned)
