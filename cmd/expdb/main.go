@@ -171,6 +171,7 @@ func printHelp() {
   SELECT cols|*|aggs FROM t [JOIN u ON a = b] [WHERE cond] [GROUP BY cols]
          [UNION|EXCEPT|INTERSECT SELECT ...] [ORDER BY col [DESC], ...] [LIMIT n];
   CREATE [MATERIALIZED] VIEW v [WITH (patching, mode=interval, recovery=backward)] AS SELECT ...;
+         (no WITH: EXCEPT / GROUP BY roots keep their future; mode=texp opts out)
   REFRESH VIEW v;  EXPLAIN [ANALYZE] SELECT ...;
   CREATE TRIGGER name ON t ON EXPIRE DO NOTIFY 'msg';
   SET POLICY naive|neutral|exact;

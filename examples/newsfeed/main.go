@@ -79,10 +79,10 @@ func main() {
 			db.Now(), engaged, polOnly, topics)
 	}
 
-	// Maintenance report: the monotonic join never recomputes, the
-	// patched difference never recomputes (Theorem 3), the histogram
-	// recomputes only when an aggregate value changed while its partition
-	// was still alive.
+	// Maintenance report: the monotonic join never recomputes (Theorem 1);
+	// neither do the difference (Theorem 3) and the histogram (§3.4.1),
+	// which stored the rows they would show next when they were made and
+	// apply them as they fall due.
 	fmt.Println("\nview maintenance:")
 	for _, name := range []string{"interest_histogram", "engaged", "pol_only"} {
 		v, err := db.Engine().Catalog().View(name)

@@ -256,7 +256,9 @@ var Ints = tuple.Ints
 // functions, not func-typed vars, so they show up in godoc with stable
 // signatures and cannot be reassigned by client code.
 
-// WithPatching enables Theorem 3 patch queues on difference views.
+// WithPatching makes a view keep its future — Theorem 3's patches on a root
+// difference, the later states of each group (§3.4.1) on a GROUP BY — so that
+// it never recomputes.
 func WithPatching() ViewOption { return view.WithPatching() }
 
 // WithPatchBudget bounds the patch queue to k entries (§3.4.2 trade-off

@@ -677,6 +677,10 @@ func TestAPIContextVariants(t *testing.T) {
 	}
 }
 
+// TestAPIReadInfoValidity: a view that keeps its future never recomputes
+// (Texp = ∞), and its reads are stamped until the next pending birth — not
+// until Texp, which a patched view used to claim: [0, inf) over rows that
+// stop being the answer at 3.
 func TestAPIReadInfoValidity(t *testing.T) {
 	db := apiDB(t)
 	db.MustExec("CREATE MATERIALIZED VIEW hist AS SELECT deg, COUNT(*) FROM pol GROUP BY deg")
@@ -684,8 +688,9 @@ func TestAPIReadInfoValidity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Validity.At != 0 || info.Validity.ValidUntil != info.Texp {
-		t.Fatalf("ReadInfo.Validity = %v, want [0, %v)", info.Validity, info.Texp)
+	// ⟨25, 2⟩ becomes ⟨25, 1⟩ at 10; nothing else ever invalidates hist.
+	if info.Validity.At != 0 || info.Validity.ValidUntil != 10 || info.Texp != expdb.Infinity {
+		t.Fatalf("ReadInfo.Validity = %v, Texp = %v; want [0, 10) and inf", info.Validity, info.Texp)
 	}
 	if !info.Cached {
 		t.Fatal("a fresh materialised view read must report Cached (served from the materialisation)")
@@ -698,5 +703,24 @@ func TestAPIReadInfoValidity(t *testing.T) {
 	res := db.MustExec("SELECT * FROM hist")
 	if len(rows) != len(res.Rows()) {
 		t.Fatalf("ReadViewRows = %d rows, Result.Rows() = %d", len(rows), len(res.Rows()))
+	}
+
+	// Figure 1's difference, patched: {⟨3⟩} at 0, and ⟨2⟩ must appear at 3.
+	const diff = "SELECT uid FROM pol EXCEPT SELECT uid FROM el"
+	db.MustExec("CREATE VIEW vp WITH (patching) AS " + diff)
+	at0 := db.MustExec("SELECT * FROM vp")
+	if at0.Validity.At != 0 || at0.Validity.ValidUntil != 3 || len(at0.Rows()) != 1 {
+		t.Fatalf("SELECT * FROM vp at 0: %d rows stamped %v, want ⟨3⟩ stamped [0, 3)", len(at0.Rows()), at0.Validity)
+	}
+	// The stamp is true at its last instant: the stamped rows, aged to
+	// Until − 1, are a fresh evaluation there — and at Until they are not.
+	db.MustExec("ADVANCE TO 2")
+	if fresh := db.MustExec(diff); !at0.Rel.EqualAt(fresh.Rel, 2) {
+		t.Fatalf("the rows stamped [0, 3) at 2:\n%swant\n%s", at0.Rel.Render(2), fresh.Rel.Render(2))
+	}
+	db.MustExec("ADVANCE TO 3")
+	at3, fresh := db.MustExec("SELECT * FROM vp"), db.MustExec(diff)
+	if !at3.Rel.EqualAt(fresh.Rel, 3) || at0.Rel.EqualAt(fresh.Rel, 3) || at3.Validity.At != 3 || at3.Validity.ValidUntil != 5 {
+		t.Fatalf("vp at 3, stamped %v:\n%swant [3, 5) over\n%s", at3.Validity, at3.Rel.Render(3), fresh.Rel.Render(3))
 	}
 }

@@ -238,9 +238,11 @@ func byTexpThenTuple(a, b relation.Row) int {
 // of the subtree: the child's, lowered to every T_P that part of its
 // partition outlives — a recomputation then shows tuples the
 // materialisation lost, the first case of the paper's χ analysis; a
-// partition that simply empties at T_P invalidates nothing (§2.6.1). The
-// partition visit sees is scratch, overwritten for the next one.
-func (a *Agg) fold(tau xtime.Time, visit func(*partition)) (xtime.Time, error) {
+// partition that simply empties at T_P invalidates nothing (§2.6.1) — and
+// beside it the child's own, which is what remains of texp(e) for a
+// materialisation that keeps its future. The partition visit sees is
+// scratch, overwritten for the next one.
+func (a *Agg) fold(tau xtime.Time, visit func(*partition)) (texp, child xtime.Time, err error) {
 	var (
 		parts  [][]relation.Row
 		byKey  = map[string]int{}
@@ -266,21 +268,18 @@ func (a *Agg) fold(tau xtime.Time, visit func(*partition)) (xtime.Time, error) {
 			floats = floats || row.Tuple[c].Kind() == value.KindFloat
 		}
 	}
-	var (
-		texp xtime.Time
-		err  error
-	)
 	if duplicateFree(a.Child) {
-		texp, err = stream(a.Child, tau, add)
+		child, err = stream(a.Child, tau, add)
 	} else {
 		var in *relation.Relation
-		if in, texp, err = collect(a.Child, tau); err == nil {
+		if in, child, err = collect(a.Child, tau); err == nil {
 			in.AliveAt(tau, add)
 		}
 	}
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
+	texp = child
 	order := byTexp
 	if floats {
 		order = byTexpThenTuple
@@ -307,7 +306,7 @@ func (a *Agg) fold(tau xtime.Time, visit func(*partition)) (xtime.Time, error) {
 		}
 		visit(&p)
 	}
-	return texp, nil
+	return texp, child, nil
 }
 
 // running is one aggregate function folded over tuples one at a time.
@@ -458,7 +457,7 @@ func sumCount(col int, rows []relation.Row) (sum, n float64) {
 // Stream implements Streamer, formula (8) with the selected expiration
 // policy: every input row extended with its partition's aggregate values.
 func (a *Agg) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
-	return a.fold(tau, func(p *partition) {
+	texp, _, err := a.fold(tau, func(p *partition) {
 		for _, row := range p.rows {
 			t := make(tuple.Tuple, 0, len(row.Tuple)+len(a.Funcs))
 			t = append(t, row.Tuple...)
@@ -468,6 +467,7 @@ func (a *Agg) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error
 			emit(relation.Row{Tuple: t, Texp: xtime.Min(row.Texp, p.time)})
 		}
 	})
+	return texp, err
 }
 
 // groupsOnly reports whether cols, positions in the node's result schema,
@@ -486,9 +486,18 @@ func (a *Agg) groupsOnly(cols []int) bool {
 // accepts. Every row of a partition then projects onto the same tuple, and
 // formula (3) gives that tuple max_r min(texp_R(r), T_P) = min(max_r
 // texp_R(r), T_P): one row per partition, without the |R| extended rows it
-// stands for.
-func (a *Agg) streamGroups(tau xtime.Time, cols []int, emit func(relation.Row)) (xtime.Time, error) {
+// stands for. With births given, each partition's later states are added to
+// them. The results are fold's.
+func (a *Agg) streamGroups(tau xtime.Time, cols []int, emit func(relation.Row), births *Births) (texp, child xtime.Time, err error) {
 	arity := a.Child.Schema().Arity()
+	var funcs []int // the function each aggregate column shows
+	if births != nil {
+		for i, c := range cols {
+			if c >= arity {
+				births.aggs, funcs = append(births.aggs, i), append(funcs, c-arity)
+			}
+		}
+	}
 	return a.fold(tau, func(p *partition) {
 		t := make(tuple.Tuple, len(cols))
 		for i, c := range cols {
@@ -499,6 +508,9 @@ func (a *Agg) streamGroups(tau xtime.Time, cols []int, emit func(relation.Row)) 
 			}
 		}
 		emit(relation.Row{Tuple: t, Texp: xtime.Min(p.last(), p.time)})
+		if births != nil {
+			births.addChain(p, t, funcs)
+		}
 	})
 }
 
@@ -512,7 +524,8 @@ func (a *Agg) Eval(tau xtime.Time) (*relation.Relation, error) {
 // when the argument expires or when some partition's aggregate value
 // changes before the partition has fully expired (§2.6.1's texp formula).
 func (a *Agg) ExprTexp(tau xtime.Time) (xtime.Time, error) {
-	return a.fold(tau, func(*partition) {})
+	texp, _, err := a.fold(tau, func(*partition) {})
+	return texp, err
 }
 
 // Validity implements Expr (§3.4.1): the materialisation is valid exactly
@@ -525,7 +538,7 @@ func (a *Agg) Validity(tau xtime.Time) (interval.Set, error) {
 	if err != nil {
 		return interval.Set{}, err
 	}
-	_, err = a.fold(tau, func(p *partition) {
+	_, _, err = a.fold(tau, func(p *partition) {
 		pv := interval.NewSet(interval.Interval{Start: tau, End: p.time})
 		if p.last().IsFinite() {
 			pv = pv.Union(interval.From(p.last()))
@@ -541,7 +554,7 @@ func (a *Agg) Validity(tau xtime.Time) (interval.Set, error) {
 // (at most |R|).
 func (a *Agg) FutureChanges(tau xtime.Time) (int, error) {
 	total := 0
-	_, err := a.fold(tau, func(p *partition) {
+	_, _, err := a.fold(tau, func(p *partition) {
 		for i := range a.Funcs {
 			vals := p.suffix(i)
 			for k := 1; k < len(vals); k++ {

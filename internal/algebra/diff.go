@@ -1,7 +1,6 @@
 package algebra
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -79,7 +78,9 @@ func (d *Diff) run(tau xtime.Time, emit func(key string, row relation.Row), help
 // CriticalRow describes one tuple alive in both R and S — a row of the
 // helper relation of Theorem 3. It belongs to the critical set
 // {t | t ∈ R ∧ t ∈ S ∧ texp_R(t) > texp_S(t)} when it outlives its twin in
-// S: the tuple should then appear in the result during [InS, InR[.
+// S: the tuple should then appear in the result during [InS, InR[. That makes
+// it the record of any birth (see Births): a tuple, when it appears, and the
+// expiration time it appears with.
 type CriticalRow struct {
 	Tuple tuple.Tuple
 	InS   xtime.Time // texp_S(t): when it expires in S and must appear
@@ -103,10 +104,8 @@ func (d *Diff) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, erro
 	return xtime.Min(texp, first), err
 }
 
-// criticalSet runs the difference keeping its critical rows, in (texp_S,
-// tuple) order — the order their patches fall due, made total so that a
-// budget cuts the same rows every time. The second result is
-// min(texp(R), texp(S)).
+// criticalSet runs the difference keeping its critical rows, in no order.
+// The second result is min(texp(R), texp(S)).
 func (d *Diff) criticalSet(tau xtime.Time, emit func(string, relation.Row)) ([]CriticalRow, xtime.Time, error) {
 	var crit []CriticalRow
 	texp, err := d.run(tau, emit, func(h CriticalRow) {
@@ -114,42 +113,7 @@ func (d *Diff) criticalSet(tau xtime.Time, emit func(string, relation.Row)) ([]C
 			crit = append(crit, h)
 		}
 	})
-	slices.SortFunc(crit, func(a, b CriticalRow) int {
-		if c := cmp.Compare(a.InS, b.InS); c != 0 {
-			return c
-		}
-		return a.Tuple.Compare(b.Tuple)
-	})
 	return crit, texp, err
-}
-
-// evaluate is Evaluate for a difference at the root.
-func (d *Diff) evaluate(tau xtime.Time) (Evaluation, error) {
-	rel := relation.New(d.Schema())
-	crit, texp, err := d.criticalSet(tau, func(key string, row relation.Row) {
-		rel.InsertOwned(key, row.Tuple, row.Texp)
-	})
-	if err != nil {
-		return Evaluation{}, err
-	}
-	ev := Evaluation{Rel: rel, Texp: texp, Critical: crit, PatchedTexp: texp}
-	if len(crit) > 0 {
-		ev.Texp = xtime.Min(texp, crit[0].InS)
-	}
-	return ev, nil
-}
-
-// Patches is the §3.4.2 queue-size decision for a patched copy of the
-// evaluated difference: with budget > 0 only the budget critical tuples
-// falling due soonest are kept, and the copy is good until the first one
-// that did not fit falls due; with budget ≤ 0, or room for all of them,
-// until its arguments expire (Theorem 3). It returns the rows to queue, in
-// the order they fall due, and that expiration time.
-func (ev Evaluation) Patches(budget int) ([]CriticalRow, xtime.Time) {
-	if budget > 0 && len(ev.Critical) > budget {
-		return ev.Critical[:budget], xtime.Min(ev.PatchedTexp, ev.Critical[budget].InS)
-	}
-	return ev.Critical, ev.PatchedTexp
 }
 
 // Eval implements Expr: the stream, collected.
@@ -167,6 +131,7 @@ func (d *Diff) ExprTexp(tau xtime.Time) (xtime.Time, error) {
 // rewrites aim to shrink, in (texp_S, tuple) order.
 func (d *Diff) CriticalSet(tau xtime.Time) ([]CriticalRow, error) {
 	crit, _, err := d.criticalSet(tau, func(string, relation.Row) {})
+	slices.SortFunc(crit, byBirth)
 	return crit, err
 }
 
@@ -183,7 +148,7 @@ func (d *Diff) Validity(tau xtime.Time) (interval.Set, error) {
 	if err != nil {
 		return interval.Set{}, err
 	}
-	crit, err := d.CriticalSet(tau)
+	crit, _, err := d.criticalSet(tau, func(string, relation.Row) {})
 	if err != nil {
 		return interval.Set{}, err
 	}

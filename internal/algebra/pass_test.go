@@ -147,6 +147,9 @@ func checkAgainstReference(t *testing.T, label string, e Expr, tau xtime.Time) {
 	if got := mustTexp(t, e, tau); got != wantTexp {
 		t.Fatalf("%s: ExprTexp = %v, reference %v", label, got, wantTexp)
 	}
+	if HasFuture(e) {
+		checkFutureAgainstReference(t, label, e, tau)
+	}
 	switch n := e.(type) {
 	case *Agg:
 		got, err := n.FutureChanges(tau)
@@ -163,12 +166,22 @@ func checkAgainstReference(t *testing.T, label string, e Expr, tau xtime.Time) {
 				critical = append(critical, h)
 			}
 		}
-		if !slices.IsSortedFunc(ev.Critical, func(a, b CriticalRow) int { return cmp.Compare(a.InS, b.InS) }) {
-			t.Fatalf("%s: critical rows not in InS order: %v", label, ev.Critical)
+		// A materialising pass keeps the critical rows as births when the
+		// arguments are monotonic, and is the plain pass otherwise.
+		mv, err := Materialize(e, tau)
+		if got := xtime.Min(mv.Texp, mv.Births.Next()); err != nil || !mv.Rel.EqualAt(want, tau) || got != wantTexp {
+			t.Fatalf("%s: Materialize: texp(e) = %v (%v), reference %v\n%s", label, got, err, wantTexp, mv.Rel.Render(tau))
 		}
-		sameHelperRows(t, label+": Evaluate's critical set", ev.Critical, critical)
-		if ev.PatchedTexp != xtime.Min(lt, rt) {
-			t.Fatalf("%s: PatchedTexp = %v, reference %v", label, ev.PatchedTexp, xtime.Min(lt, rt))
+		births, wantBirths, wantPatched := mv.Births.Rows(), critical, xtime.Min(lt, rt)
+		if !HasFuture(e) {
+			wantBirths, wantPatched = nil, wantTexp
+		}
+		if !slices.IsSortedFunc(births, func(a, b CriticalRow) int { return cmp.Compare(a.InS, b.InS) }) {
+			t.Fatalf("%s: births not in InS order: %v", label, births)
+		}
+		sameHelperRows(t, label+": Materialize's births", births, wantBirths)
+		if mv.Texp != wantPatched {
+			t.Fatalf("%s: Texp beside the births = %v, reference %v", label, mv.Texp, wantPatched)
 		}
 		got, err := n.CriticalSet(tau)
 		if err != nil {
@@ -179,6 +192,33 @@ func checkAgainstReference(t *testing.T, label string, e Expr, tau xtime.Time) {
 			t.Fatal(err)
 		}
 		sameHelperRows(t, label+": Helper", got, helper)
+	}
+}
+
+// checkFutureAgainstReference: the rows Materialize returns at tau, given
+// their births as they fall due and expired as time passes, are the
+// reference evaluator's answer — tuples and expiration times — at every
+// later instant, and texp(e) there is when the next birth falls due.
+func checkFutureAgainstReference(t *testing.T, label string, e Expr, tau xtime.Time) {
+	t.Helper()
+	mv, err := Materialize(e, tau)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	rel, births := mv.Rel, mv.Births
+	for at := tau + 1; at < mv.Texp && at <= tau+200 && (births.Len() > 0 || at <= tau+10); at++ {
+		var n int
+		rel, n = births.Apply(rel, at)
+		want, wantTexp := refEval(e, at)
+		if !rel.EqualAt(want, at) {
+			t.Fatalf("%s: materialised at %v and given its births, at %v\n%sreference:\n%s", label, tau, at, rel.Render(at), want.Render(at))
+		}
+		if got := xtime.Min(mv.Texp, births.Next()); got != wantTexp {
+			t.Fatalf("%s: materialised at %v, at %v the next birth is due at %v; reference texp(e) %v", label, tau, at, got, wantTexp)
+		}
+		if n > 0 && births.Since() != at { // tick by tick, what is applied at a tick was born at it
+			t.Fatalf("%s: %d births applied at %v, the last dated %v", label, n, at, births.Since())
+		}
 	}
 }
 

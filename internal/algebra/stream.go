@@ -1,6 +1,8 @@
 package algebra
 
 import (
+	"slices"
+
 	"expdb/internal/relation"
 	"expdb/internal/tuple"
 	"expdb/internal/xtime"
@@ -91,31 +93,77 @@ type Evaluation struct {
 	// Rel holds the result with its derived per-tuple expiration times,
 	// owned by the caller.
 	Rel *relation.Relation
-	// Texp is texp(e): Rel, expired as time passes, equals a recomputation
-	// at every instant before it (Theorem 2).
+	// Texp is when Rel stops being maintainable: expired as time passes, and
+	// given its Births as they fall due, it equals a recomputation at every
+	// instant before (Theorems 2 and 3). Without births that is texp(e);
+	// with them, the expiration of the root's arguments alone.
 	Texp xtime.Time
-	// Critical is, for a difference at the root, its critical set in
-	// (texp_S, tuple) order — the tuples Theorem 3 patches back in, each at
-	// its InS. Nil for every other root.
-	Critical []CriticalRow
-	// PatchedTexp is texp(e) of a materialisation that will receive every
-	// one of those patches: formula (11) without its critical term, i.e.
-	// the arguments' own expiration. Equal to Texp when Critical is empty.
-	PatchedTexp xtime.Time
+	// Births are the rows Rel will show later: what Materialize keeps for a
+	// root that HasFuture, and empty otherwise.
+	Births Births
 }
 
-// Evaluate computes e at tau in one pass over the tree: the rows, texp(e)
-// and — for a root difference — the critical tuples all come from the same
-// walk, each base relation scanned once per occurrence and each pipeline
-// breaker doing its work once. It is the evaluation entry point of the
-// engine, views and the wire server; the caller holds the read locks of
-// the base relations.
+// Evaluate computes e at tau in one pass over the tree: the rows and texp(e)
+// come from the same walk, each base relation scanned once per occurrence
+// and each pipeline breaker doing its work once. It is the evaluation entry
+// point of queries; the caller holds the read locks of the base relations.
 func Evaluate(e Expr, tau xtime.Time) (Evaluation, error) {
-	if d, ok := e.(*Diff); ok {
-		return d.evaluate(tau)
-	}
 	rel, texp, err := collect(e, tau)
-	return Evaluation{Rel: rel, Texp: texp, PatchedTexp: texp}, err
+	return Evaluation{Rel: rel, Texp: texp}, err
+}
+
+// HasFuture reports whether a materialisation of e can carry its future: a
+// root difference (Theorem 3) or a GROUP BY under the exact policy (§3.4.1),
+// over monotonic arguments. The naive and neutral policies keep recomputing:
+// their partition times are not change points, which is what they are there
+// to show.
+func HasFuture(e Expr) bool {
+	switch n := e.(type) {
+	case *Diff:
+		return n.Left.Monotonic() && n.Right.Monotonic()
+	case *Project:
+		a, ok := n.Child.(*Agg)
+		return ok && a.Policy == PolicyExact && a.groupsOnly(n.Cols) && a.Child.Monotonic()
+	}
+	return false
+}
+
+// Materialize is Evaluate for a result that will be kept: for a root that
+// HasFuture the same pass also yields the births, which a plain query would
+// collect and sort only to throw away.
+func Materialize(e Expr, tau xtime.Time) (Evaluation, error) {
+	if !HasFuture(e) {
+		return Evaluate(e, tau)
+	}
+	ev := Evaluation{Rel: relation.New(e.Schema())}
+	var err error
+	switch n := e.(type) {
+	case *Diff:
+		var crit []CriticalRow
+		crit, ev.Texp, err = n.criticalSet(tau, func(key string, row relation.Row) {
+			ev.Rel.InsertOwned(key, row.Tuple, row.Texp)
+		})
+		ev.Births = BirthsOf(crit)
+	case *Project:
+		_, ev.Texp, err = n.Child.(*Agg).streamGroups(tau, n.Cols, func(row relation.Row) {
+			ev.Rel.InsertOwnedRow(row)
+		}, &ev.Births)
+		ev.Births.settle()
+	}
+	return ev, err
+}
+
+// Patches is the §3.4.2 size decision for a materialisation that keeps its
+// future: with budget > 0 only the budget births falling due soonest are
+// kept, as whole rows, and the copy is good until the first one that did not
+// fit falls due; with budget ≤ 0, or room for all of them, until Texp. It
+// returns the births to keep and that expiration time.
+func (ev Evaluation) Patches(budget int) (Births, xtime.Time) {
+	if budget <= 0 || ev.Births.Len() <= budget {
+		return ev.Births, ev.Texp
+	}
+	rows := ev.Births.Rows()
+	return BirthsOf(slices.Clone(rows[:budget])), xtime.Min(ev.Texp, rows[budget].InS)
 }
 
 // duplicateFree reports whether e streams each result tuple once, so that
@@ -159,7 +207,8 @@ func (s *Select) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, er
 // it is one row per partition.
 func (p *Project) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
 	if a, ok := p.Child.(*Agg); ok && a.groupsOnly(p.Cols) {
-		return a.streamGroups(tau, p.Cols, emit)
+		texp, _, err := a.streamGroups(tau, p.Cols, emit, nil)
+		return texp, err
 	}
 	return stream(p.Child, tau, func(row relation.Row) {
 		emit(relation.Row{Tuple: row.Tuple.Project(p.Cols), Texp: row.Texp})

@@ -8,6 +8,7 @@ import (
 	"expdb/internal/relation"
 	"expdb/internal/sql"
 	"expdb/internal/tuple"
+	"expdb/internal/view"
 	"expdb/internal/xtime"
 )
 
@@ -90,9 +91,10 @@ const (
 	diffQuery = "SELECT uid FROM pol EXCEPT SELECT uid FROM el"
 )
 
-// BenchmarkViewRecomputeHist and BenchmarkViewRecomputeDiff are what a
-// view_maintenance read pays when its view has invalidated: one evaluation
-// pass that yields the rows and texp(e) together. Sized (500 / 250 rows, 20
+// BenchmarkViewRecomputeHist and BenchmarkViewRecomputeDiff are what CREATE
+// and REFRESH pay for a view that keeps its future (and what a read paid
+// whenever such a view invalidated, before it did): one evaluation pass that
+// yields the rows, texp(e) and the births together. Sized (500 / 250 rows, 20
 // groups) for scripts/alloc-gates.sh; BenchmarkViewRecomputeFull runs the
 // same two statements at the load benchmark's size.
 func BenchmarkViewRecomputeHist(b *testing.B) { benchRecompute(b, 500, 20, histQuery) }
@@ -102,6 +104,57 @@ func BenchmarkViewRecomputeDiff(b *testing.B) { benchRecompute(b, 500, 20, diffQ
 func BenchmarkViewRecomputeFull(b *testing.B) {
 	b.Run("hist", func(b *testing.B) { benchRecompute(b, 5000, 100, histQuery) })
 	b.Run("diff", func(b *testing.B) { benchRecompute(b, 5000, 100, diffQuery) })
+}
+
+// BenchmarkViewReadBirth is the read that replaced those recomputations: a
+// 20-group histogram view over 500 rows that keeps its future is read at the
+// instant its next birth falls due, so every timed read applies one batch of
+// births (one, or the few that share the instant) and none recomputes. What
+// it allocates is the copy of the materialisation the escaped snapshots are
+// owed plus the rows born: it follows the view's size, once per batch, never
+// the base table (scripts/alloc-gates.sh). Advancing the clock, and reloading
+// the table once the stored future is used up, are not timed.
+func BenchmarkViewReadBirth(b *testing.B) {
+	e := engine.New()
+	s := sql.NewSession(e, nil)
+	if _, err := s.Exec("CREATE TABLE pol (uid INT, deg INT)"); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.Exec("CREATE MATERIALIZED VIEW v AS " + histQuery); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(21))
+	uid, next := int64(0), xtime.Infinity
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if next == xtime.Infinity {
+			for r := 0; r < 500; r++ {
+				uid++
+				if err := e.Insert("pol", tuple.Ints(uid, rng.Int63n(20)), e.Now()+xtime.Time(1+rng.Int63n(1500))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := e.RefreshView("v"); err != nil {
+				b.Fatal(err)
+			}
+			_, info, err := e.ReadView("v")
+			if err != nil {
+				b.Fatal(err)
+			}
+			next = info.Validity.ValidUntil
+		}
+		if err := e.Advance(next); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		_, info, err := e.ReadView("v")
+		if err != nil || info.PatchesApplied == 0 || info.Source != view.SourceMaterialised {
+			b.Fatalf("read at %v: %+v, %v", next, info, err)
+		}
+		next = info.Validity.ValidUntil
+	}
 }
 
 // benchRead times one uncached SELECT, Rows() included, over the load

@@ -124,6 +124,10 @@ type Engine struct {
 	// deleted (a drop+recreate must not reset the count), and expiry does
 	// NOT bump: ValidUntil = texp(e) already bounds every cached window.
 	epochs map[string]uint64
+	// viewWrites is, per view, the sum of its base tables' write epochs at
+	// its last materialisation: what a view maintained under expiration
+	// only has not seen is the difference to the sum now (ViewMetrics).
+	viewWrites map[string]uint64
 	// cache is the validity-interval result cache (nil = disabled). Held
 	// through an atomic pointer so SetResultCache can swap it at runtime
 	// without a lock; see rescache.go for its internal hierarchy.
@@ -196,6 +200,7 @@ func New(opts ...Option) *Engine {
 		sweepEvery: 16,
 		triggers:   make(map[string][]TriggerFunc),
 		epochs:     make(map[string]uint64),
+		viewWrites: make(map[string]uint64),
 		events:     trace.NewLog(DefaultEventLogCapacity),
 		traces:     trace.NewStore(DefaultTraceLogCapacity),
 		viewAgg:    &view.AggMetrics{},
@@ -308,6 +313,7 @@ func (e *Engine) DropView(name string) error {
 	}
 	e.cat.DropView(name)
 	delete(e.viewDefs, name)
+	delete(e.viewWrites, name)
 	e.mu.Unlock()
 	if err := e.walSync(seq); err != nil {
 		return e.walFail(err, true)
@@ -735,15 +741,15 @@ func (e *Engine) Query(expr algebra.Expr) (*relation.Relation, error) {
 
 // MaterializeExpr evaluates expr at the current tick under the read locks of
 // its base relations and returns the evaluation with the tick it reflects:
-// rows, texp(e) and, for a root difference, the critical tuples a patched
-// remote copy is maintained with are one consistent snapshot.
+// rows, texp(e) and, for a root that has one, the future a remote copy is
+// maintained with are one consistent snapshot.
 func (e *Engine) MaterializeExpr(expr algebra.Expr) (algebra.Evaluation, xtime.Time, error) {
 	unlock := e.rlockBases(expr)
 	defer unlock()
 	e.mu.RLock()
 	now := e.now
 	e.mu.RUnlock()
-	ev, err := algebra.Evaluate(expr, now)
+	ev, err := algebra.Materialize(expr, now)
 	return ev, now, err
 }
 
@@ -772,11 +778,14 @@ func (e *Engine) CreateViewDef(name, def string, expr algebra.Expr, opts ...view
 	now := e.now
 	e.mu.RUnlock()
 	err = v.Materialize(now)
+	if err == nil {
+		err = e.cat.RegisterView(v)
+	}
+	if err == nil {
+		e.noteMaterialized(v)
+	}
 	unlock()
 	if err != nil {
-		return nil, err
-	}
-	if err := e.cat.RegisterView(v); err != nil {
 		return nil, err
 	}
 	var seq uint64
@@ -838,6 +847,9 @@ func (e *Engine) ReadViewTraced(name string, tid trace.ID) (*relation.Relation, 
 		return nil, view.ReadInfo{}, err
 	}
 	info.TraceID = tid
+	if info.Source == view.SourceRecomputed {
+		e.noteMaterialized(v)
+	}
 	e.emitReadEvents(name, now, info, v.Stats().BudgetEvictions-evictedBefore)
 	return rel, info, nil
 }
@@ -865,9 +877,31 @@ func (e *Engine) RefreshViewTraced(name string, tid trace.ID) error {
 	if err := v.Materialize(now); err != nil {
 		return err
 	}
+	e.noteMaterialized(v)
 	e.events.Emit(trace.Event{
 		Trace: tid, Kind: trace.EvViewRecompute, Name: name,
 		Tick: now, Texp: v.Texp(),
 	})
 	return nil
 }
+
+// viewStaleness moves v's mark to the writes its base tables have seen by
+// now when mark is set, and returns how many they have seen since the mark.
+func (e *Engine) viewStaleness(v *view.View, mark bool) uint64 {
+	names := baseNames(v.Expr())
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var sum uint64
+	for _, t := range names {
+		sum += e.epochs[t]
+	}
+	if mark {
+		e.viewWrites[v.Name()] = sum
+	}
+	return sum - e.viewWrites[v.Name()]
+}
+
+// noteMaterialized records what v's base tables had been written when v was
+// (re)materialised. The caller still holds their read locks, so the sum
+// belongs to the rows the materialisation saw.
+func (e *Engine) noteMaterialized(v *view.View) { e.viewStaleness(v, true) }

@@ -77,7 +77,13 @@ type SchedulerMetrics struct {
 }
 
 // ViewMetrics is the per-view slice of a snapshot: the recompute vs patch
-// vs cache-hit split that makes the paper's avoided work measurable.
+// vs cache-hit split that makes the paper's avoided work measurable, and how
+// stale the view is. A view is maintained under expiration only, so what it
+// does not show is what was written since it was materialised:
+// BaseWritesSince is how far its base tables' write epochs have moved since
+// then — the number to read before deciding to REFRESH. PendingPatches
+// counts the births it holds and has not applied yet: the future it will
+// show without recomputing.
 type ViewMetrics struct {
 	Reads           int                       `json:"reads"`
 	CacheHits       int                       `json:"cache_hits"` // served from the materialisation
@@ -86,6 +92,7 @@ type ViewMetrics struct {
 	Moved           int                       `json:"moved"`
 	BudgetEvictions int                       `json:"budget_evictions"`
 	PendingPatches  int                       `json:"pending_patches"`
+	BaseWritesSince uint64                    `json:"base_writes_since"`
 	Texp            xtime.Time                `json:"texp"`
 	MaterializedAt  xtime.Time                `json:"materialized_at"`
 	RecomputeNanos  metrics.HistogramSnapshot `json:"recompute_nanos"`
@@ -188,13 +195,22 @@ func (e *Engine) Metrics() MetricsSnapshot {
 		if s.Views == nil {
 			s.Views = make(map[string]ViewMetrics)
 		}
-		s.Views[name] = snapshotView(v)
+		s.Views[name] = e.snapshotView(v)
 	}
 	return s
 }
 
+// ViewMetrics returns the named view's slice of a snapshot.
+func (e *Engine) ViewMetrics(name string) (ViewMetrics, error) {
+	v, err := e.cat.View(name)
+	if err != nil {
+		return ViewMetrics{}, err
+	}
+	return e.snapshotView(v), nil
+}
+
 // snapshotView copies one view's counters under its lock.
-func snapshotView(v *view.View) ViewMetrics {
+func (e *Engine) snapshotView(v *view.View) ViewMetrics {
 	v.Lock()
 	defer v.Unlock()
 	st := v.Stats()
@@ -206,6 +222,7 @@ func snapshotView(v *view.View) ViewMetrics {
 		Moved:           st.Moved,
 		BudgetEvictions: st.BudgetEvictions,
 		PendingPatches:  v.PendingPatches(),
+		BaseWritesSince: e.viewStaleness(v, false),
 		Texp:            v.Texp(),
 		MaterializedAt:  v.MaterializedAt(),
 		RecomputeNanos:  v.RecomputeLatency(),

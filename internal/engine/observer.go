@@ -70,6 +70,7 @@ func (e *Engine) checkWatches(now xtime.Time, tid trace.ID) []firedWatch {
 			due = append(due, firedWatch{watch: w, at: now})
 			if w.refresh {
 				if err := v.Materialize(now); err == nil {
+					e.noteMaterialized(v)
 					w.notified = false
 					e.events.Emit(trace.Event{
 						Trace: tid, Kind: trace.EvViewRecompute, Name: w.name,

@@ -98,10 +98,19 @@ func (h itemHeap[T]) Len() int            { return len(h) }
 func (h itemHeap[T]) Less(i, j int) bool  { return h[i].At < h[j].At }
 func (h itemHeap[T]) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *itemHeap[T]) Push(x interface{}) { *h = append(*h, x.(Item[T])) }
+
+// Pop zeroes the slot it vacates, or the array would keep every value the
+// queue ever held reachable, and moves a heap that has drained to a quarter
+// of its array into one half the size, or a queue that was long once would
+// stay that long for good. Small arrays stay: a queue that hovers around a
+// few items must not allocate on every push.
 func (h *itemHeap[T]) Pop() interface{} {
 	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
+	n := len(old) - 1
+	it := old[n]
+	old[n] = Item[T]{}
+	if *h = old[:n]; cap(old) >= 64 && n <= cap(old)/4 {
+		*h = append(make(itemHeap[T], 0, cap(old)/2), old[:n]...)
+	}
 	return it
 }

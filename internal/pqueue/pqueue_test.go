@@ -2,6 +2,7 @@ package pqueue
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -121,5 +122,43 @@ func TestQuickPopDuePartition(t *testing.T) {
 		if q.NextAt() <= tau && q.Len() > 0 {
 			t.Fatalf("left item due at %v ≤ tau %v in queue", q.NextAt(), tau)
 		}
+	}
+}
+
+// TestDrainedQueueReleasesWhatItHeld: a queue that held 10 000 tuples lets go
+// of each as it is popped (Pop used to leave them in the slots it vacated),
+// and once drained of the array they sat in too.
+func TestDrainedQueueReleasesWhatItHeld(t *testing.T) {
+	heap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	const n = 10000
+	base := heap()
+	q := New[[]int64](0)
+	for i := 0; i < n; i++ {
+		q.Push(xtime.Time(1+i%100), make([]int64, 32))
+	}
+	peak := heap() - base
+	// 60 % popped, the array still more than a quarter full: what goes is the
+	// tuples, 5/6 of the peak.
+	if got := len(q.PopDue(60)); got != n*6/10 {
+		t.Fatalf("PopDue(60) popped %d of %d", got, n)
+	}
+	if kept := heap() - base; kept > peak*6/10 {
+		t.Fatalf("with 60 %% popped the queue retains %d bytes of a %d-byte peak", kept, peak)
+	}
+	for q.Len() > 0 {
+		q.Pop()
+	}
+	if kept := heap() - base; kept > peak/20 {
+		t.Fatalf("a drained queue retains %d bytes of a %d-byte peak", kept, peak)
+	}
+	// A short queue keeps its array: a push and a pop allocate what
+	// container/heap's two interface values cost, and no array.
+	if allocs := testing.AllocsPerRun(100, func() { q.Push(1, nil); q.Pop() }); allocs > 2 {
+		t.Fatalf("push and pop on a short queue allocate %v times", allocs)
 	}
 }

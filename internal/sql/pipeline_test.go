@@ -39,8 +39,10 @@ func windowSession(t *testing.T) *Session {
 	return s
 }
 
-// TestViewReadCarriesTheViewsWindow fails at the parent commit: a SELECT
-// over a view was stamped [now, ∞) because the snapshot is a Base leaf.
+// TestViewReadCarriesTheViewsWindow: a SELECT over a view carries the view's
+// window, not the [now, ∞) of the Base leaf its snapshot is — and the window
+// of a view that keeps its future ends at its next birth, where the next
+// begins.
 func TestViewReadCarriesTheViewsWindow(t *testing.T) {
 	for _, tc := range []struct {
 		view, query, filtered string
@@ -78,7 +80,8 @@ func TestViewReadCarriesTheViewsWindow(t *testing.T) {
 			if last.Validity != info.Validity {
 				t.Fatalf("window moved without a recompute: %v", last.Validity)
 			}
-			// …and at Until the view recomputes and a new window opens there.
+			// …and at Until the view shows the row it kept for that instant —
+			// no recomputation — and a new window opens there.
 			mustExec(t, s, "ADVANCE TO "+tc.until.String())
 			next, fresh := mustExec(t, s, "SELECT * FROM "+tc.view), mustExec(t, s, tc.query)
 			if next.Validity.At != tc.until || next.Validity.ValidUntil != fresh.Validity.ValidUntil {
@@ -86,6 +89,9 @@ func TestViewReadCarriesTheViewsWindow(t *testing.T) {
 			}
 			if !next.Rel.EqualAt(fresh.Rel, next.At) {
 				t.Fatalf("at Until the view reads\n%swant\n%s", next.Rel.Render(next.At), fresh.Rel.Render(fresh.At))
+			}
+			if v, _ := s.eng.Catalog().View(tc.view); v.Stats().Recomputations != 0 || v.Stats().PatchesApplied != 1 {
+				t.Fatalf("the view did not get there by its stored future: %+v", v.Stats())
 			}
 		})
 	}
@@ -161,14 +167,16 @@ func TestComputedReadOverAnIntervalView(t *testing.T) {
 // TestViewStoresThePhysicalPlan: a view over an indexed table recomputes
 // through the index, keeps answering right once the index is dropped (the
 // probe degrades to the scan it replaced), and WITH (patching) still tells
-// a root difference from everything else when the children are physical.
+// a root that has a future from everything else when the children are
+// physical. r spells out the bare materialisation: without a WITH clause it
+// would keep its future like d and never exercise the stored plan again.
 func TestViewStoresThePhysicalPlan(t *testing.T) {
 	s := newSession(t)
 	mustExec(t, s, "CREATE INDEX pol_deg ON pol (deg)")
 	mustExec(t, s, "CREATE INDEX el_uid ON el (uid)")
 	const def = "SELECT uid FROM pol WHERE deg = 25 EXCEPT SELECT uid FROM el WHERE uid = 2"
 	mustExec(t, s, "CREATE VIEW d WITH (patching) AS "+def)
-	mustExec(t, s, "CREATE VIEW r AS "+def)
+	mustExec(t, s, "CREATE VIEW r WITH (mode=texp) AS "+def)
 	for _, name := range []string{"d", "r"} {
 		v, err := s.eng.Catalog().View(name)
 		if err != nil {

@@ -522,6 +522,12 @@ func (s *Session) execCreateView(st *CreateView) (*Result, error) {
 		return nil, err
 	}
 	var opts []view.Option
+	if len(st.Options) == 0 && algebra.HasFuture(p.Physical) {
+		// The planner picks the maintenance strategy the theorems allow, as
+		// it picks the access path: a root whose future is determined keeps
+		// it. Any WITH clause means the bare materialisation it spells out.
+		opts = append(opts, view.WithPatching())
+	}
 	mode := view.ModeTexp
 	for _, opt := range st.Options {
 		name, val, _ := strings.Cut(opt, "=")
@@ -615,8 +621,11 @@ func (s *Session) execShow(st *Show) (*Result, error) {
 			if err != nil {
 				continue
 			}
-			lines = append(lines, fmt.Sprintf("%s: %s (texp %s, validity %s)",
-				name, v.Expr(), v.Texp(), v.Validity()))
+			line := fmt.Sprintf("%s: %s (texp %s, validity %s", name, v.Expr(), v.Texp(), v.Validity())
+			if vm, err := s.eng.ViewMetrics(name); err == nil {
+				line += fmt.Sprintf(", %d pending births, %d base writes since", vm.PendingPatches, vm.BaseWritesSince)
+			}
+			lines = append(lines, line+")")
 		}
 		return &Result{Msg: strings.Join(lines, "\n"), At: s.eng.Now()}, nil
 	case "INDEXES":

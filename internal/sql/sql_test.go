@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -336,24 +337,75 @@ func TestLexerFeatures(t *testing.T) {
 
 func TestEndToEndPaperScenario(t *testing.T) {
 	// The full §2.1 news-service walk-through: profiles expire, views stay
-	// current, the histogram invalidates exactly at time 10.
+	// current. The histogram's count changes at time 10, and the view shows
+	// the new count without recomputing: it stored ⟨25, 1⟩ when it was made.
 	s := newSession(t)
 	mustExec(t, s, "CREATE MATERIALIZED VIEW hist AS SELECT deg, COUNT(*) FROM pol GROUP BY deg")
 	v, err := s.eng.Catalog().View("hist")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Texp() != 10 {
-		t.Fatalf("texp(hist) = %v, want 10", v.Texp())
+	if v.Texp() != xtime.Infinity || v.PendingPatches() != 1 {
+		t.Fatalf("texp(hist) = %v with %d pending births, want inf and 1", v.Texp(), v.PendingPatches())
+	}
+	if res := mustExec(t, s, "SELECT * FROM hist"); res.Validity.ValidUntil != 10 {
+		t.Fatalf("hist at 0 is stamped %v, want until 10", res.Validity)
 	}
 	mustExec(t, s, "ADVANCE TO 10")
-	res := mustExec(t, s, "SELECT * FROM hist") // triggers recomputation
-	if !res.Rel.Contains(tuple.Ints(25, 1), 10) {
+	res := mustExec(t, s, "SELECT * FROM hist") // applies the birth
+	if !res.Rel.Contains(tuple.Ints(25, 1), 10) || res.Rel.CountAt(10) != 1 {
 		t.Fatalf("hist at 10 wrong:\n%s", res.Rel.Render(10))
 	}
-	if v.Stats().Recomputations != 1 {
-		t.Fatalf("stats = %+v", v.Stats())
+	if st := v.Stats(); st.Recomputations != 0 || st.PatchesApplied != 1 {
+		t.Fatalf("stats = %+v", st)
 	}
+	// Spelled out, the bare §2 materialisation: it invalidates exactly at
+	// time 10 and the read recomputes it.
+	s = newSession(t)
+	mustExec(t, s, "CREATE MATERIALIZED VIEW hist WITH (mode=texp) AS SELECT deg, COUNT(*) FROM pol GROUP BY deg")
+	if v, err = s.eng.Catalog().View("hist"); err != nil || v.Texp() != 10 {
+		t.Fatalf("texp(hist) = %v (%v), want 10", v.Texp(), err)
+	}
+	mustExec(t, s, "ADVANCE TO 10")
+	if res = mustExec(t, s, "SELECT * FROM hist"); !res.Rel.Contains(tuple.Ints(25, 1), 10) || v.Stats().Recomputations != 1 {
+		t.Fatalf("stats = %+v, hist at 10:\n%s", v.Stats(), res.Rel.Render(10))
+	}
+}
+
+// TestShowViewsTellsHowStaleAViewIs: a view is maintained under expiration
+// only — a base insert reaches it at its next REFRESH, and a view that keeps
+// its future has no other recomputation to pick it up by accident — so the
+// writes it has not seen are a number the operator can read.
+func TestShowViewsTellsHowStaleAViewIs(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s, "CREATE VIEW hist AS SELECT deg, COUNT(*) FROM pol GROUP BY deg")
+	stale := func(pending int, writes uint64) {
+		t.Helper()
+		vm, err := s.eng.ViewMetrics("hist")
+		if err != nil || vm.PendingPatches != pending || vm.BaseWritesSince != writes {
+			t.Fatalf("hist: %d pending births, %d base writes since (%v); want %d and %d", vm.PendingPatches, vm.BaseWritesSince, err, pending, writes)
+		}
+		want := fmt.Sprintf("%d pending births, %d base writes since)", pending, writes)
+		if show := mustExec(t, s, "SHOW VIEWS").Msg; !strings.Contains(show, want) {
+			t.Fatalf("SHOW VIEWS = %q, want %q in it", show, want)
+		}
+	}
+	stale(1, 0)
+	mustExec(t, s, "INSERT INTO pol VALUES (9, 25) EXPIRES AT 20")
+	mustExec(t, s, "INSERT INTO el VALUES (9, 25) EXPIRES AT 20") // not a base table of hist
+	stale(1, 1)
+	mustExec(t, s, "ADVANCE TO 12") // the stored future plays out; the insert stays unseen
+	if res := mustExec(t, s, "SELECT * FROM hist"); !res.Rel.Contains(tuple.Ints(25, 1), 12) {
+		t.Fatalf("hist at 12, not refreshed:\n%s", res.Rel.Render(12))
+	}
+	stale(0, 1)
+	mustExec(t, s, "DELETE FROM pol WHERE uid = 3") // expired at 10: nothing deleted, nothing written
+	stale(0, 1)
+	mustExec(t, s, "REFRESH VIEW hist")
+	if res := mustExec(t, s, "SELECT * FROM hist"); !res.Rel.Contains(tuple.Ints(25, 2), 12) {
+		t.Fatalf("hist at 12, refreshed:\n%s", res.Rel.Render(12))
+	}
+	stale(1, 0) // ⟨25, 2⟩ becomes ⟨25, 1⟩ at 15
 }
 
 func TestOrderByAndLimit(t *testing.T) {

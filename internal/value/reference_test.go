@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // zoo holds a value of every kind next to the boundaries Compare and
@@ -86,6 +87,35 @@ func referenceAppendKey(v Value, dst []byte) []byte {
 		n := len(v.s)
 		dst = append(dst, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
 		return append(dst, v.s...)
+	}
+}
+
+// referenceEqual is Equal as it was while a FLOAT had a float64 field of its
+// own and two values of one kind were compared as structs: floats as floats.
+func referenceEqual(a, b Value) bool {
+	if a.kind == KindFloat && b.kind == KindFloat {
+		return a.AsFloat() == b.AsFloat()
+	}
+	if a.kind == b.kind {
+		return a.i == b.i && a.s == b.s
+	}
+	return a.IsNumeric() && b.IsNumeric() && a.AsFloat() == b.AsFloat()
+}
+
+// TestValueIs32Bytes: INT, BOOL and FLOAT share one payload word.
+func TestValueIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", n)
+	}
+}
+
+func TestEqualMatchesReference(t *testing.T) {
+	for _, a := range zoo {
+		for _, b := range zoo {
+			if got, want := a.Equal(b), referenceEqual(a, b); got != want {
+				t.Errorf("%v.Equal(%v) = %v, reference %v", a, b, got, want)
+			}
+		}
 	}
 }
 

@@ -64,13 +64,14 @@ func ParseKind(s string) (Kind, error) {
 	}
 }
 
-// Value is a scalar attribute value. It is comparable (usable as a map
-// key); Equal/Compare should still be preferred over == because they apply
-// numeric coercion between ints and floats.
+// Value is a scalar attribute value, 32 bytes: a kind, one payload word
+// that INT, BOOL and FLOAT share, and the string. It is comparable (usable as
+// a map key); Equal/Compare should still be preferred over == because they
+// apply numeric coercion between ints and floats, and because == sees a
+// FLOAT's bits (NaN equal to itself, the two zeros apart).
 type Value struct {
 	kind Kind
-	i    int64
-	f    float64
+	i    int64 // INT and BOOL payload; a FLOAT's bits (math.Float64bits)
 	s    string
 }
 
@@ -81,7 +82,10 @@ var Null = Value{}
 func Int(v int64) Value { return Value{kind: KindInt, i: v} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(v))} }
+
+// float is the payload of a FLOAT.
+func (v Value) float() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // String_ returns a string value. (Named with a trailing underscore to
 // leave the String method for fmt.Stringer.)
@@ -105,7 +109,7 @@ func (v Value) IsNull() bool { return v.kind == KindNull }
 // AsInt returns the integer payload; floats are truncated.
 func (v Value) AsInt() int64 {
 	if v.kind == KindFloat {
-		return int64(v.f)
+		return int64(v.float())
 	}
 	return v.i
 }
@@ -113,7 +117,7 @@ func (v Value) AsInt() int64 {
 // AsFloat returns the numeric payload as a float64.
 func (v Value) AsFloat() float64 {
 	if v.kind == KindFloat {
-		return v.f
+		return v.float()
 	}
 	return float64(v.i)
 }
@@ -137,6 +141,9 @@ func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloa
 // duplicate elimination require NULL to be self-identical, as in SQL
 // GROUP BY).
 func (a Value) Equal(b Value) bool {
+	if a.kind == KindFloat && b.kind == KindFloat {
+		return a.float() == b.float() // as floats, not as bits: NaN ≠ NaN, −0 = +0
+	}
 	if a.kind == b.kind {
 		return a == b
 	}
@@ -263,10 +270,11 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && math.Abs(v.f) < 1e15 {
-			return strconv.FormatFloat(v.f, 'f', 1, 64)
+		f := v.float()
+		if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+			return strconv.FormatFloat(f, 'f', 1, 64)
 		}
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(f, 'g', -1, 64)
 	case KindString:
 		return strconv.Quote(v.s)
 	case KindBool:

@@ -5,8 +5,9 @@
 // patching) only when the expression invalidates.
 //
 // A View tracks the materialisation, its expression expiration time
-// texp(e), its Schrödinger validity intervals I(e) (§3.3–3.4), and — for
-// difference expressions — the Theorem 3 patch queue that removes the
+// texp(e), its Schrödinger validity intervals I(e) (§3.3–3.4), and — for a
+// root whose future is determined, a difference (Theorem 3) or a GROUP BY
+// (§3.4.1) — the rows it will show next (algebra.Births), which remove the
 // need for recomputation entirely.
 package view
 
@@ -19,10 +20,8 @@ import (
 	"expdb/internal/algebra"
 	"expdb/internal/interval"
 	"expdb/internal/metrics"
-	"expdb/internal/pqueue"
 	"expdb/internal/relation"
 	"expdb/internal/trace"
-	"expdb/internal/tuple"
 	"expdb/internal/xtime"
 )
 
@@ -138,15 +137,19 @@ type ReadInfo struct {
 	// At is the instant the answer reflects; differs from the requested
 	// time only for the moved policies.
 	At xtime.Time
-	// PatchesApplied counts the Theorem 3 patches replayed into the
-	// materialisation by this read.
+	// PatchesApplied counts the births this read applied to the
+	// materialisation (for a difference, the Theorem 3 patches).
 	PatchesApplied int
 	// Texp is texp(e) of the materialisation that answered the read
-	// (refreshed first if the read recomputed).
+	// (refreshed first if the read recomputed): with its future stored, when
+	// the view will next recompute, not when the rows returned stop being
+	// the answer — that is Validity.
 	Texp xtime.Time
-	// Validity is the uniform [materialised-at, texp(e)) stamp every read
-	// surface carries — the same currency Result exposes for queries, so
-	// callers reason about view reads and cached queries identically.
+	// Validity is the uniform stamp every read surface carries — the same
+	// currency Result exposes for queries, so callers reason about view
+	// reads and cached queries identically: the rows returned are the answer
+	// from the materialisation (or the last birth applied to it) until
+	// texp(e) or the next pending birth, whichever comes first.
 	Validity interval.Validity
 	// Cached reports the answer was served from the materialisation with
 	// zero base-data work (Source == SourceMaterialised).
@@ -164,11 +167,10 @@ type Stats struct {
 	Reads          int // total Read calls
 	ServedFromMat  int // answered without touching base data (cache hits)
 	Recomputations int // full re-evaluations of the expression
-	PatchesApplied int // Theorem 3 patches replayed into the materialisation
+	PatchesApplied int // births applied to the materialisation
 	Moved          int // reads answered at a shifted instant
-	// BudgetEvictions counts critical tuples dropped from the patch queue
-	// because WithPatchBudget bounded it (§3.4.2): future recomputation
-	// traded for a smaller queue.
+	// BudgetEvictions counts births not kept because WithPatchBudget
+	// bounded them (§3.4.2): future recomputation traded for memory.
 	BudgetEvictions int
 }
 
@@ -187,18 +189,14 @@ type AggMetrics struct {
 }
 
 // WithAggregate mirrors the view's counters into agg (shared across
-// views; nil disables).
+// views; nil leaves the view a private one).
 func WithAggregate(agg *AggMetrics) Option {
 	return func(v *View) error {
-		v.agg = agg
+		if agg != nil {
+			v.agg = agg
+		}
 		return nil
 	}
-}
-
-// patch is one pending Theorem 3 insertion.
-type patch struct {
-	tuple tuple.Tuple
-	inR   xtime.Time
 }
 
 // View is a materialised expression with independent maintenance.
@@ -217,12 +215,12 @@ type View struct {
 
 	mat      *relation.Relation
 	matAt    xtime.Time
-	texp     xtime.Time // texp(e) as of matAt; patched diffs use child texp only
+	texp     xtime.Time // texp(e) as of matAt; with births kept, the arguments' only
 	validity interval.Set
-	queue    *pqueue.Queue[patch]
-	budget   int // max queued patches; 0 = unlimited (§3.4.2 trade-off)
+	births   algebra.Births // the rows mat will show next (patching)
+	budget   int            // max births kept; 0 = unlimited (§3.4.2 trade-off)
 	stats    Stats
-	agg      *AggMetrics // shared cross-view totals (nil = none)
+	agg      *AggMetrics // cross-view totals, shared when WithAggregate gave them
 	// recomputeNanos is the latency distribution of read-triggered full
 	// recomputations — the work the expiration metadata exists to avoid.
 	recomputeNanos metrics.Histogram
@@ -250,31 +248,29 @@ func WithRecovery(r Recovery) Option {
 	}
 }
 
-// WithPatching enables the Theorem 3 patch queue. The expression's root
-// must be a difference whose arguments are monotonic; patching then makes
-// the materialisation permanently maintainable (its expiration time
+// WithPatching makes the view keep its future: beside the rows of the
+// materialisation, the rows it will show next, applied as they fall due. The
+// expression's root must be a difference (Theorem 3's patches) or a GROUP BY
+// under the exact policy (§3.4.1's future states) over monotonic arguments;
+// the materialisation is then permanently maintainable (its expiration time
 // becomes that of the arguments, ∞ over base relations).
 func WithPatching() Option {
 	return func(v *View) error {
-		d, ok := v.expr.(*algebra.Diff)
-		if !ok {
-			return fmt.Errorf("view %s: patching requires a difference at the root, have %s",
+		if !algebra.HasFuture(v.expr) {
+			return fmt.Errorf("view %s: patching requires a difference or an exact GROUP BY over monotonic arguments at the root, have %s",
 				v.name, v.expr)
-		}
-		if !d.Left.Monotonic() || !d.Right.Monotonic() {
-			return fmt.Errorf("view %s: patching requires monotonic difference arguments", v.name)
 		}
 		v.patching = true
 		return nil
 	}
 }
 
-// WithPatchBudget bounds the Theorem 3 patch queue to the k critical
-// tuples expiring soonest — the §3.4.2 "classic trade-off decision
-// between saving future communication and time/space as well as up-front
-// communication cost". With a bounded queue the materialisation stays
-// patchable until the first unqueued critical event, at which point the
-// usual recovery policy applies. Implies WithPatching's requirements.
+// WithPatchBudget keeps only the k births falling due soonest — the §3.4.2
+// "classic trade-off decision between saving future communication and
+// time/space as well as up-front communication cost". The materialisation
+// then stays maintainable until the first birth that was not kept, at which
+// point the usual recovery policy applies. Implies WithPatching's
+// requirements.
 func WithPatchBudget(k int) Option {
 	return func(v *View) error {
 		if k <= 0 {
@@ -290,7 +286,7 @@ func WithPatchBudget(k int) Option {
 
 // New builds a view over expr. Call Materialize before Read.
 func New(name string, expr algebra.Expr, opts ...Option) (*View, error) {
-	v := &View{name: name, expr: expr}
+	v := &View{name: name, expr: expr, agg: new(AggMetrics)}
 	for _, opt := range opts {
 		if err := opt(v); err != nil {
 			return nil, err
@@ -302,7 +298,7 @@ func New(name string, expr algebra.Expr, opts ...Option) (*View, error) {
 // Name returns the view's name.
 func (v *View) Name() string { return v.name }
 
-// Lock serialises stateful operations (Read, Materialize, applyPatches)
+// Lock serialises stateful operations (Read, Materialize)
 // against the view. In the engine's lock hierarchy the view lock ranks
 // above table locks: hold it before read-locking base relations.
 func (v *View) Lock() { v.mu.Lock() }
@@ -314,34 +310,25 @@ func (v *View) Unlock() { v.mu.Unlock() }
 func (v *View) Expr() algebra.Expr { return v.expr }
 
 // Materialize (re)computes the view at time tau: one evaluation pass gives
-// the rows, texp(e) and, for a patched difference, the critical tuples its
-// queue is filled from. Interval mode alone walks the expression again, for
-// I(e).
+// the rows, texp(e) and, for a view that keeps its future, the births.
+// Interval mode alone walks the expression again, for I(e).
 func (v *View) Materialize(tau xtime.Time) error {
-	ev, err := algebra.Evaluate(v.expr, tau)
+	evaluate := algebra.Evaluate
+	if v.patching {
+		evaluate = algebra.Materialize
+	}
+	ev, err := evaluate(v.expr, tau)
 	if err != nil {
 		return err
 	}
-	v.mat, v.matAt, v.texp = ev.Rel, tau, ev.Texp
-	if v.patching {
-		// Theorem 3: with patches the critical-tuple term of (11) vanishes
-		// and only the arguments' own expiration remains — unless a budget
-		// bounds the queue (§3.4.2): then the materialisation is patchable
-		// up to the first critical event that did not fit. Only critical
-		// tuples (reappearing before they vanish) need patches; the rest of
-		// the helper relation would insert tuples that are born expired.
-		var crit []algebra.CriticalRow
-		crit, v.texp = ev.Patches(v.budget)
-		if evicted := len(ev.Critical) - len(crit); evicted > 0 {
-			v.stats.BudgetEvictions += evicted
-			if v.agg != nil {
-				v.agg.BudgetEvictions.Add(int64(evicted))
-			}
-		}
-		v.queue = pqueue.New[patch](len(crit))
-		for _, h := range crit {
-			v.queue.Push(h.InS, patch{tuple: h.Tuple, inR: h.InR})
-		}
+	// With every birth kept only the arguments' own expiration remains of
+	// texp(e) (Theorem 3) — unless a budget bounds them (§3.4.2): then the
+	// materialisation is good up to the first birth that did not fit.
+	v.mat, v.matAt = ev.Rel, tau
+	v.births, v.texp = ev.Patches(v.budget)
+	if evicted := ev.Births.Len() - v.births.Len(); evicted > 0 {
+		v.stats.BudgetEvictions += evicted
+		v.agg.BudgetEvictions.Add(int64(evicted))
 	}
 	v.validity = interval.NewSet(interval.Interval{Start: tau, End: v.texp})
 	if v.mode == ModeInterval && !v.patching {
@@ -372,44 +359,13 @@ func (v *View) RecomputeLatency() metrics.HistogramSnapshot {
 	return v.recomputeNanos.Snapshot()
 }
 
-// PendingPatches returns the number of queued Theorem 3 patches.
-func (v *View) PendingPatches() int {
-	if v.queue == nil {
-		return 0
-	}
-	return v.queue.Len()
-}
-
-// applyPatches replays every due patch (helper tuple expired in S) into
-// the materialisation, returning how many were applied.
-func (v *View) applyPatches(tau xtime.Time) int {
-	if v.queue == nil {
-		return 0
-	}
-	applied := 0
-	for _, it := range v.queue.PopDue(tau) {
-		v.mat.Insert(it.Value.tuple, it.Value.inR)
-		applied++
-	}
-	v.stats.PatchesApplied += applied
-	if v.agg != nil && applied > 0 {
-		v.agg.PatchesApplied.Add(int64(applied))
-	}
-	return applied
-}
+// PendingPatches returns the number of births not yet applied.
+func (v *View) PendingPatches() int { return v.births.Len() }
 
 // valid reports whether the materialisation may answer a read at tau
 // without recovery.
 func (v *View) valid(tau xtime.Time) bool {
-	if tau < v.matAt {
-		return false
-	}
-	switch v.mode {
-	case ModeAlwaysRecompute:
-		return false
-	default:
-		return v.validity.Contains(tau)
-	}
+	return tau >= v.matAt && v.mode != ModeAlwaysRecompute && v.validity.Contains(tau)
 }
 
 // Read answers a query against the view at time tau: a snapshot of the
@@ -417,15 +373,29 @@ func (v *View) valid(tau xtime.Time) bool {
 // tuples never escape — the paper's requirement that expiration is
 // transparent to querying users.
 func (v *View) Read(tau xtime.Time) (*relation.Relation, ReadInfo, error) {
-	rel, info, err := v.read(tau)
+	if v.mat == nil {
+		return nil, ReadInfo{}, fmt.Errorf("view %s: not materialised", v.name)
+	}
+	v.stats.Reads++
+	v.agg.Reads.Inc()
+	info, err := v.resolve(tau)
 	if err != nil {
 		return nil, ReadInfo{}, err
 	}
+	// The births due by the instant served are applied first; then the
+	// caller gets an immutable O(1) view of the materialisation (lazy
+	// alive-at-τ filter), which the next birth or refresh leaves alone.
+	v.mat, info.PatchesApplied = v.births.Apply(v.mat, info.At)
+	rel := v.mat.SnapshotShared(info.At)
 	// Texp is stamped last so a recomputing read reports the refreshed
 	// texp(e), not the one that just invalidated — and the validity
-	// window is derived from the same post-read state.
+	// window is derived from the same post-read state: the rows are the
+	// answer since the last birth they received and until the next.
 	info.Texp = v.texp
-	info.Validity = interval.Validity{At: v.matAt, ValidUntil: v.texp}
+	info.Validity = interval.Validity{
+		At:         xtime.Max(v.matAt, v.births.Since()),
+		ValidUntil: xtime.Min(v.texp, v.births.Next()),
+	}
 	if !info.Validity.Contains(info.At) {
 		// Interval mode answered from a later stretch of the validity set
 		// than the first: the stamp is the stretch holding that instant.
@@ -436,80 +406,61 @@ func (v *View) Read(tau xtime.Time) (*relation.Relation, ReadInfo, error) {
 		}
 	}
 	info.Cached = info.Source == SourceMaterialised
+	// The one place a read is counted, from the ReadInfo it returns, so the
+	// counters and the provenance cannot diverge.
+	switch info.Source {
+	case SourceMaterialised:
+		v.stats.ServedFromMat++
+		v.agg.ServedFromMat.Inc()
+	case SourceRecomputed:
+		v.stats.Recomputations++
+		v.agg.Recomputations.Inc()
+	default:
+		v.stats.Moved++
+		v.agg.Moved.Inc()
+	}
+	if info.PatchesApplied > 0 {
+		v.stats.PatchesApplied += info.PatchesApplied
+		v.agg.PatchesApplied.Add(int64(info.PatchesApplied))
+	}
 	return rel, info, nil
 }
 
-// read answers the query and fills every ReadInfo field except Texp.
-// There is exactly one ReadInfo under construction — each outcome path
-// only sets Source/At on it — so the provenance cannot diverge between
-// layers.
-func (v *View) read(tau xtime.Time) (*relation.Relation, ReadInfo, error) {
-	if v.mat == nil {
-		return nil, ReadInfo{}, fmt.Errorf("view %s: not materialised", v.name)
-	}
-	v.stats.Reads++
-	if v.agg != nil {
-		v.agg.Reads.Inc()
-	}
-	info := ReadInfo{At: tau, PatchesApplied: v.applyPatches(tau)}
-	// Every outcome serves a zero-copy shared snapshot: the caller gets an
-	// immutable O(1) view of the materialisation (lazy alive-at-τ filter);
-	// the first later mutation of the materialisation — a patch, a refresh
-	// — detaches it without disturbing escaped handles.
+// resolve decides how a read at tau is answered — from the materialisation,
+// from it at a moved instant, or after recomputing it, which resolve does —
+// and reports that as the Source and At of the read's one ReadInfo.
+func (v *View) resolve(tau xtime.Time) (ReadInfo, error) {
+	info := ReadInfo{At: tau}
 	if v.valid(tau) {
-		v.stats.ServedFromMat++
-		if v.agg != nil {
-			v.agg.ServedFromMat.Inc()
-		}
-		info.Source = SourceMaterialised
-		return v.mat.SnapshotShared(tau), info, nil
+		return info, nil // SourceMaterialised
 	}
 	switch v.recovery {
 	case RecoverReject:
-		return nil, ReadInfo{}, fmt.Errorf("%w: %s at %v (valid %s)", ErrInvalid, v.name, tau, v.validity)
+		return info, fmt.Errorf("%w: %s at %v (valid %s)", ErrInvalid, v.name, tau, v.validity)
 	case RecoverBackward:
 		if at, ok := v.validity.PrevIn(tau); ok && at >= v.matAt {
-			v.stats.Moved++
-			if v.agg != nil {
-				v.agg.Moved.Inc()
-			}
 			info.Source, info.At = SourceMovedBackward, at
-			return v.mat.SnapshotShared(at), info, nil
+			return info, nil
 		}
 	case RecoverForward:
 		if at, ok := v.validity.NextIn(tau); ok {
-			v.stats.Moved++
-			if v.agg != nil {
-				v.agg.Moved.Inc()
-			}
 			info.Source, info.At = SourceMovedForward, at
-			return v.mat.SnapshotShared(at), info, nil
+			return info, nil
 		}
 	}
 	// RecoverRecompute, or a moved policy with nowhere to move: fall back
 	// to re-materialising.
 	start := time.Now()
 	if err := v.Materialize(tau); err != nil {
-		return nil, ReadInfo{}, err
+		return info, err
 	}
 	v.recomputeNanos.Observe(time.Since(start).Nanoseconds())
-	v.stats.Recomputations++
-	if v.agg != nil {
-		v.agg.Recomputations.Inc()
-	}
 	info.Source = SourceRecomputed
-	return v.mat.SnapshotShared(tau), info, nil
+	return info, nil
 }
 
 // NeedsRecomputation reports whether a read at tau could not be served
 // from the materialisation.
 func (v *View) NeedsRecomputation(tau xtime.Time) bool {
-	if v.mat == nil {
-		return true
-	}
-	if v.queue != nil && v.queue.NextAt() <= tau {
-		// Due patches pending; after applying them the view is valid.
-		return false
-	}
-	return !v.valid(tau)
+	return v.mat == nil || !v.valid(tau)
 }

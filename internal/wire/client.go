@@ -10,8 +10,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"expdb/internal/algebra"
 	"expdb/internal/interval"
-	"expdb/internal/pqueue"
 	"expdb/internal/relation"
 	"expdb/internal/trace"
 	"expdb/internal/tuple"
@@ -105,7 +105,7 @@ func WithDialer(dial func(addr string) (net.Conn, error)) ClientOption {
 
 // Client is a remote view node: it materialises a query once and then
 // answers reads from its local copy, maintained purely by expiration (and
-// by replaying shipped Theorem 3 patches). It contacts the server again
+// by applying the births shipped with it). It contacts the server again
 // only to re-materialise an invalidated copy.
 //
 // The client is fault-tolerant: a network error flips it into
@@ -134,7 +134,7 @@ type Client struct {
 	mat         *relation.Relation
 	matAt       xtime.Time
 	texp        xtime.Time
-	patches     *pqueue.Queue[patchItem]
+	births      algebra.Births // the rows mat will show next, as shipped
 	lastTrace   trace.ID
 
 	// Maintenance counters for experiments.
@@ -161,11 +161,6 @@ type Client struct {
 	// ReconnectFailures counts Read/round-trip sequences that exhausted
 	// every reconnect attempt.
 	ReconnectFailures int
-}
-
-type patchItem struct {
-	tuple tuple.Tuple
-	inR   xtime.Time
 }
 
 // Dial connects to a wire server and performs the protocol handshake. A
@@ -399,8 +394,8 @@ func (c *Client) ServerTimeContext(ctx context.Context) (xtime.Time, error) {
 }
 
 // Materialize fetches the query result and its expiration metadata.
-// withPatches additionally ships the Theorem 3 helper for difference
-// queries, making the local copy maintainable without recomputation.
+// withPatches additionally ships the result's future where its root has one,
+// making the local copy maintainable without recomputation.
 func (c *Client) Materialize(query string, withPatches bool) error {
 	return c.MaterializeContext(context.Background(), query, withPatches, 0)
 }
@@ -432,11 +427,7 @@ func (c *Client) MaterializeContext(ctx context.Context, query string, withPatch
 	}
 	rel := relation.New(tuple.Schema{Cols: cols})
 	for _, wr := range resp.Rows {
-		t := make(tuple.Tuple, len(wr.Vals))
-		for i, wv := range wr.Vals {
-			t[i] = wv.FromWire()
-		}
-		rel.Insert(t, wr.Texp)
+		rel.InsertOwnedRow(relation.Row{Tuple: fromWire(wr.Vals), Texp: wr.Texp})
 	}
 	c.mat = rel
 	c.matAt = resp.Now
@@ -444,15 +435,20 @@ func (c *Client) MaterializeContext(ctx context.Context, query string, withPatch
 	if resp.Cached {
 		c.ServerCacheHits++
 	}
-	c.patches = pqueue.New[patchItem](len(resp.Patches))
-	for _, wp := range resp.Patches {
-		t := make(tuple.Tuple, len(wp.Vals))
-		for i, wv := range wp.Vals {
-			t[i] = wv.FromWire()
-		}
-		c.patches.Push(wp.InS, patchItem{tuple: t, inR: wp.InR})
+	births := make([]algebra.CriticalRow, len(resp.Patches))
+	for i, wp := range resp.Patches {
+		births[i] = algebra.CriticalRow{Tuple: fromWire(wp.Vals), InS: wp.InS, InR: wp.InR}
 	}
+	c.births = algebra.BirthsOf(births)
 	return nil
+}
+
+func fromWire(vals []WireValue) tuple.Tuple {
+	t := make(tuple.Tuple, len(vals))
+	for i, wv := range vals {
+		t[i] = wv.FromWire()
+	}
+	return t
 }
 
 // Texp returns the expiration time of the local materialisation.
@@ -489,10 +485,11 @@ func (c *Client) ReadContext(ctx context.Context, tau xtime.Time) (*relation.Rel
 	if c.mat == nil {
 		return nil, fmt.Errorf("wire: client has no materialisation")
 	}
-	for _, it := range c.patches.PopDue(tau) {
-		c.mat.Insert(it.Value.tuple, it.Value.inR)
-		c.PatchesApplied++
-	}
+	// Births due are applied (and counted) whether or not the copy is then
+	// found invalid and replaced: PatchesApplied keeps its meaning (E10).
+	var applied int
+	c.mat, applied = c.births.Apply(c.mat, tau)
+	c.PatchesApplied += applied
 	if tau >= c.texp || tau < c.matAt {
 		if err := c.MaterializeContext(ctx, c.query, c.wantPatches, c.patchBudget); err != nil {
 			return nil, err
@@ -505,7 +502,6 @@ func (c *Client) ReadContext(ctx context.Context, tau xtime.Time) (*relation.Rel
 		}
 	}
 	// Zero-copy: the caller gets a shared immutable snapshot of the local
-	// materialisation; later patches or rematerialisations detach from it
-	// (copy-on-write) instead of disturbing escaped handles.
+	// materialisation; later births or rematerialisations leave it alone.
 	return c.mat.SnapshotShared(tau), nil
 }

@@ -502,12 +502,12 @@ func (s *Server) materialize(sess *sql.Session, req *Request, resp *Response) er
 // matching view.ErrInvalid, with resp untouched.
 func (s *Server) evaluate(sess *sql.Session, plan *sql.Plan, req *Request, resp *Response) error {
 	var rel *relation.Relation
-	if _, diff := plan.Physical.(*algebra.Diff); !req.WantPatches || !diff {
-		// Without patches (none wanted, or no root difference to patch) a
-		// materialisation goes through the validity-interval result cache:
-		// a repeated remote query costs zero re-evaluation while its window
-		// holds. Patched differences keep the dedicated path below — their
-		// texp folds the helper budget, per-request and uncacheable.
+	if !req.WantPatches || !algebra.HasFuture(plan.Physical) {
+		// Without births (none wanted, or a root whose future is not
+		// determined) a materialisation goes through the validity-interval
+		// result cache: a repeated remote query costs zero re-evaluation while
+		// its window holds. A copy that keeps its future takes the dedicated
+		// path below — its texp folds the budget, per-request and uncacheable.
 		qr, err := sess.Query(plan)
 		if err != nil {
 			return err
@@ -515,9 +515,9 @@ func (s *Server) evaluate(sess *sql.Session, plan *sql.Plan, req *Request, resp 
 		rel, resp.Now, resp.Texp, resp.Cached = qr.Rel, qr.At, qr.Validity.ValidUntil, qr.Cached
 	} else {
 		// MaterializeExpr holds the table locks, so the rows, texp(e) and
-		// critical tuples are one consistent snapshot even while the
-		// server's clock advances concurrently. The optimiser keeps a root
-		// difference a difference, so they are still there to ship.
+		// births are one consistent snapshot even while the server's clock
+		// advances concurrently. The optimiser keeps the root's shape, so
+		// they are still there to ship.
 		ev, now, err := s.eng.MaterializeExpr(plan.Physical)
 		if err != nil {
 			return err
@@ -526,12 +526,11 @@ func (s *Server) evaluate(sess *sql.Session, plan *sql.Plan, req *Request, resp 
 			return fmt.Errorf("wire: plan expired: it reads a view snapshot valid until %s and the clock is at %s: %w",
 				plan.Until, now, view.ErrInvalid)
 		}
-		// Ship the critical tuples (those that will actually reappear),
-		// soonest first; a patch budget truncates the queue and pulls Texp
-		// back to the first event that did not fit (§3.4.2).
-		crit, texp := ev.Patches(req.PatchBudget)
+		// Ship the births, soonest first; a budget keeps the earliest and
+		// pulls Texp back to the first that did not fit (§3.4.2).
+		births, texp := ev.Patches(req.PatchBudget)
 		rel, resp.Now, resp.Texp = ev.Rel, now, xtime.Min(texp, plan.Until)
-		for _, h := range crit {
+		for _, h := range births.Rows() {
 			resp.Patches = append(resp.Patches, WirePatch{InS: h.InS, InR: h.InR, Vals: toWire(h.Tuple)})
 		}
 	}

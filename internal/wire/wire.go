@@ -3,8 +3,7 @@
 // materialise query results once and then maintain them *independently*,
 // using only the expiration times carried by the result tuples. The
 // network is touched again only when a materialisation invalidates —
-// or never, when the Theorem 3 patch queue was shipped along with a
-// difference query.
+// or never, when its future (algebra.Births) was shipped along with it.
 //
 // The protocol is a length-free gob stream over TCP. Traffic accounting
 // (messages and bytes in both directions) feeds experiment E6: the cost of
@@ -135,13 +134,13 @@ const (
 type Request struct {
 	Kind  MsgKind
 	Query string // MsgMaterialize: a SELECT statement
-	// WantPatches asks for the Theorem 3 helper relation when the query's
-	// root is a difference, enabling recomputation-free maintenance.
+	// WantPatches asks for the result's future when its root has one (a
+	// difference, a GROUP BY), enabling recomputation-free maintenance.
 	WantPatches bool
-	// PatchBudget bounds the number of patches shipped (0 = unlimited):
+	// PatchBudget bounds the number of births shipped (0 = unlimited):
 	// the §3.4.2 trade-off between up-front transfer and future
-	// communication. With a bounded queue the reported Texp shrinks to
-	// the first critical event that did not fit.
+	// communication. With a budget the reported Texp shrinks to the first
+	// birth that did not fit.
 	PatchBudget int
 	// TraceID correlates this request with the server's lifecycle events
 	// and spans; 0 lets the server mint one (echoed in the Response).
@@ -204,8 +203,8 @@ type WireColumn struct {
 	Kind value.Kind
 }
 
-// WirePatch is one Theorem 3 patch: insert Vals with expiration InR once
-// the server tick reaches InS.
+// WirePatch is one birth: insert Vals with expiration InR once the server
+// tick reaches InS.
 type WirePatch struct {
 	Vals []WireValue
 	InS  xtime.Time

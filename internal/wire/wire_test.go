@@ -193,6 +193,50 @@ func TestRemoteDiffWithPatchesNeverRefetches(t *testing.T) {
 	}
 }
 
+// TestRemoteReadOfAViewStopsAtItsNextBirth: a read of a view that keeps its
+// future is stamped until the next pending birth, and a remote copy of it
+// inherits that through Response.Texp: it re-fetches there and shows what the
+// view then shows. Stamped with the view's texp(e) = ∞, as it used to be, the
+// copy never asked again and never showed ⟨2⟩.
+func TestRemoteReadOfAViewStopsAtItsNextBirth(t *testing.T) {
+	eng, _, addr := startServer(t)
+	if _, err := sql.NewSession(eng, nil).Exec("CREATE VIEW vp WITH (patching) AS SELECT uid FROM pol EXCEPT SELECT uid FROM el"); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Materialize("SELECT * FROM vp", false); err != nil {
+		t.Fatal(err)
+	}
+	if c.Texp() != 3 {
+		t.Fatalf("a copy of vp made at 0 is valid until %v, want 3: ⟨2⟩ is born then", c.Texp())
+	}
+	for tau := xtime.Time(0); tau <= 16; tau++ {
+		if err := eng.Advance(tau); err != nil {
+			t.Fatal(err)
+		}
+		rel, err := c.Read(tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := expectedDiff(tau)
+		if rel.CountAt(tau) != len(want) {
+			t.Fatalf("at %v: %d rows, want uids %v:\n%s", tau, rel.CountAt(tau), want, rel.Render(tau))
+		}
+		for _, uid := range want {
+			if !rel.Contains(tuple.Ints(uid), tau) {
+				t.Fatalf("at %v: uid %d missing:\n%s", tau, uid, rel.Render(tau))
+			}
+		}
+	}
+	if c.Rematerializations != 2 { // at 3 and at 5, the view's two births
+		t.Fatalf("the copy re-fetched %d times, want 2", c.Rematerializations)
+	}
+}
+
 // The client's local reads hand out snapshots of one local copy, so the
 // reads between two patches share one sort: each must still come back in
 // tuple order, in a slice of the caller's own, and a handle read before a

@@ -15,8 +15,9 @@ BenchmarkDurableInsert         ./internal/engine  4  the WAL append reuses the g
 BenchmarkEmptyAdvance          ./internal/engine  0  the idle heartbeat walks the cached table set and peeks each texp index
 BenchmarkViewReadServe         ./internal/engine  6  a shared snapshot, however large the materialisation (measured 3)
 BenchmarkViewReadRows          ./internal/engine  25 SELECT * FROM v and Rows() over 2 000 rows: parse, plan, the snapshot, and one result slice the remembered order is filtered into; no sort, nothing per row (measured 22)
-BenchmarkViewRecomputeHist     ./internal/engine  260 REFRESH of a GROUP BY view over 500 rows in 20 groups: one pass, nothing per input row but the growth of its partition; per group a key, the output tuple and its set key (measured 231; 5 652 when rows and texp(e) were two evaluations)
-BenchmarkViewRecomputeDiff     ./internal/engine  1750 REFRESH of π(pol) − π(el) over 500 / 250 rows: each argument collected once, a projected tuple and a set key per argument row, the output reusing the keys; no second pass for texp(e) (measured 1 545; 4 147 before)
+BenchmarkViewReadBirth         ./internal/engine  20 a read of a 20-group histogram view that applies one birth: the copy of the materialisation its escaped snapshots are owed, made without the dead rows, plus the tuple and set key of the row born; the cost follows the size of the materialisation once per birth batch, never the base table (measured 16; the recomputation it replaces is the next line)
+BenchmarkViewRecomputeHist     ./internal/engine  300 REFRESH of a GROUP BY view over 500 rows in 20 groups, its future included: one pass, nothing per input row but the growth of its partition; per group a key, the output tuple and its set key, and two arrays for the change points and values of its later states (measured 282, 231 without the future; 5 652 when rows and texp(e) were two evaluations)
+BenchmarkViewRecomputeDiff     ./internal/engine  1750 REFRESH of π(pol) − π(el) over 500 / 250 rows, its critical rows kept as births: each argument collected once, a projected tuple and a set key per argument row, the output reusing the keys; no second pass for texp(e) (measured 1 551; 4 147 before)
 BenchmarkCacheHit              ./internal/engine  4  map probe, epoch check, LRU touch, snapshot header (measured 1)
 BenchmarkIndexedPointLookup    ./internal/engine  6  lock plan and probe free; result relation, row map, bucket, key, closure (measured 5)
 BenchmarkScanFilter            ./internal/engine  125 an unindexed range over 2 000 rows returning about 40: parse, plan, the compiled predicate (7), then a set key, a map slot and a result-slice slot per row returned; allocations follow output rows, never scanned rows (measured 117)
