@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -502,5 +503,59 @@ func TestManualSweepReplay(t *testing.T) {
 	}
 	if len(*fired2) != 0 {
 		t.Fatalf("replayed sweep re-fired %d triggers", len(*fired2))
+	}
+}
+
+// TestCheckpointBytesFollowHistory: two engines given one history write the
+// same snapshot file, byte for byte. serializeTables walks All, which is
+// slot order — a function of the history alone, reused slots included —
+// where the iteration order of a map differed from one run to the next.
+func TestCheckpointBytesFollowHistory(t *testing.T) {
+	var files [2][]byte
+	for run := range files {
+		dir := t.TempDir()
+		e, _ := openDurable(t, dir)
+		for _, table := range []string{"a", "b"} {
+			if err := e.CreateTable(table, tuple.IntCols("id", "v")); err != nil {
+				t.Fatal(err)
+			}
+			for i := int64(0); i < 300; i++ {
+				if err := e.Insert(table, tuple.Ints(i, i%7), xtime.Time(5+i%40)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := int64(0); i < 300; i += 3 {
+				if ok, err := e.Delete(table, tuple.Ints(i, i%7)); err != nil || !ok {
+					t.Fatalf("delete %d: %v, %v", i, ok, err)
+				}
+			}
+		}
+		if err := e.Advance(20); err != nil { // expiry frees more slots
+			t.Fatal(err)
+		}
+		for i := int64(1000); i < 1150; i++ { // which these rows reuse
+			if err := e.Insert("a", tuple.Ints(i, 0), xtime.Time(30+i%9)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Insert("b", tuple.Ints(299, 299%7), 500); err != nil { // an extension, in place
+			t.Fatal(err)
+		}
+		if err := e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		snaps, err := filepath.Glob(filepath.Join(dir, "*.snap"))
+		if err != nil || len(snaps) != 1 {
+			t.Fatalf("snapshot files: %v, %v", snaps, err)
+		}
+		if files[run], err = os.ReadFile(snaps[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.CloseDurability(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatalf("one history, two snapshot files: %d and %d bytes, not the same", len(files[0]), len(files[1]))
 	}
 }

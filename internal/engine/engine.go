@@ -260,7 +260,7 @@ func (e *Engine) CreateTable(name string, schema tuple.Schema) error {
 		return err
 	}
 	// Engine-owned tables carry the texp-ordered index from birth, making
-	// NextExpiration a peek and sweeps O(k). Operator results (relations
+	// "anything due?" a peek and sweeps O(k). Operator results (relations
 	// built by EvalStream collectors) never enable it.
 	rel.EnableTexpIndex()
 	seq, err := e.walAppend(&wal.Record{Kind: wal.KindCreateTable, Name: name, Schema: schema})

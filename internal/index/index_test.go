@@ -170,36 +170,30 @@ func TestTexpHeap(t *testing.T) {
 	if th.Len() != 100 {
 		t.Fatalf("infinity must not be retained: len=%d", th.Len())
 	}
-	if got := th.Next(current); got != 1 {
-		t.Fatalf("Next: want 1, got %d", got)
+	if th.Due(0) || !th.Due(1) {
+		t.Fatalf("Due(0)=%v Due(1)=%v, want false/true", th.Due(0), th.Due(1))
 	}
 	// Extend k099 (texp 1 -> 500): the heap pair goes stale.
 	live["k099"] = 500
 	th.Push("k099", 500)
-	if got := th.Next(current); got != 2 {
-		t.Fatalf("Next after extension: want 2, got %d", got)
-	}
 	// Delete k098 (texp 2): stale too.
 	delete(live, "k098")
-	if got := th.Next(current); got != 3 {
-		t.Fatalf("Next after delete: want 3, got %d", got)
-	}
 	var fired []xtime.Time
 	n := th.PopDue(50, current, func(k string, texp xtime.Time) {
 		delete(live, k)
 		fired = append(fired, texp)
 	})
-	// texp 3..50 inclusive = 48 rows.
-	if n != 48 || len(fired) != 48 {
-		t.Fatalf("PopDue(50): want 48 expirations, got %d", n)
+	// texp 3..50 inclusive = 48 rows: the two stale pairs deliver nothing.
+	if n != 48 || len(fired) != 48 || fired[0] != 3 {
+		t.Fatalf("PopDue(50): want 48 expirations from texp 3, got %d from %v", n, fired[0])
 	}
 	for i := 1; i < len(fired); i++ {
 		if fired[i-1] > fired[i] {
 			t.Fatalf("PopDue must fire in texp order: %v", fired)
 		}
 	}
-	if got := th.Next(current); got != 51 {
-		t.Fatalf("Next after PopDue: want 51, got %d", got)
+	if th.Due(50) || !th.Due(51) || th.Len() != 51 {
+		t.Fatalf("after PopDue(50): Due(50)=%v Due(51)=%v Len=%d, want false/true/51", th.Due(50), th.Due(51), th.Len())
 	}
 }
 

@@ -7,8 +7,7 @@ import "expdb/internal/xtime"
 // of when its rows expire — the engine keeps no schedule of its own — and
 // makes the two operations that would otherwise scan the table cheap:
 //
-//   - NextExpiration (the per-table texp(e) floor) becomes a peek after
-//     discarding stale tops, and
+//   - whether anything is due by a tick (Due) becomes a peek, and
 //   - expiry enumeration (every row with texp <= tick) becomes
 //     O(k log n) pops instead of a full-table walk.
 //
@@ -57,50 +56,6 @@ func (th *TexpHeap) Push(key string, texp xtime.Time) {
 		th.h[p], th.h[i] = th.h[i], th.h[p]
 		i = p
 	}
-}
-
-// Next returns the smallest authoritative texp, destructively discarding
-// stale tops. current reports the key's live expiration time (Infinity or
-// absence means "not expiring"); a top whose texp disagrees is stale.
-// Returns Infinity when nothing is pending.
-func (th *TexpHeap) Next(current func(key string) (xtime.Time, bool)) xtime.Time {
-	for len(th.h) > 0 {
-		top := th.h[0]
-		if t, ok := current(top.key); ok && t == top.texp {
-			return top.texp
-		}
-		th.pop()
-	}
-	return xtime.Infinity
-}
-
-// NextAfter returns the smallest authoritative texp strictly greater
-// than tau, or Infinity. Stale tops are discarded destructively;
-// authoritative pairs at or below tau (rows logically expired but not yet
-// swept, under lazy removal) are set aside and re-pushed — they must
-// survive for the sweep that will remove them. The side buffer is empty
-// under eager removal and bounded by one sweep period's backlog under
-// lazy removal.
-func (th *TexpHeap) NextAfter(tau xtime.Time, current func(key string) (xtime.Time, bool)) xtime.Time {
-	var side []texpPair
-	next := xtime.Infinity
-	for len(th.h) > 0 {
-		top := th.h[0]
-		t, ok := current(top.key)
-		if !ok || t != top.texp {
-			th.pop()
-			continue
-		}
-		if top.texp > tau {
-			next = top.texp
-			break
-		}
-		side = append(side, th.pop())
-	}
-	for _, p := range side {
-		th.Push(p.key, p.texp)
-	}
-	return next
 }
 
 // Due reports whether some pair, stale or not, has texp <= tick: a false

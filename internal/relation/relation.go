@@ -10,6 +10,8 @@ package relation
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -46,21 +48,31 @@ type Relation struct {
 	mu     sync.RWMutex
 	order  uint64 // global acquisition order for multi-relation locking
 	schema tuple.Schema
-	rows   map[string]Row // set key -> row
+	// slots is the row store: rows in insertion order, so expτ(R) is a walk
+	// in memory order. A deleted row leaves a hole (Texp == hole), listed in
+	// free until an insert reuses it or boundSlots squeezes it out. keys
+	// maps each stored tuple's set key to its slot. No key is kept beside a
+	// row: a key is a function of its tuple, so the copy that must drop a
+	// row from keys re-derives it (Tuple.AppendKey).
+	slots []Row
+	keys  map[string]slot
+	free  []slot
 	// floor is the snapshot instant of a SnapshotShared result: rows with
 	// texp ≤ floor are treated as absent by every accessor (the lazy
 	// alive-at-τ filter), so a shared snapshot observes exactly what a
 	// physical Snapshot(floor) would contain. 0 for ordinary relations.
 	floor xtime.Time
-	// shared marks the row map as aliased by at least one other Relation
-	// (SnapshotShared). The first mutation through either handle detaches
-	// it: the map is shallow-copied (tuples stay shared — they are
-	// immutable) and the write goes to the private copy, so snapshots
-	// handed out earlier never observe later mutations.
+	// shared marks the store — slots, keys and free alike — as aliased by
+	// at least one other Relation (SnapshotShared). The first mutation
+	// through either handle detaches it: the three are copied (tuples stay
+	// shared — they are immutable) and the write goes to the private copy,
+	// so snapshots handed out earlier never observe later mutations. A
+	// lifetime extension writes a slot in place and an insert may reuse a
+	// freed one, so those detach first like any other write.
 	shared bool
-	// sorted is the remembered tuple order of a shared row map, the same
-	// pointer in every handle that aliases the map; nil on a private map
-	// and on a shared one with fewer than two rows. See sortedRows.
+	// sorted is the remembered tuple order of a shared store, the same
+	// pointer in every handle that aliases it; nil on a private store and
+	// on a shared one with fewer than two rows. See sortedRows.
 	sorted *sortedRows
 	// indexes are the attached secondary indexes, maintained inline by
 	// every mutator under the caller's write lock. Only engine-owned base
@@ -69,34 +81,47 @@ type Relation struct {
 	// them), so result-relation churn pays nothing.
 	indexes []NamedIndex
 	// texpIdx is the per-table texp-ordered index (a lazy-deletion
-	// min-heap): it makes NextExpiration a peek and RemoveExpired O(k)
-	// instead of O(n). Enabled by the engine on base tables, where it is
-	// the only record of when rows expire; boundTexpIdx keeps it within
-	// 2×rows + texpSlack pairs.
+	// min-heap): it makes ExpiresBy a peek and RemoveExpired O(k) instead
+	// of O(n). Enabled by the engine on base tables, where it is the only
+	// record of when rows expire; boundTexpIdx keeps it within
+	// 2×rows + slack pairs.
 	texpIdx *index.TexpHeap
 }
 
-// sortedRows holds every row of one frozen row map in tuple order, sorted
-// on first use and at most once. A shared map is never written again, and
-// expiry only hides rows — filtering a sorted slice keeps it sorted — so
-// the order stands for as long as the map does: there is nothing to
-// invalidate, and a handle that detaches simply lets go of the pointer.
+// slot is a position in Relation.slots.
+type slot uint32
+
+// hole is the texp of a freed slot. It lies below every instant (xtime's
+// instants are the non-negative integers), so the texp > τ compare every
+// scan makes anyway skips a hole for free. A hole is told by this sentinel
+// and never by its nil tuple: a zero-column relation stores ⟨⟩.
+const hole xtime.Time = math.MinInt64
+
+// sortedRows holds the slot of every row of one frozen store in tuple
+// order — a permutation, 4 bytes a row, not a second copy of the rows —
+// sorted on first use and at most once. A shared store is never written
+// again, and expiry only hides rows — filtering a sorted sequence keeps it
+// sorted — so the order stands for as long as the store does: there is
+// nothing to invalidate, and a handle that detaches simply lets go of the
+// pointer.
 type sortedRows struct {
 	once sync.Once
-	rows []Row
+	perm []slot
 }
 
-// of returns the rows of m, the frozen map s was created for, in tuple
-// order. Handles on different goroutines may race here: one sorts.
-func (s *sortedRows) of(m map[string]Row) []Row {
+// of returns the tuple order of r's store, the frozen one s was created
+// for. Handles on different goroutines may race here: one sorts.
+func (s *sortedRows) of(r *Relation) []slot {
 	s.once.Do(func() {
-		s.rows = make([]Row, 0, len(m))
-		for _, row := range m {
-			s.rows = append(s.rows, row)
+		s.perm = make([]slot, 0, len(r.keys))
+		for i := range r.slots {
+			if r.slots[i].Texp != hole {
+				s.perm = append(s.perm, slot(i))
+			}
 		}
-		slices.SortFunc(s.rows, compareRows)
+		slices.SortFunc(s.perm, func(a, b slot) int { return r.slots[a].Tuple.Compare(r.slots[b].Tuple) })
 	})
-	return s.rows
+	return s.perm
 }
 
 func compareRows(a, b Row) int { return a.Tuple.Compare(b.Tuple) }
@@ -112,7 +137,7 @@ var lockSeq atomic.Uint64
 
 // New returns an empty relation with the given schema.
 func New(schema tuple.Schema) *Relation {
-	return &Relation{order: lockSeq.Add(1), schema: schema, rows: make(map[string]Row)}
+	return &Relation{order: lockSeq.Add(1), schema: schema, keys: make(map[string]slot)}
 }
 
 // Lock write-locks the relation.
@@ -153,24 +178,70 @@ func (r *Relation) effTau(tau xtime.Time) xtime.Time {
 	return tau
 }
 
-// detach gives r a private row map before a mutation when the current map
-// is shared with snapshots. Rows dead at the floor are dropped while
-// copying — they were invisible anyway. Tuples are never copied. This is
-// the one place a handle leaves a shared map, so also where it gives up the
-// map's remembered order; the handles still on the map keep theirs.
+// detach gives r a private store before a mutation when the current one is
+// shared with snapshots. Rows dead at the floor are dropped from the copy —
+// they were invisible anyway. Tuples are never copied. This is the one
+// place a handle leaves a shared store, so also where it gives up the
+// store's remembered order; the handles still on the store keep theirs.
+// Slot numbers read before a detach are void after it (the copy may have
+// been compacted).
 func (r *Relation) detach() {
 	if !r.shared {
 		return
 	}
-	rows := make(map[string]Row, len(r.rows))
-	for k, row := range r.rows {
-		if row.Texp > r.floor {
-			rows[k] = row
-		}
-	}
-	r.rows = rows
+	r.copyStore(r, r.floor)
 	r.shared = false
 	r.sorted = nil
+}
+
+// copyStore gives dst a private copy of r's store less the rows dead at
+// tau: two bulk clones, then each dead row is punched out — its slot made a
+// hole, its key re-derived into one scratch buffer and deleted (a map
+// delete by string(buf) does not allocate). Slot order survives the copy.
+func (r *Relation) copyStore(dst *Relation, tau xtime.Time) {
+	dst.slots, dst.keys, dst.free = slices.Clone(r.slots), maps.Clone(r.keys), slices.Clone(r.free)
+	var key []byte
+	for i := range dst.slots {
+		if row := dst.slots[i]; row.Texp <= tau && row.Texp != hole {
+			key = row.Tuple.AppendKey(key[:0])
+			delete(dst.keys, string(key))
+			dst.release(slot(i))
+		}
+	}
+	dst.boundSlots()
+}
+
+// release turns slot s into a hole an insert may reuse.
+func (r *Relation) release(s slot) {
+	r.slots[s] = Row{Texp: hole}
+	r.free = append(r.free, s)
+}
+
+// slack is what boundSlots and boundTexpIdx tolerate beyond 2×rows: large
+// enough that steady churn on a small table never pays a rebuild.
+const slack = 1024
+
+// boundSlots squeezes the holes out, in slot order, once they push the
+// store past 2×rows + slack slots, so a table that drains from 100 000 rows
+// to ten is scanned as ten. What is left holds no hole, so the next
+// compaction is at least rows + slack deletes away: amortised O(1). Only
+// ever called on a private store; every slot number changes.
+func (r *Relation) boundSlots() {
+	if len(r.slots) <= 2*len(r.keys)+slack {
+		return
+	}
+	slots, moved := make([]Row, 0, len(r.keys)), make([]slot, len(r.slots))
+	for i, row := range r.slots {
+		if row.Texp != hole {
+			moved[i] = slot(len(slots))
+			slots = append(slots, row)
+		}
+	}
+	keys := make(map[string]slot, len(slots))
+	for k, s := range r.keys {
+		keys[k] = moved[s]
+	}
+	r.slots, r.keys, r.free = slots, keys, nil
 }
 
 // Len returns the number of stored tuples, including ones that may already
@@ -178,15 +249,9 @@ func (r *Relation) detach() {
 // A shared snapshot counts only the rows alive at its snapshot instant.
 func (r *Relation) Len() int {
 	if r.floor == 0 {
-		return len(r.rows)
+		return len(r.keys)
 	}
-	n := 0
-	for _, row := range r.rows {
-		if row.Texp > r.floor {
-			n++
-		}
-	}
-	return n
+	return r.CountAt(r.floor)
 }
 
 // Insert adds t with expiration texp. If an equal tuple is present the
@@ -209,18 +274,45 @@ func (r *Relation) InsertPrev(t tuple.Tuple, texp xtime.Time) (changed bool, pre
 // t.Key().
 func (r *Relation) InsertKeyed(key string, t tuple.Tuple, texp xtime.Time) (changed bool, prev xtime.Time, had bool) {
 	r.detach()
-	if old, ok := r.rows[key]; ok {
-		if texp > old.Texp {
-			r.rows[key] = Row{Tuple: old.Tuple, Texp: texp}
-			r.idxUpdate(key, old.Tuple, texp)
-			return true, old.Texp, true
-		}
-		return false, old.Texp, true
+	if s, ok := r.keys[key]; ok {
+		prev = r.slots[s].Texp
+		return r.extend(key, s, texp), prev, true
 	}
-	ct := t.Clone()
-	r.rows[key] = Row{Tuple: ct, Texp: texp}
-	r.idxInsert(key, ct, texp)
+	r.place(key, t.Clone(), texp)
 	return true, 0, false
+}
+
+// extend raises the texp of the row in slot s, stored under key, to texp —
+// one word written in place, on a store already private — unless it
+// already expires as late.
+func (r *Relation) extend(key string, s slot, texp xtime.Time) bool {
+	row := &r.slots[s]
+	if texp <= row.Texp {
+		return false
+	}
+	row.Texp = texp
+	r.idxUpdate(key, row.Tuple, texp)
+	return true
+}
+
+// place stores a row not yet present, in a freed slot when there is one and
+// at the end otherwise; t becomes the relation's own. A store grows
+// eightfold while it is small — a result of forty rows is three arrays
+// (1, 8 and 64 rows), not seven — and by append's rule from 64 rows on.
+func (r *Relation) place(key string, t tuple.Tuple, texp xtime.Time) {
+	var s slot
+	if n := len(r.free); n > 0 {
+		s, r.free = r.free[n-1], r.free[:n-1]
+		r.slots[s] = Row{Tuple: t, Texp: texp}
+	} else {
+		if n := len(r.slots); n == cap(r.slots) && n < 64 {
+			r.slots = slices.Grow(r.slots, max(1, 7*n))
+		}
+		s = slot(len(r.slots))
+		r.slots = append(r.slots, Row{Tuple: t, Texp: texp})
+	}
+	r.keys[key] = s
+	r.idxInsert(key, t, texp)
 }
 
 // InsertOwned is InsertKeyed for tuples the relation may store without a
@@ -231,16 +323,10 @@ func (r *Relation) InsertKeyed(key string, t tuple.Tuple, texp xtime.Time) (chan
 // copy.
 func (r *Relation) InsertOwned(key string, t tuple.Tuple, texp xtime.Time) bool {
 	r.detach()
-	if old, ok := r.rows[key]; ok {
-		if texp > old.Texp {
-			r.rows[key] = Row{Tuple: old.Tuple, Texp: texp}
-			r.idxUpdate(key, old.Tuple, texp)
-			return true
-		}
-		return false
+	if s, ok := r.keys[key]; ok {
+		return r.extend(key, s, texp)
 	}
-	r.rows[key] = Row{Tuple: t, Texp: texp}
-	r.idxInsert(key, t, texp)
+	r.place(key, t, texp)
 	return true
 }
 
@@ -260,60 +346,67 @@ func (r *Relation) Delete(t tuple.Tuple) bool {
 // DeleteKey removes the tuple stored under key (a value of Tuple.Key),
 // reporting whether it was present.
 func (r *Relation) DeleteKey(key string) bool {
-	row, ok := r.rows[key]
-	if !ok || row.Texp <= r.floor {
+	s, ok := r.keys[key]
+	if !ok || r.slots[s].Texp <= r.floor {
 		return false
 	}
-	r.detach()
-	delete(r.rows, key)
-	r.idxRemove(key, row.Tuple)
+	if r.shared {
+		r.detach()
+		s = r.keys[key]
+	}
+	r.remove(key, s)
+	r.boundSlots()
 	r.boundTexpIdx()
 	return true
+}
+
+// remove drops the row stored under key, in slot s of a private store, from
+// the store and the secondary indexes, and returns it.
+func (r *Relation) remove(key string, s slot) Row {
+	row := r.slots[s]
+	delete(r.keys, key)
+	r.release(s)
+	r.idxRemove(key, row.Tuple)
+	return row
 }
 
 // RowByKey returns the row stored under key (a value of Tuple.Key). The
 // returned row's tuple is the relation's own storage: callers must not
 // mutate it, and should only retain it after deleting the row.
 func (r *Relation) RowByKey(key string) (Row, bool) {
-	row, ok := r.rows[key]
-	if !ok || row.Texp <= r.floor {
+	s, ok := r.keys[key]
+	if !ok || r.slots[s].Texp <= r.floor {
 		return Row{}, false
 	}
-	return row, true
+	return r.slots[s], true
 }
 
 // Texp returns texp_R(t) and whether t ∈ R.
 func (r *Relation) Texp(t tuple.Tuple) (xtime.Time, bool) {
-	row, ok := r.rows[t.Key()]
-	if !ok || row.Texp <= r.floor {
-		return 0, false
-	}
-	return row.Texp, true
+	return r.TexpKey(t.Key())
 }
 
 // TexpKey is Texp for callers that already computed t.Key().
 func (r *Relation) TexpKey(key string) (xtime.Time, bool) {
-	row, ok := r.rows[key]
-	if !ok || row.Texp <= r.floor {
-		return 0, false
-	}
-	return row.Texp, true
+	row, ok := r.RowByKey(key)
+	return row.Texp, ok
 }
 
 // Contains reports whether t ∈ expτ(R), i.e. t is present and unexpired at
 // time tau.
 func (r *Relation) Contains(t tuple.Tuple, tau xtime.Time) bool {
-	row, ok := r.rows[t.Key()]
-	return ok && row.Texp > r.effTau(tau)
+	s, ok := r.keys[t.Key()]
+	return ok && r.slots[s].Texp > r.effTau(tau)
 }
 
 // AliveAt calls fn for every row of expτ(R). Iteration order is
 // unspecified; fn must not mutate the relation.
 func (r *Relation) AliveAt(tau xtime.Time, fn func(Row)) {
 	tau = r.effTau(tau)
-	for _, row := range r.rows {
-		if row.Texp > tau {
-			fn(row)
+	slots := r.slots // fn is opaque: without the copy the header is reloaded after every call
+	for i := range slots {
+		if slots[i].Texp > tau {
+			fn(slots[i])
 		}
 	}
 }
@@ -322,8 +415,8 @@ func (r *Relation) AliveAt(tau xtime.Time, fn func(Row)) {
 // caller about to DeleteKey the rows it picks need not re-encode them.
 func (r *Relation) AliveKeyedAt(tau xtime.Time, fn func(key string, row Row)) {
 	tau = r.effTau(tau)
-	for k, row := range r.rows {
-		if row.Texp > tau {
+	for k, s := range r.keys {
+		if row := r.slots[s]; row.Texp > tau {
 			fn(k, row)
 		}
 	}
@@ -331,20 +424,14 @@ func (r *Relation) AliveKeyedAt(tau xtime.Time, fn func(key string, row Row)) {
 
 // All calls fn for every stored row regardless of expiration (for a
 // shared snapshot: every row alive at its snapshot instant).
-func (r *Relation) All(fn func(Row)) {
-	for _, row := range r.rows {
-		if row.Texp > r.floor {
-			fn(row)
-		}
-	}
-}
+func (r *Relation) All(fn func(Row)) { r.AliveAt(r.floor, fn) }
 
 // CountAt returns |expτ(R)|.
 func (r *Relation) CountAt(tau xtime.Time) int {
 	tau = r.effTau(tau)
 	n := 0
-	for _, row := range r.rows {
-		if row.Texp > tau {
+	for i := range r.slots {
+		if r.slots[i].Texp > tau {
 			n++
 		}
 	}
@@ -352,39 +439,42 @@ func (r *Relation) CountAt(tau xtime.Time) int {
 }
 
 // Snapshot returns a new relation holding exactly expτ(R). The result has
-// a private row map but shares the (immutable) tuples with r, so the cost
-// is one map, not a deep copy of the data.
+// a private store but shares the (immutable) tuples with r, so the cost is
+// one copy of the store, not a deep copy of the data.
 func (r *Relation) Snapshot(tau xtime.Time) *Relation {
-	tau = r.effTau(tau)
-	out := New(r.schema)
-	for k, row := range r.rows {
-		if row.Texp > tau {
-			out.rows[k] = row
-		}
-	}
+	out := &Relation{order: lockSeq.Add(1), schema: r.schema}
+	r.copyStore(out, r.effTau(tau))
 	return out
 }
 
 // SnapshotShared returns expτ(R) as a zero-copy snapshot: the result
-// aliases r's row map (O(1), no allocation beyond the header) and filters
+// aliases r's store (O(1), no allocation beyond the header) and filters
 // rows dead at tau lazily on every access. Both handles stay safe to
-// mutate — the first mutation on either side copies the map before
+// mutate — the first mutation on either side copies the store before
 // writing (tuples are immutable and stay shared), so the snapshot is
 // effectively immutable from the moment it is taken. Views use it to
 // serve reads from the materialisation without copying it.
 //
-// Freezing the map freezes its tuple order too, so every handle on it
-// shares one sortedRows (fewer than two rows have no order worth the
-// allocation). Like any write to r, the call needs r exclusively.
+// A store is frozen far longer than it was built, so the first freeze moves
+// the slots to an array of their own size when growth left more than an
+// allocator size class of room behind them. Freezing the store freezes its
+// tuple order too, so every handle on it shares one sortedRows (fewer than
+// two rows have no order worth the allocation). Like any write to r, the
+// call needs r exclusively.
 func (r *Relation) SnapshotShared(tau xtime.Time) *Relation {
+	if !r.shared && cap(r.slots)-len(r.slots) > len(r.slots)/8 {
+		r.slots = slices.Clone(r.slots)
+	}
 	r.shared = true
-	if r.sorted == nil && len(r.rows) > 1 {
+	if r.sorted == nil && len(r.keys) > 1 {
 		r.sorted = new(sortedRows)
 	}
 	return &Relation{
 		order:  lockSeq.Add(1),
 		schema: r.schema,
-		rows:   r.rows,
+		slots:  r.slots,
+		keys:   r.keys,
+		free:   r.free,
 		floor:  r.effTau(tau),
 		shared: true,
 		sorted: r.sorted,
@@ -392,16 +482,8 @@ func (r *Relation) SnapshotShared(tau xtime.Time) *Relation {
 }
 
 // Clone returns an independent copy of r, expired rows included. Tuples
-// are shared (they are immutable); the row map is private.
-func (r *Relation) Clone() *Relation {
-	out := New(r.schema)
-	for k, row := range r.rows {
-		if row.Texp > r.floor {
-			out.rows[k] = row
-		}
-	}
-	return out
-}
+// are shared (they are immutable); the store is private.
+func (r *Relation) Clone() *Relation { return r.Snapshot(r.floor) }
 
 // RemoveExpired physically deletes rows with texp ≤ tau and returns them.
 // This is the eager/lazy removal hook of §3.2: eager engines call it on
@@ -413,21 +495,17 @@ func (r *Relation) RemoveExpired(tau xtime.Time) []Row {
 	var removed []Row
 	if r.texpIdx != nil {
 		r.texpIdx.PopDue(tau, r.currentTexp, func(key string, _ xtime.Time) {
-			row := r.rows[key]
-			removed = append(removed, row)
-			delete(r.rows, key)
-			r.idxRemove(key, row.Tuple)
+			removed = append(removed, r.remove(key, r.keys[key]))
 		})
 		r.boundTexpIdx()
-		return removed
-	}
-	for k, row := range r.rows {
-		if row.Texp <= tau {
-			removed = append(removed, row)
-			delete(r.rows, k)
-			r.idxRemove(k, row.Tuple)
+	} else {
+		for k, s := range r.keys {
+			if r.slots[s].Texp <= tau {
+				removed = append(removed, r.remove(k, s))
+			}
 		}
 	}
+	r.boundSlots()
 	return removed
 }
 
@@ -439,7 +517,7 @@ func (r *Relation) ExpiresBy(tau xtime.Time) bool {
 	if r.texpIdx != nil {
 		return r.texpIdx.Due(tau)
 	}
-	return len(r.rows) > 0
+	return len(r.keys) > 0
 }
 
 // TexpPending returns the number of pairs in the texp-ordered index,
@@ -451,32 +529,14 @@ func (r *Relation) TexpPending() int {
 	return r.texpIdx.Len()
 }
 
-// NextExpiration returns the smallest finite texp strictly greater than
-// tau, or Infinity when no stored tuple expires after tau. Engines use it
-// to schedule sweeps and triggers. With the texp-ordered index this is a
-// heap peek (plus discarding stale pairs) instead of an O(n) scan.
-func (r *Relation) NextExpiration(tau xtime.Time) xtime.Time {
-	tau = r.effTau(tau)
-	if r.texpIdx != nil {
-		return r.texpIdx.NextAfter(tau, r.currentTexp)
-	}
-	next := xtime.Infinity
-	for _, row := range r.rows {
-		if row.Texp > tau && row.Texp < next {
-			next = row.Texp
-		}
-	}
-	return next
-}
-
 // currentTexp is the texp-heap's staleness oracle: the live expiration
 // time stored for key, if any.
 func (r *Relation) currentTexp(key string) (xtime.Time, bool) {
-	row, ok := r.rows[key]
+	s, ok := r.keys[key]
 	if !ok {
 		return 0, false
 	}
-	return row.Texp, true
+	return r.slots[s].Texp, true
 }
 
 // Rows returns the rows of expτ(R) in unspecified order — the
@@ -484,10 +544,10 @@ func (r *Relation) currentTexp(key string) (xtime.Time, bool) {
 // set. Deterministic consumers (rendering, tests) want RowsSorted.
 func (r *Relation) Rows(tau xtime.Time) []Row {
 	tau = r.effTau(tau)
-	out := make([]Row, 0, len(r.rows))
-	for _, row := range r.rows {
-		if row.Texp > tau {
-			out = append(out, row)
+	out := make([]Row, 0, len(r.keys))
+	for i := range r.slots {
+		if r.slots[i].Texp > tau {
+			out = append(out, r.slots[i])
 		}
 	}
 	return out
@@ -497,9 +557,10 @@ func (r *Relation) Rows(tau xtime.Time) []Row {
 // deterministic view for tests, rendering and ORDER BY's base order. A set
 // has no order: callers that only consume the rows want AliveAt or Rows.
 // The slice is the caller's own (ORDER BY re-sorts it in place). A private
-// map is collected and sorted per call; a shared one — a materialised view,
-// a cached result, every snapshot of either — is sorted once for all its
-// handles and filtered to the rows alive past max(floor, τ) per call.
+// store is collected and sorted per call; a shared one — a materialised
+// view, a cached result, every snapshot of either — is sorted once for all
+// its handles and filtered to the rows alive past max(floor, τ) per call,
+// counted first so the result is as large as what is alive and no larger.
 func (r *Relation) RowsSorted(tau xtime.Time) []Row {
 	if r.sorted == nil {
 		out := r.Rows(tau)
@@ -507,10 +568,9 @@ func (r *Relation) RowsSorted(tau xtime.Time) []Row {
 		return out
 	}
 	tau = r.effTau(tau)
-	all := r.sorted.of(r.rows)
-	out := make([]Row, 0, len(all))
-	for _, row := range all {
-		if row.Texp > tau {
+	out := make([]Row, 0, r.CountAt(tau))
+	for _, s := range r.sorted.of(r) {
+		if row := r.slots[s]; row.Texp > tau {
 			out = append(out, row)
 		}
 	}
@@ -523,11 +583,10 @@ func (r *Relation) EqualAt(o *Relation, tau xtime.Time) bool {
 	if r.CountAt(tau) != o.CountAt(tau) {
 		return false
 	}
-	otau := o.effTau(tau)
 	equal := true
 	r.AliveAt(tau, func(row Row) {
-		other, ok := o.rows[row.Tuple.Key()]
-		if !ok || other.Texp <= otau || other.Texp != row.Texp {
+		// row is alive at tau, so an equal texp in o is alive there too.
+		if texp, ok := o.Texp(row.Tuple); !ok || texp != row.Texp {
 			equal = false
 		}
 	})
@@ -540,11 +599,9 @@ func (r *Relation) SameTuplesAt(o *Relation, tau xtime.Time) bool {
 	if r.CountAt(tau) != o.CountAt(tau) {
 		return false
 	}
-	otau := o.effTau(tau)
 	equal := true
 	r.AliveAt(tau, func(row Row) {
-		other, ok := o.rows[row.Tuple.Key()]
-		if !ok || other.Texp <= otau {
+		if !o.Contains(row.Tuple, tau) {
 			equal = false
 		}
 	})
@@ -597,8 +654,8 @@ func (r *Relation) idxUpdate(key string, t tuple.Tuple, texp xtime.Time) {
 }
 
 // idxRemove drops a deleted/expired row from the secondary indexes. The
-// texp heap is left alone: its pair is stale now and Next/PopDue discard
-// it when it surfaces.
+// texp heap is left alone: its pair is stale now and PopDue discards it
+// when it surfaces.
 func (r *Relation) idxRemove(key string, t tuple.Tuple) {
 	for _, ni := range r.indexes {
 		ni.Idx.Remove(key, t)
@@ -612,11 +669,9 @@ func (r *Relation) idxRemove(key string, t tuple.Tuple) {
 // order-independent: a CREATE INDEX replayed after its table's inserts
 // sees them here, and inserts replayed later flow through the hooks.
 func (r *Relation) AttachIndex(name string, idx index.Index) {
-	for k, row := range r.rows {
-		if row.Texp > r.floor {
-			idx.Insert(index.Entry{Key: k, Tuple: row.Tuple, Texp: row.Texp})
-		}
-	}
+	r.AliveKeyedAt(r.floor, func(k string, row Row) {
+		idx.Insert(index.Entry{Key: k, Tuple: row.Tuple, Texp: row.Texp})
+	})
 	r.indexes = append(r.indexes, NamedIndex{Name: name, Idx: idx})
 }
 
@@ -658,25 +713,21 @@ func (r *Relation) EnableTexpIndex() {
 // finite-texp row.
 func (r *Relation) rebuildTexpIdx() {
 	th := index.NewTexpHeap()
-	for k, row := range r.rows {
-		th.Push(k, row.Texp)
+	for k, s := range r.keys {
+		th.Push(k, r.slots[s].Texp)
 	}
 	r.texpIdx = th
 }
 
-// texpSlack is the number of texp-heap pairs tolerated beyond 2×rows:
-// large enough that steady churn on a small table never pays a rebuild.
-const texpSlack = 1024
-
 // boundTexpIdx rebuilds the texp heap from the stored rows once the
 // stale pairs that deletes and lifetime extensions leave behind push it
-// past 2×rows + texpSlack, so delete-heavy churn with long TTLs cannot
+// past 2×rows + slack, so delete-heavy churn with long TTLs cannot
 // grow it without bound. A rebuild leaves at most rows pairs, so the next
-// one is at least rows + texpSlack mutations away: amortised O(1). Every
+// one is at least rows + slack mutations away: amortised O(1). Every
 // mutator that can break the bound calls it under the write lock it
 // already holds.
 func (r *Relation) boundTexpIdx() {
-	if r.texpIdx != nil && r.texpIdx.Len() > 2*len(r.rows)+texpSlack {
+	if r.texpIdx != nil && r.texpIdx.Len() > 2*len(r.keys)+slack {
 		r.rebuildTexpIdx()
 	}
 }

@@ -100,11 +100,8 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-func TestRemoveExpiredAndNextExpiration(t *testing.T) {
+func TestRemoveExpired(t *testing.T) {
 	r := pol()
-	if next := r.NextExpiration(0); next != 10 {
-		t.Errorf("NextExpiration(0) = %v, want 10", next)
-	}
 	removed := r.RemoveExpired(10)
 	if len(removed) != 2 {
 		t.Errorf("removed %d rows, want 2", len(removed))
@@ -112,11 +109,8 @@ func TestRemoveExpiredAndNextExpiration(t *testing.T) {
 	if r.Len() != 1 {
 		t.Errorf("Len after sweep = %d, want 1", r.Len())
 	}
-	if next := r.NextExpiration(10); next != 15 {
-		t.Errorf("NextExpiration(10) = %v, want 15", next)
-	}
-	if next := r.NextExpiration(15); next != xtime.Infinity {
-		t.Errorf("NextExpiration(15) = %v, want Infinity", next)
+	if texp, ok := r.Texp(tuple.Ints(2, 25)); !ok || texp != 15 {
+		t.Errorf("the survivor is %v,%v, want ⟨2,25⟩ at 15", texp, ok)
 	}
 }
 
@@ -296,10 +290,10 @@ func TestQuickSnapshotMatchesContains(t *testing.T) {
 }
 
 // texpBoundHolds is the invariant boundTexpIdx maintains: the texp heap
-// never holds more than 2×rows + texpSlack pairs, stale ones included.
+// never holds more than 2×rows + slack pairs, stale ones included.
 func texpBoundHolds(t *testing.T, r *Relation, when string) {
 	t.Helper()
-	if got, max := r.TexpPending(), 2*r.Len()+texpSlack; got > max {
+	if got, max := r.TexpPending(), 2*r.Len()+slack; got > max {
 		t.Fatalf("%s: texp heap holds %d pairs for %d rows (bound %d)", when, got, r.Len(), max)
 	}
 }
@@ -325,7 +319,7 @@ func TestTexpHeapBoundedUnderDeleteChurn(t *testing.T) {
 	}
 	// live×rounds pairs were pushed in all; without the rebuild they would
 	// all still be here.
-	if got := r.TexpPending(); got > texpSlack {
+	if got := r.TexpPending(); got > slack {
 		t.Fatalf("empty table keeps %d stale pairs", got)
 	}
 }
@@ -340,8 +334,8 @@ func TestTexpHeapBoundedUnderExtension(t *testing.T) {
 		texpBoundHolds(t, r, "extension")
 	}
 	// The one live pair survives every rebuild and still expires the row.
-	if next := r.NextExpiration(0); next != 1_009_999 {
-		t.Fatalf("NextExpiration = %v, want 1009999", next)
+	if removed := r.RemoveExpired(1_009_998); len(removed) != 0 {
+		t.Fatal("a stale pair expired the row before its extended texp")
 	}
 	if removed := r.RemoveExpired(1_009_999); len(removed) != 1 || r.TexpPending() != 0 {
 		t.Fatalf("removed %d rows, %d pairs left; want 1 and 0", len(removed), r.TexpPending())

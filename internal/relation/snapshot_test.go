@@ -48,8 +48,8 @@ func TestSnapshotSharedEqualsSnapshot(t *testing.T) {
 		if len(shared.Rows(0)) != len(phys.Rows(0)) {
 			t.Fatal("Rows leaks pre-snapshot rows")
 		}
-		if shared.NextExpiration(0) != phys.NextExpiration(0) {
-			t.Fatal("NextExpiration disagrees")
+		if shared.TotalRemainingLifetime(0) != phys.TotalRemainingLifetime(0) {
+			t.Fatal("TotalRemainingLifetime disagrees")
 		}
 	}
 }
@@ -151,5 +151,28 @@ func TestRowsUnsortedMatchesSorted(t *testing.T) {
 		if sorted[i-1].Tuple.Compare(sorted[i].Tuple) >= 0 {
 			t.Fatal("RowsSorted not sorted")
 		}
+	}
+}
+
+// TestDeleteThroughACompactingDetach: a snapshot taken past the expiration
+// of nearly all of a large store detaches into a copy that is compacted on
+// the spot, every slot renumbered — the slot its delete looked up before
+// detaching is void, and the source keeps everything.
+func TestDeleteThroughACompactingDetach(t *testing.T) {
+	r := New(tuple.IntCols("a", "b"))
+	for i := 0; i < 3000; i++ {
+		r.MustInsertInts(10, int64(i), 0)
+	}
+	r.MustInsertInts(100, 5000, 0)
+	r.MustInsertInts(100, 5001, 0)
+	s := r.SnapshotShared(50)
+	if !s.Delete(tuple.Ints(5001, 0)) {
+		t.Fatal("the snapshot's delete missed a live row")
+	}
+	if s.Len() != 1 || !s.Contains(tuple.Ints(5000, 0), 50) || len(s.slots) != 2 {
+		t.Fatalf("after the delete the snapshot holds %d rows in %d slots, want ⟨5000,0⟩ and a hole", s.Len(), len(s.slots))
+	}
+	if r.Len() != 3002 || !r.Contains(tuple.Ints(5001, 0), 50) {
+		t.Fatal("the snapshot's delete reached the source")
 	}
 }

@@ -25,26 +25,40 @@ func sameRows(t *testing.T, what string, got, want []Row) {
 	}
 }
 
-// freshSort is the reference RowsSorted: collect, then sort, every time.
-func freshSort(r *Relation, tau xtime.Time) []Row {
-	rows := r.Rows(tau)
+func sortRows(rows []Row) []Row {
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Tuple.Compare(rows[j].Tuple) < 0 })
 	return rows
 }
 
-// handle pairs a relation with a model of what it must contain: tuple key
-// -> texp of every row alive past the handle's floor.
+// freshSort is the reference RowsSorted: collect, then sort, every time.
+func freshSort(r *Relation, tau xtime.Time) []Row { return sortRows(r.Rows(tau)) }
+
+// handle pairs a relation with a model of what it must contain: set key ->
+// row, for every row alive past the handle's floor.
 type handle struct {
 	rel   *Relation
 	model map[string]Row
 	floor xtime.Time
 }
 
-func (h *handle) snapshot(tau xtime.Time) *handle {
-	if tau < h.floor {
-		tau = h.floor
+// The ways one handle begets another.
+const (
+	forkShared   = iota // SnapshotShared(τ): aliases the store, floor max(floor, τ)
+	forkSnapshot        // Snapshot(τ): a private copy of the rows alive at τ
+	forkClone           // Clone(): a private copy of every visible row
+)
+
+func (h *handle) fork(kind int, tau xtime.Time) *handle {
+	tau = max(tau, h.floor)
+	s := &handle{model: make(map[string]Row)}
+	switch kind {
+	case forkShared:
+		s.rel, s.floor = h.rel.SnapshotShared(tau), tau
+	case forkSnapshot:
+		s.rel = h.rel.Snapshot(tau)
+	case forkClone:
+		s.rel, tau = h.rel.Clone(), h.floor
 	}
-	s := &handle{rel: h.rel.SnapshotShared(tau), model: make(map[string]Row), floor: tau}
 	for k, row := range h.model {
 		if row.Texp > tau {
 			s.model[k] = row
@@ -53,67 +67,173 @@ func (h *handle) snapshot(tau xtime.Time) *handle {
 	return s
 }
 
-func (h *handle) check(t *testing.T, step int, rng *rand.Rand) {
+// insert applies set semantics on both sides, through Insert and InsertOwned
+// by turns — the second stores the caller's tuple as it is, and the ⟨⟩ the
+// wire and the log hand over is a nil slice. A row at or below the floor is
+// stored but never shown, so the model leaves it out.
+func (h *handle) insert(tp tuple.Tuple, texp xtime.Time) {
+	if texp%2 == 0 {
+		h.rel.InsertOwnedRow(Row{Tuple: tp, Texp: texp})
+	} else {
+		h.rel.Insert(tp, texp)
+	}
+	if old, ok := h.model[tp.Key()]; texp > h.floor && (!ok || texp > old.Texp) {
+		h.model[tp.Key()] = Row{Tuple: tp, Texp: texp}
+	}
+}
+
+// delete removes tp on both sides; DeleteKey must report exactly whether the
+// model held it.
+func (h *handle) delete(t *testing.T, tp tuple.Tuple) {
 	t.Helper()
+	k := tp.Key()
+	_, want := h.model[k]
+	if got := h.rel.DeleteKey(k); got != want {
+		t.Fatalf("DeleteKey(%v) = %v, the model says %v", tp, got, want)
+	}
+	delete(h.model, k)
+	h.bounded(t)
+}
+
+// some returns up to n rows of the model, in tuple order so that a seed
+// names one run.
+func (h *handle) some(rng *rand.Rand, n int) []Row {
+	rows := make([]Row, 0, len(h.model))
+	for _, row := range h.model {
+		rows = append(rows, row)
+	}
+	sortRows(rows)
+	rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	return rows[:min(n, len(rows))]
+}
+
+// bounded is the store's shape: one hole per freed slot and no other, and
+// never more than 2×rows + slack slots — on a store that was just copied
+// or compacted as on any other.
+func (h *handle) bounded(t *testing.T) {
+	t.Helper()
+	r := h.rel
+	if len(r.slots) > 2*len(r.keys)+slack {
+		t.Fatalf("%d slots for %d rows (bound %d)", len(r.slots), len(r.keys), 2*len(r.keys)+slack)
+	}
+	if len(r.free) != len(r.slots)-len(r.keys) {
+		t.Fatalf("%d slots, %d rows, but %d free", len(r.slots), len(r.keys), len(r.free))
+	}
+	for _, s := range r.free {
+		if r.slots[s].Texp != hole {
+			t.Fatalf("free slot %d holds %v@%v", s, r.slots[s].Tuple, r.slots[s].Texp)
+		}
+	}
+}
+
+// check compares every accessor with the model: the scans (RowsSorted, Rows,
+// AliveAt, CountAt) below, at and above the floor and at two sampled
+// instants, Len, and the point accessors over the whole tuple domain.
+func (h *handle) check(t *testing.T, step int, rng *rand.Rand, domain []tuple.Tuple) {
+	t.Helper()
+	h.bounded(t)
 	taus := []xtime.Time{0, h.floor - 1, h.floor, h.floor + 1, xtime.Time(rng.Intn(80)), xtime.Time(rng.Intn(80))}
 	for _, tau := range taus {
-		eff := tau
-		if eff < h.floor {
-			eff = h.floor
-		}
+		eff := max(tau, h.floor)
 		var want []Row
 		for _, row := range h.model {
 			if row.Texp > eff {
 				want = append(want, row)
 			}
 		}
-		sort.Slice(want, func(i, j int) bool { return want[i].Tuple.Compare(want[j].Tuple) < 0 })
+		sortRows(want)
 		got := h.rel.RowsSorted(tau)
 		what := fmt.Sprintf("step %d, floor %v, τ=%v", step, h.floor, tau)
 		sameRows(t, what+" vs model", got, want)
 		sameRows(t, what+" vs sorted Rows(τ)", got, freshSort(h.rel, tau))
+		var alive []Row
+		h.rel.AliveAt(tau, func(row Row) {
+			if row.Texp <= eff {
+				t.Fatalf("%s: AliveAt shows %v@%v", what, row.Tuple, row.Texp)
+			}
+			alive = append(alive, row)
+		})
+		sameRows(t, what+" AliveAt vs model", sortRows(alive), want)
+		if n := h.rel.CountAt(tau); n != len(want) {
+			t.Fatalf("%s: CountAt = %d, want %d", what, n, len(want))
+		}
+	}
+	if n := h.rel.Len(); n != len(h.model) {
+		t.Fatalf("step %d, floor %v: Len = %d, want %d", step, h.floor, n, len(h.model))
+	}
+	for _, tp := range domain {
+		k := tp.Key()
+		want, ok := h.model[k]
+		texp, gotTexp := h.rel.TexpKey(k)
+		row, gotRow := h.rel.RowByKey(k)
+		if gotTexp != ok || gotRow != ok || texp != want.Texp || row.Texp != want.Texp || (ok && !row.Tuple.Equal(tp)) {
+			t.Fatalf("step %d, floor %v: %v is %v@%v (%v) by RowByKey and @%v (%v) by TexpKey, want @%v (%v)",
+				step, h.floor, tp, row.Tuple, row.Texp, gotRow, texp, gotTexp, want.Texp, ok)
+		}
 	}
 }
 
-// TestRowsSortedUnderRandomInterleavings: whatever mix of inserts, lifetime
-// extensions, deletes, sweeps and shared snapshots a source and its
-// snapshots go through, RowsSorted(τ) on every live handle is Rows(τ)
-// sorted — below, at and above the handle's floor — and matches a model
-// kept beside the handle, so an escaped snapshot never sees a later write
-// through a remembered order.
+// TestRowsSortedUnderRandomInterleavings is the model test of the row store:
+// whatever mix of inserts, lifetime extensions, shorter re-inserts, deletes,
+// sweeps, delete-then-insert bursts (freed slots reused), a drain that
+// compacts, and shared snapshots, copies and clones a source and its
+// descendants go through, every accessor of every live handle agrees with a
+// map kept beside the handle — below, at and above the handle's floor — so
+// an escaped snapshot never sees a later write: not through a remembered
+// order, not through a slot written in place or reused, not through a
+// compaction. The schemas are ⟨a, b⟩ without and with the texp heap, and
+// the zero-column relation, whose one tuple ⟨⟩ has no values to tell it
+// from a hole by.
 func TestRowsSortedUnderRandomInterleavings(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		src := &handle{rel: New(tuple.IntCols("a", "b")), model: make(map[string]Row)}
-		if seed%2 == 0 {
+		schema := tuple.IntCols("a", "b")
+		gen := func() tuple.Tuple { return tuple.Ints(int64(rng.Intn(40)), int64(rng.Intn(3))) }
+		fresh := func(i int) tuple.Tuple { return tuple.Ints(int64(1000+i), 0) } // outside gen's domain
+		var domain []tuple.Tuple
+		for a := int64(0); a < 40; a++ {
+			for b := int64(0); b < 3; b++ {
+				domain = append(domain, tuple.Ints(a, b))
+			}
+		}
+		if seed%3 == 0 {
+			schema, domain = tuple.Schema{}, []tuple.Tuple{tuple.T()}
+			gen = func() tuple.Tuple { return tuple.T() }
+			fresh = func(int) tuple.Tuple { return tuple.T() }
+		}
+		src := &handle{rel: New(schema), model: make(map[string]Row)}
+		if seed%3 == 1 {
 			src.rel.EnableTexpIndex()
 		}
 		live := []*handle{src}
+		adopt := func(s *handle) {
+			if len(live) < 6 {
+				live = append(live, s)
+			} else {
+				live[1+rng.Intn(len(live)-1)] = s // the replaced handle is simply let go
+			}
+		}
+		nfresh := 0
 		for step := 0; step < 400; step++ {
 			h := live[rng.Intn(len(live))]
-			switch op := rng.Intn(10); {
+			switch op := rng.Intn(14); {
 			case op < 4: // insert, or extend when the tuple is there
-				tp := tuple.Ints(int64(rng.Intn(40)), int64(rng.Intn(3)))
-				texp := xtime.Time(1 + rng.Intn(80))
-				h.rel.Insert(tp, texp)
-				if old, ok := h.model[tp.Key()]; texp > h.floor && (!ok || texp > old.Texp) {
-					h.model[tp.Key()] = Row{Tuple: tp, Texp: texp}
+				h.insert(gen(), xtime.Time(1+rng.Intn(80)))
+			case op < 5: // extend a stored tuple: one word written in place
+				for _, row := range h.some(rng, 1) {
+					h.insert(row.Tuple, row.Texp+5)
 				}
-			case op < 5: // extend a stored tuple
-				for k, row := range h.model {
-					h.rel.Insert(row.Tuple, row.Texp+5)
-					h.model[k] = Row{Tuple: row.Tuple, Texp: row.Texp + 5}
-					break
-				}
-			case op < 6:
-				for k := range h.model {
-					if !h.rel.DeleteKey(k) {
-						t.Fatalf("seed %d step %d: DeleteKey missed a stored row", seed, step)
+			case op < 6: // a shorter lifetime never wins
+				for _, row := range h.some(rng, 1) {
+					if h.rel.Insert(row.Tuple, row.Texp-xtime.Time(1+rng.Intn(3))) {
+						t.Fatalf("seed %d step %d: a re-insert with a lower texp changed the relation", seed, step)
 					}
-					delete(h.model, k)
-					break
 				}
 			case op < 7:
+				for _, row := range h.some(rng, 1) {
+					h.delete(t, row.Tuple)
+				}
+			case op < 8:
 				tau := xtime.Time(rng.Intn(60))
 				h.rel.RemoveExpired(tau)
 				for k, row := range h.model {
@@ -121,16 +241,37 @@ func TestRowsSortedUnderRandomInterleavings(t *testing.T) {
 						delete(h.model, k)
 					}
 				}
-			default:
-				s := h.snapshot(xtime.Time(rng.Intn(60)))
-				if len(live) < 6 {
-					live = append(live, s)
-				} else {
-					live[1+rng.Intn(len(live)-1)] = s // the replaced handle is simply let go
+			case op < 9: // a burst: the inserts land in the slots the deletes freed
+				victims := h.some(rng, 6)
+				for _, row := range victims {
+					h.delete(t, row.Tuple)
 				}
+				for range victims {
+					h.insert(fresh(nfresh), xtime.Time(61+rng.Intn(20)))
+					nfresh++
+				}
+			case op < 10:
+				adopt(h.fork(forkSnapshot+rng.Intn(2), xtime.Time(rng.Intn(60))))
+			default:
+				adopt(h.fork(forkShared, xtime.Time(rng.Intn(60))))
+			}
+			if step == 150 {
+				// The drain: a table grows by 1 500 rows, is frozen, and
+				// loses them again. The holes pass rows + slack on the way
+				// down, so the store compacts — every slot renumbered —
+				// under a snapshot that must go on seeing all 1 500.
+				for i := 0; i < 1500; i++ {
+					h.insert(fresh(nfresh+i), xtime.Time(61+i%20))
+				}
+				frozen := h.fork(forkShared, 0)
+				for i := 0; i < 1500; i++ {
+					h.delete(t, fresh(nfresh+i))
+				}
+				nfresh += 1500
+				frozen.check(t, step, rng, domain)
 			}
 			for _, h := range live {
-				h.check(t, step, rng)
+				h.check(t, step, rng, domain)
 			}
 		}
 	}
@@ -152,19 +293,19 @@ func TestFrozenMapSortsOnce(t *testing.T) {
 	if held == nil || s1.sorted != held || s2.sorted != held || s3.sorted != held {
 		t.Fatal("handles on one frozen map do not share one remembered order")
 	}
-	if held.rows != nil {
+	if held.perm != nil {
 		t.Fatal("the order was built before anyone asked for it")
 	}
 
 	want1, want2, want3 := freshSort(s1, 0), freshSort(s2, 0), freshSort(s3, 35)
 	first := s2.RowsSorted(0)
-	backing := &held.rows[0]
+	backing := &held.perm[0]
 	for i := 0; i < 5; i++ {
 		sameRows(t, "s1", s1.RowsSorted(0), want1)
 		sameRows(t, "s2", s2.RowsSorted(0), want2)
 		sameRows(t, "s3", s3.RowsSorted(35), want3)
 		sameRows(t, "source", r.RowsSorted(0), want1)
-		if &held.rows[0] != backing || len(held.rows) != 300 {
+		if &held.perm[0] != backing || len(held.perm) != 300 {
 			t.Fatal("a later read rebuilt the remembered order")
 		}
 	}
@@ -183,7 +324,7 @@ func TestFrozenMapSortsOnce(t *testing.T) {
 	if r.sorted != nil || r.shared {
 		t.Fatal("the mutator kept the frozen map's order")
 	}
-	if s1.sorted != held || s2.sorted != held || &held.rows[0] != backing {
+	if s1.sorted != held || s2.sorted != held || &held.perm[0] != backing {
 		t.Fatal("a mutation of the source disturbed the snapshots' order")
 	}
 	sameRows(t, "s1 after source insert", s1.RowsSorted(0), want1)
@@ -224,8 +365,12 @@ func TestNoRememberedOrderBelowTwoRows(t *testing.T) {
 }
 
 // TestRowsSortedConcurrentSiblings: eight goroutines read sibling snapshots
-// in tuple order — racing to the one build — while the owner keeps
-// patching the source and freezing it again. Run under -race.
+// — in tuple order, racing to the one build, and through the scans and the
+// point accessors — while the owner keeps patching the source and freezing
+// it again. The owner's first write after a freeze is by turns a lifetime
+// extension (one word in place) and an insert into the slot the previous
+// round's delete freed: the two writes that would land in the array the
+// readers are walking if they did not detach first. Run under -race.
 func TestRowsSortedConcurrentSiblings(t *testing.T) {
 	owner := bigPol(500)
 	for round := 0; round < 20; round++ {
@@ -238,7 +383,7 @@ func TestRowsSortedConcurrentSiblings(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < 4; i++ {
 					got := snap.RowsSorted(xtime.Time(i))
-					if len(got) != len(want) {
+					if len(got) != len(want) || snap.CountAt(xtime.Time(i)) != len(want) || snap.Len() != len(want) {
 						t.Errorf("round %d: %d rows, want %d", round, len(got), len(want))
 						return
 					}
@@ -248,14 +393,29 @@ func TestRowsSortedConcurrentSiblings(t *testing.T) {
 							return
 						}
 					}
+					seen := 0
+					snap.AliveAt(xtime.Time(i), func(row Row) {
+						if texp, ok := snap.TexpKey(row.Tuple.Key()); !ok || texp != row.Texp {
+							t.Errorf("round %d: the scan shows %v@%v, the key map @%v (%v)", round, row.Tuple, row.Texp, texp, ok)
+						}
+						seen++
+					})
+					if seen != len(want) {
+						t.Errorf("round %d: AliveAt shows %d rows, want %d", round, seen, len(want))
+						return
+					}
 				}
 			}()
 		}
 		// Patches land while the readers run: the first detaches the owner.
+		if round%2 == 0 {
+			owner.Insert(want[round+1].Tuple, xtime.Time(1000+round))
+		}
 		for i := 0; i < 10; i++ {
 			owner.MustInsertInts(xtime.Time(100+round), int64(10_000+round*10+i), 0)
 		}
 		owner.Delete(want[round].Tuple)
+		owner.Delete(want[round+30].Tuple) // leaves a hole for the next round's first insert
 		sameRows(t, "owner", owner.RowsSorted(0), freshSort(owner, 0))
 		wg.Wait()
 	}
