@@ -572,20 +572,6 @@ func (db *DB) ReadViewContext(ctx context.Context, name string) (*Relation, Read
 	return db.eng.ReadView(name)
 }
 
-// ReadViewRows is a convenience shim over ReadView for callers that only
-// want the visible rows.
-//
-// Deprecated: query the view instead — db.Query("SELECT * FROM v") —
-// and read Result.Rows(); that path carries the validity window and the
-// Cached flag this shim discards. Kept for compatibility.
-func (db *DB) ReadViewRows(name string) ([]Row, error) {
-	rel, info, err := db.eng.ReadView(name)
-	if err != nil {
-		return nil, err
-	}
-	return rel.RowsSorted(info.At), nil
-}
-
 // NewWireServer exposes this database's relations to remote view nodes
 // over the fault-tolerant wire protocol. Call Listen on the result to
 // start serving, and Close (or Shutdown with a context) to drain and

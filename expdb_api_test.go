@@ -134,9 +134,8 @@ func TestAPIViewsAndReadInfo(t *testing.T) {
 	if src != expdb.SourceMaterialised || rel.CountAt(info.At) == 0 {
 		t.Fatalf("info=%+v", info)
 	}
-	rows, err := db.ReadViewRows("onlypol")
-	if err != nil || len(rows) == 0 {
-		t.Fatalf("rows=%v err=%v", rows, err)
+	if rows := rel.RowsSorted(info.At); len(rows) == 0 {
+		t.Fatalf("rows=%v", rows)
 	}
 
 	// The interval-validity mode and every recovery policy must be
@@ -684,7 +683,7 @@ func TestAPIContextVariants(t *testing.T) {
 func TestAPIReadInfoValidity(t *testing.T) {
 	db := apiDB(t)
 	db.MustExec("CREATE MATERIALIZED VIEW hist AS SELECT deg, COUNT(*) FROM pol GROUP BY deg")
-	_, info, err := db.ReadView("hist")
+	rel, info, err := db.ReadView("hist")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -695,14 +694,11 @@ func TestAPIReadInfoValidity(t *testing.T) {
 	if !info.Cached {
 		t.Fatal("a fresh materialised view read must report Cached (served from the materialisation)")
 	}
-	// The deprecated rows helper still works and matches Result.Rows().
-	rows, err := db.ReadViewRows("hist")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The view's own read and the SQL read of it show the same rows.
+	rows := rel.RowsSorted(info.At)
 	res := db.MustExec("SELECT * FROM hist")
 	if len(rows) != len(res.Rows()) {
-		t.Fatalf("ReadViewRows = %d rows, Result.Rows() = %d", len(rows), len(res.Rows()))
+		t.Fatalf("ReadView = %d rows, Result.Rows() = %d", len(rows), len(res.Rows()))
 	}
 
 	// Figure 1's difference, patched: {⟨3⟩} at 0, and ⟨2⟩ must appear at 3.

@@ -117,11 +117,7 @@ func TestPublicAlgebraAndViews(t *testing.T) {
 			t.Fatalf("uid %d missing", uid)
 		}
 	}
-	rows, err := db.ReadViewRows("onlypol")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
+	if rows := rel.RowsSorted(info.At); len(rows) != 3 {
 		t.Fatalf("visible rows = %d, want 3", len(rows))
 	}
 }

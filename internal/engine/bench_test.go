@@ -10,6 +10,7 @@ import (
 	"expdb/internal/index"
 	"expdb/internal/trace"
 	"expdb/internal/tuple"
+	"expdb/internal/value"
 	"expdb/internal/xtime"
 )
 
@@ -212,6 +213,48 @@ func BenchmarkCacheHit(b *testing.B) {
 		}
 		if !qr.Cached {
 			b.Fatal("hit path fell through to evaluation")
+		}
+	}
+}
+
+// BenchmarkCacheHitAfterWrite measures what a write costs a cached answer
+// it cannot change: one insert the plan's leaf rejects, then the lookup
+// that finds the epoch moved, tests the written tuple against the leaf
+// predicate, adopts the epoch and serves the hit. CI pins it at ≤9
+// allocs/op — the insert's budget (5) plus the hit's (4): recording the
+// stored tuple in the table's tail and revalidating allocate nothing.
+func BenchmarkCacheHitAfterWrite(b *testing.B) {
+	e, names := benchTables(b, 1)
+	for r := 0; r < 1024; r++ {
+		if err := e.Insert(names[0], tuple.Ints(int64(r), int64(r%7)), xtime.Infinity); err != nil {
+			b.Fatal(err)
+		}
+	}
+	base, err := e.Base(names[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	sel, err := algebra.NewSelect(algebra.ColConst{Col: 1, Op: algebra.OpEq, Const: value.Int(3)}, base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := sel.String()
+	tid := trace.NextID()
+	if _, err := e.QueryStamped(sel, key, tid); err != nil {
+		b.Fatal(err) // warm the entry
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.Insert(names[0], tuple.Ints(int64(1024+i), 9), xtime.Infinity); err != nil {
+			b.Fatal(err)
+		}
+		qr, err := e.QueryStamped(sel, key, tid)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !qr.Cached {
+			b.Fatal("a write the leaf rejects dropped the entry")
 		}
 	}
 }

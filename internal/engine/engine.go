@@ -116,14 +116,17 @@ type Engine struct {
 	sweepEvery xtime.Time // lazy sweep period
 	lastSweep  xtime.Time
 
-	// epochs counts writes per table name: Insert/Delete/DDL bump the
-	// table's epoch inside the same mu critical section that applies the
-	// mutation, and result-cache lookups compare the epochs an entry was
-	// computed under against the current ones — any mismatch means a
-	// write happened since and the entry is unservable. Entries are never
-	// deleted (a drop+recreate must not reset the count), and expiry does
-	// NOT bump: ValidUntil = texp(e) already bounds every cached window.
+	// epochs counts writes per table name: Insert/Delete/DDL move the
+	// table's epoch, through wrote, inside the same mu critical section
+	// that applies the mutation, and result-cache lookups compare the
+	// epochs an entry was computed under against the current ones — a
+	// mismatch means a write happened since, and tails (rescache.go) holds
+	// the tuples it changed: the entry is unservable only if a leaf of its
+	// plan selects one. Epochs are never deleted (a drop+recreate must not
+	// reset the count), and expiry does NOT bump: ValidUntil = texp(e)
+	// already bounds every cached window.
 	epochs map[string]uint64
+	tails  map[string]*writeTail
 	// viewWrites is, per view, the sum of its base tables' write epochs at
 	// its last materialisation: what a view maintained under expiration
 	// only has not seen is the difference to the sum now (ViewMetrics).
@@ -200,6 +203,7 @@ func New(opts ...Option) *Engine {
 		sweepEvery: 16,
 		triggers:   make(map[string][]TriggerFunc),
 		epochs:     make(map[string]uint64),
+		tails:      make(map[string]*writeTail),
 		viewWrites: make(map[string]uint64),
 		events:     trace.NewLog(DefaultEventLogCapacity),
 		traces:     trace.NewStore(DefaultTraceLogCapacity),
@@ -269,7 +273,7 @@ func (e *Engine) CreateTable(name string, schema tuple.Schema) error {
 		e.mu.Unlock()
 		return err
 	}
-	e.epochs[name]++
+	e.wrote(name, nil, false)
 	e.mu.Unlock()
 	if err := e.walSync(seq); err != nil {
 		return e.walFail(err, true)
@@ -291,7 +295,7 @@ func (e *Engine) DropTable(name string) error {
 		return err
 	}
 	e.cat.DropTable(name)
-	e.epochs[name]++
+	e.wrote(name, nil, false)
 	e.mu.Unlock()
 	if err := e.walSync(seq); err != nil {
 		return e.walFail(err, true)
@@ -376,12 +380,12 @@ func (e *Engine) insert(table string, t tuple.Tuple, texpAt func(xtime.Time) xti
 		rel.Unlock()
 		return err
 	}
-	changed, _, _ := rel.InsertKeyed(key, t, texp)
+	stored, changed, _, _ := rel.InsertStored(key, t, texp)
 	e.m.Inserts.Inc()
 	if changed {
-		// Invalidate cached results over this table. A no-change duplicate
-		// leaves every result identical, so it keeps the epoch too.
-		e.epochs[table]++
+		// Cached results whose leaves select the tuple are stale; a
+		// no-change duplicate leaves every result identical.
+		e.wrote(table, stored, false)
 	}
 	e.mu.Unlock()
 	rel.Unlock()
@@ -448,11 +452,12 @@ func (e *Engine) DeleteWhere(plan algebra.Expr) (int, xtime.Time, error) {
 }
 
 // deleteKeys removes the rows of table stored under keys and alive at the
-// current tick, logging one delete record per row in apply order and
-// bumping the table's epoch once; it returns the rows removed and the
-// tick. The caller holds rel's write lock, which deleteKeys releases
-// before the statement's single fsync. A log failure stops the loop: rows
-// already removed stay removed (and logged), the rest are untouched.
+// current tick, logging one delete record per row in apply order, moving
+// the table's epoch once and recording every removed tuple; it returns the
+// rows removed and the tick. The caller holds rel's write lock, which
+// deleteKeys releases before the statement's single fsync. A log failure
+// stops the loop: rows already removed stay removed (and logged), the rest
+// are untouched.
 func (e *Engine) deleteKeys(table string, rel *relation.Relation, keys []string) (n int, now xtime.Time, err error) {
 	rec := wal.Record{Kind: wal.KindDelete, Name: table}
 	var seq uint64
@@ -478,12 +483,10 @@ func (e *Engine) deleteKeys(table string, rel *relation.Relation, keys []string)
 		}
 		seq = s
 		rel.DeleteKey(key)
+		e.wrote(table, row.Tuple, n > 0)
 		n++
 	}
-	if n > 0 {
-		e.m.Deletes.Add(int64(n))
-		e.epochs[table]++
-	}
+	e.m.Deletes.Add(int64(n))
 	e.mu.Unlock()
 	rel.Unlock()
 	if serr := e.walSync(seq); serr != nil && err == nil {
@@ -888,12 +891,12 @@ func (e *Engine) RefreshViewTraced(name string, tid trace.ID) error {
 // viewStaleness moves v's mark to the writes its base tables have seen by
 // now when mark is set, and returns how many they have seen since the mark.
 func (e *Engine) viewStaleness(v *view.View, mark bool) uint64 {
-	names := baseNames(v.Expr())
+	tables := leafTables(v.Expr(), nil)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var sum uint64
-	for _, t := range names {
-		sum += e.epochs[t]
+	for _, t := range tables {
+		sum += e.epochs[t.name]
 	}
 	if mark {
 		e.viewWrites[v.Name()] = sum

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -13,6 +12,7 @@ import (
 	"expdb/internal/pqueue"
 	"expdb/internal/relation"
 	"expdb/internal/trace"
+	"expdb/internal/tuple"
 	"expdb/internal/xtime"
 )
 
@@ -39,19 +39,147 @@ type QueryResult struct {
 	Cached   bool
 }
 
-// cacheEntry is one cached materialisation. tables/epochs record, per
-// base relation the plan reads, the table's write epoch at evaluation
-// time: a lookup only serves the entry while every epoch still matches,
-// so a base-table write invalidates instantly with no tracking structure
-// on the write path beyond one counter bump.
+// cacheEntry is one cached materialisation. tables records, per base
+// relation the plan reads, the write epoch the rows were evaluated under and
+// what the plan's leaves select from it: what freshness tests.
 type cacheEntry struct {
 	key        string
 	rel        *relation.Relation
 	at         xtime.Time
 	validUntil xtime.Time
-	tables     []string
-	epochs     []uint64
+	tables     []leafTable
 	prev, next *cacheEntry // LRU list, head = most recently used
+}
+
+// leafTable is what a plan reads of one base table: every leaf over the
+// table is σ[p](table) — an IndexScan is the selection it replaced, a bare
+// table is σ[TRUE] — and preds holds each leaf's p, arity the number of
+// columns they reach.
+type leafTable struct {
+	name  string
+	epoch uint64
+	preds []algebra.Predicate
+	arity int
+}
+
+// selects reports whether any leaf over the table selects t. A tuple too
+// short for the predicates was written to a table re-created under the name
+// with another schema while the plan was in flight: the entry is not its
+// answer.
+func (lt *leafTable) selects(t tuple.Tuple) bool {
+	if len(t) < lt.arity {
+		return true
+	}
+	for _, p := range lt.preds {
+		if p.Holds(t) {
+			return true
+		}
+	}
+	return false
+}
+
+// leafTables lists the base tables expr reads, each with the predicates
+// directly over its leaves; tabs is appended to and returned.
+func leafTables(expr algebra.Expr, tabs []leafTable) []leafTable {
+	var name string
+	var pred algebra.Predicate = algebra.True{}
+	switch x := expr.(type) {
+	case *algebra.Base:
+		name = x.Name
+	case *algebra.IndexScan:
+		name, pred = x.Base.Name, x.Full
+	case *algebra.Select:
+		if b, ok := x.Child.(*algebra.Base); ok {
+			name, pred = b.Name, x.Pred
+		}
+	}
+	if name == "" {
+		for _, k := range expr.Children() {
+			tabs = leafTables(k, tabs)
+		}
+		return tabs
+	}
+	i := 0
+	for i < len(tabs) && tabs[i].name != name {
+		i++
+	}
+	if i == len(tabs) {
+		tabs = append(tabs, leafTable{name: name})
+	}
+	tabs[i].preds = append(tabs[i].preds, pred)
+	tabs[i].arity = max(tabs[i].arity, pred.MaxCol()+1)
+	return tabs
+}
+
+// writeTailLen is how many written tuples a table remembers; an entry that
+// sleeps through more writes to one of its tables is re-evaluated.
+const writeTailLen = 64
+
+// writeTail is a base table's recent write history, kept beside its epoch
+// under Engine.mu: the tuples its last writes changed — the stored
+// (immutable, hence shared) tuple of an insert or a lifetime extension, the
+// tuple of each row a DELETE removed — each with the epoch the write moved
+// the table to.
+type writeTail struct {
+	// floor is the latest epoch some of whose tuples the ring no longer
+	// holds: only an entry evaluated at floor or later can be checked.
+	floor uint64
+	n     uint64 // tuples ever recorded; ring[n%writeTailLen] is overwritten next
+	ring  [writeTailLen]struct {
+		epoch uint64
+		t     tuple.Tuple
+	}
+}
+
+// wrote is the only place a table's write epoch moves, so no write can move
+// it without saying what it changed: t is the stored tuple of an insert or
+// an extension or the tuple of a row a DELETE removed — more marks a further
+// row of the same DELETE, which shares its epoch — and nil for CREATE / DROP
+// TABLE. The caller holds e.mu, inside the critical section that applies the
+// mutation. DDL, and any write while the cache is off, leaves the table
+// without a tail — nothing older can then be vouched for — and the next
+// recorded write starts one whose floor is the epoch before its own.
+func (e *Engine) wrote(table string, t tuple.Tuple, more bool) {
+	if !more {
+		e.epochs[table]++
+	}
+	if t == nil || e.cache.Load() == nil {
+		delete(e.tails, table)
+		return
+	}
+	epoch := e.epochs[table]
+	w := e.tails[table]
+	if w == nil {
+		w = &writeTail{floor: epoch - 1}
+		e.tails[table] = w
+	}
+	rec := &w.ring[w.n%writeTailLen]
+	if w.n >= writeTailLen {
+		// A DELETE's tuples share an epoch: losing one loses the whole write.
+		w.floor = rec.epoch
+	}
+	rec.epoch, rec.t = epoch, t
+	w.n++
+}
+
+// unseenBy reports whether every write to the table since lt.epoch changed
+// only tuples no leaf of lt selects: σ_p(R ∪ {r}) = σ_p(R) = σ_p(R − {r})
+// whenever ¬p(r), so everything evaluated over those leaves — rows, per-tuple
+// texp, texp(e), monotonic or not — is what it was. A nil w is no tail.
+func (w *writeTail) unseenBy(lt *leafTable) bool {
+	if w == nil || lt.epoch < w.floor {
+		return false
+	}
+	for i := w.n; i > 0 && i+writeTailLen > w.n; i-- {
+		rec := &w.ring[(i-1)%writeTailLen]
+		if rec.epoch <= lt.epoch {
+			break
+		}
+		if lt.selects(rec.t) {
+			return false
+		}
+	}
+	return true
 }
 
 // resultCacheMetrics are the cache's atomic hot-path counters.
@@ -59,7 +187,8 @@ type resultCacheMetrics struct {
 	Hits               metrics.Counter
 	Misses             metrics.Counter
 	Invalidations      metrics.Counter // clock reached ValidUntil
-	EpochInvalidations metrics.Counter // base-table write detected at lookup
+	EpochInvalidations metrics.Counter // a write changed a tuple the plan selects, or outran the tail
+	Revalidations      metrics.Counter // hits that outlived ≥ 1 write to a table they read
 	Evictions          metrics.Counter // LRU capacity pressure
 	HitNanos           metrics.Histogram
 }
@@ -71,11 +200,12 @@ type resultCacheMetrics struct {
 // discard entries whose base-table epochs moved, and LRU eviction bounds
 // the entry count.
 //
-// Lock hierarchy: mu nests above Engine.mu (a lookup reads the clock and
-// the epoch table while holding it) and is never taken while any table or
-// view lock is held. The pq may hold stale keys — entries replaced or
-// LRU-evicted since their push — which the drain tolerates by re-checking
-// the live entry's validUntil; a stale pq item costs one map probe.
+// Lock hierarchy: mu nests above Engine.mu (a lookup reads the clock, the
+// epoch table and the write tails while holding it) and is never taken while
+// any table or view lock is held. The pq may hold stale keys — entries
+// replaced or LRU-evicted since their push — which the drain tolerates by
+// re-checking the live entry's validUntil; a stale pq item costs one map
+// probe.
 type resultCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -163,6 +293,7 @@ type ResultCacheMetrics struct {
 	Misses             int64                     `json:"misses"`
 	Invalidations      int64                     `json:"invalidations"`
 	EpochInvalidations int64                     `json:"epoch_invalidations"`
+	Revalidations      int64                     `json:"revalidations"`
 	Evictions          int64                     `json:"evictions"`
 	Entries            int                       `json:"entries"`
 	Capacity           int                       `json:"capacity"`
@@ -185,6 +316,7 @@ func (e *Engine) ResultCacheStats() (ResultCacheMetrics, error) {
 		Misses:             c.m.Misses.Load(),
 		Invalidations:      c.m.Invalidations.Load(),
 		EpochInvalidations: c.m.EpochInvalidations.Load(),
+		Revalidations:      c.m.Revalidations.Load(),
 		Evictions:          c.m.Evictions.Load(),
 		Entries:            entries,
 		Capacity:           c.cap,
@@ -197,8 +329,8 @@ func (e *Engine) ResultCacheStats() (ResultCacheMetrics, error) {
 // With a non-empty cache key —
 // the normalized plan string — a cached materialisation still inside its
 // window and untouched by base-table writes is served instead, with zero
-// re-evaluation (the hot path is one map probe, two epoch compares and an
-// O(1) shared snapshot). A key of "" stamps without caching, so every
+// re-evaluation (the hot path is one map probe, an epoch compare per table
+// and an O(1) shared snapshot). A key of "" stamps without caching, so every
 // result carries its validity whether or not it is cacheable.
 func (e *Engine) QueryStamped(expr algebra.Expr, key string, tid trace.ID) (QueryResult, error) {
 	if tid == 0 {
@@ -240,11 +372,10 @@ func (e *Engine) QueryStamped(expr algebra.Expr, key string, tid trace.ID) (Quer
 	// still held: no write can have slipped between the rows we evaluated
 	// and the epochs we record, so an epoch match at lookup time proves
 	// the cached rows are the rows a re-evaluation would produce.
-	tables := baseNames(expr)
-	epochs := make([]uint64, len(tables))
+	tables := leafTables(expr, nil)
 	e.mu.RLock()
-	for i, t := range tables {
-		epochs[i] = e.epochs[t]
+	for i := range tables {
+		tables[i].epoch = e.epochs[tables[i].name]
 	}
 	e.mu.RUnlock()
 	runlockRels(rels)
@@ -257,14 +388,55 @@ func (e *Engine) QueryStamped(expr algebra.Expr, key string, tid trace.ID) (Quer
 	// the entry is published: afterwards only cacheServe, under the cache
 	// lock, may snapshot the stored relation (a snapshot marks its source).
 	res.Rel = rel.SnapshotShared(now)
-	e.cacheStore(c, key, rel, now, texp, tables, epochs)
+	e.cacheStore(c, key, rel, now, texp, tables)
 	return res, nil
 }
 
+// What freshness finds an entry to be, as CacheProbe prints it.
+const (
+	cacheHit        = "hit"
+	cacheExpired    = "expired"
+	cacheEpochStale = "epoch-stale"
+)
+
+// freshness is the one test of whether en is the answer a re-evaluation at
+// the current tick would give: the clock is inside [at, validUntil) and, per
+// table, the write epoch is the one en was evaluated under or no tuple
+// written since is selected by a leaf of the plan (revalidated). With adopt,
+// a revalidated entry takes the current epochs, so each entry × write pair
+// is tested once. The caller holds c.mu. Clock, epochs and tails are read
+// under the engine leaf lock — a writer moves them in the critical section
+// that mutates the table, so data and history are seen to move together —
+// which up to writeTailLen Holds calls per moved table and leaf prolong.
+func (e *Engine) freshness(en *cacheEntry, adopt bool) (state string, now xtime.Time, revalidated bool) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	now = e.now
+	if now < en.at || now >= en.validUntil {
+		return cacheExpired, now, false
+	}
+	for i := range en.tables {
+		lt := &en.tables[i]
+		if e.epochs[lt.name] == lt.epoch {
+			continue
+		}
+		if !e.tails[lt.name].unseenBy(lt) {
+			return cacheEpochStale, now, false
+		}
+		revalidated = true
+	}
+	if revalidated && adopt {
+		for i := range en.tables {
+			en.tables[i].epoch = e.epochs[en.tables[i].name]
+		}
+	}
+	return cacheHit, now, revalidated
+}
+
 // cacheServe answers key from the cache if a fresh entry exists. Stale
-// entries found on the way — window expired or base epochs moved — are
-// dropped eagerly. The hit path performs exactly one allocation (the
-// shared snapshot header), which BenchmarkCacheHit pins in CI.
+// entries found on the way — window expired, or a write changed a tuple the
+// plan selects — are dropped eagerly. The hit path performs exactly one
+// allocation (the shared snapshot header), which BenchmarkCacheHit pins in CI.
 func (e *Engine) cacheServe(c *resultCache, key string, tid trace.ID) (QueryResult, bool) {
 	start := time.Now()
 	c.mu.Lock()
@@ -273,27 +445,11 @@ func (e *Engine) cacheServe(c *resultCache, key string, tid trace.ID) (QueryResu
 		c.mu.Unlock()
 		return QueryResult{}, false
 	}
-	// Clock and epochs under the engine leaf lock: a writer bumps the
-	// epoch in the same critical section that mutates the table, so this
-	// read sees data and epoch move together — never a fresh epoch over
-	// stale rows.
-	e.mu.RLock()
-	now := e.now
-	fresh := now >= en.at && now < en.validUntil
-	stale := !fresh
-	if fresh {
-		for i, t := range en.tables {
-			if e.epochs[t] != en.epochs[i] {
-				fresh = false
-				break
-			}
-		}
-	}
-	e.mu.RUnlock()
-	if !fresh {
+	state, now, revalidated := e.freshness(en, true)
+	if state != cacheHit {
 		c.drop(en)
 		c.mu.Unlock()
-		if stale {
+		if state == cacheExpired {
 			c.m.Invalidations.Inc()
 		} else {
 			c.m.EpochInvalidations.Inc()
@@ -304,6 +460,9 @@ func (e *Engine) cacheServe(c *resultCache, key string, tid trace.ID) (QueryResu
 	snap := en.rel.SnapshotShared(now)
 	c.mu.Unlock()
 	c.m.Hits.Inc()
+	if revalidated {
+		c.m.Revalidations.Inc()
+	}
 	c.m.HitNanos.Observe(time.Since(start).Nanoseconds())
 	e.events.Emit(trace.Event{Trace: tid, Kind: trace.EvCacheHit, Tick: now, Texp: en.validUntil})
 	return QueryResult{
@@ -317,14 +476,11 @@ func (e *Engine) cacheServe(c *resultCache, key string, tid trace.ID) (QueryResu
 // cacheStore inserts (or replaces) the entry for key, schedules its
 // expiry on the cache pq, and evicts from the LRU tail past capacity.
 // Results whose window is already empty are not worth storing.
-func (e *Engine) cacheStore(c *resultCache, key string, rel *relation.Relation, at, validUntil xtime.Time, tables []string, epochs []uint64) {
+func (e *Engine) cacheStore(c *resultCache, key string, rel *relation.Relation, at, validUntil xtime.Time, tables []leafTable) {
 	if validUntil <= at {
 		return
 	}
-	en := &cacheEntry{
-		key: key, rel: rel, at: at, validUntil: validUntil,
-		tables: tables, epochs: epochs,
-	}
+	en := &cacheEntry{key: key, rel: rel, at: at, validUntil: validUntil, tables: tables}
 	c.mu.Lock()
 	if old, ok := c.entries[key]; ok {
 		c.unlink(old)
@@ -374,10 +530,10 @@ func (e *Engine) cacheExpire(to xtime.Time, tid trace.ID) {
 	}
 }
 
-// CacheProbe reports, without serving the entry or touching LRU order,
-// how the result cache would answer the plan key right now: "hit",
-// "cold", "expired", "epoch-stale" or "disabled". EXPLAIN ANALYZE uses it
-// to report cache state while still executing the plan for actuals.
+// CacheProbe reports, without serving the entry, adopting an epoch or
+// touching LRU order, how the result cache would answer the plan key right
+// now: "hit", "cold", "expired", "epoch-stale" or "disabled" — by the test
+// cacheServe applies, so EXPLAIN ANALYZE reports what a SELECT would get.
 func (e *Engine) CacheProbe(key string) string {
 	c := e.cache.Load()
 	if c == nil {
@@ -389,30 +545,6 @@ func (e *Engine) CacheProbe(key string) string {
 	if !ok {
 		return "cold"
 	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.now < en.at || e.now >= en.validUntil {
-		return "expired"
-	}
-	for i, t := range en.tables {
-		if e.epochs[t] != en.epochs[i] {
-			return "epoch-stale"
-		}
-	}
-	return "hit"
-}
-
-// baseNames returns the distinct catalog names of the base relations expr
-// reads, sorted for deterministic epoch vectors.
-func baseNames(expr algebra.Expr) []string {
-	seen := make(map[string]bool)
-	var names []string
-	algebra.Walk(expr, func(x algebra.Expr) {
-		if b, ok := x.(*algebra.Base); ok && !seen[b.Name] {
-			seen[b.Name] = true
-			names = append(names, b.Name)
-		}
-	})
-	sort.Strings(names)
-	return names
+	state, _, _ := e.freshness(en, false)
+	return state
 }

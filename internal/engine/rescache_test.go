@@ -10,6 +10,7 @@ import (
 	"expdb/internal/relation"
 	"expdb/internal/trace"
 	"expdb/internal/tuple"
+	"expdb/internal/value"
 	"expdb/internal/xtime"
 )
 
@@ -183,6 +184,214 @@ func TestCacheEpochInvalidationOnWrite(t *testing.T) {
 	}
 }
 
+// degAtLeast builds σ[Deg ≥ min](pol): a plan whose only leaf selects part
+// of its table. Over Figure 1, min = 30 selects (3, 35).
+func degAtLeast(t *testing.T, e *Engine, min int64) algebra.Expr {
+	t.Helper()
+	b, err := e.Base("pol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := algebra.NewSelect(algebra.ColConst{Col: 1, Op: algebra.OpGe, Const: value.Int(min)}, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sel
+}
+
+// An entry survives every write whose tuple no leaf of its plan selects —
+// insert, lifetime extension, delete — and is dropped by each kind of write
+// that changes a tuple one does select.
+func TestCacheSurvivesWritesItsLeavesReject(t *testing.T) {
+	e := newsEngine(t)
+	q := degAtLeast(t, e, 30)
+	read := func(what string, cached bool, rows int) {
+		t.Helper()
+		qr := stamped(t, e, q)
+		if qr.Cached != cached {
+			t.Fatalf("after %s: cached = %v, want %v", what, qr.Cached, cached)
+		}
+		if g := qr.Rel.CountAt(qr.At); g != rows {
+			t.Fatalf("after %s: rows = %d, want %d", what, g, rows)
+		}
+	}
+	insert := func(uid, deg int64, texp xtime.Time) {
+		t.Helper()
+		if err := e.Insert("pol", tuple.Ints(uid, deg), texp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	remove := func(uid, deg int64) {
+		t.Helper()
+		if ok, err := e.Delete("pol", tuple.Ints(uid, deg)); err != nil || !ok {
+			t.Fatalf("delete (%d, %d) = %v, %v", uid, deg, ok, err)
+		}
+	}
+	read("nothing", false, 1)
+	insert(9, 20, 50)
+	read("an insert the leaf rejects", true, 1)
+	if m := cacheStats(t, e); m.Revalidations != 1 || m.EpochInvalidations != 0 {
+		t.Fatalf("revalidations/epoch invalidations = %d/%d, want 1/0", m.Revalidations, m.EpochInvalidations)
+	}
+	read("the same write again", true, 1)
+	if m := cacheStats(t, e); m.Revalidations != 1 {
+		t.Fatalf("revalidations = %d, want 1 (the entry adopted the epoch: each write is tested once)", m.Revalidations)
+	}
+	insert(1, 25, 40)
+	read("an extension the leaf rejects", true, 1)
+	remove(9, 20)
+	read("a delete the leaf rejects", true, 1)
+	// A write to a table the plan does not read is not even looked at.
+	if err := e.Insert("el", tuple.Ints(9, 99), 50); err != nil {
+		t.Fatal(err)
+	}
+	read("a write to another table", true, 1)
+	if m := cacheStats(t, e); m.Revalidations != 3 {
+		t.Fatalf("revalidations = %d, want 3", m.Revalidations)
+	}
+
+	insert(8, 40, 50)
+	read("an insert the leaf selects", false, 2)
+	insert(3, 35, 60)
+	read("an extension the leaf selects", false, 2)
+	if texp, _ := stamped(t, e, q).Rel.Texp(tuple.Ints(3, 35)); texp != 60 {
+		t.Fatalf("texp of the extended row = %v, want 60", texp)
+	}
+	remove(8, 40)
+	read("a delete the leaf selects", false, 1)
+	if m := cacheStats(t, e); m.EpochInvalidations != 3 {
+		t.Fatalf("epoch invalidations = %d, want 3", m.EpochInvalidations)
+	}
+}
+
+// A table remembers writeTailLen written tuples: an entry that slept through
+// exactly that many is still checked and served, one more and it is
+// re-evaluated, whatever was written.
+func TestCacheTailOverflowIsAMiss(t *testing.T) {
+	e := newsEngine(t)
+	q := degAtLeast(t, e, 30)
+	stamped(t, e, q)
+	next := int64(100)
+	rejected := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := e.Insert("pol", tuple.Ints(next, 20), 50); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+	}
+	rejected(writeTailLen)
+	if !stamped(t, e, q).Cached {
+		t.Fatalf("%d writes the leaf rejects fit the tail: the entry must be served", writeTailLen)
+	}
+	rejected(writeTailLen + 1)
+	if stamped(t, e, q).Cached {
+		t.Fatalf("%d writes overflow the tail: the entry cannot be checked and must not be served", writeTailLen+1)
+	}
+	if m := cacheStats(t, e); m.EpochInvalidations != 1 || m.Revalidations != 1 {
+		t.Fatalf("epoch invalidations/revalidations = %d/%d, want 1/1", m.EpochInvalidations, m.Revalidations)
+	}
+}
+
+// The tuples of a multi-row DELETE share one epoch. When the ring overwrites
+// the first of them the whole DELETE is below the floor: an entry from
+// before it is dropped, although the DELETE's tuples still in the ring — and
+// everything after — are ones its leaf rejects.
+func TestCacheMultiRowDeleteNotSplitAcrossFloor(t *testing.T) {
+	e := newsEngine(t)
+	for uid := int64(20); uid < 24; uid++ {
+		if err := e.Insert("pol", tuple.Ints(uid, 20), 50); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := degAtLeast(t, e, 30)
+	if g := stamped(t, e, q).Rel.CountAt(0); g != 1 {
+		t.Fatalf("rows = %d, want 1", g)
+	}
+	// One DELETE: first the row the leaf selects, then four it rejects.
+	rel, err := e.cat.Table("pol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{tuple.Ints(3, 35).Key()}
+	for uid := int64(20); uid < 24; uid++ {
+		keys = append(keys, tuple.Ints(uid, 20).Key())
+	}
+	rel.Lock()
+	if n, _, err := e.deleteKeys("pol", rel, keys); err != nil || n != len(keys) {
+		t.Fatalf("deleteKeys = %d, %v", n, err)
+	}
+	// Exactly enough rejected writes to overwrite the DELETE's first tuple.
+	for i := 0; i < writeTailLen-len(keys)+1; i++ {
+		if err := e.Insert("pol", tuple.Ints(int64(100+i), 20), 50); err != nil {
+			t.Fatal(err)
+		}
+	}
+	qr := stamped(t, e, q)
+	if qr.Cached {
+		t.Fatal("the entry predates a DELETE the tail holds only part of: it must not be served")
+	}
+	if g := qr.Rel.CountAt(qr.At); g != 0 {
+		t.Fatalf("rows = %d, want 0 ((3, 35) was deleted)", g)
+	}
+}
+
+// With the cache off nothing is recorded, so nothing from before can be
+// vouched for: a lookup still in flight against the discarded cache misses,
+// and so does one that arrives after caching resumed and a recorded write
+// started a new tail.
+func TestCacheOffThenOnIsCold(t *testing.T) {
+	e := newsEngine(t)
+	q30, q40 := degAtLeast(t, e, 30), degAtLeast(t, e, 40)
+	stamped(t, e, q30)
+	stamped(t, e, q40)
+	old := e.cache.Load()
+	e.SetResultCache(0)
+	if err := e.Insert("pol", tuple.Ints(8, 45), 50); err != nil { // both leaves select it; nobody records it
+		t.Fatal(err)
+	}
+	if _, ok := e.cacheServe(old, q30.String(), 0); ok {
+		t.Fatal("an entry of the discarded cache was served across a write made while the cache was off")
+	}
+	e.SetResultCache(4)
+	if err := e.Insert("pol", tuple.Ints(9, 20), 50); err != nil { // recorded; both leaves reject it
+		t.Fatal(err)
+	}
+	if _, ok := e.cacheServe(old, q40.String(), 0); ok {
+		t.Fatal("the new tail vouched for an entry older than its floor")
+	}
+	qr := stamped(t, e, q30)
+	if qr.Cached {
+		t.Fatal("caching resumes cold")
+	}
+	if g := qr.Rel.CountAt(qr.At); g != 2 {
+		t.Fatalf("rows = %d, want 2", g)
+	}
+}
+
+// A plan still in flight when its table is dropped and re-created with
+// fewer columns caches an answer over the old rows; tuples of the new table
+// are too short for its predicates and must drop the entry, not index past
+// their end under the cache and engine locks.
+func TestCacheLeafPredicateMeetsShorterTuple(t *testing.T) {
+	e := newsEngine(t)
+	q := degAtLeast(t, e, 30)
+	if err := e.DropTable("pol"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CreateTable("pol", tuple.IntCols("UID")); err != nil {
+		t.Fatal(err)
+	}
+	stamped(t, e, q)
+	if err := e.Insert("pol", tuple.Ints(7), 50); err != nil {
+		t.Fatal(err)
+	}
+	if stamped(t, e, q).Cached {
+		t.Fatal("an entry over a dropped table outlived a write to its successor")
+	}
+}
+
 // A duplicate insert that changes nothing must not invalidate: the cached
 // rows are still exactly what a re-evaluation would produce.
 func TestCacheUnchangedDuplicateInsertStillHits(t *testing.T) {
@@ -342,6 +551,25 @@ func TestCacheProbeStates(t *testing.T) {
 	}
 	if g := cacheStats(t, e).Hits; g != hitsBefore {
 		t.Fatalf("hits after probes = %d, want %d", g, hitsBefore)
+	}
+	// Nor does a probe adopt an epoch: after a write the plan cannot see it
+	// answers "hit" as often as asked, and the serve that follows is still
+	// the one that revalidates.
+	q := degAtLeast(t, e, 30)
+	stamped(t, e, q)
+	if err := e.Insert("pol", tuple.Ints(8, 20), 40); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if p := e.CacheProbe(q.String()); p != "hit" {
+			t.Fatalf("probe after a write the leaf rejects = %q, want hit", p)
+		}
+	}
+	if g := cacheStats(t, e).Revalidations; g != 0 {
+		t.Fatalf("revalidations after probes = %d, want 0", g)
+	}
+	if !stamped(t, e, q).Cached || cacheStats(t, e).Revalidations != 1 {
+		t.Fatal("the serve after the probes must be the hit that revalidates")
 	}
 }
 

@@ -273,13 +273,22 @@ func (r *Relation) InsertPrev(t tuple.Tuple, texp xtime.Time) (changed bool, pre
 // sparing the hot insert path a second key encoding. key must equal
 // t.Key().
 func (r *Relation) InsertKeyed(key string, t tuple.Tuple, texp xtime.Time) (changed bool, prev xtime.Time, had bool) {
+	_, changed, prev, had = r.InsertStored(key, t, texp)
+	return changed, prev, had
+}
+
+// InsertStored is InsertKeyed that also returns the tuple now stored under
+// key — the clone it just made, or the equal tuple already there — which
+// callers may retain but must not mutate.
+func (r *Relation) InsertStored(key string, t tuple.Tuple, texp xtime.Time) (stored tuple.Tuple, changed bool, prev xtime.Time, had bool) {
 	r.detach()
 	if s, ok := r.keys[key]; ok {
-		prev = r.slots[s].Texp
-		return r.extend(key, s, texp), prev, true
+		stored, prev = r.slots[s].Tuple, r.slots[s].Texp
+		return stored, r.extend(key, s, texp), prev, true
 	}
-	r.place(key, t.Clone(), texp)
-	return true, 0, false
+	stored = t.Clone()
+	r.place(key, stored, texp)
+	return stored, true, 0, false
 }
 
 // extend raises the texp of the row in slot s, stored under key, to texp —

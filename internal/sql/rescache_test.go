@@ -8,8 +8,11 @@ import (
 	"sync"
 	"testing"
 
+	"expdb/internal/algebra"
 	"expdb/internal/engine"
+	"expdb/internal/interval"
 	"expdb/internal/relation"
+	"expdb/internal/value"
 	"expdb/internal/xtime"
 )
 
@@ -87,7 +90,7 @@ func TestShowCache(t *testing.T) {
 	mustExec(t, s, q)
 	mustExec(t, s, q)
 	res := mustExec(t, s, "SHOW CACHE")
-	for _, want := range []string{`"hits": 1`, `"misses": 1`, `"entries": 1`, `"capacity": 256`, `"hit_nanos"`} {
+	for _, want := range []string{`"hits": 1`, `"misses": 1`, `"revalidations": 0`, `"entries": 1`, `"capacity": 256`, `"hit_nanos"`} {
 		if !strings.Contains(res.Msg, want) {
 			t.Fatalf("SHOW CACHE output missing %q:\n%s", want, res.Msg)
 		}
@@ -132,6 +135,35 @@ func TestExplainAnalyzeCacheLine(t *testing.T) {
 	}
 }
 
+// EXPLAIN ANALYZE's cache line and Exec answer the same question with the
+// same function: what one reports, the other does.
+func TestExplainAnalyzeCacheLineAgreesWithExec(t *testing.T) {
+	s := newSession(t)
+	q := "SELECT uid FROM pol WHERE deg >= 30"
+	mustExec(t, s, q)
+	mustExec(t, s, "INSERT INTO pol VALUES (8, 20) EXPIRES AT 30") // deg < 30: the leaf rejects it
+	// The probe adopts nothing: asking twice changes nothing.
+	for i := 0; i < 2; i++ {
+		if res := mustExec(t, s, "EXPLAIN ANALYZE "+q); !strings.Contains(res.Msg, "cache:     hit") {
+			t.Fatalf("EXPLAIN ANALYZE after a write the plan cannot see must report a hit:\n%s", res.Msg)
+		}
+	}
+	if !mustExec(t, s, q).Cached {
+		t.Fatal("EXPLAIN ANALYZE said hit, the SELECT was not served from the cache")
+	}
+	mustExec(t, s, "INSERT INTO pol VALUES (9, 45) EXPIRES AT 30") // the leaf selects it
+	if res := mustExec(t, s, "EXPLAIN ANALYZE "+q); !strings.Contains(res.Msg, "cache:     miss (epoch-stale)") {
+		t.Fatalf("EXPLAIN ANALYZE after a write the plan selects must report epoch-stale:\n%s", res.Msg)
+	}
+	res := mustExec(t, s, q)
+	if res.Cached {
+		t.Fatal("EXPLAIN ANALYZE said epoch-stale, the SELECT was served from the cache")
+	}
+	if got := len(res.Rows()); got != 2 {
+		t.Fatalf("rows = %d, want 2 (uid 3 and the new uid 9)", got)
+	}
+}
+
 // rowsKey renders a result set order-independently for equality checks.
 func rowsKey(rows []relation.Row) string {
 	parts := make([]string, len(rows))
@@ -141,74 +173,219 @@ func rowsKey(rows []relation.Row) string {
 	return strings.Join(parts, "|")
 }
 
+// answer is what the oracle compares: a read's rows with their per-tuple
+// texp, and its stamp.
+type answer struct {
+	rows   string
+	at     xtime.Time
+	stamp  interval.Validity
+	cached bool
+}
+
+// propertyQuery is one read of the oracle's catalogue: SQL text, or — for
+// the one shape the grammar cannot spell, a self-join — a plan built by hand
+// and keyed the way Session.Plan keys it, sql then being only its label.
+type propertyQuery struct {
+	sql   string
+	build func(*engine.Engine) (algebra.Expr, error)
+}
+
+func (q propertyQuery) run(s *Session) (answer, error) {
+	if q.build == nil {
+		res, err := s.Exec(q.sql)
+		if err != nil {
+			return answer{}, err
+		}
+		return answer{rowsKey(res.Rel.RowsSorted(res.At)), res.At, res.Validity, res.Cached}, nil
+	}
+	expr, err := q.build(s.eng)
+	if err != nil {
+		return answer{}, err
+	}
+	qr, err := s.eng.QueryStamped(expr, algebra.PushDownSelections(expr).String(), 0)
+	if err != nil {
+		return answer{}, err
+	}
+	return answer{rowsKey(qr.Rel.RowsSorted(qr.At)), qr.At, qr.Validity, qr.Cached}, nil
+}
+
+// selfJoin is σ[deg<30](pol) ⋈[uid=uid] σ[deg≥30](pol): one table under two
+// different leaf predicates, both of which a write must be tested against.
+func selfJoin(e *engine.Engine) (algebra.Expr, error) {
+	pol, err := e.Base("pol")
+	if err != nil {
+		return nil, err
+	}
+	deg := func(op algebra.CmpOp) algebra.Expr {
+		return &algebra.Select{Pred: algebra.ColConst{Col: 1, Op: op, Const: value.Int(30)}, Child: pol}
+	}
+	return algebra.EquiJoin(deg(algebra.OpLt), 0, deg(algebra.OpGe), 0)
+}
+
+// propertyQueries covers every operator bare and filtered. Filters are on
+// deg below 100, where ordinary writes land; bursts write deg ≥ 100, which
+// no filter selects.
+var propertyQueries = []propertyQuery{
+	{sql: "SELECT * FROM pol"},
+	{sql: "SELECT uid FROM pol WHERE deg > 20"},
+	{sql: "SELECT uid, deg FROM el WHERE deg >= 20 AND deg < 35"},
+	{sql: "SELECT uid FROM pol WHERE deg < 40 AND uid >= 10"},
+	{sql: "SELECT deg, COUNT(*) FROM pol GROUP BY deg"},
+	{sql: "SELECT deg, COUNT(*) FROM pol WHERE deg < 30 GROUP BY deg"},
+	{sql: "SELECT deg, SUM(uid) FROM pol GROUP BY deg"},
+	{sql: "SELECT MIN(deg), MAX(deg) FROM pol"},
+	{sql: "SELECT MIN(uid), MAX(uid) FROM el WHERE deg >= 35 AND deg < 100"},
+	{sql: "SELECT uid FROM pol EXCEPT SELECT uid FROM el"},
+	{sql: "SELECT uid FROM pol WHERE deg >= 25 AND deg < 100 EXCEPT SELECT uid FROM el WHERE deg < 30"},
+	{sql: "SELECT uid FROM pol UNION SELECT uid FROM el"},
+	// One table under two different leaf predicates.
+	{sql: "SELECT uid FROM pol WHERE deg < 25 UNION SELECT uid FROM pol WHERE deg >= 35 AND deg < 100"},
+	{sql: "SELECT uid FROM el WHERE deg <= 20 INTERSECT SELECT uid FROM el WHERE deg >= 35 AND deg < 100"},
+	{sql: "σ[deg<30](pol) ⋈[uid=uid] σ[deg≥30](pol)", build: selfJoin},
+	{sql: "SELECT uid FROM pol INTERSECT SELECT uid FROM el"},
+	{sql: "SELECT uid FROM pol WHERE deg = 20 INTERSECT SELECT uid FROM el WHERE deg = 20"},
+	{sql: "SELECT pol.uid, el.deg FROM pol JOIN el ON pol.uid = el.uid"},
+	{sql: "SELECT pol.uid, el.deg FROM pol JOIN el ON pol.uid = el.uid WHERE pol.deg >= 30 AND pol.deg < 100 AND el.deg < 30"},
+	// The predicate compares the two sides, so it stays above the join and
+	// both leaves are bare.
+	{sql: "SELECT pol.uid, el.deg FROM pol JOIN el ON pol.uid = el.uid WHERE pol.deg > el.deg"},
+}
+
+// engineWriteTail is engine.writeTailLen: bursts are sized around it.
+const engineWriteTail = 64
+
 // TestCachedEqualsUncachedProperty is the correctness contract: a session
 // with the cache on must answer every query identically to a cache-off
-// session, across random plans interleaved with inserts and clock
-// advances. Run under -race it also exercises the lookup/write/advance
-// lock interplay from concurrent readers.
+// session — rows, per-tuple texp, and a stamp that is true and no longer
+// than a fresh evaluation's — across random plans interleaved with inserts,
+// lifetime extensions, no-change duplicates, multi-row deletes, DROP +
+// CREATE of a table and clock advances, on the same stream with and without
+// ordered indexes. A run in which no entry outlives a write it cannot see
+// proves nothing about that rule and fails. Run under -race it also
+// exercises the lookup/write/advance lock interplay from concurrent readers.
 func TestCachedEqualsUncachedProperty(t *testing.T) {
+	t.Run("scan", func(t *testing.T) { cachedEqualsUncached(t, false) })
+	t.Run("indexed", func(t *testing.T) { cachedEqualsUncached(t, true) })
+}
+
+func cachedEqualsUncached(t *testing.T, indexed bool) {
 	rng := rand.New(rand.NewSource(20060418))
 	cached := NewSession(engine.New(), nil)
 	plain := NewSession(engine.New(engine.WithResultCache(0)), nil)
-	both := func(q string) (*Result, *Result) {
+	both := func(q string) {
 		t.Helper()
-		a, err := cached.Exec(q)
-		if err != nil {
+		if _, err := cached.Exec(q); err != nil {
 			t.Fatalf("cached %q: %v", q, err)
 		}
-		b, err := plain.Exec(q)
-		if err != nil {
+		if _, err := plain.Exec(q); err != nil {
 			t.Fatalf("plain %q: %v", q, err)
 		}
-		return a, b
 	}
-	both("CREATE TABLE pol (uid INT, deg INT)")
-	both("CREATE TABLE el (uid INT, deg INT)")
+	create := func(table string) {
+		both("CREATE TABLE " + table + " (uid INT, deg INT)")
+		if indexed {
+			both(fmt.Sprintf("CREATE INDEX %s_deg ON %s (deg) USING ORDERED", table, table))
+		}
+	}
+	create("pol")
+	create("el")
 
-	queries := []string{
-		"SELECT * FROM pol",
-		"SELECT uid FROM pol WHERE deg > 20",
-		"SELECT deg, COUNT(*) FROM pol GROUP BY deg",
-		"SELECT deg, SUM(uid) FROM pol GROUP BY deg",
-		"SELECT uid FROM pol EXCEPT SELECT uid FROM el",
-		"SELECT uid FROM pol UNION SELECT uid FROM el",
-		"SELECT uid FROM pol INTERSECT SELECT uid FROM el",
-		"SELECT pol.uid, el.deg FROM pol JOIN el ON pol.uid = el.uid",
-		"SELECT MIN(deg), MAX(deg) FROM pol",
-	}
 	now := int64(0)
-	hits := 0
-	for step := 0; step < 400; step++ {
-		switch r := rng.Intn(10); {
-		case r < 2: // write
-			table := "pol"
-			if rng.Intn(2) == 0 {
-				table = "el"
+	hits, step := 0, 0
+	read := func(q propertyQuery) {
+		t.Helper()
+		a, err := q.run(cached)
+		if err != nil {
+			t.Fatalf("cached %s: %v", q.sql, err)
+		}
+		b, err := q.run(plain)
+		if err != nil {
+			t.Fatalf("plain %s: %v", q.sql, err)
+		}
+		if b.cached {
+			t.Fatal("cache-off session must never report Cached")
+		}
+		if a.rows != b.rows {
+			t.Fatalf("step %d: %s diverged at tick %d (cached=%v)\ncached: %s\nuncached: %s", step, q.sql, now, a.cached, a.rows, b.rows)
+		}
+		if a.at != b.at || a.stamp.At > a.at || a.at >= a.stamp.ValidUntil {
+			t.Fatalf("step %d: %s answered at %v (fresh: %v) under the stamp %v", step, q.sql, a.at, b.at, a.stamp)
+		}
+		if a.stamp.ValidUntil > b.stamp.ValidUntil {
+			t.Fatalf("step %d: %s stamped valid until %v, a fresh evaluation only until %v (cached=%v)", step, q.sql, a.stamp.ValidUntil, b.stamp.ValidUntil, a.cached)
+		}
+		if a.cached {
+			hits++
+		}
+	}
+	readAll := func() {
+		t.Helper()
+		for _, q := range propertyQueries {
+			read(q)
+		}
+	}
+	table := func() string {
+		if rng.Intn(2) == 0 {
+			return "el"
+		}
+		return "pol"
+	}
+	// Mostly multiples of five, so that equal tuples recur (an extension or
+	// a no-change duplicate, by the texp drawn) and DELETE … WHERE deg = c
+	// removes several rows; sometimes a FLOAT or a NULL in the INT column.
+	deg := func() string {
+		switch r := rng.Intn(12); r {
+		case 0:
+			return "NULL"
+		case 1:
+			return fmt.Sprintf("%d.5", 15+rng.Intn(6)*5)
+		default:
+			return fmt.Sprint(15 + rng.Intn(6)*5)
+		}
+	}
+	insert := func(table, deg string) {
+		both(fmt.Sprintf("INSERT INTO %s VALUES (%d, %s) EXPIRES AT %d", table, rng.Intn(30), deg, now+1+int64(rng.Intn(25))))
+	}
+	for step = 0; step < 1200; step++ {
+		switch r := rng.Intn(100); {
+		case r < 14:
+			insert(table(), deg())
+		case r < 18:
+			both(fmt.Sprintf("DELETE FROM %s WHERE deg = %d", table(), 15+rng.Intn(6)*5))
+		case r < 20:
+			both(fmt.Sprintf("DELETE FROM %s WHERE deg >= %d AND uid < %d", table(), 15+rng.Intn(6)*5, rng.Intn(30)))
+		case r < 21:
+			// One write the filters may select, then a burst none of them
+			// does: one fewer than the tail holds, exactly as many, one
+			// more, many more. Entries are warm before and read after.
+			readAll()
+			tab := table()
+			insert(tab, deg())
+			burst := engineWriteTail + []int{-2, -1, 0, 16}[rng.Intn(4)]
+			for i := 0; i < burst; i++ {
+				both(fmt.Sprintf("INSERT INTO %s VALUES (%d, %d) EXPIRES AT %d", tab, i, 100+rng.Intn(3), now+1+int64(rng.Intn(3))))
 			}
-			q := fmt.Sprintf("INSERT INTO %s VALUES (%d, %d) EXPIRES AT %d",
-				table, rng.Intn(30), 20+rng.Intn(4)*5, now+1+int64(rng.Intn(25)))
-			both(q)
-		case r < 3: // advance
+			readAll()
+		case r < 22:
+			readAll()
+			tab := table()
+			both("DROP TABLE " + tab)
+			create(tab)
+			readAll()
+		case r < 30:
 			now += int64(rng.Intn(3) + 1)
 			both(fmt.Sprintf("ADVANCE TO %d", now))
 		default: // read; repeats are frequent so hits actually happen
-			q := queries[rng.Intn(len(queries))]
-			a, b := both(q)
-			if a.Cached {
-				hits++
-			}
-			if b.Cached {
-				t.Fatal("cache-off session must never report Cached")
-			}
-			ra := rowsKey(a.Rel.RowsSorted(a.At))
-			rb := rowsKey(b.Rel.RowsSorted(b.At))
-			if ra != rb {
-				t.Fatalf("step %d: %q diverged at tick %d\ncached: %s\nuncached: %s", step, q, now, ra, rb)
-			}
+			read(propertyQueries[rng.Intn(len(propertyQueries))])
 		}
 	}
-	if hits == 0 {
-		t.Fatal("property run never hit the cache — the test is vacuous")
+	m, err := cached.eng.ResultCacheStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d reads served from the cache, %d of them revalidated after a write; %d entries dropped by a write", hits, m.Revalidations, m.EpochInvalidations)
+	if hits == 0 || m.Revalidations == 0 || m.EpochInvalidations == 0 {
+		t.Fatal("property run never hit the cache, never revalidated an entry or never dropped one — the test is vacuous")
 	}
 
 	// Concurrent phase: hammer the cached engine from parallel readers
@@ -229,7 +406,7 @@ func TestCachedEqualsUncachedProperty(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := sess.Exec(queries[r.Intn(len(queries))]); err != nil {
+				if _, err := propertyQueries[r.Intn(len(propertyQueries))].run(sess); err != nil {
 					t.Error(err)
 					return
 				}
