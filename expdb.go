@@ -333,7 +333,8 @@ const DefaultResultCacheSize = engine.DefaultResultCacheSize
 // WithResultCache sizes the validity-interval result cache in entries
 // (default DefaultResultCacheSize); size <= 0 disables caching.
 // The cache serves a repeated query with zero re-evaluation while
-// now < ValidUntil and no base table it reads has been written — see
+// now < ValidUntil and no write changed a tuple its plan selects, and
+// patches the entry with the inserts a monotonic plan selects — see
 // Result.Validity and Result.Cached.
 func WithResultCache(size int) EngineOption { return engine.WithResultCache(size) }
 
@@ -476,8 +477,8 @@ func (db *DB) Close() error {
 
 // Query runs one SQL statement and returns its Result, stamped with the
 // validity window [Validity.At, Validity.ValidUntil) the engine derived
-// for it and with Cached reporting whether the answer came from the
-// result cache with zero re-evaluation. Query is the documented entry
+// for it and with Cached reporting whether the answer came from a
+// result cache entry, as stored, revalidated or patched. Query is the documented entry
 // point for the SQL surface; Exec is a long-standing alias. Rows come
 // out of Result.Rows() (presentation order under ORDER BY/LIMIT,
 // deterministic set order otherwise).

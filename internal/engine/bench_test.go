@@ -259,6 +259,68 @@ func BenchmarkCacheHitAfterWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkCachePatchAfterInsert measures what a write costs a cached answer
+// it does change: a range over an ordered index returning 40 rows is
+// cached, then each iteration inserts one tuple the range selects and looks
+// the range up, which patches the entry — Δ read off the write tail, the plan
+// streamed over Δ, the row merged into a copy of the answer. The inserts
+// cycle through 64 tuples with later and later lifetimes, so after the first
+// 64 each is an extension and the answer stays the same size. What it
+// allocates follows Δ and the cached answer, never the table: it is run at
+// 2 000 and 20 000 rows (scripts/alloc-gates.sh holds both to one budget).
+func BenchmarkCachePatchAfterInsert(b *testing.B) {
+	for _, rows := range []int{2000, 20_000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			e, names := benchTables(b, 1)
+			if err := e.CreateIndex(&catalog.IndexDef{
+				Name: "t0_v", Table: names[0], Cols: []int{1},
+				ColNames: []string{"v"}, Kind: index.KindOrdered,
+			}); err != nil {
+				b.Fatal(err)
+			}
+			for r := 0; r < rows; r++ { // v = 50·id: 40 rows in [0, 2 000) at either size
+				if err := e.Insert(names[0], tuple.Ints(int64(r), int64(50*r)), xtime.Infinity); err != nil {
+					b.Fatal(err)
+				}
+			}
+			base, err := e.Base(names[0])
+			if err != nil {
+				b.Fatal(err)
+			}
+			lo, hi := value.Int(0), value.Int(2000)
+			full := algebra.And{Preds: []algebra.Predicate{
+				algebra.ColConst{Col: 1, Op: algebra.OpGe, Const: lo},
+				algebra.ColConst{Col: 1, Op: algebra.OpLt, Const: hi},
+			}}
+			scan := algebra.NewIndexScan(base, "t0_v", full, algebra.True{})
+			scan.Cols, scan.Lo, scan.LoInc, scan.Hi = []int{1}, []value.Value{lo}, true, []value.Value{hi}
+			key := scan.String()
+			tid := trace.NextID()
+			if _, err := e.QueryStamped(scan, key, tid); err != nil {
+				b.Fatal(err) // warm the entry
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := e.Insert(names[0], tuple.Ints(int64(rows+i%64), int64(i%64)), xtime.Time(1000+i)); err != nil {
+					b.Fatal(err)
+				}
+				qr, err := e.QueryStamped(scan, key, tid)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !qr.Cached {
+					b.Fatal("an insert the range selects was not patched into the entry")
+				}
+			}
+			b.StopTimer()
+			if m, _ := e.ResultCacheStats(); m.Patches != int64(b.N) {
+				b.Fatalf("patches = %d, want %d", m.Patches, b.N)
+			}
+		})
+	}
+}
+
 // BenchmarkIndexedPointLookup measures the uncached indexed read path:
 // lock plan, hash-index probe, one-row result relation, validity stamp.
 // CI pins it at ≤6 allocs/op — the result relation (header, row map,

@@ -273,7 +273,7 @@ func (e *Engine) CreateTable(name string, schema tuple.Schema) error {
 		e.mu.Unlock()
 		return err
 	}
-	e.wrote(name, nil, false)
+	e.wrote(name, relation.Row{}, false, false)
 	e.mu.Unlock()
 	if err := e.walSync(seq); err != nil {
 		return e.walFail(err, true)
@@ -295,7 +295,7 @@ func (e *Engine) DropTable(name string) error {
 		return err
 	}
 	e.cat.DropTable(name)
-	e.wrote(name, nil, false)
+	e.wrote(name, relation.Row{}, false, false)
 	e.mu.Unlock()
 	if err := e.walSync(seq); err != nil {
 		return e.walFail(err, true)
@@ -383,9 +383,9 @@ func (e *Engine) insert(table string, t tuple.Tuple, texpAt func(xtime.Time) xti
 	stored, changed, _, _ := rel.InsertStored(key, t, texp)
 	e.m.Inserts.Inc()
 	if changed {
-		// Cached results whose leaves select the tuple are stale; a
-		// no-change duplicate leaves every result identical.
-		e.wrote(table, stored, false)
+		// Cached results whose leaves select the tuple absorb it or are
+		// stale; a no-change duplicate leaves every result identical.
+		e.wrote(table, relation.Row{Tuple: stored, Texp: texp}, false, false)
 	}
 	e.mu.Unlock()
 	rel.Unlock()
@@ -483,7 +483,7 @@ func (e *Engine) deleteKeys(table string, rel *relation.Relation, keys []string)
 		}
 		seq = s
 		rel.DeleteKey(key)
-		e.wrote(table, row.Tuple, n > 0)
+		e.wrote(table, row, true, n > 0)
 		n++
 	}
 	e.m.Deletes.Add(int64(n))
@@ -891,7 +891,7 @@ func (e *Engine) RefreshViewTraced(name string, tid trace.ID) error {
 // viewStaleness moves v's mark to the writes its base tables have seen by
 // now when mark is set, and returns how many they have seen since the mark.
 func (e *Engine) viewStaleness(v *view.View, mark bool) uint64 {
-	tables := leafTables(v.Expr(), nil)
+	tables := leafTables(v.Expr(), nil, false)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var sum uint64

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -31,7 +32,7 @@ const DefaultResultCacheSize = 256
 // uniform read currency of the engine. At is the tick the read answered
 // at; Validity is [materialised-at, texp(e)) per Theorem 1 and the χ/ν
 // change-point rules for aggregates; Cached reports whether the answer
-// was served from the result cache with zero re-evaluation.
+// was answered from a cache entry, as stored, revalidated or patched.
 type QueryResult struct {
 	Rel      *relation.Relation
 	At       xtime.Time
@@ -41,74 +42,110 @@ type QueryResult struct {
 
 // cacheEntry is one cached materialisation. tables records, per base
 // relation the plan reads, the write epoch the rows were evaluated under and
-// what the plan's leaves select from it: what freshness tests.
+// what the plan's leaves select from it: what freshness tests. mono records
+// that the plan is monotonic (Theorem 1), so a write it selects is absorbed.
 type cacheEntry struct {
 	key        string
 	rel        *relation.Relation
 	at         xtime.Time
 	validUntil xtime.Time
 	tables     []leafTable
+	mono       bool
 	prev, next *cacheEntry // LRU list, head = most recently used
 }
 
 // leafTable is what a plan reads of one base table: every leaf over the
 // table is σ[p](table) — an IndexScan is the selection it replaced, a bare
-// table is σ[TRUE] — and preds holds each leaf's p, arity the number of
-// columns they reach.
+// table is σ[TRUE] — and preds holds each leaf's p in the order the plan's
+// Children walk meets them, schema the table's. A tuple a leaf in
+// preds[:rigid] selects can only be answered by re-evaluation; one that only
+// leaves in preds[rigid:] select is a Δ the entry absorbs (unseen).
 type leafTable struct {
-	name  string
-	epoch uint64
-	preds []algebra.Predicate
-	arity int
-}
-
-// selects reports whether any leaf over the table selects t. A tuple too
-// short for the predicates was written to a table re-created under the name
-// with another schema while the plan was in flight: the entry is not its
-// answer.
-func (lt *leafTable) selects(t tuple.Tuple) bool {
-	if len(t) < lt.arity {
-		return true
-	}
-	for _, p := range lt.preds {
-		if p.Holds(t) {
-			return true
-		}
-	}
-	return false
+	name   string
+	epoch  uint64
+	preds  []algebra.Predicate
+	schema tuple.Schema
+	rigid  int
 }
 
 // leafTables lists the base tables expr reads, each with the predicates
-// directly over its leaves; tabs is appended to and returned.
-func leafTables(expr algebra.Expr, tabs []leafTable) []leafTable {
-	var name string
+// directly over its leaves, those of rigid leaves first; tabs is appended to
+// and returned.
+func leafTables(expr algebra.Expr, tabs []leafTable, rigid bool) []leafTable {
+	var leaf *algebra.Base
 	var pred algebra.Predicate = algebra.True{}
 	switch x := expr.(type) {
 	case *algebra.Base:
-		name = x.Name
+		leaf = x
 	case *algebra.IndexScan:
-		name, pred = x.Base.Name, x.Full
+		leaf, pred = x.Base, x.Full
 	case *algebra.Select:
 		if b, ok := x.Child.(*algebra.Base); ok {
-			name, pred = b.Name, x.Pred
+			leaf, pred = b, x.Pred
 		}
 	}
-	if name == "" {
+	if leaf == nil {
 		for _, k := range expr.Children() {
-			tabs = leafTables(k, tabs)
+			tabs = leafTables(k, tabs, rigid)
 		}
 		return tabs
 	}
 	i := 0
-	for i < len(tabs) && tabs[i].name != name {
+	for i < len(tabs) && tabs[i].name != leaf.Name {
 		i++
 	}
 	if i == len(tabs) {
-		tabs = append(tabs, leafTable{name: name})
+		tabs = append(tabs, leafTable{name: leaf.Name, schema: leaf.Schema()})
 	}
 	tabs[i].preds = append(tabs[i].preds, pred)
-	tabs[i].arity = max(tabs[i].arity, pred.MaxCol()+1)
+	if rigid {
+		tabs[i].rigid = len(tabs[i].preds)
+	}
 	return tabs
+}
+
+// planTables is leafTables for a plan about to be cached. A monotonic plan
+// has no rigid leaf: its answer only grows with its inputs. A root A − B over
+// monotonic arguments changes only through tuples of A (Table 2, (11)), so
+// A's leaves are rigid; so is every leaf of any other plan.
+func planTables(expr algebra.Expr) []leafTable {
+	if d, ok := expr.(*algebra.Diff); ok && algebra.HasFuture(d) {
+		return leafTables(d.Right, leafTables(d.Left, nil, true), false)
+	}
+	return leafTables(expr, nil, !expr.Monotonic())
+}
+
+// leafVariants calls fn with E[leaf := delta] once per leaf of expr over the
+// named table: that one leaf replaced, every other leaf as it is. An
+// IndexScan leaf becomes σ[Full](delta), the selection it replaced, so its
+// probe never runs against delta.
+func leafVariants(expr algebra.Expr, name string, delta *algebra.Base, fn func(algebra.Expr) error) error {
+	switch x := expr.(type) {
+	case *algebra.Base:
+		if x.Name == name {
+			return fn(delta)
+		}
+	case *algebra.IndexScan:
+		if x.Base.Name == name {
+			return fn(&algebra.Select{Pred: x.Full, Child: delta})
+		}
+	default:
+		kids := expr.Children()
+		for i := range kids {
+			if err := leafVariants(kids[i], name, delta, func(v algebra.Expr) error {
+				with := slices.Clone(kids)
+				with[i] = v
+				x, err := algebra.ReplaceChildren(expr, with)
+				if err != nil {
+					return err
+				}
+				return fn(x)
+			}); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // writeTailLen is how many written tuples a table remembers; an entry that
@@ -116,34 +153,38 @@ func leafTables(expr algebra.Expr, tabs []leafTable) []leafTable {
 const writeTailLen = 64
 
 // writeTail is a base table's recent write history, kept beside its epoch
-// under Engine.mu: the tuples its last writes changed — the stored
-// (immutable, hence shared) tuple of an insert or a lifetime extension, the
-// tuple of each row a DELETE removed — each with the epoch the write moved
+// under Engine.mu: the rows its last writes changed — the stored (immutable,
+// hence shared) tuple of an insert or a lifetime extension with the texp it
+// now has, each row a DELETE removed — each with the epoch the write moved
 // the table to.
 type writeTail struct {
-	// floor is the latest epoch some of whose tuples the ring no longer
+	// floor is the latest epoch some of whose rows the ring no longer
 	// holds: only an entry evaluated at floor or later can be checked.
 	floor uint64
-	n     uint64 // tuples ever recorded; ring[n%writeTailLen] is overwritten next
-	ring  [writeTailLen]struct {
-		epoch uint64
-		t     tuple.Tuple
-	}
+	n     uint64 // rows ever recorded; ring[n%writeTailLen] is overwritten next
+	ring  [writeTailLen]tailRec
+}
+
+// tailRec is one written row, del marking one a DELETE removed.
+type tailRec struct {
+	epoch uint64
+	row   relation.Row
+	del   bool
 }
 
 // wrote is the only place a table's write epoch moves, so no write can move
-// it without saying what it changed: t is the stored tuple of an insert or
-// an extension or the tuple of a row a DELETE removed — more marks a further
-// row of the same DELETE, which shares its epoch — and nil for CREATE / DROP
-// TABLE. The caller holds e.mu, inside the critical section that applies the
-// mutation. DDL, and any write while the cache is off, leaves the table
-// without a tail — nothing older can then be vouched for — and the next
-// recorded write starts one whose floor is the epoch before its own.
-func (e *Engine) wrote(table string, t tuple.Tuple, more bool) {
+// it without saying what it changed: row is the stored row of an insert or
+// an extension or, with del, a row a DELETE removed — more marks a further
+// row of the same DELETE, which shares its epoch — and the zero Row for
+// CREATE / DROP TABLE. The caller holds e.mu, inside the critical section
+// that applies the mutation. DDL, and any write while the cache is off,
+// leaves the table without a tail — nothing older can then be vouched for;
+// the next recorded write starts one whose floor is the epoch before it.
+func (e *Engine) wrote(table string, row relation.Row, del, more bool) {
 	if !more {
 		e.epochs[table]++
 	}
-	if t == nil || e.cache.Load() == nil {
+	if row.Tuple == nil || e.cache.Load() == nil {
 		delete(e.tails, table)
 		return
 	}
@@ -155,40 +196,70 @@ func (e *Engine) wrote(table string, t tuple.Tuple, more bool) {
 	}
 	rec := &w.ring[w.n%writeTailLen]
 	if w.n >= writeTailLen {
-		// A DELETE's tuples share an epoch: losing one loses the whole write.
+		// A DELETE's rows share an epoch: losing one loses the whole write.
 		w.floor = rec.epoch
 	}
-	rec.epoch, rec.t = epoch, t
+	*rec = tailRec{epoch: epoch, row: row, del: del}
 	w.n++
 }
 
-// unseenBy reports whether every write to the table since lt.epoch changed
-// only tuples no leaf of lt selects: σ_p(R ∪ {r}) = σ_p(R) = σ_p(R − {r})
-// whenever ¬p(r), so everything evaluated over those leaves — rows, per-tuple
-// texp, texp(e), monotonic or not — is what it was. A nil w is no tail.
-func (w *writeTail) unseenBy(lt *leafTable) bool {
-	if w == nil || lt.epoch < w.floor {
-		return false
-	}
-	for i := w.n; i > 0 && i+writeTailLen > w.n; i-- {
-		rec := &w.ring[(i-1)%writeTailLen]
-		if rec.epoch <= lt.epoch {
-			break
+// unseen is the one walk of the tails of en's tables since the epochs en was
+// evaluated under; the caller holds e.mu, and moved reports a write since. A
+// row no leaf selects changed nothing the plan reads (σ_p(R ∪ {r}) = σ_p(R) =
+// σ_p(R − {r}) whenever ¬p(r)); each one a leaf selects goes to fn as Δ of
+// lt's table, and no Δ is a revalidation. ok is false when en cannot absorb Δ:
+// a tail does not reach back to lt.epoch, a tuple does not fit the schema (the
+// name was re-created under the plan), a rigid leaf selects one, a monotonic
+// plan lost a selected row, or lost rows reach two leaves of a difference's
+// right argument B. Each Δ replaces one leaf, the others read their tables
+// without those rows, so a tuple B lost through two — a self-join pairing a
+// row with itself, a join losing both sides — would go unseen.
+func (e *Engine) unseen(en *cacheEntry, fn func(*leafTable, relation.Row)) (moved, ok bool) {
+	reach := 0
+	for i := range en.tables {
+		lt := &en.tables[i]
+		if e.epochs[lt.name] == lt.epoch {
+			continue
 		}
-		if lt.selects(rec.t) {
-			return false
+		w, del := e.tails[lt.name], false
+		if w == nil || lt.epoch < w.floor {
+			return true, false
 		}
+		for j := w.n; j > 0 && j+writeTailLen > w.n; j-- {
+			rec := &w.ring[(j-1)%writeTailLen]
+			if rec.epoch <= lt.epoch {
+				break
+			}
+			if len(rec.row.Tuple) != lt.schema.Arity() {
+				return true, false
+			}
+			for k, p := range lt.preds {
+				if p.Holds(rec.row.Tuple) {
+					if k < lt.rigid || rec.del && en.mono {
+						return true, false
+					}
+					del = del || rec.del
+					fn(lt, rec.row)
+					break
+				}
+			}
+		}
+		if del {
+			reach += len(lt.preds) - lt.rigid
+		}
+		moved = true
 	}
-	return true
+	return moved, reach <= 1
 }
 
 // resultCacheMetrics are the cache's atomic hot-path counters.
 type resultCacheMetrics struct {
-	Hits               metrics.Counter
-	Misses             metrics.Counter
+	Hits               metrics.Counter // served from an entry: as stored, revalidated or patched
+	Misses             metrics.Counter // evaluated in full
 	Invalidations      metrics.Counter // clock reached ValidUntil
-	EpochInvalidations metrics.Counter // a write changed a tuple the plan selects, or outran the tail
-	Revalidations      metrics.Counter // hits that outlived ≥ 1 write to a table they read
+	EpochInvalidations metrics.Counter // a write the entry could not absorb, or one that outran the tail
+	Revalidations      metrics.Counter // hits that outlived ≥ 1 write to a table they read, none selected
+	Patches            metrics.Counter // hits that absorbed the selected writes since (patch)
 	Evictions          metrics.Counter // LRU capacity pressure
 	HitNanos           metrics.Histogram
 }
@@ -197,8 +268,8 @@ type resultCacheMetrics struct {
 // → materialisation valid on [at, validUntil). Entries are dropped three
 // ways: the Advance pipeline drains the pq of entries whose ValidUntil
 // the clock has reached (the same heartbeat that expires tuples), lookups
-// discard entries whose base-table epochs moved, and LRU eviction bounds
-// the entry count.
+// discard entries a write left stale and they cannot absorb, and LRU
+// eviction bounds the entry count.
 //
 // Lock hierarchy: mu nests above Engine.mu (a lookup reads the clock, the
 // epoch table and the write tails while holding it) and is never taken while
@@ -294,6 +365,7 @@ type ResultCacheMetrics struct {
 	Invalidations      int64                     `json:"invalidations"`
 	EpochInvalidations int64                     `json:"epoch_invalidations"`
 	Revalidations      int64                     `json:"revalidations"`
+	Patches            int64                     `json:"patches"`
 	Evictions          int64                     `json:"evictions"`
 	Entries            int                       `json:"entries"`
 	Capacity           int                       `json:"capacity"`
@@ -317,6 +389,7 @@ func (e *Engine) ResultCacheStats() (ResultCacheMetrics, error) {
 		Invalidations:      c.m.Invalidations.Load(),
 		EpochInvalidations: c.m.EpochInvalidations.Load(),
 		Revalidations:      c.m.Revalidations.Load(),
+		Patches:            c.m.Patches.Load(),
 		Evictions:          c.m.Evictions.Load(),
 		Entries:            entries,
 		Capacity:           c.cap,
@@ -326,19 +399,21 @@ func (e *Engine) ResultCacheStats() (ResultCacheMetrics, error) {
 
 // QueryStamped evaluates expr at the current tick and stamps the answer
 // with its validity interval [now, texp(e)), both from one evaluation pass.
-// With a non-empty cache key —
-// the normalized plan string — a cached materialisation still inside its
-// window and untouched by base-table writes is served instead, with zero
-// re-evaluation (the hot path is one map probe, an epoch compare per table
-// and an O(1) shared snapshot). A key of "" stamps without caching, so every
-// result carries its validity whether or not it is cacheable.
+// With a non-empty cache key — the normalized plan string — a cached
+// materialisation still inside its window is served instead: as stored or
+// revalidated (one map probe, an epoch compare per table, an O(1) shared
+// snapshot), or patched under the plan's table read locks (patch). A key of
+// "" stamps without caching, so every result still carries its validity.
 func (e *Engine) QueryStamped(expr algebra.Expr, key string, tid trace.ID) (QueryResult, error) {
 	if tid == 0 {
 		tid = trace.NextID()
 	}
 	c := e.cache.Load()
+	var src *cacheEntry
 	if c != nil && key != "" {
-		if res, ok := e.cacheServe(c, key, tid); ok {
+		var res QueryResult
+		var ok bool
+		if res, src, ok = e.cacheServe(c, key, tid); ok {
 			return res, nil
 		}
 	}
@@ -353,6 +428,22 @@ func (e *Engine) QueryStamped(expr algebra.Expr, key string, tid trace.ID) (Quer
 	e.mu.RLock()
 	now := e.now
 	e.mu.RUnlock()
+	if src != nil {
+		switch {
+		case now >= src.validUntil: // the clock reached it since the lookup
+			c.m.Invalidations.Inc()
+		case e.patch(expr, src, now):
+			runlockRels(rels)
+			c.m.Hits.Inc()
+			c.m.Patches.Inc()
+			e.events.Emit(trace.Event{Trace: tid, Kind: trace.EvCacheHit, Tick: now, Texp: src.validUntil})
+			res := QueryResult{Rel: src.rel.SnapshotShared(now), At: now, Validity: interval.Validity{At: src.at, ValidUntil: src.validUntil}, Cached: true}
+			e.cacheStore(c, src)
+			return res, nil
+		default:
+			c.m.EpochInvalidations.Inc()
+		}
+	}
 	ev, err := algebra.Evaluate(expr, now)
 	if err != nil {
 		runlockRels(rels)
@@ -372,7 +463,7 @@ func (e *Engine) QueryStamped(expr algebra.Expr, key string, tid trace.ID) (Quer
 	// still held: no write can have slipped between the rows we evaluated
 	// and the epochs we record, so an epoch match at lookup time proves
 	// the cached rows are the rows a re-evaluation would produce.
-	tables := leafTables(expr, nil)
+	tables := planTables(expr)
 	e.mu.RLock()
 	for i := range tables {
 		tables[i].epoch = e.epochs[tables[i].name]
@@ -388,8 +479,61 @@ func (e *Engine) QueryStamped(expr algebra.Expr, key string, tid trace.ID) (Quer
 	// the entry is published: afterwards only cacheServe, under the cache
 	// lock, may snapshot the stored relation (a snapshot marks its source).
 	res.Rel = rel.SnapshotShared(now)
-	e.cacheStore(c, key, rel, now, texp, tables)
+	e.cacheStore(c, &cacheEntry{key: key, rel: rel, at: now, validUntil: texp, tables: tables, mono: expr.Monotonic()})
 	return res, nil
+}
+
+// patch brings src — a private copy of a patchable entry, rel a snapshot of
+// its rows — up to the writes since, or reports that only a full evaluation
+// will do. The caller holds the read locks of expr's tables, so the Δ read
+// off the tails under Engine.mu is all those tables gained.
+//
+// A monotonic plan streams E[leaf := Δ] once per leaf over each written
+// table, every other leaf as it is now — Δ⋈B ∪ A⋈Δ ∪ Δ⋈Δ for a self-join —
+// and merges each row into rel by max, as ∪ and π merge duplicates. A root
+// A − B whose B alone was written keeps its rows and texp(e) unless
+// B[leaf := Δ], lost rows included, meets A(now): A only shrinks, so a tuple
+// it lacks now is never shown or critical again. Either way at moves to now:
+// a tuple B gained may have hidden one A still held when it was written.
+func (e *Engine) patch(expr algebra.Expr, src *cacheEntry, now xtime.Time) bool {
+	into, root := src.rel, expr // where E[leaf := Δ] goes
+	diff, _ := expr.(*algebra.Diff)
+	if !src.mono {
+		if diff == nil {
+			return false
+		}
+		root, into = diff.Right, relation.New(diff.Right.Schema())
+	}
+	var deltas []*algebra.Base // one per written table: unseen walks its rows together
+	e.mu.RLock()
+	_, ok := e.unseen(src, func(lt *leafTable, row relation.Row) {
+		if n := len(deltas); n == 0 || deltas[n-1].Name != lt.name {
+			deltas = append(deltas, algebra.NewBase(lt.name, relation.New(lt.schema)))
+		}
+		deltas[len(deltas)-1].Rel.InsertOwnedRow(row)
+	})
+	for i := range src.tables {
+		src.tables[i].epoch = e.epochs[src.tables[i].name]
+	}
+	e.mu.RUnlock()
+	if !ok {
+		return false
+	}
+	for _, d := range deltas {
+		if leafVariants(root, d.Name, d, func(x algebra.Expr) error {
+			return algebra.StreamExpr(x, now, func(row relation.Row) { into.InsertOwnedRow(row) })
+		}) != nil {
+			return false
+		}
+	}
+	clash := false
+	if !src.mono && into.Len() > 0 && (algebra.StreamExpr(diff.Left, now, func(row relation.Row) {
+		clash = clash || into.Contains(row.Tuple, now)
+	}) != nil || clash) {
+		return false
+	}
+	src.at = now
+	return true
 }
 
 // What freshness finds an entry to be, as CacheProbe prints it.
@@ -397,17 +541,18 @@ const (
 	cacheHit        = "hit"
 	cacheExpired    = "expired"
 	cacheEpochStale = "epoch-stale"
+	cachePatch      = "patch"
 )
 
 // freshness is the one test of whether en is the answer a re-evaluation at
-// the current tick would give: the clock is inside [at, validUntil) and, per
-// table, the write epoch is the one en was evaluated under or no tuple
-// written since is selected by a leaf of the plan (revalidated). With adopt,
-// a revalidated entry takes the current epochs, so each entry × write pair
-// is tested once. The caller holds c.mu. Clock, epochs and tails are read
-// under the engine leaf lock — a writer moves them in the critical section
-// that mutates the table, so data and history are seen to move together —
-// which up to writeTailLen Holds calls per moved table and leaf prolong.
+// the current tick would give: the clock is inside [at, validUntil) and the
+// writes since en was evaluated hand the plan no Δ (revalidated, if there
+// were any) — or a patch away, when en can absorb every Δ. With adopt, a
+// revalidated entry takes the current epochs, so each entry × write pair is
+// tested once. The caller holds c.mu. Clock, epochs and tails are read under
+// the engine leaf lock — a writer moves them in the critical section that
+// mutates the table, so data and history are seen to move together — which
+// up to writeTailLen Holds calls per moved table and leaf prolong.
 func (e *Engine) freshness(en *cacheEntry, adopt bool) (state string, now xtime.Time, revalidated bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -415,37 +560,42 @@ func (e *Engine) freshness(en *cacheEntry, adopt bool) (state string, now xtime.
 	if now < en.at || now >= en.validUntil {
 		return cacheExpired, now, false
 	}
-	for i := range en.tables {
-		lt := &en.tables[i]
-		if e.epochs[lt.name] == lt.epoch {
-			continue
-		}
-		if !e.tails[lt.name].unseenBy(lt) {
-			return cacheEpochStale, now, false
-		}
-		revalidated = true
-	}
-	if revalidated && adopt {
+	absorb := false
+	moved, ok := e.unseen(en, func(*leafTable, relation.Row) { absorb = true })
+	switch {
+	case !ok:
+		return cacheEpochStale, now, false
+	case absorb:
+		return cachePatch, now, false
+	case moved && adopt:
 		for i := range en.tables {
 			en.tables[i].epoch = e.epochs[en.tables[i].name]
 		}
 	}
-	return cacheHit, now, revalidated
+	return cacheHit, now, moved
 }
 
 // cacheServe answers key from the cache if a fresh entry exists. Stale
-// entries found on the way — window expired, or a write changed a tuple the
-// plan selects — are dropped eagerly. The hit path performs exactly one
-// allocation (the shared snapshot header), which BenchmarkCacheHit pins in CI.
-func (e *Engine) cacheServe(c *resultCache, key string, tid trace.ID) (QueryResult, bool) {
+// entries found on the way — window expired, or a write the plan selects and
+// cannot absorb — are dropped eagerly; a patchable one is handed back as a
+// private copy src, rel snapshotted here (a published relation is only
+// snapshotted under cache.mu). The hit path performs exactly one allocation
+// (the shared snapshot header), which BenchmarkCacheHit pins in CI.
+func (e *Engine) cacheServe(c *resultCache, key string, tid trace.ID) (res QueryResult, src *cacheEntry, ok bool) {
 	start := time.Now()
 	c.mu.Lock()
 	en, ok := c.entries[key]
 	if !ok {
 		c.mu.Unlock()
-		return QueryResult{}, false
+		return QueryResult{}, nil, false
 	}
 	state, now, revalidated := e.freshness(en, true)
+	if state == cachePatch {
+		src = &cacheEntry{key: key, rel: en.rel.SnapshotShared(now), at: en.at, validUntil: en.validUntil,
+			tables: slices.Clone(en.tables), mono: en.mono}
+		c.mu.Unlock()
+		return QueryResult{}, src, false
+	}
 	if state != cacheHit {
 		c.drop(en)
 		c.mu.Unlock()
@@ -454,7 +604,7 @@ func (e *Engine) cacheServe(c *resultCache, key string, tid trace.ID) (QueryResu
 		} else {
 			c.m.EpochInvalidations.Inc()
 		}
-		return QueryResult{}, false
+		return QueryResult{}, nil, false
 	}
 	c.touch(en)
 	snap := en.rel.SnapshotShared(now)
@@ -470,25 +620,24 @@ func (e *Engine) cacheServe(c *resultCache, key string, tid trace.ID) (QueryResu
 		At:       now,
 		Validity: interval.Validity{At: en.at, ValidUntil: en.validUntil},
 		Cached:   true,
-	}, true
+	}, nil, true
 }
 
-// cacheStore inserts (or replaces) the entry for key, schedules its
+// cacheStore inserts (or replaces) the entry for en.key, schedules its
 // expiry on the cache pq, and evicts from the LRU tail past capacity.
 // Results whose window is already empty are not worth storing.
-func (e *Engine) cacheStore(c *resultCache, key string, rel *relation.Relation, at, validUntil xtime.Time, tables []leafTable) {
-	if validUntil <= at {
+func (e *Engine) cacheStore(c *resultCache, en *cacheEntry) {
+	if en.validUntil <= en.at {
 		return
 	}
-	en := &cacheEntry{key: key, rel: rel, at: at, validUntil: validUntil, tables: tables}
 	c.mu.Lock()
-	if old, ok := c.entries[key]; ok {
+	if old, ok := c.entries[en.key]; ok {
 		c.unlink(old)
 	}
-	c.entries[key] = en
+	c.entries[en.key] = en
 	c.pushFront(en)
-	if validUntil != xtime.Infinity {
-		c.pq.Push(validUntil, key)
+	if en.validUntil != xtime.Infinity {
+		c.pq.Push(en.validUntil, en.key)
 	}
 	var evicted int64
 	for len(c.entries) > c.cap && c.tail != nil {
@@ -532,8 +681,9 @@ func (e *Engine) cacheExpire(to xtime.Time, tid trace.ID) {
 
 // CacheProbe reports, without serving the entry, adopting an epoch or
 // touching LRU order, how the result cache would answer the plan key right
-// now: "hit", "cold", "expired", "epoch-stale" or "disabled" — by the test
-// cacheServe applies, so EXPLAIN ANALYZE reports what a SELECT would get.
+// now: "hit", "patch", "cold", "expired", "epoch-stale" or "disabled" — by
+// the test cacheServe applies, so EXPLAIN ANALYZE reports what a SELECT would
+// get; "patch" does not test a difference's right-side Δ against A(now).
 func (e *Engine) CacheProbe(key string) string {
 	c := e.cache.Load()
 	if c == nil {

@@ -7,6 +7,7 @@ import (
 
 	"expdb/internal/algebra"
 	"expdb/internal/catalog"
+	"expdb/internal/interval"
 	"expdb/internal/relation"
 	"expdb/internal/trace"
 	"expdb/internal/tuple"
@@ -42,6 +43,29 @@ func histExpr(t *testing.T, e *Engine) algebra.Expr {
 		t.Fatal(err)
 	}
 	return agg
+}
+
+// polExceptEl builds π[UID](pol) − π[UID](el). Over Figure 1 its answer at
+// τ=0 is {3}, valid on [0, 3): uids 1 and 2 are critical, hidden by el rows
+// that expire before their pol rows.
+func polExceptEl(t *testing.T, e *Engine) algebra.Expr {
+	t.Helper()
+	uids := func(table string) algebra.Expr {
+		b, err := e.Base(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := algebra.NewProject([]int{0}, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	d, err := algebra.NewDiff(uids("pol"), uids("el"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 func cacheStats(t *testing.T, e *Engine) ResultCacheMetrics {
@@ -150,34 +174,45 @@ func TestCacheAdvanceDrainsDueEntries(t *testing.T) {
 	}
 }
 
+// An insert into the table of a monotonic plan is patched into its entry,
+// restamped at the tick of the read; a delete the plan selects drops it.
 func TestCacheEpochInvalidationOnWrite(t *testing.T) {
 	e := newsEngine(t)
 	b, _ := e.Base("pol")
 
 	stamped(t, e, b)
+	if err := e.Advance(2); err != nil {
+		t.Fatal(err)
+	}
 	if err := e.Insert("pol", tuple.Ints(9, 99), 50); err != nil {
 		t.Fatal(err)
 	}
 	qr := stamped(t, e, b)
-	if qr.Cached {
-		t.Fatal("read after insert must not serve the stale entry")
+	if !qr.Cached {
+		t.Fatal("an insert into a monotonic plan's table must be patched into the entry")
 	}
 	if g := qr.Rel.CountAt(qr.At); g != 4 {
 		t.Fatalf("rows = %d, want 4", g)
 	}
-	// Refilled by the miss above; a delete must invalidate again.
-	if !stamped(t, e, b).Cached {
-		t.Fatal("refilled entry must hit")
+	if texp, ok := qr.Rel.Texp(tuple.Ints(9, 99)); !ok || texp != 50 {
+		t.Fatalf("patched row texp = %v, %v; want 50", texp, ok)
+	}
+	if qr.Validity.At != 2 {
+		t.Fatalf("patched stamp %v: it must start at the read, not before the insert", qr.Validity)
 	}
 	if ok, err := e.Delete("pol", tuple.Ints(9, 99)); err != nil || !ok {
 		t.Fatalf("delete = %v, %v", ok, err)
 	}
-	if stamped(t, e, b).Cached {
+	qr = stamped(t, e, b)
+	if qr.Cached {
 		t.Fatal("read after delete must not serve the stale entry")
 	}
+	if g := qr.Rel.CountAt(qr.At); g != 3 {
+		t.Fatalf("rows = %d, want 3", g)
+	}
 	m := cacheStats(t, e)
-	if m.EpochInvalidations != 2 {
-		t.Fatalf("epoch invalidations = %d, want 2", m.EpochInvalidations)
+	if m.EpochInvalidations != 1 || m.Patches != 1 || m.Hits != 1 || m.Misses != 2 {
+		t.Fatalf("epoch invalidations/patches/hits/misses = %d/%d/%d/%d, want 1/1/1/2", m.EpochInvalidations, m.Patches, m.Hits, m.Misses)
 	}
 	if m.Invalidations != 0 {
 		t.Fatalf("window invalidations = %d, want 0", m.Invalidations)
@@ -200,8 +235,8 @@ func degAtLeast(t *testing.T, e *Engine, min int64) algebra.Expr {
 }
 
 // An entry survives every write whose tuple no leaf of its plan selects —
-// insert, lifetime extension, delete — and is dropped by each kind of write
-// that changes a tuple one does select.
+// insert, lifetime extension, delete — absorbs an insert or an extension one
+// does select, and is dropped by a delete one selects.
 func TestCacheSurvivesWritesItsLeavesReject(t *testing.T) {
 	e := newsEngine(t)
 	q := degAtLeast(t, e, 30)
@@ -251,16 +286,74 @@ func TestCacheSurvivesWritesItsLeavesReject(t *testing.T) {
 	}
 
 	insert(8, 40, 50)
-	read("an insert the leaf selects", false, 2)
+	read("an insert the leaf selects", true, 2)
 	insert(3, 35, 60)
-	read("an extension the leaf selects", false, 2)
+	read("an extension the leaf selects", true, 2)
 	if texp, _ := stamped(t, e, q).Rel.Texp(tuple.Ints(3, 35)); texp != 60 {
 		t.Fatalf("texp of the extended row = %v, want 60", texp)
 	}
+	if m := cacheStats(t, e); m.Patches != 2 || m.Revalidations != 3 || m.EpochInvalidations != 0 {
+		t.Fatalf("patches/revalidations/epoch invalidations = %d/%d/%d, want 2/3/0", m.Patches, m.Revalidations, m.EpochInvalidations)
+	}
 	remove(8, 40)
 	read("a delete the leaf selects", false, 1)
-	if m := cacheStats(t, e); m.EpochInvalidations != 3 {
-		t.Fatalf("epoch invalidations = %d, want 3", m.EpochInvalidations)
+	if m := cacheStats(t, e); m.EpochInvalidations != 1 {
+		t.Fatalf("epoch invalidations = %d, want 1", m.EpochInvalidations)
+	}
+}
+
+// A root difference keeps its entry's rows and texp(e) through right-side
+// inserts and deletes of tuples its left argument lacks — restamped at the
+// read, which the write may have changed the answer before — re-evaluates
+// when one meets the left, and is dropped by a write its left argument
+// selects.
+func TestCacheDifferenceAbsorbsRightSideWrites(t *testing.T) {
+	e := newsEngine(t)
+	q := polExceptEl(t, e)
+	read := func(what string, cached bool, uids ...int64) QueryResult {
+		t.Helper()
+		qr := stamped(t, e, q)
+		if qr.Cached != cached {
+			t.Fatalf("after %s: cached = %v, want %v", what, qr.Cached, cached)
+		}
+		if g := qr.Rel.CountAt(qr.At); g != len(uids) {
+			t.Fatalf("after %s: %d rows, want %v", what, g, uids)
+		}
+		for _, u := range uids {
+			if !qr.Rel.Contains(tuple.Ints(u), qr.At) {
+				t.Fatalf("after %s: uid %d missing", what, u)
+			}
+		}
+		return qr
+	}
+	write := func(table string, del bool, uid, deg int64) {
+		t.Helper()
+		if del {
+			if ok, err := e.Delete(table, tuple.Ints(uid, deg)); err != nil || !ok {
+				t.Fatalf("delete = %v, %v", ok, err)
+			}
+		} else if err := e.Insert(table, tuple.Ints(uid, deg), 40); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read("nothing", false, 3)
+	if err := e.Advance(1); err != nil {
+		t.Fatal(err)
+	}
+	write("el", false, 77, 20)
+	if qr := read("a right-side insert the left lacks", true, 3); qr.Validity != (interval.Validity{At: 1, ValidUntil: 3}) {
+		t.Fatalf("stamp %v, want [1, 3): the entry's texp(e), from the read on", qr.Validity)
+	}
+	write("el", true, 77, 20)
+	read("a right-side delete the left lacks", true, 3)
+	write("el", true, 1, 75)
+	read("a right-side delete the left holds", false, 1, 3)
+	write("el", false, 3, 50)
+	read("a right-side insert the left holds", false, 1)
+	write("pol", false, 8, 20)
+	read("a left-side insert", false, 1, 8)
+	if m := cacheStats(t, e); m.Patches != 2 || m.EpochInvalidations != 3 || m.Misses != 4 {
+		t.Fatalf("patches/epoch invalidations/misses = %d/%d/%d, want 2/3/4", m.Patches, m.EpochInvalidations, m.Misses)
 	}
 }
 
@@ -351,14 +444,14 @@ func TestCacheOffThenOnIsCold(t *testing.T) {
 	if err := e.Insert("pol", tuple.Ints(8, 45), 50); err != nil { // both leaves select it; nobody records it
 		t.Fatal(err)
 	}
-	if _, ok := e.cacheServe(old, q30.String(), 0); ok {
+	if _, _, ok := e.cacheServe(old, q30.String(), 0); ok {
 		t.Fatal("an entry of the discarded cache was served across a write made while the cache was off")
 	}
 	e.SetResultCache(4)
 	if err := e.Insert("pol", tuple.Ints(9, 20), 50); err != nil { // recorded; both leaves reject it
 		t.Fatal(err)
 	}
-	if _, ok := e.cacheServe(old, q40.String(), 0); ok {
+	if _, _, ok := e.cacheServe(old, q40.String(), 0); ok {
 		t.Fatal("the new tail vouched for an entry older than its floor")
 	}
 	qr := stamped(t, e, q30)
@@ -389,6 +482,38 @@ func TestCacheLeafPredicateMeetsShorterTuple(t *testing.T) {
 	}
 	if stamped(t, e, q).Cached {
 		t.Fatal("an entry over a dropped table outlived a write to its successor")
+	}
+}
+
+// The same race under a monotonic plan whose leaf is the bare table: σ[TRUE]
+// selects the short tuple on its own, and the entry would absorb it, but a
+// tuple that does not fit the leaf's schema must never reach the Δ plan — π
+// would read past its end — so the entry is re-evaluated.
+func TestCacheMonotonicPlanMeetsShorterTuple(t *testing.T) {
+	e := newsEngine(t)
+	b, err := e.Base("pol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := algebra.NewProject([]int{1}, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.DropTable("pol"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CreateTable("pol", tuple.IntCols("UID")); err != nil {
+		t.Fatal(err)
+	}
+	stamped(t, e, q)
+	if err := e.Insert("pol", tuple.Ints(7), 50); err != nil {
+		t.Fatal(err)
+	}
+	if p := e.CacheProbe(q.String()); p != "epoch-stale" {
+		t.Fatalf("probe = %q, want epoch-stale", p)
+	}
+	if stamped(t, e, q).Cached {
+		t.Fatal("an entry over a dropped table absorbed a write to its successor")
 	}
 }
 
@@ -536,13 +661,32 @@ func TestCacheProbeStates(t *testing.T) {
 	if p := e.CacheProbe(key); p != "hit" {
 		t.Fatalf("probe = %q, want hit", p)
 	}
+	// A right-side insert into − whose tuple the left lacks is absorbed: the
+	// probe does not look at the left, the serve does and keeps the entry.
+	diff := polExceptEl(t, e)
+	stamped(t, e, diff)
+	if err := e.Insert("el", tuple.Ints(77, 20), 40); err != nil {
+		t.Fatal(err)
+	}
+	if p := e.CacheProbe(diff.String()); p != "patch" {
+		t.Fatalf("difference probe = %q, want patch", p)
+	}
+	if qr := stamped(t, e, diff); !qr.Cached || qr.Validity != (interval.Validity{At: 0, ValidUntil: 3}) {
+		t.Fatalf("difference after a right-side insert the left lacks: cached = %v, stamp %v; want the entry's rows and texp(e), [0, 3)", qr.Cached, qr.Validity)
+	}
+	// One insert is absorbed by a monotonic plan and drops a GROUP BY.
+	hist := histExpr(t, e)
+	stamped(t, e, hist)
 	if err := e.Insert("pol", tuple.Ints(7, 70), 40); err != nil {
 		t.Fatal(err)
 	}
-	if p := e.CacheProbe(key); p != "epoch-stale" {
-		t.Fatalf("probe = %q, want epoch-stale", p)
+	if p := e.CacheProbe(key); p != "patch" {
+		t.Fatalf("probe = %q, want patch", p)
 	}
-	stamped(t, e, b) // refill with fresh epochs
+	if p := e.CacheProbe(hist.String()); p != "epoch-stale" {
+		t.Fatalf("GROUP BY probe = %q, want epoch-stale", p)
+	}
+	stamped(t, e, b) // patch, with fresh epochs
 	// Probing must not serve or refresh the entry (EXPLAIN ANALYZE relies
 	// on this): the hit counter is untouched by probes.
 	hitsBefore := cacheStats(t, e).Hits
@@ -725,7 +869,7 @@ func TestCacheHitAllocs(t *testing.T) {
 // in tuple order equal to a fresh sort, each caller's slice is its own
 // (ORDER BY re-sorts it in place), rows that expire inside the entry's
 // window drop out of later hits without disturbing the order, and a write
-// starts a new entry with a new order.
+// patched in makes a new store with a new order.
 func TestCacheHitsKeepTupleOrder(t *testing.T) {
 	e := New()
 	if err := e.CreateTable("t", tuple.IntCols("id", "v")); err != nil {
@@ -771,6 +915,6 @@ func TestCacheHitsKeepTupleOrder(t *testing.T) {
 	if err := e.Insert("t", tuple.Ints(1000, 0), 50); err != nil {
 		t.Fatal(err)
 	}
-	check(6, false, 181)
+	check(6, true, 181)
 	check(7, true, 171)
 }

@@ -133,6 +133,10 @@ func (s *Session) execExplainAnalyze(p *Plan) (*Result, error) {
 		switch probe := s.eng.CacheProbe(p.Key); probe {
 		case "hit":
 			cacheLine = "hit (a SELECT would be served from the result cache, zero re-evaluation)"
+		case "patch":
+			// The probe takes no table lock, so it cannot test an EXCEPT's
+			// right-side Δ against its left: that test may still re-evaluate.
+			cacheLine = "patch (a SELECT would try to absorb the writes since into the cached answer; under EXCEPT, a right-side write the left holds re-evaluates)"
 		case "disabled":
 			cacheLine = "disabled"
 		default: // cold, expired, epoch-stale

@@ -39,8 +39,8 @@ type Result struct {
 	// Theorem 1 and the χ/ν change-point rules — stays correct at every
 	// instant before ValidUntil = texp(e). Zero for non-query statements.
 	Validity interval.Validity
-	// Cached reports the result was served from the validity-interval
-	// result cache with zero re-evaluation.
+	// Cached reports the result was answered from a validity-interval
+	// result cache entry, as stored, revalidated or patched.
 	Cached bool
 	// Msg is a human-readable outcome for non-query statements and
 	// EXPLAIN.

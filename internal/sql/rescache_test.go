@@ -90,7 +90,7 @@ func TestShowCache(t *testing.T) {
 	mustExec(t, s, q)
 	mustExec(t, s, q)
 	res := mustExec(t, s, "SHOW CACHE")
-	for _, want := range []string{`"hits": 1`, `"misses": 1`, `"revalidations": 0`, `"entries": 1`, `"capacity": 256`, `"hit_nanos"`} {
+	for _, want := range []string{`"hits": 1`, `"misses": 1`, `"revalidations": 0`, `"patches": 0`, `"entries": 1`, `"capacity": 256`, `"hit_nanos"`} {
 		if !strings.Contains(res.Msg, want) {
 			t.Fatalf("SHOW CACHE output missing %q:\n%s", want, res.Msg)
 		}
@@ -136,7 +136,8 @@ func TestExplainAnalyzeCacheLine(t *testing.T) {
 }
 
 // EXPLAIN ANALYZE's cache line and Exec answer the same question with the
-// same function: what one reports, the other does.
+// same function: what one reports, the other does — but for an EXCEPT's
+// patch, which the line reports as an attempt.
 func TestExplainAnalyzeCacheLineAgreesWithExec(t *testing.T) {
 	s := newSession(t)
 	q := "SELECT uid FROM pol WHERE deg >= 30"
@@ -152,15 +153,49 @@ func TestExplainAnalyzeCacheLineAgreesWithExec(t *testing.T) {
 		t.Fatal("EXPLAIN ANALYZE said hit, the SELECT was not served from the cache")
 	}
 	mustExec(t, s, "INSERT INTO pol VALUES (9, 45) EXPIRES AT 30") // the leaf selects it
-	if res := mustExec(t, s, "EXPLAIN ANALYZE "+q); !strings.Contains(res.Msg, "cache:     miss (epoch-stale)") {
-		t.Fatalf("EXPLAIN ANALYZE after a write the plan selects must report epoch-stale:\n%s", res.Msg)
+	if res := mustExec(t, s, "EXPLAIN ANALYZE "+q); !strings.Contains(res.Msg, "cache:     patch") {
+		t.Fatalf("EXPLAIN ANALYZE after an insert a monotonic plan selects must report patch:\n%s", res.Msg)
 	}
 	res := mustExec(t, s, q)
-	if res.Cached {
-		t.Fatal("EXPLAIN ANALYZE said epoch-stale, the SELECT was served from the cache")
+	if !res.Cached {
+		t.Fatal("EXPLAIN ANALYZE said patch, the SELECT was not answered from the cache entry")
 	}
 	if got := len(res.Rows()); got != 2 {
 		t.Fatalf("rows = %d, want 2 (uid 3 and the new uid 9)", got)
+	}
+	// The same insert under a GROUP BY drops the entry.
+	agg := "SELECT deg, COUNT(*) FROM pol WHERE deg >= 30 GROUP BY deg"
+	mustExec(t, s, agg)
+	mustExec(t, s, "INSERT INTO pol VALUES (10, 45) EXPIRES AT 30")
+	if res := mustExec(t, s, "EXPLAIN ANALYZE "+agg); !strings.Contains(res.Msg, "cache:     miss (epoch-stale)") {
+		t.Fatalf("EXPLAIN ANALYZE after an insert a GROUP BY selects must report epoch-stale:\n%s", res.Msg)
+	}
+	if mustExec(t, s, agg).Cached {
+		t.Fatal("EXPLAIN ANALYZE said epoch-stale, the SELECT was served from the cache")
+	}
+	// A right-side insert into − whose tuple the left lacks is absorbed.
+	diff := "SELECT uid FROM pol EXCEPT SELECT uid FROM el"
+	mustExec(t, s, diff)
+	mustExec(t, s, "INSERT INTO el VALUES (77, 20) EXPIRES AT 30")
+	if res := mustExec(t, s, "EXPLAIN ANALYZE "+diff); !strings.Contains(res.Msg, "cache:     patch") {
+		t.Fatalf("EXPLAIN ANALYZE after a right-side insert the left lacks must report patch:\n%s", res.Msg)
+	}
+	if !mustExec(t, s, diff).Cached {
+		t.Fatal("EXPLAIN ANALYZE said patch, the EXCEPT was not answered from the cache entry")
+	}
+	// One the left holds: the probe takes no table lock, so it cannot test
+	// the Δ against pol and says patch, which its line words as an attempt;
+	// the SELECT finds uid 3 in pol and re-evaluates.
+	mustExec(t, s, "INSERT INTO el VALUES (3, 20) EXPIRES AT 30")
+	if res := mustExec(t, s, "EXPLAIN ANALYZE "+diff); !strings.Contains(res.Msg, "cache:     patch (a SELECT would try") {
+		t.Fatalf("EXPLAIN ANALYZE after a right-side insert the left holds must report a patch attempt:\n%s", res.Msg)
+	}
+	res = mustExec(t, s, diff)
+	if res.Cached {
+		t.Fatal("a right-side insert the left holds was absorbed")
+	}
+	if got := len(res.Rows()); got != 3 {
+		t.Fatalf("rows = %d, want 3 (uids 8, 9 and 10; el now hides 3)", got)
 	}
 }
 
@@ -209,17 +244,37 @@ func (q propertyQuery) run(s *Session) (answer, error) {
 	return answer{rowsKey(qr.Rel.RowsSorted(qr.At)), qr.At, qr.Validity, qr.Cached}, nil
 }
 
-// selfJoin is σ[deg<30](pol) ⋈[uid=uid] σ[deg≥30](pol): one table under two
-// different leaf predicates, both of which a write must be tested against.
-func selfJoin(e *engine.Engine) (algebra.Expr, error) {
-	pol, err := e.Base("pol")
+// selfJoin builds σ[deg op1 c1](pol) ⋈[uid=uid] σ[deg op2 c2](pol): one
+// table under two leaf predicates, both of which a write must be tested
+// against and, where both select it, patched into (Δ⋈Δ).
+func selfJoin(op1 algebra.CmpOp, c1 int64, op2 algebra.CmpOp, c2 int64) func(*engine.Engine) (algebra.Expr, error) {
+	return func(e *engine.Engine) (algebra.Expr, error) {
+		pol, err := e.Base("pol")
+		if err != nil {
+			return nil, err
+		}
+		deg := func(op algebra.CmpOp, c int64) algebra.Expr {
+			return &algebra.Select{Pred: algebra.ColConst{Col: 1, Op: op, Const: value.Int(c)}, Child: pol}
+		}
+		return algebra.EquiJoin(deg(op1, c1), 0, deg(op2, c2), 0)
+	}
+}
+
+// elExceptSelfJoin builds π[uid](σ[deg<100](el)) − π[uid](σ[deg<40](pol)
+// ⋈[uid=uid] σ[deg≥20](pol)): a difference whose right argument reads pol
+// through two leaves, so one DELETE of a row the join pairs with itself
+// reaches both.
+func elExceptSelfJoin(e *engine.Engine) (algebra.Expr, error) {
+	el, err := e.Base("el")
 	if err != nil {
 		return nil, err
 	}
-	deg := func(op algebra.CmpOp) algebra.Expr {
-		return &algebra.Select{Pred: algebra.ColConst{Col: 1, Op: op, Const: value.Int(30)}, Child: pol}
+	join, err := selfJoin(algebra.OpLt, 40, algebra.OpGe, 20)(e)
+	if err != nil {
+		return nil, err
 	}
-	return algebra.EquiJoin(deg(algebra.OpLt), 0, deg(algebra.OpGe), 0)
+	left := &algebra.Select{Pred: algebra.ColConst{Col: 1, Op: algebra.OpLt, Const: value.Int(100)}, Child: el}
+	return algebra.NewDiff(&algebra.Project{Cols: []int{0}, Child: left}, &algebra.Project{Cols: []int{0}, Child: join})
 }
 
 // propertyQueries covers every operator bare and filtered. Filters are on
@@ -230,18 +285,27 @@ var propertyQueries = []propertyQuery{
 	{sql: "SELECT uid FROM pol WHERE deg > 20"},
 	{sql: "SELECT uid, deg FROM el WHERE deg >= 20 AND deg < 35"},
 	{sql: "SELECT uid FROM pol WHERE deg < 40 AND uid >= 10"},
+	// π drops the key column: re-inserts that extend a lifetime, and other
+	// uids with the same deg, merge into one row by max.
+	{sql: "SELECT deg FROM el WHERE deg < 100"},
 	{sql: "SELECT deg, COUNT(*) FROM pol GROUP BY deg"},
 	{sql: "SELECT deg, COUNT(*) FROM pol WHERE deg < 30 GROUP BY deg"},
 	{sql: "SELECT deg, SUM(uid) FROM pol GROUP BY deg"},
 	{sql: "SELECT MIN(deg), MAX(deg) FROM pol"},
 	{sql: "SELECT MIN(uid), MAX(uid) FROM el WHERE deg >= 35 AND deg < 100"},
+	// Root differences: writes to the right side, with and without a
+	// matching left tuple, inserts and deletes, are absorbed or re-evaluated.
 	{sql: "SELECT uid FROM pol EXCEPT SELECT uid FROM el"},
 	{sql: "SELECT uid FROM pol WHERE deg >= 25 AND deg < 100 EXCEPT SELECT uid FROM el WHERE deg < 30"},
+	{sql: "SELECT uid FROM el WHERE deg < 100 EXCEPT SELECT uid FROM pol WHERE deg >= 25"},
 	{sql: "SELECT uid FROM pol UNION SELECT uid FROM el"},
-	// One table under two different leaf predicates.
+	// One table under two different leaf predicates: disjoint ranges, and
+	// overlapping ones an insert can pass both of.
 	{sql: "SELECT uid FROM pol WHERE deg < 25 UNION SELECT uid FROM pol WHERE deg >= 35 AND deg < 100"},
+	{sql: "SELECT uid FROM pol WHERE deg <= 25 UNION SELECT uid FROM pol WHERE deg >= 20 AND deg < 100"},
 	{sql: "SELECT uid FROM el WHERE deg <= 20 INTERSECT SELECT uid FROM el WHERE deg >= 35 AND deg < 100"},
-	{sql: "σ[deg<30](pol) ⋈[uid=uid] σ[deg≥30](pol)", build: selfJoin},
+	{sql: "σ[deg<30](pol) ⋈[uid=uid] σ[deg≥30](pol)", build: selfJoin(algebra.OpLt, 30, algebra.OpGe, 30)},
+	{sql: "σ[deg<40](pol) ⋈[uid=uid] σ[deg≥20](pol)", build: selfJoin(algebra.OpLt, 40, algebra.OpGe, 20)},
 	{sql: "SELECT uid FROM pol INTERSECT SELECT uid FROM el"},
 	{sql: "SELECT uid FROM pol WHERE deg = 20 INTERSECT SELECT uid FROM el WHERE deg = 20"},
 	{sql: "SELECT pol.uid, el.deg FROM pol JOIN el ON pol.uid = el.uid"},
@@ -249,20 +313,162 @@ var propertyQueries = []propertyQuery{
 	// The predicate compares the two sides, so it stays above the join and
 	// both leaves are bare.
 	{sql: "SELECT pol.uid, el.deg FROM pol JOIN el ON pol.uid = el.uid WHERE pol.deg > el.deg"},
+	// Differences whose right argument has two leaves, which one burst of
+	// DELETEs can reach both of: a join of pol with el, a self-join of pol.
+	{sql: "SELECT uid FROM pol WHERE deg >= 30 AND deg < 100 EXCEPT SELECT pol.uid FROM pol JOIN el ON pol.uid = el.uid WHERE pol.deg < 30"},
+	{sql: "π[uid](σ[deg<100](el)) − π[uid](σ[deg<40](pol) ⋈[uid=uid] σ[deg≥20](pol))", build: elExceptSelfJoin},
 }
 
 // engineWriteTail is engine.writeTailLen: bursts are sized around it.
 const engineWriteTail = 64
 
+// oracle runs one stream of statements through a session with the cache on
+// and one with it off, and checks every read of propertyQueries against the
+// fresh answer: rows, per-tuple texp, and a stamp that is true — it holds
+// the read's tick, ends no later than a fresh evaluation's and starts no
+// earlier than the last write that changed the fresh answer. It counts the
+// reads answered from the cache, those of them patched, and the patched
+// reads of a root difference (which keep their rows through a right-side write).
+type oracle struct {
+	t                   testing.TB
+	cached, plain       *Session
+	indexed             bool
+	now                 int64
+	step                int
+	changedAt           []xtime.Time // per propertyQueries entry
+	hits, patched, kept int
+}
+
+func newOracle(t testing.TB, indexed bool) *oracle {
+	o := &oracle{
+		t:         t,
+		cached:    NewSession(engine.New(), nil),
+		plain:     NewSession(engine.New(engine.WithResultCache(0)), nil),
+		indexed:   indexed,
+		changedAt: make([]xtime.Time, len(propertyQueries)),
+	}
+	o.write(append(o.create("pol"), o.create("el")...)...)
+	return o
+}
+
+// create is the DDL of one of the two tables, ordered index included.
+func (o *oracle) create(table string) []string {
+	ddl := []string{"CREATE TABLE " + table + " (uid INT, deg INT)"}
+	if o.indexed {
+		ddl = append(ddl, fmt.Sprintf("CREATE INDEX %s_deg ON %s (deg) USING ORDERED", table, table))
+	}
+	return ddl
+}
+
+// both runs q in both sessions.
+func (o *oracle) both(q string) {
+	o.t.Helper()
+	if _, err := o.cached.Exec(q); err != nil {
+		o.t.Fatalf("cached %q: %v", q, err)
+	}
+	if _, err := o.plain.Exec(q); err != nil {
+		o.t.Fatalf("plain %q: %v", q, err)
+	}
+}
+
+// write runs stmts — writes at one tick — in both sessions, and notes the
+// queries whose fresh answer they changed.
+func (o *oracle) write(stmts ...string) {
+	o.t.Helper()
+	before := o.fresh()
+	for _, q := range stmts {
+		o.both(q)
+	}
+	for i, a := range o.fresh() {
+		if a != before[i] {
+			o.changedAt[i] = xtime.Time(o.now)
+		}
+	}
+}
+
+// fresh is every query's answer off the uncached session, or its error.
+func (o *oracle) fresh() []string {
+	out := make([]string, len(propertyQueries))
+	for i, q := range propertyQueries {
+		a, err := q.run(o.plain)
+		out[i] = a.rows
+		if err != nil {
+			out[i] = err.Error()
+		}
+	}
+	return out
+}
+
+func (o *oracle) advance(by int64) {
+	o.t.Helper()
+	o.now += by
+	o.both(fmt.Sprintf("ADVANCE TO %d", o.now))
+}
+
+func (o *oracle) patches() int64 {
+	m, err := o.cached.eng.ResultCacheStats()
+	if err != nil {
+		o.t.Fatal(err)
+	}
+	return m.Patches
+}
+
+func (o *oracle) read(i int) {
+	o.t.Helper()
+	q := propertyQueries[i]
+	patches := o.patches()
+	a, err := q.run(o.cached)
+	if err != nil {
+		o.t.Fatalf("cached %s: %v", q.sql, err)
+	}
+	b, err := q.run(o.plain)
+	if err != nil {
+		o.t.Fatalf("plain %s: %v", q.sql, err)
+	}
+	if b.cached {
+		o.t.Fatal("cache-off session must never report Cached")
+	}
+	if a.rows != b.rows {
+		o.t.Fatalf("step %d: %s diverged at tick %d (cached=%v)\ncached: %s\nuncached: %s", o.step, q.sql, o.now, a.cached, a.rows, b.rows)
+	}
+	if a.at != b.at || a.stamp.At > a.at || a.at >= a.stamp.ValidUntil {
+		o.t.Fatalf("step %d: %s answered at %v (fresh: %v) under the stamp %v", o.step, q.sql, a.at, b.at, a.stamp)
+	}
+	if a.stamp.ValidUntil > b.stamp.ValidUntil {
+		o.t.Fatalf("step %d: %s stamped valid until %v, a fresh evaluation only until %v (cached=%v)", o.step, q.sql, a.stamp.ValidUntil, b.stamp.ValidUntil, a.cached)
+	}
+	if a.stamp.At < o.changedAt[i] {
+		o.t.Fatalf("step %d: %s stamped %v, but a write at %v changed its answer (cached=%v)", o.step, q.sql, a.stamp, o.changedAt[i], a.cached)
+	}
+	if a.cached {
+		o.hits++
+		if o.patches() > patches {
+			o.patched++
+			if strings.Contains(q.sql, "EXCEPT") {
+				o.kept++
+			}
+		}
+	}
+}
+
+func (o *oracle) readAll() {
+	o.t.Helper()
+	for i := range propertyQueries {
+		o.read(i)
+	}
+}
+
 // TestCachedEqualsUncachedProperty is the correctness contract: a session
 // with the cache on must answer every query identically to a cache-off
-// session — rows, per-tuple texp, and a stamp that is true and no longer
-// than a fresh evaluation's — across random plans interleaved with inserts,
-// lifetime extensions, no-change duplicates, multi-row deletes, DROP +
-// CREATE of a table and clock advances, on the same stream with and without
-// ordered indexes. A run in which no entry outlives a write it cannot see
-// proves nothing about that rule and fails. Run under -race it also
-// exercises the lookup/write/advance lock interplay from concurrent readers.
+// session — rows, per-tuple texp, and a stamp that is true (oracle) — across
+// random plans interleaved with inserts, lifetime extensions, no-change
+// duplicates, multi-row deletes, bursts past the write tail, bursts over
+// both sides of a join, DROP + CREATE of a table and clock advances, on the
+// same stream with and without ordered indexes. A run in which no entry
+// outlives a write it cannot see, absorbs one it can, keeps a difference
+// through a right-side write or is dropped proves nothing about that rule and
+// fails. Run under -race it also exercises the lookup/patch/write/advance
+// lock interplay from concurrent readers.
 func TestCachedEqualsUncachedProperty(t *testing.T) {
 	t.Run("scan", func(t *testing.T) { cachedEqualsUncached(t, false) })
 	t.Run("indexed", func(t *testing.T) { cachedEqualsUncached(t, true) })
@@ -270,60 +476,7 @@ func TestCachedEqualsUncachedProperty(t *testing.T) {
 
 func cachedEqualsUncached(t *testing.T, indexed bool) {
 	rng := rand.New(rand.NewSource(20060418))
-	cached := NewSession(engine.New(), nil)
-	plain := NewSession(engine.New(engine.WithResultCache(0)), nil)
-	both := func(q string) {
-		t.Helper()
-		if _, err := cached.Exec(q); err != nil {
-			t.Fatalf("cached %q: %v", q, err)
-		}
-		if _, err := plain.Exec(q); err != nil {
-			t.Fatalf("plain %q: %v", q, err)
-		}
-	}
-	create := func(table string) {
-		both("CREATE TABLE " + table + " (uid INT, deg INT)")
-		if indexed {
-			both(fmt.Sprintf("CREATE INDEX %s_deg ON %s (deg) USING ORDERED", table, table))
-		}
-	}
-	create("pol")
-	create("el")
-
-	now := int64(0)
-	hits, step := 0, 0
-	read := func(q propertyQuery) {
-		t.Helper()
-		a, err := q.run(cached)
-		if err != nil {
-			t.Fatalf("cached %s: %v", q.sql, err)
-		}
-		b, err := q.run(plain)
-		if err != nil {
-			t.Fatalf("plain %s: %v", q.sql, err)
-		}
-		if b.cached {
-			t.Fatal("cache-off session must never report Cached")
-		}
-		if a.rows != b.rows {
-			t.Fatalf("step %d: %s diverged at tick %d (cached=%v)\ncached: %s\nuncached: %s", step, q.sql, now, a.cached, a.rows, b.rows)
-		}
-		if a.at != b.at || a.stamp.At > a.at || a.at >= a.stamp.ValidUntil {
-			t.Fatalf("step %d: %s answered at %v (fresh: %v) under the stamp %v", step, q.sql, a.at, b.at, a.stamp)
-		}
-		if a.stamp.ValidUntil > b.stamp.ValidUntil {
-			t.Fatalf("step %d: %s stamped valid until %v, a fresh evaluation only until %v (cached=%v)", step, q.sql, a.stamp.ValidUntil, b.stamp.ValidUntil, a.cached)
-		}
-		if a.cached {
-			hits++
-		}
-	}
-	readAll := func() {
-		t.Helper()
-		for _, q := range propertyQueries {
-			read(q)
-		}
-	}
+	o := newOracle(t, indexed)
 	table := func() string {
 		if rng.Intn(2) == 0 {
 			return "el"
@@ -343,57 +496,79 @@ func cachedEqualsUncached(t *testing.T, indexed bool) {
 			return fmt.Sprint(15 + rng.Intn(6)*5)
 		}
 	}
-	insert := func(table, deg string) {
-		both(fmt.Sprintf("INSERT INTO %s VALUES (%d, %s) EXPIRES AT %d", table, rng.Intn(30), deg, now+1+int64(rng.Intn(25))))
+	insert := func(table string, uid int, deg string) string {
+		return fmt.Sprintf("INSERT INTO %s VALUES (%d, %s) EXPIRES AT %d", table, uid, deg, o.now+1+int64(rng.Intn(25)))
 	}
-	for step = 0; step < 1200; step++ {
+	for o.step = 0; o.step < 1200; o.step++ {
 		switch r := rng.Intn(100); {
 		case r < 14:
-			insert(table(), deg())
+			o.write(insert(table(), rng.Intn(30), deg()))
 		case r < 18:
-			both(fmt.Sprintf("DELETE FROM %s WHERE deg = %d", table(), 15+rng.Intn(6)*5))
+			o.write(fmt.Sprintf("DELETE FROM %s WHERE deg = %d", table(), 15+rng.Intn(6)*5))
 		case r < 20:
-			both(fmt.Sprintf("DELETE FROM %s WHERE deg >= %d AND uid < %d", table(), 15+rng.Intn(6)*5, rng.Intn(30)))
+			o.write(fmt.Sprintf("DELETE FROM %s WHERE deg >= %d AND uid < %d", table(), 15+rng.Intn(6)*5, rng.Intn(30)))
 		case r < 21:
 			// One write the filters may select, then a burst none of them
 			// does: one fewer than the tail holds, exactly as many, one
 			// more, many more. Entries are warm before and read after.
-			readAll()
+			o.readAll()
 			tab := table()
-			insert(tab, deg())
-			burst := engineWriteTail + []int{-2, -1, 0, 16}[rng.Intn(4)]
-			for i := 0; i < burst; i++ {
-				both(fmt.Sprintf("INSERT INTO %s VALUES (%d, %d) EXPIRES AT %d", tab, i, 100+rng.Intn(3), now+1+int64(rng.Intn(3))))
+			burst := []string{insert(tab, rng.Intn(30), deg())}
+			for i := engineWriteTail + []int{-2, -1, 0, 16}[rng.Intn(4)]; i > 0; i-- {
+				burst = append(burst, fmt.Sprintf("INSERT INTO %s VALUES (%d, %d) EXPIRES AT %d", tab, i, 100+rng.Intn(3), o.now+1+int64(rng.Intn(3))))
 			}
-			readAll()
+			o.write(burst...)
+			o.readAll()
 		case r < 22:
-			readAll()
+			// Both sides of a join written between two reads, twice: the
+			// same uids into pol (two rows) and el under degrees the filters
+			// select; then each uid's low-degree pol rows deleted, with or
+			// without its el rows. Its other pol row stays, so a difference
+			// whose right argument joins pol with el, or pol with itself, may
+			// show the uid again.
+			o.readAll()
+			var ins, del []string
+			for i := 0; i < 3; i++ {
+				uid := rng.Intn(30)
+				ins = append(ins, insert("pol", uid, deg()), insert("pol", uid, deg()), insert("el", uid, deg()))
+				if rng.Intn(2) == 0 {
+					del = append(del, fmt.Sprintf("DELETE FROM el WHERE uid = %d", uid))
+				}
+				del = append(del, fmt.Sprintf("DELETE FROM pol WHERE uid = %d AND deg < 30", uid))
+			}
+			o.write(ins...)
+			o.readAll()
+			o.write(del...)
+			o.readAll()
+		case r < 23:
+			o.readAll()
 			tab := table()
-			both("DROP TABLE " + tab)
-			create(tab)
-			readAll()
-		case r < 30:
-			now += int64(rng.Intn(3) + 1)
-			both(fmt.Sprintf("ADVANCE TO %d", now))
+			o.write(append([]string{"DROP TABLE " + tab}, o.create(tab)...)...)
+			o.readAll()
+		case r < 31:
+			o.advance(int64(rng.Intn(3) + 1))
 		default: // read; repeats are frequent so hits actually happen
-			read(propertyQueries[rng.Intn(len(propertyQueries))])
+			o.read(rng.Intn(len(propertyQueries)))
 		}
 	}
-	m, err := cached.eng.ResultCacheStats()
+	m, err := o.cached.eng.ResultCacheStats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d reads served from the cache, %d of them revalidated after a write; %d entries dropped by a write", hits, m.Revalidations, m.EpochInvalidations)
-	if hits == 0 || m.Revalidations == 0 || m.EpochInvalidations == 0 {
-		t.Fatal("property run never hit the cache, never revalidated an entry or never dropped one — the test is vacuous")
+	t.Logf("%d reads served from the cache: %d revalidated after a write, %d patched (%d of them root differences that kept their rows); %d entries dropped by a write",
+		o.hits, m.Revalidations, o.patched, o.kept, m.EpochInvalidations)
+	if o.hits == 0 || m.Revalidations == 0 || o.patched == 0 || o.kept == 0 || m.EpochInvalidations == 0 {
+		t.Fatal("property run never hit the cache, revalidated, patched or kept a difference, or never dropped an entry — the test is vacuous")
 	}
 
 	// Concurrent phase: hammer the cached engine from parallel readers
-	// while a writer inserts and advances; -race checks the locking, the
-	// per-goroutine sessions check nothing panics or misplans.
+	// while a writer inserts tuples the filters select — patched under the
+	// readers — and advances; -race checks the locking, the per-goroutine
+	// sessions check nothing panics or misplans. The writer goes on until
+	// some read was patched.
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	eng := cached.eng
+	eng := o.cached.eng
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -414,20 +589,67 @@ func cachedEqualsUncached(t *testing.T, indexed bool) {
 		}(int64(g) + 7)
 	}
 	writer := NewSession(eng, nil)
-	for i := 0; i < 50; i++ {
-		if _, err := writer.Exec(fmt.Sprintf("INSERT INTO pol VALUES (%d, 25) EXPIRES AT %d", 100+i, now+int64(i)+5)); err != nil {
-			t.Error(err)
-			break
+	now, patches := o.now, m.Patches
+write:
+	for i := 0; i < 50 || o.patches() == patches && i < 5000; i++ {
+		for _, q := range []string{
+			fmt.Sprintf("INSERT INTO pol VALUES (%d, 25) EXPIRES AT %d", 100+i, now+int64(i)+5),
+			fmt.Sprintf("INSERT INTO el VALUES (%d, 30) EXPIRES AT %d", 100+i, now+int64(i)+5),
+			fmt.Sprintf("ADVANCE TO %d", now+1),
+		} {
+			if _, err := writer.Exec(q); err != nil {
+				t.Error(err)
+				break write
+			}
 		}
 		now++
-		if _, err := writer.Exec(fmt.Sprintf("ADVANCE TO %d", now)); err != nil {
-			t.Error(err)
-			break
-		}
 	}
 	close(stop)
 	wg.Wait()
 	if eng.Now() != xtime.Time(now) {
 		t.Fatalf("clock = %v, want %v", eng.Now(), now)
 	}
+	if o.patches() == patches {
+		t.Fatal("no read racing the writer was patched")
+	}
+}
+
+// FuzzCachePatch decodes its input into a stream of inserts, deletes,
+// ADVANCEs and reads over pol and el and checks every read through the
+// oracle: cached ≡ uncached, stamp included. The first byte picks whether
+// deg is indexed; then each operation is a byte — the low three bits its
+// kind, the top bit the table it writes — and one to three operand bytes.
+func FuzzCachePatch(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		o := newOracle(t, data[0]&1 == 1)
+		data = data[1:]
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		for o.step = 0; len(data) > 0 && o.step < 64; o.step++ {
+			op := next()
+			table := [2]string{"pol", "el"}[op>>7]
+			switch op & 7 {
+			case 0, 1:
+				uid, deg, ttl := next()%16, 15+next()%6*5, 1+next()%20
+				o.write(fmt.Sprintf("INSERT INTO %s VALUES (%d, %d) EXPIRES AT %d", table, uid, deg, o.now+int64(ttl)))
+			case 2:
+				o.write(fmt.Sprintf("DELETE FROM %s WHERE deg = %d", table, 15+next()%6*5))
+			case 3:
+				o.write(fmt.Sprintf("DELETE FROM %s WHERE uid = %d", table, next()%16))
+			case 4:
+				o.advance(int64(1 + next()%3))
+			default:
+				o.read(next() % len(propertyQueries))
+			}
+		}
+	})
 }

@@ -219,8 +219,8 @@ type Response struct {
 	Rows    []WireRow
 	Texp    xtime.Time // texp(e) of the materialisation
 	Patches []WirePatch
-	// Cached reports the server answered from its validity-interval
-	// result cache with zero re-evaluation. [Now, Texp) is the validity
+	// Cached reports the server answered from a validity-interval result
+	// cache entry, as stored, revalidated or patched. [Now, Texp) is the validity
 	// window either way, so the client's local-read behaviour is
 	// identical; the flag exists for observability. (Gob tolerates the
 	// field's absence, so mixed-version endpoints interoperate: a missing

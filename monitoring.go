@@ -183,9 +183,10 @@ func (db *DB) WritePrometheus(w io.Writer) error {
 	if em.ResultCache != nil {
 		rc := em.ResultCache
 		p.Counter("expdb_cache_hits_total", "Result cache hits.", nil, rc.Hits)
-		p.Counter("expdb_cache_misses_total", "Result cache misses.", nil, rc.Misses)
-		p.Counter("expdb_cache_invalidations_total", "Result cache entries dropped: the clock reached ValidUntil, or a write changed a tuple the plan selects.", nil, rc.Invalidations+rc.EpochInvalidations)
+		p.Counter("expdb_cache_misses_total", "Result cache reads evaluated in full.", nil, rc.Misses)
+		p.Counter("expdb_cache_invalidations_total", "Result cache entries dropped: the clock reached ValidUntil, or a write the entry could not absorb.", nil, rc.Invalidations+rc.EpochInvalidations)
 		p.Counter("expdb_cache_revalidations_total", "Result cache hits served after a write to a table they read: no written tuple was selected by the plan.", nil, rc.Revalidations)
+		p.Counter("expdb_cache_patches_total", "Result cache hits that absorbed the written tuples the plan selects into the entry.", nil, rc.Patches)
 		p.Counter("expdb_cache_evictions_total", "Result cache LRU evictions.", nil, rc.Evictions)
 		p.Gauge("expdb_cache_entries", "Result cache current entries.", nil, int64(rc.Entries))
 		p.Histogram("expdb_cache_hit_nanos", "Result cache hit latency.", nil, rc.HitNanos)

@@ -50,6 +50,7 @@ func TestWritePrometheusLint(t *testing.T) {
 		"expdb_wal_appends_total",
 		"expdb_cache_hits_total",
 		"# TYPE expdb_cache_revalidations_total counter",
+		"# TYPE expdb_cache_patches_total counter",
 		"expdb_view_reads_total",
 		`expdb_sql_statements_total{kind="select"}`,
 		"expdb_wire_active_conns",
