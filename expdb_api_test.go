@@ -633,6 +633,31 @@ func TestAPIQueryAndResultCache(t *testing.T) {
 	}
 }
 
+// BenchmarkExecCachedPoint times DB.Exec and Rows() of an indexed point read
+// that the result cache answers, once the statement memo holds its parse
+// and lowering: the memo lookup, the optimiser's probe choice, the cache
+// lookup and the result (scripts/alloc-gates.sh budgets its allocations).
+func BenchmarkExecCachedPoint(b *testing.B) {
+	db := expdb.Open()
+	db.MustExec("CREATE TABLE sess (sid INT, uid INT, score INT)")
+	for sid := int64(0); sid < 5000; sid++ {
+		if err := db.Insert("sess", expdb.Tuple{expdb.Int(sid), expdb.Int(sid % 500), expdb.Int(sid * 37 % 100_000)}, 1_000_000); err != nil {
+			b.Fatal(err)
+		}
+	}
+	db.MustExec("CREATE INDEX sess_sid ON sess (sid)")
+	q := "SELECT * FROM sess WHERE sid = 4242"
+	db.MustExec(q) // noted by the memo, and the cache filled
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := db.Exec(q)
+		if err != nil || !res.Cached || len(res.Rows()) != 1 {
+			b.Fatalf("cached %v, err %v", res != nil && res.Cached, err)
+		}
+	}
+}
+
 func TestAPIWithResultCacheOption(t *testing.T) {
 	db := apiDB(t, expdb.WithResultCache(0))
 	if _, err := db.CacheMetrics(); !errors.Is(err, expdb.ErrCacheDisabled) {

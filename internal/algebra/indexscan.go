@@ -159,6 +159,16 @@ func (s *IndexScan) Probe(tau xtime.Time, fn func(index.Entry)) bool {
 }
 
 func (s *IndexScan) String() string {
+	if s.Residual != nil {
+		if _, isTrue := s.Residual.(True); !isTrue {
+			return fmt.Sprintf("σ[%s](%s)", s.Residual, s.Access())
+		}
+	}
+	return s.Access()
+}
+
+// Access names the probe without its residual: ixscan[index bounds](table).
+func (s *IndexScan) Access() string {
 	var probe string
 	switch {
 	case s.EqKey != "":
@@ -200,11 +210,5 @@ func (s *IndexScan) String() string {
 		}
 		probe = b.String()
 	}
-	out := fmt.Sprintf("ixscan[%s %s](%s)", s.Index, probe, s.Base.Name)
-	if s.Residual != nil {
-		if _, isTrue := s.Residual.(True); !isTrue {
-			out = fmt.Sprintf("σ[%s](%s)", s.Residual, out)
-		}
-	}
-	return out
+	return fmt.Sprintf("ixscan[%s %s](%s)", s.Index, probe, s.Base.Name)
 }

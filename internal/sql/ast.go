@@ -152,6 +152,11 @@ type Select struct {
 	Set     *SetOp
 	OrderBy []OrderItem
 	Limit   int // -1: no limit
+
+	// low holds Session.Plan's lowering of a statement in a session's memo,
+	// reused by its next plan while it stands; nil outside the memo. Plan
+	// writes it, so like its Session it is used by one goroutine at a time.
+	low *lowering
 }
 
 func (*Select) stmt() {}

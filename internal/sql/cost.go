@@ -38,22 +38,48 @@ const (
 	selOther = 0.50 // anything the estimator cannot decompose
 )
 
-// Choice records one costed decision: the logical fragment it was made
-// for, the physical form chosen, and the alternatives rejected.
+// Choice records one costed decision and keeps its candidates; only
+// String, which EXPLAIN alone calls, formats them. It is either the access
+// path of σ[pred](table) or the order of a reordered join chain.
 type Choice struct {
-	site     string
-	chosen   string
-	cost     float64 // estimated, of the chosen form
-	rejected []string
+	sel   *algebra.Select
+	paths []accessPath   // sel's candidates in the order costed, the scan first
+	chain []algebra.Expr // a join chain's terms, in the chosen order
+	cost  float64        // the chain's estimated cost
 }
 
-// String is the decision as EXPLAIN lists it, one more line per rejected path.
+// accessPath is one costed way to read σ[pred](table): a probe, or the scan.
+type accessPath struct {
+	probe *algebra.IndexScan // nil: the scan
+	cost  float64
+}
+
+// String is the decision as EXPLAIN lists it, one more line per rejected
+// path: the paths are replayed as chooseAccess costed them.
 func (c Choice) String() string {
-	out := fmt.Sprintf("%s → %s (est cost %.1f)", c.site, c.chosen, c.cost)
-	for _, r := range c.rejected {
-		out += "\n    rejected: " + r
+	if c.sel == nil {
+		names := make([]string, len(c.chain))
+		for i, t := range c.chain {
+			names[i] = termName(t)
+		}
+		return fmt.Sprintf("join chain (%d tables) → order %s (est cost %.1f)\n    rejected: original left-deep order",
+			len(c.chain), strings.Join(names, " ⋈ "), c.cost)
 	}
-	return out
+	desc := func(a accessPath) string {
+		name := "scan(" + c.sel.Child.String() + ")"
+		if a.probe != nil {
+			name = a.probe.Access()
+		}
+		return fmt.Sprintf("%s (est cost %.1f)", name, a.cost)
+	}
+	best, rejected := c.paths[0], ""
+	for _, a := range c.paths[1:] {
+		if a.cost < best.cost {
+			a, best = best, a
+		}
+		rejected += "\n    rejected: " + desc(a)
+	}
+	return fmt.Sprintf("%s → %s%s", c.sel, desc(best), rejected)
 }
 
 // planner carries one optimization pass: the session (for catalog
@@ -115,53 +141,36 @@ func (p *planner) rewrite(e algebra.Expr) algebra.Expr {
 func (p *planner) chooseAccess(sel *algebra.Select, base *algebra.Base) algebra.Expr {
 	n := p.tableCard(base.Name)
 	conjs := flattenAnd(sel.Pred)
-	scanCost := math.Max(n, 1)
-
-	type candidate struct {
-		expr algebra.Expr
-		desc string
-		cost float64
-	}
-	best := candidate{expr: sel, desc: "scan(" + base.Name + ")", cost: scanCost}
-	var rejected []string
-	consider := func(c candidate) {
-		if c.cost < best.cost {
-			rejected = append(rejected, fmt.Sprintf("%s (est cost %.1f)", best.desc, best.cost))
-			best = c
-		} else {
-			rejected = append(rejected, fmt.Sprintf("%s (est cost %.1f)", c.desc, c.cost))
-		}
-	}
-
-	for _, def := range p.s.eng.Catalog().TableIndexes(base.Name) {
-		ix, ok := p.buildProbe(sel, base, def, conjs, n)
+	var paths []accessPath
+	best := accessPath{cost: math.Max(n, 1)}
+	defs := p.s.eng.Catalog().TableIndexes(base.Name)
+	for _, def := range defs {
+		ix, cost, ok := p.buildProbe(sel, base, def, conjs, n)
 		if !ok {
 			continue
 		}
-		consider(ix)
+		if paths == nil {
+			paths = append(make([]accessPath, 0, 1+len(defs)), best)
+		}
+		paths = append(paths, accessPath{ix, cost})
+		if cost < best.cost {
+			best = accessPath{ix, cost}
+		}
 	}
-	if len(rejected) > 0 {
-		p.choices = append(p.choices, Choice{
-			site: sel.String(), chosen: best.desc, cost: best.cost, rejected: rejected,
-		})
+	if paths != nil {
+		p.choices = append(p.choices, Choice{sel: sel, paths: paths})
 	}
-	return best.expr
+	if best.probe == nil {
+		return sel
+	}
+	return best.probe
 }
 
 // buildProbe tries to turn the conjuncts into a probe of one index: a
 // full-column equality probe for hash indexes, an equality-prefix plus
 // optional range bounds for ordered indexes. ok is false when the
 // predicate does not saturate the index.
-func (p *planner) buildProbe(sel *algebra.Select, base *algebra.Base, def *catalog.IndexDef, conjs []algebra.Predicate, n float64) (struct {
-	expr algebra.Expr
-	desc string
-	cost float64
-}, bool) {
-	var zero struct {
-		expr algebra.Expr
-		desc string
-		cost float64
-	}
+func (p *planner) buildProbe(sel *algebra.Select, base *algebra.Base, def *catalog.IndexDef, conjs []algebra.Predicate, n float64) (*algebra.IndexScan, float64, bool) {
 	used := make([]bool, len(conjs))
 	// eqFor finds an unused "col = const" conjunct for col.
 	eqFor := func(col int) (value.Value, int, bool) {
@@ -186,7 +195,7 @@ func (p *planner) buildProbe(sel *algebra.Select, base *algebra.Base, def *catal
 		for i, col := range def.Cols {
 			v, ci, ok := eqFor(col)
 			if !ok {
-				return zero, false
+				return nil, 0, false
 			}
 			eq[i] = v
 			used[ci] = true
@@ -246,13 +255,13 @@ func (p *planner) buildProbe(sel *algebra.Select, base *algebra.Base, def *catal
 			break
 		}
 		if matched == 0 {
-			return zero, false
+			return nil, 0, false
 		}
 		ix.Lo, ix.Hi = lo, hi
 		ix.LoInc, ix.HiInc = loInc, hiInc
 
 	default:
-		return zero, false
+		return nil, 0, false
 	}
 
 	// Residual: every conjunct the probe did not consume.
@@ -265,30 +274,13 @@ func (p *planner) buildProbe(sel *algebra.Select, base *algebra.Base, def *catal
 	ix.Residual = andOfPreds(rest)
 
 	out := math.Max(n*sl, 0)
-	if act, ok := p.actual(ix.String()); ok {
+	if act, ok := p.actual(ix); ok {
 		out = act
 	}
-	cost := 1 + out // bucket lookup + emitted rows
 	if def.Kind == index.KindOrdered {
-		cost = math.Log2(n+2) + out // tree descent + range walk
+		return ix, math.Log2(n+2) + out, true // tree descent + range walk
 	}
-	res := zero
-	res.expr = ix
-	res.desc = ixDesc(ix)
-	res.cost = cost
-	return res, true
-}
-
-// ixDesc names a probe for the EXPLAIN alternatives listing.
-func ixDesc(ix *algebra.IndexScan) string {
-	s := ix.String()
-	// Strip the residual wrapper for the one-line listing.
-	if i := strings.Index(s, "ixscan["); i >= 0 {
-		if j := strings.LastIndex(s, ")"); j > i {
-			s = s[i : j+1]
-		}
-	}
-	return s
+	return ix, 1 + out, true // bucket lookup + emitted rows
 }
 
 // reorderChain flattens a left-deep join chain of three or more terms,
@@ -463,15 +455,11 @@ func (p *planner) reorderChain(j *algebra.Join) (algebra.Expr, bool) {
 		}
 		out = &algebra.Project{Cols: cols, Child: acc}
 
-		names := make([]string, n)
+		chain := make([]algebra.Expr, n)
 		for i, t := range order {
-			names[i] = termName(terms[t])
+			chain[i] = terms[t]
 		}
-		p.choices = append(p.choices, Choice{
-			site:   "join chain (" + fmt.Sprint(n) + " tables)",
-			chosen: "order " + strings.Join(names, " ⋈ "), cost: accCard,
-			rejected: []string{"original left-deep order"},
-		})
+		p.choices = append(p.choices, Choice{chain: chain, cost: accCard})
 	}
 	return out, true
 }
@@ -512,7 +500,7 @@ func termName(e algebra.Expr) string {
 // estCard estimates an expression's output cardinality, preferring the
 // session's harvested EXPLAIN ANALYZE actuals over guesses.
 func (p *planner) estCard(e algebra.Expr) float64 {
-	if act, ok := p.actual(e.String()); ok {
+	if act, ok := p.actual(e); ok {
 		return act
 	}
 	switch n := e.(type) {
@@ -550,11 +538,13 @@ func (p *planner) tableCard(name string) float64 {
 	return 1000 // view snapshot or unknown relation
 }
 
-func (p *planner) actual(key string) (float64, bool) {
+// actual is e's output cardinality harvested by EXPLAIN ANALYZE, keyed by
+// its plan string — printed only once the session has harvested some.
+func (p *planner) actual(e algebra.Expr) (float64, bool) {
 	if p.s.actuals == nil {
 		return 0, false
 	}
-	n, ok := p.s.actuals[key]
+	n, ok := p.s.actuals[e.String()]
 	return float64(n), ok
 }
 

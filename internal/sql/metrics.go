@@ -84,6 +84,9 @@ type Metrics struct {
 	Statements [numStmtKinds]metrics.Counter
 	ParseErrs  metrics.Counter
 	ExecErrs   metrics.Counter
+	// MemoHits counts statements taken from the session's statement memo,
+	// which parse nothing: ParseNanos times real parses only.
+	MemoHits   metrics.Counter
 	ParseNanos metrics.Histogram
 	ExecNanos  metrics.Histogram
 }
@@ -93,6 +96,7 @@ type MetricsSnapshot struct {
 	Statements map[string]int64          `json:"statements,omitempty"`
 	ParseErrs  int64                     `json:"parse_errors"`
 	ExecErrs   int64                     `json:"exec_errors"`
+	MemoHits   int64                     `json:"plan_memo_hits"`
 	ParseNanos metrics.HistogramSnapshot `json:"parse_nanos"`
 	ExecNanos  metrics.HistogramSnapshot `json:"exec_nanos"`
 }
@@ -103,6 +107,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	s := MetricsSnapshot{
 		ParseErrs:  m.ParseErrs.Load(),
 		ExecErrs:   m.ExecErrs.Load(),
+		MemoHits:   m.MemoHits.Load(),
 		ParseNanos: m.ParseNanos.Snapshot(),
 		ExecNanos:  m.ExecNanos.Snapshot(),
 	}

@@ -90,6 +90,9 @@ type Session struct {
 	// them over its selectivity guesses, so analyzing a query teaches the
 	// session real cardinalities for subsequent plans.
 	actuals map[string]int
+	// memo maps SELECT texts to their parse (nil when seen once), so a
+	// repeated read skips the parser and, through Select.low, the lowering.
+	memo map[string]*Select
 }
 
 // NewSession opens a session on eng. Trigger notifications are written to
@@ -141,23 +144,26 @@ type Plan struct {
 	moved     error          // set when a view's read was moved off the current tick
 }
 
+// lowering is what a SELECT's plan owes to the statement, the catalogue and
+// the aggregation policy alone: Logical, its rewrite and Key. It stands
+// while every leaf is still its table's relation and the policy is
+// unchanged; index DDL, writes and actuals steer only the optimiser, which
+// runs on every plan. Only a statement in the memo keeps one, and a plan
+// that read a view keeps none.
+type lowering struct {
+	Plan
+	leaves []*algebra.Base // the tables Logical reads
+	policy algebra.AggPolicy
+}
+
 // Plan runs the pipeline on a parsed SELECT (ORDER BY/LIMIT are the
 // caller's to apply) or DELETE: lower, canonicalise, optimise.
 func (s *Session) Plan(stmt Statement) (Plan, error) {
 	p := Plan{Until: xtime.Infinity}
 	switch st := stmt.(type) {
 	case *Select:
-		expr, err := s.planSelect(&p, st)
-		if err != nil {
+		if err := s.lower(&p, st); err != nil {
 			return Plan{}, err
-		}
-		// A moved view answers for another instant: only its own leaf can carry it.
-		if _, bare := expr.(*algebra.Base); p.moved != nil && !bare {
-			return Plan{}, p.moved
-		}
-		p.Logical, p.rewritten = expr, algebra.PushDownSelections(expr)
-		if p.view == nil {
-			p.Key = p.rewritten.String()
 		}
 	case *Delete:
 		// σ[where](table), or the bare table: canonical as lowered.
@@ -179,6 +185,50 @@ func (s *Session) Plan(stmt Statement) (Plan, error) {
 	}
 	p.Physical, p.Choices = s.optimize(p.rewritten)
 	return p, nil
+}
+
+// lower fills in p's Logical, rewrite and Key for sel, from the lowering
+// kept on sel while it stands, else by lowering sel afresh.
+func (s *Session) lower(p *Plan, sel *Select) error {
+	l := sel.low
+	if l != nil {
+		if l.Logical != nil && l.policy == s.policy && s.current(l.leaves) {
+			*p = l.Plan
+			return nil
+		}
+		*l = lowering{} // stale: it must not keep a dropped relation alive
+	}
+	expr, err := s.planSelect(p, sel)
+	if err != nil {
+		return err
+	}
+	// A moved view answers for another instant: only its own leaf can carry it.
+	if _, bare := expr.(*algebra.Base); p.moved != nil && !bare {
+		return p.moved
+	}
+	p.Logical, p.rewritten = expr, algebra.PushDownSelections(expr)
+	if p.view == nil {
+		p.Key = p.rewritten.String()
+		if l != nil {
+			*l = lowering{Plan: *p, policy: s.policy}
+			algebra.Walk(expr, func(e algebra.Expr) {
+				if b, ok := e.(*algebra.Base); ok {
+					l.leaves = append(l.leaves, b)
+				}
+			})
+		}
+	}
+	return nil
+}
+
+// current reports whether every leaf is still its table's relation.
+func (s *Session) current(leaves []*algebra.Base) bool {
+	for _, b := range leaves {
+		if rel, err := s.eng.Catalog().Table(b.Name); err != nil || rel != b.Rel {
+			return false
+		}
+	}
+	return true
 }
 
 // Query evaluates p at the current tick and stamps the answer with its
@@ -247,8 +297,10 @@ func (s *Session) SetTrace(tid trace.ID) { s.tid = tid }
 // ParseQuery parses q, which must be one SELECT without ORDER BY/LIMIT —
 // a statement that denotes a relation, the only kind that can be returned
 // as an expression or materialised on a remote node.
-func ParseQuery(q string) (*Select, error) {
-	stmt, err := Parse(q)
+func ParseQuery(q string) (*Select, error) { return query(Parse(q)) }
+
+// query is the ParseQuery check of a parsed statement.
+func query(stmt Statement, err error) (*Select, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -263,9 +315,10 @@ func ParseQuery(q string) (*Select, error) {
 }
 
 // PlanQuery lowers the SELECT q to an algebra expression bound to the
-// engine's relations, without evaluating it: Plan.Logical.
+// engine's relations, without evaluating it: Plan.Logical. It shares the
+// statement memo with Exec.
 func (s *Session) PlanQuery(q string) (algebra.Expr, error) {
-	sel, err := ParseQuery(q)
+	sel, err := query(s.parse(q))
 	if err != nil {
 		return nil, err
 	}
@@ -278,6 +331,20 @@ func (s *Session) PlanQuery(q string) (algebra.Expr, error) {
 
 // Exec parses and executes one statement.
 func (s *Session) Exec(input string) (*Result, error) {
+	stmt, err := s.parse(input)
+	if err != nil {
+		return nil, err
+	}
+	return s.execTraced(stmt, input)
+}
+
+// parse is Parse behind the statement memo: a SELECT text seen before is
+// not parsed again. Only SELECTs are admitted, and never a parse error.
+func (s *Session) parse(input string) (Statement, error) {
+	if sel := s.memo[input]; sel != nil {
+		s.m.MemoHits.Inc()
+		return sel, nil
+	}
 	start := time.Now()
 	stmt, err := Parse(input)
 	s.m.ParseNanos.Observe(time.Since(start).Nanoseconds())
@@ -285,7 +352,19 @@ func (s *Session) Exec(input string) (*Result, error) {
 		s.m.ParseErrs.Inc()
 		return nil, err
 	}
-	return s.execTraced(stmt, input)
+	if sel, ok := stmt.(*Select); ok {
+		// A text read once is only noted; the memo starts over when full.
+		if _, seen := s.memo[input]; seen {
+			sel.low = new(lowering) // admitted: Plan keeps its lowering here
+		} else {
+			sel = nil
+			if s.memo == nil || len(s.memo) >= engine.DefaultResultCacheSize {
+				s.memo = map[string]*Select{}
+			}
+		}
+		s.memo[input] = sel
+	}
+	return stmt, nil
 }
 
 // ExecScript executes a semicolon-separated script, stopping at the first
@@ -373,6 +452,7 @@ func (s *Session) execStmt(stmt Statement) (*Result, error) {
 		if err := s.eng.DropTable(st.Name); err != nil {
 			return nil, err
 		}
+		s.memo = nil // its lowerings would keep the dropped relation alive
 		return &Result{Msg: fmt.Sprintf("table %s dropped", st.Name), At: s.eng.Now()}, nil
 
 	case *Insert:

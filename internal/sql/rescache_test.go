@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -225,9 +226,15 @@ type propertyQuery struct {
 	build func(*engine.Engine) (algebra.Expr, error)
 }
 
-func (q propertyQuery) run(s *Session) (answer, error) {
+// run reads q through s: through Exec and its statement memo when memo is
+// set, else parsed and lowered anew.
+func (q propertyQuery) run(s *Session, memo bool) (answer, error) {
 	if q.build == nil {
-		res, err := s.Exec(q.sql)
+		exec := s.Exec
+		if !memo {
+			exec = s.execFresh
+		}
+		res, err := exec(q.sql)
 		if err != nil {
 			return answer{}, err
 		}
@@ -279,7 +286,9 @@ func elExceptSelfJoin(e *engine.Engine) (algebra.Expr, error) {
 
 // propertyQueries covers every operator bare and filtered. Filters are on
 // deg below 100, where ordinary writes land; bursts write deg ≥ 100, which
-// no filter selects.
+// no filter selects. A FuzzCachePatch read picks its query by an operand
+// modulo the length, so a new entry changes what the regression seeds
+// read: re-point them at the query they were kept for.
 var propertyQueries = []propertyQuery{
 	{sql: "SELECT * FROM pol"},
 	{sql: "SELECT uid FROM pol WHERE deg > 20"},
@@ -322,17 +331,30 @@ var propertyQueries = []propertyQuery{
 // engineWriteTail is engine.writeTailLen: bursts are sized around it.
 const engineWriteTail = 64
 
-// oracle runs one stream of statements through a session with the cache on
-// and one with it off, and checks every read of propertyQueries against the
-// fresh answer: rows, per-tuple texp, and a stamp that is true — it holds
-// the read's tick, ends no later than a fresh evaluation's and starts no
-// earlier than the last write that changed the fresh answer. It counts the
-// reads answered from the cache, those of them patched, and the patched
-// reads of a root difference (which keep their rows through a right-side write).
+// execFresh runs q past the statement memo: parsed, lowered and optimised
+// anew.
+func (s *Session) execFresh(q string) (*Result, error) {
+	stmt, err := Parse(q)
+	if err != nil {
+		return nil, err
+	}
+	return s.ExecStmt(stmt)
+}
+
+// oracle runs one stream of statements through a session with the cache and
+// the statement memo, and one with neither, and checks every read of
+// propertyQueries against the fresh answer: rows, per-tuple texp, and a
+// stamp that is true — it holds the read's tick, ends no later than a fresh
+// evaluation's and starts no earlier than the last write that changed the
+// fresh answer — and that the memoised plan is the one a session without a
+// memo makes. It counts the reads answered from the cache, those of them
+// patched, and the patched reads of a root difference (which keep their
+// rows through a right-side write).
 type oracle struct {
 	t                   testing.TB
 	cached, plain       *Session
 	indexed             bool
+	indexes             map[string]bool // the indexes that exist, by name
 	now                 int64
 	step                int
 	changedAt           []xtime.Time // per propertyQueries entry
@@ -345,19 +367,47 @@ func newOracle(t testing.TB, indexed bool) *oracle {
 		cached:    NewSession(engine.New(), nil),
 		plain:     NewSession(engine.New(engine.WithResultCache(0)), nil),
 		indexed:   indexed,
+		indexes:   map[string]bool{},
 		changedAt: make([]xtime.Time, len(propertyQueries)),
 	}
-	o.write(append(o.create("pol"), o.create("el")...)...)
+	o.write(append(o.create("pol", "uid INT, deg INT"), o.create("el", "uid INT, deg INT")...)...)
 	return o
 }
 
 // create is the DDL of one of the two tables, ordered index included.
-func (o *oracle) create(table string) []string {
-	ddl := []string{"CREATE TABLE " + table + " (uid INT, deg INT)"}
-	if o.indexed {
+func (o *oracle) create(table, cols string) []string {
+	ddl := []string{"CREATE TABLE " + table + " (" + cols + ")"}
+	delete(o.indexes, table+"_uid")
+	if o.indexes[table+"_deg"] = o.indexed; o.indexed {
 		ddl = append(ddl, fmt.Sprintf("CREATE INDEX %s_deg ON %s (deg) USING ORDERED", table, table))
 	}
 	return ddl
+}
+
+// index creates the named index on col if it does not exist, and drops it
+// if it does.
+func (o *oracle) index(table, col, using string) {
+	o.t.Helper()
+	name := table + "_" + col
+	if o.indexes[name] = !o.indexes[name]; o.indexes[name] {
+		o.write(fmt.Sprintf("CREATE INDEX %s ON %s (%s) USING %s", name, table, col, using))
+	} else {
+		o.write("DROP INDEX " + name)
+	}
+}
+
+// swap drops table and creates it again with cols. With elsewhere set, the
+// cached engine's DDL runs in another session: the reading session's own
+// DROP TABLE empties its memo, another's leaves the memoised lowerings over
+// the dropped relation for the pointer test to refuse.
+func (o *oracle) swap(table, cols string, elsewhere bool) {
+	o.t.Helper()
+	if elsewhere {
+		reader := o.cached
+		o.cached = NewSession(reader.eng, nil)
+		defer func() { o.cached = reader }()
+	}
+	o.write(append([]string{"DROP TABLE " + table}, o.create(table, cols)...)...)
 }
 
 // both runs q in both sessions.
@@ -366,7 +416,7 @@ func (o *oracle) both(q string) {
 	if _, err := o.cached.Exec(q); err != nil {
 		o.t.Fatalf("cached %q: %v", q, err)
 	}
-	if _, err := o.plain.Exec(q); err != nil {
+	if _, err := o.plain.execFresh(q); err != nil {
 		o.t.Fatalf("plain %q: %v", q, err)
 	}
 }
@@ -390,7 +440,7 @@ func (o *oracle) write(stmts ...string) {
 func (o *oracle) fresh() []string {
 	out := make([]string, len(propertyQueries))
 	for i, q := range propertyQueries {
-		a, err := q.run(o.plain)
+		a, err := q.run(o.plain, false)
 		out[i] = a.rows
 		if err != nil {
 			out[i] = err.Error()
@@ -417,13 +467,16 @@ func (o *oracle) read(i int) {
 	o.t.Helper()
 	q := propertyQueries[i]
 	patches := o.patches()
-	a, err := q.run(o.cached)
+	a, err := q.run(o.cached, true)
 	if err != nil {
 		o.t.Fatalf("cached %s: %v", q.sql, err)
 	}
-	b, err := q.run(o.plain)
+	b, err := q.run(o.plain, false)
 	if err != nil {
 		o.t.Fatalf("plain %s: %v", q.sql, err)
+	}
+	if q.build == nil {
+		o.samePhysical(q.sql)
 	}
 	if b.cached {
 		o.t.Fatal("cache-off session must never report Cached")
@@ -448,6 +501,23 @@ func (o *oracle) read(i int) {
 				o.kept++
 			}
 		}
+	}
+}
+
+// samePhysical checks that the plan the cached session's memo gives q is
+// the one a session without a memo makes of it.
+func (o *oracle) samePhysical(q string) {
+	o.t.Helper()
+	sel := o.cached.memo[q]
+	if sel == nil {
+		return // not admitted yet
+	}
+	p, err := o.cached.Plan(sel)
+	if err != nil {
+		o.t.Fatal(err)
+	}
+	if got, want := p.Physical.String(), freshPlan(o.t, o.cached, q).Physical.String(); got != want {
+		o.t.Fatalf("step %d: %s through the memo plans %s, afresh %s", o.step, q, got, want)
 	}
 }
 
@@ -542,8 +612,7 @@ func cachedEqualsUncached(t *testing.T, indexed bool) {
 			o.readAll()
 		case r < 23:
 			o.readAll()
-			tab := table()
-			o.write(append([]string{"DROP TABLE " + tab}, o.create(tab)...)...)
+			o.swap(table(), "uid INT, deg INT", o.step%2 == 0)
 			o.readAll()
 		case r < 31:
 			o.advance(int64(rng.Intn(3) + 1))
@@ -581,7 +650,7 @@ func cachedEqualsUncached(t *testing.T, indexed bool) {
 					return
 				default:
 				}
-				if _, err := propertyQueries[r.Intn(len(propertyQueries))].run(sess); err != nil {
+				if _, err := propertyQueries[r.Intn(len(propertyQueries))].run(sess, true); err != nil {
 					t.Error(err)
 					return
 				}
@@ -615,17 +684,30 @@ write:
 }
 
 // FuzzCachePatch decodes its input into a stream of inserts, deletes,
-// ADVANCEs and reads over pol and el and checks every read through the
-// oracle: cached ≡ uncached, stamp included. The first byte picks whether
-// deg is indexed; then each operation is a byte — the low three bits its
-// kind, the top bit the table it writes — and one to three operand bytes.
+// ADVANCEs, DDL and reads over pol and el and checks every read through the
+// oracle: cached and memoised ≡ uncached and parsed anew, stamp and
+// physical plan included. The first byte's low bit picks whether deg is
+// indexed, and its next bit whether kind 7 is DDL or, as without it, a
+// read; then each operation is a byte — the low three bits its kind, the
+// top bit the table it writes — and one to three operand bytes. DDL is
+// CREATE or DROP INDEX on uid or deg, DROP + CREATE TABLE in either column
+// order and from either session, or SET POLICY. A named seed — a
+// regression, not one the fuzzer wrote under a hash — must read.
 func FuzzCachePatch(f *testing.F) {
+	hashed := regexp.MustCompile(`^FuzzCachePatch(/[0-9a-f]{16})?$`)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		o := newOracle(t, data[0]&1 == 1)
+		ddl := data[0]&2 != 0
 		data = data[1:]
+		reads := 0
+		defer func() {
+			if reads == 0 && !hashed.MatchString(t.Name()) && !t.Failed() {
+				t.Error("the seed makes no read, so it checks nothing")
+			}
+		}()
 		next := func() int {
 			if len(data) == 0 {
 				return 0
@@ -637,7 +719,11 @@ func FuzzCachePatch(f *testing.F) {
 		for o.step = 0; len(data) > 0 && o.step < 64; o.step++ {
 			op := next()
 			table := [2]string{"pol", "el"}[op>>7]
-			switch op & 7 {
+			kind := op & 7
+			if kind == 7 && !ddl {
+				kind = 5 // a read, like 5 and 6
+			}
+			switch kind {
 			case 0, 1:
 				uid, deg, ttl := next()%16, 15+next()%6*5, 1+next()%20
 				o.write(fmt.Sprintf("INSERT INTO %s VALUES (%d, %d) EXPIRES AT %d", table, uid, deg, o.now+int64(ttl)))
@@ -647,7 +733,21 @@ func FuzzCachePatch(f *testing.F) {
 				o.write(fmt.Sprintf("DELETE FROM %s WHERE uid = %d", table, next()%16))
 			case 4:
 				o.advance(int64(1 + next()%3))
+			case 7:
+				switch arg := next(); arg % 4 {
+				case 0:
+					o.index(table, "uid", "HASH")
+				case 1:
+					o.index(table, "deg", "ORDERED")
+				case 2:
+					o.swap(table, [2]string{"uid INT, deg INT", "deg INT, uid INT"}[arg/4%2], arg/8%2 == 1)
+				default:
+					// Not a write: it changes which answer the text names, and
+					// no answer, so the stamps already given stay true.
+					o.both("SET POLICY " + [3]string{"naive", "neutral", "exact"}[arg/4%3])
+				}
 			default:
+				reads++
 				o.read(next() % len(propertyQueries))
 			}
 		}

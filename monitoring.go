@@ -206,6 +206,7 @@ func (db *DB) WritePrometheus(w io.Writer) error {
 	}
 	p.Counter("expdb_sql_parse_errors_total", "SQL parse errors.", nil, sm.ParseErrs)
 	p.Counter("expdb_sql_exec_errors_total", "SQL execution errors.", nil, sm.ExecErrs)
+	p.Counter("expdb_sql_plan_memo_hits_total", "SQL statements taken from the statement memo, parsed and lowered once.", nil, sm.MemoHits)
 	p.Histogram("expdb_sql_parse_nanos", "SQL parse latency.", nil, sm.ParseNanos)
 	p.Histogram("expdb_sql_exec_nanos", "SQL execution latency.", nil, sm.ExecNanos)
 

@@ -53,6 +53,7 @@ func TestWritePrometheusLint(t *testing.T) {
 		"# TYPE expdb_cache_patches_total counter",
 		"expdb_view_reads_total",
 		`expdb_sql_statements_total{kind="select"}`,
+		"expdb_sql_plan_memo_hits_total",
 		"expdb_wire_active_conns",
 		`expdb_slo_dispatch_lag_ticks_bucket{phase="steady",le="+Inf"}`,
 		`expdb_slo_dispatch_lag_ticks_bucket{phase="catchup",le="+Inf"}`,

@@ -15,7 +15,7 @@ BenchmarkInsertMetricsOverhead ./internal/engine  5  insert: stored tuple, set k
 BenchmarkDurableInsert         ./internal/engine  4  the WAL append reuses the group-commit buffer: nothing over the in-memory insert (measured 3)
 BenchmarkEmptyAdvance          ./internal/engine  0  the idle heartbeat walks the cached table set and peeks each texp index
 BenchmarkViewReadServe         ./internal/engine  6  a shared snapshot — a header aliasing slots, key map and free list — however large the materialisation (measured 3)
-BenchmarkViewReadRows          ./internal/engine  25 SELECT * FROM v and Rows() over 2 000 rows: parse, plan, the snapshot, and one result slice, sized by a count of the live rows, that the remembered slot order is filtered into; no sort, nothing per row (measured 22)
+BenchmarkViewReadRows          ./internal/engine  15 SELECT * FROM v and Rows() over 2 000 rows: the memoised parse, a plan, the snapshot, and one result slice, sized by a count of the live rows, that the remembered slot order is filtered into; no sort, nothing per row (measured 14; 22 when every read parsed)
 BenchmarkViewReadBirth         ./internal/engine  20 a read of a 20-group histogram view that applies one birth: the copy of the store its escaped snapshots are owed (slot array, key map, free list), the dead rows punched out of it, plus the tuple and set key of the row born; the cost follows the size of the materialisation once per birth batch, never the base table (measured 17; the recomputation it replaces is the next line)
 BenchmarkViewRecomputeHist     ./internal/engine  300 REFRESH of a GROUP BY view over 500 rows in 20 groups, its future included: one pass, nothing per input row but the growth of its partition; per group a key, the output tuple and its set key, and two arrays for the change points and values of its later states (measured 286, 231 without the future; 5 652 when rows and texp(e) were two evaluations)
 BenchmarkViewRecomputeDiff     ./internal/engine  1750 REFRESH of π(pol) − π(el) over 500 / 250 rows, its critical rows kept as births: each argument collected once, a projected tuple and a set key per argument row, the output reusing the keys; no second pass for texp(e) (measured 1 569; 4 147 before)
@@ -23,11 +23,12 @@ BenchmarkCacheHit              ./internal/engine  4  map probe, epoch check, LRU
 BenchmarkCacheHitAfterWrite    ./internal/engine  9  one insert that the leaf of the cached plan rejects, then the lookup that tests it and serves the hit: insert budget plus hit budget; the write tail of the table and the revalidation allocate nothing (measured 4)
 BenchmarkCachePatchAfterInsert ./internal/engine  37 one insert that a cached 40-row indexed range selects, then the lookup that patches it: the tail walk, a one-row Δ relation, the IndexScan leaf replaced by σ[Full](Δ) and streamed, the copy of the cached answer the row is merged into, the new entry; the same at 2 000 and 20 000 table rows, never the table (measured 33 at both)
 BenchmarkIndexedPointLookup    ./internal/engine  6  lock plan and probe free; result relation, key map, its bucket, a one-row slot array, key, closure (measured 6)
-BenchmarkScanFilter            ./internal/engine  125 an unindexed range over 2 000 rows returning about 40: parse, plan, the compiled predicate (7), then a set key per row returned and the growth of the key map and of the slot array (1, 8, 64 rows); allocations follow output rows, never scanned rows (measured 120)
-BenchmarkJoinProbe             ./internal/engine  385 2 000 rows streamed through a selection and a hash probe against a 20-row build side, about 40 rows out: a key and a bucket per build row, a tuple, a projection and a set key per row returned; the probe encodes into one buffer and allocates nothing per probed row (measured 371; 1 331 when every probe made a string)
+BenchmarkScanFilter            ./internal/engine  84 an unindexed range over 2 000 rows returning about 40: the memoised parse and lowering, the optimiser, the compiled predicate (7), then a set key per row returned and the growth of the key map and of the slot array (1, 8, 64 rows); allocations follow output rows, never scanned rows (measured 76; 120 when every read parsed and lowered)
+BenchmarkJoinProbe             ./internal/engine  287 2 000 rows streamed through a selection and a hash probe against a 20-row build side, about 40 rows out: a key and a bucket per build row, a tuple, a projection and a set key per row returned; the probe encodes into one buffer and allocates nothing per probed row (measured 261; 371 when every read parsed and lowered, 1 331 when every probe made a string)
+BenchmarkExecCachedPoint       .                  16 DB.Exec and Rows() of an indexed point read the result cache answers, its text in the statement memo: no parse, no lowering; the optimiser, the cache hit and the result (measured 13; 63 when every read parsed and lowered)
 BenchmarkIndexedDelete         ./internal/engine  2  victim key slice and the closure filling it; nothing scales with the table, and recording each removed tuple in the write tail adds nothing (measured 2)
 BenchmarkSamplerTick           ./internal/monitor 0  the sampler runs forever: one allocation per tick is a slow leak
-BenchmarkWireRespondPoint      ./internal/wire    75 a remote point read: parse, one Plan, the probe, the response; no per-request session, second key derivation or sort (measured 71; 110 and 170 KB when it scanned)
+BenchmarkWireRespondPoint      ./internal/wire    54 a remote point read: parse, one Plan, the probe, the response; no per-request session, second key derivation, sort, EXPLAIN text or kept lowering (measured 49; 71 when the optimiser formatted its choices, 110 and 170 KB when it scanned)
 '
 
 fail=0
