@@ -3,10 +3,11 @@
 // 2006): expression constructors for the monotonic operators σ, π, ×, ∪,
 // ⋈, ∩ and the non-monotonic − and aggregation, plus the §3.1 rewrites.
 //
-// Expressions evaluate against live relations: Eval(τ) applies expτ to
-// every base relation and derives per-tuple expiration times; ExprTexp(τ)
-// is the paper's texp(e) — when a materialisation computed at τ
-// invalidates; Validity(τ) is the Schrödinger interval set I(e).
+// Expressions evaluate against live relations: Stream(τ, emit) applies
+// expτ to every base relation and pushes the result rows with their derived
+// per-tuple expiration times, and Evaluate collects them; ExprTexp(τ) is the
+// paper's texp(e) — when a materialisation computed at τ invalidates;
+// Validity(τ) is the Schrödinger interval set I(e).
 package algebra
 
 import (
@@ -59,9 +60,6 @@ type (
 	CmpOp = ialg.CmpOp
 	// CriticalRow is one element of a difference's critical set.
 	CriticalRow = ialg.CriticalRow
-	// Streamer is implemented by operators that can produce their result
-	// as a push stream (the pipelined execution path).
-	Streamer = ialg.Streamer
 	// Evaluation is what Evaluate returns: rows, texp(e) and a root
 	// difference's critical tuples.
 	Evaluation = ialg.Evaluation
@@ -133,10 +131,6 @@ var (
 	// Evaluate computes an expression's rows and its texp(e) in one pass
 	// through the pipelined streaming executor.
 	Evaluate = ialg.Evaluate
-	// EvalStream is Evaluate for callers that want the rows only (same
-	// result as Eval, no per-operator intermediates).
+	// EvalStream is Evaluate for callers that want the rows only.
 	EvalStream = ialg.EvalStream
-	// StreamExpr pushes an expression's result rows into emit one at a
-	// time; non-streaming nodes are evaluated and their rows replayed.
-	StreamExpr = ialg.StreamExpr
 )

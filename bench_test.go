@@ -52,7 +52,7 @@ func newsDiff(b *testing.B, n int) algebra.Expr {
 // a materialised monotonic result — just the expτ filter.
 func BenchmarkE1MonotonicMaintenance(b *testing.B) {
 	j, _, _ := newsJoin(b, 2000)
-	mat, err := j.Eval(0)
+	mat, err := algebra.EvalStream(j, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func BenchmarkE2TheoremOne(b *testing.B) {
 	j, _, _ := newsJoin(b, 2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := j.Eval(xtime.Time(i % 200)); err != nil {
+		if _, err := algebra.EvalStream(j, xtime.Time(i%200)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -80,7 +80,7 @@ func BenchmarkE3NonMonotonic(b *testing.B) {
 	d := newsDiff(b, 2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.Eval(xtime.Time(i % 200)); err != nil {
+		if _, err := algebra.EvalStream(d, xtime.Time(i%200)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -101,7 +101,7 @@ func BenchmarkE4AggregatePolicies(b *testing.B) {
 		}
 		b.Run(policy.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := gb.Eval(0); err != nil {
+				if _, err := algebra.EvalStream(gb, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

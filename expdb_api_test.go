@@ -354,27 +354,20 @@ func TestAPIAlgebraSurface(t *testing.T) {
 	var _ []algebra.CriticalRow // Theorem 3 helper-queue element type
 	var _ algebra.AggKind = algebra.AggCount
 
-	// The streaming executor: EvalStream matches Eval and StreamExpr
-	// pushes the same rows.
-	var _ algebra.Streamer = pol // base scans stream
+	// The streaming executor: Stream pushes every row EvalStream collects,
+	// duplicates included, beside texp(e).
 	for _, e := range []algebra.Expr{proj, join, union, inter, diff} {
-		want, err := e.Eval(0)
+		want, err := algebra.Evaluate(e, 0)
 		if err != nil {
 			t.Fatal(err)
-		}
-		got, err := algebra.EvalStream(e, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.EqualAt(want, 0) {
-			t.Fatalf("EvalStream(%s) diverges from Eval", e)
 		}
 		streamed := 0
-		if err := algebra.StreamExpr(e, 0, func(expdb.Row) { streamed++ }); err != nil {
-			t.Fatal(err)
+		texp, err := e.Stream(0, func(expdb.Row) { streamed++ })
+		if err != nil || texp != want.Texp {
+			t.Fatalf("Stream(%s): texp(e) = %v (%v), Evaluate %v", e, texp, err, want.Texp)
 		}
-		if streamed < want.CountAt(0) {
-			t.Fatalf("StreamExpr(%s) emitted %d rows, want ≥ %d", e, streamed, want.CountAt(0))
+		if streamed < want.Rel.CountAt(0) {
+			t.Fatalf("Stream(%s) emitted %d rows, want ≥ %d", e, streamed, want.Rel.CountAt(0))
 		}
 	}
 }

@@ -3,6 +3,7 @@ package algebra
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -217,12 +218,12 @@ func (p *partition) value(i int) value.Value { return p.vals[i*len(p.runs)] }
 func (p *partition) last() xtime.Time { return p.rows[len(p.rows)-1].Texp }
 
 // byTexp puts a partition in expiration order. Ties may fall either way:
-// count, min, max and integer sums do not depend on the order of a slice.
+// count, min, max and exact sums do not depend on the order of a slice.
 func byTexp(a, b relation.Row) int { return cmp.Compare(a.Texp, b.Texp) }
 
-// byTexpThenTuple is the canonical order of a partition that feeds a
-// floating-point sum, where the order of the additions shows in the last
-// bits: one order, whatever the iteration order of the storage below.
+// byTexpThenTuple is the canonical order of a partition that feeds an
+// inexact floating-point sum, where the order of the additions shows in the
+// last bits: one order, whatever the iteration order of the storage below.
 func byTexpThenTuple(a, b relation.Row) int {
 	if c := cmp.Compare(a.Texp, b.Texp); c != 0 {
 		return c
@@ -244,11 +245,11 @@ func byTexpThenTuple(a, b relation.Row) int {
 // scratch, overwritten for the next one.
 func (a *Agg) fold(tau xtime.Time, visit func(*partition)) (texp, child xtime.Time, err error) {
 	var (
-		parts  [][]relation.Row
-		byKey  = map[string]int{}
-		key    []byte
-		sums   []int // the columns a sum or avg adds up
-		floats bool  // one of them holds a FLOAT
+		parts [][]relation.Row
+		byKey = map[string]int{}
+		key   []byte
+		sums  []int   // the columns a sum or avg adds up
+		mag   float64 // their values' magnitudes added up; ∞ once one is a FLOAT
 	)
 	for _, f := range a.Funcs {
 		if f.Kind == AggSum || f.Kind == AggAvg {
@@ -265,11 +266,15 @@ func (a *Agg) fold(tau xtime.Time, visit func(*partition)) (texp, child xtime.Ti
 		}
 		parts[i] = append(parts[i], row)
 		for _, c := range sums {
-			floats = floats || row.Tuple[c].Kind() == value.KindFloat
+			if v := row.Tuple[c]; v.Kind() == value.KindFloat {
+				mag = math.Inf(1)
+			} else {
+				mag += math.Abs(v.AsFloat())
+			}
 		}
 	}
 	if duplicateFree(a.Child) {
-		child, err = stream(a.Child, tau, add)
+		child, err = a.Child.Stream(tau, add)
 	} else {
 		var in *relation.Relation
 		if in, child, err = collect(a.Child, tau); err == nil {
@@ -280,8 +285,11 @@ func (a *Agg) fold(tau xtime.Time, visit func(*partition)) (texp, child xtime.Ti
 		return 0, 0, err
 	}
 	texp = child
+	// The float64 additions of an avg, and of the neutral policy's sums, are
+	// exact in any order unless a FLOAT takes part or the magnitudes add up
+	// to 2⁵³, past which float64 skips integers.
 	order := byTexp
-	if floats {
+	if mag >= 1<<53 {
 		order = byTexpThenTuple
 	}
 	var p partition
@@ -454,7 +462,7 @@ func sumCount(col int, rows []relation.Row) (sum, n float64) {
 	return sum, n
 }
 
-// Stream implements Streamer, formula (8) with the selected expiration
+// Stream implements Expr, formula (8) with the selected expiration
 // policy: every input row extended with its partition's aggregate values.
 func (a *Agg) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
 	texp, _, err := a.fold(tau, func(p *partition) {
@@ -512,12 +520,6 @@ func (a *Agg) streamGroups(tau xtime.Time, cols []int, emit func(relation.Row), 
 			births.addChain(p, t, funcs)
 		}
 	})
-}
-
-// Eval implements Expr: the stream, collected.
-func (a *Agg) Eval(tau xtime.Time) (*relation.Relation, error) {
-	rel, _, err := collect(a, tau)
-	return rel, err
 }
 
 // ExprTexp implements Expr: the materialised aggregation becomes invalid

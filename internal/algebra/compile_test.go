@@ -33,11 +33,12 @@ func kernelValue(rng *rand.Rand) value.Value {
 
 const kernelArity = 3
 
-func kernelPred(rng *rand.Rand, depth int) Predicate {
+// kernelPred draws a predicate over arity columns.
+func kernelPred(rng *rand.Rand, arity, depth int) Predicate {
 	kids := func() []Predicate {
 		ps := make([]Predicate, rng.Intn(4)) // an empty And is true, an empty Or false
 		for i := range ps {
-			ps[i] = kernelPred(rng, depth-1)
+			ps[i] = kernelPred(rng, arity, depth-1)
 		}
 		return ps
 	}
@@ -47,9 +48,9 @@ func kernelPred(rng *rand.Rand, depth int) Predicate {
 	}
 	switch rng.Intn(n) {
 	case 0, 1:
-		return ColConst{Col: rng.Intn(kernelArity), Op: CmpOp(rng.Intn(6)), Const: kernelValue(rng)}
+		return ColConst{Col: rng.Intn(arity), Op: CmpOp(rng.Intn(6)), Const: kernelValue(rng)}
 	case 2:
-		return ColCol{Left: rng.Intn(kernelArity), Right: rng.Intn(kernelArity), Op: CmpOp(rng.Intn(6))}
+		return ColCol{Left: rng.Intn(arity), Right: rng.Intn(arity), Op: CmpOp(rng.Intn(6))}
 	case 3:
 		return True{}
 	case 4:
@@ -57,7 +58,7 @@ func kernelPred(rng *rand.Rand, depth int) Predicate {
 	case 5:
 		return Or{Preds: kids()}
 	default:
-		return Not{Pred: kernelPred(rng, depth-1)}
+		return Not{Pred: kernelPred(rng, arity, depth-1)}
 	}
 }
 
@@ -76,8 +77,8 @@ func compiled(p Predicate) func(tuple.Tuple) bool {
 // constant, and attributes whose kind is not the one their column declares.
 func TestCompileMatchesHolds(t *testing.T) {
 	// Comparing the kinds and magnitudes where a typed shortcut would
-	// differ from Compare's coercion, spelled out so that no seed has to
-	// find them: 2^53+1 against the float 2^53 compares equal today.
+	// differ from Compare, spelled out so that no seed has to find them:
+	// 2^53+1 is above the float 2^53, which float64 cannot tell from it.
 	big, bigFloat := value.Int(9007199254740993), value.Float(9007199254740992.0)
 	for op := OpEq; op <= OpGe; op++ {
 		for _, c := range kernelValues {
@@ -88,22 +89,44 @@ func TestCompileMatchesHolds(t *testing.T) {
 				}
 			}
 		}
-		for _, pair := range [][2]value.Value{{big, bigFloat}, {bigFloat, big}} {
-			p, row := ColConst{Col: 0, Op: op, Const: pair[0]}, tuple.T(pair[1])
-			if got, want := compiled(p)(row), op.eval(0); got != want {
-				t.Errorf("compile(%s)(%s) = %v, want %v: the two compare equal", p, row, got, want)
+		for _, pair := range []struct {
+			c, v value.Value
+			cmp  int
+		}{{big, bigFloat, -1}, {bigFloat, big, 1}} {
+			p, row := ColConst{Col: 0, Op: op, Const: pair.c}, tuple.T(pair.v)
+			if got, want := compiled(p)(row), op.eval(pair.cmp); got != want {
+				t.Errorf("compile(%s)(%s) = %v, want %v", p, row, got, want)
 			}
 		}
 	}
 
 	rng := rand.New(rand.NewSource(20))
 	for trial := 0; trial < 4000; trial++ {
-		p := kernelPred(rng, 3)
+		p := kernelPred(rng, kernelArity, 3)
 		holds := compiled(p)
 		for i := 0; i < 8; i++ {
 			row := tuple.T(kernelValue(rng), kernelValue(rng), kernelValue(rng))
 			if got, want := holds(row), p.Holds(row); got != want {
 				t.Fatalf("trial %d: compile(%s)(%s) = %v, Holds %v", trial, p, row, got, want)
+			}
+		}
+	}
+}
+
+// TestKernelValuesOrder: over the values a predicate meets, Compare is
+// transitive and its equality is Equal and set-key equality — so a hash
+// probe finds exactly the rows an equality predicate holds for.
+func TestKernelValuesOrder(t *testing.T) {
+	for _, a := range kernelValues {
+		for _, b := range kernelValues {
+			same := string(a.AppendKey(nil)) == string(b.AppendKey(nil))
+			if eq := a.Compare(b) == 0; eq != same || a.Equal(b) != same {
+				t.Errorf("%v vs %v: Compare = %d, Equal %v, same key %v", a, b, a.Compare(b), a.Equal(b), same)
+			}
+			for _, c := range kernelValues {
+				if a.Compare(b) <= 0 && b.Compare(c) <= 0 && a.Compare(c) > 0 {
+					t.Errorf("%v ≤ %v ≤ %v, yet %v > %v", a, b, c, a, c)
+				}
 			}
 		}
 	}

@@ -65,7 +65,7 @@ func (d *Diff) run(tau xtime.Time, emit func(key string, row relation.Row), help
 	}
 	var rt xtime.Time
 	if duplicateFree(d.Left) {
-		rt, err = stream(d.Left, tau, func(row relation.Row) { split(row.Tuple.Key(), row) })
+		rt, err = d.Left.Stream(tau, func(row relation.Row) { split(row.Tuple.Key(), row) })
 	} else {
 		var r *relation.Relation
 		if r, rt, err = collect(d.Left, tau); err == nil {
@@ -91,7 +91,7 @@ type CriticalRow struct {
 // patched in already expired.
 func (c CriticalRow) critical() bool { return c.InR > c.InS }
 
-// Stream implements Streamer, formulas (10) and (11):
+// Stream implements Expr, formulas (10) and (11):
 //
 //	texp(R − S) = min(texp(R), texp(S), min{texp_S(t) | t critical}).
 func (d *Diff) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
@@ -114,12 +114,6 @@ func (d *Diff) criticalSet(tau xtime.Time, emit func(string, relation.Row)) ([]C
 		}
 	})
 	return crit, texp, err
-}
-
-// Eval implements Expr: the stream, collected.
-func (d *Diff) Eval(tau xtime.Time) (*relation.Relation, error) {
-	rel, _, err := collect(d, tau)
-	return rel, err
 }
 
 // ExprTexp implements Expr, formula (11).

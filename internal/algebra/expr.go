@@ -28,10 +28,12 @@ type Expr interface {
 	// monotonic operators ((1)–(6)); materialisations of such expressions
 	// never require recomputation (Theorem 1).
 	Monotonic() bool
-	// Eval computes the expression at time tau. The returned relation
-	// carries the derived per-tuple expiration times and is owned by the
-	// caller.
-	Eval(tau xtime.Time) (*relation.Relation, error)
+	// Stream computes the expression at time tau: emit gets each result row
+	// with its derived expiration time — equal tuples possibly more than
+	// once (see stream.go) — on the calling goroutine, the tuples shared
+	// and immutable, and Stream returns texp(e) for a materialisation made
+	// at tau. The caller holds the read locks of the base relations.
+	Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error)
 	// ExprTexp returns texp(e) for a materialisation computed at tau.
 	ExprTexp(tau xtime.Time) (xtime.Time, error)
 	// Validity returns I(e) for a materialisation computed at tau.
@@ -59,9 +61,11 @@ func (b *Base) Schema() tuple.Schema { return b.Rel.Schema() }
 // Monotonic implements Expr.
 func (b *Base) Monotonic() bool { return true }
 
-// Eval implements Expr: it returns expτ(R) as an independent snapshot.
-func (b *Base) Eval(tau xtime.Time) (*relation.Relation, error) {
-	return b.Rel.Snapshot(tau), nil
+// Stream implements Expr: a base scan pushes expτ(R) straight out of the
+// stored relation — no snapshot, no clone.
+func (b *Base) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
+	b.Rel.AliveAt(tau, emit)
+	return xtime.Infinity, nil
 }
 
 // ExprTexp implements Expr: the expiration time of a base relation is

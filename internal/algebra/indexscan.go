@@ -99,13 +99,7 @@ func (s *IndexScan) Children() []Expr {
 	return s.children
 }
 
-// Eval implements Expr.
-func (s *IndexScan) Eval(tau xtime.Time) (*relation.Relation, error) {
-	out, _, err := collect(s, tau)
-	return out, err
-}
-
-// Stream implements Streamer: probe the index and push the survivors.
+// Stream implements Expr: probe the index and push the survivors.
 // The caller holds the table's read lock (the Base child puts the table
 // in the lock plan), which is what makes the probe safe against
 // concurrent maintenance.
@@ -116,7 +110,7 @@ func (s *IndexScan) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time,
 	// Index dropped (or re-created with an incompatible shape) since the
 	// plan was built: degrade to the scan the node replaced.
 	holds := compile(s.Full)
-	return stream(s.Base, tau, func(row relation.Row) {
+	return s.Base.Stream(tau, func(row relation.Row) {
 		if holds == nil || holds(row.Tuple) {
 			emit(row)
 		}

@@ -33,19 +33,18 @@ func (s *Select) Schema() tuple.Schema { return s.Child.Schema() }
 // Monotonic implements Expr.
 func (s *Select) Monotonic() bool { return s.Child.Monotonic() }
 
-// Eval implements Expr.
-func (s *Select) Eval(tau xtime.Time) (*relation.Relation, error) {
-	in, err := s.Child.Eval(tau)
-	if err != nil {
-		return nil, err
+// Stream implements Expr, formula (1): the child's rows pass through the
+// compiled predicate on the calling goroutine.
+func (s *Select) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
+	holds := compile(s.Pred)
+	if holds == nil {
+		return s.Child.Stream(tau, emit)
 	}
-	out := relation.New(s.Schema())
-	in.AliveAt(tau, func(row relation.Row) {
-		if s.Pred.Holds(row.Tuple) {
-			out.InsertOwnedRow(row)
+	return s.Child.Stream(tau, func(row relation.Row) {
+		if holds(row.Tuple) {
+			emit(row)
 		}
 	})
-	return out, nil
 }
 
 // ExprTexp implements Expr: texp(σ(e′)) = texp(e′).
@@ -89,18 +88,25 @@ func (p *Project) Schema() tuple.Schema { return p.Child.Schema().Project(p.Cols
 // Monotonic implements Expr.
 func (p *Project) Monotonic() bool { return p.Child.Monotonic() }
 
-// Eval implements Expr. relation.Insert keeps the max expiration on
-// duplicate keys, which is exactly the rule of (3).
-func (p *Project) Eval(tau xtime.Time) (*relation.Relation, error) {
-	in, err := p.Child.Eval(tau)
-	if err != nil {
-		return nil, err
+// Stream implements Expr, formula (3): project each row, pass texp through.
+// Duplicate merging (max) happens at the collector. Onto the grouping
+// attributes and aggregate values of an aggregation — GROUP BY — it is one
+// row per partition.
+func (p *Project) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
+	if a, ok := p.Grouped(); ok {
+		texp, _, err := a.streamGroups(tau, p.Cols, emit, nil)
+		return texp, err
 	}
-	out := relation.New(p.Schema())
-	in.AliveAt(tau, func(row relation.Row) {
-		out.InsertOwnedRow(relation.Row{Tuple: row.Tuple.Project(p.Cols), Texp: row.Texp})
+	return p.Child.Stream(tau, func(row relation.Row) {
+		emit(relation.Row{Tuple: row.Tuple.Project(p.Cols), Texp: row.Texp})
 	})
-	return out, nil
+}
+
+// Grouped returns p's child when p is the GROUP BY shape: a projection of an
+// aggregation onto its grouping attributes and aggregate values only.
+func (p *Project) Grouped() (*Agg, bool) {
+	a, ok := p.Child.(*Agg)
+	return a, ok && a.groupsOnly(p.Cols)
 }
 
 // ExprTexp implements Expr: texp(π(e′)) = texp(e′).
@@ -139,29 +145,20 @@ func (p *Product) Schema() tuple.Schema { return p.Left.Schema().Concat(p.Right.
 // Monotonic implements Expr.
 func (p *Product) Monotonic() bool { return p.Left.Monotonic() && p.Right.Monotonic() }
 
-// Eval implements Expr.
-func (p *Product) Eval(tau xtime.Time) (*relation.Relation, error) {
-	l, err := p.Left.Eval(tau)
+// Stream implements Expr, formula (2): the right argument is collected once
+// (deduplicated), then left rows stream through and pair with it.
+func (p *Product) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
+	r, rt, err := collect(p.Right, tau)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	r, err := p.Right.Eval(tau)
-	if err != nil {
-		return nil, err
-	}
-	out := relation.New(p.Schema())
-	// Hoist the alive right rows once instead of re-filtering the whole
-	// right relation per left row.
 	rrows := r.Rows(tau)
-	l.AliveAt(tau, func(lr relation.Row) {
+	lt, err := p.Left.Stream(tau, func(lr relation.Row) {
 		for _, rr := range rrows {
-			out.InsertOwnedRow(relation.Row{
-				Tuple: lr.Tuple.Concat(rr.Tuple),
-				Texp:  xtime.Min(lr.Texp, rr.Texp),
-			})
+			emit(relation.Row{Tuple: lr.Tuple.Concat(rr.Tuple), Texp: xtime.Min(lr.Texp, rr.Texp)})
 		}
 	})
-	return out, nil
+	return xtime.Min(lt, rt), err
 }
 
 // ExprTexp implements Expr: texp(e1 × e2) = min(texp(e1), texp(e2)).
@@ -200,21 +197,16 @@ func (u *Union) Schema() tuple.Schema { return u.Left.Schema() }
 // Monotonic implements Expr.
 func (u *Union) Monotonic() bool { return u.Left.Monotonic() && u.Right.Monotonic() }
 
-// Eval implements Expr. relation.Insert keeps the max expiration for
-// duplicates, implementing the three-way case split of (4).
-func (u *Union) Eval(tau xtime.Time) (*relation.Relation, error) {
-	l, err := u.Left.Eval(tau)
+// Stream implements Expr, formula (4): both argument streams are forwarded;
+// the max-texp rule for tuples in both arguments is the collector's
+// duplicate handling.
+func (u *Union) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
+	lt, err := u.Left.Stream(tau, emit)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	r, err := u.Right.Eval(tau)
-	if err != nil {
-		return nil, err
-	}
-	out := relation.New(u.Schema())
-	l.AliveAt(tau, func(row relation.Row) { out.InsertOwnedRow(row) })
-	r.AliveAt(tau, func(row relation.Row) { out.InsertOwnedRow(row) })
-	return out, nil
+	rt, err := u.Right.Stream(tau, emit)
+	return xtime.Min(lt, rt), err
 }
 
 // ExprTexp implements Expr: texp(e1 ∪ e2) = min(texp(e1), texp(e2)).
@@ -281,7 +273,7 @@ func (j *Join) equiCols() (left, right []int, rest []Predicate, ok bool) {
 	}
 	for _, c := range conjuncts {
 		if cc, isCC := c.(ColCol); isCC && cc.Op == OpEq {
-			lo, hi := minInt(cc.Left, cc.Right), maxInt(cc.Left, cc.Right)
+			lo, hi := min(cc.Left, cc.Right), max(cc.Left, cc.Right)
 			if lo < la && hi >= la {
 				left = append(left, lo)
 				right = append(right, hi-la)
@@ -293,64 +285,58 @@ func (j *Join) equiCols() (left, right []int, rest []Predicate, ok bool) {
 	return left, right, rest, len(left) > 0
 }
 
-// Eval implements Expr with a hash join when the predicate contains
-// cross-argument equality conjuncts, falling back to a nested loop.
-func (j *Join) Eval(tau xtime.Time) (*relation.Relation, error) {
-	l, err := j.Left.Eval(tau)
-	if err != nil {
-		return nil, err
-	}
-	r, err := j.Right.Eval(tau)
-	if err != nil {
-		return nil, err
-	}
-	out := relation.New(j.Schema())
-	leftCols, rightCols, rest, ok := j.equiCols()
-	if !ok {
-		// Hoist the alive right rows once (see Product.Eval).
-		rrows := r.Rows(tau)
-		l.AliveAt(tau, func(lr relation.Row) {
-			for _, rr := range rrows {
-				t := lr.Tuple.Concat(rr.Tuple)
-				if j.Pred.Holds(t) {
-					out.InsertOwnedRow(relation.Row{Tuple: t, Texp: xtime.Min(lr.Texp, rr.Texp)})
-				}
-			}
-		})
-		return out, nil
-	}
-	// Hash the right side and probe it with the left, or the other way
-	// round; the result tuple is left ++ right either way.
-	build, buildCols, probe, probeCols := r, rightCols, l, leftCols
+// Stream implements Expr, formula (5): the right (build) side is collected
+// and hash-indexed on the equi-join columns, then left (probe) rows stream
+// through the index. Each probe encodes its key into one buffer that belongs
+// to this call — concurrent evaluations of a shared plan never see each
+// other's — and looks it up without building a string, so the probe side
+// allocates per result row, not per row probed. Without equality conjuncts
+// it degrades to a streamed nested loop over the hoisted build rows.
+func (j *Join) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
+	build, probeSide := j.Right, j.Left
 	if j.BuildLeft {
-		build, buildCols, probe, probeCols = l, leftCols, r, rightCols
+		build, probeSide = j.Left, j.Right
 	}
-	idx := build.BuildIndex(tau, buildCols)
-	var key []byte
-	probe.AliveAt(tau, func(pr relation.Row) {
-		var brows []relation.Row
-		brows, key = idx.Probe(pr.Tuple, probeCols, key)
-		for _, br := range brows {
-			lr, rr := pr, br
+	b, bt, err := collect(build, tau)
+	if err != nil {
+		return 0, err
+	}
+	leftCols, rightCols, rest, ok := j.equiCols()
+	// candidates yields the build rows a probe row may pair with; holds is
+	// what of the predicate is left to test on each pair.
+	var candidates func(pr relation.Row) []relation.Row
+	var holds func(tuple.Tuple) bool
+	if ok {
+		buildCols, probeCols := rightCols, leftCols
+		if j.BuildLeft {
+			buildCols, probeCols = leftCols, rightCols
+		}
+		idx := b.BuildIndex(tau, buildCols)
+		var key []byte
+		candidates = func(pr relation.Row) (brows []relation.Row) {
+			brows, key = idx.Probe(pr.Tuple, probeCols, key)
+			return brows
+		}
+		holds = compileAll(rest)
+	} else {
+		brows := b.Rows(tau)
+		candidates = func(relation.Row) []relation.Row { return brows }
+		holds = compile(j.Pred)
+	}
+	pt, err := probeSide.Stream(tau, func(pr relation.Row) {
+		for _, br := range candidates(pr) {
+			// The concatenation order is always left ++ right, whichever
+			// side was hoisted.
+			l, r := pr.Tuple, br.Tuple
 			if j.BuildLeft {
-				lr, rr = br, pr
+				l, r = r, l
 			}
-			t := lr.Tuple.Concat(rr.Tuple)
-			if holdsAll(rest, t) {
-				out.InsertOwnedRow(relation.Row{Tuple: t, Texp: xtime.Min(lr.Texp, rr.Texp)})
+			if t := l.Concat(r); holds == nil || holds(t) {
+				emit(relation.Row{Tuple: t, Texp: xtime.Min(pr.Texp, br.Texp)})
 			}
 		}
 	})
-	return out, nil
-}
-
-func holdsAll(ps []Predicate, t tuple.Tuple) bool {
-	for _, p := range ps {
-		if !p.Holds(t) {
-			return false
-		}
-	}
-	return true
+	return xtime.Min(bt, pt), err
 }
 
 // ExprTexp implements Expr.
@@ -393,23 +379,19 @@ func (x *Intersect) Schema() tuple.Schema { return x.Left.Schema() }
 // Monotonic implements Expr.
 func (x *Intersect) Monotonic() bool { return x.Left.Monotonic() && x.Right.Monotonic() }
 
-// Eval implements Expr.
-func (x *Intersect) Eval(tau xtime.Time) (*relation.Relation, error) {
-	l, err := x.Left.Eval(tau)
+// Stream implements Expr, formula (6): the right argument is collected for
+// membership probes, then left rows stream through.
+func (x *Intersect) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
+	r, rt, err := collect(x.Right, tau)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	r, err := x.Right.Eval(tau)
-	if err != nil {
-		return nil, err
-	}
-	out := relation.New(x.Schema())
-	l.AliveAt(tau, func(row relation.Row) {
-		if rt, ok := r.Texp(row.Tuple); ok && rt > tau {
-			out.InsertOwnedRow(relation.Row{Tuple: row.Tuple, Texp: xtime.Min(row.Texp, rt)})
+	lt, err := x.Left.Stream(tau, func(row relation.Row) {
+		if t, ok := r.Texp(row.Tuple); ok && t > tau {
+			emit(relation.Row{Tuple: row.Tuple, Texp: xtime.Min(row.Texp, t)})
 		}
 	})
-	return out, nil
+	return xtime.Min(lt, rt), err
 }
 
 // ExprTexp implements Expr.

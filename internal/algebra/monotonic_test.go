@@ -32,9 +32,9 @@ func el() Expr  { return NewBase("El", elRel()) }
 
 func mustEval(t *testing.T, e Expr, tau xtime.Time) *relation.Relation {
 	t.Helper()
-	rel, err := e.Eval(tau)
+	rel, err := EvalStream(e, tau)
 	if err != nil {
-		t.Fatalf("Eval(%s) at %v: %v", e, tau, err)
+		t.Fatalf("EvalStream(%s) at %v: %v", e, tau, err)
 	}
 	return rel
 }

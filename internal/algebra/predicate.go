@@ -99,10 +99,10 @@ func (p ColCol) Holds(t tuple.Tuple) bool {
 }
 
 // MaxCol implements Predicate.
-func (p ColCol) MaxCol() int { return maxInt(p.Left, p.Right) }
+func (p ColCol) MaxCol() int { return max(p.Left, p.Right) }
 
 // MinCol implements Predicate.
-func (p ColCol) MinCol() int { return minInt(p.Left, p.Right) }
+func (p ColCol) MinCol() int { return min(p.Left, p.Right) }
 
 // Shift implements Predicate.
 func (p ColCol) Shift(d int) Predicate {
@@ -158,7 +158,7 @@ func (p And) Holds(t tuple.Tuple) bool {
 func (p And) MaxCol() int {
 	m := -1
 	for _, q := range p.Preds {
-		m = maxInt(m, q.MaxCol())
+		m = max(m, q.MaxCol())
 	}
 	return m
 }
@@ -205,7 +205,7 @@ func (p Or) Holds(t tuple.Tuple) bool {
 func (p Or) MaxCol() int {
 	m := -1
 	for _, q := range p.Preds {
-		m = maxInt(m, q.MaxCol())
+		m = max(m, q.MaxCol())
 	}
 	return m
 }
@@ -275,18 +275,4 @@ func joinPreds(ps []Predicate, sep string) string {
 		parts[i] = "(" + p.String() + ")"
 	}
 	return strings.Join(parts, sep)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

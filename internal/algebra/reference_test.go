@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"fmt"
 	"sort"
 
 	"expdb/internal/relation"
@@ -11,20 +12,91 @@ import (
 
 // The reference evaluator: the paper's formulas written as literally as it
 // states them, sharing nothing with the evaluation pass — every node builds
-// its whole result, an aggregation extends each input row (formula (8)) and
-// leaves GROUP BY to a real π, time slices are a map from expiration time to
-// tuples, ν of (9) is found by simulating the partition's future, and the
-// critical tuples of (11) come from a second walk over both arguments. It is
-// the oracle the pass is property-tested against, and the seed of a naive
-// evaluator for the whole algebra (ROADMAP item 4).
+// its whole result from the τ-snapshots of its arguments (snapshot
+// reducibility), σ tests Holds, π and ∪ keep the larger expiration time of a
+// duplicate themselves, × is a nested loop, ⋈ is σ over ×, an aggregation
+// extends each input row (formula (8)) and leaves GROUP BY to a real π, time
+// slices are a map from expiration time to tuples, ν of (9) is found by
+// simulating the partition's future, and the critical tuples of (11) come
+// from a second walk over both arguments. It is the oracle the pass is
+// property-tested against.
 
-// refEval returns the rows of e at tau and texp(e).
+// refSet is a result under construction, one row per set key: a duplicate
+// keeps the larger expiration time, the max of formulas (3) and (4).
+type refSet map[string]relation.Row
+
+func (s refSet) add(row relation.Row) {
+	if old, ok := s[row.Tuple.Key()]; !ok || row.Texp > old.Texp {
+		s[row.Tuple.Key()] = row
+	}
+}
+
+func (s refSet) rel(schema tuple.Schema) *relation.Relation {
+	out := relation.New(schema)
+	for _, row := range s {
+		out.InsertRow(row)
+	}
+	return out
+}
+
+// refEval returns the rows of e at tau and texp(e); a monotonic operator's
+// texp(e) is the minimum of its arguments' (§2.6).
 func refEval(e Expr, tau xtime.Time) (*relation.Relation, xtime.Time) {
+	rows := func(x Expr) ([]relation.Row, xtime.Time) {
+		rel, texp := refEval(x, tau)
+		return rel.Rows(tau), texp
+	}
+	out := refSet{}
 	switch n := e.(type) {
 	case *Base:
 		return n.Rel.Snapshot(tau), xtime.Infinity // texp(R) = ∞ (§2.3)
 	case *IndexScan: // ≡ σ[Full](Base)
 		return refEval(&Select{Pred: n.Full, Child: n.Base}, tau)
+	case *Select: // formula (1)
+		in, texp := rows(n.Child)
+		for _, r := range in {
+			if n.Pred == nil || n.Pred.Holds(r.Tuple) {
+				out.add(r)
+			}
+		}
+		return out.rel(e.Schema()), texp
+	case *Project: // formula (3)
+		in, texp := rows(n.Child)
+		for _, r := range in {
+			out.add(relation.Row{Tuple: r.Tuple.Project(n.Cols), Texp: r.Texp})
+		}
+		return out.rel(e.Schema()), texp
+	case *Product: // formula (2)
+		l, lt := rows(n.Left)
+		r, rt := rows(n.Right)
+		for _, a := range l {
+			for _, b := range r {
+				out.add(relation.Row{Tuple: a.Tuple.Concat(b.Tuple), Texp: min(a.Texp, b.Texp)})
+			}
+		}
+		return out.rel(e.Schema()), min(lt, rt)
+	case *Union: // formula (4)
+		l, lt := rows(n.Left)
+		r, rt := rows(n.Right)
+		for _, row := range append(l, r...) {
+			out.add(row)
+		}
+		return out.rel(e.Schema()), min(lt, rt)
+	case *Join: // formula (5)
+		return refEval(&Select{Pred: n.Pred, Child: &Product{Left: n.Left, Right: n.Right}}, tau)
+	case *Intersect: // formula (6)
+		l, lt := rows(n.Left)
+		r, rt := rows(n.Right)
+		inR := refSet{}
+		for _, b := range r {
+			inR.add(b)
+		}
+		for _, a := range l {
+			if b, ok := inR[a.Tuple.Key()]; ok {
+				out.add(relation.Row{Tuple: a.Tuple, Texp: min(a.Texp, b.Texp)})
+			}
+		}
+		return out.rel(e.Schema()), min(lt, rt)
 	case *Agg:
 		in, texp := refEval(n.Child, tau)
 		out, own := refAgg(n, in, tau)
@@ -45,25 +117,8 @@ func refEval(e Expr, tau xtime.Time) (*relation.Relation, xtime.Time) {
 			}
 		}
 		return out, texp
-	default:
-		// A monotonic operator: its materialising Eval over the reference
-		// results of its arguments; texp(e) is the minimum of theirs (§2.6).
-		texp := xtime.Infinity
-		kids := make([]Expr, len(e.Children()))
-		for i, k := range e.Children() {
-			rel, t := refEval(k, tau)
-			kids[i], texp = NewBase("ref", rel), xtime.Min(texp, t)
-		}
-		m, err := ReplaceChildren(e, kids)
-		if err != nil {
-			panic(err)
-		}
-		rel, err := m.Eval(tau)
-		if err != nil {
-			panic(err)
-		}
-		return rel, texp
 	}
+	panic(fmt.Sprintf("refEval: %T", e))
 }
 
 // refHelper is the helper relation of Theorem 3 over evaluated arguments:

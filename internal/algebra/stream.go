@@ -4,26 +4,25 @@ import (
 	"slices"
 
 	"expdb/internal/relation"
-	"expdb/internal/tuple"
 	"expdb/internal/xtime"
 )
 
-// This file implements the evaluation pass: operators push rows through
-// the tree one at a time instead of materialising a relation per node, and
-// every operator hands back texp(e) of its subtree from the same call (see
-// DESIGN.md "Execution engine").
+// This file holds the evaluation pass around Expr.Stream: operators push
+// rows through the tree one at a time instead of materialising a relation
+// per node, and every operator hands back texp(e) of its subtree from the
+// same call (see DESIGN.md "Execution engine").
 //
 // Correctness of streaming without per-operator duplicate elimination: a
 // stream may carry several rows with equal tuples and different expiration
-// times where Eval's relations would hold one row with the maximum. Every
+// times where formulas (1)–(6) hold one row with the maximum. Every
 // monotonic operator either passes expiration times through (σ, π) or
 // combines them with min (×, ⋈, ∩), and duplicate elimination takes max —
 // and max_i min(a_i, s) = min(max_i a_i, s), so deduplicating once at the
 // top (the collector, or any relation the rows are inserted into) yields
-// exactly the rows and texp values Eval produces. Non-monotonic operators
-// (Agg, Diff) do need set input and therefore act as pipeline breakers:
-// they collect a child that may stream duplicates, once, and stream their
-// own result on.
+// exactly the rows and texp values the formulas define. Non-monotonic
+// operators (Agg, Diff) do need set input and therefore act as pipeline
+// breakers: they collect a child that may stream duplicates, once, and
+// stream their own result on.
 //
 // texp(e) of a tree is the minimum of the event times its Agg and Diff
 // nodes set — a base relation has ∞ (§2.3) and every monotonic operator
@@ -32,46 +31,12 @@ import (
 // produces its rows from. So the rows and texp(e) come out of one pass, a
 // minimum handed up the tree beside the stream.
 
-// Streamer is implemented by operators able to produce their result as a
-// push stream. Stream calls emit once per result row at time tau — rows
-// with equal tuples may be emitted more than once (see above) — and
-// returns texp(e) of the subtree for a materialisation made at tau.
-// Emitted tuples are shared storage — the immutability invariant of
-// relation.Relation applies — and emit runs on the calling goroutine, so
-// it needs no internal locking.
-type Streamer interface {
-	Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error)
-}
-
-// StreamExpr streams the result of e at tau into emit. Expressions that do
-// not implement Streamer (wrapper nodes such as EXPLAIN ANALYZE's
-// instrumentation) are evaluated and their result pushed row by row, so
-// any tree streams.
-func StreamExpr(e Expr, tau xtime.Time, emit func(relation.Row)) error {
-	_, err := stream(e, tau, emit)
-	return err
-}
-
-// stream is StreamExpr that also hands back texp(e), which a node without
-// Stream is asked for separately.
-func stream(e Expr, tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
-	if s, ok := e.(Streamer); ok {
-		return s.Stream(tau, emit)
-	}
-	rel, err := e.Eval(tau)
-	if err != nil {
-		return 0, err
-	}
-	rel.AliveAt(tau, emit)
-	return e.ExprTexp(tau)
-}
-
 // collect gathers the stream of e into a relation. Its duplicate handling
 // (max texp wins) is the single point of duplicate elimination for the
 // monotonic pipeline below it.
 func collect(e Expr, tau xtime.Time) (*relation.Relation, xtime.Time, error) {
 	out := relation.New(e.Schema())
-	texp, err := stream(e, tau, func(row relation.Row) {
+	texp, err := e.Stream(tau, func(row relation.Row) {
 		out.InsertOwnedRow(row)
 	})
 	if err != nil {
@@ -81,8 +46,7 @@ func collect(e Expr, tau xtime.Time) (*relation.Relation, xtime.Time, error) {
 }
 
 // EvalStream computes e at tau: Evaluate for callers that want the rows
-// only. The result is Eval's, without the per-operator intermediate
-// relations.
+// only.
 func EvalStream(e Expr, tau xtime.Time) (*relation.Relation, error) {
 	rel, _, err := collect(e, tau)
 	return rel, err
@@ -122,8 +86,8 @@ func HasFuture(e Expr) bool {
 	case *Diff:
 		return n.Left.Monotonic() && n.Right.Monotonic()
 	case *Project:
-		a, ok := n.Child.(*Agg)
-		return ok && a.Policy == PolicyExact && a.groupsOnly(n.Cols) && a.Child.Monotonic()
+		a, ok := n.Grouped()
+		return ok && a.Policy == PolicyExact && a.Child.Monotonic()
 	}
 	return false
 }
@@ -177,138 +141,4 @@ func duplicateFree(e Expr) bool {
 	default:
 		return false
 	}
-}
-
-// Stream implements Streamer: a base scan pushes expτ(R) straight out of
-// the stored relation — no snapshot, no clone. The caller must hold the
-// table's read lock, exactly as for Eval.
-func (b *Base) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
-	b.Rel.AliveAt(tau, emit)
-	return xtime.Infinity, nil
-}
-
-// Stream implements Streamer, formula (1): the child's rows pass through
-// the compiled predicate on the calling goroutine.
-func (s *Select) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
-	holds := compile(s.Pred)
-	if holds == nil {
-		return stream(s.Child, tau, emit)
-	}
-	return stream(s.Child, tau, func(row relation.Row) {
-		if holds(row.Tuple) {
-			emit(row)
-		}
-	})
-}
-
-// Stream implements Streamer, formula (3): project each row, pass texp
-// through. Duplicate merging (max) happens at the collector. Onto the
-// grouping attributes and aggregate values of an aggregation — GROUP BY —
-// it is one row per partition.
-func (p *Project) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
-	if a, ok := p.Child.(*Agg); ok && a.groupsOnly(p.Cols) {
-		texp, _, err := a.streamGroups(tau, p.Cols, emit, nil)
-		return texp, err
-	}
-	return stream(p.Child, tau, func(row relation.Row) {
-		emit(relation.Row{Tuple: row.Tuple.Project(p.Cols), Texp: row.Texp})
-	})
-}
-
-// Stream implements Streamer, formula (2): the right argument is collected
-// once (deduplicated), then left rows stream through and pair with it.
-func (p *Product) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
-	r, rt, err := collect(p.Right, tau)
-	if err != nil {
-		return 0, err
-	}
-	rrows := r.Rows(tau)
-	lt, err := stream(p.Left, tau, func(lr relation.Row) {
-		for _, rr := range rrows {
-			emit(relation.Row{Tuple: lr.Tuple.Concat(rr.Tuple), Texp: xtime.Min(lr.Texp, rr.Texp)})
-		}
-	})
-	return xtime.Min(lt, rt), err
-}
-
-// Stream implements Streamer, formula (4): both argument streams are
-// forwarded; the max-texp rule for tuples in both arguments is the
-// collector's duplicate handling.
-func (u *Union) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
-	lt, err := stream(u.Left, tau, emit)
-	if err != nil {
-		return 0, err
-	}
-	rt, err := stream(u.Right, tau, emit)
-	return xtime.Min(lt, rt), err
-}
-
-// Stream implements Streamer, formula (5): the right (build) side is
-// collected and hash-indexed on the equi-join columns, then left (probe)
-// rows stream through the index. Each probe encodes its key into one buffer
-// that belongs to this call — concurrent evaluations of a shared plan never
-// see each other's — and looks it up without building a string, so the probe
-// side allocates per result row, not per row probed. Without equality
-// conjuncts it degrades to a streamed nested loop over the hoisted build
-// rows.
-func (j *Join) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
-	build, probeSide := j.Right, j.Left
-	if j.BuildLeft {
-		build, probeSide = j.Left, j.Right
-	}
-	b, bt, err := collect(build, tau)
-	if err != nil {
-		return 0, err
-	}
-	leftCols, rightCols, rest, ok := j.equiCols()
-	// candidates yields the build rows a probe row may pair with; holds is
-	// what of the predicate is left to test on each pair.
-	var candidates func(pr relation.Row) []relation.Row
-	var holds func(tuple.Tuple) bool
-	if ok {
-		buildCols, probeCols := rightCols, leftCols
-		if j.BuildLeft {
-			buildCols, probeCols = leftCols, rightCols
-		}
-		idx := b.BuildIndex(tau, buildCols)
-		var key []byte
-		candidates = func(pr relation.Row) (brows []relation.Row) {
-			brows, key = idx.Probe(pr.Tuple, probeCols, key)
-			return brows
-		}
-		holds = compileAll(rest)
-	} else {
-		brows := b.Rows(tau)
-		candidates = func(relation.Row) []relation.Row { return brows }
-		holds = compile(j.Pred)
-	}
-	pt, err := stream(probeSide, tau, func(pr relation.Row) {
-		for _, br := range candidates(pr) {
-			// The concatenation order is always left ++ right, whichever
-			// side was hoisted.
-			l, r := pr.Tuple, br.Tuple
-			if j.BuildLeft {
-				l, r = r, l
-			}
-			if t := l.Concat(r); holds == nil || holds(t) {
-				emit(relation.Row{Tuple: t, Texp: xtime.Min(pr.Texp, br.Texp)})
-			}
-		}
-	})
-	return xtime.Min(bt, pt), err
-}
-
-// Stream implements Streamer, formula (6): the right argument is collected
-// for membership probes, then left rows stream through.
-func (x *Intersect) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
-	r, rt, err := collect(x.Right, tau)
-	if err != nil {
-		return 0, err
-	}
-	lt, err := stream(x.Left, tau, func(row relation.Row) {
-		if t, ok := r.Texp(row.Tuple); ok && t > tau {
-			emit(relation.Row{Tuple: row.Tuple, Texp: xtime.Min(row.Texp, t)})
-		}
-	})
-	return xtime.Min(lt, rt), err
 }

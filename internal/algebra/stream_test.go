@@ -6,43 +6,42 @@ import (
 	"sync"
 	"testing"
 
+	"expdb/internal/index"
 	"expdb/internal/relation"
 	"expdb/internal/tuple"
 	"expdb/internal/xtime"
 )
 
-// TestStreamEvalEquivalenceRandom: the streaming executor is
-// indistinguishable from the materialising one — same tuples, same
-// per-tuple expiration times — on random monotonic expressions, at the
-// evaluation instant and at every later instant (so the derived texp
-// values agree exactly, not just the alive sets).
+// TestStreamEvalEquivalenceRandom: on random monotonic trees of depth ≤ 3
+// the streaming pass agrees with the reference evaluator on rows,
+// per-tuple expiration times and texp(e), and its result stays equal to
+// the reference's at every later instant (so the derived texp values agree
+// exactly, not just the alive sets).
 func TestStreamEvalEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 300; trial++ {
 		bases := []*Base{randRel(rng, "R"), randRel(rng, "S"), randRel(rng, "T")}
 		e := randExpr(rng, bases, 1+rng.Intn(3), true)
 		tau := xtime.Time(rng.Intn(10))
-		want, err := e.Eval(tau)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		label := fmt.Sprintf("trial %d: %s", trial, e)
+		checkAgainstReference(t, label, e, tau)
 		got, err := EvalStream(e, tau)
 		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+			t.Fatalf("%s: %v", label, err)
 		}
+		want, _ := refEval(e, tau)
 		for tau2 := tau; tau2 <= 24; tau2++ {
 			if !got.EqualAt(want, tau2) {
-				t.Fatalf("trial %d: Stream ≢ Eval for %s at τ=%v checked τ′=%v\nstream:\n%s\neval:\n%s",
-					trial, e, tau, tau2, got.Render(tau2), want.Render(tau2))
+				t.Fatalf("%s: stream ≢ reference at τ=%v checked τ′=%v\nstream:\n%s\nreference:\n%s",
+					label, tau, tau2, got.Render(tau2), want.Render(tau2))
 			}
 		}
 	}
 }
 
 // TestStreamEvalEquivalenceNonMonotonic: random trees with aggregation and
-// difference anywhere in them. Eval and ExprTexp of those two operators read
-// the same pass EvalStream runs, so the oracle is the reference evaluator:
-// rows, per-tuple expiration times and texp(e) must match it.
+// difference anywhere in them agree with the reference evaluator on rows,
+// per-tuple expiration times and texp(e).
 func TestStreamEvalEquivalenceNonMonotonic(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	for trial := 0; trial < 300; trial++ {
@@ -78,10 +77,7 @@ func TestStreamConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := join.Eval(5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := refEval(join, 5)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -96,7 +92,7 @@ func TestStreamConcurrent(t *testing.T) {
 					return
 				}
 				if !got.EqualAt(want, 5) {
-					t.Error("concurrent stream diverged from Eval")
+					t.Error("concurrent stream diverged from the reference")
 					return
 				}
 			}
@@ -107,4 +103,45 @@ func TestStreamConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// byteSource makes a fuzz input a rand.Source: each draw takes one byte, so
+// that Intn(n) is that byte mod n (masked, for n a power of two), and 0 once
+// the input is spent.
+type byteSource []byte
+
+func (s *byteSource) Int63() int64 {
+	if len(*s) == 0 {
+		return 0
+	}
+	b := (*s)[0]
+	*s = (*s)[1:]
+	return int64(b) << 32
+}
+
+func (s *byteSource) Seed(int64) {}
+
+// FuzzPassMatchesReference: the input picks two relations of up to five
+// rows whose INT columns carry what kernelValue draws — FLOATs, NULLs and
+// integers beyond 2⁵³ among them — a tree of depth ≤ 3 over them, and τ; the
+// pass must agree with the reference evaluator.
+func FuzzPassMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		rng := rand.New((*byteSource)(&in))
+		var bases []*Base
+		for _, name := range []string{"R", "S"} {
+			r := relation.New(tuple.IntCols("a", "b", "c"))
+			r.AttachIndex(name+"_a", index.NewHash([]int{0}))
+			for i := rng.Intn(6); i > 0; i-- {
+				texp := xtime.Time(1 + rng.Intn(9))
+				if texp == 9 {
+					texp = xtime.Infinity
+				}
+				r.Insert(tuple.T(kernelValue(rng), kernelValue(rng), kernelValue(rng)), texp)
+			}
+			bases = append(bases, NewBase(name, r))
+		}
+		e := randExpr(rng, bases, rng.Intn(4), false)
+		checkAgainstReference(t, e.String(), e, xtime.Time(rng.Intn(10)))
+	})
 }

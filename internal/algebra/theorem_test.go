@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"expdb/internal/index"
 	"expdb/internal/relation"
 	"expdb/internal/tuple"
 	"expdb/internal/value"
@@ -12,9 +13,11 @@ import (
 
 // randRel builds a random 2-column relation over a tiny value domain so
 // that overlaps (shared tuples across relations, duplicate projections,
-// joinable keys) are common.
+// joinable keys) are common. A hash index on the first column serves
+// IndexScan.
 func randRel(rng *rand.Rand, name string) *Base {
 	r := relation.New(tuple.IntCols("a", "b"))
+	r.AttachIndex(name+"_a", index.NewHash([]int{0}))
 	n := 1 + rng.Intn(8)
 	for i := 0; i < n; i++ {
 		texp := xtime.Time(1 + rng.Intn(20))
@@ -26,85 +29,70 @@ func randRel(rng *rand.Rand, name string) *Base {
 	return NewBase(name, r)
 }
 
-// randExpr builds a random expression of the given depth over the bases.
-// With monotonicOnly it draws only operators (1)–(6).
+// randExpr builds a random expression of the given depth over the bases —
+// each carrying a hash index named after it on its first column — with
+// kernelPred predicates. With monotonicOnly it draws only operators (1)–(6)
+// and IndexScan. Draw 0 is a σ that always fits, so a spent fuzz input ends
+// every tree.
 func randExpr(rng *rand.Rand, bases []*Base, depth int, monotonicOnly bool) Expr {
 	if depth == 0 {
 		return bases[rng.Intn(len(bases))]
 	}
 	child := func() Expr { return randExpr(rng, bases, depth-1, monotonicOnly) }
-	limit := 8
+	limit := 9
 	if monotonicOnly {
-		limit = 6
+		limit = 7
 	}
 	for {
+		var e Expr
+		var err error
 		switch rng.Intn(limit) {
 		case 0:
 			c := child()
-			pred := randPred(rng, c.Schema().Arity())
-			s, err := NewSelect(pred, c)
-			if err != nil {
-				continue
-			}
-			return s
+			e, err = NewSelect(kernelPred(rng, c.Schema().Arity(), 2), c)
 		case 1:
 			c := child()
-			cols := randCols(rng, c.Schema().Arity())
-			p, err := NewProject(cols, c)
-			if err != nil {
-				continue
-			}
-			return p
+			e, err = NewProject(randCols(rng, c.Schema().Arity()), c)
 		case 2:
-			l, r := child(), child()
-			if l.Schema().Arity()+r.Schema().Arity() > 6 {
-				continue // keep arities small
-			}
-			return NewProduct(l, r)
+			e = NewProduct(child(), child())
 		case 3:
-			l, r := child(), child()
-			u, err := NewUnion(l, r)
-			if err != nil {
-				continue
-			}
-			return u
+			e, err = NewUnion(child(), child())
 		case 4:
-			l, r := child(), child()
-			x, err := NewIntersect(l, r)
-			if err != nil {
-				continue
-			}
-			return x
+			e, err = NewIntersect(child(), child())
 		case 5:
 			l, r := child(), child()
-			if l.Schema().Arity()+r.Schema().Arity() > 6 {
-				continue
+			la, ra := l.Schema().Arity(), r.Schema().Arity()
+			pred := kernelPred(rng, la+ra, 1)
+			if rng.Intn(2) == 0 { // an equality across the sides: a hash join
+				pred = And{Preds: []Predicate{ColCol{Left: rng.Intn(la), Right: la + rng.Intn(ra), Op: OpEq}, pred}}
 			}
-			j, err := EquiJoin(l, 0, r, 0)
-			if err != nil {
-				continue
+			var j *Join
+			if j, err = NewJoin(pred, l, r); err == nil {
+				j.BuildLeft, e = rng.Intn(2) == 0, j
 			}
-			return j
 		case 6:
-			l, r := child(), child()
-			d, err := NewDiff(l, r)
-			if err != nil {
-				continue
-			}
-			return d
+			b, v := bases[rng.Intn(len(bases))], kernelValue(rng)
+			s := NewIndexScan(b, []string{b.Name + "_a", "dropped"}[rng.Intn(2)], ColConst{Col: 0, Op: OpEq, Const: v}, nil)
+			s.Eq, s.EqKey = []value.Value{v}, tuple.T(v).Key()
+			e = s
+		case 7:
+			e, err = NewDiff(child(), child())
 		default:
 			c := child()
-			f := AggFunc{Kind: AggKind(rng.Intn(5)), Col: 0}
+			arity := c.Schema().Arity()
+			f := AggFunc{Kind: AggKind(rng.Intn(5)), Col: rng.Intn(arity)}
 			if f.Kind == AggCount && rng.Intn(2) == 0 {
 				f.Col = -1
 			}
-			policy := AggPolicy(rng.Intn(3))
-			group := []int{c.Schema().Arity() - 1}
-			a, err := NewAgg(group, []AggFunc{f}, policy, c)
-			if err != nil {
-				continue
+			group, policy := []int{rng.Intn(arity)}[:rng.Intn(2)], AggPolicy(rng.Intn(3))
+			if rng.Intn(2) == 0 {
+				e, err = NewAgg(group, []AggFunc{f}, policy, c)
+			} else {
+				e, err = GroupBy(group, []AggFunc{f}, policy, c)
 			}
-			return a
+		}
+		if err == nil && e.Schema().Arity() <= 6 {
+			return e
 		}
 	}
 }
@@ -142,16 +130,12 @@ func TestTheorem1Random(t *testing.T) {
 		bases := []*Base{randRel(rng, "R"), randRel(rng, "S"), randRel(rng, "T")}
 		e := randExpr(rng, bases, 1+rng.Intn(3), true)
 		tau := xtime.Time(rng.Intn(10))
-		mat, err := e.Eval(tau)
+		mat, err := EvalStream(e, tau)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for tau2 := tau; tau2 <= 24; tau2++ {
-			fresh, err := e.Eval(tau2)
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-			if !fresh.EqualAt(mat, tau2) {
+			if fresh, _ := refEval(e, tau2); !fresh.EqualAt(mat, tau2) {
 				t.Fatalf("trial %d: Theorem 1 violated for %s (materialised %v, checked %v)\nmat:\n%s\nfresh:\n%s",
 					trial, e, tau, tau2, mat.Render(tau2), fresh.Render(tau2))
 			}
@@ -168,23 +152,16 @@ func TestTheorem2Random(t *testing.T) {
 		bases := []*Base{randRel(rng, "R"), randRel(rng, "S"), randRel(rng, "T")}
 		e := randExpr(rng, bases, 1+rng.Intn(3), false)
 		tau := xtime.Time(rng.Intn(10))
-		mat, err := e.Eval(tau)
+		ev, err := Evaluate(e, tau)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		texp, err := e.ExprTexp(tau)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		mat, texp := ev.Rel, ev.Texp
 		if texp <= tau {
 			t.Fatalf("trial %d: texp(e) = %v not after materialisation time %v", trial, texp, tau)
 		}
 		for tau2 := tau; tau2 <= 24 && tau2 < texp; tau2++ {
-			fresh, err := e.Eval(tau2)
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-			if !fresh.EqualAt(mat, tau2) {
+			if fresh, _ := refEval(e, tau2); !fresh.EqualAt(mat, tau2) {
 				t.Fatalf("trial %d: Theorem 2 violated for %s (materialised %v, texp %v, checked %v)\nmat:\n%s\nfresh:\n%s",
 					trial, e, tau, texp, tau2, mat.Render(tau2), fresh.Render(tau2))
 			}
@@ -201,7 +178,7 @@ func TestValidityRandom(t *testing.T) {
 		bases := []*Base{randRel(rng, "R"), randRel(rng, "S")}
 		e := randExpr(rng, bases, 1+rng.Intn(2), false)
 		tau := xtime.Time(rng.Intn(6))
-		mat, err := e.Eval(tau)
+		mat, err := EvalStream(e, tau)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -214,10 +191,7 @@ func TestValidityRandom(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for tau2 := tau; tau2 <= 26; tau2++ {
-			fresh, err := e.Eval(tau2)
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
+			fresh, _ := refEval(e, tau2)
 			matches := fresh.EqualAt(mat, tau2)
 			if v.Contains(tau2) && !matches {
 				t.Fatalf("trial %d: %s claims valid at %v but diverges (materialised %v)\nI = %s\nmat:\n%s\nfresh:\n%s",

@@ -44,11 +44,11 @@ func RunE1(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	projMat, err := proj.Eval(0)
+	projMat, err := algebra.EvalStream(proj, 0)
 	if err != nil {
 		return err
 	}
-	joinMat, err := join.Eval(0)
+	joinMat, err := algebra.EvalStream(join, 0)
 	if err != nil {
 		return err
 	}
@@ -68,7 +68,7 @@ func RunE1(w io.Writer) error {
 	// Exhaustive equality sweep, the Figure 2 narrative.
 	for tau := xtime.Time(0); tau <= 20; tau++ {
 		for _, e := range []algebra.Expr{proj, join} {
-			fresh, err := e.Eval(tau)
+			fresh, err := algebra.EvalStream(e, tau)
 			if err != nil {
 				return err
 			}
@@ -96,7 +96,7 @@ func RunE2(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		mat, err := join.Eval(0)
+		mat, err := algebra.EvalStream(join, 0)
 		if err != nil {
 			return err
 		}
@@ -139,7 +139,7 @@ func RunE3(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	histMat, err := hist.Eval(0)
+	histMat, err := algebra.EvalStream(hist, 0)
 	if err != nil {
 		return err
 	}
@@ -163,7 +163,7 @@ func RunE3(w io.Writer) error {
 		return err
 	}
 	for _, at := range []xtime.Time{0, 3, 5} {
-		fresh, err := diff.Eval(at)
+		fresh, err := algebra.EvalStream(diff, at)
 		if err != nil {
 			return err
 		}
@@ -173,7 +173,7 @@ func RunE3(w io.Writer) error {
 	t := newTable("τ", "|recomputed|", "note")
 	prev := -1
 	for tau := xtime.Time(0); tau <= 10; tau++ {
-		fresh, err := diff.Eval(tau)
+		fresh, err := algebra.EvalStream(diff, tau)
 		if err != nil {
 			return err
 		}

@@ -63,7 +63,7 @@ func RunE4(w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			mat, err := gb.Eval(0)
+			mat, err := algebra.EvalStream(gb, 0)
 			if err != nil {
 				return err
 			}

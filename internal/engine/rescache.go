@@ -521,16 +521,20 @@ func (e *Engine) patch(expr algebra.Expr, src *cacheEntry, now xtime.Time) bool 
 	}
 	for _, d := range deltas {
 		if leafVariants(root, d.Name, d, func(x algebra.Expr) error {
-			return algebra.StreamExpr(x, now, func(row relation.Row) { into.InsertOwnedRow(row) })
+			_, err := x.Stream(now, func(row relation.Row) { into.InsertOwnedRow(row) })
+			return err
 		}) != nil {
 			return false
 		}
 	}
-	clash := false
-	if !src.mono && into.Len() > 0 && (algebra.StreamExpr(diff.Left, now, func(row relation.Row) {
-		clash = clash || into.Contains(row.Tuple, now)
-	}) != nil || clash) {
-		return false
+	if !src.mono && into.Len() > 0 {
+		clash := false
+		_, err := diff.Left.Stream(now, func(row relation.Row) {
+			clash = clash || into.Contains(row.Tuple, now)
+		})
+		if err != nil || clash {
+			return false
+		}
 	}
 	src.at = now
 	return true

@@ -17,31 +17,46 @@ import (
 // labels, texp/validity derivations and — crucially — Children, so the
 // engine's lock discovery still walks the real tree down to its Base
 // leaves), and inner, the node rebuilt over wrapped children, which is
-// what Eval actually runs so every operator's work flows through its
+// what Stream actually runs so every operator's work flows through its
 // wrapper.
 type analyzed struct {
 	orig  algebra.Expr
 	inner algebra.Expr
 	kids  []*analyzed
+	// group is the aggregation of a GROUP BY projection: it runs inside the
+	// projection's inner, not by itself, and shows the rows it streamed there.
+	group *analyzed
 
 	ran     bool
-	rowsIn  int        // alive rows flowing in (a base leaf: physical rows scanned)
-	rowsOut int        // alive rows produced at the evaluation instant
-	expired int        // expired tuples filtered at this node
-	texp    xtime.Time // texp(e) derived at evaluation time, under the query's locks
-	texpErr error
+	rowsIn  int           // alive rows flowing in (a base leaf: physical rows scanned)
+	rowsOut int           // alive rows produced at the evaluation instant
+	expired int           // expired tuples filtered at this node
+	texp    xtime.Time    // texp(e) the run derived, under the query's locks
 	wall    time.Duration // cumulative, children included — the SQL EXPLAIN ANALYZE convention
 }
 
-// instrument builds the wrapper tree bottom-up. IndexScan is wrapped
-// atomically: rebuilding it over a wrapped Base would degrade the probe
-// to its scan fallback (ReplaceChildren only keeps the probe when the
-// child is the literal *Base), and ANALYZE must measure the plan that a
-// SELECT would actually run.
+// instrument builds the wrapper tree bottom-up. ANALYZE must measure the
+// plan that a SELECT would actually run, so two shapes are wrapped whole:
+// IndexScan, because rebuilding it over a wrapped Base would degrade the
+// probe to its scan fallback (ReplaceChildren only keeps the probe when the
+// child is the literal *Base), and a GROUP BY projection, which streams one
+// row per partition only over the *Agg itself — wrapping resumes below the
+// aggregation.
 func instrument(e algebra.Expr) (*analyzed, error) {
 	a := &analyzed{orig: e, inner: e}
-	if _, ok := e.(*algebra.IndexScan); ok {
+	switch n := e.(type) {
+	case *algebra.IndexScan:
 		return a, nil
+	case *algebra.Project:
+		if agg, ok := n.Grouped(); ok {
+			g, err := instrument(agg)
+			if err != nil {
+				return nil, err
+			}
+			a.group, a.kids = g, []*analyzed{g}
+			a.inner, err = algebra.ReplaceChildren(e, []algebra.Expr{g.inner})
+			return a, err
+		}
 	}
 	children := e.Children()
 	if len(children) == 0 {
@@ -85,23 +100,38 @@ func (a *analyzed) Children() []algebra.Expr { return a.orig.Children() }
 // String implements algebra.Expr.
 func (a *analyzed) String() string { return a.orig.String() }
 
-// Eval runs the node and records its actuals. Expired-filtered counts
-// surface at Base leaves (the instant's dead-but-present tuples a lazy
-// sweeper has not removed yet); interior operators only ever see rows
-// already alive at tau, matching the paper's transparency requirement.
-func (a *analyzed) Eval(tau xtime.Time) (*relation.Relation, error) {
+// Stream runs the node and records its actuals: it collects a.inner, so
+// that rowsOut counts the deduplicated result a materialisation holds, and
+// replays the collected rows into emit. Expired-filtered counts surface at
+// Base leaves (the instant's dead-but-present tuples a lazy sweeper has not
+// removed yet); interior operators only ever see rows already alive at tau,
+// matching the paper's transparency requirement.
+func (a *analyzed) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
 	start := time.Now()
-	out, err := a.inner.Eval(tau)
-	a.wall = time.Since(start)
+	out, streamed := relation.New(a.Schema()), 0
+	texp, err := a.inner.Stream(tau, func(row relation.Row) {
+		streamed++
+		out.InsertOwnedRow(row)
+	})
+	wall := time.Since(start)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	a.ran = true
-	a.rowsOut = out.CountAt(tau)
-	switch a.orig.(type) {
+	if a.group != nil {
+		a.group.record(wall, texp, streamed)
+	}
+	a.record(wall, texp, out.CountAt(tau))
+	out.AliveAt(tau, emit)
+	return texp, nil
+}
+
+// record sets the actuals of a node that ran for wall and produced rowsOut
+// rows; its children have recorded theirs.
+func (a *analyzed) record(wall time.Duration, texp xtime.Time, rowsOut int) {
+	a.ran, a.wall, a.texp, a.rowsOut = true, wall, texp, rowsOut
+	switch n := a.orig.(type) {
 	case *algebra.Base:
-		b := a.orig.(*algebra.Base)
-		a.rowsIn = b.Rel.Len() // safe: the engine holds this base's read lock
+		a.rowsIn = n.Rel.Len() // safe: the engine holds this base's read lock
 		a.expired = a.rowsIn - a.rowsOut
 	case *algebra.IndexScan:
 		// The probe emits only alive, matching entries; expired index
@@ -113,8 +143,6 @@ func (a *analyzed) Eval(tau xtime.Time) (*relation.Relation, error) {
 			a.rowsIn += k.rowsOut
 		}
 	}
-	a.texp, a.texpErr = a.orig.ExprTexp(tau)
-	return out, nil
 }
 
 // execExplainAnalyze executes the physical plan through the wrapper
@@ -165,7 +193,7 @@ func (s *Session) execExplainAnalyze(p *Plan) (*Result, error) {
 		if planTexp, validity, err = p.window(now); err != nil {
 			return err
 		}
-		rel, err = root.Eval(now)
+		rel, err = algebra.EvalStream(root, now)
 		return err
 	})
 	sp.End()
@@ -179,7 +207,7 @@ func (s *Session) execExplainAnalyze(p *Plan) (*Result, error) {
 	p.header(&b)
 	fmt.Fprintf(&b, "as-of:     t=%s (execution snapshot; plan and actual derivations share it)\n", now)
 	fmt.Fprintf(&b, "monotonic: %v\n", phys.Monotonic())
-	if actual := xtime.Min(root.texp, p.Until); root.texpErr == nil && actual != planTexp {
+	if actual := xtime.Min(root.texp, p.Until); actual != planTexp {
 		fmt.Fprintf(&b, "texp(e):   plan=%s actual=%s\n", planTexp, actual)
 	} else {
 		fmt.Fprintf(&b, "texp(e):   %s (plan = actual)\n", planTexp)
@@ -216,7 +244,7 @@ func analyzeNode(b *strings.Builder, a *analyzed, prefix, childPrefix string) {
 		mono = "monotonic"
 	}
 	texp := "?"
-	if a.ran && a.texpErr == nil {
+	if a.ran {
 		texp = a.texp.String()
 	}
 	fmt.Fprintf(b, "%s%s  [%s, texp(e)=%s%s] (actual: rows in=%d out=%d, expired-filtered=%d, wall=%s)\n",

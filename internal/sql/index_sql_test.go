@@ -339,3 +339,40 @@ func TestIndexRecovery(t *testing.T) {
 		}
 	}
 }
+
+// TestIntFloatEqualityIsExact: an INT equals a FLOAT only when the FLOAT is
+// that integer — 2⁵³+1 is not 2⁵³.0, which float64 cannot tell apart — so a
+// hash join, a hash or ordered probe, a range and a nested loop all select
+// the one row holding 2⁵³. Without a result cache every statement runs its
+// own plan.
+func TestIntFloatEqualityIsExact(t *testing.T) {
+	s := NewSession(engine.New(engine.WithResultCache(0)), nil)
+	script := `CREATE TABLE a (x INT); CREATE TABLE b (y FLOAT);
+		INSERT INTO a VALUES (9007199254740993); INSERT INTO a VALUES (9007199254740992);
+		INSERT INTO b VALUES (9007199254740992.0);`
+	for i := 0; i < 300; i++ {
+		script += fmt.Sprintf("INSERT INTO a VALUES (%d);", i)
+	}
+	if _, err := s.ExecScript(script); err != nil {
+		t.Fatal(err)
+	}
+	for _, index := range []string{"", "CREATE INDEX ax ON a (x) USING HASH", "CREATE INDEX ax ON a (x) USING ORDERED"} {
+		if index != "" {
+			mustExec(t, s, index)
+		}
+		for _, q := range []string{
+			"SELECT x FROM a JOIN b ON x = y",
+			"SELECT x FROM a JOIN b ON x >= y AND x <= y",
+			"SELECT x FROM a JOIN b ON x = y OR x < 0",
+			"SELECT x FROM a WHERE x = 9007199254740992.0",
+			"SELECT x FROM a WHERE x >= 9007199254740992.0 AND x <= 9007199254740992.0",
+		} {
+			if rows := mustExec(t, s, q).Rows(); len(rows) != 1 || rows[0].Tuple[0].AsInt() != 1<<53 {
+				t.Errorf("%q (%q): %v, want the one row 9007199254740992", index, q, rows)
+			}
+		}
+		if index != "" {
+			mustExec(t, s, "DROP INDEX ax")
+		}
+	}
+}

@@ -41,6 +41,32 @@ func TestExplainAnalyzeActuals(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeCounts: ANALYZE runs the algorithm a SELECT runs — a
+// GROUP BY aggregation streams one row per partition into its projection —
+// and every node counts the deduplicated rows it produced, not the rows it
+// emitted.
+func TestExplainAnalyzeCounts(t *testing.T) {
+	s := newSession(t)
+	for q, want := range map[string][]string{
+		"SELECT deg, COUNT(*) FROM pol GROUP BY deg": {
+			"\nπ[2,3]  [non-monotonic, texp(e)=10] (actual: rows in=2 out=2, expired-filtered=0, wall=",
+			"\n└─ agg[{2};count(*)]  [non-monotonic, texp(e)=10, policy=exact] (actual: rows in=3 out=2, expired-filtered=0, wall=",
+			"\n   └─ base(pol)  [monotonic, texp(e)=inf] (actual: rows in=3 out=3, expired-filtered=0, wall=",
+		},
+		"SELECT deg FROM pol": {"\nπ[2]  [monotonic, texp(e)=inf] (actual: rows in=3 out=2, expired-filtered=0, wall="},
+		"SELECT uid FROM pol UNION SELECT uid FROM el": {
+			"\n∪  [monotonic, texp(e)=inf] (actual: rows in=6 out=4, expired-filtered=0, wall=",
+		},
+	} {
+		res := mustExec(t, s, "EXPLAIN ANALYZE "+q)
+		for _, line := range want {
+			if !strings.Contains(res.Msg, line) {
+				t.Errorf("EXPLAIN ANALYZE %s missing %q:\n%s", q, line, res.Msg)
+			}
+		}
+	}
+}
+
 // TestExplainAnalyzeExpiredFiltered: under lazy sweeping, dead tuples
 // linger physically; EXPLAIN ANALYZE must report them as
 // expired-filtered at the base scan while keeping them invisible to the

@@ -3,6 +3,7 @@ package value
 import (
 	"bytes"
 	"math"
+	"math/big"
 	"strings"
 	"testing"
 	"unsafe"
@@ -23,7 +24,8 @@ var zoo = []Value{
 }
 
 // referenceCompare is Compare as it was before the INT/INT test moved in
-// front of the ranking: the definition of the order the faster body keeps.
+// front of the ranking, an INT and a FLOAT compared through math/big: the
+// definition of the order the faster body keeps.
 func referenceCompare(a, b Value) int {
 	ra, rb := a.rank(), b.rank()
 	if ra != rb {
@@ -38,17 +40,18 @@ func referenceCompare(a, b Value) int {
 		return strings.Compare(a.s, b.s)
 	case a.kind == KindInt && b.kind == KindInt:
 		return cmpInt(a.i, b.i)
+	case math.IsNaN(a.AsFloat()) || math.IsNaN(b.AsFloat()):
+		return 0
 	default:
-		af, bf := a.AsFloat(), b.AsFloat()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
+		return exact(a).Cmp(exact(b))
 	}
+}
+
+func exact(v Value) *big.Float {
+	if v.kind == KindInt {
+		return new(big.Float).SetInt64(v.i)
+	}
+	return big.NewFloat(v.AsFloat())
 }
 
 // referenceAppendKey is AppendKey with the byte-at-a-time loops it had
@@ -91,7 +94,8 @@ func referenceAppendKey(v Value, dst []byte) []byte {
 }
 
 // referenceEqual is Equal as it was while a FLOAT had a float64 field of its
-// own and two values of one kind were compared as structs: floats as floats.
+// own and two values of one kind were compared as structs: floats as floats,
+// an INT and a FLOAT by their exact values.
 func referenceEqual(a, b Value) bool {
 	if a.kind == KindFloat && b.kind == KindFloat {
 		return a.AsFloat() == b.AsFloat()
@@ -99,7 +103,8 @@ func referenceEqual(a, b Value) bool {
 	if a.kind == b.kind {
 		return a.i == b.i && a.s == b.s
 	}
-	return a.IsNumeric() && b.IsNumeric() && a.AsFloat() == b.AsFloat()
+	return a.IsNumeric() && b.IsNumeric() && !math.IsNaN(a.AsFloat()) && !math.IsNaN(b.AsFloat()) &&
+		exact(a).Cmp(exact(b)) == 0
 }
 
 // TestValueIs32Bytes: INT, BOOL and FLOAT share one payload word.

@@ -67,8 +67,8 @@ func ParseKind(s string) (Kind, error) {
 // Value is a scalar attribute value, 32 bytes: a kind, one payload word
 // that INT, BOOL and FLOAT share, and the string. It is comparable (usable as
 // a map key); Equal/Compare should still be preferred over == because they
-// apply numeric coercion between ints and floats, and because == sees a
-// FLOAT's bits (NaN equal to itself, the two zeros apart).
+// compare an INT with a FLOAT by value, and because == sees a FLOAT's bits
+// (NaN equal to itself, the two zeros apart).
 type Value struct {
 	kind Kind
 	i    int64 // INT and BOOL payload; a FLOAT's bits (math.Float64bits)
@@ -136,10 +136,10 @@ func (v *Value) Int64() (int64, bool) { return v.i, v.kind == KindInt }
 // IsNumeric reports whether v is an INT or FLOAT.
 func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
 
-// Equal reports whether a and b are equal, coercing between numeric kinds:
-// Int(1) equals Float(1.0). NULL equals only NULL (set semantics for
-// duplicate elimination require NULL to be self-identical, as in SQL
-// GROUP BY).
+// Equal reports whether a and b are equal, comparing an INT with a FLOAT
+// exactly: Int(1) equals Float(1.0), Int(2⁵³+1) does not equal Float(2⁵³).
+// NULL equals only NULL (set semantics for duplicate elimination require
+// NULL to be self-identical, as in SQL GROUP BY).
 func (a Value) Equal(b Value) bool {
 	if a.kind == KindFloat && b.kind == KindFloat {
 		return a.float() == b.float() // as floats, not as bits: NaN ≠ NaN, −0 = +0
@@ -147,14 +147,16 @@ func (a Value) Equal(b Value) bool {
 	if a.kind == b.kind {
 		return a == b
 	}
-	if a.IsNumeric() && b.IsNumeric() {
-		return a.AsFloat() == b.AsFloat()
+	if a.IsNumeric() && b.IsNumeric() { // an INT and a FLOAT
+		return a.Compare(b) == 0 && !math.IsNaN(a.AsFloat()) && !math.IsNaN(b.AsFloat())
 	}
 	return false
 }
 
-// Compare totally orders values: NULL < BOOL < numbers < STRING, with
-// numeric coercion between INT and FLOAT. It returns -1, 0 or +1.
+// Compare totally orders values: NULL < BOOL < numbers < STRING. An INT
+// and a FLOAT compare by their exact values, not through float64, so the
+// order is transitive and, NaN aside, compares equal exactly the values
+// AppendKey gives one key. It returns -1, 0 or +1.
 func (a Value) Compare(b Value) int {
 	// Two INTs — nearly every comparison a sort, a B+tree bound or a
 	// predicate makes — need no ranking.
@@ -172,16 +174,42 @@ func (a Value) Compare(b Value) int {
 		return cmpInt(a.i, b.i)
 	case a.kind == KindString:
 		return strings.Compare(a.s, b.s)
-	default: // numeric, at least one float
-		af, bf := a.AsFloat(), b.AsFloat()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
+	case a.kind == KindInt:
+		return cmpIntFloat(a.i, b.float())
+	case b.kind == KindInt:
+		return -cmpIntFloat(b.i, a.float())
+	default:
+		return cmpFloat(a.float(), b.float())
+	}
+}
+
+// cmpIntFloat compares i with f exactly. NaN compares equal to every
+// number, as it does between two FLOATs.
+func cmpIntFloat(i int64, f float64) int {
+	switch {
+	case f >= 1<<63:
+		return -1
+	case f < -(1 << 63):
+		return 1
+	case f != f:
+		return 0
+	}
+	// |f| < 2⁶³ here, so its integral part converts without loss.
+	t := math.Trunc(f)
+	if c := cmpInt(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmpFloat(t, f)
+}
+
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	default:
+		return 0
 	}
 }
 

@@ -67,7 +67,7 @@ func TestPatchBudgetStillCorrect(t *testing.T) {
 		if info.Source == SourceRecomputed {
 			recomputed++
 		}
-		fresh, err := d.Eval(tau)
+		fresh, err := algebra.EvalStream(d, tau)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestPatchBudgetRandom(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := d.Eval(tau)
+			fresh, err := algebra.EvalStream(d, tau)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -46,7 +46,7 @@ func TestIncrementalMatchesDirectEval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := expr.Eval(tau)
+		want, err := algebra.EvalStream(expr, tau)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestIncrementalRandom(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := expr.Eval(tau)
+			want, err := algebra.EvalStream(expr, tau)
 			if err != nil {
 				t.Fatal(err)
 			}

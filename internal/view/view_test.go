@@ -73,7 +73,7 @@ func TestMonotonicViewNeverRecomputes(t *testing.T) {
 			t.Fatalf("read at %v from %s, want materialised", tau, info.Source)
 		}
 		// Compare against fresh evaluation.
-		fresh, err := joinExpr(t).Eval(tau)
+		fresh, err := algebra.EvalStream(joinExpr(t), tau)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestPatchedViewNeverRecomputes(t *testing.T) {
 		if info.Source != SourceMaterialised {
 			t.Fatalf("read at %v from %s, want materialised (Theorem 3)", tau, info.Source)
 		}
-		fresh, err := diffExpr(t).Eval(tau)
+		fresh, err := algebra.EvalStream(diffExpr(t), tau)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +318,7 @@ func TestPatchedViewRandom(t *testing.T) {
 			if info.Source != SourceMaterialised {
 				t.Fatalf("trial %d: recomputed at %v despite patching", trial, tau)
 			}
-			fresh, err := d.Eval(tau)
+			fresh, err := algebra.EvalStream(d, tau)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"expdb/internal/algebra"
 	"expdb/internal/engine"
 	"expdb/internal/relation"
 	"expdb/internal/sql"
@@ -141,7 +142,7 @@ func TestRemoteDiffRecomputeOnInvalid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := expr.Eval(tau)
+		fresh, err := algebra.EvalStream(expr, tau)
 		if err != nil {
 			t.Fatal(err)
 		}
