@@ -1,17 +1,15 @@
-// Benchmarks regenerating the measurable core of every paper artifact —
-// one benchmark per experiment id of DESIGN.md §3 (E1–E11). The printed
-// tables come from cmd/expbench; these testing.B benches time the hot
-// operation each experiment is about, so regressions in the reproduction
-// show up in `go test -bench=. -benchmem`.
+// Benchmarks timing the measurable core of every paper artifact — one
+// benchmark per experiment id of DESIGN.md §3 (E1–E11). The experiments'
+// deterministic reports are internal/bench's golden test; these testing.B
+// benches time the hot operation each experiment is about, so regressions
+// in the reproduction show up in `go test -bench=. -benchmem`.
 package expdb_test
 
 import (
-	"io"
 	"testing"
 
 	"expdb"
 	"expdb/algebra"
-	"expdb/internal/bench"
 	"expdb/internal/engine"
 	"expdb/internal/relation"
 	"expdb/internal/view"
@@ -222,16 +220,6 @@ func BenchmarkE9Rewrites(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if algebra.PushDownSelections(sel) == nil {
 			b.Fatal("nil plan")
-		}
-	}
-}
-
-// BenchmarkFullReport regenerates every experiment report (what
-// cmd/expbench prints).
-func BenchmarkFullReport(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := bench.Run(io.Discard); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"os"
 	"sync"
 	"syscall"
-	"time"
 )
 
 // ErrInjected marks every failure FaultFS fabricates, so a test can
@@ -25,7 +24,6 @@ var ErrInjected = errors.New("vfs: injected fault")
 // Fault classes:
 //   - FailSyncs: the fsync schedule covers file Sync and SyncDir alike
 //     (skip the first N, fail the next M — or all — with a chosen error).
-//   - DelaySyncs: every fsync sleeps first (latency, not failure).
 //   - FailReads: ReadFile fails on schedule (EIO on a flaky read).
 //   - TornWrite: the next file write persists only a prefix, then errors —
 //     a crash mid-write.
@@ -42,7 +40,6 @@ type FaultFS struct {
 	skipSyncs int
 	failSyncs int
 	syncErr   error
-	syncDelay time.Duration
 
 	// read schedule, same shape, applied to ReadFile.
 	skipReads int
@@ -86,14 +83,6 @@ func (x *FaultFS) FailSyncs(after, count int, err error) {
 	x.mu.Unlock()
 }
 
-// DelaySyncs makes every fsync sleep d before running — pure latency
-// injection for throughput experiments.
-func (x *FaultFS) DelaySyncs(d time.Duration) {
-	x.mu.Lock()
-	x.syncDelay = d
-	x.mu.Unlock()
-}
-
 // FailReads arms the ReadFile schedule: `after` reads succeed, then
 // `count` fail with err (count < 0 = until Heal). A nil err injects EIO.
 func (x *FaultFS) FailReads(after, count int, err error) {
@@ -122,14 +111,13 @@ func (x *FaultFS) SetQuota(n int64) {
 	x.mu.Unlock()
 }
 
-// Heal clears every error-injection schedule (sync, read, torn write)
-// and the sync delay. The quota — disk geometry, not a fault — stays.
+// Heal clears every error-injection schedule (sync, read, torn write).
+// The quota — disk geometry, not a fault — stays.
 func (x *FaultFS) Heal() {
 	x.mu.Lock()
 	x.skipSyncs, x.failSyncs, x.syncErr = 0, 0, nil
 	x.skipReads, x.failReads, x.readErr = 0, 0, nil
 	x.tornWrite = -1
-	x.syncDelay = 0
 	x.mu.Unlock()
 }
 
@@ -155,11 +143,10 @@ func (x *FaultFS) Injected() int {
 }
 
 // syncFault advances the fsync schedule and returns the injected error,
-// if this fsync is the scripted one. It also applies the latency delay.
+// if this fsync is the scripted one.
 func (x *FaultFS) syncFault() error {
 	x.mu.Lock()
 	x.syncs++
-	delay := x.syncDelay
 	var err error
 	if x.skipSyncs > 0 {
 		x.skipSyncs--
@@ -171,9 +158,6 @@ func (x *FaultFS) syncFault() error {
 		err = x.syncErr
 	}
 	x.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
 	return err
 }
 
