@@ -383,7 +383,7 @@ type DB struct {
 
 	mu sync.Mutex
 	// wireServers tracks servers created through NewWireServer so the
-	// Prometheus exposition can aggregate their counters.
+	// wire metric families can sum their counters.
 	wireServers []*wire.Server
 }
 
@@ -437,6 +437,9 @@ func openDB(notify io.Writer, opts ...EngineOption) (*DB, error) {
 	// then sees the post-replay baseline and the watchdog's
 	// recovery-catchup check reports the true pending state.
 	if mon := eng.Monitor(); mon != nil {
+		if err := mon.History.RegisterFamilies(db.facadeFamilies()); err != nil {
+			panic(err) // a name declared twice: a programming bug
+		}
 		mon.Start()
 	}
 	return db, nil
@@ -576,13 +579,12 @@ func (db *DB) ReadViewContext(ctx context.Context, name string) (*Relation, Read
 // NewWireServer exposes this database's relations to remote view nodes
 // over the fault-tolerant wire protocol. Call Listen on the result to
 // start serving, and Close (or Shutdown with a context) to drain and
-// stop.
+// stop. Its reads count as SELECTs in the database's SQL metrics.
 func (db *DB) NewWireServer(opts ...WireServerOption) *WireServer {
-	s := wire.NewServer(db.eng, opts...)
+	s := wire.NewServer(db.eng, db.sess.Metrics(), opts...)
 	db.mu.Lock()
 	db.wireServers = append(db.wireServers, s)
 	db.mu.Unlock()
-	db.registerWireSeries(s)
 	return s
 }
 

@@ -541,6 +541,13 @@ func TestAPIWireSurface(t *testing.T) {
 	if wm.ConnsAccepted != 1 || wm.ActiveConns != 1 {
 		t.Fatalf("wire metrics: %+v", wm)
 	}
+	// A remote read is a SELECT in the database's one SQL metrics sink.
+	var prom strings.Builder
+	if err := db.WritePrometheus(&prom); err != nil || db.SQLMetrics().Statements["select"] != 1 ||
+		!strings.Contains(prom.String(), `expdb_sql_statements_total{kind="select"} 1`) ||
+		!strings.Contains(prom.String(), "expdb_wire_conns_accepted_total 1") {
+		t.Fatalf("remote SELECT not counted (%v):\n%s", err, prom.String())
+	}
 
 	// The typed errors are wrapped, not replaced.
 	if _, err := expdb.DialWire("127.0.0.1:1", expdb.WithWireDialTimeout(100*time.Millisecond)); err == nil {

@@ -50,7 +50,7 @@ func remoteDiff(horizon xtime.Time, withPatches bool, budget int, refetch bool) 
 	elT, _ := eng.Catalog().Table("el")
 	pol.All(func(r relation.Row) { polT.InsertRow(r) })
 	el.All(func(r relation.Row) { elT.InsertRow(r) })
-	srv := wire.NewServer(eng)
+	srv := wire.NewServer(eng, nil)
 	defer srv.Close()
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {

@@ -106,7 +106,6 @@ func (e *Engine) OpenDurability(compileView func(def string) error) (*RecoveryIn
 	e.recovery = info
 	e.recoverTID = info.TraceID
 	e.mu.Unlock()
-	e.registerWALSeries(log)
 	e.events.Emit(trace.Event{
 		Trace: info.TraceID, Kind: trace.EvRecovery, Tick: info.Clock,
 		Count: int64(info.Records),

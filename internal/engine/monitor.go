@@ -4,16 +4,16 @@ import (
 	"errors"
 	"time"
 
+	"expdb/internal/metrics"
 	"expdb/internal/monitor"
 	"expdb/internal/trace"
-	"expdb/internal/view"
 	"expdb/internal/wal"
 )
 
 // Monitor wiring: the engine owns a monitor.Monitor when WithMonitor is
-// given, feeding it three ways. History series are registered against
-// the engine's atomic counters (and one gauge that read-locks each table
-// for its texp-index size), so a sampler tick stays allocation-free. The
+// given, feeding it three ways. The engine's metric families (Families)
+// read its atomic counters, and a few gauges behind short locks, so a
+// sampler tick over their history series stays allocation-free. The
 // SLO tracker is fed inline from the Advance pipeline — per-tuple
 // dispatch lag at expiry, routed to the catch-up series when the advance
 // consumed the recovery trace ID — and the health checks below hand the
@@ -98,99 +98,112 @@ func (e *Engine) initMonitor() {
 	// down and background recovery retries; /healthz stays live because
 	// every read the engine serves is still correct.
 	e.mon.Health.AddCheck("disk-degraded", monitor.SevReadiness, e.DegradedErr)
+	// Registration happens once, at construction, against fresh names;
+	// an error here would be a programming bug, not a runtime state.
+	if err := e.mon.History.RegisterFamilies(e.Families()); err != nil {
+		panic(err)
+	}
+}
 
-	h := e.mon.History
-	reg := func(name string, kind monitor.SeriesKind, load func() int64) {
-		// Registration happens once, at construction, against fresh names;
-		// an error here would be a programming bug, not a runtime state.
-		if err := h.Register(name, kind, load); err != nil {
-			panic(err)
+// Families declares the engine's metric families — engine, scheduler,
+// observability rings, WAL, disk, result cache and views — in exposition
+// order. The WAL and cache families read the current log and cache, which
+// disk recovery and SetResultCache swap (their counters restart, one
+// clamped history interval), and read zero while there is none.
+func (e *Engine) Families() []monitor.Family {
+	type ring interface {
+		Total() uint64
+		Dropped() uint64
+		Capacity() int
+		HighWater() uint64
+	}
+	rings := [...]ring{e.events, e.traces}
+	ringLabels := [][]monitor.Label{{{Key: "ring", Value: "events"}}, {{Key: "ring", Value: "traces"}}}
+	walRead := func(read func(*wal.Metrics) int64) func() int64 {
+		return func() int64 {
+			e.mu.RLock()
+			log := e.log
+			e.mu.RUnlock()
+			if log == nil {
+				return 0
+			}
+			return read(log.Metrics())
 		}
 	}
-	reg("engine_inserts", monitor.SeriesCounter, e.m.Inserts.Load)
-	reg("engine_deletes", monitor.SeriesCounter, e.m.Deletes.Load)
-	reg("engine_tuples_expired", monitor.SeriesCounter, e.m.TuplesExpired.Load)
-	reg("engine_triggers_fired", monitor.SeriesCounter, e.m.TriggersFired.Load)
-	reg("engine_sweeps", monitor.SeriesCounter, e.m.Sweeps.Load)
-	reg("engine_advances", monitor.SeriesCounter, e.m.Advances.Load)
-	reg("engine_checkpoints", monitor.SeriesCounter, e.m.Checkpoints.Load)
-	reg("scheduler_pending", monitor.SeriesGauge, func() int64 { return int64(e.texpPending()) })
-	reg("events_emitted", monitor.SeriesCounter, func() int64 { return int64(e.events.Total()) })
-	reg("events_dropped", monitor.SeriesCounter, func() int64 { return int64(e.events.Dropped()) })
-	reg("traces_recorded", monitor.SeriesCounter, func() int64 { return int64(e.traces.Total()) })
-	reg("cache_hits", monitor.SeriesCounter, func() int64 { return e.cacheCounter(func(m *resultCacheMetrics) int64 { return m.Hits.Load() }) })
-	reg("cache_misses", monitor.SeriesCounter, func() int64 { return e.cacheCounter(func(m *resultCacheMetrics) int64 { return m.Misses.Load() }) })
-	reg("cache_invalidations", monitor.SeriesCounter, func() int64 {
-		return e.cacheCounter(func(m *resultCacheMetrics) int64 { return m.Invalidations.Load() + m.EpochInvalidations.Load() })
-	})
-	reg("cache_evictions", monitor.SeriesCounter, func() int64 { return e.cacheCounter(func(m *resultCacheMetrics) int64 { return m.Evictions.Load() }) })
-	reg("view_reads", monitor.SeriesCounter, e.viewAgg.Reads.Load)
-	reg("view_cache_hits", monitor.SeriesCounter, e.viewAgg.ServedFromMat.Load)
-	reg("view_recomputations", monitor.SeriesCounter, e.viewAgg.Recomputations.Load)
-	reg("view_patches_applied", monitor.SeriesCounter, e.viewAgg.PatchesApplied.Load)
-	reg("view_moved_reads", monitor.SeriesCounter, e.viewAgg.Moved.Load)
-	reg("view_budget_evictions", monitor.SeriesCounter, e.viewAgg.BudgetEvictions.Load)
-	reg("slo_dispatch_observed", monitor.SeriesCounter, func() int64 { return e.mon.SLO.DispatchLag.Count() })
-	reg("slo_catchup_observed", monitor.SeriesCounter, func() int64 { return e.mon.SLO.CatchupLag.Count() })
-	reg("slo_p99_lag_ticks", monitor.SeriesGauge, e.mon.SLO.P99Lag)
-	reg("disk_faults", monitor.SeriesCounter, e.m.DiskFaults.Load)
-	reg("disk_retries", monitor.SeriesCounter, e.m.DiskRetries.Load)
-	reg("disk_reclamations", monitor.SeriesCounter, e.m.DiskReclamations.Load)
-	reg("disk_recoveries", monitor.SeriesCounter, e.m.DiskRecoveries.Load)
-}
-
-// cacheCounter reads one counter off the live result cache (0 when the
-// cache is disabled). The cache pointer may be swapped at runtime by
-// SetResultCache; counters then restart, which the history sampler's
-// delta logic tolerates as one clamped interval.
-func (e *Engine) cacheCounter(read func(*resultCacheMetrics) int64) int64 {
-	c := e.cache.Load()
-	if c == nil {
-		return 0
+	cacheRead := func(read func(*resultCache) int64) func() int64 {
+		return func() int64 {
+			if c := e.cache.Load(); c != nil {
+				return read(c)
+			}
+			return 0
+		}
 	}
-	return read(&c.m)
-}
-
-// registerWALSeries adds the write-ahead log's counters to the history
-// once durability is open (no-op when monitoring is off). The closures
-// read the CURRENT log through e.walMetric rather than capturing the
-// one passed in: disk recovery swaps e.log for a fresh one, and the
-// series must follow it (the new log's counters restart at zero, which
-// the sampler's delta logic tolerates as one clamped interval).
-func (e *Engine) registerWALSeries(log *wal.Log) {
-	if e.mon == nil || log == nil {
-		return
+	va := e.viewAgg
+	fams := []monitor.Family{
+		monitor.Gauge("expdb_now_ticks", "Current logical clock tick.", func() int64 { return int64(e.Now()) }),
+		monitor.Counter("expdb_inserts_total", "Tuples inserted.", e.m.Inserts.Load),
+		monitor.Counter("expdb_deletes_total", "Tuples explicitly deleted.", e.m.Deletes.Load),
+		monitor.Counter("expdb_tuples_expired_total", "Tuples physically expired.", e.m.TuplesExpired.Load),
+		monitor.Counter("expdb_triggers_fired_total", "ON EXPIRE triggers fired.", e.m.TriggersFired.Load),
+		monitor.Counter("expdb_sweeps_total", "Lazy sweep passes.", e.m.Sweeps.Load),
+		monitor.Counter("expdb_advances_total", "Advance calls.", e.m.Advances.Load),
+		monitor.Counter("expdb_trigger_lag_ticks_total", "Sum of (fire tick - expiration tick) under lazy sweeping.", e.m.TriggerLagTicks.Load),
+		monitor.Counter("expdb_checkpoints_total", "Durability checkpoints completed.", e.m.Checkpoints.Load),
+		monitor.Counter("expdb_disk_faults_total", "Transitions into disk-degraded read-only mode.", e.m.DiskFaults.Load),
+		monitor.Counter("expdb_disk_retries_total", "Background WAL recovery attempts while degraded.", e.m.DiskRetries.Load),
+		monitor.Counter("expdb_disk_reclamations_total", "ENOSPC reclamation sweeps (forced expiry before a compacting checkpoint).", e.m.DiskReclamations.Load),
+		monitor.Counter("expdb_disk_recoveries_total", "Successful durability recoveries.", e.m.DiskRecoveries.Load),
+		monitor.Histogram("expdb_advance_duration_nanos", "Advance wall-clock latency.", &e.m.AdvanceNanos),
+		monitor.Histogram("expdb_expiry_batch_size", "Tuples expired per batch or sweep tick.", &e.m.ExpiryBatch),
+		monitor.Gauge("expdb_scheduler_pending", "Pairs in the per-table texp-ordered indexes, stale ones included.", func() int64 { return int64(e.texpPending()) }),
+		{Name: "expdb_ring_entries_total", Help: "Entries ever written to this observability ring.", Labels: ringLabels,
+			Value: func(i int) int64 { return int64(rings[i].Total()) }},
+		{Name: "expdb_ring_dropped_total", Help: "Entries lost to ring wraparound.", Labels: ringLabels,
+			Value: func(i int) int64 { return int64(rings[i].Dropped()) }},
+		{Name: "expdb_ring_capacity", Help: "Ring capacity.", Kind: monitor.SeriesGauge, Labels: ringLabels,
+			Value: func(i int) int64 { return int64(rings[i].Capacity()) }},
+		{Name: "expdb_ring_high_water", Help: "Peak ring occupancy.", Kind: monitor.SeriesGauge, Labels: ringLabels,
+			Value: func(i int) int64 { return int64(rings[i].HighWater()) }},
 	}
-	h := e.mon.History
-	// Ignore duplicate-name errors: a second OpenDurability is rejected
-	// before reaching here, so these cannot collide in practice.
-	_ = h.Register("wal_appends", monitor.SeriesCounter, func() int64 {
-		return e.walMetric(func(m *wal.Metrics) int64 { return m.Appends.Load() })
-	})
-	_ = h.Register("wal_appended_bytes", monitor.SeriesCounter, func() int64 {
-		return e.walMetric(func(m *wal.Metrics) int64 { return m.AppendedBytes.Load() })
-	})
-	_ = h.Register("wal_syncs", monitor.SeriesCounter, func() int64 {
-		return e.walMetric(func(m *wal.Metrics) int64 { return m.Syncs.Load() })
-	})
-	_ = h.Register("wal_sync_nanos", monitor.SeriesCounter, func() int64 {
-		return e.walMetric(func(m *wal.Metrics) int64 { return m.SyncNanos.Load() })
-	})
-	_ = h.Register("wal_rotations", monitor.SeriesCounter, func() int64 {
-		return e.walMetric(func(m *wal.Metrics) int64 { return m.Rotations.Load() })
-	})
-}
-
-// walMetric reads one counter off the engine's current log (0 when
-// durability is not open).
-func (e *Engine) walMetric(read func(*wal.Metrics) int64) int64 {
-	e.mu.RLock()
-	log := e.log
-	e.mu.RUnlock()
-	if log == nil {
-		return 0
-	}
-	return read(log.Metrics())
+	fams = append(fams, monitor.When(func() bool { return e.DurabilityState() != DurabilityMemoryOnly },
+		monitor.Counter("expdb_wal_appends_total", "WAL records appended.", walRead(func(m *wal.Metrics) int64 { return m.Appends.Load() })),
+		monitor.Counter("expdb_wal_appended_bytes_total", "WAL bytes appended.", walRead(func(m *wal.Metrics) int64 { return m.AppendedBytes.Load() })),
+		monitor.Counter("expdb_wal_syncs_total", "WAL fsync batches.", walRead(func(m *wal.Metrics) int64 { return m.Syncs.Load() })),
+		monitor.Counter("expdb_wal_sync_nanos_total", "Cumulative WAL write+fsync time.", walRead(func(m *wal.Metrics) int64 { return m.SyncNanos.Load() })),
+		monitor.Counter("expdb_wal_rotations_total", "WAL generation rotations.", walRead(func(m *wal.Metrics) int64 { return m.Rotations.Load() })),
+		monitor.Flag("expdb_wal_poisoned", "1 when the WAL hit a sticky I/O error.", func() bool { return e.WALErr() != nil }),
+		monitor.Flag("expdb_disk_degraded", "1 while the engine is in disk-degraded read-only mode.", func() bool { return e.DegradedErr() != nil }),
+	)...)
+	fams = append(fams, monitor.When(e.ResultCacheEnabled,
+		monitor.Counter("expdb_cache_hits_total", "Result cache hits.", cacheRead(func(c *resultCache) int64 { return c.m.Hits.Load() })),
+		monitor.Counter("expdb_cache_misses_total", "Result cache reads evaluated in full.", cacheRead(func(c *resultCache) int64 { return c.m.Misses.Load() })),
+		monitor.Counter("expdb_cache_invalidations_total", "Result cache entries dropped: the clock reached ValidUntil, or a write the entry could not absorb.",
+			cacheRead(func(c *resultCache) int64 { return c.m.Invalidations.Load() + c.m.EpochInvalidations.Load() })),
+		monitor.Counter("expdb_cache_revalidations_total", "Result cache hits served after a write to a table they read: no written tuple was selected by the plan.",
+			cacheRead(func(c *resultCache) int64 { return c.m.Revalidations.Load() })),
+		monitor.Counter("expdb_cache_patches_total", "Result cache hits that absorbed the written tuples the plan selects into the entry.",
+			cacheRead(func(c *resultCache) int64 { return c.m.Patches.Load() })),
+		monitor.Counter("expdb_cache_evictions_total", "Result cache LRU evictions.", cacheRead(func(c *resultCache) int64 { return c.m.Evictions.Load() })),
+		monitor.Gauge("expdb_cache_entries", "Result cache current entries.", cacheRead(func(c *resultCache) int64 {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			return int64(len(c.entries))
+		})),
+		monitor.Family{Name: "expdb_cache_hit_nanos", Help: "Result cache hit latency.", Hist: func(int) *metrics.Histogram {
+			if c := e.cache.Load(); c != nil {
+				return &c.m.HitNanos
+			}
+			return nil
+		}},
+	)...)
+	return append(fams,
+		monitor.Counter("expdb_view_reads_total", "View reads across all views.", va.Reads.Load),
+		monitor.Counter("expdb_view_served_from_mat_total", "View reads answered from the materialisation.", va.ServedFromMat.Load),
+		monitor.Counter("expdb_view_recomputations_total", "Full view recomputations.", va.Recomputations.Load),
+		monitor.Counter("expdb_view_patches_applied_total", "Theorem-3 patches applied.", va.PatchesApplied.Load),
+		monitor.Counter("expdb_view_moved_reads_total", "Reads answered at a moved instant.", va.Moved.Load),
+		monitor.Counter("expdb_view_budget_evictions_total", "Patch-budget evictions.", va.BudgetEvictions.Load),
+	)
 }
 
 // observeAdvanceHeartbeat stamps one Advance on the SLO tracker.
@@ -199,7 +212,3 @@ func (e *Engine) observeAdvanceHeartbeat() {
 		s.ObserveAdvance(time.Now())
 	}
 }
-
-// ViewAggregates returns the cross-view atomic counters every view
-// created through this engine shares.
-func (e *Engine) ViewAggregates() *view.AggMetrics { return e.viewAgg }

@@ -175,7 +175,7 @@ func TestMonitorHistorySeries(t *testing.T) {
 		}
 	}
 	mon.Tick()
-	snap := mon.History.Snapshot("engine_inserts", 0)
+	snap := mon.History.Snapshot("expdb_inserts_total", 0)
 	if len(snap.Series) != 1 || len(snap.Series[0].Points) != 1 {
 		t.Fatalf("history snapshot = %+v", snap)
 	}
@@ -183,12 +183,12 @@ func TestMonitorHistorySeries(t *testing.T) {
 		t.Fatalf("insert delta = %d, want 5", got)
 	}
 	// Scheduler depth is a gauge behind a short RLock.
-	depth := mon.History.Snapshot("scheduler_pending", 0)
+	depth := mon.History.Snapshot("expdb_scheduler_pending", 0)
 	if got := depth.Series[0].Points[0].Value; got != 5 {
-		t.Fatalf("scheduler_pending = %d, want 5", got)
+		t.Fatalf("expdb_scheduler_pending = %d, want 5", got)
 	}
 	names := mon.History.SeriesNames()
-	want := map[string]bool{"engine_inserts": false, "view_reads": false, "cache_hits": false, "slo_p99_lag_ticks": false}
+	want := map[string]bool{"expdb_inserts_total": false, `expdb_ring_entries_total{ring="events"}`: false, "expdb_cache_hits_total": false, "expdb_slo_p99_lag_ticks": false}
 	for _, n := range names {
 		if _, ok := want[n]; ok {
 			want[n] = true

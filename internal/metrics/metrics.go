@@ -86,8 +86,13 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[bucketOf(v)].Add(1)
 }
 
-// Count returns the number of observations so far.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+// Count returns the number of observations so far (0 for a nil h).
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.count.Load()
+}
 
 // Sum returns the sum of all observations so far.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
@@ -166,7 +171,11 @@ func upperBound(i int) int64 {
 
 // Snapshot copies the histogram. Concurrent observations may tear between
 // count, sum and buckets; snapshots are monitoring data, not invariants.
+// A nil h snapshots as empty.
 func (h *Histogram) Snapshot() HistogramSnapshot {
+	if h == nil {
+		return HistogramSnapshot{}
+	}
 	s := HistogramSnapshot{Count: h.count.Load(), Sum: h.sum.Load()}
 	if s.Count > 0 {
 		s.Mean = float64(s.Sum) / float64(s.Count)

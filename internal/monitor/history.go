@@ -124,7 +124,9 @@ func (h *History) Sample() {
 	for _, s := range h.series {
 		v := s.load()
 		if s.kind == SeriesCounter {
-			s.ring[idx] = v - s.last
+			// A counter that restarted (a swapped cache, a new WAL
+			// generation) reads below its baseline: one empty interval.
+			s.ring[idx] = max(v-s.last, 0)
 			s.last = v
 		} else {
 			s.ring[idx] = v

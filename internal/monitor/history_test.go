@@ -1,12 +1,13 @@
 package monitor
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 )
 
 func TestHistoryCounterDeltas(t *testing.T) {
-	h := NewHistory(4)
+	h := NewHistory(8)
 	var src atomic.Int64
 	src.Store(100) // pre-existing total must not appear as a delta
 	if err := h.Register("writes", SeriesCounter, src.Load); err != nil {
@@ -16,22 +17,22 @@ func TestHistoryCounterDeltas(t *testing.T) {
 	h.Sample()
 	src.Add(3)
 	h.Sample()
-	h.Sample() // no movement
+	h.Sample()   // no movement
+	src.Store(4) // the counter restarted: one empty interval, not -106
+	h.Sample()
+	src.Add(5)
+	h.Sample()
 
 	snap := h.Snapshot("writes", 0)
 	if len(snap.Series) != 1 {
 		t.Fatalf("series = %d, want 1", len(snap.Series))
 	}
-	pts := snap.Series[0].Points
-	if len(pts) != 3 {
-		t.Fatalf("points = %d, want 3", len(pts))
+	var got []int64
+	for _, p := range snap.Series[0].Points {
+		got = append(got, p.Value)
 	}
-	got := []int64{pts[0].Value, pts[1].Value, pts[2].Value}
-	want := []int64{7, 3, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("deltas = %v, want %v", got, want)
-		}
+	if want := []int64{7, 3, 0, 0, 5}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("deltas = %v, want %v", got, want)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"expdb/internal/metrics"
 	"expdb/internal/trace"
 )
 
@@ -116,7 +117,34 @@ func New(opts Options, emit EmitFunc) *Monitor {
 		m.Health.AddCheck("advance-stalled", SevLiveness, m.checkAdvanceStalled)
 	}
 	m.Health.AddCheck("expiration-lag-slo", SevLiveness, m.checkSLO)
+	// A fresh history holds no names these could collide with.
+	_ = m.History.RegisterFamilies(m.Families())
 	return m
+}
+
+// Families declares the SLO tracker's and the watchdog's metric families,
+// in exposition order.
+func (m *Monitor) Families() []Family {
+	slo, h := m.SLO, m.Health
+	return []Family{
+		{Name: "expdb_slo_dispatch_lag_ticks", Help: "Expiry dispatch lag (dispatch tick - texp) by phase.",
+			Labels: [][]Label{{{Key: "phase", Value: "steady"}}, {{Key: "phase", Value: "catchup"}}},
+			Hist:   func(i int) *metrics.Histogram { return [...]*metrics.Histogram{&slo.DispatchLag, &slo.CatchupLag}[i] }},
+		Histogram("expdb_slo_heartbeat_gap_nanos", "Wall-clock gap between consecutive Advance calls.", &slo.HeartbeatGap),
+		Gauge("expdb_slo_lag_threshold_ticks", "Configured p99 dispatch-lag budget (0 = disabled).", slo.LagThreshold),
+		Gauge("expdb_slo_p99_lag_ticks", "Estimated p99 steady-state dispatch lag.", slo.P99Lag),
+		Flag("expdb_slo_breached", "1 while p99 dispatch lag exceeds the budget.", slo.Breached),
+		Counter("expdb_slo_breach_ticks_total", "Watchdog ticks observed in breach.", slo.Breaches.Load),
+		Gauge("expdb_health_state", "Watchdog state (0 starting, 1 ready, 2 degraded, 3 unhealthy).", func() int64 { return int64(h.State()) }),
+		Flag("expdb_health_live", "1 while the process should be kept alive.", h.Live),
+		Flag("expdb_health_ready", "1 while the database should receive traffic.", h.Ready),
+		{Name: "expdb_health_check_ok", Help: "1 while the named health check passes.", Kind: SeriesGauge,
+			Scrape: func(emit func([]Label, int64)) {
+				for _, c := range h.Snapshot().Checks {
+					emit([]Label{{Key: "check", Value: c.Name}, {Key: "severity", Value: c.Severity}}, flag(c.OK))
+				}
+			}},
+	}
 }
 
 // Options returns the resolved (defaulted) configuration.

@@ -15,7 +15,9 @@ import (
 // dependency footprint at zero while the linter (run in CI) keeps the
 // output honest — names well-formed, TYPE before samples, families
 // contiguous and unique, histogram buckets cumulative and closed by
-// le="+Inf".
+// le="+Inf". The writer walks a Family table, so each family comes out
+// contiguously by construction; a table that declares a family twice or
+// a malformed name is caught by the linter over the real exposition.
 
 // Label is one key="value" pair on a sample.
 type Label struct {
@@ -23,145 +25,82 @@ type Label struct {
 	Value string
 }
 
-// PromWriter emits Prometheus text exposition. Families must be written
-// contiguously: all samples of one metric name (with whatever labels)
-// before moving to the next. The first sample of a family emits its
-// # HELP and # TYPE header; violating contiguity, reusing a family with
-// a different type, or using a malformed name sets a sticky error and
-// suppresses further output.
-type PromWriter struct {
-	w     io.Writer
-	err   error
-	types map[string]string
-	last  string // family currently being written
-}
-
-// NewPromWriter returns a writer emitting to w.
-func NewPromWriter(w io.Writer) *PromWriter {
-	return &PromWriter{w: w, types: make(map[string]string)}
-}
-
-// Err returns the first grammar or I/O error encountered.
-func (p *PromWriter) Err() error { return p.err }
-
-// Counter writes one counter sample (labels may be nil).
-func (p *PromWriter) Counter(name, help string, labels []Label, v int64) {
-	if !p.begin(name, "counter", help) {
-		return
+// WritePrometheus writes every present family of fams, in order: a
+// family's # HELP and # TYPE before its first sample, then its samples —
+// a histogram as cumulative _bucket samples per occupied power-of-two
+// boundary, closed by le="+Inf", then _sum and _count.
+func WritePrometheus(w io.Writer, fams []Family) error {
+	var b strings.Builder
+	for _, f := range fams {
+		if f.Present != nil && !f.Present() {
+			continue
+		}
+		typ := f.Kind.String()
+		if f.Hist != nil {
+			typ = "histogram"
+		}
+		head := "# HELP " + f.Name + " " + escapeHelp(f.Help) + "\n# TYPE " + f.Name + " " + typ + "\n"
+		sample := func(name string, labels []Label, v int64) {
+			b.WriteString(head)
+			head = ""
+			b.WriteString(seriesName(name, labels) + " " + strconv.FormatInt(v, 10) + "\n")
+		}
+		switch {
+		case f.Scrape != nil:
+			f.Scrape(func(labels []Label, v int64) { sample(f.Name, labels, v) })
+		case f.Hist != nil:
+			for i := range f.series() {
+				writeHistogram(sample, f.Name, f.labels(i), f.Hist(i).Snapshot())
+			}
+		default:
+			for i := range f.series() {
+				sample(f.Name, f.labels(i), f.Value(i))
+			}
+		}
 	}
-	p.sample(name, labels, "", strconv.FormatInt(v, 10))
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
-// Gauge writes one gauge sample (labels may be nil).
-func (p *PromWriter) Gauge(name, help string, labels []Label, v int64) {
-	if !p.begin(name, "gauge", help) {
-		return
-	}
-	p.sample(name, labels, "", strconv.FormatInt(v, 10))
-}
-
-// GaugeFloat writes one gauge sample with a floating-point value.
-func (p *PromWriter) GaugeFloat(name, help string, labels []Label, v float64) {
-	if !p.begin(name, "gauge", help) {
-		return
-	}
-	p.sample(name, labels, "", strconv.FormatFloat(v, 'g', -1, 64))
-}
-
-// Histogram writes one histogram series from a snapshot: cumulative
-// _bucket samples per occupied power-of-two boundary, closed by
-// le="+Inf", then _sum and _count. Call repeatedly with different
-// labels (contiguously) for a labelled histogram family.
-func (p *PromWriter) Histogram(name, help string, labels []Label, s metrics.HistogramSnapshot) {
-	if !p.begin(name, "histogram", help) {
-		return
-	}
+// writeHistogram writes one histogram series from a snapshot.
+func writeHistogram(sample func(string, []Label, int64), name string, labels []Label, s metrics.HistogramSnapshot) {
+	le := append(labels[:len(labels):len(labels)], Label{Key: "le"})
 	cum := int64(0)
-	for _, b := range s.Buckets {
-		cum += b.Count
-		p.sample(name+"_bucket", labels, strconv.FormatInt(b.Le, 10), strconv.FormatInt(cum, 10))
+	for _, bk := range s.Buckets {
+		cum += bk.Count
+		le[len(labels)].Value = strconv.FormatInt(bk.Le, 10)
+		sample(name+"_bucket", le, cum)
 	}
 	// Snapshots may tear between buckets and count; never let +Inf dip
 	// below the cumulative sum or the exposition stops being a valid
 	// histogram.
-	inf := s.Count
-	if cum > inf {
-		inf = cum
-	}
-	p.sample(name+"_bucket", labels, "+Inf", strconv.FormatInt(inf, 10))
-	p.sample(name+"_sum", labels, "", strconv.FormatInt(s.Sum, 10))
-	p.sample(name+"_count", labels, "", strconv.FormatInt(inf, 10))
+	inf := max(s.Count, cum)
+	le[len(labels)].Value = "+Inf"
+	sample(name+"_bucket", le, inf)
+	sample(name+"_sum", labels, s.Sum)
+	sample(name+"_count", labels, inf)
 }
 
-// begin opens (or continues) a family, emitting the header on first use.
-func (p *PromWriter) begin(name, typ, help string) bool {
-	if p.err != nil {
-		return false
-	}
-	if !validMetricName(name) {
-		p.err = fmt.Errorf("prom: invalid metric name %q", name)
-		return false
-	}
-	if prev, ok := p.types[name]; ok {
-		if prev != typ {
-			p.err = fmt.Errorf("prom: family %s re-registered as %s (was %s)", name, typ, prev)
-			return false
-		}
-		if p.last != name {
-			p.err = fmt.Errorf("prom: family %s written non-contiguously", name)
-			return false
-		}
-		return true
-	}
-	p.types[name] = typ
-	p.last = name
-	_, err := fmt.Fprintf(p.w, "# HELP %s %s\n# TYPE %s %s\n", name, escapeHelp(help), name, typ)
-	if err != nil {
-		p.err = err
-		return false
-	}
-	return true
-}
-
-// sample writes one sample line; le, when non-empty, is appended as the
-// trailing bucket label.
-func (p *PromWriter) sample(name string, labels []Label, le, value string) {
-	if p.err != nil {
-		return
+// seriesName renders name{key="value",...}, a sample's identity: the
+// exposition prints it and the history names its series by it.
+func seriesName(name string, labels []Label) string {
+	if len(labels) == 0 {
+		return name
 	}
 	var sb strings.Builder
 	sb.WriteString(name)
-	if len(labels) > 0 || le != "" {
-		sb.WriteByte('{')
-		for i, l := range labels {
-			if !validLabelName(l.Key) {
-				p.err = fmt.Errorf("prom: invalid label name %q on %s", l.Key, name)
-				return
-			}
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			sb.WriteString(l.Key)
-			sb.WriteString(`="`)
-			sb.WriteString(escapeLabel(l.Value))
-			sb.WriteByte('"')
+	sb.WriteByte('{')
+	for i, l := range labels {
+		if i > 0 {
+			sb.WriteByte(',')
 		}
-		if le != "" {
-			if len(labels) > 0 {
-				sb.WriteByte(',')
-			}
-			sb.WriteString(`le="`)
-			sb.WriteString(le)
-			sb.WriteByte('"')
-		}
-		sb.WriteByte('}')
+		sb.WriteString(l.Key)
+		sb.WriteString(`="`)
+		sb.WriteString(escapeLabel(l.Value))
+		sb.WriteByte('"')
 	}
-	sb.WriteByte(' ')
-	sb.WriteString(value)
-	sb.WriteByte('\n')
-	if _, err := io.WriteString(p.w, sb.String()); err != nil {
-		p.err = err
-	}
+	sb.WriteByte('}')
+	return sb.String()
 }
 
 // validMetricName reports whether name matches [a-zA-Z_:][a-zA-Z0-9_:]*.

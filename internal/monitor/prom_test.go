@@ -2,11 +2,14 @@ package monitor
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
 	"expdb/internal/metrics"
 )
+
+func constant(v int64) func() int64 { return func() int64 { return v } }
 
 func TestPromWriterRoundTrip(t *testing.T) {
 	var h metrics.Histogram
@@ -14,16 +17,14 @@ func TestPromWriterRoundTrip(t *testing.T) {
 		h.Observe(v)
 	}
 	var buf bytes.Buffer
-	w := NewPromWriter(&buf)
-	w.Counter("expdb_inserts_total", "Tuples inserted.", nil, 42)
-	w.Counter("expdb_expirations_total", "Tuples expired.",
-		[]Label{{Key: "mode", Value: "eager"}}, 10)
-	w.Counter("expdb_expirations_total", "Tuples expired.",
-		[]Label{{Key: "mode", Value: "lazy"}}, 3)
-	w.Gauge("expdb_scheduler_depth", "Pending expiry events.", nil, 7)
-	w.Histogram("expdb_dispatch_lag_ticks", "Expiry dispatch lag.", nil, h.Snapshot())
-	w.GaugeFloat("expdb_lag_mean", "Mean lag.", nil, 1.5)
-	if err := w.Err(); err != nil {
+	if err := WritePrometheus(&buf, append([]Family{
+		Counter("expdb_inserts_total", "Tuples inserted.", constant(42)),
+		{Name: "expdb_expirations_total", Help: "Tuples expired.",
+			Labels: [][]Label{{{Key: "mode", Value: "eager"}}, {{Key: "mode", Value: "lazy"}}},
+			Value:  func(i int) int64 { return []int64{10, 3}[i] }},
+		Gauge("expdb_scheduler_depth", "Pending expiry events.", constant(7)),
+		Histogram("expdb_dispatch_lag_ticks", "Expiry dispatch lag.", &h),
+	}, When(func() bool { return false }, Counter("expdb_absent_total", "Not present.", constant(1)))...)); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.Bytes()
@@ -35,15 +36,18 @@ func TestPromWriterRoundTrip(t *testing.T) {
 		"# TYPE expdb_inserts_total counter",
 		"expdb_inserts_total 42",
 		`expdb_expirations_total{mode="eager"} 10`,
+		"# TYPE expdb_scheduler_depth gauge",
 		"# TYPE expdb_dispatch_lag_ticks histogram",
 		`expdb_dispatch_lag_ticks_bucket{le="+Inf"} 5`,
 		"expdb_dispatch_lag_ticks_sum 1106",
 		"expdb_dispatch_lag_ticks_count 5",
-		"expdb_lag_mean 1.5",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
 		}
+	}
+	if strings.Contains(text, "expdb_absent_total") {
+		t.Fatalf("absent family written:\n%s", text)
 	}
 }
 
@@ -52,10 +56,9 @@ func TestPromWriterLabeledHistogram(t *testing.T) {
 	steady.Observe(0)
 	catchup.Observe(500)
 	var buf bytes.Buffer
-	w := NewPromWriter(&buf)
-	w.Histogram("expdb_lag_ticks", "Lag.", []Label{{Key: "phase", Value: "steady"}}, steady.Snapshot())
-	w.Histogram("expdb_lag_ticks", "Lag.", []Label{{Key: "phase", Value: "catchup"}}, catchup.Snapshot())
-	if err := w.Err(); err != nil {
+	if err := WritePrometheus(&buf, []Family{{Name: "expdb_lag_ticks", Help: "Lag.",
+		Labels: [][]Label{{{Key: "phase", Value: "steady"}}, {{Key: "phase", Value: "catchup"}}},
+		Hist:   func(i int) *metrics.Histogram { return []*metrics.Histogram{&steady, &catchup}[i] }}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := LintExposition(buf.Bytes()); err != nil {
@@ -66,42 +69,34 @@ func TestPromWriterLabeledHistogram(t *testing.T) {
 	}
 }
 
+// TestPromWriterErrors: the writer trusts its table, so a table mistake —
+// a family declared twice, a malformed metric or label name — must write
+// an exposition the linter rejects; and a failing writer's error is
+// returned.
 func TestPromWriterErrors(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewPromWriter(&buf)
-	w.Counter("a_total", "", nil, 1)
-	w.Gauge("b", "", nil, 2)
-	w.Counter("a_total", "", nil, 3) // family reopened
-	if w.Err() == nil {
-		t.Fatal("non-contiguous family not rejected")
+	one := constant(1)
+	for name, fams := range map[string][]Family{
+		"family declared twice": {Counter("a_total", "", one), Gauge("b", "", one), Counter("a_total", "", one)},
+		"type conflict":         {Counter("x", "", one), Gauge("x", "", one)},
+		"bad metric name":       {Counter("9bad", "", one)},
+		"bad label name":        {{Name: "ok", Labels: [][]Label{{{Key: "bad-key", Value: "v"}}}, Value: func(int) int64 { return 1 }}},
+	} {
+		var buf bytes.Buffer
+		if err := WritePrometheus(&buf, fams); err != nil || LintExposition(buf.Bytes()) == nil {
+			t.Errorf("%s: write error %v, or lint accepted\n%s", name, err, buf.String())
+		}
 	}
-
-	w = NewPromWriter(&buf)
-	w.Counter("x", "", nil, 1)
-	w.Gauge("x", "", nil, 2) // type conflict
-	if w.Err() == nil {
-		t.Fatal("type conflict not rejected")
-	}
-
-	w = NewPromWriter(&buf)
-	w.Counter("9bad", "", nil, 1)
-	if w.Err() == nil {
-		t.Fatal("bad metric name not rejected")
-	}
-
-	w = NewPromWriter(&buf)
-	w.Counter("ok", "", []Label{{Key: "bad-key", Value: "v"}}, 1)
-	if w.Err() == nil {
-		t.Fatal("bad label name not rejected")
+	r, w := io.Pipe()
+	r.Close()
+	if err := WritePrometheus(w, []Family{Counter("a_total", "", one)}); err == nil {
+		t.Fatal("writer error not returned")
 	}
 }
 
 func TestPromWriterEscaping(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewPromWriter(&buf)
-	w.Counter("esc_total", "help with \\ and\nnewline",
-		[]Label{{Key: "v", Value: "a\"b\\c\nd"}}, 1)
-	if err := w.Err(); err != nil {
+	if err := WritePrometheus(&buf, []Family{{Name: "esc_total", Help: "help with \\ and\nnewline",
+		Labels: [][]Label{{{Key: "v", Value: "a\"b\\c\nd"}}}, Value: func(int) int64 { return 1 }}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := LintExposition(buf.Bytes()); err != nil {

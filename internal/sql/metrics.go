@@ -1,6 +1,8 @@
 package sql
 
 import (
+	"time"
+
 	"expdb/internal/metrics"
 )
 
@@ -99,6 +101,16 @@ type MetricsSnapshot struct {
 	MemoHits   int64                     `json:"plan_memo_hits"`
 	ParseNanos metrics.HistogramSnapshot `json:"parse_nanos"`
 	ExecNanos  metrics.HistogramSnapshot `json:"exec_nanos"`
+}
+
+// Record counts one statement of kind that ran for d and failed with err
+// (nil on success): Exec and the wire server's reads record here.
+func (m *Metrics) Record(kind StmtKind, d time.Duration, err error) {
+	m.Statements[kind].Inc()
+	m.ExecNanos.Observe(d.Nanoseconds())
+	if err != nil {
+		m.ExecErrs.Inc()
+	}
 }
 
 // Snapshot copies the counters. Kinds with a zero count are omitted so the

@@ -16,8 +16,8 @@ func TestParseShowHistoryHealth(t *testing.T) {
 		limit  int
 	}{
 		{"SHOW HISTORY", "HISTORY", "", 0},
-		{"SHOW HISTORY engine_inserts", "HISTORY", "engine_inserts", 0},
-		{"SHOW HISTORY engine_inserts LIMIT 5", "HISTORY", "engine_inserts", 5},
+		{"SHOW HISTORY expdb_inserts_total", "HISTORY", "expdb_inserts_total", 0},
+		{`SHOW HISTORY 'expdb_ring_entries_total{ring="events"}' LIMIT 5`, "HISTORY", `expdb_ring_entries_total{ring="events"}`, 5},
 		{"SHOW HISTORY LIMIT 3", "HISTORY", "", 3},
 		{"SHOW HEALTH", "HEALTH", "", 0},
 	} {
@@ -50,19 +50,20 @@ func TestShowHistoryAndHealth(t *testing.T) {
 	}
 	eng.Monitor().Tick()
 
-	res := mustExec(t, s, "SHOW HISTORY engine_inserts")
-	for _, want := range []string{`"engine_inserts"`, `"value": 2`, `"kind": "counter"`} {
+	res := mustExec(t, s, "SHOW HISTORY expdb_inserts_total")
+	for _, want := range []string{`"expdb_inserts_total"`, `"value": 2`, `"kind": "counter"`} {
 		if !strings.Contains(res.Msg, want) {
 			t.Fatalf("SHOW HISTORY missing %q:\n%s", want, res.Msg)
 		}
 	}
 	// Unfiltered covers every registered series.
 	all := mustExec(t, s, "SHOW HISTORY LIMIT 1")
-	for _, want := range []string{`"scheduler_pending"`, `"slo_p99_lag_ticks"`} {
+	for _, want := range []string{`"expdb_scheduler_pending"`, `"expdb_slo_p99_lag_ticks"`} {
 		if !strings.Contains(all.Msg, want) {
 			t.Fatalf("SHOW HISTORY missing series %q:\n%s", want, all.Msg)
 		}
 	}
+	mustExec(t, s, `SHOW HISTORY 'expdb_ring_entries_total{ring="events"}'`)
 	if _, err := s.Exec("SHOW HISTORY nonsense"); err == nil || !strings.Contains(err.Error(), "unknown metric") {
 		t.Fatalf("unknown metric error = %v", err)
 	}

@@ -168,7 +168,8 @@ func (p *parser) statement() (Statement, error) {
 		for _, what := range []string{"TABLES", "VIEWS", "INDEXES", "TIME", "STATS", "METRICS", "CACHE", "EVENTS", "TRACES", "HISTORY", "HEALTH"} {
 			if p.accept(tokKeyword, what) {
 				show := &Show{What: what}
-				if what == "HISTORY" && p.at(tokIdent, "") {
+				// A labelled series is named as a quoted string.
+				if what == "HISTORY" && (p.at(tokIdent, "") || p.at(tokString, "")) {
 					show.Metric = p.next().text
 				}
 				if (what == "EVENTS" || what == "HISTORY") && p.accept(tokKeyword, "LIMIT") {

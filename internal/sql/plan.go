@@ -402,7 +402,6 @@ func (s *Session) execTraced(stmt Statement, input string) (*Result, error) {
 	if input == "" {
 		input = kind.String() // ExecStmt callers have no source text
 	}
-	s.m.Statements[kind].Inc()
 	s.tid = trace.NextID()
 	s.span = nil
 	slow := s.eng.SlowQueryThreshold()
@@ -412,9 +411,8 @@ func (s *Session) execTraced(stmt Statement, input string) (*Result, error) {
 	start := time.Now()
 	res, err := s.execStmt(stmt)
 	elapsed := time.Since(start)
-	s.m.ExecNanos.Observe(elapsed.Nanoseconds())
+	s.m.Record(kind, elapsed, err)
 	if err != nil {
-		s.m.ExecErrs.Inc()
 		s.span.Set("error", err.Error())
 	}
 	if res != nil {

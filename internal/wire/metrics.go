@@ -50,11 +50,6 @@ type MetricsSnapshot struct {
 	ActiveConns       int64 `json:"active_conns"`
 }
 
-// MetricsRef exposes the live counters so an embedder can register them
-// as monitoring history series (load functions must read the counters in
-// place, not a snapshot).
-func (s *Server) MetricsRef() *Metrics { return &s.wm }
-
 // Snapshot copies the counters.
 func (m *Metrics) Snapshot() MetricsSnapshot {
 	return MetricsSnapshot{

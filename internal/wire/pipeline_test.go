@@ -69,7 +69,7 @@ func benchEngine(t testing.TB, rows int, indexDDL []string) (*engine.Engine, *sq
 
 func serve(t *testing.T, eng *engine.Engine) (*Server, *Client) {
 	t.Helper()
-	srv := NewServer(eng)
+	srv := NewServer(eng, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -210,12 +210,12 @@ func TestEveryEntryPointAgreesWithTheLogicalPlan(t *testing.T) {
 func TestServerProbesTheIndex(t *testing.T) {
 	const q = "SELECT * FROM sess WHERE sid = 7"
 	eng, _ := benchEngine(t, 40, indexConfigs[1].ddl)
-	srv, c := serve(t, eng)
+	_, c := serve(t, eng)
 	sel, err := sql.ParseQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := sql.NewSessionWithMetrics(eng, nil, srv.SQLMetrics()).Plan(sel) // as Server.handle opens it
+	p, err := sql.NewSession(eng, nil).Plan(sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestMovedViewOverTheWire(t *testing.T) {
 	if err := eng.Advance(4); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(eng)
+	srv := NewServer(eng, nil)
 	for _, patches := range []bool{false, true} {
 		resp := srv.respond(sess, &Request{Kind: MsgMaterialize, Query: "SELECT * FROM vi", WantPatches: patches})
 		if resp.Err != "" || resp.Now != 2 || resp.Texp != 3 || len(resp.Rows) != 1 {
@@ -407,7 +407,7 @@ func TestServerPlansAgainWhenAViewOutrunsThePlan(t *testing.T) {
 		if _, err := sess.Exec("CREATE VIEW hist AS SELECT deg, COUNT(*) FROM pol GROUP BY deg"); err != nil {
 			t.Fatal(err)
 		}
-		srv := NewServer(eng)
+		srv := NewServer(eng, nil)
 		sel, err := sql.ParseQuery(req.Query)
 		if err != nil {
 			t.Fatal(err)
@@ -432,7 +432,7 @@ func TestServerPlansAgainWhenAViewOutrunsThePlan(t *testing.T) {
 	// is one tick long, four connections keep asking, nothing arrives
 	// stamped empty. Run under -race.
 	eng, _ := benchEngine(t, 80, nil)
-	srv := NewServer(eng)
+	srv := NewServer(eng, nil)
 	var (
 		answers atomic.Int64
 		done    atomic.Bool
@@ -482,8 +482,8 @@ func TestServerPlansAgainWhenAViewOutrunsThePlan(t *testing.T) {
 func BenchmarkWireRespondPoint(b *testing.B) {
 	eng, _ := benchEngine(b, 5000, []string{"CREATE INDEX sess_sid ON sess (sid)"})
 	eng.SetResultCache(0)
-	srv := NewServer(eng)
-	sess := sql.NewSessionWithMetrics(eng, nil, srv.SQLMetrics())
+	srv := NewServer(eng, nil)
+	sess := sql.NewSession(eng, nil)
 	reqs := make([]Request, 512)
 	for i := range reqs {
 		// Lifetimes end by tick 40 and the clock stays at 0: every sid is alive.

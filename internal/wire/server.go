@@ -110,8 +110,10 @@ func (s *Server) setRespondHook(fn func(*Request)) {
 }
 
 // NewServer wraps eng; call Listen (or Serve with your own listener) to
-// start.
-func NewServer(eng *engine.Engine, opts ...ServerOption) *Server {
+// start. Every remote read is recorded into sqlm as a SELECT, so an
+// embedder that passes its own session's metrics sees local and remote
+// statements together; nil gives the server a private one.
+func NewServer(eng *engine.Engine, sqlm *sql.Metrics, opts ...ServerOption) *Server {
 	cfg := serverConfig{
 		idleTimeout: DefaultIdleTimeout,
 		maxMsgBytes: DefaultMaxMessageBytes,
@@ -121,9 +123,12 @@ func NewServer(eng *engine.Engine, opts ...ServerOption) *Server {
 	for _, o := range opts {
 		o(&cfg)
 	}
+	if sqlm == nil {
+		sqlm = &sql.Metrics{}
+	}
 	return &Server{
 		eng:   eng,
-		sqlm:  &sql.Metrics{},
+		sqlm:  sqlm,
 		cfg:   cfg,
 		conns: make(map[net.Conn]*connState),
 	}
@@ -135,12 +140,6 @@ func NewServer(eng *engine.Engine, opts ...ServerOption) *Server {
 type connState struct {
 	inFlight atomic.Bool
 }
-
-// SQLMetrics returns the server's aggregated SQL planning metrics. The
-// same sink is handed to every connection's session, so remote
-// materialisations show up alongside local statements when the caller
-// merges snapshots.
-func (s *Server) SQLMetrics() *sql.Metrics { return s.sqlm }
 
 // WireMetrics returns the fault-tolerance counters: connections
 // accepted/rejected, timeouts, panics recovered, oversized messages
@@ -461,7 +460,10 @@ func (s *Server) respond(sess *sql.Session, req *Request) *Response {
 		}
 		resp.TraceID = uint64(tid)
 		sess.SetTrace(tid)
-		if err := s.materialize(sess, req, resp); err != nil {
+		start := time.Now()
+		err := s.materialize(sess, req, resp)
+		s.sqlm.Record(sql.StmtSelect, time.Since(start), err)
+		if err != nil {
 			resp.Err = err.Error()
 			return resp
 		}

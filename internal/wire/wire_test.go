@@ -42,7 +42,7 @@ func figure1Engine(t *testing.T) *engine.Engine {
 func newTestServer(t *testing.T, opts ...ServerOption) (*engine.Engine, *Server) {
 	t.Helper()
 	eng := figure1Engine(t)
-	return eng, NewServer(eng, opts...)
+	return eng, NewServer(eng, nil, opts...)
 }
 
 // startServerAddr serves the Figure 1 database on a specific address
@@ -482,6 +482,6 @@ func TestServerMintsTraceID(t *testing.T) {
 // edge cases.
 func srvRespond(t *testing.T, eng *engine.Engine, req *Request) *Response {
 	t.Helper()
-	s := NewServer(eng)
+	s := NewServer(eng, nil)
 	return s.respond(sql.NewSession(eng, nil), req)
 }

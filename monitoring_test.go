@@ -2,9 +2,11 @@ package expdb_test
 
 import (
 	"bytes"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"expdb"
 	"expdb/internal/monitor"
@@ -29,9 +31,11 @@ func monitoredDB(t *testing.T, dir string) *expdb.DB {
 	return db
 }
 
-// TestWritePrometheusLint is the facade-level grammar gate: the real
-// exposition, with every layer contributing, must satisfy the format
-// linter and carry the cross-layer families.
+// TestWritePrometheusLint is the facade-level grammar gate and the
+// metric table's drift guard: the real exposition, with every layer
+// contributing, satisfies the format linter and carries every declared
+// family, and its fixed-label counter and gauge samples (a histogram's by
+// its _count) are exactly the history's series, name for name.
 func TestWritePrometheusLint(t *testing.T) {
 	db := monitoredDB(t, t.TempDir())
 	db.Monitor().Tick()
@@ -40,29 +44,53 @@ func TestWritePrometheusLint(t *testing.T) {
 	if err := db.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.Bytes()
-	if err := monitor.LintExposition(out); err != nil {
+	out := buf.String()
+	if err := monitor.LintExposition(buf.Bytes()); err != nil {
 		t.Fatalf("exposition fails lint: %v\n%s", err, out)
 	}
-	for _, want := range []string{
-		"# TYPE expdb_inserts_total counter",
-		"# TYPE expdb_advance_duration_nanos histogram",
-		"expdb_wal_appends_total",
-		"expdb_cache_hits_total",
-		"# TYPE expdb_cache_revalidations_total counter",
-		"# TYPE expdb_cache_patches_total counter",
-		"expdb_view_reads_total",
-		`expdb_sql_statements_total{kind="select"}`,
-		"expdb_sql_plan_memo_hits_total",
-		"expdb_wire_active_conns",
-		`expdb_slo_dispatch_lag_ticks_bucket{phase="steady",le="+Inf"}`,
-		`expdb_slo_dispatch_lag_ticks_bucket{phase="catchup",le="+Inf"}`,
-		`expdb_health_check_ok{check="wal",severity="liveness"} 1`,
-		"expdb_health_ready 1",
-		`expdb_ring_entries_total{ring="events"}`,
-	} {
-		if !bytes.Contains(out, []byte(want)) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
+	scrape := map[string]bool{}
+	for _, f := range expdb.MetricFamilies(db) {
+		typ := f.Kind.String()
+		if f.Hist != nil {
+			typ = "histogram"
+		}
+		if !strings.Contains(out, "# TYPE "+f.Name+" "+typ+"\n") {
+			t.Errorf("exposition lacks family %s %s", f.Name, typ)
+		}
+		scrape[f.Name] = f.Scrape != nil
+	}
+	series := map[string]bool{}
+	for _, name := range db.Monitor().History.SeriesNames() {
+		series[name] = true
+	}
+	var fam, typ string
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		name := line[:strings.LastIndexByte(line, ' ')]
+		if strings.HasPrefix(line, "# TYPE ") {
+			fam, typ, _ = strings.Cut(line[len("# TYPE "):], " ")
+		} else if line[0] != '#' && !scrape[fam] && (typ != "histogram" || strings.HasPrefix(name, fam+"_count")) {
+			if !series[name] {
+				t.Errorf("sample %s has no history series", name)
+			}
+			delete(series, name)
+		}
+	}
+	if len(series) > 0 {
+		t.Errorf("history series without an exposition sample: %v", series)
+	}
+}
+
+// TestSamplerRacesWireServersAndScrapes: the wire families read
+// db.wireServers from the sampler goroutine while NewWireServer appends
+// to it and a scrape sums it.
+func TestSamplerRacesWireServersAndScrapes(t *testing.T) {
+	db := expdb.Open(expdb.WithMonitor(expdb.MonitorOptions{SampleInterval: time.Millisecond}))
+	defer db.Close()
+	h := db.Monitor().History
+	for start := h.Samples(); h.Samples() < start+3; {
+		db.NewWireServer()
+		if err := db.WritePrometheus(io.Discard); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -138,9 +166,12 @@ func TestHistoryAndSLOAccessors(t *testing.T) {
 	db := monitoredDB(t, t.TempDir())
 	db.Monitor().Tick()
 
-	hist := db.History("engine_inserts", 0)
+	hist := db.History("expdb_inserts_total", 0)
 	if len(hist.Series) != 1 || len(hist.Series[0].Points) == 0 {
-		t.Fatalf("History(engine_inserts) = %+v", hist)
+		t.Fatalf("History(expdb_inserts_total) = %+v", hist)
+	}
+	if n := testing.AllocsPerRun(100, db.Monitor().Tick); n != 0 {
+		t.Fatalf("a tick over every layer's series allocates %v times, want 0", n)
 	}
 	if db.SLO().DispatchLag.Count == 0 {
 		t.Fatalf("SLO() = %+v, want dispatch observations", db.SLO())
@@ -180,7 +211,9 @@ func TestUnmonitoredDB(t *testing.T) {
 	if err := monitor.LintExposition(buf.Bytes()); err != nil {
 		t.Fatalf("unmonitored exposition fails lint: %v\n%s", err, buf.Bytes())
 	}
-	if bytes.Contains(buf.Bytes(), []byte("expdb_health_state")) {
-		t.Fatal("unmonitored exposition claims health metrics")
+	for _, absent := range []string{"expdb_health_state", "expdb_wal_appends_total", "expdb_wire_"} {
+		if bytes.Contains(buf.Bytes(), []byte(absent)) {
+			t.Fatalf("unmonitored memory-only exposition claims %s", absent)
+		}
 	}
 }
