@@ -5,9 +5,10 @@
 //
 // Expressions evaluate against live relations: Stream(τ, emit) applies
 // expτ to every base relation and pushes the result rows with their derived
-// per-tuple expiration times, and Evaluate collects them; ExprTexp(τ) is the
-// paper's texp(e) — when a materialisation computed at τ invalidates;
-// Validity(τ) is the Schrödinger interval set I(e).
+// per-tuple expiration times, returning the paper's texp(e) — when a
+// materialisation computed at τ invalidates — and Evaluate collects them.
+// ExprTexp(e, τ) reads texp(e) from the same pass without the rows;
+// Validity(e, τ) is the Schrödinger interval set I(e).
 package algebra
 
 import (
@@ -121,13 +122,12 @@ var (
 	PushDownSelections = ialg.PushDownSelections
 	// Walk visits an expression tree depth-first.
 	Walk = ialg.Walk
-	// Window stamps an evaluation instant with its validity interval
-	// [τ, texp(e)): the half-open window during which a result computed
-	// at τ remains correct (Theorem 1 / Table 2). The same stamp rides
-	// on every expdb read surface as expdb.Validity.
-	Window = ialg.Window
-	// IsMonotonic re-derives monotonicity structurally.
-	IsMonotonic = ialg.IsMonotonic
+	// ExprTexp is texp(e): when a materialisation computed at τ
+	// invalidates (∞ for a monotonic expression).
+	ExprTexp = ialg.ExprTexp
+	// Validity is the Schrödinger interval set I(e) of a materialisation
+	// computed at τ (§3.4).
+	Validity = ialg.Validity
 	// Evaluate computes an expression's rows and its texp(e) in one pass
 	// through the pipelined streaming executor.
 	Evaluate = ialg.Evaluate

@@ -113,7 +113,7 @@ func BenchmarkE5DifferenceLifetime(b *testing.B) {
 	d := newsDiff(b, 5000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.ExprTexp(0); err != nil {
+		if _, err := algebra.ExprTexp(d, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -200,7 +200,7 @@ func BenchmarkE8Schroedinger(b *testing.B) {
 	d := newsDiff(b, 2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.Validity(0); err != nil {
+		if _, err := algebra.Validity(d, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -65,8 +65,8 @@ func main() {
 	// (both tables still fully populated): the pushed-down plan's critical
 	// set contains only the selected users, so it invalidates later.
 	rewritten := algebra.PushDownSelections(sel)
-	t1, _ := sel.ExprTexp(0)
-	t2, _ := rewritten.ExprTexp(0)
+	t1, _ := algebra.ExprTexp(sel, 0)
+	t2, _ := algebra.ExprTexp(rewritten, 0)
 	fmt.Printf("\nrewrite (§3.1), materialised at 0: texp(σ(pol−el)) = %s ≤ texp(σ(pol)−σ(el)) = %s\n", t1, t2)
 
 	// Run the service: profiles expire tick by tick; views follow along.

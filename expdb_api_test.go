@@ -327,8 +327,8 @@ func TestAPIAlgebraSurface(t *testing.T) {
 	}
 
 	// Structural helpers.
-	if algebra.IsMonotonic(diff) || !algebra.IsMonotonic(union) {
-		t.Fatal("IsMonotonic")
+	if diff.Monotonic() || !union.Monotonic() {
+		t.Fatal("Monotonic")
 	}
 	nodes := 0
 	algebra.Walk(diff, func(algebra.Expr) { nodes++ })

@@ -92,7 +92,7 @@ func TestPublicAlgebraAndViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if algebra.IsMonotonic(d) {
+	if d.Monotonic() {
 		t.Fatal("difference must be non-monotonic")
 	}
 	v, err := db.CreateView("onlypol", d, expdb.WithPatching())
@@ -140,7 +140,7 @@ func TestPublicPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	texp, err := e.ExprTexp(0)
+	texp, err := algebra.ExprTexp(e, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -432,19 +432,22 @@ func neutralTime(f AggFunc, p *partition, v0 value.Value) xtime.Time {
 		return p.last()
 	}
 	sumP, cntP := sumCount(f.Col, p.rows)
+	seen := 0.0 // values in the slices up to this one
 	for k, lo := range p.runs {
 		hi := len(p.rows)
 		if k+1 < len(p.runs) {
 			hi = p.runs[k+1]
 		}
 		// sum: Σ_{t∈N} t(i) = 0; avg: Σ_{t∈N} t(i) = (|N|/|P|) Σ_{r∈P} r(i),
-		// both over non-NULL values.
+		// both over non-NULL values. A slice holding the last values is not
+		// neutral while tuples outlive it: the value turns NULL (§2.4).
 		sumN, cntN := sumCount(f.Col, p.rows[lo:hi])
+		seen += cntN
 		neutral := sumN == 0
 		if f.Kind == AggAvg {
 			neutral = cntP == 0 || sumN*cntP == sumP*cntN
 		}
-		if !neutral {
+		if !neutral || cntN > 0 && seen == cntP && hi < len(p.rows) {
 			return p.rows[lo].Texp
 		}
 	}
@@ -522,25 +525,14 @@ func (a *Agg) streamGroups(tau xtime.Time, cols []int, emit func(relation.Row), 
 	})
 }
 
-// ExprTexp implements Expr: the materialised aggregation becomes invalid
-// when the argument expires or when some partition's aggregate value
-// changes before the partition has fully expired (§2.6.1's texp formula).
-func (a *Agg) ExprTexp(tau xtime.Time) (xtime.Time, error) {
-	texp, _, err := a.fold(tau, func(*partition) {})
-	return texp, err
-}
-
-// Validity implements Expr (§3.4.1): the materialisation is valid exactly
-// while every partition either still shows its original aggregate value
-// (before T_P) or has expired entirely. Value changes are terminal for a
-// materialisation — its tuples have expired and cannot reappear — so each
-// partition contributes [tau, T_P[ ∪ [emptying, ∞[.
-func (a *Agg) Validity(tau xtime.Time) (interval.Set, error) {
-	v, err := monotonicValidity(tau, a.Child)
-	if err != nil {
-		return interval.Set{}, err
-	}
-	_, _, err = a.fold(tau, func(p *partition) {
+// validity is the aggregation's own part of Validity (§3.4.1): the
+// materialisation is valid exactly while every partition either still shows
+// its original aggregate value (before T_P) or has expired entirely. Value
+// changes are terminal for a materialisation — its tuples have expired and
+// cannot reappear — so each partition contributes [tau, T_P[ ∪ [emptying, ∞[.
+func (a *Agg) validity(tau xtime.Time) (interval.Set, error) {
+	v := interval.From(tau)
+	_, _, err := a.fold(tau, func(p *partition) {
 		pv := interval.NewSet(interval.Interval{Start: tau, End: p.time})
 		if p.last().IsFinite() {
 			pv = pv.Union(interval.From(p.last()))

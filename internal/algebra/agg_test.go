@@ -330,7 +330,7 @@ func TestAggValidityAgainstBruteForce(t *testing.T) {
 	})
 	a := mkAgg(t, in, countStar(), PolicyExact)
 	mat := mustEval(t, a, 0)
-	v, err := a.Validity(0)
+	v, err := Validity(a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestAggRevalidation(t *testing.T) {
 		row(3, 1, 1, 0), row(7, 1, 2, 1),
 	})
 	a := mkAgg(t, in, countStar(), PolicyExact)
-	v, err := a.Validity(0)
+	v, err := Validity(a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

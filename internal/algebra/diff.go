@@ -116,11 +116,6 @@ func (d *Diff) criticalSet(tau xtime.Time, emit func(string, relation.Row)) ([]C
 	return crit, texp, err
 }
 
-// ExprTexp implements Expr, formula (11).
-func (d *Diff) ExprTexp(tau xtime.Time) (xtime.Time, error) {
-	return d.Stream(tau, func(relation.Row) {})
-}
-
 // CriticalSet returns the critical rows at time tau, the set §3.1's
 // rewrites aim to shrink, in (texp_S, tuple) order.
 func (d *Diff) CriticalSet(tau xtime.Time) ([]CriticalRow, error) {
@@ -129,28 +124,21 @@ func (d *Diff) CriticalSet(tau xtime.Time) ([]CriticalRow, error) {
 	return crit, err
 }
 
-// Validity implements Expr. The paper's closed form (12) removes the
-// single interval [min texp_S, max texp_S[ spanned by the critical
-// tuples; this implementation refines it to the exact invalid set
+// validity is the difference's own part of Validity. The paper's closed
+// form (12) removes the single interval [min texp_S, max texp_S[ spanned by
+// the critical tuples; this refines it to the exact invalid set
 // ∪ [texp_S(t), texp_R(t)[ over critical tuples t — each critical tuple
-// makes the materialisation wrong precisely while it should be visible
-// but is not. The result is a superset of (12)'s validity (never smaller),
-// and matches brute-force recomputation exactly, which the property tests
+// makes the materialisation wrong precisely while it should be visible but
+// is not. The result is a superset of (12)'s validity (never smaller), and
+// matches brute-force recomputation exactly, which the property tests
 // verify.
-func (d *Diff) Validity(tau xtime.Time) (interval.Set, error) {
-	v, err := monotonicValidity(tau, d.Left, d.Right)
-	if err != nil {
-		return interval.Set{}, err
-	}
+func (d *Diff) validity(tau xtime.Time) (interval.Set, error) {
 	crit, _, err := d.criticalSet(tau, func(string, relation.Row) {})
-	if err != nil {
-		return interval.Set{}, err
-	}
 	invalid := make([]interval.Interval, 0, len(crit))
 	for _, c := range crit {
 		invalid = append(invalid, interval.Interval{Start: c.InS, End: c.InR})
 	}
-	return v.Subtract(interval.NewSet(invalid...)), nil
+	return interval.From(tau).Subtract(interval.NewSet(invalid...)), err
 }
 
 // PaperValidity returns the closed form (12) as the paper's prose intends

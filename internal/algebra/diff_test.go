@@ -93,7 +93,7 @@ func TestTable2Cases(t *testing.T) {
 func TestDiffValidityExactAgainstBruteForce(t *testing.T) {
 	d := diffUID(t)
 	mat := mustEval(t, d, 0)
-	v, err := d.Validity(0)
+	v, err := Validity(d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestDiffValidityExactAgainstBruteForce(t *testing.T) {
 // Critical tuples: ⟨1⟩ (El 5 → Pol 10) and ⟨2⟩ (El 3 → Pol 15).
 func TestDiffValidityShape(t *testing.T) {
 	d := diffUID(t)
-	v, err := d.Validity(0)
+	v, err := Validity(d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestDiffOfIdenticalRelationsNeverInvalid(t *testing.T) {
 	if got := mustTexp(t, d, 0); got != xtime.Infinity {
 		t.Errorf("texp = %v, want ∞", got)
 	}
-	v, err := d.Validity(0)
+	v, err := Validity(d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

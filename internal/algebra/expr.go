@@ -13,14 +13,11 @@ import (
 //
 // Evaluating an expression at time τ applies expτ to every base relation
 // (only unexpired tuples participate) and derives per-tuple expiration
-// times according to the operator formulas (1)–(10) of the paper. Every
-// expression also knows
-//
-//   - texp(e): a lower bound on the time when a materialisation computed
-//     now becomes incorrect (∞ for monotonic expressions, §2.3/§2.6), and
-//   - I(e): the set of intervals during which such a materialisation is
-//     valid — the Schrödinger semantics of §3.4, a superset of
-//     [now, texp(e)[.
+// times according to the operator formulas (1)–(10) of the paper. The same
+// pass yields texp(e), a lower bound on the time when a materialisation
+// computed at τ becomes incorrect (∞ for monotonic expressions, §2.3/§2.6);
+// ExprTexp reads it without the rows, and Validity derives I(e), the set of
+// intervals during which the materialisation is valid (§3.4).
 type Expr interface {
 	// Schema returns the result schema.
 	Schema() tuple.Schema
@@ -34,10 +31,6 @@ type Expr interface {
 	// and immutable, and Stream returns texp(e) for a materialisation made
 	// at tau. The caller holds the read locks of the base relations.
 	Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error)
-	// ExprTexp returns texp(e) for a materialisation computed at tau.
-	ExprTexp(tau xtime.Time) (xtime.Time, error)
-	// Validity returns I(e) for a materialisation computed at tau.
-	Validity(tau xtime.Time) (interval.Set, error)
 	// Children returns the direct subexpressions.
 	Children() []Expr
 	fmt.Stringer
@@ -68,63 +61,10 @@ func (b *Base) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, erro
 	return xtime.Infinity, nil
 }
 
-// ExprTexp implements Expr: the expiration time of a base relation is
-// defined to be infinity.
-func (b *Base) ExprTexp(xtime.Time) (xtime.Time, error) { return xtime.Infinity, nil }
-
-// Validity implements Expr: a base relation is valid from the query time
-// on.
-func (b *Base) Validity(tau xtime.Time) (interval.Set, error) {
-	return interval.From(tau), nil
-}
-
 // Children implements Expr.
 func (b *Base) Children() []Expr { return nil }
 
 func (b *Base) String() string { return b.Name }
-
-// monotonicValidity computes I(e) for a monotonic operator over children:
-// [τ, ∞[ intersected with the children's validity (which matters when a
-// monotonic operator is stacked on a non-monotonic subexpression).
-func monotonicValidity(tau xtime.Time, children ...Expr) (interval.Set, error) {
-	v := interval.From(tau)
-	for _, c := range children {
-		cv, err := c.Validity(tau)
-		if err != nil {
-			return interval.Set{}, err
-		}
-		v = v.Intersect(cv)
-	}
-	return v, nil
-}
-
-// minChildTexp combines texp of children with min, the rule the paper
-// gives for every monotonic operator.
-func minChildTexp(tau xtime.Time, children ...Expr) (xtime.Time, error) {
-	t := xtime.Infinity
-	for _, c := range children {
-		ct, err := c.ExprTexp(tau)
-		if err != nil {
-			return 0, err
-		}
-		t = xtime.Min(t, ct)
-	}
-	return t, nil
-}
-
-// Window derives the uniform validity stamp of e at tau: the half-open
-// window [tau, texp(e)) during which a result materialised at tau stays
-// correct. Every operator folds its own expiration rule into ExprTexp —
-// min-combining for monotonic operators (Theorem 1), χ/ν change points
-// for aggregates — so Window is the one call sites need to stamp any
-// query result, cacheable or not, with the same validity semantics.
-func Window(e Expr, tau xtime.Time) (interval.Validity, error) {
-	texp, err := e.ExprTexp(tau)
-	if err != nil {
-		return interval.Validity{}, err
-	}
-	return interval.Validity{At: tau, ValidUntil: texp}, nil
-}
 
 // Walk visits e and all subexpressions depth-first, parents before
 // children.
@@ -135,15 +75,59 @@ func Walk(e Expr, fn func(Expr)) {
 	}
 }
 
-// IsMonotonic re-derives monotonicity structurally; exposed for tests and
-// planners.
-func IsMonotonic(e Expr) bool {
-	mono := true
-	Walk(e, func(x Expr) {
-		switch x.(type) {
-		case *Diff, *Agg:
-			mono = false
+// ExprTexp is texp(e) for a materialisation computed at tau: what
+// e.Stream(tau, …) returns, read without keeping the rows. A monotonic
+// subtree is ∞ (§2.3, §2.6) and is not evaluated; a difference and an
+// aggregation take the walk their rows come from (formulas (11) and (9));
+// every other operator is the min over its children. The caller holds the
+// read locks of the base relations.
+func ExprTexp(e Expr, tau xtime.Time) (xtime.Time, error) {
+	if e.Monotonic() {
+		return xtime.Infinity, nil
+	}
+	switch n := e.(type) {
+	case *Diff:
+		return n.Stream(tau, func(relation.Row) {})
+	case *Agg:
+		texp, _, err := n.fold(tau, func(*partition) {})
+		return texp, err
+	}
+	texp := xtime.Infinity
+	for _, c := range e.Children() {
+		ct, err := ExprTexp(c, tau)
+		if err != nil {
+			return 0, err
 		}
-	})
-	return mono
+		texp = xtime.Min(texp, ct)
+	}
+	return texp, nil
+}
+
+// Validity is I(e) for a materialisation computed at tau — the Schrödinger
+// semantics of §3.4: the instants from tau on at which it, expired as time
+// passes, equals a recomputation, a superset of [tau, texp(e)[. Only a
+// difference and an aggregation remove instants of their own; every node
+// intersects its children's sets, starting from [tau, ∞[. The caller holds
+// the read locks of the base relations.
+func Validity(e Expr, tau xtime.Time) (interval.Set, error) {
+	v := interval.From(tau)
+	if e.Monotonic() {
+		return v, nil
+	}
+	var err error
+	switch n := e.(type) {
+	case *Diff:
+		v, err = n.validity(tau)
+	case *Agg:
+		v, err = n.validity(tau)
+	}
+	for _, c := range e.Children() {
+		if err != nil {
+			return interval.Set{}, err
+		}
+		var cv interval.Set
+		cv, err = Validity(c, tau)
+		v = v.Intersect(cv)
+	}
+	return v, err
 }

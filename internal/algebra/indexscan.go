@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"expdb/internal/index"
-	"expdb/internal/interval"
 	"expdb/internal/relation"
 	"expdb/internal/tuple"
 	"expdb/internal/value"
@@ -21,7 +20,7 @@ import (
 // lazy sweeper has removed them.
 //
 // Semantically IndexScan ≡ Select{Pred: Full, Child: Base}: same schema,
-// same rows, same per-tuple expiration times, ExprTexp = ∞ and validity
+// same rows, same per-tuple expiration times, texp(e) = ∞ and validity
 // [τ, ∞) (both sides of the equivalence are a monotonic operator over a
 // base leaf). The result-cache key and validity stamping therefore work
 // unchanged on indexed plans.
@@ -80,15 +79,6 @@ func (s *IndexScan) Schema() tuple.Schema { return s.Base.Schema() }
 
 // Monotonic implements Expr: σ over a base leaf is monotonic.
 func (s *IndexScan) Monotonic() bool { return true }
-
-// ExprTexp implements Expr: texp(σ(R)) = texp(R) = ∞.
-func (s *IndexScan) ExprTexp(xtime.Time) (xtime.Time, error) { return xtime.Infinity, nil }
-
-// Validity implements Expr: valid from the query time on, like the
-// selection it replaces.
-func (s *IndexScan) Validity(tau xtime.Time) (interval.Set, error) {
-	return interval.From(tau), nil
-}
 
 // Children implements Expr. The base leaf is reported as the child so
 // lock planning and per-operator recomputation see the table.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"expdb/internal/interval"
 	"expdb/internal/relation"
 	"expdb/internal/tuple"
 	"expdb/internal/xtime"
@@ -45,16 +44,6 @@ func (s *Select) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, er
 			emit(row)
 		}
 	})
-}
-
-// ExprTexp implements Expr: texp(σ(e′)) = texp(e′).
-func (s *Select) ExprTexp(tau xtime.Time) (xtime.Time, error) {
-	return s.Child.ExprTexp(tau)
-}
-
-// Validity implements Expr.
-func (s *Select) Validity(tau xtime.Time) (interval.Set, error) {
-	return monotonicValidity(tau, s.Child)
 }
 
 // Children implements Expr.
@@ -109,16 +98,6 @@ func (p *Project) Grouped() (*Agg, bool) {
 	return a, ok && a.groupsOnly(p.Cols)
 }
 
-// ExprTexp implements Expr: texp(π(e′)) = texp(e′).
-func (p *Project) ExprTexp(tau xtime.Time) (xtime.Time, error) {
-	return p.Child.ExprTexp(tau)
-}
-
-// Validity implements Expr.
-func (p *Project) Validity(tau xtime.Time) (interval.Set, error) {
-	return monotonicValidity(tau, p.Child)
-}
-
 // Children implements Expr.
 func (p *Project) Children() []Expr { return []Expr{p.Child} }
 
@@ -161,16 +140,6 @@ func (p *Product) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, e
 	return xtime.Min(lt, rt), err
 }
 
-// ExprTexp implements Expr: texp(e1 × e2) = min(texp(e1), texp(e2)).
-func (p *Product) ExprTexp(tau xtime.Time) (xtime.Time, error) {
-	return minChildTexp(tau, p.Left, p.Right)
-}
-
-// Validity implements Expr.
-func (p *Product) Validity(tau xtime.Time) (interval.Set, error) {
-	return monotonicValidity(tau, p.Left, p.Right)
-}
-
 // Children implements Expr.
 func (p *Product) Children() []Expr { return []Expr{p.Left, p.Right} }
 
@@ -207,16 +176,6 @@ func (u *Union) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, err
 	}
 	rt, err := u.Right.Stream(tau, emit)
 	return xtime.Min(lt, rt), err
-}
-
-// ExprTexp implements Expr: texp(e1 ∪ e2) = min(texp(e1), texp(e2)).
-func (u *Union) ExprTexp(tau xtime.Time) (xtime.Time, error) {
-	return minChildTexp(tau, u.Left, u.Right)
-}
-
-// Validity implements Expr.
-func (u *Union) Validity(tau xtime.Time) (interval.Set, error) {
-	return monotonicValidity(tau, u.Left, u.Right)
 }
 
 // Children implements Expr.
@@ -339,16 +298,6 @@ func (j *Join) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, erro
 	return xtime.Min(bt, pt), err
 }
 
-// ExprTexp implements Expr.
-func (j *Join) ExprTexp(tau xtime.Time) (xtime.Time, error) {
-	return minChildTexp(tau, j.Left, j.Right)
-}
-
-// Validity implements Expr.
-func (j *Join) Validity(tau xtime.Time) (interval.Set, error) {
-	return monotonicValidity(tau, j.Left, j.Right)
-}
-
 // Children implements Expr.
 func (j *Join) Children() []Expr { return []Expr{j.Left, j.Right} }
 
@@ -392,16 +341,6 @@ func (x *Intersect) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time,
 		}
 	})
 	return xtime.Min(lt, rt), err
-}
-
-// ExprTexp implements Expr.
-func (x *Intersect) ExprTexp(tau xtime.Time) (xtime.Time, error) {
-	return minChildTexp(tau, x.Left, x.Right)
-}
-
-// Validity implements Expr.
-func (x *Intersect) Validity(tau xtime.Time) (interval.Set, error) {
-	return monotonicValidity(tau, x.Left, x.Right)
 }
 
 // Children implements Expr.

@@ -41,7 +41,7 @@ func mustEval(t *testing.T, e Expr, tau xtime.Time) *relation.Relation {
 
 func mustTexp(t *testing.T, e Expr, tau xtime.Time) xtime.Time {
 	t.Helper()
-	x, err := e.ExprTexp(tau)
+	x, err := ExprTexp(e, tau)
 	if err != nil {
 		t.Fatalf("ExprTexp(%s) at %v: %v", e, tau, err)
 	}
@@ -251,11 +251,11 @@ func TestJoinNonEquiFallsBackToNestedLoop(t *testing.T) {
 
 func TestMonotonicFlagAndTexp(t *testing.T) {
 	j, _ := EquiJoin(pol(), 0, el(), 0)
-	if !j.Monotonic() || !IsMonotonic(j) {
+	if !j.Monotonic() {
 		t.Error("join of base relations must be monotonic")
 	}
 	d, _ := NewDiff(pol(), el())
-	if d.Monotonic() || IsMonotonic(d) {
+	if d.Monotonic() {
 		t.Error("difference must be non-monotonic")
 	}
 	s := &Select{Pred: True{}, Child: d}
@@ -294,7 +294,7 @@ func TestTheorem1(t *testing.T) {
 
 func TestValidityOfMonotonicIsFromTau(t *testing.T) {
 	j, _ := EquiJoin(pol(), 0, el(), 0)
-	v, err := j.Validity(4)
+	v, err := Validity(j, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"expdb/internal/index"
+	"expdb/internal/interval"
 	"expdb/internal/relation"
 	"expdb/internal/tuple"
 	"expdb/internal/value"
@@ -92,11 +93,11 @@ func passShapes(t *testing.T, R, S *Base, f, f2 AggFunc, policy AggPolicy) map[s
 }
 
 // TestPassMatchesReference: the evaluation pass — Evaluate, and the
-// ExprTexp / CriticalSet / Helper / FutureChanges readers of the same walk —
-// agrees with the reference evaluator on rows, per-tuple expiration times,
-// texp(e), critical set, helper relation and change count, for every shape ×
-// policy × function, at instants from before the first expiration to past
-// the last.
+// ExprTexp / Validity / CriticalSet / Helper / FutureChanges readers of the
+// same walk — agrees with the reference evaluator on rows, per-tuple
+// expiration times, texp(e), validity, critical set, helper relation and
+// change count, for every shape × policy × function, at instants from
+// before the first expiration to past the last.
 func TestPassMatchesReference(t *testing.T) {
 	funcs := []AggFunc{
 		{Kind: AggMin, Col: 1}, {Kind: AggMax, Col: 2}, {Kind: AggSum, Col: 1}, {Kind: AggSum, Col: 2},
@@ -140,9 +141,26 @@ func checkAgainstReference(t *testing.T, label string, e Expr, tau xtime.Time) {
 	if ev.Texp != wantTexp {
 		t.Fatalf("%s: texp(e) = %v, reference %v", label, ev.Texp, wantTexp)
 	}
-	// The readers of the same walk.
-	if got := mustTexp(t, e, tau); got != wantTexp {
-		t.Fatalf("%s: ExprTexp = %v, reference %v", label, got, wantTexp)
+	// The readers of the same walk, at every node: ExprTexp is the texp its
+	// Stream returns, and Validity holds [τ, texp(n)[.
+	Walk(e, func(n Expr) {
+		texp, err := n.Stream(tau, func(relation.Row) {})
+		if got := mustTexp(t, n, tau); err != nil || got != texp {
+			t.Fatalf("%s: at %s ExprTexp = %v, Stream's texp %v (%v)", label, n, got, texp, err)
+		}
+		v, err := Validity(n, tau)
+		if missed := interval.NewSet(interval.Interval{Start: tau, End: texp}).Subtract(v); err != nil || !missed.Empty() {
+			t.Fatalf("%s: at %s Validity %s misses %s of [τ, texp(e)[ (%v)", label, n, v, missed, err)
+		}
+	})
+	// And Validity is true: the rows materialised at τ, expired as time
+	// passes, are the reference's answer at every instant it contains — up
+	// to τ+24, past the last finite expiration time of the test relations.
+	v, _ := Validity(e, tau)
+	for at := tau; at <= tau+24; at++ {
+		if want, _ := refEval(e, at); v.Contains(at) && !ev.Rel.EqualAt(want, at) {
+			t.Fatalf("%s: Validity %s holds %v, where the reference differs\n%s", label, v, at, want.Render(at))
+		}
 	}
 	if HasFuture(e) {
 		checkFutureAgainstReference(t, label, e, tau)

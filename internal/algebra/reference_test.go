@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"expdb/internal/relation"
@@ -289,6 +290,10 @@ func refNeutral(f AggFunc, n, p []relation.Row) bool {
 	}
 	sumN, cntN := sum(n)
 	sumP, cntP := sum(p)
+	later := slices.DeleteFunc(slices.Clone(p), func(r relation.Row) bool { return r.Texp <= n[0].Texp })
+	if _, cntL := sum(later); cntN > 0 && cntL == 0 && len(later) > 0 && (f.Kind == AggSum || f.Kind == AggAvg) {
+		return false // N holds the last values and tuples outlive it: the value turns NULL (§2.4)
+	}
 	switch f.Kind {
 	case AggSum: // Σ_{t∈N} t(i) = 0
 		return sumN == 0

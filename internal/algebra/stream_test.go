@@ -14,34 +14,20 @@ import (
 
 // TestStreamEvalEquivalenceRandom: on random monotonic trees of depth ≤ 3
 // the streaming pass agrees with the reference evaluator on rows,
-// per-tuple expiration times and texp(e), and its result stays equal to
-// the reference's at every later instant (so the derived texp values agree
-// exactly, not just the alive sets).
+// per-tuple expiration times and texp(e), and, its validity being [τ, ∞),
+// equals the reference's recomputation at every later instant (Theorem 1).
 func TestStreamEvalEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 300; trial++ {
 		bases := []*Base{randRel(rng, "R"), randRel(rng, "S"), randRel(rng, "T")}
 		e := randExpr(rng, bases, 1+rng.Intn(3), true)
-		tau := xtime.Time(rng.Intn(10))
-		label := fmt.Sprintf("trial %d: %s", trial, e)
-		checkAgainstReference(t, label, e, tau)
-		got, err := EvalStream(e, tau)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		want, _ := refEval(e, tau)
-		for tau2 := tau; tau2 <= 24; tau2++ {
-			if !got.EqualAt(want, tau2) {
-				t.Fatalf("%s: stream ≢ reference at τ=%v checked τ′=%v\nstream:\n%s\nreference:\n%s",
-					label, tau, tau2, got.Render(tau2), want.Render(tau2))
-			}
-		}
+		checkAgainstReference(t, fmt.Sprintf("trial %d: %s", trial, e), e, xtime.Time(rng.Intn(10)))
 	}
 }
 
 // TestStreamEvalEquivalenceNonMonotonic: random trees with aggregation and
 // difference anywhere in them agree with the reference evaluator on rows,
-// per-tuple expiration times and texp(e).
+// per-tuple expiration times, texp(e) and validity.
 func TestStreamEvalEquivalenceNonMonotonic(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	for trial := 0; trial < 300; trial++ {

@@ -168,39 +168,3 @@ func TestTheorem2Random(t *testing.T) {
 		}
 	}
 }
-
-// TestValidityRandom: the Schrödinger validity intervals must exactly
-// characterise when the materialisation matches recomputation, for
-// arbitrary expressions, and must contain [τ, texp(e)[.
-func TestValidityRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 300; trial++ {
-		bases := []*Base{randRel(rng, "R"), randRel(rng, "S")}
-		e := randExpr(rng, bases, 1+rng.Intn(2), false)
-		tau := xtime.Time(rng.Intn(6))
-		mat, err := EvalStream(e, tau)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		v, err := e.Validity(tau)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		texp, err := e.ExprTexp(tau)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for tau2 := tau; tau2 <= 26; tau2++ {
-			fresh, _ := refEval(e, tau2)
-			matches := fresh.EqualAt(mat, tau2)
-			if v.Contains(tau2) && !matches {
-				t.Fatalf("trial %d: %s claims valid at %v but diverges (materialised %v)\nI = %s\nmat:\n%s\nfresh:\n%s",
-					trial, e, tau2, tau, v, mat.Render(tau2), fresh.Render(tau2))
-			}
-			if tau2 < texp && !v.Contains(tau2) {
-				t.Fatalf("trial %d: %s validity %s excludes %v < texp(e) = %v",
-					trial, e, v, tau2, texp)
-			}
-		}
-	}
-}

@@ -123,7 +123,7 @@ func runE3(w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "Figure 3(a): πexp_2,3(agg_{2},count(Pol)) at 0:\n%s", indent(histMat.Render(0)))
-	histTexp, err := hist.ExprTexp(0)
+	histTexp, err := algebra.ExprTexp(hist, 0)
 	if err != nil {
 		return err
 	}
@@ -165,7 +165,7 @@ func runE3(w io.Writer) error {
 		prev = n
 	}
 	t.write(w)
-	diffTexp, err := diff.ExprTexp(0)
+	diffTexp, err := algebra.ExprTexp(diff, 0)
 	if err != nil {
 		return err
 	}

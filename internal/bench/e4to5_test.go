@@ -92,14 +92,14 @@ func runE4(w io.Writer) error {
 // invalidation.
 func countInvalidations(e algebra.Expr, horizon xtime.Time) (int, error) {
 	invalidations := 0
-	texp, err := e.ExprTexp(0)
+	texp, err := algebra.ExprTexp(e, 0)
 	if err != nil {
 		return 0, err
 	}
 	for tau := xtime.Time(0); tau <= horizon; tau++ {
 		if tau >= texp {
 			invalidations++
-			texp, err = e.ExprTexp(tau)
+			texp, err = algebra.ExprTexp(e, tau)
 			if err != nil {
 				return 0, err
 			}
@@ -142,7 +142,7 @@ func runE5(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		texp, err := d.ExprTexp(0)
+		texp, err := algebra.ExprTexp(d, 0)
 		if err != nil {
 			return err
 		}
@@ -150,7 +150,7 @@ func runE5(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		validity, err := d.Validity(0)
+		validity, err := algebra.Validity(d, 0)
 		if err != nil {
 			return err
 		}

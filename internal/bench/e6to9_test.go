@@ -262,11 +262,11 @@ func runE9(w io.Writer) error {
 			return err
 		}
 		rewritten := algebra.PushDownSelections(sel)
-		texpO, err := sel.ExprTexp(0)
+		texpO, err := algebra.ExprTexp(sel, 0)
 		if err != nil {
 			return err
 		}
-		texpR, err := rewritten.ExprTexp(0)
+		texpR, err := algebra.ExprTexp(rewritten, 0)
 		if err != nil {
 			return err
 		}

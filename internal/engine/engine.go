@@ -742,20 +742,6 @@ func (e *Engine) Query(expr algebra.Expr) (*relation.Relation, error) {
 	return algebra.EvalStream(expr, now)
 }
 
-// MaterializeExpr evaluates expr at the current tick under the read locks of
-// its base relations and returns the evaluation with the tick it reflects:
-// rows, texp(e) and, for a root that has one, the future a remote copy is
-// maintained with are one consistent snapshot.
-func (e *Engine) MaterializeExpr(expr algebra.Expr) (algebra.Evaluation, xtime.Time, error) {
-	unlock := e.rlockBases(expr)
-	defer unlock()
-	e.mu.RLock()
-	now := e.now
-	e.mu.RUnlock()
-	ev, err := algebra.Materialize(expr, now)
-	return ev, now, err
-}
-
 // CreateView registers and materialises a view at the current tick.
 // Views created through this programmatic API carry no SQL definition
 // and are therefore NOT durable — they vanish on recovery. SQL-created

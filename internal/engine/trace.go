@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"expdb/internal/algebra"
-	"expdb/internal/relation"
 	"expdb/internal/trace"
 	"expdb/internal/view"
 	"expdb/internal/xtime"
@@ -62,19 +61,6 @@ func (e *Engine) Inspect(expr algebra.Expr, fn func(now xtime.Time) error) error
 	now := e.now
 	e.mu.RUnlock()
 	return fn(now)
-}
-
-// QueryTraced evaluates expr like Query but also returns the snapshot
-// tick the evaluation used, so instrumented callers (EXPLAIN ANALYZE)
-// can label per-node measurements with the exact instant they reflect.
-func (e *Engine) QueryTraced(expr algebra.Expr) (*relation.Relation, xtime.Time, error) {
-	unlock := e.rlockBases(expr)
-	defer unlock()
-	e.mu.RLock()
-	now := e.now
-	e.mu.RUnlock()
-	rel, err := algebra.EvalStream(expr, now)
-	return rel, now, err
 }
 
 // emitReadEvents derives the lifecycle events of one view read from its

@@ -19,7 +19,6 @@ import (
 
 	"expdb/internal/index"
 	"expdb/internal/tuple"
-	"expdb/internal/value"
 	"expdb/internal/xtime"
 )
 
@@ -807,8 +806,3 @@ func (r *Relation) MustInsertInts(texp xtime.Time, vs ...int64) {
 	}
 	r.Insert(t, texp)
 }
-
-// ValueAt returns attribute i (0-based) of the single column c of row
-// tuples; convenience for aggregates. (Kept here to avoid exporting row
-// internals elsewhere.)
-func ValueAt(row Row, c int) value.Value { return row.Tuple[c] }

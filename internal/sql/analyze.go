@@ -14,7 +14,7 @@ import (
 
 // analyzed wraps one algebra node for EXPLAIN ANALYZE. The wrapper keeps
 // two handles on the node: orig, the untouched original (used for
-// labels, texp/validity derivations and — crucially — Children, so the
+// labels, the validity derivation and — crucially — Children, so the
 // engine's lock discovery still walks the real tree down to its Base
 // leaves), and inner, the node rebuilt over wrapped children, which is
 // what Stream actually runs so every operator's work flows through its
@@ -85,14 +85,6 @@ func (a *analyzed) Schema() tuple.Schema { return a.orig.Schema() }
 // Monotonic implements algebra.Expr.
 func (a *analyzed) Monotonic() bool { return a.orig.Monotonic() }
 
-// ExprTexp delegates to the original node: difference nodes re-evaluate
-// their children while deriving texp, and routing that through the
-// wrappers would double-count their statistics.
-func (a *analyzed) ExprTexp(tau xtime.Time) (xtime.Time, error) { return a.orig.ExprTexp(tau) }
-
-// Validity implements algebra.Expr, delegating like ExprTexp.
-func (a *analyzed) Validity(tau xtime.Time) (interval.Set, error) { return a.orig.Validity(tau) }
-
 // Children returns the ORIGINAL node's children, so algebra.Walk (and
 // with it the engine's base-relation lock discovery) sees the real tree.
 func (a *analyzed) Children() []algebra.Expr { return a.orig.Children() }
@@ -146,12 +138,11 @@ func (a *analyzed) record(wall time.Duration, texp xtime.Time, rowsOut int) {
 }
 
 // execExplainAnalyze executes the physical plan through the wrapper
-// tree and renders the plan annotated with actuals. Everything — the
-// plan-time texp derivation, the validity intervals and the execution —
-// happens inside one Engine.Inspect lock session, so plan and actual
-// figures describe the same frozen instant. ANALYZE probes the cache
-// state under the plan's key without serving from it, because its purpose
-// is the actuals.
+// tree and renders the plan annotated with actuals. The validity intervals
+// and the execution, which yields texp(e), happen inside one
+// Engine.Inspect lock session, so they describe the same frozen instant.
+// ANALYZE probes the cache state under the plan's key without serving from
+// it, because its purpose is the actuals.
 func (s *Session) execExplainAnalyze(p *Plan) (*Result, error) {
 	phys := p.Physical
 	var cacheLine string
@@ -180,7 +171,6 @@ func (s *Session) execExplainAnalyze(p *Plan) (*Result, error) {
 		rel      *relation.Relation
 		validity interval.Set
 		now      xtime.Time
-		planTexp xtime.Time
 	)
 	err = s.eng.Inspect(root, func(snap xtime.Time) error {
 		now = snap
@@ -188,9 +178,7 @@ func (s *Session) execExplainAnalyze(p *Plan) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		// Plan-time prediction first, then the instrumented execution;
-		// both under the same locks and instant.
-		if planTexp, validity, err = p.window(now); err != nil {
+		if validity, err = p.validity(now); err != nil {
 			return err
 		}
 		rel, err = algebra.EvalStream(root, now)
@@ -207,11 +195,7 @@ func (s *Session) execExplainAnalyze(p *Plan) (*Result, error) {
 	p.header(&b)
 	fmt.Fprintf(&b, "as-of:     t=%s (execution snapshot; plan and actual derivations share it)\n", now)
 	fmt.Fprintf(&b, "monotonic: %v\n", phys.Monotonic())
-	if actual := xtime.Min(root.texp, p.Until); actual != planTexp {
-		fmt.Fprintf(&b, "texp(e):   plan=%s actual=%s\n", planTexp, actual)
-	} else {
-		fmt.Fprintf(&b, "texp(e):   %s (plan = actual)\n", planTexp)
-	}
+	fmt.Fprintf(&b, "texp(e):   %s (plan = actual)\n", xtime.Min(root.texp, p.Until))
 	fmt.Fprintf(&b, "validity:  %s\n", validity)
 	fmt.Fprintf(&b, "cache:     %s\n", cacheLine)
 	fmt.Fprintf(&b, "actual:    %d row(s), wall %s, trace %s\n", root.rowsOut, root.wall, s.tid)

@@ -395,7 +395,7 @@ func TestExpiredPlansAreMadeAgain(t *testing.T) {
 	)
 	outrun := func(times int) error {
 		plans = 0
-		return s.planAndRun(stmt, func(p Plan) (err error) {
+		return s.PlanAndRun(stmt, func(p Plan) (err error) {
 			if plans++; plans <= times {
 				if err := s.eng.Advance(p.Until); err != nil {
 					t.Fatal(err)

@@ -270,12 +270,13 @@ func (p *Plan) expiredAt(now xtime.Time) error {
 // expiring before they run.
 const planAttempts = 3
 
-// planAndRun plans stmt and hands the plan to run; when run reports the
-// plan expired under it, the statement is planned again against the views'
-// new answers — planAttempts times in all, then the error stands. run gets
-// the Plan by value: a pointer handed to a func value would move every
-// statement's Plan to the heap.
-func (s *Session) planAndRun(stmt Statement, run func(Plan) error) error {
+// PlanAndRun plans stmt and hands the plan to run; when run reports the
+// plan expired under it, by an error matching view.ErrInvalid, the
+// statement is planned again against the views' new answers — planAttempts
+// times in all, then the error stands. Every path that evaluates a plan
+// over a view goes through it. run gets the Plan by value: a pointer handed
+// to a func value would move every statement's Plan to the heap.
+func (s *Session) PlanAndRun(stmt Statement, run func(Plan) error) error {
 	for attempt := 1; ; attempt++ {
 		sp := s.span.Child("plan")
 		p, err := s.Plan(stmt)
@@ -461,7 +462,7 @@ func (s *Session) execStmt(stmt Statement) (*Result, error) {
 
 	case *Select:
 		var res *Result
-		err := s.planAndRun(st, func(p Plan) error {
+		err := s.PlanAndRun(st, func(p Plan) error {
 			sp := s.span.Child("execute")
 			qr, err := s.Query(&p)
 			sp.End()
@@ -817,7 +818,7 @@ func (s *Session) execShow(st *Show) (*Result, error) {
 
 func (s *Session) execExplain(st *Explain) (*Result, error) {
 	var res *Result
-	err := s.planAndRun(st.Query, func(p Plan) (err error) {
+	err := s.PlanAndRun(st.Query, func(p Plan) (err error) {
 		if st.Analyze {
 			res, err = s.execExplainAnalyze(&p)
 		} else {
@@ -865,12 +866,18 @@ func (s *Session) explain(p *Plan) (*Result, error) {
 // window derives texp(e) and the validity set of the physical plan at now,
 // both cut at Until, so EXPLAIN prints the window Query would stamp.
 func (p *Plan) window(now xtime.Time) (xtime.Time, interval.Set, error) {
-	texp, err := p.Physical.ExprTexp(now)
+	texp, err := algebra.ExprTexp(p.Physical, now)
 	if err != nil {
 		return 0, interval.Set{}, err
 	}
-	validity, err := p.Physical.Validity(now)
-	return xtime.Min(texp, p.Until), validity.Intersect(interval.NewSet(interval.Interval{End: p.Until})), err
+	validity, err := p.validity(now)
+	return xtime.Min(texp, p.Until), validity, err
+}
+
+// validity is the validity set of the physical plan at now, cut at Until.
+func (p *Plan) validity(now xtime.Time) (interval.Set, error) {
+	v, err := algebra.Validity(p.Physical, now)
+	return v.Intersect(interval.NewSet(interval.Interval{End: p.Until})), err
 }
 
 // header prints the plan's three forms, each only where it differs from
@@ -904,7 +911,7 @@ func explainNode(b *strings.Builder, e algebra.Expr, now xtime.Time, prefix, chi
 		mono = "monotonic"
 	}
 	texp := "?"
-	if t, err := e.ExprTexp(now); err == nil {
+	if t, err := algebra.ExprTexp(e, now); err == nil {
 		texp = t.String()
 	}
 	fmt.Fprintf(b, "%s%s  [%s, texp(e)=%s%s]\n",

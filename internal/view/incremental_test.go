@@ -236,7 +236,7 @@ func TestIncrementalWalksIndexScans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wantTexp, _ := expr.ExprTexp(tau); tau >= gotTexp || gotTexp > wantTexp {
+		if wantTexp, _ := algebra.ExprTexp(expr, tau); tau >= gotTexp || gotTexp > wantTexp {
 			// The cached root may have been materialised earlier, so its
 			// texp(e) is a still-open window no later than a fresh one.
 			t.Fatalf("at %v: incremental texp %v, direct %v", tau, gotTexp, wantTexp)

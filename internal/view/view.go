@@ -332,7 +332,7 @@ func (v *View) Materialize(tau xtime.Time) error {
 	}
 	v.validity = interval.NewSet(interval.Interval{Start: tau, End: v.texp})
 	if v.mode == ModeInterval && !v.patching {
-		val, err := v.expr.Validity(tau)
+		val, err := algebra.Validity(v.expr, tau)
 		if err != nil {
 			return err
 		}

@@ -119,7 +119,7 @@ func TestEveryEntryPointAgreesWithTheLogicalPlan(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					texp, err := p.Logical.ExprTexp(now)
+					texp, err := algebra.ExprTexp(p.Logical, now)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -394,7 +394,7 @@ func TestMovedViewOverTheWire(t *testing.T) {
 // TestServerPlansAgainWhenAViewOutrunsThePlan: the server's clock advances
 // while it answers. A plan over a view that expired before it was evaluated
 // is reported (on both branches: through Session.Query, and through
-// MaterializeExpr when patches are wanted) and respond plans again, so no
+// algebra.Materialize when patches are wanted) and respond plans again, so no
 // response ever travels with Texp ≤ Now — a copy the client would have to
 // discard on arrival.
 func TestServerPlansAgainWhenAViewOutrunsThePlan(t *testing.T) {

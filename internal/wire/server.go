@@ -486,17 +486,9 @@ func (s *Server) materialize(sess *sql.Session, req *Request, resp *Response) er
 		return err
 	}
 	// The clock advances while the server answers, so a plan over a view
-	// can expire before it is evaluated: it is then made again, against the
-	// view's new answer — three plans at most, then the error goes out.
-	for attempt := 1; ; attempt++ {
-		plan, err := sess.Plan(sel)
-		if err != nil {
-			return err
-		}
-		if err = s.evaluate(sess, &plan, req, resp); attempt == 3 || !errors.Is(err, view.ErrInvalid) {
-			return err
-		}
-	}
+	// can expire before it is evaluated: the session then makes it again,
+	// against the view's new answer.
+	return sess.PlanAndRun(sel, func(plan sql.Plan) error { return s.evaluate(sess, &plan, req, resp) })
 }
 
 // evaluate runs plan and writes the answer into resp. A plan that expired
@@ -516,17 +508,23 @@ func (s *Server) evaluate(sess *sql.Session, plan *sql.Plan, req *Request, resp 
 		}
 		rel, resp.Now, resp.Texp, resp.Cached = qr.Rel, qr.At, qr.Validity.ValidUntil, qr.Cached
 	} else {
-		// MaterializeExpr holds the table locks, so the rows, texp(e) and
-		// births are one consistent snapshot even while the server's clock
-		// advances concurrently. The optimiser keeps the root's shape, so
-		// they are still there to ship.
-		ev, now, err := s.eng.MaterializeExpr(plan.Physical)
+		// Under the table locks the rows, texp(e) and births are one
+		// consistent snapshot even while the server's clock advances
+		// concurrently. The optimiser keeps the root's shape, so they are
+		// still there to ship.
+		var ev algebra.Evaluation
+		var now xtime.Time
+		err := s.eng.Inspect(plan.Physical, func(at xtime.Time) (err error) {
+			if at >= plan.Until {
+				return fmt.Errorf("wire: plan expired: it reads a view snapshot valid until %s and the clock is at %s: %w",
+					plan.Until, at, view.ErrInvalid)
+			}
+			now = at
+			ev, err = algebra.Materialize(plan.Physical, at)
+			return err
+		})
 		if err != nil {
 			return err
-		}
-		if now >= plan.Until {
-			return fmt.Errorf("wire: plan expired: it reads a view snapshot valid until %s and the clock is at %s: %w",
-				plan.Until, now, view.ErrInvalid)
 		}
 		// Ship the births, soonest first; a budget keeps the earliest and
 		// pulls Texp back to the first that did not fit (§3.4.2).
