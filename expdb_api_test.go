@@ -7,6 +7,7 @@ package expdb_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -654,6 +655,26 @@ func BenchmarkExecCachedPoint(b *testing.B) {
 		res, err := db.Exec(q)
 		if err != nil || !res.Cached || len(res.Rows()) != 1 {
 			b.Fatalf("cached %v, err %v", res != nil && res.Cached, err)
+		}
+	}
+}
+
+// BenchmarkExecInsert times DB.Exec of INSERT … EXPIRES IN texts, each new
+// to the session, into a table with a hash index: the statement text a
+// stream of TTL inserts sends, lexed, parsed and executed.
+func BenchmarkExecInsert(b *testing.B) {
+	db := expdb.Open()
+	db.MustExec("CREATE TABLE sess (sid INT, uid INT, score INT)")
+	db.MustExec("CREATE INDEX sess_sid ON sess (sid)")
+	stmts := make([]string, b.N)
+	for i := range stmts {
+		stmts[i] = fmt.Sprintf("INSERT INTO sess VALUES (%d, %d, %d) EXPIRES IN %d", i, i%500, i*37%100_000, 1+i%5000)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Exec(stmts[i]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -30,7 +30,7 @@ const (
 type token struct {
 	kind tokenKind
 	text string // keywords are upper-cased; identifiers keep their case
-	pos  int
+	pos  int    // byte offset of the lexeme's first byte
 }
 
 func (t token) String() string {
@@ -40,137 +40,144 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
-// keywords of the dialect.
-var keywords = map[string]bool{
-	"CREATE": true, "TABLE": true, "DROP": true, "INSERT": true, "INTO": true,
-	"VALUES": true, "EXPIRES": true, "NEVER": true, "AT": true, "IN": true,
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"JOIN": true, "ON": true, "AND": true, "OR": true, "NOT": true,
-	"UNION": true, "EXCEPT": true, "INTERSECT": true,
-	"MATERIALIZED": true, "VIEW": true, "AS": true, "WITH": true,
-	"TRIGGER": true, "EXPIRE": true, "DO": true, "NOTIFY": true,
-	"SET": true, "POLICY": true, "ADVANCE": true, "TO": true, "SHOW": true,
-	"TABLES": true, "VIEWS": true, "TIME": true, "STATS": true, "DELETE": true,
-	"METRICS": true,
-	"MIN":     true, "MAX": true, "SUM": true, "COUNT": true, "AVG": true,
-	"INT": true, "INTEGER": true, "FLOAT": true, "STRING": true, "TEXT": true,
-	"BOOL": true, "BOOLEAN": true, "TRUE": true, "FALSE": true, "NULL": true,
-	"REFRESH": true, "EXPLAIN": true, "VALIDITY": true,
-	"ORDER": true, "ASC": true, "DESC": true, "LIMIT": true,
-	"ANALYZE": true, "EVENTS": true, "TRACES": true, "CACHE": true,
-	"HISTORY": true, "HEALTH": true,
-	"INDEX": true, "INDEXES": true, "USING": true,
+// keywords maps each keyword of the dialect to itself: looked up by the
+// bytes of an upper-cased word, it hands back the canonical string without
+// allocating one. None is longer than maxKeyword.
+var keywords = map[string]string{}
+
+const maxKeyword = len("MATERIALIZED")
+
+func init() {
+	for _, k := range strings.Fields(`
+		CREATE TABLE DROP INSERT INTO VALUES EXPIRES NEVER AT IN
+		SELECT FROM WHERE GROUP BY JOIN ON AND OR NOT UNION EXCEPT INTERSECT
+		MATERIALIZED VIEW AS WITH TRIGGER EXPIRE DO NOTIFY
+		SET POLICY ADVANCE TO SHOW TABLES VIEWS TIME STATS DELETE METRICS
+		MIN MAX SUM COUNT AVG
+		INT INTEGER FLOAT STRING TEXT BOOL BOOLEAN TRUE FALSE NULL
+		REFRESH EXPLAIN VALIDITY ORDER ASC DESC LIMIT
+		ANALYZE EVENTS TRACES CACHE HISTORY HEALTH INDEX INDEXES USING`) {
+		keywords[k] = k
+	}
 }
 
-// lex tokenises input, reporting the first malformed lexeme as an error.
-func lex(input string) ([]token, error) {
-	var toks []token
-	i := 0
+// lex tokenises input into toks[:0], growing it only when input has more
+// lexemes than it holds, and reports the first malformed lexeme as an
+// error. Identifier, number and symbol tokens are slices of input. ASCII
+// is scanned a byte at a time; a byte ≥ utf8.RuneSelf is decoded and
+// classified as a rune, as is every rune of a word that contains one.
+func lex(input string, toks []token) ([]token, error) {
+	toks = toks[:0]
 	n := len(input)
-	for i < n {
-		c, width := utf8.DecodeRuneInString(input[i:])
+	for i := 0; i < n; {
+		c, start := input[i], i
 		switch {
-		case unicode.IsSpace(c):
-			i += width
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' || c == '\f':
+			i++
 		case c == '-' && i+1 < n && input[i+1] == '-': // comment to end of line
 			for i < n && input[i] != '\n' {
 				i++
 			}
-		case isIdentStart(c):
-			start := i
-			for i < n {
+		case c >= utf8.RuneSelf || c == '_' || unicode.IsLetter(rune(c)):
+			if c >= utf8.RuneSelf {
 				r, w := utf8.DecodeRuneInString(input[i:])
-				if !isIdentPart(r) {
-					break
+				if unicode.IsSpace(r) {
+					i += w
+					continue
 				}
-				i += w
-			}
-			word := input[start:i]
-			up := strings.ToUpper(word)
-			if keywords[up] {
-				toks = append(toks, token{kind: tokKeyword, text: up, pos: start})
-			} else {
-				toks = append(toks, token{kind: tokIdent, text: word, pos: start})
-			}
-		case unicode.IsDigit(c):
-			start := i
-			isFloat := false
-			for i < n && (unicode.IsDigit(rune(input[i])) || input[i] == '.') {
-				if input[i] == '.' {
-					if isFloat {
-						return nil, fmt.Errorf("sql: malformed number at offset %d", start)
-					}
-					isFloat = true
+				if !unicode.IsLetter(r) { // a non-ASCII digit starts no number
+					return toks, fmt.Errorf("sql: unexpected character %q at offset %d", r, i)
 				}
-				i++
 			}
+			var nonASCII bool
+			i, nonASCII = wordEnd(input, i)
+			toks = append(toks, word(input[start:i], nonASCII, start))
+		case isDigit(c):
 			kind := tokInt
-			if isFloat {
-				kind = tokFloat
+			for ; i < n && (isDigit(input[i]) || input[i] == '.'); i++ {
+				if input[i] == '.' {
+					if kind == tokFloat {
+						return toks, fmt.Errorf("sql: malformed number at offset %d", start)
+					}
+					kind = tokFloat
+				}
 			}
 			toks = append(toks, token{kind: kind, text: input[start:i], pos: start})
 		case c == '\'':
-			i++
-			var sb strings.Builder
-			closed := false
-			for i < n {
-				if input[i] == '\'' {
-					if i+1 < n && input[i+1] == '\'' { // doubled quote escape
-						sb.WriteByte('\'')
-						i += 2
-						continue
-					}
-					closed = true
-					i++
+			for i++; ; i++ { // to past the first quote that is not doubled
+				j := strings.IndexByte(input[i:], '\'')
+				if j < 0 {
+					return toks, fmt.Errorf("sql: unterminated string literal")
+				}
+				if i += j + 1; i == n || input[i] != '\'' {
 					break
 				}
-				sb.WriteByte(input[i])
-				i++
 			}
-			if !closed {
-				return nil, fmt.Errorf("sql: unterminated string literal")
-			}
-			toks = append(toks, token{kind: tokString, text: sb.String(), pos: i})
-		case c == '<':
-			if i+1 < n && (input[i+1] == '=' || input[i+1] == '>') {
-				toks = append(toks, token{kind: tokSymbol, text: input[i : i+2], pos: i})
-				i += 2
-			} else {
-				toks = append(toks, token{kind: tokSymbol, text: "<", pos: i})
-				i++
-			}
-		case c == '>':
-			if i+1 < n && input[i+1] == '=' {
-				toks = append(toks, token{kind: tokSymbol, text: ">=", pos: i})
-				i += 2
-			} else {
-				toks = append(toks, token{kind: tokSymbol, text: ">", pos: i})
-				i++
-			}
+			// A copy: the literal may be stored in a row that outlives input.
+			lit := strings.ReplaceAll(strings.Clone(input[start+1:i-1]), "''", "'")
+			toks = append(toks, token{kind: tokString, text: lit, pos: start})
 		case c == '!':
-			if i+1 < n && input[i+1] == '=' {
-				toks = append(toks, token{kind: tokSymbol, text: "<>", pos: i})
-				i += 2
-			} else {
-				return nil, fmt.Errorf("sql: unexpected '!' at offset %d", i)
+			if i+1 == n || input[i+1] != '=' {
+				return toks, fmt.Errorf("sql: unexpected '!' at offset %d", i)
 			}
-		case strings.ContainsRune("(),;*=.+-", c):
+			toks = append(toks, token{kind: tokSymbol, text: "<>", pos: start})
+			i += 2
+		case c == '<' || c == '>':
+			i++
+			if i < n && (input[i] == '=' || c == '<' && input[i] == '>') {
+				i++
+			}
+			toks = append(toks, token{kind: tokSymbol, text: input[start:i], pos: start})
+		case strings.IndexByte("(),;*=.+-", c) >= 0:
 			// '-' here is a unary minus for negative literals or the
 			// subtraction-free dialect; the parser decides.
-			toks = append(toks, token{kind: tokSymbol, text: string(c), pos: i})
 			i++
+			toks = append(toks, token{kind: tokSymbol, text: input[start:i], pos: start})
 		default:
-			return nil, fmt.Errorf("sql: unexpected character %q at offset %d", c, i)
+			return toks, fmt.Errorf("sql: unexpected character %q at offset %d", rune(c), i)
 		}
 	}
-	toks = append(toks, token{kind: tokEOF, pos: n})
-	return toks, nil
+	return append(toks, token{kind: tokEOF, pos: n}), nil
 }
 
-func isIdentStart(c rune) bool {
-	return unicode.IsLetter(c) || c == '_'
+// wordEnd returns the end of the identifier or keyword at i (letters and
+// digits of any script, and '_'), and whether it holds a non-ASCII rune.
+func wordEnd(input string, i int) (int, bool) {
+	nonASCII := false
+	for i < len(input) {
+		r, w := rune(input[i]), 1
+		if r >= utf8.RuneSelf {
+			r, w = utf8.DecodeRuneInString(input[i:])
+		}
+		if r != '_' && !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+			break
+		}
+		nonASCII, i = nonASCII || w > 1, i+w
+	}
+	return i, nonASCII
 }
 
-func isIdentPart(c rune) bool {
-	return unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_'
+// word makes the token of the word w at pos: a keyword when w upper-cased
+// is one, else an identifier. An ASCII word is upper-cased into a stack
+// buffer; any other folds through strings.ToUpper, which may map it onto
+// an ASCII keyword (ſelect is SELECT).
+func word(w string, nonASCII bool, pos int) token {
+	kw, ok := "", false
+	if nonASCII {
+		kw, ok = keywords[strings.ToUpper(w)]
+	} else if len(w) <= maxKeyword {
+		var up [maxKeyword]byte
+		for j := range len(w) {
+			if up[j] = w[j]; 'a' <= up[j] && up[j] <= 'z' {
+				up[j] -= 'a' - 'A'
+			}
+		}
+		kw, ok = keywords[string(up[:len(w)])]
+	}
+	if !ok {
+		return token{kind: tokIdent, text: w, pos: pos}
+	}
+	return token{kind: tokKeyword, text: kw, pos: pos}
 }
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }

@@ -177,7 +177,10 @@ func TestMultiRowInsert(t *testing.T) {
 	s := NewSession(engine.New(), nil)
 	mustExec(t, s, "CREATE TABLE x (id INT, v INT)")
 	res := mustExec(t, s, "INSERT INTO x VALUES (1, 10), (2, 20), (3, 30) EXPIRES AT 9")
-	if !strings.Contains(res.Msg, "3 tuple(s)") {
+	if res.Msg != "3 tuple(s) inserted into x (expires 9)" {
+		t.Fatalf("msg = %q", res.Msg)
+	}
+	if res = mustExec(t, s, "INSERT INTO x VALUES (4, 40)"); res.Msg != "1 tuple(s) inserted into x (expires inf)" {
 		t.Fatalf("msg = %q", res.Msg)
 	}
 }
@@ -244,12 +247,12 @@ func TestRefreshView(t *testing.T) {
 func TestTriggersThroughSQL(t *testing.T) {
 	var out strings.Builder
 	s := NewSession(engine.New(), &out)
-	mustExec(t, s, "CREATE TABLE sess (id INT)")
+	mustExec(t, s, "CREATE TABLE sess (id INT, who STRING, score FLOAT)")
 	mustExec(t, s, "CREATE TRIGGER bye ON sess ON EXPIRE DO NOTIFY 'session ended'")
-	mustExec(t, s, "INSERT INTO sess VALUES (42) EXPIRES AT 3")
-	mustExec(t, s, "ADVANCE TO 5")
-	if !strings.Contains(out.String(), "bye") || !strings.Contains(out.String(), "⟨42⟩") {
-		t.Fatalf("trigger output = %q", out.String())
+	mustExec(t, s, "INSERT INTO sess VALUES (4242, 'o''neil', -2.5) EXPIRES AT 300")
+	mustExec(t, s, "ADVANCE TO 500")
+	if want := "NOTIFY bye: sess ⟨4242, \"o'neil\", -2.5⟩ expired at 300 (fired 300)\n"; out.String() != want {
+		t.Fatalf("trigger output = %q, want %q", out.String(), want)
 	}
 }
 

@@ -150,16 +150,20 @@ func (t Tuple) KeyCols(cols []int) string {
 
 // String renders the tuple in the paper's angle-bracket style: ⟨1, 25⟩.
 func (t Tuple) String() string {
-	var b strings.Builder
-	b.WriteString("⟨")
+	var buf [64]byte
+	return string(t.AppendString(buf[:0]))
+}
+
+// AppendString appends t, rendered as String renders it, to b.
+func (t Tuple) AppendString(b []byte) []byte {
+	b = append(b, "⟨"...)
 	for i, v := range t {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		b.WriteString(v.String())
+		b = append(b, v.String()...)
 	}
-	b.WriteString("⟩")
-	return b.String()
+	return append(b, "⟩"...)
 }
 
 // Column describes one attribute of a schema.

@@ -485,3 +485,22 @@ func srvRespond(t *testing.T, eng *engine.Engine, req *Request) *Response {
 	s := NewServer(eng, nil)
 	return s.respond(sql.NewSession(eng, nil), req)
 }
+
+// TestNonASCIIDigitQuery: a query holding a non-ASCII decimal digit (which
+// once kept the lexer from returning) gets an error reply, and the server
+// keeps serving the connection.
+func TestNonASCIIDigitQuery(t *testing.T) {
+	_, _, addr := startServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	err = c.Materialize("SELECT * FROM pol WHERE uid = ٣", false)
+	if err == nil || !strings.Contains(err.Error(), "unexpected character '٣'") {
+		t.Fatalf("err = %v, want the lexer's unexpected character", err)
+	}
+	if err := c.Materialize("SELECT uid FROM pol WHERE uid = 3", false); err != nil {
+		t.Fatalf("the next request: %v", err)
+	}
+}

@@ -26,9 +26,10 @@ BenchmarkIndexedPointLookup    ./internal/engine  6  lock plan and probe free; r
 BenchmarkScanFilter            ./internal/engine  84 an unindexed range over 2 000 rows returning about 40: the memoised parse and lowering, the optimiser, the compiled predicate (7), then a set key per row returned and the growth of the key map and of the slot array (1, 8, 64 rows); allocations follow output rows, never scanned rows (measured 76; 120 when every read parsed and lowered)
 BenchmarkJoinProbe             ./internal/engine  287 2 000 rows streamed through a selection and a hash probe against a 20-row build side, about 40 rows out: a key and a bucket per build row, a tuple, a projection and a set key per row returned; the probe encodes into one buffer and allocates nothing per probed row (measured 261; 371 when every read parsed and lowered, 1 331 when every probe made a string)
 BenchmarkExecCachedPoint       .                  16 DB.Exec and Rows() of an indexed point read the result cache answers, its text in the statement memo: no parse, no lowering; the optimiser, the cache hit and the result (measured 13; 63 when every read parsed and lowered)
+BenchmarkExecInsert            .                  10 DB.Exec of an INSERT … EXPIRES IN text new to the session into a hash-indexed table: lexed into the token buffer the session keeps (nothing), one array for the values and one for the rows, the statement, the stored tuple, its set key, the key and entry of the hash index, the result, its message and the texp printed in it (measured 10; 23 when the lexer grew its slice and upper-cased every word, and the message went through fmt)
 BenchmarkIndexedDelete         ./internal/engine  2  victim key slice and the closure filling it; nothing scales with the table, and recording each removed tuple in the write tail adds nothing (measured 2)
 BenchmarkSamplerTick           ./internal/monitor 0  the sampler runs forever: one allocation per tick is a slow leak
-BenchmarkWireRespondPoint      ./internal/wire    54 a remote point read: parse, one Plan, the probe, the response; no per-request session, second key derivation, sort, EXPLAIN text or kept lowering (measured 49; 71 when the optimiser formatted its choices, 110 and 170 KB when it scanned)
+BenchmarkWireRespondPoint      ./internal/wire    40 a remote point read: parse (its tokens on the stack), one Plan, the probe, the response; no per-request session, second key derivation, sort, EXPLAIN text or kept lowering (measured 40; 49 when the lexer grew a token slice and allocated its symbols, 71 when the optimiser formatted its choices, 110 and 170 KB when it scanned)
 '
 
 fail=0
