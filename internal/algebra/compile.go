@@ -1,54 +1,63 @@
 package algebra
 
-import "expdb/internal/tuple"
+import (
+	"math"
+
+	"expdb/internal/tuple"
+)
 
 // compile turns p into the test a streaming operator runs once per row.
 // Holds stays the definition of every predicate; compile only changes what a
 // row pays for it, and only for the shapes a scan spends its time in:
 //
 //   - nil and True compile to nil — no test, no closure, no allocation;
-//   - a comparison of a column with an INT constant reads the attribute in
-//     place and compares machine integers whenever that row's value is an
-//     INT. The kind is checked per value, not taken from the schema:
-//     Schema.Validate lets a FLOAT or NULL into an INT column, and those
-//     rows take Holds with its coercion and kind ranking;
-//   - a conjunction is its compiled conjuncts, nested ones flattened;
-//   - anything else is p.Holds.
+//   - a conjunction is flattened, and its comparisons of a column with an
+//     INT constant by =, <, <=, > or >= fold into one closed interval
+//     [lo, hi] per column. A row passes an interval when its value v is an
+//     INT with uint64(v−lo) ≤ uint64(hi−lo): one subtraction and one
+//     unsigned compare, whatever the number of bounds. Contradictory bounds
+//     leave an empty interval, which no INT passes. The kind is checked per
+//     value, not taken from the schema: Schema.Validate lets a FLOAT or NULL
+//     into an INT column, and such a row takes Holds of the whole
+//     conjunction, with its coercion and kind ranking;
+//   - the other conjuncts (<>, ColCol, Or, Not, non-INT constants) run
+//     their Holds after the intervals.
 //
 // An operator compiles at the start of each evaluation and keeps the closure
 // on its own stack: nothing is cached on the plan node, so plans stay
 // immutable values that sessions, views and the result cache share freely.
 func compile(p Predicate) func(tuple.Tuple) bool {
-	switch p := p.(type) {
-	case nil, True:
-		return nil
-	case And:
-		return compileAll(p.Preds)
-	case ColConst:
-		if c, ok := p.Const.Int64(); ok {
-			col, op := p.Col, p.Op
+	var c conjunction
+	c.add(p)
+	for _, r := range c.ranges {
+		if r.lo > r.hi {
+			col := r.col
 			return func(t tuple.Tuple) bool {
-				if v, ok := t[col].Int64(); ok {
-					return op.holdsInt(v, c)
+				if _, ok := t[col].Int64(); ok {
+					return false
 				}
 				return p.Holds(t)
 			}
 		}
 	}
-	return p.Holds
-}
-
-// compileAll compiles the conjunction of ps (an empty one is true).
-func compileAll(ps []Predicate) func(tuple.Tuple) bool {
-	tests := appendCompiled(nil, ps)
-	switch len(tests) {
-	case 0:
+	ranges, rest := c.ranges, c.rest
+	switch {
+	case len(ranges) == 0 && len(rest) == 0:
 		return nil
-	case 1:
-		return tests[0]
+	case len(ranges) == 0 && len(rest) == 1:
+		return rest[0]
 	}
 	return func(t tuple.Tuple) bool {
-		for _, holds := range tests {
+		for _, r := range ranges {
+			v, ok := t[r.col].Int64()
+			if !ok {
+				return p.Holds(t)
+			}
+			if uint64(v-r.lo) > uint64(r.hi-r.lo) {
+				return false
+			}
+		}
+		for _, holds := range rest {
 			if !holds(t) {
 				return false
 			}
@@ -57,31 +66,66 @@ func compileAll(ps []Predicate) func(tuple.Tuple) bool {
 	}
 }
 
-func appendCompiled(tests []func(tuple.Tuple) bool, ps []Predicate) []func(tuple.Tuple) bool {
-	for _, p := range ps {
-		if and, ok := p.(And); ok {
-			tests = appendCompiled(tests, and.Preds)
-		} else if holds := compile(p); holds != nil {
-			tests = append(tests, holds)
-		}
-	}
-	return tests
+// conjunction is a predicate taken apart for compile: an interval per
+// column that INT bounds restrict, and the Holds of everything else.
+type conjunction struct {
+	ranges []intRange
+	rest   []func(tuple.Tuple) bool
 }
 
-// holdsInt is op.eval(Compare) for two INTs.
-func (op CmpOp) holdsInt(a, b int64) bool {
+// intRange is the closed interval [lo, hi] an INT in column col must lie
+// in; lo > hi when its bounds contradict each other.
+type intRange struct {
+	col    int
+	lo, hi int64
+}
+
+func (c *conjunction) add(p Predicate) {
+	switch p := p.(type) {
+	case nil, True:
+	case And:
+		for _, q := range p.Preds {
+			c.add(q)
+		}
+	case ColConst:
+		if k, ok := p.Const.Int64(); ok && p.Op != OpNe {
+			c.narrow(p.Col, p.Op, k)
+			return
+		}
+		c.rest = append(c.rest, p.Holds)
+	default:
+		c.rest = append(c.rest, p.Holds)
+	}
+}
+
+// narrow intersects column col's interval with the INTs v for which v op k.
+func (c *conjunction) narrow(col int, op CmpOp, k int64) {
+	i := 0
+	for i < len(c.ranges) && c.ranges[i].col != col {
+		i++
+	}
+	if i == len(c.ranges) {
+		c.ranges = append(c.ranges, intRange{col: col, lo: math.MinInt64, hi: math.MaxInt64})
+	}
+	r := &c.ranges[i]
 	switch op {
 	case OpEq:
-		return a == b
-	case OpNe:
-		return a != b
-	case OpLt:
-		return a < b
+		r.lo, r.hi = max(r.lo, k), min(r.hi, k)
 	case OpLe:
-		return a <= b
+		r.hi = min(r.hi, k)
+	case OpGe:
+		r.lo = max(r.lo, k)
+	case OpLt:
+		if k == math.MinInt64 {
+			r.lo, r.hi = math.MaxInt64, math.MinInt64
+		} else {
+			r.hi = min(r.hi, k-1)
+		}
 	case OpGt:
-		return a > b
-	default:
-		return a >= b
+		if k == math.MaxInt64 {
+			r.lo, r.hi = math.MaxInt64, math.MinInt64
+		} else {
+			r.lo = max(r.lo, k+1)
+		}
 	}
 }

@@ -113,6 +113,26 @@ func TestCompileMatchesHolds(t *testing.T) {
 	}
 }
 
+// FuzzCompileMatchesHolds: the input draws, one byte a decision (byteSource),
+// a predicate of depth ≤ 3 — And, Or and Not over ColConst and ColCol, its
+// constants and row values from kernelValues: INT, FLOAT, NULL, BOOL and
+// STRING, MinInt64 and MaxInt64 among them — then one to eight rows; the
+// compiled test must answer Holds on every row. Contradictory INT bounds,
+// which compile folds into an empty interval, are one seed.
+func FuzzCompileMatchesHolds(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		rng := rand.New((*byteSource)(&in))
+		p := kernelPred(rng, kernelArity, 3)
+		holds := compiled(p)
+		for i := 1 + rng.Intn(8); i > 0; i-- {
+			row := tuple.T(kernelValue(rng), kernelValue(rng), kernelValue(rng))
+			if got, want := holds(row), p.Holds(row); got != want {
+				t.Fatalf("compile(%s)(%s) = %v, Holds %v", p, row, got, want)
+			}
+		}
+	})
+}
+
 // TestKernelValuesOrder: over the values a predicate meets, Compare is
 // transitive and its equality is Equal and set-key equality — so a hash
 // probe finds exactly the rows an equality predicate holds for.

@@ -276,7 +276,7 @@ func (j *Join) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, erro
 			brows, key = idx.Probe(pr.Tuple, probeCols, key)
 			return brows
 		}
-		holds = compileAll(rest)
+		holds = compile(And{Preds: rest})
 	} else {
 		brows := b.Rows(tau)
 		candidates = func(relation.Row) []relation.Row { return brows }

@@ -9,7 +9,6 @@ import (
 	"expdb/internal/engine"
 	"expdb/internal/relation"
 	"expdb/internal/sql"
-	"expdb/internal/trace"
 	"expdb/internal/tuple"
 	"expdb/internal/value"
 	"expdb/internal/view"
@@ -29,12 +28,6 @@ type remoteRun struct {
 // server advances, then the client reads its copy — or, with refetch set,
 // fetches the query again as a TTL-only store would.
 func remoteDiff(horizon xtime.Time, withPatches bool, budget int, refetch bool) (remoteRun, error) {
-	// Each message carries a trace ID from the process-wide counter, gob
-	// encoded in as few bytes as its value needs. Moving the counter past
-	// 2^16 fixes that width at four bytes for the next 16 million IDs, so
-	// the byte counts do not depend on what ran earlier in the process.
-	for trace.NextID() < 1<<16 {
-	}
 	eng := engine.New()
 	sess := sql.NewSession(eng, nil)
 	for _, q := range []string{

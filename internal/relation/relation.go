@@ -135,8 +135,12 @@ type NamedIndex struct {
 var lockSeq atomic.Uint64
 
 // New returns an empty relation with the given schema.
-func New(schema tuple.Schema) *Relation {
-	return &Relation{order: lockSeq.Add(1), schema: schema, keys: make(map[string]slot)}
+func New(schema tuple.Schema) *Relation { return NewSized(schema, 0) }
+
+// NewSized is New with room for n rows, for a caller that knows how many it
+// is about to insert: the store and its key map never grow on the way.
+func NewSized(schema tuple.Schema, n int) *Relation {
+	return &Relation{order: lockSeq.Add(1), schema: schema, keys: make(map[string]slot, n), slots: make([]Row, 0, n)}
 }
 
 // Lock write-locks the relation.

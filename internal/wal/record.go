@@ -34,10 +34,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 
 	"expdb/internal/tuple"
-	"expdb/internal/value"
 	"expdb/internal/xtime"
 )
 
@@ -170,11 +168,12 @@ const (
 // reader treats it as the end of the log.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
-// appendRecord appends the framed encoding of rec to dst. Everything is
-// copied into dst immediately: rec may alias caller-owned memory (the
-// engine hands its in-flight tuple straight in), and after appendRecord
-// returns, no reference to it survives — the aliasing contract the
-// pooled-key-buffer paths of the engine rely on.
+// appendRecord appends the framed encoding of rec to dst; the fields are in
+// the row encoding (tuple.AppendTo and its siblings). Everything is copied
+// into dst immediately: rec may alias caller-owned memory (the engine hands
+// its in-flight tuple straight in), and after appendRecord returns, no
+// reference to it survives — the aliasing contract the pooled-key-buffer
+// paths of the engine rely on.
 func appendRecord(dst []byte, rec *Record) []byte {
 	head := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
@@ -182,28 +181,28 @@ func appendRecord(dst []byte, rec *Record) []byte {
 	dst = append(dst, byte(rec.Kind))
 	switch rec.Kind {
 	case KindInsert:
-		dst = appendString(dst, rec.Name)
-		dst = appendTuple(dst, rec.Tuple)
-		dst = appendTime(dst, rec.Texp)
+		dst = tuple.AppendString(dst, rec.Name)
+		dst = rec.Tuple.AppendTo(dst)
+		dst = tuple.AppendTime(dst, rec.Texp)
 	case KindDelete:
-		dst = appendString(dst, rec.Name)
-		dst = appendString(dst, rec.Key)
+		dst = tuple.AppendString(dst, rec.Name)
+		dst = tuple.AppendString(dst, rec.Key)
 	case KindAdvance, KindSweep:
-		dst = appendTime(dst, rec.Texp)
+		dst = tuple.AppendTime(dst, rec.Texp)
 	case KindCreateTable, KindSnapTable:
-		dst = appendString(dst, rec.Name)
-		dst = appendSchema(dst, rec.Schema)
+		dst = tuple.AppendString(dst, rec.Name)
+		dst = rec.Schema.AppendTo(dst)
 	case KindDropTable, KindDropView, KindDropIndex:
-		dst = appendString(dst, rec.Name)
+		dst = tuple.AppendString(dst, rec.Name)
 	case KindCreateView, KindSnapView, KindCreateIndex, KindSnapIndex:
-		dst = appendString(dst, rec.Name)
-		dst = appendString(dst, rec.Def)
+		dst = tuple.AppendString(dst, rec.Name)
+		dst = tuple.AppendString(dst, rec.Def)
 	case KindSnapHeader:
-		dst = appendTime(dst, rec.Texp)
-		dst = appendTime(dst, rec.Aux)
+		dst = tuple.AppendTime(dst, rec.Texp)
+		dst = tuple.AppendTime(dst, rec.Aux)
 	case KindSnapRow:
-		dst = appendTuple(dst, rec.Tuple)
-		dst = appendTime(dst, rec.Texp)
+		dst = rec.Tuple.AppendTo(dst)
+		dst = tuple.AppendTime(dst, rec.Texp)
 	case KindSnapFooter:
 		dst = binary.AppendUvarint(dst, rec.Count)
 	}
@@ -243,209 +242,42 @@ func readRecord(buf []byte, off int) (Record, int, error) {
 }
 
 func decodePayload(p []byte) (Record, error) {
-	d := decoder{buf: p}
-	rec := Record{Kind: Kind(d.u8())}
+	d := tuple.NewDecoder(p)
+	rec := Record{Kind: Kind(d.Byte())}
 	switch rec.Kind {
 	case KindInsert:
-		rec.Name = d.str()
-		rec.Tuple = d.tuple()
-		rec.Texp = d.time()
+		rec.Name = d.Str()
+		rec.Tuple = d.Tuple()
+		rec.Texp = d.Time()
 	case KindDelete:
-		rec.Name = d.str()
-		rec.Key = d.str()
+		rec.Name = d.Str()
+		rec.Key = d.Str()
 	case KindAdvance, KindSweep:
-		rec.Texp = d.time()
+		rec.Texp = d.Time()
 	case KindCreateTable, KindSnapTable:
-		rec.Name = d.str()
-		rec.Schema = d.schema()
+		rec.Name = d.Str()
+		rec.Schema = d.Schema()
 	case KindDropTable, KindDropView, KindDropIndex:
-		rec.Name = d.str()
+		rec.Name = d.Str()
 	case KindCreateView, KindSnapView, KindCreateIndex, KindSnapIndex:
-		rec.Name = d.str()
-		rec.Def = d.str()
+		rec.Name = d.Str()
+		rec.Def = d.Str()
 	case KindSnapHeader:
-		rec.Texp = d.time()
-		rec.Aux = d.time()
+		rec.Texp = d.Time()
+		rec.Aux = d.Time()
 	case KindSnapRow:
-		rec.Tuple = d.tuple()
-		rec.Texp = d.time()
+		rec.Tuple = d.Tuple()
+		rec.Texp = d.Time()
 	case KindSnapFooter:
-		rec.Count = d.uvarint()
+		rec.Count = d.Uvarint()
 	default:
 		return Record{}, fmt.Errorf("unknown record kind %d", rec.Kind)
 	}
-	if d.err != nil {
-		return Record{}, d.err
+	if err := d.Err(); err != nil {
+		return Record{}, err
 	}
-	if len(d.buf) != d.off {
-		return Record{}, fmt.Errorf("%d trailing bytes after %s record", len(d.buf)-d.off, rec.Kind)
+	if n := d.Remaining(); n != 0 {
+		return Record{}, fmt.Errorf("%d trailing bytes after %s record", n, rec.Kind)
 	}
 	return rec, nil
 }
-
-// Scalar encoders. Times are fixed 8-byte big-endian (Infinity is
-// MaxInt64 and would cost 10 bytes as a varint); strings and counts are
-// uvarint-length-prefixed.
-
-func appendTime(dst []byte, t xtime.Time) []byte {
-	return binary.BigEndian.AppendUint64(dst, uint64(t))
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendTuple(dst []byte, t tuple.Tuple) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(t)))
-	for _, v := range t {
-		dst = appendValue(dst, v)
-	}
-	return dst
-}
-
-func appendValue(dst []byte, v value.Value) []byte {
-	k := v.Kind()
-	dst = append(dst, byte(k))
-	switch k {
-	case value.KindNull:
-	case value.KindInt:
-		dst = binary.BigEndian.AppendUint64(dst, uint64(v.AsInt()))
-	case value.KindFloat:
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v.AsFloat()))
-	case value.KindString:
-		dst = appendString(dst, v.AsString())
-	case value.KindBool:
-		b := byte(0)
-		if v.AsBool() {
-			b = 1
-		}
-		dst = append(dst, b)
-	}
-	return dst
-}
-
-func appendSchema(dst []byte, s tuple.Schema) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s.Cols)))
-	for _, c := range s.Cols {
-		dst = appendString(dst, c.Name)
-		dst = append(dst, byte(c.Kind))
-	}
-	return dst
-}
-
-// decoder is a cursor over one payload with a sticky error, so record
-// decoding reads field after field without per-field error plumbing.
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("truncated %s at payload offset %d", what, d.off)
-	}
-}
-
-func (d *decoder) u8() uint8 {
-	if d.err != nil || d.off >= len(d.buf) {
-		d.fail("byte")
-		return 0
-	}
-	b := d.buf[d.off]
-	d.off++
-	return b
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("uvarint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil || len(d.buf)-d.off < 8 {
-		d.fail("u64")
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *decoder) time() xtime.Time { return xtime.Time(d.u64()) }
-
-func (d *decoder) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if uint64(len(d.buf)-d.off) < n {
-		d.fail("string")
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-func (d *decoder) tuple() tuple.Tuple {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.buf)-d.off) { // every value costs ≥1 byte
-		d.fail("tuple arity")
-		return nil
-	}
-	t := make(tuple.Tuple, 0, n)
-	for i := uint64(0); i < n; i++ {
-		t = append(t, d.value())
-	}
-	return t
-}
-
-func (d *decoder) value() value.Value {
-	switch value.Kind(d.u8()) {
-	case value.KindNull:
-		return value.Null
-	case value.KindInt:
-		return value.Int(int64(d.u64()))
-	case value.KindFloat:
-		return value.Float(math.Float64frombits(d.u64()))
-	case value.KindString:
-		return value.String_(d.str())
-	case value.KindBool:
-		return value.Bool(d.u8() != 0)
-	default:
-		d.fail("value kind")
-		return value.Null
-	}
-}
-
-func (d *decoder) schema() tuple.Schema {
-	n := d.uvarint()
-	if d.err != nil {
-		return tuple.Schema{}
-	}
-	if n > uint64(len(d.buf)-d.off) {
-		d.fail("schema width")
-		return tuple.Schema{}
-	}
-	cols := make([]tuple.Column, 0, n)
-	for i := uint64(0); i < n; i++ {
-		name := d.str()
-		kind := value.Kind(d.u8())
-		cols = append(cols, tuple.Column{Name: name, Kind: kind})
-	}
-	return tuple.Schema{Cols: cols}
-}
-

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -14,7 +13,6 @@ import (
 	"expdb/internal/interval"
 	"expdb/internal/relation"
 	"expdb/internal/trace"
-	"expdb/internal/tuple"
 	"expdb/internal/xtime"
 )
 
@@ -113,8 +111,8 @@ func WithDialer(dial func(addr string) (net.Conn, error)) ClientOption {
 // answering from the local materialisation as long as tau < texp — the
 // copy is provably still correct (Theorem 1) — and only when the copy
 // invalidates does it reconnect, with capped exponential backoff and
-// jitter, rebuilding the gob encoder/decoder from scratch (gob streams
-// are stateful; a stale encoder cannot survive a new connection).
+// jitter. Frames carry no state from one to the next, so a fresh
+// connection needs nothing but the handshake.
 type Client struct {
 	addr  string
 	cfg   clientConfig
@@ -122,10 +120,7 @@ type Client struct {
 	state atomic.Int32
 
 	conn  net.Conn
-	cr    *countingReader
-	cw    *countingWriter
-	dec   *gob.Decoder
-	enc   *gob.Encoder
+	buf   []byte // the request frame written, then the response frame read
 	stats Stats
 
 	query       string
@@ -152,8 +147,7 @@ type Client struct {
 	// connection was down — the availability the paper's validity
 	// guarantee buys during a partition.
 	DegradedReads int
-	// Reconnects counts successful reconnections (handshake completed,
-	// fresh gob codec built).
+	// Reconnects counts successful reconnections (handshake completed).
 	Reconnects int
 	// ReconnectAttempts counts dial attempts made while reconnecting,
 	// successful or not.
@@ -190,8 +184,8 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) {
 	return c, nil
 }
 
-// connect dials, handshakes, and builds a fresh gob encoder/decoder
-// pair. Traffic counters accumulate across reconnections.
+// connect dials and handshakes. Traffic counters accumulate across
+// reconnections.
 func (c *Client) connect() error {
 	conn, err := c.cfg.dialer(c.addr)
 	if err != nil {
@@ -224,15 +218,7 @@ func (c *Client) connect() error {
 			ErrProtocol, h.version, ProtocolVersion)
 	}
 	conn.SetDeadline(time.Time{})
-	prevSent, prevRecv := int64(0), int64(0)
-	if c.cr != nil {
-		prevSent, prevRecv = c.cw.n, c.cr.n
-	}
 	c.conn = conn
-	c.cr = &countingReader{r: conn, n: prevRecv}
-	c.cw = &countingWriter{w: conn, n: prevSent}
-	c.dec = gob.NewDecoder(c.cr)
-	c.enc = gob.NewEncoder(c.cw)
 	c.state.Store(int32(StateConnected))
 	return nil
 }
@@ -248,20 +234,14 @@ func (c *Client) Close() error {
 	}
 	if c.State() == StateConnected {
 		c.conn.SetDeadline(time.Now().Add(c.cfg.dialTimeout))
-		if err := c.enc.Encode(&Request{Kind: MsgClose}); err == nil {
-			c.stats.MessagesSent++
-		}
+		_ = c.send(&Request{Kind: MsgClose}) // a courtesy: the connection closes either way
 	}
 	return c.conn.Close()
 }
 
 // Stats returns the client-side traffic counters (cumulative across
 // reconnections).
-func (c *Client) Stats() Stats {
-	c.stats.BytesSent = c.cw.n
-	c.stats.BytesReceived = c.cr.n
-	return c.stats
-}
+func (c *Client) Stats() Stats { return c.stats }
 
 // degrade records a network failure: the connection is closed and the
 // client flips to StateDegraded. The local materialisation is untouched
@@ -275,7 +255,7 @@ func (c *Client) degrade() {
 
 // reconnect tries to re-establish the connection with capped exponential
 // backoff and jitter, honouring ctx between attempts. Each attempt dials
-// fresh and rebuilds the gob codec.
+// fresh.
 func (c *Client) reconnect(ctx context.Context) error {
 	delay := c.cfg.backoffBase
 	var lastErr error
@@ -343,21 +323,37 @@ func (c *Client) roundTrip(ctx context.Context, req *Request) (*Response, error)
 	}
 	stop := c.withDeadline(ctx)
 	defer stop()
-	if err := c.enc.Encode(req); err != nil {
+	if err := c.send(req); err != nil {
 		c.degrade()
 		return nil, err
 	}
-	c.stats.MessagesSent++
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
+	var err error
+	if c.buf, err = readFrame(c.conn, c.buf, maxFrame); err != nil {
 		c.degrade()
 		return nil, err
 	}
 	c.stats.MessagesReceived++
+	c.stats.BytesReceived += int64(4 + len(c.buf))
+	resp, err := decodeResponse(c.buf)
+	if err != nil {
+		c.degrade() // a peer whose frames do not decode is not one to keep
+		return nil, err
+	}
 	if resp.Err != "" {
 		return nil, fmt.Errorf("wire: server: %s", resp.Err)
 	}
-	return &resp, nil
+	return resp, nil
+}
+
+// send writes req's frame in one Write.
+func (c *Client) send(req *Request) error {
+	c.buf = appendRequest(c.buf[:0], req)
+	if _, err := c.conn.Write(c.buf); err != nil {
+		return err
+	}
+	c.stats.MessagesSent++
+	c.stats.BytesSent += int64(len(c.buf))
+	return nil
 }
 
 // roundTripRetry is roundTrip plus one recovery pass: if the transport
@@ -409,9 +405,10 @@ func (c *Client) MaterializeBudget(query string, withPatches bool, budget int) e
 }
 
 // MaterializeContext is MaterializeBudget under a caller-supplied
-// deadline.
+// deadline. The query and its options become the copy's only together
+// with the answer: after a failed fetch the client still holds, and
+// re-fetches, the query its copy answers.
 func (c *Client) MaterializeContext(ctx context.Context, query string, withPatches bool, budget int) error {
-	c.query, c.wantPatches, c.patchBudget = query, withPatches, budget
 	// A fresh trace ID per materialisation: the server tags its events
 	// and echoes it, so this fetch is correlatable with server spans.
 	tid := trace.NextID()
@@ -420,35 +417,13 @@ func (c *Client) MaterializeContext(ctx context.Context, query string, withPatch
 	if err != nil {
 		return err
 	}
+	c.query, c.wantPatches, c.patchBudget = query, withPatches, budget
 	c.lastTrace = trace.ID(resp.TraceID)
-	cols := make([]tuple.Column, len(resp.Cols))
-	for i, wc := range resp.Cols {
-		cols[i] = tuple.Column{Name: wc.Name, Kind: wc.Kind}
-	}
-	rel := relation.New(tuple.Schema{Cols: cols})
-	for _, wr := range resp.Rows {
-		rel.InsertOwnedRow(relation.Row{Tuple: fromWire(wr.Vals), Texp: wr.Texp})
-	}
-	c.mat = rel
-	c.matAt = resp.Now
-	c.texp = resp.Texp
+	c.mat, c.matAt, c.texp, c.births = resp.rel, resp.Now, resp.Texp, resp.births
 	if resp.Cached {
 		c.ServerCacheHits++
 	}
-	births := make([]algebra.CriticalRow, len(resp.Patches))
-	for i, wp := range resp.Patches {
-		births[i] = algebra.CriticalRow{Tuple: fromWire(wp.Vals), InS: wp.InS, InR: wp.InR}
-	}
-	c.births = algebra.BirthsOf(births)
 	return nil
-}
-
-func fromWire(vals []WireValue) tuple.Tuple {
-	t := make(tuple.Tuple, len(vals))
-	for i, wv := range vals {
-		t[i] = wv.FromWire()
-	}
-	return t
 }
 
 // Texp returns the expiration time of the local materialisation.

@@ -147,8 +147,8 @@ func TestPartitionDegradedReads(t *testing.T) {
 			c.ReconnectAttempts, attemptsBefore+3)
 	}
 
-	// Heal the partition: the same read now reconnects (fresh gob codec)
-	// and re-materialises.
+	// Heal the partition: the same read now reconnects and
+	// re-materialises.
 	pd.setPartition(false)
 	if err := eng.Advance(3); err != nil {
 		t.Fatal(err)
@@ -171,9 +171,9 @@ func TestPartitionDegradedReads(t *testing.T) {
 	}
 }
 
-// TestClientReconnectAfterServerRestart: a full server restart kills the
-// gob stream state; the client must rebuild encoder and decoder on the
-// fresh connection or every post-restart message would be garbage.
+// TestClientReconnectAfterServerRestart: a full server restart drops the
+// connection; the client must handshake with the new process and carry on
+// there.
 func TestClientReconnectAfterServerRestart(t *testing.T) {
 	eng, srv, addr := startServer(t)
 	c, err := Dial(addr, fastOpts()...)
@@ -298,9 +298,9 @@ func TestServerShutdownHardClosesStragglers(t *testing.T) {
 	}
 }
 
-// TestOversizedMessageRejected: the decode byte cap refuses a huge
-// message below gob, counts it, and drops the connection; the sender
-// sees a failed round trip, not a wedged server.
+// TestOversizedMessageRejected: the frame byte cap refuses a huge
+// message by its length header, counts it, and drops the connection; the
+// sender sees a failed round trip, not a wedged server.
 func TestOversizedMessageRejected(t *testing.T) {
 	eng, srv := newTestServer(t, WithMaxMessageBytes(4096))
 	bound, err := srv.Listen("127.0.0.1:0")
@@ -336,7 +336,7 @@ func TestOversizedMessageRejected(t *testing.T) {
 }
 
 // TestHandshakeGarbageServer: dialing something that is not an expdb
-// server yields ErrProtocol, not a gob decode error.
+// server yields ErrProtocol, not a frame decode error.
 func TestHandshakeGarbageServer(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -360,7 +360,7 @@ func TestHandshakeGarbageServer(t *testing.T) {
 }
 
 // TestHandshakeGarbageClient: a peer that writes garbage at the server
-// is rejected at the handshake, counted, and never reaches gob.
+// is rejected at the handshake, counted, and never has a frame read.
 func TestHandshakeGarbageClient(t *testing.T) {
 	_, srv, addr := startServer(t)
 	conn, err := net.Dial("tcp", addr)
@@ -528,8 +528,7 @@ func TestPanicRecovery(t *testing.T) {
 }
 
 // TestTruncatedWriteReconnect: a connection dying mid-message leaves the
-// peer a torn gob frame; the client recovers by reconnecting with a
-// fresh codec and retrying.
+// peer a torn frame; the client recovers by reconnecting and retrying.
 func TestTruncatedWriteReconnect(t *testing.T) {
 	eng, _, addr := startServer(t)
 	if err := eng.Advance(4); err != nil {

@@ -47,7 +47,7 @@ type Conn struct {
 	writeDelay time.Duration
 	// truncateNextWrite cuts the next write short after n bytes and
 	// fails it — a connection dying mid-message, leaving the peer a
-	// half-decoded gob frame (-1 = disabled).
+	// half-read frame (-1 = disabled).
 	truncateNextWrite int
 }
 

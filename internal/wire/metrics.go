@@ -22,8 +22,8 @@ type Metrics struct {
 	// PanicsRecovered counts handler panics caught by the per-connection
 	// recover — each one would previously have killed the process.
 	PanicsRecovered metrics.Counter
-	// OversizedRejected counts messages refused by the max-decode byte
-	// cap before gob could allocate for them.
+	// OversizedRejected counts frames whose length header exceeded the
+	// max-message byte cap, refused before their body was read.
 	OversizedRejected metrics.Counter
 	// AcceptRetries counts temporary Accept errors the accept loop rode
 	// out with backoff instead of exiting.

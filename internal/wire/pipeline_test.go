@@ -380,9 +380,9 @@ func TestMovedViewOverTheWire(t *testing.T) {
 	srv := NewServer(eng, nil)
 	for _, patches := range []bool{false, true} {
 		resp := srv.respond(sess, &Request{Kind: MsgMaterialize, Query: "SELECT * FROM vi", WantPatches: patches})
-		if resp.Err != "" || resp.Now != 2 || resp.Texp != 3 || len(resp.Rows) != 1 {
+		if resp.Err != "" || resp.Now != 2 || resp.Texp != 3 || rowsOf(resp) != 1 {
 			t.Fatalf("patches=%v: now %v, texp %v, %d rows, err %q; want the answer of instant 2, valid until 3",
-				patches, resp.Now, resp.Texp, len(resp.Rows), resp.Err)
+				patches, resp.Now, resp.Texp, rowsOf(resp), resp.Err)
 		}
 		resp = srv.respond(sess, &Request{Kind: MsgMaterialize, Query: "SELECT uid FROM vi WHERE uid > 0", WantPatches: patches})
 		if resp.Err == "" {
@@ -423,8 +423,8 @@ func TestServerPlansAgainWhenAViewOutrunsThePlan(t *testing.T) {
 		if err := srv.evaluate(sess, &plan, req, &stale); !errors.Is(err, view.ErrInvalid) {
 			t.Fatalf("%s: a plan valid until 10 ran at 10: now %v texp %v, err %v", req.Query, stale.Now, stale.Texp, err)
 		}
-		if resp := srv.respond(sess, req); resp.Err != "" || resp.Now != 10 || resp.Texp <= resp.Now || len(resp.Rows) != 1 {
-			t.Fatalf("%s: planned again: now %v, texp %v, %d rows, err %q", req.Query, resp.Now, resp.Texp, len(resp.Rows), resp.Err)
+		if resp := srv.respond(sess, req); resp.Err != "" || resp.Now != 10 || resp.Texp <= resp.Now || rowsOf(resp) != 1 {
+			t.Fatalf("%s: planned again: now %v, texp %v, %d rows, err %q", req.Query, resp.Now, resp.Texp, rowsOf(resp), resp.Err)
 		}
 	}
 
@@ -492,8 +492,8 @@ func BenchmarkWireRespondPoint(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if resp := srv.respond(sess, &reqs[i%len(reqs)]); resp.Err != "" || len(resp.Rows) != 1 {
-			b.Fatalf("%s: %d rows, err %q", reqs[i%len(reqs)].Query, len(resp.Rows), resp.Err)
+		if resp := srv.respond(sess, &reqs[i%len(reqs)]); resp.Err != "" || rowsOf(resp) != 1 {
+			b.Fatalf("%s: %d rows, err %q", reqs[i%len(reqs)].Query, rowsOf(resp), resp.Err)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -18,7 +17,6 @@ import (
 	"expdb/internal/relation"
 	"expdb/internal/sql"
 	"expdb/internal/trace"
-	"expdb/internal/tuple"
 	"expdb/internal/view"
 	"expdb/internal/xtime"
 )
@@ -30,8 +28,8 @@ const (
 	// complete request read, no response written) before the server
 	// closes it.
 	DefaultIdleTimeout = 30 * time.Second
-	// DefaultMaxMessageBytes caps a single decoded message, bounding
-	// what a hostile or corrupt peer can make gob allocate.
+	// DefaultMaxMessageBytes caps a single request frame, bounding what a
+	// hostile or corrupt peer can make the server allocate.
 	DefaultMaxMessageBytes = 8 << 20
 	// DefaultMaxConns caps concurrent connections; dials beyond it are
 	// rejected cleanly at handshake time with ErrServerBusy.
@@ -58,9 +56,10 @@ func WithIdleTimeout(d time.Duration) ServerOption {
 	return func(c *serverConfig) { c.idleTimeout = d }
 }
 
-// WithMaxMessageBytes caps the size of a single decoded message
-// (default DefaultMaxMessageBytes). The cap is enforced below gob, so an
-// oversized message fails with ErrTooLarge before it is allocated.
+// WithMaxMessageBytes caps the size of a single request frame (default
+// DefaultMaxMessageBytes). The cap is checked against the frame's length
+// header, so an oversized message fails with ErrTooLarge before its body
+// is read or allocated.
 func WithMaxMessageBytes(n int64) ServerOption {
 	return func(c *serverConfig) { c.maxMsgBytes = n }
 }
@@ -79,7 +78,7 @@ func WithDrainTimeout(d time.Duration) ServerOption {
 }
 
 // Server exposes an engine's relations to remote view nodes, and is
-// built to survive real networks: per-connection deadlines, a decode
+// built to survive real networks: per-connection deadlines, a frame
 // byte cap, panic recovery in handlers, a connection limit with clean
 // rejection, a temporary-error-tolerant accept loop, and graceful
 // drain-then-hard-close shutdown. Every failure mode it rides out is
@@ -135,7 +134,7 @@ func NewServer(eng *engine.Engine, sqlm *sql.Metrics, opts ...ServerOption) *Ser
 }
 
 // connState marks whether a connection is mid-request. Shutdown closes
-// idle connections (blocked in Decode, between requests) immediately and
+// idle connections (blocked reading a frame, between requests) immediately and
 // drains only the in-flight ones.
 type connState struct {
 	inFlight atomic.Bool
@@ -347,10 +346,11 @@ func (s *Server) handshake(conn net.Conn) error {
 	return writeHello(conn, ProtocolVersion, statusOK)
 }
 
-// handle runs one connection's request loop: handshake, then decode →
-// respond → encode under per-operation deadlines, with panic recovery so
-// one bad request cannot kill the process, and a decode byte cap so one
-// hostile request cannot exhaust it.
+// handle runs one connection's request loop: handshake, then read frame →
+// respond → write frame under per-operation deadlines, with panic recovery
+// so one bad request cannot kill the process, and a frame byte cap so one
+// hostile request cannot exhaust it. One buffer per connection holds the
+// request read and then the response written, in a single Write.
 func (s *Server) handle(conn net.Conn, st *connState) (err error) {
 	requests := int64(0)
 	defer func() {
@@ -380,18 +380,16 @@ func (s *Server) handle(conn net.Conn, st *connState) (err error) {
 		Kind: trace.EvWireConnOpen, Tick: s.eng.Now(), Name: conn.RemoteAddr().String(),
 	})
 
-	capped := &cappedReader{r: conn, limit: s.cfg.maxMsgBytes}
-	cr := &countingReader{r: capped}
-	cw := &countingWriter{w: conn}
-	dec := gob.NewDecoder(cr)
-	enc := gob.NewEncoder(cw)
+	limit := s.cfg.maxMsgBytes
+	if limit <= 0 || limit > maxFrame {
+		limit = maxFrame
+	}
+	var buf []byte
 	sess := sql.NewSessionWithMetrics(s.eng, nil, s.sqlm)
 	for {
-		var req Request
-		capped.Reset()
 		conn.SetDeadline(time.Now().Add(s.cfg.idleTimeout))
-		if err := dec.Decode(&req); err != nil {
-			if capped.Tripped() || errors.Is(err, ErrTooLarge) {
+		if buf, err = readFrame(conn, buf, limit); err != nil {
+			if errors.Is(err, ErrTooLarge) {
 				s.wm.OversizedRejected.Inc()
 				s.eng.Events().Emit(trace.Event{
 					Kind: trace.EvWireReject, Tick: s.eng.Now(), Name: conn.RemoteAddr().String(),
@@ -399,9 +397,13 @@ func (s *Server) handle(conn net.Conn, st *connState) (err error) {
 			}
 			return s.noteTimeout(err)
 		}
+		req, err := decodeRequest(buf)
+		if err != nil {
+			return err
+		}
 		s.mu.Lock()
 		s.stats.MessagesReceived++
-		s.stats.BytesReceived = cr.n
+		s.stats.BytesReceived += int64(4 + len(buf))
 		s.mu.Unlock()
 		if req.Kind == MsgClose {
 			return nil
@@ -414,8 +416,12 @@ func (s *Server) handle(conn net.Conn, st *connState) (err error) {
 			hook(&req)
 		}
 		resp := s.respond(sess, &req)
+		if buf = appendResponse(buf[:0], resp); len(buf)-4 > maxFrame {
+			buf = appendResponse(buf[:0], &Response{Now: resp.Now, TraceID: resp.TraceID,
+				Err: fmt.Sprintf("wire: a %d-byte response exceeds the %d-byte frame cap", len(buf)-4, maxFrame)})
+		}
 		conn.SetDeadline(time.Now().Add(s.cfg.idleTimeout))
-		if err := enc.Encode(resp); err != nil {
+		if _, err := conn.Write(buf); err != nil {
 			st.inFlight.Store(false)
 			return s.noteTimeout(err)
 		}
@@ -424,7 +430,7 @@ func (s *Server) handle(conn net.Conn, st *connState) (err error) {
 		s.wm.RequestsServed.Inc()
 		s.mu.Lock()
 		s.stats.MessagesSent++
-		s.stats.BytesSent = cw.n
+		s.stats.BytesSent += int64(len(buf))
 		closing := s.closed
 		s.mu.Unlock()
 		if closing {
@@ -469,7 +475,7 @@ func (s *Server) respond(sess *sql.Session, req *Request) *Response {
 		}
 		s.eng.Events().Emit(trace.Event{
 			Trace: tid, Kind: trace.EvWireMaterialize, Name: req.Query,
-			Tick: resp.Now, Texp: resp.Texp, Count: int64(len(resp.Rows)),
+			Tick: resp.Now, Texp: resp.Texp, Count: int64(resp.rel.CountAt(resp.Now)),
 		})
 	default:
 		resp.Err = "wire: unknown request kind"
@@ -491,7 +497,8 @@ func (s *Server) materialize(sess *sql.Session, req *Request, resp *Response) er
 	return sess.PlanAndRun(sel, func(plan sql.Plan) error { return s.evaluate(sess, &plan, req, resp) })
 }
 
-// evaluate runs plan and writes the answer into resp. A plan that expired
+// evaluate runs plan and leaves the answer in resp: the relation whose rows
+// alive at resp.Now travel, and the births when wanted. A plan that expired
 // first is reported the way sql.Session.Query reports it, by an error
 // matching view.ErrInvalid, with resp untouched.
 func (s *Server) evaluate(sess *sql.Session, plan *sql.Plan, req *Request, resp *Response) error {
@@ -529,47 +536,9 @@ func (s *Server) evaluate(sess *sql.Session, plan *sql.Plan, req *Request, resp 
 		// Ship the births, soonest first; a budget keeps the earliest and
 		// pulls Texp back to the first that did not fit (§3.4.2).
 		births, texp := ev.Patches(req.PatchBudget)
-		rel, resp.Now, resp.Texp = ev.Rel, now, xtime.Min(texp, plan.Until)
-		for _, h := range births.Rows() {
-			resp.Patches = append(resp.Patches, WirePatch{InS: h.InS, InR: h.InR, Vals: toWire(h.Tuple)})
-		}
-	}
-	for _, c := range rel.Schema().Cols {
-		resp.Cols = append(resp.Cols, WireColumn{Name: c.Name, Kind: c.Kind})
+		rel, resp.Now, resp.Texp, resp.births = ev.Rel, now, xtime.Min(texp, plan.Until), births
 	}
 	// A relation is a set and the client rebuilds one: no order is owed.
-	rel.AliveAt(resp.Now, func(row relation.Row) {
-		resp.Rows = append(resp.Rows, WireRow{Texp: row.Texp, Vals: toWire(row.Tuple)})
-	})
+	resp.rel = rel
 	return nil
-}
-
-func toWire(t tuple.Tuple) []WireValue {
-	vals := make([]WireValue, len(t))
-	for i, v := range t {
-		vals[i] = ToWire(v)
-	}
-	return vals
-}
-
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }

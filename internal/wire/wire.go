@@ -5,18 +5,27 @@
 // network is touched again only when a materialisation invalidates —
 // or never, when its future (algebra.Births) was shipped along with it.
 //
-// The protocol is a length-free gob stream over TCP. Traffic accounting
-// (messages and bytes in both directions) feeds experiment E6: the cost of
-// recompute-on-invalid versus patch-ahead versus the TTL-only baseline
-// that re-fetches on every read.
+// The protocol runs over TCP: a fixed 6-byte handshake, then one frame per
+// message, [4B big-endian payload length][payload]. Payloads are written in
+// the row encoding the WAL and snapshots use (tuple.AppendTo and its
+// siblings): a response's rows are appended straight from the answer
+// relation, and the client decodes them straight into its own. A receiver
+// checks a frame's length against its cap before it allocates for the body.
+// Traffic accounting (messages and bytes in both directions) feeds
+// experiment E6: the cost of recompute-on-invalid versus patch-ahead versus
+// the TTL-only baseline that re-fetches on every read.
 package wire
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
+	"expdb/internal/algebra"
+	"expdb/internal/relation"
+	"expdb/internal/tuple"
 	"expdb/internal/value"
 	"expdb/internal/xtime"
 )
@@ -26,13 +35,13 @@ import (
 // or server returns.
 var (
 	// ErrProtocol: the peer is not an expdb wire endpoint, or speaks an
-	// incompatible protocol version (detected at handshake, before gob
-	// ever touches the stream).
+	// incompatible protocol version (detected at handshake, before any
+	// frame is read).
 	ErrProtocol = errors.New("wire: protocol mismatch")
 	// ErrServerBusy: the server is at its connection limit and cleanly
 	// turned the dial away.
 	ErrServerBusy = errors.New("wire: server at connection limit")
-	// ErrTooLarge: a single message exceeded the max-decode byte cap.
+	// ErrTooLarge: a frame's length header exceeded the receiver's cap.
 	ErrTooLarge = errors.New("wire: message exceeds size cap")
 	// ErrDegraded: the local copy is invalid and every reconnect attempt
 	// failed — the one condition under which a degraded client's Read
@@ -40,15 +49,15 @@ var (
 	ErrDegraded = errors.New("wire: degraded: local copy invalid and server unreachable")
 )
 
-// The handshake is a fixed 6-byte frame exchanged at dial time, before
-// gob touches the stream: 4 magic bytes, a version byte, and a status
-// byte. A mismatched or non-expdb peer therefore fails with ErrProtocol
-// instead of a garbage gob decode error, and a server at its connection
-// limit can reject cleanly (statusBusy) without entering the request
-// loop.
+// The handshake is a fixed 6-byte exchange at dial time, before any frame:
+// 4 magic bytes, a version byte, and a status byte. A mismatched or
+// non-expdb peer therefore fails with ErrProtocol instead of a garbage
+// decode error, and a server at its connection limit can reject cleanly
+// (statusBusy) without entering the request loop.
 const (
 	// ProtocolVersion is bumped on incompatible message-schema changes.
-	ProtocolVersion = 1
+	// Version 1 was a gob stream.
+	ProtocolVersion = 2
 
 	statusOK      = 0 // proceed to the request loop
 	statusBusy    = 1 // connection limit reached; dial again later
@@ -84,36 +93,51 @@ func readHello(r io.Reader) (hello, error) {
 	return h, nil
 }
 
-// cappedReader enforces the max-decode byte cap: once more than limit
-// bytes flow through between Reset calls it fails the stream, so a
-// hostile or corrupt peer cannot make gob allocate unboundedly. The
-// endpoint resets it before each Decode, bounding every message
-// individually (gob reads exactly one length-delimited message per
-// Decode, so the window aligns with message boundaries).
-type cappedReader struct {
-	r       io.Reader
-	limit   int64
-	n       int64
-	tripped bool
+// maxFrame caps a frame whatever the endpoint's configuration: a client
+// refuses a longer response, and a server answers an error instead of
+// sending one.
+const maxFrame = 1 << 30
+
+// readFrame reads one frame into buf, reusing its storage, and returns the
+// payload. The length header is checked against limit before anything is
+// allocated for the body: a longer frame fails with ErrTooLarge, unread. A
+// body longer than buf is read in steps that at most double what has
+// arrived, so a header alone never makes the receiver allocate more than
+// 64 KB beyond the bytes that follow it.
+func readFrame(r io.Reader, buf []byte, limit int64) ([]byte, error) {
+	buf = slices.Grow(buf[:0], 4)[:4]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return buf[:0], err
+	}
+	n := int64(binary.BigEndian.Uint32(buf))
+	if n > limit {
+		return buf[:0], fmt.Errorf("%w: %d-byte frame, cap %d", ErrTooLarge, n, limit)
+	}
+	for buf = buf[:0]; len(buf) < int(n); {
+		step := min(int(n), max(cap(buf), 2*len(buf), 64<<10))
+		buf = slices.Grow(buf, step-len(buf))
+		if _, err := io.ReadFull(r, buf[len(buf):step]); err != nil {
+			return buf[:0], err
+		}
+		buf = buf[:step]
+	}
+	return buf, nil
 }
 
-func (c *cappedReader) Reset() { c.n = 0 }
+// beginFrame appends a length placeholder; endFrame fills it in once the
+// payload after it is complete.
+func beginFrame(dst []byte) []byte { return append(dst, 0, 0, 0, 0) }
 
-// Tripped reports whether the cap has been exceeded since creation —
-// checked on decode errors because gob may wrap the reader's error.
-func (c *cappedReader) Tripped() bool { return c.tripped }
+func endFrame(dst []byte, head int) []byte {
+	binary.BigEndian.PutUint32(dst[head:], uint32(len(dst)-head-4))
+	return dst
+}
 
-func (c *cappedReader) Read(p []byte) (int, error) {
-	if c.limit > 0 && c.n >= c.limit {
-		c.tripped = true
-		return 0, ErrTooLarge
+func appendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 1)
 	}
-	if c.limit > 0 && int64(len(p)) > c.limit-c.n {
-		p = p[:c.limit-c.n]
-	}
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
+	return append(dst, 0)
 }
 
 // MsgKind tags protocol messages.
@@ -130,7 +154,9 @@ const (
 	MsgClose
 )
 
-// Request is a client → server message.
+// Request is a client → server message. Its payload is the kind byte, the
+// query string, WantPatches as a byte, PatchBudget as a uvarint and the
+// trace ID as 8 bytes.
 type Request struct {
 	Kind  MsgKind
 	Query string // MsgMaterialize: a SELECT statement
@@ -147,7 +173,123 @@ type Request struct {
 	TraceID uint64
 }
 
-// WireValue is the transport form of a scalar value.
+// appendRequest appends req's frame to dst.
+func appendRequest(dst []byte, req *Request) []byte {
+	head := len(dst)
+	dst = append(beginFrame(dst), byte(req.Kind))
+	dst = tuple.AppendString(dst, req.Query)
+	dst = appendBool(dst, req.WantPatches)
+	dst = binary.AppendUvarint(dst, uint64(req.PatchBudget))
+	dst = binary.BigEndian.AppendUint64(dst, req.TraceID)
+	return endFrame(dst, head)
+}
+
+// decodeRequest decodes a request payload.
+func decodeRequest(p []byte) (Request, error) {
+	d := tuple.NewDecoder(p)
+	req := Request{Kind: MsgKind(d.Byte()), Query: d.Str(), WantPatches: d.Byte() != 0,
+		PatchBudget: int(d.Uvarint()), TraceID: d.Uint64()}
+	return req, finish(&d, "request")
+}
+
+// Response is a server → client message. Its payload is the error string,
+// Cached as a byte, the trace ID, Now and Texp (8 bytes each), then the
+// answer's schema, its rows alive at Now (a uvarint count, then per row the
+// tuple and its texp) and its births (a uvarint count, then per birth the
+// tuple, InS and InR). The server's respond leaves the answer in rel and
+// births, and the frame is appended from them row by row; the client's
+// decoder builds both anew.
+type Response struct {
+	Err  string // non-empty on failure
+	Now  xtime.Time
+	Texp xtime.Time // texp(e) of the materialisation
+	// Cached reports the server answered from a validity-interval result
+	// cache entry, as stored, revalidated or patched. [Now, Texp) is the
+	// validity window either way, so the client's local-read behaviour is
+	// identical; the flag exists for observability.
+	Cached bool
+	// TraceID is the trace ID the server tagged its work with — the
+	// request's, or a freshly minted one — so client-side latency can be
+	// correlated with the server's event log and spans.
+	TraceID uint64
+
+	// Rows is never sent or filled.
+	//
+	// Deprecated: the rows travel in the frame, appended from the answer
+	// relation. Rows is kept only because the load benchmark's trace replay
+	// (benchmark/trace.go) builds it to time gob; delete it with that use.
+	Rows []WireRow
+
+	rel    *relation.Relation // the answer: its rows alive at Now
+	births algebra.Births     // what it shows next, when shipped
+}
+
+// appendResponse appends resp's frame to dst.
+func appendResponse(dst []byte, resp *Response) []byte {
+	head := len(dst)
+	dst = tuple.AppendString(beginFrame(dst), resp.Err)
+	dst = appendBool(dst, resp.Cached)
+	dst = binary.BigEndian.AppendUint64(dst, resp.TraceID)
+	dst = tuple.AppendTime(dst, resp.Now)
+	dst = tuple.AppendTime(dst, resp.Texp)
+	if resp.rel == nil {
+		dst = append(dst, 0, 0) // no columns, no rows
+	} else {
+		dst = resp.rel.Schema().AppendTo(dst)
+		dst = binary.AppendUvarint(dst, uint64(resp.rel.CountAt(resp.Now)))
+		resp.rel.AliveAt(resp.Now, func(row relation.Row) {
+			dst = tuple.AppendTime(row.Tuple.AppendTo(dst), row.Texp)
+		})
+	}
+	births := resp.births.Rows()
+	dst = binary.AppendUvarint(dst, uint64(len(births)))
+	for _, b := range births {
+		dst = tuple.AppendTime(tuple.AppendTime(b.Tuple.AppendTo(dst), b.InS), b.InR)
+	}
+	return endFrame(dst, head)
+}
+
+// decodeResponse decodes a response payload into a new answer relation and
+// its births. Every count is checked against the bytes left, so a corrupt
+// or hostile payload cannot make it allocate for rows it does not hold.
+func decodeResponse(p []byte) (*Response, error) {
+	d := tuple.NewDecoder(p)
+	resp := &Response{Err: d.Str(), Cached: d.Byte() != 0, TraceID: d.Uint64(), Now: d.Time(), Texp: d.Time()}
+	schema := d.Schema()
+	n := d.Count("row count", 9) // an empty tuple and a texp
+	resp.rel = relation.NewSized(schema, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		t := d.Tuple()
+		resp.rel.InsertOwnedRow(relation.Row{Tuple: t, Texp: d.Time()})
+	}
+	births := make([]algebra.CriticalRow, d.Count("birth count", 17))
+	for i := range births {
+		births[i].Tuple = d.Tuple()
+		births[i].InS, births[i].InR = d.Time(), d.Time()
+	}
+	if err := finish(&d, "response"); err != nil {
+		return nil, err
+	}
+	resp.births = algebra.BirthsOf(births)
+	return resp, nil
+}
+
+// finish reports a payload that did not decode, or had bytes left over.
+func finish(d *tuple.Decoder, what string) error {
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("wire: malformed %s: %w", what, err)
+	}
+	if n := d.Remaining(); n != 0 {
+		return fmt.Errorf("wire: malformed %s: %d trailing bytes", what, n)
+	}
+	return nil
+}
+
+// WireValue is a scalar value as protocol version 1 sent it.
+//
+// Deprecated: values travel in the row encoding (tuple.AppendValue).
+// WireValue is kept only because the load benchmark's trace replay
+// (benchmark/trace.go) builds it to time gob; delete it with that use.
 type WireValue struct {
 	Kind value.Kind
 	I    int64
@@ -155,7 +297,9 @@ type WireValue struct {
 	S    string
 }
 
-// ToWire converts a value for transport.
+// ToWire converts a value to a WireValue.
+//
+// Deprecated: see WireValue.
 func ToWire(v value.Value) WireValue {
 	switch v.Kind() {
 	case value.KindInt:
@@ -175,69 +319,17 @@ func ToWire(v value.Value) WireValue {
 	}
 }
 
-// FromWire converts a transported value back.
-func (w WireValue) FromWire() value.Value {
-	switch w.Kind {
-	case value.KindInt:
-		return value.Int(w.I)
-	case value.KindFloat:
-		return value.Float(w.F)
-	case value.KindString:
-		return value.String_(w.S)
-	case value.KindBool:
-		return value.Bool(w.I != 0)
-	default:
-		return value.Null
-	}
-}
-
-// WireRow is one result tuple with its expiration time.
+// WireRow is one result tuple with its expiration time, as protocol
+// version 1 sent it.
+//
+// Deprecated: see WireValue.
 type WireRow struct {
 	Vals []WireValue
 	Texp xtime.Time
 }
 
-// WireColumn describes one schema column.
-type WireColumn struct {
-	Name string
-	Kind value.Kind
-}
-
-// WirePatch is one birth: insert Vals with expiration InR once the server
-// tick reaches InS.
-type WirePatch struct {
-	Vals []WireValue
-	InS  xtime.Time
-	InR  xtime.Time
-}
-
-// Response is a server → client message.
-type Response struct {
-	Err     string // non-empty on failure
-	Now     xtime.Time
-	Cols    []WireColumn
-	Rows    []WireRow
-	Texp    xtime.Time // texp(e) of the materialisation
-	Patches []WirePatch
-	// Cached reports the server answered from a validity-interval result
-	// cache entry, as stored, revalidated or patched. [Now, Texp) is the validity
-	// window either way, so the client's local-read behaviour is
-	// identical; the flag exists for observability. (Gob tolerates the
-	// field's absence, so mixed-version endpoints interoperate: a missing
-	// flag decodes as false.)
-	Cached bool
-	// TraceID is the trace ID the server tagged its work with — the
-	// request's, or a freshly minted one — so client-side latency can be
-	// correlated with the server's event log and spans.
-	TraceID uint64
-}
-
-func init() {
-	gob.Register(Request{})
-	gob.Register(Response{})
-}
-
-// Stats counts protocol traffic for one endpoint.
+// Stats counts protocol traffic for one endpoint: frames, and their bytes
+// with the length headers.
 type Stats struct {
 	MessagesSent     int
 	MessagesReceived int

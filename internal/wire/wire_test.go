@@ -13,7 +13,6 @@ import (
 	"expdb/internal/sql"
 	"expdb/internal/trace"
 	"expdb/internal/tuple"
-	"expdb/internal/value"
 	"expdb/internal/xtime"
 )
 
@@ -342,6 +341,39 @@ func TestServerErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestFailedMaterializeKeepsTheCopysQuery: a fetch that fails leaves the
+// client with the copy it had and the query that copy answers, so a local
+// read never returns one query's rows as the answer to another, and the
+// copy's re-fetch asks for its own query again.
+func TestFailedMaterializeKeepsTheCopysQuery(t *testing.T) {
+	eng, _, addr := startServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const q1 = "SELECT uid FROM pol EXCEPT SELECT uid FROM el" // valid until 3
+	if err := c.Materialize(q1, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Materialize("SELECT uid FROM no_such_table", true); err == nil {
+		t.Fatal("a query over a missing table materialised")
+	}
+	if c.query != q1 || c.wantPatches {
+		t.Fatalf("after the failed fetch the client holds %q (patches %v), its copy answers %q", c.query, c.wantPatches, q1)
+	}
+	if err := eng.Advance(3); err != nil {
+		t.Fatal(err)
+	}
+	rel, err := c.Read(3)
+	if err != nil {
+		t.Fatalf("re-fetch of the copy's own query: %v", err)
+	}
+	if got := rel.CountAt(3); got != len(expectedDiff(3)) || c.Rematerializations != 1 {
+		t.Fatalf("at 3: %d rows after %d re-fetches, want %d after 1", got, c.Rematerializations, len(expectedDiff(3)))
+	}
+}
+
 func TestMultipleClients(t *testing.T) {
 	eng, srv, addr := startServer(t)
 	const n = 4
@@ -371,19 +403,6 @@ func TestMultipleClients(t *testing.T) {
 	}
 	if srv.Stats().MessagesReceived < n {
 		t.Fatalf("server stats: %s", srv.Stats())
-	}
-}
-
-func TestWireValueRoundTrip(t *testing.T) {
-	vals := []value.Value{
-		value.Null, value.Int(42), value.Int(-7), value.Float(2.5),
-		value.String_("hi"), value.Bool(true), value.Bool(false),
-	}
-	for _, v := range vals {
-		got := ToWire(v).FromWire()
-		if !got.Equal(v) || got.Kind() != v.Kind() {
-			t.Errorf("round trip %v -> %v", v, got)
-		}
 	}
 }
 
@@ -476,6 +495,14 @@ func TestServerMintsTraceID(t *testing.T) {
 	if resp.TraceID == 0 {
 		t.Fatal("server did not mint a trace ID for an untraced request")
 	}
+}
+
+// rowsOf counts the rows a response carries.
+func rowsOf(resp *Response) int {
+	if resp.rel == nil {
+		return 0
+	}
+	return resp.rel.CountAt(resp.Now)
 }
 
 // srvRespond drives Server.respond directly (no socket) for protocol

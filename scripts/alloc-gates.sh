@@ -21,15 +21,16 @@ BenchmarkViewRecomputeHist     ./internal/engine  300 REFRESH of a GROUP BY view
 BenchmarkViewRecomputeDiff     ./internal/engine  1750 REFRESH of π(pol) − π(el) over 500 / 250 rows, its critical rows kept as births: each argument collected once, a projected tuple and a set key per argument row, the output reusing the keys; no second pass for texp(e) (measured 1 569; 4 147 before)
 BenchmarkCacheHit              ./internal/engine  4  map probe, epoch check, LRU touch, snapshot header (measured 1)
 BenchmarkCacheHitAfterWrite    ./internal/engine  9  one insert that the leaf of the cached plan rejects, then the lookup that tests it and serves the hit: insert budget plus hit budget; the write tail of the table and the revalidation allocate nothing (measured 4)
-BenchmarkCachePatchAfterInsert ./internal/engine  37 one insert that a cached 40-row indexed range selects, then the lookup that patches it: the tail walk, a one-row Δ relation, the IndexScan leaf replaced by σ[Full](Δ) and streamed, the copy of the cached answer the row is merged into, the new entry; the same at 2 000 and 20 000 table rows, never the table (measured 32 at both; 33 while every patch allocated the EXCEPT clash flag)
+BenchmarkCachePatchAfterInsert ./internal/engine  37 one insert that a cached 40-row indexed range selects, then the lookup that patches it: the tail walk, a one-row Δ relation, the IndexScan leaf replaced by σ[Full](Δ) and streamed, the copy of the cached answer the row is merged into, the new entry; the same at 2 000 and 20 000 table rows, never the table (measured 27 at both; 32 while each bound of the range was a closure of its own, 33 while every patch allocated the EXCEPT clash flag)
 BenchmarkIndexedPointLookup    ./internal/engine  6  lock plan and probe free; result relation, key map, its bucket, a one-row slot array, key, closure (measured 6)
-BenchmarkScanFilter            ./internal/engine  84 an unindexed range over 2 000 rows returning about 40: the memoised parse and lowering, the optimiser, the compiled predicate (7), then a set key per row returned and the growth of the key map and of the slot array (1, 8, 64 rows); allocations follow output rows, never scanned rows (measured 76; 120 when every read parsed and lowered)
+BenchmarkScanFilter            ./internal/engine  84 an unindexed range over 2 000 rows returning about 40: the memoised parse and lowering, the optimiser, the compiled predicate (2: its one interval and the test), then a set key per row returned and the growth of the key map and of the slot array (1, 8, 64 rows); allocations follow output rows, never scanned rows (measured 71; 76 when each bound was a closure of its own, 120 when every read parsed and lowered)
 BenchmarkJoinProbe             ./internal/engine  287 2 000 rows streamed through a selection and a hash probe against a 20-row build side, about 40 rows out: a key and a bucket per build row, a tuple, a projection and a set key per row returned; the probe encodes into one buffer and allocates nothing per probed row (measured 261; 371 when every read parsed and lowered, 1 331 when every probe made a string)
 BenchmarkExecCachedPoint       .                  16 DB.Exec and Rows() of an indexed point read the result cache answers, its text in the statement memo: no parse, no lowering; the optimiser, the cache hit and the result (measured 13; 63 when every read parsed and lowered)
 BenchmarkExecInsert            .                  10 DB.Exec of an INSERT … EXPIRES IN text new to the session into a hash-indexed table: lexed into the token buffer the session keeps (nothing), one array for the values and one for the rows, the statement, the stored tuple, its set key, the key and entry of the hash index, the result, its message and the texp printed in it (measured 10; 23 when the lexer grew its slice and upper-cased every word, and the message went through fmt)
 BenchmarkIndexedDelete         ./internal/engine  2  victim key slice and the closure filling it; nothing scales with the table, and recording each removed tuple in the write tail adds nothing (measured 2)
 BenchmarkSamplerTick           ./internal/monitor 0  the sampler runs forever: one allocation per tick is a slow leak
-BenchmarkWireRespondPoint      ./internal/wire    40 a remote point read: parse (its tokens on the stack), one Plan, the probe, the response; no per-request session, second key derivation, sort, EXPLAIN text or kept lowering (measured 40; 49 when the lexer grew a token slice and allocated its symbols, 71 when the optimiser formatted its choices, 110 and 170 KB when it scanned)
+BenchmarkWireRespondPoint      ./internal/wire    35 a remote point read: parse (its tokens on the stack), one Plan, the probe, the response, which holds the answer relation and copies no row; no per-request session, second key derivation, sort, EXPLAIN text or kept lowering (measured 35; 40 when each row was copied into a gob-encodable struct, 49 when the lexer grew a token slice and allocated its symbols, 71 when the optimiser formatted its choices, 110 and 170 KB when it scanned)
+BenchmarkWireCodec             ./internal/wire    211 a 100-row response appended to a reused frame buffer and decoded: per row only the decoded tuple and its set key; the answer relation, sized by the row count, its schema and the response are the constant (measured 211)
 '
 
 fail=0
