@@ -12,11 +12,17 @@ import (
 	"testing"
 )
 
+// designMaxLines bounds DESIGN.md: a change that would grow it past the
+// bound rewrites a section to describe the code as it is, instead of
+// appending to it.
+const designMaxLines = 900
+
 // TestDocsNameWhatExists is the drift guard of DESIGN.md and README.md: in
 // their backticked spans every internal/… path exists, and every pkg.Name,
 // pkg.Type.Member and Type.Member (field or method, promoted ones included)
 // is declared in the module. A qualifier that is neither a package nor a
 // type of the module — a standard library's, a local variable's — is skipped.
+// DESIGN.md is also held to designMaxLines.
 func TestDocsNameWhatExists(t *testing.T) {
 	pkgs, types := map[string]bool{}, map[string]bool{}
 	decl := map[string]bool{}       // "pkg.Name" and "Type.Member" for every field and method
@@ -85,6 +91,9 @@ func TestDocsNameWhatExists(t *testing.T) {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if n := strings.Count(string(text), "\n"); doc == "DESIGN.md" && n > designMaxLines {
+			t.Errorf("DESIGN.md has %d lines, more than %d: rewrite a section instead of adding one", n, designMaxLines)
 		}
 		for _, s := range spans.FindAllStringSubmatch(fences.ReplaceAllString(string(text), ""), -1) {
 			for _, p := range paths.FindAllStringSubmatch(s[1], -1) {

@@ -641,12 +641,12 @@ func (db *DB) Events() []Event { return db.eng.Events().Snapshot(0) }
 
 // EventsDropped reports how many lifecycle events have been discarded by
 // the ring buffer (oldest first) since Open.
-func (db *DB) EventsDropped() uint64 { return db.eng.Events().Dropped() }
+func (db *DB) EventsDropped() uint64 { return db.eng.Events().Stats().Dropped }
 
 // Traces returns the retained slow-query traces, oldest first. Empty
 // unless the slow-query log was enabled with WithSlowQueryThreshold or
 // SetSlowQueryThreshold.
-func (db *DB) Traces() []Trace { return db.eng.Traces().Snapshot() }
+func (db *DB) Traces() []Trace { return db.eng.Traces().Snapshot(0) }
 
 // SetSlowQueryThreshold changes the slow-query threshold at runtime;
 // d <= 0 disables recording. Safe to call concurrently with statements.
@@ -658,11 +658,12 @@ func (db *DB) SetSlowQueryThreshold(d time.Duration) { db.eng.SetSlowQueryThresh
 func (db *DB) EventsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		log := db.eng.Events()
+		stats := log.Stats()
 		snap := struct {
 			Events  []Event `json:"events"`
 			Dropped uint64  `json:"dropped"`
 			Total   uint64  `json:"total"`
-		}{log.Snapshot(0), log.Dropped(), log.Total()}
+		}{log.Snapshot(0), stats.Dropped, stats.Total}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -675,11 +676,11 @@ func (db *DB) EventsHandler() http.Handler {
 // -metrics mounts it at /debug/traces).
 func (db *DB) TracesHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		store := db.eng.Traces()
+		traces := db.eng.Traces()
 		snap := struct {
 			Traces []Trace `json:"traces"`
 			Total  uint64  `json:"total"`
-		}{store.Snapshot(), store.Total()}
+		}{traces.Snapshot(0), traces.Stats().Total}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

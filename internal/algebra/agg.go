@@ -401,7 +401,7 @@ func (a *Agg) funcTime(f AggFunc, p *partition, vals []value.Value) xtime.Time {
 		// count strictly follows, only the empty set being neutral for it.
 		return p.rows[0].Texp
 	case a.Policy == PolicyNeutral:
-		return neutralTime(f, p, vals[0])
+		return neutralTime(f, p, vals)
 	default:
 		// The change-point function ν of formula (9): the first slice whose
 		// expiry changes the value or empties the partition, ∞ when that
@@ -418,8 +418,9 @@ func (a *Agg) funcTime(f AggFunc, p *partition, vals []value.Value) xtime.Time {
 // the partition time is the minimum expiration among the contributing set
 // C = P − ∪(time-sliced neutral subsets), or the maximum expiration of P
 // when C is empty (the aggregate value stays valid until the whole
-// partition expires). v0 is f over P.
-func neutralTime(f AggFunc, p *partition, v0 value.Value) xtime.Time {
+// partition expires). vals are f's suffix values, vals[0] f over P.
+func neutralTime(f AggFunc, p *partition, vals []value.Value) xtime.Time {
+	v0 := vals[0]
 	if f.Kind == AggMin || f.Kind == AggMax {
 		// Tuples off the extremum, and extremal ones that a longer-lived
 		// extremal tuple outlasts, are removable: C is the slice of the
@@ -446,6 +447,12 @@ func neutralTime(f AggFunc, p *partition, v0 value.Value) xtime.Time {
 		neutral := sumN == 0
 		if f.Kind == AggAvg {
 			neutral = cntP == 0 || sumN*cntP == sumP*cntN
+		}
+		// Table 1 reasons over the reals; in float64 a slice that leaves the
+		// sum or mean unchanged there can still move its last bit, and then
+		// a recomputation no longer returns the materialised value.
+		if k+1 < len(vals) && !vals[k+1].Equal(v0) {
+			neutral = false
 		}
 		if !neutral || cntN > 0 && seen == cntP && hi < len(p.rows) {
 			return p.rows[lo].Texp

@@ -103,6 +103,21 @@ func TestNeutralSumZeroSlice(t *testing.T) {
 	}
 }
 
+// TestNeutralAvgFloatRounding: the slice {0.1} of {0.1, 0.0, 0.2} meets
+// Table 1's avg condition over the reals, but in float64 the mean of all
+// three is 0.10000000000000002 and of the other two 0.1: a recomputation
+// after the slice expires differs, so the slice is not neutral.
+func TestNeutralAvgFloatRounding(t *testing.T) {
+	r := relation.New(tuple.NewSchema(tuple.Col("grp", value.KindInt), tuple.Col("x", value.KindFloat)))
+	r.Insert(tuple.T(value.Int(1), value.Float(0.1)), 2)
+	r.Insert(tuple.T(value.Int(1), value.Float(0)), 4)
+	r.Insert(tuple.T(value.Int(1), value.Float(0.2)), xtime.Infinity)
+	f := AggFunc{Kind: AggAvg, Col: 1}
+	if got := partitionTexpOf(t, NewBase("T", r), f, PolicyNeutral, 1); got != 2 {
+		t.Errorf("neutral = %v, want 2: the mean's last bit changes when the slice expires", got)
+	}
+}
+
 // TestNeutralSumCancellingPair: +5 and −5 in one slice cancel (sum = 0).
 func TestNeutralSumCancellingPair(t *testing.T) {
 	in := aggInput([]relation.Row{

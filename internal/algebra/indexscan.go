@@ -40,8 +40,9 @@ type IndexScan struct {
 	Cols []int
 
 	// Equality probe (hash indexes only): EqKey is the pre-encoded probe
-	// key — computed once at plan time with the same tuple.KeyCols encoding
-	// index maintenance uses — and Eq holds the constant values for display.
+	// key — computed once at plan time as the set key of the constants, the
+	// encoding index.Hash files entries under — and Eq holds the constant
+	// values for display.
 	EqKey string
 	Eq    []value.Value
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"expdb/internal/index"
 	"expdb/internal/relation"
 	"expdb/internal/tuple"
 	"expdb/internal/xtime"
@@ -223,8 +224,8 @@ func (j *Join) Schema() tuple.Schema { return j.Left.Schema().Concat(j.Right.Sch
 func (j *Join) Monotonic() bool { return j.Left.Monotonic() && j.Right.Monotonic() }
 
 // equiCols extracts the (leftCol, rightCol) pairs of top-level equality
-// conjuncts usable by a hash join; ok is false when none exist.
-func (j *Join) equiCols() (left, right []int, rest []Predicate, ok bool) {
+// conjuncts usable by a hash join, and the conjuncts left over.
+func (j *Join) equiCols() (left, right []int, rest []Predicate) {
 	la := j.Left.Schema().Arity()
 	conjuncts := []Predicate{j.Pred}
 	if and, isAnd := j.Pred.(And); isAnd {
@@ -241,16 +242,16 @@ func (j *Join) equiCols() (left, right []int, rest []Predicate, ok bool) {
 		}
 		rest = append(rest, c)
 	}
-	return left, right, rest, len(left) > 0
+	return left, right, rest
 }
 
 // Stream implements Expr, formula (5): the right (build) side is collected
-// and hash-indexed on the equi-join columns, then left (probe) rows stream
-// through the index. Each probe encodes its key into one buffer that belongs
-// to this call — concurrent evaluations of a shared plan never see each
+// into an index.Hash on the equi-join columns, then left (probe) rows stream
+// through it. Each probe encodes its key into one buffer that belongs to
+// this call — concurrent evaluations of a shared plan never see each
 // other's — and looks it up without building a string, so the probe side
 // allocates per result row, not per row probed. Without equality conjuncts
-// it degrades to a streamed nested loop over the hoisted build rows.
+// it is a streamed nested loop over the hoisted build rows.
 func (j *Join) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
 	build, probeSide := j.Right, j.Left
 	if j.BuildLeft {
@@ -260,30 +261,21 @@ func (j *Join) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, erro
 	if err != nil {
 		return 0, err
 	}
-	leftCols, rightCols, rest, ok := j.equiCols()
-	// candidates yields the build rows a probe row may pair with; holds is
-	// what of the predicate is left to test on each pair.
-	var candidates func(pr relation.Row) []relation.Row
-	var holds func(tuple.Tuple) bool
-	if ok {
-		buildCols, probeCols := rightCols, leftCols
-		if j.BuildLeft {
-			buildCols, probeCols = leftCols, rightCols
-		}
-		idx := b.BuildIndex(tau, buildCols)
-		var key []byte
-		candidates = func(pr relation.Row) (brows []relation.Row) {
-			brows, key = idx.Probe(pr.Tuple, probeCols, key)
-			return brows
-		}
-		holds = compile(And{Preds: rest})
-	} else {
-		brows := b.Rows(tau)
-		candidates = func(relation.Row) []relation.Row { return brows }
-		holds = compile(j.Pred)
+	// Without equality conjuncts the columns are empty: every build row goes
+	// under one key and every probe finds them all.
+	leftCols, rightCols, rest := j.equiCols()
+	buildCols, probeCols := rightCols, leftCols
+	if j.BuildLeft {
+		buildCols, probeCols = leftCols, rightCols
 	}
+	h := index.NewHash(buildCols)
+	b.AliveAt(tau, func(r relation.Row) { h.Insert(index.Entry{Tuple: r.Tuple, Texp: r.Texp}) })
+	holds := compile(And{Preds: rest}) // what of the predicate each pair still tests
+	var key []byte
 	pt, err := probeSide.Stream(tau, func(pr relation.Row) {
-		for _, br := range candidates(pr) {
+		var brows []index.Entry
+		brows, key = h.Lookup(pr.Tuple, probeCols, key)
+		for _, br := range brows {
 			// The concatenation order is always left ++ right, whichever
 			// side was hoisted.
 			l, r := pr.Tuple, br.Tuple

@@ -140,7 +140,7 @@ func refHelper(l, r *relation.Relation, tau xtime.Time) []CriticalRow {
 func refPartitions(a *Agg, in *relation.Relation, tau xtime.Time) [][]relation.Row {
 	byKey := map[string][]relation.Row{}
 	in.AliveAt(tau, func(row relation.Row) {
-		k := row.Tuple.KeyCols(a.GroupCols)
+		k := row.Tuple.Project(a.GroupCols).Key()
 		byKey[k] = append(byKey[k], row)
 	})
 	var parts [][]relation.Row
@@ -254,9 +254,13 @@ func refFuncTime(policy AggPolicy, f AggFunc, rows []relation.Row, tau xtime.Tim
 		return naive // formula (8), which count strictly follows
 	case policy == PolicyNeutral:
 		// Definition 2: the earliest slice of the contributing set C, or
-		// the partition's last expiration when every slice is neutral.
+		// the partition's last expiration when every slice is neutral. A
+		// slice neutral over the reals whose expiry still changes the float
+		// value is not neutral.
+		v0, _ := refApply(f, rows, tau)
 		for _, s := range refSlices(rows) {
-			if !refNeutral(f, s, rows) {
+			v, nonEmpty := refApply(f, rows, s[0].Texp)
+			if !refNeutral(f, s, rows) || nonEmpty && !v.Equal(v0) {
 				return s[0].Texp
 			}
 		}

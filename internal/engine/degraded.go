@@ -268,9 +268,14 @@ func (e *Engine) recoverDiskLocked() error {
 		old.ReleaseReserve()
 	}
 
+	// The fresh log is not installed as e.log until its snapshot is
+	// durable, and its active segment is still empty. Mutations concurrent
+	// with the capture are impossible — the engine is degraded (writes
+	// rejected) or its old log is poisoned (writes fail explicitly) — so
+	// the capture is exact.
 	log2, err := wal.Reopen(old.Dir(), old.FS())
 	if err == nil {
-		if cerr := e.checkpointInto(log2); cerr != nil {
+		if _, cerr := e.checkpoint(log2, func() (uint64, error) { return log2.Gen(), nil }); cerr != nil {
 			log2.Close()
 			err = cerr
 		}
@@ -299,31 +304,5 @@ func (e *Engine) recoverDiskLocked() error {
 		Tick: now, Count: e.m.DiskRetries.Load(),
 	})
 	e.dispatch(events)
-	return nil
-}
-
-// checkpointInto captures the full in-memory state under a global
-// quiescent point and writes it as the snapshot for log2's active
-// generation, then removes all older generations. log2 must be freshly
-// opened (its active segment empty) and not yet installed as e.log;
-// the caller holds advMu. Mutations concurrent with the capture are
-// impossible — the engine is degraded (writes rejected) or its old log
-// is poisoned (writes fail explicitly) — so the capture is exact.
-func (e *Engine) checkpointInto(log2 *wal.Log) error {
-	tables := e.lockAllTables()
-	gen := log2.Gen()
-	snap, shared := e.captureLocked(tables)
-	e.mu.Unlock()
-	for i := len(tables) - 1; i >= 0; i-- {
-		tables[i].Rel.Unlock()
-	}
-	serializeTables(snap, tables, shared)
-	if err := wal.WriteSnapshotFS(log2.FS(), wal.SnapshotPath(log2.Dir(), gen), snap); err != nil {
-		return err
-	}
-	if err := log2.RemoveBelow(gen); err != nil {
-		return err
-	}
-	e.m.Checkpoints.Inc()
 	return nil
 }

@@ -372,46 +372,51 @@ func (e *Engine) Checkpoint() error {
 	// snapshot consistent with the rotation point.
 	e.advMu.Lock()
 	defer e.advMu.Unlock()
-
-	tables := e.lockAllTables()
-	gen, err := log.Rotate()
+	snap, err := e.checkpoint(log, log.Rotate)
 	if err != nil {
-		e.mu.Unlock()
-		for i := len(tables) - 1; i >= 0; i-- {
-			tables[i].Rel.Unlock()
-		}
-		// A failed rotation poisons the log — a disk fault, not a
-		// caller mistake. Degrade so writes fail fast with ErrReadOnly
-		// and the background loop takes over (advMu is held, so no
-		// inline recovery here).
-		return e.walFail(err, false)
-	}
-	snap, shared := e.captureLocked(tables)
-	tick := e.now
-	e.mu.Unlock()
-	for i := len(tables) - 1; i >= 0; i-- {
-		tables[i].Rel.Unlock()
-	}
-
-	serializeTables(snap, tables, shared)
-	if err := wal.WriteSnapshotFS(log.FS(), wal.SnapshotPath(log.Dir(), gen), snap); err != nil {
 		return err
 	}
-	if err := log.RemoveBelow(gen); err != nil {
-		return err
-	}
-	e.m.Checkpoints.Inc()
 	e.events.Emit(trace.Event{
-		Trace: trace.NextID(), Kind: trace.EvCheckpoint, Tick: tick,
+		Trace: trace.NextID(), Kind: trace.EvCheckpoint, Tick: snap.Clock,
 		Count: int64(len(snap.Tables)),
 	})
 	return nil
 }
 
+// checkpoint is the one snapshot writer, behind Checkpoint and disk
+// recovery: at the lockAllTables quiescent point it asks gen for the
+// generation to write — Checkpoint rotates the log there, recovery names
+// its fresh log's — and captures the state; then, every lock released, it
+// serialises the capture, writes it as that generation's snapshot and
+// removes every older generation. The caller holds advMu. A failing gen
+// is a disk fault, not a caller mistake: the engine degrades, so writes
+// fail fast with ErrReadOnly and the background loop takes over (advMu is
+// held, so no inline recovery here).
+func (e *Engine) checkpoint(log *wal.Log, gen func() (uint64, error)) (*wal.Snapshot, error) {
+	tables := e.lockAllTables()
+	g, err := gen()
+	if err != nil {
+		e.unlockAll(tables)
+		return nil, e.walFail(err, false)
+	}
+	snap, shared := e.captureLocked(tables)
+	e.unlockAll(tables)
+	serializeTables(snap, tables, shared)
+	if err := wal.WriteSnapshotFS(log.FS(), wal.SnapshotPath(log.Dir(), g), snap); err != nil {
+		return nil, err
+	}
+	if err := log.RemoveBelow(g); err != nil {
+		return nil, err
+	}
+	e.m.Checkpoints.Inc()
+	return snap, nil
+}
+
 // lockAllTables locks every table (ascending LockOrder) and then e.mu,
 // re-checking under e.mu that no DDL changed the table set while the
 // locks were acquired. On return the caller holds every table lock plus
-// e.mu — the global quiescent point both checkpoint paths capture at.
+// e.mu — the global quiescent point a checkpoint captures at — which
+// unlockAll releases.
 func (e *Engine) lockAllTables() []catalog.NamedTable {
 	var tables []catalog.NamedTable
 	for {
@@ -427,10 +432,15 @@ func (e *Engine) lockAllTables() []catalog.NamedTable {
 		if tablesMatch(tables, e.cat.TableSet()) {
 			return tables
 		}
-		e.mu.Unlock()
-		for i := len(tables) - 1; i >= 0; i-- {
-			tables[i].Rel.Unlock()
-		}
+		e.unlockAll(tables)
+	}
+}
+
+// unlockAll releases what lockAllTables took.
+func (e *Engine) unlockAll(tables []catalog.NamedTable) {
+	e.mu.Unlock()
+	for i := len(tables) - 1; i >= 0; i-- {
+		tables[i].Rel.Unlock()
 	}
 }
 

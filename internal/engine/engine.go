@@ -141,12 +141,12 @@ type Engine struct {
 	// m holds the atomic hot-path counters and histograms; unlike the
 	// fields above it is not guarded by mu (see metrics.go).
 	m Metrics
-	// events and traces are the per-operation observability sinks: a
-	// bounded ring of lifecycle events and the slow-query trace store.
+	// events and traces are the per-operation observability sinks, the
+	// bounded rings of lifecycle events and of slow-query traces.
 	// Both are internally synchronised leaves of the lock hierarchy —
 	// safe to emit into under any engine, view or table lock.
-	events *trace.Log
-	traces *trace.Store
+	events *trace.Ring[trace.Event]
+	traces *trace.Ring[trace.Trace]
 	// slowNanos is the slow-query threshold in nanoseconds (0 = off).
 	slowNanos atomic.Int64
 
@@ -206,7 +206,7 @@ func New(opts ...Option) *Engine {
 		tails:      make(map[string]*writeTail),
 		viewWrites: make(map[string]uint64),
 		events:     trace.NewLog(DefaultEventLogCapacity),
-		traces:     trace.NewStore(DefaultTraceLogCapacity),
+		traces:     trace.NewRing[trace.Trace](DefaultTraceLogCapacity, nil),
 		viewAgg:    &view.AggMetrics{},
 	}
 	e.cache.Store(newResultCache(DefaultResultCacheSize))

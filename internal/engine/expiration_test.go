@@ -318,7 +318,7 @@ func TestCrashRecoveryMultiRowDeleteEveryOffset(t *testing.T) {
 
 			// The victims in log (= apply) order.
 			var victims []string
-			_, full, err := wal.Open(copyDir(t, dir))
+			_, full, err := wal.OpenFS(copyDir(t, dir), vfs.OS())
 			if err != nil {
 				t.Fatal(err)
 			}

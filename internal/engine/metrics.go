@@ -2,6 +2,7 @@ package engine
 
 import (
 	"expdb/internal/metrics"
+	"expdb/internal/trace"
 	"expdb/internal/view"
 	"expdb/internal/xtime"
 )
@@ -40,18 +41,6 @@ type Metrics struct {
 	// ExpiryBatch is the distribution of tuples physically expired per
 	// eager batch or lazy sweep tick.
 	ExpiryBatch metrics.Histogram
-}
-
-// RingMetrics describes one bounded observability ring (the lifecycle
-// event log, the slow-query trace store): lifetime volume, losses to
-// wraparound, and the high-water occupancy. HighWater at Capacity with
-// non-zero Dropped is the operator signal that the retention window is
-// too small for the event rate.
-type RingMetrics struct {
-	Total     uint64 `json:"total"`
-	Dropped   uint64 `json:"dropped"`
-	Capacity  int    `json:"capacity"`
-	HighWater uint64 `json:"high_water"`
 }
 
 // WALMetricsSnapshot is the write-ahead log block of a metrics snapshot.
@@ -121,8 +110,8 @@ type MetricsSnapshot struct {
 	// Events and Traces report the observability rings themselves —
 	// drops and high-water tell an operator whether the retained window
 	// is still trustworthy.
-	Events RingMetrics `json:"events"`
-	Traces RingMetrics `json:"traces"`
+	Events trace.RingStats `json:"events"`
+	Traces trace.RingStats `json:"traces"`
 	// WAL is nil for a memory-only engine.
 	WAL *WALMetricsSnapshot `json:"wal,omitempty"`
 	// ResultCache is nil when the validity-interval result cache is
@@ -152,14 +141,8 @@ func (e *Engine) Metrics() MetricsSnapshot {
 		DiskRecoveries:   e.m.DiskRecoveries.Load(),
 		AdvanceNanos:     e.m.AdvanceNanos.Snapshot(),
 		ExpiryBatch:      e.m.ExpiryBatch.Snapshot(),
-		Events: RingMetrics{
-			Total: e.events.Total(), Dropped: e.events.Dropped(),
-			Capacity: e.events.Capacity(), HighWater: e.events.HighWater(),
-		},
-		Traces: RingMetrics{
-			Total: e.traces.Total(), Dropped: e.traces.Dropped(),
-			Capacity: e.traces.Capacity(), HighWater: e.traces.HighWater(),
-		},
+		Events:           e.events.Stats(),
+		Traces:           e.traces.Stats(),
 	}
 	e.mu.RLock()
 	log := e.log

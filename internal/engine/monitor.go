@@ -111,13 +111,7 @@ func (e *Engine) initMonitor() {
 // disk recovery and SetResultCache swap (their counters restart, one
 // clamped history interval), and read zero while there is none.
 func (e *Engine) Families() []monitor.Family {
-	type ring interface {
-		Total() uint64
-		Dropped() uint64
-		Capacity() int
-		HighWater() uint64
-	}
-	rings := [...]ring{e.events, e.traces}
+	rings := [...]func() trace.RingStats{e.events.Stats, e.traces.Stats}
 	ringLabels := [][]monitor.Label{{{Key: "ring", Value: "events"}}, {{Key: "ring", Value: "traces"}}}
 	walRead := func(read func(*wal.Metrics) int64) func() int64 {
 		return func() int64 {
@@ -157,13 +151,13 @@ func (e *Engine) Families() []monitor.Family {
 		monitor.Histogram("expdb_expiry_batch_size", "Tuples expired per batch or sweep tick.", &e.m.ExpiryBatch),
 		monitor.Gauge("expdb_scheduler_pending", "Pairs in the per-table texp-ordered indexes, stale ones included.", func() int64 { return int64(e.texpPending()) }),
 		{Name: "expdb_ring_entries_total", Help: "Entries ever written to this observability ring.", Labels: ringLabels,
-			Value: func(i int) int64 { return int64(rings[i].Total()) }},
+			Value: func(i int) int64 { return int64(rings[i]().Total) }},
 		{Name: "expdb_ring_dropped_total", Help: "Entries lost to ring wraparound.", Labels: ringLabels,
-			Value: func(i int) int64 { return int64(rings[i].Dropped()) }},
+			Value: func(i int) int64 { return int64(rings[i]().Dropped) }},
 		{Name: "expdb_ring_capacity", Help: "Ring capacity.", Kind: monitor.SeriesGauge, Labels: ringLabels,
-			Value: func(i int) int64 { return int64(rings[i].Capacity()) }},
+			Value: func(i int) int64 { return int64(rings[i]().Capacity) }},
 		{Name: "expdb_ring_high_water", Help: "Peak ring occupancy.", Kind: monitor.SeriesGauge, Labels: ringLabels,
-			Value: func(i int) int64 { return int64(rings[i].HighWater()) }},
+			Value: func(i int) int64 { return int64(rings[i]().HighWater) }},
 	}
 	fams = append(fams, monitor.When(func() bool { return e.DurabilityState() != DurabilityMemoryOnly },
 		monitor.Counter("expdb_wal_appends_total", "WAL records appended.", walRead(func(m *wal.Metrics) int64 { return m.Appends.Load() })),

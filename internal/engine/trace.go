@@ -35,10 +35,10 @@ func WithSlowQueryThreshold(d time.Duration) Option {
 }
 
 // Events returns the engine's lifecycle-event log.
-func (e *Engine) Events() *trace.Log { return e.events }
+func (e *Engine) Events() *trace.Ring[trace.Event] { return e.events }
 
-// Traces returns the engine's slow-query trace store.
-func (e *Engine) Traces() *trace.Store { return e.traces }
+// Traces returns the engine's slow-query log.
+func (e *Engine) Traces() *trace.Ring[trace.Trace] { return e.traces }
 
 // SlowQueryThreshold returns the current slow-query threshold (0 = off).
 func (e *Engine) SlowQueryThreshold() time.Duration {

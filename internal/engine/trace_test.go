@@ -251,11 +251,8 @@ func TestEventLogCapacityOption(t *testing.T) {
 		}
 	}
 	log := e.Events()
-	if log.Total() != 5 {
-		t.Fatalf("total events = %d, want 5", log.Total())
-	}
-	if log.Dropped() != 3 {
-		t.Fatalf("dropped = %d, want 3", log.Dropped())
+	if st := log.Stats(); st.Total != 5 || st.Dropped != 3 {
+		t.Fatalf("total, dropped = %d, %d, want 5, 3", st.Total, st.Dropped)
 	}
 	snap := log.Snapshot(0)
 	if len(snap) != 2 || snap[0].Seq != 4 || snap[1].Seq != 5 {
@@ -283,7 +280,7 @@ func TestEmptyAdvanceAllocationFree(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("empty Advance allocates %v per op, want 0", n)
 	}
-	if got := e.Events().Total(); got != 0 {
+	if got := e.Events().Stats().Total; got != 0 {
 		t.Fatalf("empty advances emitted %d events, want 0", got)
 	}
 }

@@ -1,9 +1,9 @@
 // Package index implements expiration-aware secondary indexes for base
-// relations: a hash index for equality probes and an ordered B+tree index
-// for range predicates. Every entry carries the tuple's expiration time
-// texp, so a probe at logical instant tau skips expired entries without
-// consulting the base table — the index alone answers "which tuples
-// satisfy the key AND are alive at tau" (ROADMAP item 4).
+// relations: a hash index for equality probes (also a hash join's build
+// side) and an ordered B+tree index for range predicates. Every entry
+// carries the tuple's expiration time texp, so a probe at logical instant
+// tau skips expired entries without consulting the base table — the index
+// alone answers "which tuples satisfy the key AND are alive at tau".
 //
 // Indexes store the same tuple pointers the owning relation stores;
 // tuples are immutable after insertion, so sharing is safe. Maintenance
@@ -79,24 +79,26 @@ type Index interface {
 	Cols() []int
 }
 
-// ProbeKey encodes the indexed columns of t with the same self-delimiting
-// encoding the relation uses for set keys, so a plan-time constant probe
-// key and a maintenance-time tuple key compare equal exactly when the
-// column values do.
-func ProbeKey(t tuple.Tuple, cols []int) string {
-	return t.KeyCols(cols)
-}
-
-// Hash is the equality index: probe key -> entries with that key value.
+// Hash is the one hash table: a base table's equality index, maintained
+// through the Index methods, and the build side of a hash join, filled by
+// Insert and read by Lookup. Entries are filed under the key of their
+// indexed columns (Tuple.AppendKeyCols, the set key's encoding, so a
+// plan-time constant key and a tuple's key compare equal exactly when the
+// column values do). The map holds a bucket's position, not the bucket, and
+// the key is encoded into a scratch buffer: a key string is allocated once
+// per distinct key, never per entry.
 type Hash struct {
 	cols    []int
-	buckets map[string][]Entry
+	pos     map[string]int // key of the indexed columns → position in buckets
+	buckets [][]Entry
+	free    []int  // positions of the buckets Remove emptied, for new keys
+	key     []byte // Insert / Update / Remove scratch: writers hold the write lock
 	n       int
 }
 
 // NewHash creates an empty hash index over the given column positions.
 func NewHash(cols []int) *Hash {
-	return &Hash{cols: append([]int(nil), cols...), buckets: make(map[string][]Entry)}
+	return &Hash{cols: append([]int(nil), cols...), pos: make(map[string]int)}
 }
 
 // Kind implements Index.
@@ -108,46 +110,65 @@ func (h *Hash) Cols() []int { return h.cols }
 // Len implements Index.
 func (h *Hash) Len() int { return h.n }
 
-// Insert implements Index.
+// Insert implements Index. A join's table leaves Entry.Key empty: it is
+// never updated or removed from.
 func (h *Hash) Insert(e Entry) {
-	pk := ProbeKey(e.Tuple, h.cols)
-	h.buckets[pk] = append(h.buckets[pk], e)
+	h.key = e.Tuple.AppendKeyCols(h.key[:0], h.cols)
+	i, ok := h.pos[string(h.key)]
+	if !ok {
+		if n := len(h.free); n > 0 {
+			i, h.free = h.free[n-1], h.free[:n-1]
+		} else {
+			i = len(h.buckets)
+			h.buckets = append(h.buckets, nil)
+		}
+		h.pos[string(h.key)] = i
+	}
+	h.buckets[i] = append(h.buckets[i], e)
 	h.n++
+}
+
+// find returns the position of t's bucket and, within it, of the entry
+// stored under the set key key, leaving t's bucket key in h.key.
+func (h *Hash) find(key string, t tuple.Tuple) (b, i int, ok bool) {
+	h.key = t.AppendKeyCols(h.key[:0], h.cols)
+	if b, ok = h.pos[string(h.key)]; ok {
+		for i := range h.buckets[b] {
+			if h.buckets[b][i].Key == key {
+				return b, i, true
+			}
+		}
+	}
+	return 0, 0, false
 }
 
 // Update implements Index.
 func (h *Hash) Update(key string, t tuple.Tuple, texp xtime.Time) {
-	pk := ProbeKey(t, h.cols)
-	b := h.buckets[pk]
-	for i := range b {
-		if b[i].Key == key {
-			b[i].Texp = texp
-			return
-		}
+	if b, i, ok := h.find(key, t); ok {
+		h.buckets[b][i].Texp = texp
+		return
 	}
 	// The tuple was not indexed (e.g. the index was created between the
 	// row's insert and this update — cannot happen today because creation
 	// backfills, but stay self-healing).
-	h.buckets[pk] = append(b, Entry{Key: key, Tuple: t, Texp: texp})
-	h.n++
+	h.Insert(Entry{Key: key, Tuple: t, Texp: texp})
 }
 
-// Remove implements Index.
+// Remove implements Index. A bucket left empty leaves the map, and the next
+// new key takes its position and its array, so keys that come and go leave
+// nothing behind and cost no allocation.
 func (h *Hash) Remove(key string, t tuple.Tuple) {
-	pk := ProbeKey(t, h.cols)
-	b := h.buckets[pk]
-	for i := range b {
-		if b[i].Key == key {
-			b[i] = b[len(b)-1]
-			b = b[:len(b)-1]
-			if len(b) == 0 {
-				delete(h.buckets, pk)
-			} else {
-				h.buckets[pk] = b
-			}
-			h.n--
-			return
-		}
+	b, i, ok := h.find(key, t)
+	if !ok {
+		return
+	}
+	h.n--
+	ents := h.buckets[b]
+	last := len(ents) - 1
+	ents[i], ents[last] = ents[last], Entry{}
+	if h.buckets[b] = ents[:last]; last == 0 {
+		delete(h.pos, string(h.key)) // t's key, which find left there
+		h.free = append(h.free, b)
 	}
 }
 
@@ -155,13 +176,30 @@ func (h *Hash) Remove(key string, t tuple.Tuple) {
 // which is alive at tau (Texp > tau). emit returning false stops the
 // probe. The bucket walk allocates nothing.
 func (h *Hash) Probe(probeKey string, tau xtime.Time, emit func(Entry) bool) {
-	for _, e := range h.buckets[probeKey] {
+	i, ok := h.pos[probeKey]
+	if !ok {
+		return
+	}
+	for _, e := range h.buckets[i] {
 		if e.Texp > tau {
 			if !emit(e) {
 				return
 			}
 		}
 	}
+}
+
+// Lookup returns every entry, alive or not, whose indexed columns equal
+// t's columns cols. The key is encoded into buf and looked up without
+// becoming a string, so a lookup allocates nothing once buf has grown; buf
+// comes back for the next call. Lookups run under a read lock, so each
+// goroutine brings its own buffer: the table's scratch is its writers'.
+func (h *Hash) Lookup(t tuple.Tuple, cols []int, buf []byte) ([]Entry, []byte) {
+	buf = t.AppendKeyCols(buf[:0], cols)
+	if i, ok := h.pos[string(buf)]; ok {
+		return h.buckets[i], buf
+	}
+	return nil, buf
 }
 
 // Ordered is the range index: a B+tree over the indexed column values

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"expdb/internal/tuple"
@@ -21,7 +22,7 @@ func TestHashProbeSkipsExpired(t *testing.T) {
 	h.Insert(mk(1, 10, 5))
 	h.Insert(mk(1, 11, 20))
 	h.Insert(mk(2, 12, xtime.Infinity))
-	probe := ProbeKey(tuple.Tuple{value.Int(1)}, []int{0})
+	probe := tuple.Tuple{value.Int(1)}.Key()
 	var got []int64
 	h.Probe(probe, 5, func(e Entry) bool {
 		got = append(got, e.Tuple[1].AsInt())
@@ -43,7 +44,7 @@ func TestHashUpdateRemove(t *testing.T) {
 	e := mk(7, 1, 10)
 	h.Insert(e)
 	h.Update(e.Key, e.Tuple, 50)
-	probe := ProbeKey(e.Tuple, []int{0})
+	probe := e.Tuple.Project([]int{0}).Key()
 	var texp xtime.Time
 	h.Probe(probe, 10, func(e Entry) bool { texp = e.Texp; return true })
 	if texp != 50 {
@@ -53,6 +54,105 @@ func TestHashUpdateRemove(t *testing.T) {
 	if h.Len() != 0 {
 		t.Fatalf("after remove: want empty, got %d", h.Len())
 	}
+}
+
+// TestHashJoinTableMatchesMaintained: a table built the way a join builds
+// its build side (Insert only, no set key) and a secondary index maintained
+// through inserts, texp updates and removes, holding the same rows, return
+// the same tuples with the same texps for every key — by Lookup with the
+// caller's buffer, and by Probe with a key string.
+func TestHashJoinTableMatchesMaintained(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	maintained := NewHash([]int{1})
+	live := map[string]Entry{}
+	// At most three rows per key: buckets empty and are reused often.
+	for step := 0; step < 3000; step++ {
+		e := mk(int64(rng.Intn(3)), int64(rng.Intn(30)), xtime.Time(rng.Intn(100)+1))
+		old, had := live[e.Key]
+		switch op := rng.Intn(10); {
+		case op < 6 && !had:
+			maintained.Insert(e)
+			live[e.Key] = e
+		case op < 8 && had:
+			old.Texp = e.Texp
+			maintained.Update(e.Key, e.Tuple, e.Texp)
+			live[e.Key] = old
+		case had:
+			maintained.Remove(e.Key, e.Tuple)
+			delete(live, e.Key)
+		}
+	}
+	join := NewHash([]int{1})
+	for _, e := range live {
+		join.Insert(Entry{Tuple: e.Tuple, Texp: e.Texp})
+	}
+	if join.Len() != len(live) || maintained.Len() != len(live) {
+		t.Fatalf("Len: join %d, maintained %d, rows %d", join.Len(), maintained.Len(), len(live))
+	}
+	rows := func(es []Entry) string {
+		out := make([]string, len(es))
+		for i, e := range es {
+			out[i] = fmt.Sprintf("%v@%v", e.Tuple, e.Texp)
+		}
+		sort.Strings(out)
+		return fmt.Sprint(out)
+	}
+	var bufA, bufB []byte
+	for v := int64(-1); v <= 30; v++ {
+		probe := tuple.Tuple{value.Int(0), value.Int(v)} // the key is the probe's column 1
+		var a, b, c []Entry
+		a, bufA = join.Lookup(probe, []int{1}, bufA)
+		b, bufB = maintained.Lookup(probe, []int{1}, bufB)
+		maintained.Probe(probe.Project([]int{1}).Key(), 0, func(e Entry) bool { c = append(c, e); return true })
+		if rows(a) != rows(b) || rows(b) != rows(c) {
+			t.Fatalf("key %d: join %v, maintained Lookup %v, Probe %v", v, rows(a), rows(b), rows(c))
+		}
+	}
+	// A FLOAT finds the INT it equals; a key never filed finds nothing.
+	k := tuple.Ints(3).Key()
+	var n int
+	maintained.Probe(k, 0, func(Entry) bool { n++; return true })
+	if got, _ := join.Lookup(tuple.T(value.Float(3)), []int{0}, nil); len(got) != n {
+		t.Errorf("Lookup(3.0) = %d entries, want %d", len(got), n)
+	}
+	if got, _ := join.Lookup(tuple.Ints(1000), []int{0}, nil); got != nil {
+		t.Errorf("Lookup(1000) = %v, want nothing", got)
+	}
+	// Once the buffer has grown, a lookup allocates nothing.
+	probe := tuple.Ints(3)
+	if allocs := testing.AllocsPerRun(100, func() { _, bufA = join.Lookup(probe, []int{0}, bufA) }); allocs != 0 {
+		t.Errorf("Lookup allocates %v times per call", allocs)
+	}
+}
+
+// TestHashConcurrentLookups: lookups run under a table's read lock, so two
+// goroutines probe one table at once, each with its own buffer; under
+// -race neither sees the other's key.
+func TestHashConcurrentLookups(t *testing.T) {
+	h := NewHash([]int{0})
+	for a := int64(0); a < 50; a++ {
+		for b := int64(0); b <= a%4; b++ {
+			h.Insert(mk(a, b, xtime.Infinity))
+		}
+	}
+	var wg sync.WaitGroup
+	for g := int64(0); g < 2; g++ {
+		wg.Add(1)
+		go func(g int64) {
+			defer wg.Done()
+			var buf []byte
+			for i := 0; i < 2000; i++ {
+				a := (int64(i)*2 + g) % 50
+				var got []Entry
+				got, buf = h.Lookup(tuple.Ints(a), []int{0}, buf)
+				if len(got) != int(a%4)+1 || got[0].Tuple[0].AsInt() != a {
+					t.Errorf("goroutine %d: Lookup(%d) = %v", g, a, got)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestOrderedAgainstOracle drives a random workload of inserts, texp

@@ -89,9 +89,6 @@ func From(start xtime.Time) Set {
 	return NewSet(Interval{Start: start, End: xtime.Infinity})
 }
 
-// Always is the full domain [0, ∞[.
-func Always() Set { return From(0) }
-
 // Empty reports whether the set contains no instants.
 func (s Set) Empty() bool { return len(s.ivs) == 0 }
 

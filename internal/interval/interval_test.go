@@ -31,8 +31,8 @@ func TestContains(t *testing.T) {
 			t.Errorf("Contains(%v) = %v, want %v", tm, got, want)
 		}
 	}
-	if Always().Contains(0) != true {
-		t.Error("Always must contain 0")
+	if !From(0).Contains(0) {
+		t.Error("[0, ∞[ must contain 0")
 	}
 	var empty Set
 	if empty.Contains(0) {
@@ -51,8 +51,8 @@ func TestIntersect(t *testing.T) {
 	if !a.Intersect(Set{}).Empty() {
 		t.Error("intersect with empty must be empty")
 	}
-	if !a.Intersect(Always()).Equal(a) {
-		t.Error("intersect with Always must be identity")
+	if !a.Intersect(From(0)).Equal(a) {
+		t.Error("intersect with [0, ∞[ must be identity")
 	}
 }
 

@@ -160,15 +160,6 @@ func (r *Relation) RUnlock() { r.mu.RUnlock() }
 // them in ascending LockOrder to stay deadlock-free.
 func (r *Relation) LockOrder() uint64 { return r.order }
 
-// FromRows builds a relation from rows, applying set semantics.
-func FromRows(schema tuple.Schema, rows []Row) *Relation {
-	r := New(schema)
-	for _, row := range rows {
-		r.Insert(row.Tuple, row.Texp)
-	}
-	return r
-}
-
 // Schema returns the relation's schema.
 func (r *Relation) Schema() tuple.Schema { return r.schema }
 
@@ -742,64 +733,6 @@ func (r *Relation) boundTexpIdx() {
 	if r.texpIdx != nil && r.texpIdx.Len() > 2*len(r.keys)+slack {
 		r.rebuildTexpIdx()
 	}
-}
-
-// Index is a hash index over a column subset, mapping projected keys to
-// rows: the build side of a hash join.
-type Index struct {
-	cols    []int
-	buckets map[string]int // key of the indexed columns → position in rows
-	rows    [][]Row
-	key     []byte // Add's scratch; a key string is made once per bucket
-}
-
-// NewIndex returns an empty index over the given 0-based columns; feed it
-// with Add.
-func NewIndex(cols []int) *Index {
-	return &Index{cols: cols, buckets: make(map[string]int)}
-}
-
-// Add indexes one row under the key of its indexed columns.
-func (idx *Index) Add(row Row) {
-	idx.key = row.Tuple.AppendKeyCols(idx.key[:0], idx.cols)
-	if i, ok := idx.buckets[string(idx.key)]; ok {
-		idx.rows[i] = append(idx.rows[i], row)
-		return
-	}
-	idx.buckets[string(idx.key)] = len(idx.rows)
-	idx.rows = append(idx.rows, []Row{row})
-}
-
-// BuildIndex builds an index of expτ(R) on the given 0-based columns.
-func (r *Relation) BuildIndex(tau xtime.Time, cols []int) *Index {
-	idx := NewIndex(cols)
-	r.AliveAt(tau, idx.Add)
-	return idx
-}
-
-// Probe returns the rows whose indexed columns equal ⟨t(c) | c ∈ cols⟩. The
-// key is encoded into buf and looked up without becoming a string, so a
-// probe allocates nothing once buf has grown; buf comes back for the next
-// probe. Goroutines probing one index each bring their own buffer.
-func (idx *Index) Probe(t tuple.Tuple, cols []int, buf []byte) ([]Row, []byte) {
-	buf = t.AppendKeyCols(buf[:0], cols)
-	if i, ok := idx.buckets[string(buf)]; ok {
-		return idx.rows[i], buf
-	}
-	return nil, buf
-}
-
-// Sum of lifetimes helper: TotalRemainingLifetime returns Σ max(0,
-// texp-tau) over alive rows with finite texp — used by experiments to
-// quantify how long materialised data stays maintainable.
-func (r *Relation) TotalRemainingLifetime(tau xtime.Time) int64 {
-	var total int64
-	r.AliveAt(tau, func(row Row) {
-		if row.Texp.IsFinite() {
-			total += int64(row.Texp - tau)
-		}
-	})
-	return total
 }
 
 // MustInsertInts is a test/demo helper: insert an all-integer tuple.

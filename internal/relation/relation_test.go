@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"expdb/internal/tuple"
-	"expdb/internal/value"
 	"expdb/internal/xtime"
 )
 
@@ -162,56 +161,6 @@ func TestEqualAt(t *testing.T) {
 	}
 	if !c.SameTuplesAt(d, 0) {
 		t.Error("same tuples must satisfy SameTuplesAt")
-	}
-}
-
-func TestBuildIndexProbe(t *testing.T) {
-	r := pol()
-	idx := r.BuildIndex(0, []int{1}) // index on Deg
-	var buf []byte
-	probe := func(idx *Index, t tuple.Tuple, cols ...int) []Row {
-		var rows []Row
-		rows, buf = idx.Probe(t, cols, buf)
-		return rows
-	}
-	if hits := probe(idx, tuple.Ints(25), 0); len(hits) != 2 {
-		t.Fatalf("probe(25) = %d rows, want 2", len(hits))
-	}
-	// The probing tuple names its own key columns: Deg is its second.
-	if got := probe(idx, tuple.Ints(7, 35), 1); len(got) != 1 || got[0].Tuple[1].AsInt() != 35 {
-		t.Fatalf("probe tuple with Deg=35 = %v, want one row", got)
-	}
-	// A FLOAT probes the INT it equals; a missing key finds nothing.
-	if got := probe(idx, tuple.T(value.Float(25)), 0); len(got) != 2 {
-		t.Errorf("probe(25.0) = %d rows, want 2", len(got))
-	}
-	if got := probe(idx, tuple.Ints(26), 0); got != nil {
-		t.Errorf("probe(26) = %v, want nothing", got)
-	}
-	// Index respects expτ: build at τ=10, only ⟨2,25⟩ alive.
-	idx10 := r.BuildIndex(10, []int{1})
-	if len(probe(idx10, tuple.Ints(25), 0)) != 1 {
-		t.Error("index at τ=10 must only see unexpired rows")
-	}
-	if len(probe(idx10, tuple.Ints(35), 0)) != 0 {
-		t.Error("expired row leaked into index")
-	}
-	// Once the buffer has grown, a probe allocates nothing.
-	key := tuple.Ints(25)
-	if n := testing.AllocsPerRun(100, func() { _, buf = idx.Probe(key, []int{0}, buf) }); n != 0 {
-		t.Errorf("Probe allocates %v times per call", n)
-	}
-}
-
-func TestTotalRemainingLifetime(t *testing.T) {
-	r := pol()
-	// At τ=0: (10-0)+(15-0)+(10-0) = 35.
-	if got := r.TotalRemainingLifetime(0); got != 35 {
-		t.Errorf("lifetime = %d, want 35", got)
-	}
-	r.Insert(tuple.Ints(8, 8), xtime.Infinity)
-	if got := r.TotalRemainingLifetime(0); got != 35 {
-		t.Errorf("infinite rows must not contribute: %d", got)
 	}
 }
 

@@ -48,9 +48,6 @@ func TestSnapshotSharedEqualsSnapshot(t *testing.T) {
 		if len(shared.Rows(0)) != len(phys.Rows(0)) {
 			t.Fatal("Rows leaks pre-snapshot rows")
 		}
-		if shared.TotalRemainingLifetime(0) != phys.TotalRemainingLifetime(0) {
-			t.Fatal("TotalRemainingLifetime disagrees")
-		}
 	}
 }
 

@@ -427,7 +427,7 @@ func (s *Session) execTraced(stmt Statement, input string) (*Result, error) {
 			if res != nil {
 				tick = res.At
 			}
-			s.eng.Traces().Add(trace.Trace{
+			s.eng.Traces().Emit(trace.Trace{
 				ID: s.tid, Stmt: input, Tick: tick, Total: elapsed, Root: s.span,
 			})
 		}
@@ -761,7 +761,7 @@ func (s *Session) execShow(st *Show) (*Result, error) {
 		if len(lines) == 0 {
 			lines = append(lines, "no lifecycle events recorded")
 		}
-		if d := log.Dropped(); d > 0 {
+		if d := log.Stats().Dropped; d > 0 {
 			lines = append(lines, fmt.Sprintf("(%d older events dropped by the ring buffer)", d))
 		}
 		return &Result{Msg: strings.Join(lines, "\n"), At: s.eng.Now()}, nil
@@ -799,7 +799,7 @@ func (s *Session) execShow(st *Show) (*Result, error) {
 		}
 		return &Result{Msg: string(buf), At: s.eng.Now()}, nil
 	case "TRACES":
-		traces := s.eng.Traces().Snapshot()
+		traces := s.eng.Traces().Snapshot(0)
 		if len(traces) == 0 {
 			msg := "no slow-query traces recorded"
 			if s.eng.SlowQueryThreshold() <= 0 {

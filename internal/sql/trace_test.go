@@ -161,9 +161,9 @@ func TestShowTracesSlowQueryLog(t *testing.T) {
 	}
 	// Turning the log back off stops recording.
 	s.eng.SetSlowQueryThreshold(0)
-	before := s.eng.Traces().Total()
+	before := s.eng.Traces().Stats().Total
 	mustExec(t, s, "SELECT * FROM pol")
-	if got := s.eng.Traces().Total(); got != before {
+	if got := s.eng.Traces().Stats().Total; got != before {
 		t.Fatalf("traces recorded with log off: %d -> %d", before, got)
 	}
 }
@@ -216,7 +216,7 @@ func TestConcurrentExplainAnalyzeAndAdvance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng.SetSlowQueryThreshold(time.Nanosecond) // exercise the trace store too
+	eng.SetSlowQueryThreshold(time.Nanosecond) // exercise the slow-query log too
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sync"
 
 	"expdb/internal/xtime"
 )
@@ -167,109 +166,4 @@ func (e Event) String() string {
 		s += fmt.Sprintf(" texp=%v", e.Texp)
 	}
 	return s
-}
-
-// Log is a fixed-capacity ring buffer of lifecycle events. When full it
-// drops the oldest event and counts the loss, so a long-running engine
-// holds the most recent window at a bounded, preallocated cost.
-//
-// Emission takes one short mutex hold and copies the event by value into
-// the preallocated ring: allocation-free regardless of subscribers. The
-// mutex is a leaf in the engine's lock hierarchy — Emit is safe to call
-// under any engine, view or table lock.
-type Log struct {
-	mu   sync.Mutex
-	ring []Event
-	next uint64 // total events ever emitted; also the next Seq
-}
-
-// NewLog returns a log retaining the most recent capacity events
-// (minimum 1).
-func NewLog(capacity int) *Log {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Log{ring: make([]Event, capacity)}
-}
-
-// Emit appends e to the log, assigning its sequence number. Nil-safe.
-func (l *Log) Emit(e Event) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.next++
-	e.Seq = l.next
-	l.ring[(l.next-1)%uint64(len(l.ring))] = e
-	l.mu.Unlock()
-}
-
-// Total returns how many events have ever been emitted.
-func (l *Log) Total() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next
-}
-
-// Dropped returns how many events have been overwritten by wraparound.
-func (l *Log) Dropped() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped()
-}
-
-func (l *Log) dropped() uint64 {
-	if cap := uint64(len(l.ring)); l.next > cap {
-		return l.next - cap
-	}
-	return 0
-}
-
-// Capacity returns the ring's fixed size. Nil-safe.
-func (l *Log) Capacity() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.ring)
-}
-
-// HighWater returns the most events the ring has ever held at once —
-// monotone, saturating at Capacity. A high-water at capacity alongside a
-// non-zero Dropped tells an operator the retention window is too small
-// for the event rate. Nil-safe.
-func (l *Log) HighWater() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if cap := uint64(len(l.ring)); l.next > cap {
-		return cap
-	}
-	return l.next
-}
-
-// Snapshot returns the retained events oldest-first. A positive limit
-// keeps only the most recent limit events.
-func (l *Log) Snapshot(limit int) []Event {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := l.next - l.dropped() // retained count
-	if limit > 0 && uint64(limit) < n {
-		n = uint64(limit)
-	}
-	out := make([]Event, 0, n)
-	for seq := l.next - n + 1; seq <= l.next; seq++ {
-		out = append(out, l.ring[(seq-1)%uint64(len(l.ring))])
-	}
-	return out
 }

@@ -1,13 +1,13 @@
 // Package trace provides the per-operation observability primitives the
 // engine and SQL layers share: trace IDs that tie a statement to the
 // lifecycle events it causes, span trees with monotonic wall-clock
-// timings for slow-query analysis, and a fixed-capacity ring buffer of
-// structured lifecycle events (see events.go).
+// timings for slow-query analysis, and the fixed-capacity Ring that keeps
+// the most recent lifecycle events (see events.go) and slow-query Traces.
 //
 // The package is stdlib-only and allocation-conscious: emitting an event
-// into an attached Log never allocates (the ring is preallocated and
-// events are plain values), and every Span method is a no-op on a nil
-// receiver, so disabled tracing costs a nil check and nothing else.
+// into a Ring never allocates (the ring is preallocated and events are
+// plain values), and every Span method is a no-op on a nil receiver, so
+// disabled tracing costs a nil check and nothing else.
 package trace
 
 import (
@@ -15,6 +15,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"expdb/internal/xtime"
 )
 
 // ID identifies one traced operation — usually a SQL statement — and
@@ -109,5 +111,24 @@ func (s *Span) Render(sb *strings.Builder, prefix, childPrefix string) {
 func (s *Span) String() string {
 	var sb strings.Builder
 	s.Render(&sb, "", "")
+	return sb.String()
+}
+
+// Trace is the record of one completed slow statement: the statement
+// text, the logical tick it ran at, its span tree, and the total wall
+// time. Traces are immutable once stored.
+type Trace struct {
+	ID    ID            `json:"id"`
+	Stmt  string        `json:"stmt"`
+	Tick  xtime.Time    `json:"tick"`
+	Total time.Duration `json:"total_ns"`
+	Root  *Span         `json:"spans"`
+}
+
+// String renders the trace header plus its span tree.
+func (t Trace) String() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "trace %s at t=%v [%s]: %s\n", t.ID, t.Tick, t.Total, t.Stmt)
+	t.Root.Render(&sb, "  ", "  ")
 	return sb.String()
 }

@@ -76,7 +76,9 @@ func (s Schema) AppendTo(dst []byte) []byte {
 // Decoder reads the row encoding from a buffer, field after field, with a
 // sticky error: the first field that does not fit fails it, and every later
 // read returns a zero value. No count it reads can make it allocate past
-// the end of its buffer.
+// the end of its buffer. It accepts only the bytes the Append functions
+// write — a uvarint in its shortest form, a BOOL as 0 or 1 — so whatever
+// decodes encodes back to the same bytes.
 type Decoder struct {
 	buf []byte
 	off int
@@ -115,7 +117,7 @@ func (d *Decoder) Uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
+	if n <= 0 || n > 1 && d.buf[d.off+n-1] == 0 { // a zero last byte pads a shorter form
 		d.fail("uvarint")
 		return 0
 	}
@@ -175,7 +177,11 @@ func (d *Decoder) Value() value.Value {
 	case value.KindString:
 		return value.String_(d.Str())
 	case value.KindBool:
-		return value.Bool(d.Byte() != 0)
+		b := d.Byte()
+		if b > 1 {
+			d.fail("bool")
+		}
+		return value.Bool(b == 1)
 	default:
 		d.fail("value kind")
 		return value.Null

@@ -101,7 +101,7 @@ func (t Tuple) Concat(o Tuple) Tuple {
 	return append(out, o...)
 }
 
-// keyBufPool recycles the scratch buffers Key and KeyCols encode into, so
+// keyBufPool recycles the scratch buffers Key encodes into, so
 // the only allocation left on a key computation is the string itself.
 var keyBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
@@ -133,19 +133,6 @@ func (t Tuple) AppendKeyCols(dst []byte, cols []int) []byte {
 		dst = t[c].AppendKey(dst)
 	}
 	return dst
-}
-
-// KeyCols returns Project(cols).Key() without allocating the intermediate
-// tuple: the key a secondary hash index files a row under. A caller that
-// only looks a key up (a join probe, a GROUP BY partition) encodes it with
-// AppendKeyCols into its own buffer instead and never makes the string.
-func (t Tuple) KeyCols(cols []int) string {
-	bp := keyBufPool.Get().(*[]byte)
-	b := t.AppendKeyCols((*bp)[:0], cols)
-	s := string(b)
-	*bp = b
-	keyBufPool.Put(bp)
-	return s
 }
 
 // String renders the tuple in the paper's angle-bracket style: ⟨1, 25⟩.

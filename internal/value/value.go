@@ -237,59 +237,6 @@ func cmpInt(a, b int64) int {
 	}
 }
 
-// Add returns a+b for numeric values; mixing INT and FLOAT yields FLOAT.
-// Any NULL operand yields NULL (NULLs must not contribute to aggregates,
-// §2.4 of the paper).
-func Add(a, b Value) (Value, error) { return arith(a, b, "+") }
-
-// Sub returns a-b under the same rules as Add.
-func Sub(a, b Value) (Value, error) { return arith(a, b, "-") }
-
-// Mul returns a*b under the same rules as Add.
-func Mul(a, b Value) (Value, error) { return arith(a, b, "*") }
-
-// Div returns a/b; integer division of two INTs, float otherwise.
-// Division by zero is an error.
-func Div(a, b Value) (Value, error) { return arith(a, b, "/") }
-
-func arith(a, b Value, op string) (Value, error) {
-	if a.IsNull() || b.IsNull() {
-		return Null, nil
-	}
-	if !a.IsNumeric() || !b.IsNumeric() {
-		return Null, fmt.Errorf("value: %s on non-numeric operands %s, %s", op, a.kind, b.kind)
-	}
-	if a.kind == KindInt && b.kind == KindInt {
-		switch op {
-		case "+":
-			return Int(a.i + b.i), nil
-		case "-":
-			return Int(a.i - b.i), nil
-		case "*":
-			return Int(a.i * b.i), nil
-		default:
-			if b.i == 0 {
-				return Null, fmt.Errorf("value: integer division by zero")
-			}
-			return Int(a.i / b.i), nil
-		}
-	}
-	af, bf := a.AsFloat(), b.AsFloat()
-	switch op {
-	case "+":
-		return Float(af + bf), nil
-	case "-":
-		return Float(af - bf), nil
-	case "*":
-		return Float(af * bf), nil
-	default:
-		if bf == 0 {
-			return Null, fmt.Errorf("value: float division by zero")
-		}
-		return Float(af / bf), nil
-	}
-}
-
 // String renders the value in SQL-literal style.
 func (v Value) String() string {
 	switch v.kind {

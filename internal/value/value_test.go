@@ -80,46 +80,6 @@ func TestCompareTotalOrder(t *testing.T) {
 	}
 }
 
-func TestArithmetic(t *testing.T) {
-	mustV := func(v Value, err error) Value {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}
-	if got := mustV(Add(Int(2), Int(3))); !got.Equal(Int(5)) {
-		t.Errorf("2+3 = %v", got)
-	}
-	if got := mustV(Add(Int(2), Float(0.5))); !got.Equal(Float(2.5)) {
-		t.Errorf("2+0.5 = %v", got)
-	}
-	if got := mustV(Sub(Int(2), Int(5))); !got.Equal(Int(-3)) {
-		t.Errorf("2-5 = %v", got)
-	}
-	if got := mustV(Mul(Int(4), Int(3))); !got.Equal(Int(12)) {
-		t.Errorf("4*3 = %v", got)
-	}
-	if got := mustV(Div(Int(7), Int(2))); !got.Equal(Int(3)) {
-		t.Errorf("7/2 = %v (integer division)", got)
-	}
-	if got := mustV(Div(Float(7), Int(2))); !got.Equal(Float(3.5)) {
-		t.Errorf("7.0/2 = %v", got)
-	}
-	if got := mustV(Add(Null, Int(1))); !got.IsNull() {
-		t.Errorf("NULL+1 = %v, want NULL", got)
-	}
-	if _, err := Div(Int(1), Int(0)); err == nil {
-		t.Error("1/0 must error")
-	}
-	if _, err := Div(Float(1), Float(0)); err == nil {
-		t.Error("1.0/0.0 must error")
-	}
-	if _, err := Add(String_("a"), Int(1)); err == nil {
-		t.Error("string+int must error")
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	cases := map[string]Value{
 		"NULL":  Null,

@@ -43,7 +43,7 @@ func TestDiskFaultSnapshotBitFlipFuzz(t *testing.T) {
 	dir := t.TempDir()
 	want := fuzzSnapshot()
 	path := filepath.Join(dir, snapshotName(1))
-	if err := WriteSnapshot(path, want); err != nil {
+	if err := WriteSnapshotFS(vfs.OS(), path, want); err != nil {
 		t.Fatal(err)
 	}
 	orig, err := os.ReadFile(path)
@@ -58,7 +58,7 @@ func TestDiskFaultSnapshotBitFlipFuzz(t *testing.T) {
 			if err := os.WriteFile(mut, bad, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			got, err := ReadSnapshot(mut)
+			got, err := ReadSnapshotFS(vfs.OS(), mut)
 			if err == nil {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("flip byte %d bit %d: accepted with DIFFERENT contents\n got %+v\nwant %+v",
@@ -78,11 +78,11 @@ func TestDiskFaultSnapshotBitFlipFuzz(t *testing.T) {
 // the damaged rows.
 func TestDiskFaultSnapshotBitFlipFallback(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteSnapshot(filepath.Join(dir, snapshotName(1)), &Snapshot{Clock: 4}); err != nil {
+	if err := WriteSnapshotFS(vfs.OS(), filepath.Join(dir, snapshotName(1)), &Snapshot{Clock: 4}); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, snapshotName(2))
-	if err := WriteSnapshot(path, fuzzSnapshot()); err != nil {
+	if err := WriteSnapshotFS(vfs.OS(), path, fuzzSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	buf, err := os.ReadFile(path)
@@ -93,7 +93,7 @@ func TestDiskFaultSnapshotBitFlipFallback(t *testing.T) {
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, rec, err := Open(dir)
+	_, rec, err := OpenFS(dir, vfs.OS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestDiskFaultSnapshotBitFlipFallback(t *testing.T) {
 func TestDiskFaultSnapshotReadEIO(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, snapshotName(1))
-	if err := WriteSnapshot(path, fuzzSnapshot()); err != nil {
+	if err := WriteSnapshotFS(vfs.OS(), path, fuzzSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	ffs := vfs.NewFault(vfs.OS())
@@ -135,7 +135,7 @@ func TestDiskFaultStaleSnapTmpRemoved(t *testing.T) {
 	if err := os.WriteFile(stale, []byte("half a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, _, err := Open(dir)
+	l, _, err := OpenFS(dir, vfs.OS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestDiskFaultQuotaENOSPC(t *testing.T) {
 // it and Ensure restores it.
 func TestDiskFaultReserveLifecycle(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir)
+	l, _, err := OpenFS(dir, vfs.OS())
 	if err != nil {
 		t.Fatal(err)
 	}

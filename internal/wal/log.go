@@ -414,12 +414,6 @@ func (r *Recovered) Replay(apply func(*Record) error) (ReplayStats, error) {
 	return stats, nil
 }
 
-// Open prepares a log directory for recovery and appending against the
-// real filesystem. See OpenFS.
-func Open(dir string) (*Log, *Recovered, error) {
-	return OpenFS(dir, vfs.OS())
-}
-
 // OpenFS prepares a log directory for recovery and appending: it scans
 // dir (creating it if needed), deletes stale snapshot temp files left by
 // a crash mid-WriteSnapshot, selects the highest complete snapshot plus

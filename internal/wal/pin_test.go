@@ -10,6 +10,7 @@ import (
 
 	"expdb/internal/tuple"
 	"expdb/internal/value"
+	"expdb/internal/vfs"
 	"expdb/internal/xtime"
 )
 
@@ -73,7 +74,7 @@ func TestRecordBytesPinned(t *testing.T) {
 		Views:   []SnapshotView{{Name: "v", Def: "CREATE VIEW v AS SELECT a FROM t"}},
 		Indexes: []SnapshotIndex{{Name: "i", Def: "CREATE INDEX i ON t (a)"}},
 	}
-	if err := WriteSnapshot(path, snap); err != nil {
+	if err := WriteSnapshotFS(vfs.OS(), path, snap); err != nil {
 		t.Fatal(err)
 	}
 	file, err := os.ReadFile(path)

@@ -61,40 +61,13 @@ func (s *Snapshot) Records() uint64 {
 	return n
 }
 
-// WriteSnapshot atomically writes snap to path on the real filesystem.
-// See WriteSnapshotFS.
-func WriteSnapshot(path string, snap *Snapshot) error {
-	return WriteSnapshotFS(vfs.OS(), path, snap)
-}
-
 // WriteSnapshotFS atomically writes snap to path: encode into a temp
 // file in the same directory, fsync, rename over path, fsync the
 // directory. A crash at any point leaves either the old file or the
 // complete new one — never a torn snapshot under the final name (a temp
 // file surviving a crash is deleted by the next Open).
 func WriteSnapshotFS(fsys vfs.FS, path string, snap *Snapshot) error {
-	var buf []byte
-	rec := Record{Kind: KindSnapHeader, Texp: snap.Clock, Aux: snap.LastSweep}
-	buf = appendRecord(buf, &rec)
-	for _, t := range snap.Tables {
-		rec = Record{Kind: KindSnapTable, Name: t.Name, Schema: t.Schema}
-		buf = appendRecord(buf, &rec)
-		for _, r := range t.Rows {
-			rec = Record{Kind: KindSnapRow, Tuple: r.Tuple, Texp: r.Texp}
-			buf = appendRecord(buf, &rec)
-		}
-	}
-	for _, v := range snap.Views {
-		rec = Record{Kind: KindSnapView, Name: v.Name, Def: v.Def}
-		buf = appendRecord(buf, &rec)
-	}
-	for _, ix := range snap.Indexes {
-		rec = Record{Kind: KindSnapIndex, Name: ix.Name, Def: ix.Def}
-		buf = appendRecord(buf, &rec)
-	}
-	rec = Record{Kind: KindSnapFooter, Count: snap.Records()}
-	buf = appendRecord(buf, &rec)
-
+	buf := appendSnapshot(nil, snap)
 	tmp := path + ".tmp"
 	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -121,10 +94,29 @@ func WriteSnapshotFS(fsys vfs.FS, path string, snap *Snapshot) error {
 	return fsys.SyncDir(filepath.Dir(path))
 }
 
-// ReadSnapshot loads and validates a snapshot file on the real
-// filesystem. See ReadSnapshotFS.
-func ReadSnapshot(path string) (*Snapshot, error) {
-	return ReadSnapshotFS(vfs.OS(), path)
+// appendSnapshot appends the records of a snapshot file to dst: header,
+// each table followed by its rows, views, indexes, footer.
+func appendSnapshot(dst []byte, snap *Snapshot) []byte {
+	rec := Record{Kind: KindSnapHeader, Texp: snap.Clock, Aux: snap.LastSweep}
+	dst = appendRecord(dst, &rec)
+	for _, t := range snap.Tables {
+		rec = Record{Kind: KindSnapTable, Name: t.Name, Schema: t.Schema}
+		dst = appendRecord(dst, &rec)
+		for _, r := range t.Rows {
+			rec = Record{Kind: KindSnapRow, Tuple: r.Tuple, Texp: r.Texp}
+			dst = appendRecord(dst, &rec)
+		}
+	}
+	for _, v := range snap.Views {
+		rec = Record{Kind: KindSnapView, Name: v.Name, Def: v.Def}
+		dst = appendRecord(dst, &rec)
+	}
+	for _, ix := range snap.Indexes {
+		rec = Record{Kind: KindSnapIndex, Name: ix.Name, Def: ix.Def}
+		dst = appendRecord(dst, &rec)
+	}
+	rec = Record{Kind: KindSnapFooter, Count: snap.Records()}
+	return appendRecord(dst, &rec)
 }
 
 // ReadSnapshotFS loads and validates a snapshot file. Any content
@@ -139,6 +131,11 @@ func ReadSnapshotFS(fsys vfs.FS, path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: read snapshot: %w", err)
 	}
+	return decodeSnapshot(buf)
+}
+
+// decodeSnapshot decodes the bytes of a snapshot file.
+func decodeSnapshot(buf []byte) (*Snapshot, error) {
 	var (
 		snap  Snapshot
 		off   int

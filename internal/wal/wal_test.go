@@ -11,6 +11,7 @@ import (
 
 	"expdb/internal/tuple"
 	"expdb/internal/value"
+	"expdb/internal/vfs"
 	"expdb/internal/xtime"
 )
 
@@ -67,7 +68,7 @@ func TestRecordCorruption(t *testing.T) {
 // appendAll appends records to a fresh log in dir and syncs them.
 func appendAll(t *testing.T, dir string, recs []Record) *Log {
 	t.Helper()
-	l, _, err := Open(dir)
+	l, _, err := OpenFS(dir, vfs.OS())
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -85,7 +86,7 @@ func appendAll(t *testing.T, dir string, recs []Record) *Log {
 
 func replayAll(t *testing.T, dir string) ([]Record, ReplayStats) {
 	t.Helper()
-	_, rec, err := Open(dir)
+	_, rec, err := OpenFS(dir, vfs.OS())
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -191,7 +192,7 @@ func TestLogCRCMismatchStopsReplay(t *testing.T) {
 func TestLogRotateAndRemoveBelow(t *testing.T) {
 	dir := t.TempDir()
 	recs := sampleRecords()
-	l, _, err := Open(dir)
+	l, _, err := OpenFS(dir, vfs.OS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestLogRotateAndRemoveBelow(t *testing.T) {
 	}
 
 	// A snapshot at gen 2 covers segment 1; RemoveBelow(2) deletes it.
-	if err := WriteSnapshot(filepath.Join(dir, snapshotName(2)), &Snapshot{Clock: 5}); err != nil {
+	if err := WriteSnapshotFS(vfs.OS(), filepath.Join(dir, snapshotName(2)), &Snapshot{Clock: 5}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.RemoveBelow(2); err != nil {
@@ -233,7 +234,7 @@ func TestLogRotateAndRemoveBelow(t *testing.T) {
 		t.Fatalf("segment 1 should be gone: %v", err)
 	}
 
-	_, rec, err := Open(dir)
+	_, rec, err := OpenFS(dir, vfs.OS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestLogRotateAndRemoveBelow(t *testing.T) {
 
 func TestLogGroupCommitConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir)
+	l, _, err := OpenFS(dir, vfs.OS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +300,7 @@ func TestLogGroupCommitConcurrent(t *testing.T) {
 
 func TestLogStickyError(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir)
+	l, _, err := OpenFS(dir, vfs.OS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,10 +331,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		Views: []SnapshotView{{Name: "v", Def: "CREATE VIEW v AS SELECT * FROM a"}},
 	}
 	path := filepath.Join(dir, snapshotName(3))
-	if err := WriteSnapshot(path, want); err != nil {
+	if err := WriteSnapshotFS(vfs.OS(), path, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshot(path)
+	got, err := ReadSnapshotFS(vfs.OS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +349,7 @@ func TestSnapshotTornWriteIgnored(t *testing.T) {
 		{Name: "a", Schema: tuple.IntCols("X"), Rows: []SnapshotRow{{Tuple: tuple.Ints(1), Texp: 20}}},
 	}}
 	path := filepath.Join(dir, snapshotName(2))
-	if err := WriteSnapshot(path, snap); err != nil {
+	if err := WriteSnapshotFS(vfs.OS(), path, snap); err != nil {
 		t.Fatal(err)
 	}
 	// Chop the footer off: the snapshot must be rejected…
@@ -359,14 +360,14 @@ func TestSnapshotTornWriteIgnored(t *testing.T) {
 	if err := os.Truncate(path, info.Size()-5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSnapshot(path); !errors.Is(err, ErrCorrupt) {
+	if _, err := ReadSnapshotFS(vfs.OS(), path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("torn snapshot accepted: %v", err)
 	}
 	// …and Open must fall back to an older complete generation.
-	if err := WriteSnapshot(filepath.Join(dir, snapshotName(1)), &Snapshot{Clock: 4}); err != nil {
+	if err := WriteSnapshotFS(vfs.OS(), filepath.Join(dir, snapshotName(1)), &Snapshot{Clock: 4}); err != nil {
 		t.Fatal(err)
 	}
-	_, rec, err := Open(dir)
+	_, rec, err := OpenFS(dir, vfs.OS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +378,7 @@ func TestSnapshotTornWriteIgnored(t *testing.T) {
 
 func TestLogMetricsAndErr(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir)
+	l, _, err := OpenFS(dir, vfs.OS())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package faultconn is a deterministic fault-injection harness for the
 // wire layer: a net.Conn wrapper (and a matching net.Listener wrapper)
-// that injects drops, delays, truncated writes and one-way partitions on
+// that injects drops, failures, truncated writes and one-way partitions on
 // command. Every fault is scripted explicitly — nothing is random — so a
 // failure mode reproduces identically on every run.
 //
@@ -15,7 +15,6 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"time"
 )
 
 // ErrInjected is the base error returned by scripted hard failures.
@@ -41,10 +40,6 @@ type Conn struct {
 	// and every one after it (0 = fail immediately; -1 = disabled).
 	failReadsAfter  int
 	failWritesAfter int
-	// readDelay/writeDelay sleep before each operation, modelling a slow
-	// link without breaking it.
-	readDelay  time.Duration
-	writeDelay time.Duration
 	// truncateNextWrite cuts the next write short after n bytes and
 	// fails it — a connection dying mid-message, leaving the peer a
 	// half-read frame (-1 = disabled).
@@ -106,13 +101,6 @@ func (c *Conn) FailWritesAfter(n int) {
 	c.mu.Unlock()
 }
 
-// Delay adds a fixed latency before every read and write.
-func (c *Conn) Delay(read, write time.Duration) {
-	c.mu.Lock()
-	c.readDelay, c.writeDelay = read, write
-	c.mu.Unlock()
-}
-
 // TruncateNextWrite makes the next write deliver only its first n bytes
 // and then fail — the peer is left holding a torn message.
 func (c *Conn) TruncateNextWrite(n int) {
@@ -124,15 +112,11 @@ func (c *Conn) TruncateNextWrite(n int) {
 // Read implements net.Conn with the scripted read faults.
 func (c *Conn) Read(p []byte) (int, error) {
 	c.mu.Lock()
-	delay := c.readDelay
 	fail := c.failReadsAfter == 0
 	if c.failReadsAfter > 0 {
 		c.failReadsAfter--
 	}
 	c.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
 	if fail {
 		return 0, &net.OpError{Op: "read", Net: "faultconn", Err: ErrInjected}
 	}
@@ -153,7 +137,6 @@ func (c *Conn) Read(p []byte) (int, error) {
 // Write implements net.Conn with the scripted write faults.
 func (c *Conn) Write(p []byte) (int, error) {
 	c.mu.Lock()
-	delay := c.writeDelay
 	fail := c.failWritesAfter == 0
 	if c.failWritesAfter > 0 {
 		c.failWritesAfter--
@@ -162,9 +145,6 @@ func (c *Conn) Write(p []byte) (int, error) {
 	trunc := c.truncateNextWrite
 	c.truncateNextWrite = -1
 	c.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
 	if fail {
 		return 0, &net.OpError{Op: "write", Net: "faultconn", Err: ErrInjected}
 	}

@@ -44,30 +44,6 @@ func Max(a, b Time) Time {
 	return b
 }
 
-// MinOf returns the minimum of ts, or Infinity when ts is empty. The
-// identity element is Infinity: the expiration time of an expression over
-// no arguments is unbounded.
-func MinOf(ts ...Time) Time {
-	m := Infinity
-	for _, t := range ts {
-		if t < m {
-			m = t
-		}
-	}
-	return m
-}
-
-// MaxOf returns the maximum of ts, or 0 when ts is empty.
-func MaxOf(ts ...Time) Time {
-	var m Time
-	for _, t := range ts {
-		if t > m {
-			m = t
-		}
-	}
-	return m
-}
-
 // Add returns t+d, saturating at Infinity. Adding any duration to Infinity
 // yields Infinity, matching the algebra's treatment of never-expiring data.
 func (t Time) Add(d Time) Time {

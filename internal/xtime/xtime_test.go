@@ -37,21 +37,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestMinOfIdentity(t *testing.T) {
-	if got := MinOf(); got != Infinity {
-		t.Fatalf("MinOf() = %v, want Infinity", got)
-	}
-	if got := MaxOf(); got != 0 {
-		t.Fatalf("MaxOf() = %v, want 0", got)
-	}
-	if got := MinOf(3, 1, 2); got != 1 {
-		t.Fatalf("MinOf(3,1,2) = %v, want 1", got)
-	}
-	if got := MaxOf(3, 1, Infinity); got != Infinity {
-		t.Fatalf("MaxOf(3,1,inf) = %v, want Infinity", got)
-	}
-}
-
 func TestAddSaturates(t *testing.T) {
 	if got := Infinity.Add(1); got != Infinity {
 		t.Fatalf("Infinity+1 = %v, want Infinity", got)
