@@ -20,7 +20,7 @@ type Select struct {
 // NewSelect builds a selection, validating the predicate against the
 // child schema.
 func NewSelect(pred Predicate, child Expr) (*Select, error) {
-	if pred.MaxCol() >= child.Schema().Arity() {
+	if !fits(pred, child.Schema().Arity()) {
 		return nil, fmt.Errorf("algebra: predicate %s references column beyond schema %s",
 			pred, child.Schema())
 	}
@@ -203,7 +203,7 @@ type Join struct {
 // schema of left and right.
 func NewJoin(pred Predicate, left, right Expr) (*Join, error) {
 	arity := left.Schema().Arity() + right.Schema().Arity()
-	if pred.MaxCol() >= arity {
+	if !fits(pred, arity) {
 		return nil, fmt.Errorf("algebra: join predicate %s references column beyond combined arity %d",
 			pred, arity)
 	}

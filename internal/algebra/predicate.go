@@ -50,7 +50,9 @@ func (op CmpOp) String() string {
 	}
 }
 
-func (op CmpOp) eval(c int) bool {
+// Test reports whether a comparison that came out c (negative, zero or
+// positive, as value.Compare returns it) satisfies op.
+func (op CmpOp) Test(c int) bool {
 	switch op {
 	case OpEq:
 		return c == 0
@@ -69,20 +71,13 @@ func (op CmpOp) eval(c int) bool {
 
 // Predicate is a boolean condition over a single tuple — the p of
 // σexp_p(R). Implementations must be pure (no state, no time dependence);
-// that purity is what makes selection monotonic.
+// that purity is what makes selection monotonic. The rewrites and the
+// planner see the columns of the six types below through Cols and MapCols;
+// a predicate of any other type is evaluated where it is written and never
+// pushed, renumbered or reordered.
 type Predicate interface {
 	// Holds reports whether the predicate is satisfied by t.
 	Holds(t tuple.Tuple) bool
-	// MaxCol returns the largest 0-based column index referenced, used to
-	// validate predicates against schemas and to split them across
-	// product arguments during rewriting.
-	MaxCol() int
-	// MinCol returns the smallest referenced column index (0 when the
-	// predicate references no columns).
-	MinCol() int
-	// Shift returns the predicate with every column index shifted by d —
-	// needed when pushing predicates through products.
-	Shift(d int) Predicate
 	String() string
 }
 
@@ -95,18 +90,7 @@ type ColCol struct {
 
 // Holds implements Predicate.
 func (p ColCol) Holds(t tuple.Tuple) bool {
-	return p.Op.eval(t[p.Left].Compare(t[p.Right]))
-}
-
-// MaxCol implements Predicate.
-func (p ColCol) MaxCol() int { return max(p.Left, p.Right) }
-
-// MinCol implements Predicate.
-func (p ColCol) MinCol() int { return min(p.Left, p.Right) }
-
-// Shift implements Predicate.
-func (p ColCol) Shift(d int) Predicate {
-	return ColCol{Left: p.Left + d, Right: p.Right + d, Op: p.Op}
+	return p.Op.Test(t[p.Left].Compare(t[p.Right]))
 }
 
 func (p ColCol) String() string {
@@ -123,18 +107,7 @@ type ColConst struct {
 
 // Holds implements Predicate.
 func (p ColConst) Holds(t tuple.Tuple) bool {
-	return p.Op.eval(t[p.Col].Compare(p.Const))
-}
-
-// MaxCol implements Predicate.
-func (p ColConst) MaxCol() int { return p.Col }
-
-// MinCol implements Predicate.
-func (p ColConst) MinCol() int { return p.Col }
-
-// Shift implements Predicate.
-func (p ColConst) Shift(d int) Predicate {
-	return ColConst{Col: p.Col + d, Op: p.Op, Const: p.Const}
+	return p.Op.Test(t[p.Col].Compare(p.Const))
 }
 
 func (p ColConst) String() string {
@@ -154,38 +127,6 @@ func (p And) Holds(t tuple.Tuple) bool {
 	return true
 }
 
-// MaxCol implements Predicate.
-func (p And) MaxCol() int {
-	m := -1
-	for _, q := range p.Preds {
-		m = max(m, q.MaxCol())
-	}
-	return m
-}
-
-// MinCol implements Predicate.
-func (p And) MinCol() int {
-	m := -1
-	for _, q := range p.Preds {
-		if m == -1 || q.MinCol() < m {
-			m = q.MinCol()
-		}
-	}
-	if m == -1 {
-		return 0
-	}
-	return m
-}
-
-// Shift implements Predicate.
-func (p And) Shift(d int) Predicate {
-	out := make([]Predicate, len(p.Preds))
-	for i, q := range p.Preds {
-		out[i] = q.Shift(d)
-	}
-	return And{Preds: out}
-}
-
 func (p And) String() string { return joinPreds(p.Preds, " AND ") }
 
 // Or is the ∨-composition of predicates.
@@ -201,38 +142,6 @@ func (p Or) Holds(t tuple.Tuple) bool {
 	return false
 }
 
-// MaxCol implements Predicate.
-func (p Or) MaxCol() int {
-	m := -1
-	for _, q := range p.Preds {
-		m = max(m, q.MaxCol())
-	}
-	return m
-}
-
-// MinCol implements Predicate.
-func (p Or) MinCol() int {
-	m := -1
-	for _, q := range p.Preds {
-		if m == -1 || q.MinCol() < m {
-			m = q.MinCol()
-		}
-	}
-	if m == -1 {
-		return 0
-	}
-	return m
-}
-
-// Shift implements Predicate.
-func (p Or) Shift(d int) Predicate {
-	out := make([]Predicate, len(p.Preds))
-	for i, q := range p.Preds {
-		out[i] = q.Shift(d)
-	}
-	return Or{Preds: out}
-}
-
 func (p Or) String() string { return joinPreds(p.Preds, " OR ") }
 
 // Not negates a predicate.
@@ -240,15 +149,6 @@ type Not struct{ Pred Predicate }
 
 // Holds implements Predicate.
 func (p Not) Holds(t tuple.Tuple) bool { return !p.Pred.Holds(t) }
-
-// MaxCol implements Predicate.
-func (p Not) MaxCol() int { return p.Pred.MaxCol() }
-
-// MinCol implements Predicate.
-func (p Not) MinCol() int { return p.Pred.MinCol() }
-
-// Shift implements Predicate.
-func (p Not) Shift(d int) Predicate { return Not{Pred: p.Pred.Shift(d)} }
 
 func (p Not) String() string { return "NOT (" + p.Pred.String() + ")" }
 
@@ -258,15 +158,6 @@ type True struct{}
 // Holds implements Predicate.
 func (True) Holds(tuple.Tuple) bool { return true }
 
-// MaxCol implements Predicate.
-func (True) MaxCol() int { return -1 }
-
-// MinCol implements Predicate.
-func (True) MinCol() int { return 0 }
-
-// Shift implements Predicate.
-func (True) Shift(int) Predicate { return True{} }
-
 func (True) String() string { return "TRUE" }
 
 func joinPreds(ps []Predicate, sep string) string {
@@ -275,4 +166,113 @@ func joinPreds(ps []Predicate, sep string) string {
 		parts[i] = "(" + p.String() + ")"
 	}
 	return strings.Join(parts, sep)
+}
+
+// Cols calls fn with each column p references, depth first, and stops at
+// the first one fn refuses. It reports whether it got through: false when fn
+// refused a column or p holds a type this file does not define.
+func Cols(p Predicate, fn func(col int) bool) bool {
+	var ps []Predicate
+	switch q := p.(type) {
+	case True:
+		return true
+	case ColConst:
+		return fn(q.Col)
+	case ColCol:
+		return fn(q.Left) && fn(q.Right)
+	case Not:
+		return Cols(q.Pred, fn)
+	case And:
+		ps = q.Preds
+	case Or:
+		ps = q.Preds
+	default:
+		return false
+	}
+	for _, c := range ps {
+		if !Cols(c, fn) {
+			return false
+		}
+	}
+	return true
+}
+
+// MapCols renumbers p, column c becoming f(c): the one renumbering the
+// rewrites and the planner do — through π, into ×'s right side, across a
+// reordered join chain. It reports false, and no predicate, when f refuses a
+// column or p holds a type this file does not define.
+func MapCols(p Predicate, f func(col int) (int, bool)) (Predicate, bool) {
+	switch q := p.(type) {
+	case True:
+		return q, true
+	case ColConst:
+		if c, ok := f(q.Col); ok {
+			q.Col = c
+			return q, true
+		}
+	case ColCol:
+		l, okl := f(q.Left)
+		r, okr := f(q.Right)
+		if okl && okr {
+			q.Left, q.Right = l, r
+			return q, true
+		}
+	case Not:
+		if r, ok := MapCols(q.Pred, f); ok {
+			return Not{Pred: r}, true
+		}
+	case And:
+		if ps, ok := mapEach(q.Preds, f); ok {
+			return And{Preds: ps}, true
+		}
+	case Or:
+		if ps, ok := mapEach(q.Preds, f); ok {
+			return Or{Preds: ps}, true
+		}
+	}
+	return nil, false
+}
+
+func mapEach(ps []Predicate, f func(col int) (int, bool)) ([]Predicate, bool) {
+	out := make([]Predicate, len(ps))
+	for i, p := range ps {
+		var ok bool
+		if out[i], ok = MapCols(p, f); !ok {
+			return nil, false
+		}
+	}
+	return out, true
+}
+
+// fits reports whether p references no column at or past arity; a part of
+// p that Cols cannot see into is taken as it is.
+func fits(p Predicate, arity int) bool {
+	ok := true
+	Cols(p, func(c int) bool { ok = c < arity; return ok })
+	return ok
+}
+
+// Conjuncts splits p at every ∧, nested ones included: the parts whose
+// conjunction is p.
+func Conjuncts(p Predicate) []Predicate {
+	and, ok := p.(And)
+	if !ok {
+		return []Predicate{p}
+	}
+	var out []Predicate
+	for _, c := range and.Preds {
+		out = append(out, Conjuncts(c)...)
+	}
+	return out
+}
+
+// AndOf conjoins ps: True for none, the predicate itself for one.
+func AndOf(ps []Predicate) Predicate {
+	switch len(ps) {
+	case 0:
+		return True{}
+	case 1:
+		return ps[0]
+	}
+	return And{Preds: ps}
 }

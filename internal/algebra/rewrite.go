@@ -1,5 +1,7 @@
 package algebra
 
+import "slices"
+
 // Rewrites (§3.1 of the paper): algebraic equivalences that postpone the
 // time a recomputation has to take place. The headline rule pushes
 // selections below the non-monotonic difference operator, which shrinks
@@ -38,27 +40,36 @@ func PushDownSelections(e Expr) Expr {
 }
 
 // pushSelect places σ_pred above child, first trying to sink it through
-// child's operator.
+// child's operator. A predicate Cols cannot see into stays where it is.
 func pushSelect(pred Predicate, child Expr) Expr {
+	if !Cols(pred, func(int) bool { return true }) {
+		return &Select{Pred: pred, Child: child}
+	}
 	switch n := child.(type) {
 	case *Select:
 		// σp(σq(e)) = σ(p ∧ q)(e): merge and retry as one predicate.
 		return pushSelect(And{Preds: []Predicate{pred, n.Pred}}, n.Child)
 	case *Project:
-		// σp(π_cols(e)) = π_cols(σ_p′(e)) with p′ remapped through cols.
-		if p2, ok := remapPred(pred, n.Cols); ok {
+		// σp(π_cols(e)) = π_cols(σ_p′(e)) with p′ renumbered through cols.
+		if p2, ok := MapCols(pred, func(c int) (int, bool) {
+			if c < 0 || c >= len(n.Cols) {
+				return 0, false
+			}
+			return n.Cols[c], true
+		}); ok {
 			return &Project{Cols: n.Cols, Child: pushSelect(p2, n.Child)}
 		}
-	case *Union:
-		// σp(R ∪ S) = σp(R) ∪ σp(S); per-tuple max expirations are
-		// preserved because p filters identically on both sides.
-		return &Union{Left: pushSelect(pred, n.Left), Right: pushSelect(pred, n.Right)}
-	case *Intersect:
-		return &Intersect{Left: pushSelect(pred, n.Left), Right: pushSelect(pred, n.Right)}
-	case *Diff:
-		// σp(R − S) = σp(R) − σp(S): the rule §3.1 motivates — it shrinks
-		// the critical set to the selected tuples only.
-		return &Diff{Left: pushSelect(pred, n.Left), Right: pushSelect(pred, n.Right)}
+	case *Union, *Intersect, *Diff:
+		// σp(R op S) = σp(R) op σp(S): p filters both sides alike, so the
+		// max (∪) and min (∩) of a tuple's times are those of the tuples
+		// kept. Under − it is the rule §3.1 motivates — it shrinks the
+		// critical set to the selected tuples only.
+		kids := child.Children()
+		for i, k := range kids {
+			kids[i] = pushSelect(pred, k)
+		}
+		out, _ := ReplaceChildren(child, kids)
+		return out
 	case *Product:
 		if e, ok := pushThroughBinary(pred, n.Left, n.Right, func(l, r Expr) Expr {
 			return &Product{Left: l, Right: r}
@@ -76,7 +87,7 @@ func pushSelect(pred Predicate, child Expr) Expr {
 		// grouping columns: stable partitioning means whole partitions
 		// are kept or dropped, so aggregate values and partition times
 		// are unaffected.
-		if predColsWithin(pred, n.GroupCols) {
+		if Cols(pred, func(c int) bool { return slices.Contains(n.GroupCols, c) }) {
 			return &Agg{GroupCols: n.GroupCols, Funcs: n.Funcs, Policy: n.Policy,
 				Child: pushSelect(pred, n.Child)}
 		}
@@ -86,7 +97,9 @@ func pushSelect(pred Predicate, child Expr) Expr {
 
 // pushThroughBinary distributes the conjuncts of pred over the two sides
 // of a product-like operator: conjuncts referencing only left columns sink
-// left, only right columns sink right (shifted), mixed ones stay above.
+// left, only right columns sink right (renumbered), mixed ones stay above.
+// The split is one level deep: a nested ∧ moves as one conjunct, since
+// splitting it would change the plan string the result cache keys on.
 func pushThroughBinary(pred Predicate, left, right Expr, rebuild func(l, r Expr) Expr) (Expr, bool) {
 	la := left.Schema().Arity()
 	conjuncts := []Predicate{pred}
@@ -95,11 +108,14 @@ func pushThroughBinary(pred Predicate, left, right Expr, rebuild func(l, r Expr)
 	}
 	var toLeft, toRight, keep []Predicate
 	for _, c := range conjuncts {
+		lo, hi := la, -1
+		Cols(c, func(col int) bool { lo, hi = min(lo, col), max(hi, col); return true })
 		switch {
-		case c.MaxCol() < la:
+		case hi < la:
 			toLeft = append(toLeft, c)
-		case c.MinCol() >= la && c.MaxCol() >= 0:
-			toRight = append(toRight, c.Shift(-la))
+		case lo >= la:
+			c, _ = MapCols(c, func(col int) (int, bool) { return col - la, true })
+			toRight = append(toRight, c)
 		default:
 			keep = append(keep, c)
 		}
@@ -109,116 +125,14 @@ func pushThroughBinary(pred Predicate, left, right Expr, rebuild func(l, r Expr)
 	}
 	l, r := left, right
 	if len(toLeft) > 0 {
-		l = pushSelect(andOf(toLeft), l)
+		l = pushSelect(AndOf(toLeft), l)
 	}
 	if len(toRight) > 0 {
-		r = pushSelect(andOf(toRight), r)
+		r = pushSelect(AndOf(toRight), r)
 	}
 	out := rebuild(l, r)
 	if len(keep) > 0 {
-		out = &Select{Pred: andOf(keep), Child: out}
+		out = &Select{Pred: AndOf(keep), Child: out}
 	}
 	return out, true
-}
-
-func andOf(ps []Predicate) Predicate {
-	if len(ps) == 1 {
-		return ps[0]
-	}
-	return And{Preds: ps}
-}
-
-// remapPred rewrites pred (over a projection's output columns) to range
-// over the projection's input columns; ok is false when a referenced
-// output column cannot be mapped (never happens for valid predicates).
-func remapPred(pred Predicate, cols []int) (Predicate, bool) {
-	mapCol := func(c int) (int, bool) {
-		if c < 0 || c >= len(cols) {
-			return 0, false
-		}
-		return cols[c], true
-	}
-	switch p := pred.(type) {
-	case ColCol:
-		l, ok1 := mapCol(p.Left)
-		r, ok2 := mapCol(p.Right)
-		if !ok1 || !ok2 {
-			return nil, false
-		}
-		return ColCol{Left: l, Right: r, Op: p.Op}, true
-	case ColConst:
-		c, ok := mapCol(p.Col)
-		if !ok {
-			return nil, false
-		}
-		return ColConst{Col: c, Op: p.Op, Const: p.Const}, true
-	case And:
-		out := make([]Predicate, len(p.Preds))
-		for i, q := range p.Preds {
-			q2, ok := remapPred(q, cols)
-			if !ok {
-				return nil, false
-			}
-			out[i] = q2
-		}
-		return And{Preds: out}, true
-	case Or:
-		out := make([]Predicate, len(p.Preds))
-		for i, q := range p.Preds {
-			q2, ok := remapPred(q, cols)
-			if !ok {
-				return nil, false
-			}
-			out[i] = q2
-		}
-		return Or{Preds: out}, true
-	case Not:
-		q, ok := remapPred(p.Pred, cols)
-		if !ok {
-			return nil, false
-		}
-		return Not{Pred: q}, true
-	case True:
-		return p, true
-	default:
-		return nil, false
-	}
-}
-
-// predColsWithin reports whether every column referenced by pred belongs
-// to allowed.
-func predColsWithin(pred Predicate, allowed []int) bool {
-	set := map[int]bool{}
-	for _, c := range allowed {
-		set[c] = true
-	}
-	ok := true
-	var check func(p Predicate)
-	check = func(p Predicate) {
-		switch q := p.(type) {
-		case ColCol:
-			if !set[q.Left] || !set[q.Right] {
-				ok = false
-			}
-		case ColConst:
-			if !set[q.Col] {
-				ok = false
-			}
-		case And:
-			for _, s := range q.Preds {
-				check(s)
-			}
-		case Or:
-			for _, s := range q.Preds {
-				check(s)
-			}
-		case Not:
-			check(q.Pred)
-		case True:
-		default:
-			ok = false
-		}
-	}
-	check(pred)
-	return ok
 }

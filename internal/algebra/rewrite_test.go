@@ -138,7 +138,7 @@ func TestRewriteEquivalenceRandom(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		bases := []*Base{randRel(rng, "R"), randRel(rng, "S"), randRel(rng, "T")}
 		inner := randExpr(rng, bases, 1+rng.Intn(2), false)
-		pred := randPred(rng, inner.Schema().Arity())
+		pred := randPred(rng, inner.Schema().Arity(), 3)
 		e, err := NewSelect(pred, inner)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -165,7 +165,7 @@ func TestRewriteNeverShortensLifetime(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		bases := []*Base{randRel(rng, "R"), randRel(rng, "S")}
 		inner := randExpr(rng, bases, 1+rng.Intn(2), false)
-		pred := randPred(rng, inner.Schema().Arity())
+		pred := randPred(rng, inner.Schema().Arity(), 3)
 		e, err := NewSelect(pred, inner)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

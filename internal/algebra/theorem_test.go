@@ -97,18 +97,26 @@ func randExpr(rng *rand.Rand, bases []*Base, depth int, monotonicOnly bool) Expr
 	}
 }
 
-func randPred(rng *rand.Rand, arity int) Predicate {
-	c := rng.Intn(arity)
-	switch rng.Intn(3) {
+// randPred draws a predicate over arity columns: a comparison or, while
+// depth lasts, an And, Or or Not of smaller ones — so the rewrites renumber
+// through every connective, nested ones included.
+func randPred(rng *rand.Rand, arity, depth int) Predicate {
+	c, kinds := rng.Intn(arity), 2
+	if depth > 0 {
+		kinds = 5
+	}
+	sub := func() Predicate { return randPred(rng, arity, depth-1) }
+	switch rng.Intn(kinds) {
 	case 0:
 		return ColConst{Col: c, Op: CmpOp(rng.Intn(6)), Const: value.Int(int64(rng.Intn(4)))}
 	case 1:
 		return ColCol{Left: c, Right: rng.Intn(arity), Op: CmpOp(rng.Intn(6))}
+	case 2:
+		return And{Preds: []Predicate{sub(), sub()}}
+	case 3:
+		return Or{Preds: []Predicate{sub(), sub()}}
 	default:
-		return And{Preds: []Predicate{
-			ColConst{Col: c, Op: OpGe, Const: value.Int(0)},
-			ColConst{Col: rng.Intn(arity), Op: OpLt, Const: value.Int(int64(rng.Intn(5)))},
-		}}
+		return Not{Pred: sub()}
 	}
 }
 

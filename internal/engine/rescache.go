@@ -8,9 +8,9 @@ import (
 
 	"expdb/internal/algebra"
 	"expdb/internal/catalog"
+	"expdb/internal/index"
 	"expdb/internal/interval"
 	"expdb/internal/metrics"
-	"expdb/internal/pqueue"
 	"expdb/internal/relation"
 	"expdb/internal/trace"
 	"expdb/internal/tuple"
@@ -266,24 +266,24 @@ type resultCacheMetrics struct {
 
 // resultCache is the validity-interval result cache: normalized-plan key
 // → materialisation valid on [at, validUntil). Entries are dropped three
-// ways: the Advance pipeline drains the pq of entries whose ValidUntil
+// ways: the Advance pipeline drains from pq the entries whose ValidUntil
 // the clock has reached (the same heartbeat that expires tuples), lookups
 // discard entries a write left stale and they cannot absorb, and LRU
 // eviction bounds the entry count.
 //
 // Lock hierarchy: mu nests above Engine.mu (a lookup reads the clock, the
 // epoch table and the write tails while holding it) and is never taken while
-// any table or view lock is held. The pq may hold stale keys — entries
-// replaced or LRU-evicted since their push — which the drain tolerates by
-// re-checking the live entry's validUntil; a stale pq item costs one map
-// probe.
+// any table or view lock is held. pq is a table's kind of texp heap over
+// (plan key, ValidUntil) pairs: a pair counts only while its key's entry
+// still has that ValidUntil, and the stale ones — an entry replaced,
+// patched, dropped or evicted since — are rebuilt away as a table's are.
 type resultCache struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[string]*cacheEntry
 	head    *cacheEntry
 	tail    *cacheEntry
-	pq      *pqueue.Queue[string]
+	pq      *index.TexpHeap
 	m       resultCacheMetrics
 }
 
@@ -294,7 +294,7 @@ func newResultCache(size int) *resultCache {
 	return &resultCache{
 		cap:     size,
 		entries: make(map[string]*cacheEntry, size),
-		pq:      pqueue.New[string](size),
+		pq:      index.NewTexpHeap(),
 	}
 }
 
@@ -334,7 +334,7 @@ func (c *resultCache) touch(en *cacheEntry) {
 	c.pushFront(en)
 }
 
-// drop removes en from both the map and the list. Its pq item, if still
+// drop removes en from both the map and the list. Its pq pair, if still
 // queued, goes stale and is skipped at drain time.
 func (c *resultCache) drop(en *cacheEntry) {
 	c.unlink(en)
@@ -640,8 +640,11 @@ func (e *Engine) cacheStore(c *resultCache, en *cacheEntry) {
 	}
 	c.entries[en.key] = en
 	c.pushFront(en)
-	if en.validUntil != xtime.Infinity {
-		c.pq.Push(en.validUntil, en.key)
+	if c.pq.Push(en.key, en.validUntil); c.pq.Bloated(len(c.entries)) {
+		c.pq = index.NewTexpHeap()
+		for k, live := range c.entries {
+			c.pq.Push(k, live.validUntil)
+		}
 	}
 	var evicted int64
 	for len(c.entries) > c.cap && c.tail != nil {
@@ -665,15 +668,13 @@ func (e *Engine) cacheExpire(to xtime.Time, tid trace.ID) {
 		return
 	}
 	c.mu.Lock()
-	var n int64
-	for _, it := range c.pq.PopDue(to) {
-		// Stale pq items — the entry was replaced (its live successor has
-		// a later window and its own pq item) or evicted — are skipped.
-		if en, ok := c.entries[it.Value]; ok && en.validUntil <= to {
-			c.drop(en)
-			n++
+	n := int64(c.pq.PopDue(to, func(key string) (xtime.Time, bool) {
+		en, ok := c.entries[key]
+		if !ok {
+			return 0, false
 		}
-	}
+		return en.validUntil, true
+	}, func(key string, _ xtime.Time) { c.drop(c.entries[key]) }))
 	c.mu.Unlock()
 	if n > 0 {
 		c.m.Invalidations.Add(n)

@@ -153,8 +153,8 @@ func TestCacheBoundaryExactInvalidation(t *testing.T) {
 	}
 }
 
-// The Advance heartbeat drains due cache entries through the same pqueue
-// mechanism that expires tuples — before any lookup touches them.
+// The Advance heartbeat drains due cache entries through the same texp
+// heap type that expires tuples — before any lookup touches them.
 func TestCacheAdvanceDrainsDueEntries(t *testing.T) {
 	e := newsEngine(t)
 	b := histExpr(t, e)
@@ -354,6 +354,37 @@ func TestCacheDifferenceAbsorbsRightSideWrites(t *testing.T) {
 	read("a left-side insert", false, 1, 8)
 	if m := cacheStats(t, e); m.Patches != 2 || m.EpochInvalidations != 3 || m.Misses != 4 {
 		t.Fatalf("patches/epoch invalidations/misses = %d/%d/%d, want 2/3/4", m.Patches, m.EpochInvalidations, m.Misses)
+	}
+}
+
+// Each patch stores its entry again, and each store schedules the entry's
+// ValidUntil: the stale pairs are rebuilt away as a table's are, so one
+// entry patched 5 000 times holds the heap within 2×entries + 1024 pairs,
+// and the drain still drops it at its ValidUntil.
+func TestCacheExpiryHeapStaysBounded(t *testing.T) {
+	e := newsEngine(t)
+	q := polExceptEl(t, e)
+	stamped(t, e, q)
+	for i := int64(0); i < 5000; i++ {
+		if err := e.Insert("el", tuple.Ints(100+i, 20), 40); err != nil {
+			t.Fatal(err)
+		}
+		if !stamped(t, e, q).Cached {
+			t.Fatalf("read %d: a right-side insert the left lacks was not patched", i)
+		}
+	}
+	c := e.cache.Load()
+	c.mu.Lock()
+	pairs, entries := c.pq.Len(), len(c.entries)
+	c.mu.Unlock()
+	if pairs > 2*entries+1024 {
+		t.Fatalf("%d heap pairs for %d entries, want ≤ %d", pairs, entries, 2*entries+1024)
+	}
+	if err := e.Advance(3); err != nil {
+		t.Fatal(err)
+	}
+	if m := cacheStats(t, e); m.Entries != 0 || m.Invalidations != 1 || m.Patches != 5000 {
+		t.Fatalf("entries/invalidations/patches = %d/%d/%d, want 0/1/5000", m.Entries, m.Invalidations, m.Patches)
 	}
 }
 

@@ -58,6 +58,13 @@ func (th *TexpHeap) Push(key string, texp xtime.Time) {
 	}
 }
 
+// Bloated reports whether stale pairs have pushed the heap past 2×live +
+// 1024 pairs, live being the number of keys its owner holds: the point at
+// which the owner rebuilds it from what is live. A rebuild leaves at most
+// live pairs, so the next one is at least live + 1024 pushes away —
+// amortised O(1) — and steady churn over few keys never pays one.
+func (th *TexpHeap) Bloated(live int) bool { return len(th.h) > 2*live+1024 }
+
 // Due reports whether some pair, stale or not, has texp <= tick: a false
 // answer proves PopDue(tick) would deliver nothing. It does not modify
 // the heap, so the owning relation's read lock suffices.

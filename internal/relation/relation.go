@@ -211,8 +211,9 @@ func (r *Relation) release(s slot) {
 	r.free = append(r.free, s)
 }
 
-// slack is what boundSlots and boundTexpIdx tolerate beyond 2×rows: large
-// enough that steady churn on a small table never pays a rebuild.
+// slack is what boundSlots tolerates beyond 2×rows, as the texp heap does
+// (index.TexpHeap.Bloated): large enough that steady churn on a small table
+// never pays a rebuild.
 const slack = 1024
 
 // boundSlots squeezes the holes out, in slot order, once they push the
@@ -723,14 +724,12 @@ func (r *Relation) rebuildTexpIdx() {
 }
 
 // boundTexpIdx rebuilds the texp heap from the stored rows once the
-// stale pairs that deletes and lifetime extensions leave behind push it
-// past 2×rows + slack, so delete-heavy churn with long TTLs cannot
-// grow it without bound. A rebuild leaves at most rows pairs, so the next
-// one is at least rows + slack mutations away: amortised O(1). Every
+// stale pairs that deletes and lifetime extensions leave behind bloat it,
+// so delete-heavy churn with long TTLs cannot grow it without bound. Every
 // mutator that can break the bound calls it under the write lock it
 // already holds.
 func (r *Relation) boundTexpIdx() {
-	if r.texpIdx != nil && r.texpIdx.Len() > 2*len(r.keys)+slack {
+	if r.texpIdx != nil && r.texpIdx.Bloated(len(r.keys)) {
 		r.rebuildTexpIdx()
 	}
 }

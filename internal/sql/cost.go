@@ -3,6 +3,7 @@ package sql
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"expdb/internal/algebra"
@@ -140,7 +141,7 @@ func (p *planner) rewrite(e algebra.Expr) algebra.Expr {
 // are exactly the scan's.
 func (p *planner) chooseAccess(sel *algebra.Select, base *algebra.Base) algebra.Expr {
 	n := p.tableCard(base.Name)
-	conjs := flattenAnd(sel.Pred)
+	conjs := algebra.Conjuncts(sel.Pred)
 	var paths []accessPath
 	best := accessPath{cost: math.Max(n, 1)}
 	defs := p.s.eng.Catalog().TableIndexes(base.Name)
@@ -271,7 +272,7 @@ func (p *planner) buildProbe(sel *algebra.Select, base *algebra.Base, def *catal
 			rest = append(rest, c)
 		}
 	}
-	ix.Residual = andOfPreds(rest)
+	ix.Residual = algebra.AndOf(rest)
 
 	out := math.Max(n*sl, 0)
 	if act, ok := p.actual(ix); ok {
@@ -321,19 +322,15 @@ func (p *planner) reorderChain(j *algebra.Join) (algebra.Expr, bool) {
 	}
 	var conjs []conjunct
 	for _, pr := range preds {
-		for _, c := range flattenAnd(pr) {
-			cols, ok := predCols(c)
-			if !ok {
-				return nil, false
-			}
-			seen := map[int]bool{}
+		for _, c := range algebra.Conjuncts(pr) {
 			var refs []int
-			for _, col := range cols {
-				t := termOf(col)
-				if !seen[t] {
-					seen[t] = true
+			if !algebra.Cols(c, func(col int) bool {
+				if t := termOf(col); !slices.Contains(refs, t) {
 					refs = append(refs, t)
 				}
+				return true
+			}) {
+				return nil, false
 			}
 			conjs = append(conjs, conjunct{pred: c, refs: refs})
 		}
@@ -405,9 +402,9 @@ func (p *planner) reorderChain(j *algebra.Join) (algebra.Expr, bool) {
 		newOffset[t] = pos
 		pos += arity[t]
 	}
-	remap := func(col int) int {
+	remap := func(col int) (int, bool) {
 		t := termOf(col)
-		return newOffset[t] + (col - offset[t])
+		return newOffset[t] + (col - offset[t]), true
 	}
 
 	// Rebuild the chain, attaching each conjunct at the first join whose
@@ -434,14 +431,11 @@ func (p *planner) reorderChain(j *algebra.Join) (algebra.Expr, bool) {
 			if !all {
 				continue
 			}
-			mapped, ok := mapPredCols(conjs[i].pred, remap)
-			if !ok {
-				return nil, false
-			}
+			mapped, _ := algebra.MapCols(conjs[i].pred, remap)
 			attach = append(attach, mapped)
 			conjs[i].attached = true
 		}
-		pred := andOfPreds(attach)
+		pred := algebra.AndOf(attach)
 		acc = &algebra.Join{Pred: pred, Left: acc, Right: phys[t],
 			BuildLeft: accCard < cards[t]}
 		accCard = joinCard(accCard, cards[t], pred)
@@ -451,7 +445,7 @@ func (p *planner) reorderChain(j *algebra.Join) (algebra.Expr, bool) {
 	if !identity {
 		cols := make([]int, total)
 		for g := 0; g < total; g++ {
-			cols[g] = remap(g)
+			cols[g], _ = remap(g)
 		}
 		out = &algebra.Project{Cols: cols, Child: acc}
 
@@ -589,106 +583,5 @@ func predSel(p algebra.Predicate) float64 {
 		return 1 - predSel(q.Pred)
 	default:
 		return selOther
-	}
-}
-
-// flattenAnd splits a predicate into its top-level conjuncts.
-func flattenAnd(p algebra.Predicate) []algebra.Predicate {
-	if and, ok := p.(algebra.And); ok {
-		var out []algebra.Predicate
-		for _, c := range and.Preds {
-			out = append(out, flattenAnd(c)...)
-		}
-		return out
-	}
-	return []algebra.Predicate{p}
-}
-
-// andOfPreds conjoins ps (True for none, the predicate itself for one).
-func andOfPreds(ps []algebra.Predicate) algebra.Predicate {
-	switch len(ps) {
-	case 0:
-		return algebra.True{}
-	case 1:
-		return ps[0]
-	}
-	return algebra.And{Preds: ps}
-}
-
-// predCols lists every column a predicate references; ok is false for
-// predicate shapes the planner cannot decompose.
-func predCols(p algebra.Predicate) ([]int, bool) {
-	switch q := p.(type) {
-	case algebra.True:
-		return nil, true
-	case algebra.ColConst:
-		return []int{q.Col}, true
-	case algebra.ColCol:
-		return []int{q.Left, q.Right}, true
-	case algebra.And:
-		var out []int
-		for _, c := range q.Preds {
-			cols, ok := predCols(c)
-			if !ok {
-				return nil, false
-			}
-			out = append(out, cols...)
-		}
-		return out, true
-	case algebra.Or:
-		var out []int
-		for _, c := range q.Preds {
-			cols, ok := predCols(c)
-			if !ok {
-				return nil, false
-			}
-			out = append(out, cols...)
-		}
-		return out, true
-	case algebra.Not:
-		return predCols(q.Pred)
-	default:
-		return nil, false
-	}
-}
-
-// mapPredCols rewrites every column reference through f; ok is false for
-// shapes it cannot decompose.
-func mapPredCols(p algebra.Predicate, f func(int) int) (algebra.Predicate, bool) {
-	switch q := p.(type) {
-	case algebra.True:
-		return q, true
-	case algebra.ColConst:
-		return algebra.ColConst{Col: f(q.Col), Op: q.Op, Const: q.Const}, true
-	case algebra.ColCol:
-		return algebra.ColCol{Left: f(q.Left), Right: f(q.Right), Op: q.Op}, true
-	case algebra.And:
-		out := make([]algebra.Predicate, len(q.Preds))
-		for i, c := range q.Preds {
-			m, ok := mapPredCols(c, f)
-			if !ok {
-				return nil, false
-			}
-			out[i] = m
-		}
-		return algebra.And{Preds: out}, true
-	case algebra.Or:
-		out := make([]algebra.Predicate, len(q.Preds))
-		for i, c := range q.Preds {
-			m, ok := mapPredCols(c, f)
-			if !ok {
-				return nil, false
-			}
-			out[i] = m
-		}
-		return algebra.Or{Preds: out}, true
-	case algebra.Not:
-		m, ok := mapPredCols(q.Pred, f)
-		if !ok {
-			return nil, false
-		}
-		return algebra.Not{Pred: m}, true
-	default:
-		return nil, false
 	}
 }

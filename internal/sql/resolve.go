@@ -140,23 +140,7 @@ func compareToPredicate(n *Compare, sc *scope) (algebra.Predicate, error) {
 		return algebra.ColConst{Col: r, Op: cmpOps[flipped[n.Op]], Const: *n.Left.Lit}, nil
 	default:
 		// Two literals: fold to a constant predicate.
-		cmp := n.Left.Lit.Compare(*n.Right.Lit)
-		var holds bool
-		switch op {
-		case algebra.OpEq:
-			holds = cmp == 0
-		case algebra.OpNe:
-			holds = cmp != 0
-		case algebra.OpLt:
-			holds = cmp < 0
-		case algebra.OpLe:
-			holds = cmp <= 0
-		case algebra.OpGt:
-			holds = cmp > 0
-		default:
-			holds = cmp >= 0
-		}
-		if holds {
+		if op.Test(n.Left.Lit.Compare(*n.Right.Lit)) {
 			return algebra.True{}, nil
 		}
 		return algebra.Not{Pred: algebra.True{}}, nil

@@ -33,6 +33,9 @@ type Metrics struct {
 	// ActiveConns is the number of connections currently in their
 	// request loop.
 	ActiveConns metrics.Gauge
+	// The traffic Server.Stats reports: frames, and their bytes with the
+	// length headers.
+	MessagesSent, MessagesReceived, BytesSent, BytesReceived metrics.Counter
 }
 
 // MetricsSnapshot is a point-in-time copy of the wire server's

@@ -91,7 +91,6 @@ type Server struct {
 	wm   Metrics
 
 	mu      sync.Mutex
-	stats   Stats
 	closed  bool
 	conns   map[net.Conn]*connState
 	pending sync.WaitGroup
@@ -232,9 +231,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // Stats returns the server-side traffic counters.
 func (s *Server) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	return Stats{
+		MessagesSent:     int(s.wm.MessagesSent.Load()),
+		MessagesReceived: int(s.wm.MessagesReceived.Load()),
+		BytesSent:        s.wm.BytesSent.Load(),
+		BytesReceived:    s.wm.BytesReceived.Load(),
+	}
 }
 
 // acceptLoop accepts until the listener closes, retrying temporary
@@ -401,10 +403,8 @@ func (s *Server) handle(conn net.Conn, st *connState) (err error) {
 		if err != nil {
 			return err
 		}
-		s.mu.Lock()
-		s.stats.MessagesReceived++
-		s.stats.BytesReceived += int64(4 + len(buf))
-		s.mu.Unlock()
+		s.wm.MessagesReceived.Inc()
+		s.wm.BytesReceived.Add(int64(4 + len(buf)))
 		if req.Kind == MsgClose {
 			return nil
 		}
@@ -428,9 +428,9 @@ func (s *Server) handle(conn net.Conn, st *connState) (err error) {
 		st.inFlight.Store(false)
 		requests++
 		s.wm.RequestsServed.Inc()
+		s.wm.MessagesSent.Inc()
+		s.wm.BytesSent.Add(int64(len(buf)))
 		s.mu.Lock()
-		s.stats.MessagesSent++
-		s.stats.BytesSent += int64(len(buf))
 		closing := s.closed
 		s.mu.Unlock()
 		if closing {

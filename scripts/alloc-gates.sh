@@ -30,6 +30,10 @@ BenchmarkExecInsert            .                  10 DB.Exec of an INSERT … EX
 BenchmarkIndexedDelete         ./internal/engine  2  victim key slice and the closure filling it; nothing scales with the table, and recording each removed tuple in the write tail adds nothing (measured 2)
 BenchmarkSamplerTick           ./internal/monitor 0  the sampler runs forever: one allocation per tick is a slow leak
 BenchmarkWireRespondPoint      ./internal/wire    35 a remote point read: parse (its tokens on the stack), one Plan, the probe, the response, which holds the answer relation and copies no row; no per-request session, second key derivation, sort, EXPLAIN text or kept lowering (measured 35; 40 when each row was copied into a gob-encodable struct, 49 when the lexer grew a token slice and allocated its symbols, 71 when the optimiser formatted its choices, 110 and 170 KB when it scanned)
+BenchmarkPlanPoint             ./internal/sql     21 Session.Plan of a parsed point read that has no lowering to reuse, as the wire server plans every request: the lowering, the pushdown rewrite and its key string, the optimiser costing the probe (measured 21)
+BenchmarkPlanRange             ./internal/sql     31 the same for a two-bound range over the unindexed column: the conjunction and its two comparisons, scanned (measured 31)
+BenchmarkPlanJoin              ./internal/sql     59 the same for a two-table join with a WHERE on each side: both conjuncts pushed below the join and renumbered into their sides (measured 59)
+BenchmarkPlanExcept            ./internal/sql     65 the same for an EXCEPT of two selections: two lowerings, one key (measured 65)
 BenchmarkWireCodec             ./internal/wire    211 a 100-row response appended to a reused frame buffer and decoded: per row only the decoded tuple and its set key; the answer relation, sized by the row count, its schema and the response are the constant (measured 211)
 '
 
