@@ -3,7 +3,9 @@ package algebra
 import (
 	"math"
 
+	"expdb/internal/relation"
 	"expdb/internal/tuple"
+	"expdb/internal/xtime"
 )
 
 // compile turns p into the test a streaming operator runs once per row.
@@ -29,9 +31,15 @@ import (
 func compile(p Predicate) func(tuple.Tuple) bool {
 	var c conjunction
 	c.add(p)
+	return c.test(p)
+}
+
+// test is the per-row test of c, which add took apart from p: nil when c
+// tests nothing.
+func (c *conjunction) test(p Predicate) func(tuple.Tuple) bool {
 	for _, r := range c.ranges {
-		if r.lo > r.hi {
-			col := r.col
+		if r.Lo > r.Hi {
+			col := r.Col
 			return func(t tuple.Tuple) bool {
 				if _, ok := t[col].Int64(); ok {
 					return false
@@ -49,11 +57,11 @@ func compile(p Predicate) func(tuple.Tuple) bool {
 	}
 	return func(t tuple.Tuple) bool {
 		for _, r := range ranges {
-			v, ok := t[r.col].Int64()
+			v, ok := t[r.Col].Int64()
 			if !ok {
 				return p.Holds(t)
 			}
-			if uint64(v-r.lo) > uint64(r.hi-r.lo) {
+			if uint64(v-r.Lo) > uint64(r.Hi-r.Lo) {
 				return false
 			}
 		}
@@ -67,17 +75,40 @@ func compile(p Predicate) func(tuple.Tuple) bool {
 }
 
 // conjunction is a predicate taken apart for compile: an interval per
-// column that INT bounds restrict, and the Holds of everything else.
+// column that INT bounds restrict (Lo > Hi when they contradict each
+// other), and the Holds of everything else.
 type conjunction struct {
-	ranges []intRange
+	ranges []relation.IntRange
 	rest   []func(tuple.Tuple) bool
 }
 
-// intRange is the closed interval [lo, hi] an INT in column col must lie
-// in; lo > hi when its bounds contradict each other.
-type intRange struct {
-	col    int
-	lo, hi int64
+// scan streams σ[p](b) at tau (every row alive when p is nil), less the
+// rows whose column in.Col holds no INT of in when in is not nil; that
+// column must have an array. The intervals of p over columns with an array
+// run in the relation's kernel (Relation.ScanInts), in slot order, and only
+// the rows that pass them reach the test of the rest of p.
+func (b *Base) scan(tau xtime.Time, p Predicate, in *relation.IntSet, emit func(relation.Row)) {
+	var c conjunction
+	c.add(p)
+	kernel := 0 // c.ranges[:kernel] are over columns with an array
+	for i, r := range c.ranges {
+		if b.Rel.HasIntArray(r.Col) {
+			c.ranges[kernel], c.ranges[i] = r, c.ranges[kernel]
+			kernel++
+		}
+	}
+	ranges := c.ranges[:kernel]
+	c.ranges = c.ranges[kernel:]
+	holds := c.test(p)
+	if holds == nil {
+		b.Rel.ScanInts(tau, ranges, in, emit)
+		return
+	}
+	b.Rel.ScanInts(tau, ranges, in, func(row relation.Row) {
+		if holds(row.Tuple) {
+			emit(row)
+		}
+	})
 }
 
 func (c *conjunction) add(p Predicate) {
@@ -101,31 +132,31 @@ func (c *conjunction) add(p Predicate) {
 // narrow intersects column col's interval with the INTs v for which v op k.
 func (c *conjunction) narrow(col int, op CmpOp, k int64) {
 	i := 0
-	for i < len(c.ranges) && c.ranges[i].col != col {
+	for i < len(c.ranges) && c.ranges[i].Col != col {
 		i++
 	}
 	if i == len(c.ranges) {
-		c.ranges = append(c.ranges, intRange{col: col, lo: math.MinInt64, hi: math.MaxInt64})
+		c.ranges = append(c.ranges, relation.IntRange{Col: col, Lo: math.MinInt64, Hi: math.MaxInt64})
 	}
 	r := &c.ranges[i]
 	switch op {
 	case OpEq:
-		r.lo, r.hi = max(r.lo, k), min(r.hi, k)
+		r.Lo, r.Hi = max(r.Lo, k), min(r.Hi, k)
 	case OpLe:
-		r.hi = min(r.hi, k)
+		r.Hi = min(r.Hi, k)
 	case OpGe:
-		r.lo = max(r.lo, k)
+		r.Lo = max(r.Lo, k)
 	case OpLt:
 		if k == math.MinInt64 {
-			r.lo, r.hi = math.MaxInt64, math.MinInt64
+			r.Lo, r.Hi = math.MaxInt64, math.MinInt64
 		} else {
-			r.hi = min(r.hi, k-1)
+			r.Hi = min(r.Hi, k-1)
 		}
 	case OpGt:
 		if k == math.MaxInt64 {
-			r.lo, r.hi = math.MaxInt64, math.MinInt64
+			r.Lo, r.Hi = math.MaxInt64, math.MinInt64
 		} else {
-			r.lo = max(r.lo, k+1)
+			r.Lo = max(r.Lo, k+1)
 		}
 	}
 }

@@ -1,12 +1,16 @@
 package algebra
 
 import (
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"expdb/internal/relation"
 	"expdb/internal/tuple"
 	"expdb/internal/value"
+	"expdb/internal/xtime"
 )
 
 // kernelValues is what an attribute or a constant is drawn from: small
@@ -130,6 +134,110 @@ func FuzzCompileMatchesHolds(f *testing.F) {
 				t.Fatalf("compile(%s)(%s) = %v, Holds %v", p, row, got, want)
 			}
 		}
+	})
+}
+
+// kernelInt draws what kernelValue does, INTs only: the values an INT column
+// that keeps its array holds.
+func kernelInt(rng *rand.Rand) int64 {
+	for {
+		v := kernelValue(rng)
+		if i, ok := v.Int64(); ok {
+			return i
+		}
+	}
+}
+
+// checkScan draws a base table ⟨a, b, c⟩ with its column arrays and a
+// history over it — inserts, lifetime extensions, and deletes whose holes
+// later inserts fill — in which each column either holds INTs only or, for
+// a mask the rng picks, takes kernelValue's other kinds too and drops its
+// array. Then it draws a predicate, τ and, over a column with an array, a
+// key set. Base.scan, without and with the key set, must stream exactly the
+// rows of AliveAt that Holds selects (and whose key is in the set), each
+// once.
+func checkScan(t *testing.T, rng *rand.Rand) {
+	rel := relation.New(tuple.IntCols("a", "b", "c"))
+	rel.EnableIntArrays()
+	mixed := rng.Intn(8) // bit c: column c draws any kind
+	draw := func(c int) value.Value {
+		if mixed>>c&1 == 1 {
+			return kernelValue(rng)
+		}
+		return value.Int(kernelInt(rng))
+	}
+	var stored []tuple.Tuple
+	for i := rng.Intn(32); i > 0; i-- {
+		texp := xtime.Time(1 + rng.Intn(9))
+		switch op := rng.Intn(4); {
+		case op == 0 && len(stored) > 0:
+			k := rng.Intn(len(stored))
+			rel.Delete(stored[k])
+			stored = slices.Delete(stored, k, k+1)
+		case op == 1 && len(stored) > 0:
+			rel.Insert(stored[rng.Intn(len(stored))], texp+5) // extends, or not
+		default:
+			tp := tuple.T(draw(0), draw(1), draw(2))
+			rel.Insert(tp, texp)
+			stored = append(stored, tp)
+		}
+	}
+	p := kernelPred(rng, kernelArity, 3)
+	tau := xtime.Time(rng.Intn(10))
+	var keys []int64
+	keyCol := rng.Intn(kernelArity)
+	if rel.HasIntArray(keyCol) {
+		keys = make([]int64, rng.Intn(5))
+		for i := range keys {
+			keys[i] = kernelInt(rng)
+		}
+	}
+	base := NewBase("R", rel)
+	for _, withKeys := range []bool{false, true} {
+		if withKeys && keys == nil {
+			continue
+		}
+		var in *relation.IntSet
+		want := map[string]xtime.Time{}
+		rel.AliveAt(tau, func(row relation.Row) {
+			if !p.Holds(row.Tuple) {
+				return
+			}
+			if v, _ := row.Tuple[keyCol].Int64(); !withKeys || slices.Contains(keys, v) {
+				want[row.Tuple.Key()] = row.Texp
+			}
+		})
+		if withKeys {
+			in = relation.NewIntSet(keyCol, slices.Clone(keys))
+		}
+		got := map[string]xtime.Time{}
+		base.scan(tau, p, in, func(row relation.Row) {
+			k := row.Tuple.Key()
+			if _, dup := got[k]; dup {
+				t.Fatalf("scan of σ[%s] at %v (keys %v in column %d) streams %v twice", p, tau, keys, keyCol, row.Tuple)
+			}
+			got[k] = row.Texp
+		})
+		if !maps.Equal(got, want) {
+			t.Fatalf("scan of σ[%s] at %v (keys %v in column %d, arrays %v %v %v): %d rows, want %d\n%s",
+				p, tau, keys, keyCol, rel.HasIntArray(0), rel.HasIntArray(1), rel.HasIntArray(2), len(got), len(want), rel.Render(tau))
+		}
+	}
+}
+
+// TestScanMatchesHolds is FuzzScanMatchesHolds over seeded draws.
+func TestScanMatchesHolds(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for trial := 0; trial < 3000; trial++ {
+		checkScan(t, rng)
+	}
+}
+
+// FuzzScanMatchesHolds: the input draws checkScan's table, history,
+// predicate, τ and key set one byte a decision (byteSource).
+func FuzzScanMatchesHolds(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		checkScan(t, rand.New((*byteSource)(&in)))
 	})
 }
 

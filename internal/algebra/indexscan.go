@@ -100,12 +100,8 @@ func (s *IndexScan) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time,
 	}
 	// Index dropped (or re-created with an incompatible shape) since the
 	// plan was built: degrade to the scan the node replaced.
-	holds := compile(s.Full)
-	return s.Base.Stream(tau, func(row relation.Row) {
-		if holds == nil || holds(row.Tuple) {
-			emit(row)
-		}
-	})
+	s.Base.scan(tau, s.Full, nil, emit)
+	return xtime.Infinity, nil
 }
 
 // Probe hands fn every index entry alive at tau that the probe matches

@@ -34,8 +34,13 @@ func (s *Select) Schema() tuple.Schema { return s.Child.Schema() }
 func (s *Select) Monotonic() bool { return s.Child.Monotonic() }
 
 // Stream implements Expr, formula (1): the child's rows pass through the
-// compiled predicate on the calling goroutine.
+// compiled predicate on the calling goroutine. Over a base relation the
+// predicate's INT intervals run in the relation's array kernel (Base.scan).
 func (s *Select) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
+	if b, ok := s.Child.(*Base); ok {
+		b.scan(tau, s.Pred, nil, emit)
+		return xtime.Infinity, nil
+	}
 	holds := compile(s.Pred)
 	if holds == nil {
 		return s.Child.Stream(tau, emit)
@@ -251,7 +256,10 @@ func (j *Join) equiCols() (left, right []int, rest []Predicate) {
 // this call — concurrent evaluations of a shared plan never see each
 // other's — and looks it up without building a string, so the probe side
 // allocates per result row, not per row probed. Without equality conjuncts
-// it is a streamed nested loop over the hoisted build rows.
+// it is a streamed nested loop over the hoisted build rows. With one, over
+// a probe side that scans arrays (arrayBase) and build keys that are all
+// INTs, the keys go to the probe side's scan as a key set: a probe row
+// whose key none of them equals is turned away in the kernel, unloaded.
 func (j *Join) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
 	build, probeSide := j.Right, j.Left
 	if j.BuildLeft {
@@ -269,10 +277,27 @@ func (j *Join) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, erro
 		buildCols, probeCols = leftCols, rightCols
 	}
 	h := index.NewHash(buildCols)
-	b.AliveAt(tau, func(r relation.Row) { h.Insert(index.Entry{Tuple: r.Tuple, Texp: r.Texp}) })
+	var base *Base
+	var pred Predicate
+	var keys []int64
+	if len(probeCols) == 1 {
+		if base, pred = arrayBase(probeSide, probeCols[0]); base != nil {
+			keys = make([]int64, 0, b.Len())
+		}
+	}
+	b.AliveAt(tau, func(r relation.Row) {
+		h.Insert(index.Entry{Tuple: r.Tuple, Texp: r.Texp})
+		if base != nil {
+			v, ok := r.Tuple[buildCols[0]].Int64()
+			if !ok {
+				base = nil
+			}
+			keys = append(keys, v)
+		}
+	})
 	holds := compile(And{Preds: rest}) // what of the predicate each pair still tests
 	var key []byte
-	pt, err := probeSide.Stream(tau, func(pr relation.Row) {
+	probe := func(pr relation.Row) {
 		var brows []index.Entry
 		brows, key = h.Lookup(pr.Tuple, probeCols, key)
 		for _, br := range brows {
@@ -286,8 +311,27 @@ func (j *Join) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, erro
 				emit(relation.Row{Tuple: t, Texp: xtime.Min(pr.Texp, br.Texp)})
 			}
 		}
-	})
+	}
+	if base != nil {
+		base.scan(tau, pred, relation.NewIntSet(probeCols[0], keys), probe)
+		return bt, nil
+	}
+	pt, err := probeSide.Stream(tau, probe)
 	return xtime.Min(bt, pt), err
+}
+
+// arrayBase returns e's base relation and selection (nil for none) when e
+// is a Base, or σ over one, whose column col has an array: the probe sides
+// a join can hand its build keys to.
+func arrayBase(e Expr, col int) (*Base, Predicate) {
+	var p Predicate
+	if s, ok := e.(*Select); ok {
+		e, p = s.Child, s.Pred
+	}
+	if b, ok := e.(*Base); ok && b.Rel.HasIntArray(col) {
+		return b, p
+	}
+	return nil, nil
 }
 
 // Children implements Expr.

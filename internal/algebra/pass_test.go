@@ -20,11 +20,15 @@ import (
 // values whose sum depends on the order of addition, expiration times drawn
 // from a range small enough that slices of several tuples are common, some
 // tuples that never expire, and now and then no tuples at all. A hash index
-// on g is attached for the IndexScan shape.
+// on g is attached for the IndexScan shape. R keeps the column arrays of a
+// base table: g's, and v's until its first NULL.
 func passRel(rng *rand.Rand, name string) *Base {
 	r := relation.New(tuple.NewSchema(
 		tuple.Col("g", value.KindInt), tuple.Col("v", value.KindInt), tuple.Col("x", value.KindFloat)))
 	r.AttachIndex(name+"_g", index.NewHash([]int{0}))
+	if name == "R" {
+		r.EnableIntArrays()
+	}
 	floats := []float64{0, 0.5, -0.5, 0.1, 0.2, 0.3, 0.7, 1e16, -1e16}
 	n := rng.Intn(14)
 	if rng.Intn(8) == 0 {

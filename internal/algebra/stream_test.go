@@ -38,9 +38,10 @@ func TestStreamEvalEquivalenceNonMonotonic(t *testing.T) {
 }
 
 // bigRel builds a base relation of n random rows, a tenth of them
-// immortal.
+// immortal, with its column arrays.
 func bigRel(rng *rand.Rand, name string, n int) *Base {
 	r := relation.New(tuple.IntCols("a", "b"))
+	r.EnableIntArrays()
 	for i := 0; i < n; i++ {
 		texp := xtime.Time(1 + rng.Intn(50))
 		if rng.Intn(10) == 0 {
@@ -110,7 +111,8 @@ func (s *byteSource) Seed(int64) {}
 // FuzzPassMatchesReference: the input picks two relations of up to five
 // rows whose INT columns carry what kernelValue draws — FLOATs, NULLs and
 // integers beyond 2⁵³ among them — a tree of depth ≤ 3 over them, and τ; the
-// pass must agree with the reference evaluator.
+// pass must agree with the reference evaluator. R has column arrays until
+// its columns take other values.
 func FuzzPassMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		rng := rand.New((*byteSource)(&in))
@@ -118,6 +120,9 @@ func FuzzPassMatchesReference(f *testing.F) {
 		for _, name := range []string{"R", "S"} {
 			r := relation.New(tuple.IntCols("a", "b", "c"))
 			r.AttachIndex(name+"_a", index.NewHash([]int{0}))
+			if name == "R" {
+				r.EnableIntArrays()
+			}
 			for i := rng.Intn(6); i > 0; i-- {
 				texp := xtime.Time(1 + rng.Intn(9))
 				if texp == 9 {

@@ -18,6 +18,9 @@ import (
 func randRel(rng *rand.Rand, name string) *Base {
 	r := relation.New(tuple.IntCols("a", "b"))
 	r.AttachIndex(name+"_a", index.NewHash([]int{0}))
+	if name != "S" { // S scans tuples, the others their column arrays
+		r.EnableIntArrays()
+	}
 	n := 1 + rng.Intn(8)
 	for i := 0; i < n; i++ {
 		texp := xtime.Time(1 + rng.Intn(20))

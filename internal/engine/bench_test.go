@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -397,5 +398,56 @@ func BenchmarkIndexedDelete(b *testing.B) {
 		if n, _, err := e.DeleteWhere(plans[i]); err != nil || n != 1 {
 			b.Fatalf("deleted %d rows, err %v", n, err)
 		}
+	}
+}
+
+// heapPerLiveRow builds an engine with one hash-indexed table ⟨a, b, c⟩ of
+// INTs, inserts n rows with finite lifetimes, and returns the live heap per
+// row: runtime.MemStats.HeapAlloc after a GC, less the same before the
+// engine was built, over n. Everything a row costs is in it — tuple, set
+// key, slot, column arrays, hash index entry, texp heap pair.
+func heapPerLiveRow(tb testing.TB, n int) float64 {
+	tb.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e := New()
+	if err := e.CreateTable("t", tuple.IntCols("a", "b", "c")); err != nil {
+		tb.Fatal(err)
+	}
+	if err := e.CreateIndex(&catalog.IndexDef{
+		Name: "t_a", Table: "t", Cols: []int{0}, ColNames: []string{"a"}, Kind: index.KindHash,
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := e.Insert("t", tuple.Ints(int64(i), int64(i%97), int64(i%13)), xtime.Time(1_000_000+i)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(e)
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(n)
+}
+
+// BenchmarkHeapPerLiveRow reports heapPerLiveRow at 50 000 rows as B/row.
+func BenchmarkHeapPerLiveRow(b *testing.B) {
+	var perRow float64
+	for i := 0; i < b.N; i++ {
+		perRow = heapPerLiveRow(b, 50_000)
+	}
+	b.ReportMetric(perRow, "B/row")
+}
+
+// heapPerLiveRowBudget is BenchmarkHeapPerLiveRow's figure before base
+// tables kept INT column arrays (356.6 B on linux/amd64, go1.24), plus the
+// 24 B of the three arrays and 8 B of slack for their growth.
+const heapPerLiveRowBudget = 356.6 + 24 + 8
+
+// TestHeapPerLiveRow is the memory gate of BenchmarkHeapPerLiveRow.
+func TestHeapPerLiveRow(t *testing.T) {
+	if perRow := heapPerLiveRow(t, 50_000); perRow > heapPerLiveRowBudget {
+		t.Fatalf("a live row holds %.1f B of heap, budget %.1f", perRow, heapPerLiveRowBudget)
 	}
 }

@@ -157,6 +157,7 @@ func (e *Engine) replay(r *wal.Recovered) (*RecoveryInfo, error) {
 				return nil, fmt.Errorf("engine: recover table %s: %w", t.Name, err)
 			}
 			rel.EnableTexpIndex()
+			rel.EnableIntArrays()
 			for _, row := range t.Rows {
 				// Decoded tuples are fresh memory the relation may own.
 				rel.InsertOwned(row.Tuple.Key(), row.Tuple, row.Texp)
@@ -224,6 +225,7 @@ func (e *Engine) applyRecord(rec *wal.Record) error {
 			return err
 		}
 		rel.EnableTexpIndex()
+		rel.EnableIntArrays()
 	case wal.KindDropTable:
 		if err := e.cat.DropTable(rec.Name); err != nil {
 			return err

@@ -264,9 +264,11 @@ func (e *Engine) CreateTable(name string, schema tuple.Schema) error {
 		return err
 	}
 	// Engine-owned tables carry the texp-ordered index from birth, making
-	// "anything due?" a peek and sweeps O(k). Operator results (relations
-	// built by EvalStream collectors) never enable it.
+	// "anything due?" a peek and sweeps O(k), and the INT column arrays
+	// scans test ranges in. Operator results (relations built by
+	// EvalStream collectors) never enable either.
 	rel.EnableTexpIndex()
+	rel.EnableIntArrays()
 	seq, err := e.walAppend(&wal.Record{Kind: wal.KindCreateTable, Name: name, Schema: schema})
 	if err != nil {
 		e.cat.DropTable(name) // un-apply: the log is poisoned
@@ -417,10 +419,11 @@ func (e *Engine) Delete(table string, t tuple.Tuple) (bool, error) {
 // current tick that plan selects, and returns their number and that tick.
 // plan is the access path the SQL planner chose for the statement: a base
 // table (every row), σ[pred](base), or an index probe of base. The victims
-// are read straight off the index or the live relation under the table's
-// write lock — no snapshot, and their stored set keys are reused, so
-// nothing is re-encoded. A multi-row delete is durable record by record:
-// a crash may keep any prefix of it.
+// are read straight off the index, or off the live relation by the scan a
+// SELECT of them runs, in slot order, under the table's write lock — no
+// snapshot — and only they have their set keys derived. So one history
+// logs its deletes in one order. A multi-row delete is durable record by
+// record: a crash may keep any prefix of it.
 func (e *Engine) DeleteWhere(plan algebra.Expr) (int, xtime.Time, error) {
 	var base *algebra.Base
 	var pred algebra.Predicate // nil selects every row
@@ -442,11 +445,9 @@ func (e *Engine) DeleteWhere(plan algebra.Expr) (int, xtime.Time, error) {
 	now := e.Now()
 	var keys []string
 	if ix == nil || !ix.Probe(now, func(en index.Entry) { keys = append(keys, en.Key) }) {
-		rel.AliveKeyedAt(now, func(key string, row relation.Row) {
-			if pred == nil || pred.Holds(row.Tuple) {
-				keys = append(keys, key)
-			}
-		})
+		// σ over a base relation streams without error.
+		scan := &algebra.Select{Pred: pred, Child: base}
+		_, _ = scan.Stream(now, func(row relation.Row) { keys = append(keys, row.Tuple.Key()) })
 	}
 	return e.deleteKeys(base.Name, rel, keys)
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"os"
@@ -207,6 +208,112 @@ func TestDeleteWhereOneFsyncPerStatement(t *testing.T) {
 	}
 	if got := after.Syncs - before.Syncs; got != 1 {
 		t.Errorf("fsynced %d times for one statement, want 1", got)
+	}
+}
+
+// TestUnindexedDeleteLogsOneOrder: two engines that run one durable history
+// — FLOATs and NULLs among the INTs of column b, deletes that leave holes,
+// inserts that fill them, an index created over the rows and a multi-row
+// DELETE it serves — ending in a multi-row DELETE … WHERE that no index
+// serves write byte-identical logs: the victims are picked in slot order or
+// in the index's order, and both are functions of the history. The last
+// DELETE removes exactly the rows Holds selects; column a keeps its array,
+// b does not.
+func TestUnindexedDeleteLogsOneOrder(t *testing.T) {
+	pred := algebra.And{Preds: []algebra.Predicate{
+		algebra.ColConst{Col: 0, Op: algebra.OpGe, Const: value.Int(20)},
+		algebra.ColConst{Col: 0, Op: algebra.OpLt, Const: value.Int(230)},
+		algebra.ColConst{Col: 1, Op: algebra.OpEq, Const: value.Int(3)},
+	}}
+	row := func(i int64) tuple.Tuple {
+		b := value.Int(i % 7)
+		switch i % 23 {
+		case 5:
+			b = value.Float(3)
+		case 11:
+			b = value.Float(2.5)
+		case 17:
+			b = value.Null
+		}
+		return tuple.T(value.Int(i), b)
+	}
+	history := func(dir string) []byte {
+		e, _ := openDurable(t, dir)
+		if err := e.CreateTable("s", tuple.IntCols("a", "b")); err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < 200; i++ {
+			if err := e.Insert("s", row(i), xtime.Time(1000+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := int64(0); i < 200; i += 9 {
+			if ok, err := e.Delete("s", row(i)); !ok || err != nil {
+				t.Fatalf("delete %v: %v, %v", row(i), ok, err)
+			}
+		}
+		for i := int64(200); i < 240; i++ {
+			if err := e.Insert("s", row(i), xtime.Infinity); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.CreateIndex(&catalog.IndexDef{
+			Name: "s_b", Table: "s", Cols: []int{1}, ColNames: []string{"b"}, Kind: index.KindHash,
+			Def: "CREATE INDEX s_b ON s (b)",
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if n, _, err := e.DeleteWhere(probeEq(t, e, "s", "s_b", 1, 2)); n < 20 || err != nil {
+			t.Fatalf("the indexed DELETE removed %d rows: %v", n, err)
+		}
+		base, err := e.Base("s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !base.Rel.HasIntArray(0) || base.Rel.HasIntArray(1) {
+			t.Fatalf("arrays a %v, b %v, want a only", base.Rel.HasIntArray(0), base.Rel.HasIntArray(1))
+		}
+		before := map[string]bool{}
+		base.Rel.All(func(r relation.Row) { before[r.Tuple.Key()] = pred.Holds(r.Tuple) })
+		n, _, err := e.DeleteWhere(&algebra.Select{Pred: pred, Child: base})
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := tableRows(e)["s"]
+		victims := 0
+		for k, holds := range before {
+			if _, kept := after[k]; kept == holds {
+				t.Fatalf("the DELETE kept %v a row for which Holds is %v", kept, holds)
+			}
+			if holds {
+				victims++
+			}
+		}
+		if n != victims || victims < 20 {
+			t.Fatalf("DeleteWhere removed %d rows, Holds selects %d", n, victims)
+		}
+		if err := e.CloseDurability(); err != nil {
+			t.Fatal(err)
+		}
+		var log []byte
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, en := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, en.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			log = append(append(log, en.Name()...), b...)
+		}
+		return log
+	}
+	first := history(t.TempDir())
+	for run := 0; run < 3; run++ {
+		if !bytes.Equal(history(t.TempDir()), first) {
+			t.Fatalf("run %d of the same history wrote a different log", run+2)
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 
 	"expdb/internal/index"
 	"expdb/internal/tuple"
+	"expdb/internal/value"
 	"expdb/internal/xtime"
 )
 
@@ -85,6 +86,13 @@ type Relation struct {
 	// record of when rows expire; boundTexpIdx keeps it within
 	// 2×rows + slack pairs.
 	texpIdx *index.TexpHeap
+	// ints are the column arrays of a base table (EnableIntArrays):
+	// ints[c][s] is slots[s].Tuple[c] for each INT column c that has stored
+	// nothing but INTs (nil for the others), so that ScanInts tests ranges
+	// without loading tuples. They are this handle's alone — Snapshot,
+	// Clone and SnapshotShared hand none on — so a detached store keeps
+	// writing them in place. A hole's entry is stale.
+	ints [][]int64
 }
 
 // slot is a position in Relation.slots.
@@ -232,6 +240,17 @@ func (r *Relation) boundSlots() {
 			slots = append(slots, row)
 		}
 	}
+	for c, vals := range r.ints {
+		if vals != nil {
+			kept := make([]int64, 0, len(slots))
+			for i, row := range r.slots {
+				if row.Texp != hole {
+					kept = append(kept, vals[i])
+				}
+			}
+			r.ints[c] = kept
+		}
+	}
 	keys := make(map[string]slot, len(slots))
 	for k, s := range r.keys {
 		keys[k] = moved[s]
@@ -253,20 +272,14 @@ func (r *Relation) Len() int {
 // larger expiration time wins (set semantics consistent with ∪exp). It
 // reports whether the relation's visible content changed.
 func (r *Relation) Insert(t tuple.Tuple, texp xtime.Time) bool {
-	changed, _, _ := r.InsertPrev(t, texp)
+	changed, _, _ := r.InsertKeyed(t.Key(), t, texp)
 	return changed
 }
 
-// InsertPrev is Insert, additionally reporting the tuple's previous
-// expiration time when an equal tuple was already present (a changed
-// insert with had set is a lifetime extension).
-func (r *Relation) InsertPrev(t tuple.Tuple, texp xtime.Time) (changed bool, prev xtime.Time, had bool) {
-	return r.InsertKeyed(t.Key(), t, texp)
-}
-
-// InsertKeyed is InsertPrev for callers that already computed t.Key(),
-// sparing the hot insert path a second key encoding. key must equal
-// t.Key().
+// InsertKeyed is Insert for callers that already computed t.Key(), sparing
+// the hot insert path a second key encoding (key must equal t.Key()). It
+// also reports the tuple's previous expiration time when an equal tuple was
+// already present (a changed insert with had set is a lifetime extension).
 func (r *Relation) InsertKeyed(key string, t tuple.Tuple, texp xtime.Time) (changed bool, prev xtime.Time, had bool) {
 	_, changed, prev, had = r.InsertStored(key, t, texp)
 	return changed, prev, had
@@ -315,8 +328,28 @@ func (r *Relation) place(key string, t tuple.Tuple, texp xtime.Time) {
 		s = slot(len(r.slots))
 		r.slots = append(r.slots, Row{Tuple: t, Texp: texp})
 	}
+	r.setInts(s, t)
 	r.keys[key] = s
 	r.idxInsert(key, t, texp)
+}
+
+// setInts writes t's values into slot s of the column arrays — appending
+// when s is the slot just added at the end — and drops the array of any
+// column where t holds something other than an INT.
+func (r *Relation) setInts(s slot, t tuple.Tuple) {
+	for c, vals := range r.ints {
+		if vals == nil {
+			continue
+		}
+		switch v, ok := t[c].Int64(); {
+		case !ok:
+			r.ints[c] = nil
+		case int(s) < len(vals):
+			vals[s] = v
+		default:
+			r.ints[c] = append(vals, v)
+		}
+	}
 }
 
 // InsertOwned is InsertKeyed for tuples the relation may store without a
@@ -415,13 +448,110 @@ func (r *Relation) AliveAt(tau xtime.Time, fn func(Row)) {
 	}
 }
 
-// AliveKeyedAt is AliveAt that also hands fn each row's set key, so a
-// caller about to DeleteKey the rows it picks need not re-encode them.
-func (r *Relation) AliveKeyedAt(tau xtime.Time, fn func(key string, row Row)) {
+// IntRange is the closed interval [Lo, Hi] the INT in column Col must lie
+// in; Lo > Hi is the empty interval.
+type IntRange struct {
+	Col    int
+	Lo, Hi int64
+}
+
+// HasIntArray reports whether column c keeps a slot array (EnableIntArrays)
+// — then every value stored in it is an INT, and ScanInts can test it.
+func (r *Relation) HasIntArray(c int) bool { return c < len(r.ints) && r.ints[c] != nil }
+
+// ScanInts is AliveAt restricted to the rows whose INT in column rg.Col
+// lies in rg for every rg in ranges and, when in is not nil, whose INT in
+// column in.Col is in the set. Every column it tests must have an array
+// (HasIntArray). It walks the first interval's array in slot order —
+// uint64(v−lo) ≤ uint64(hi−lo), one subtraction and one unsigned compare a
+// row — and only for a row inside it reads the texp, the other arrays and,
+// when the row passes them all, the row itself.
+func (r *Relation) ScanInts(tau xtime.Time, ranges []IntRange, in *IntSet, fn func(Row)) {
+	if slices.ContainsFunc(ranges, func(rg IntRange) bool { return rg.Lo > rg.Hi }) {
+		return
+	}
+	first := IntRange{Lo: math.MinInt64, Hi: math.MaxInt64} // tested before the texp
+	switch {
+	case len(ranges) > 0:
+		first, ranges = ranges[0], ranges[1:]
+	case in != nil:
+		first.Col = in.Col
+	default:
+		r.AliveAt(tau, fn)
+		return
+	}
 	tau = r.effTau(tau)
+	slots, lo, width := r.slots, first.Lo, uint64(first.Hi-first.Lo)
+	for i, v := range r.ints[first.Col][:len(slots)] {
+		if uint64(v-lo) > width || slots[i].Texp <= tau || !r.passes(i, ranges, in) {
+			continue
+		}
+		fn(slots[i])
+	}
+}
+
+// passes reports whether slot i passes ranges and in (ScanInts).
+func (r *Relation) passes(i int, ranges []IntRange, in *IntSet) bool {
+	for _, rg := range ranges {
+		if uint64(r.ints[rg.Col][i]-rg.Lo) > uint64(rg.Hi-rg.Lo) {
+			return false
+		}
+	}
+	return in == nil || in.Has(r.ints[in.Col][i])
+}
+
+// IntSet is a set of INTs that ScanInts tests column Col against — a hash
+// join's build keys. A bitmap indexed by a multiplicative hash, 16 bits a
+// member, turns most non-members away with one load; a binary search of
+// the sorted members settles the rest.
+type IntSet struct {
+	Col   int
+	shift uint
+	bits  []uint64
+	vals  []int64
+}
+
+// NewIntSet returns the set of vals, tested against column col. It keeps
+// vals, sorted in place.
+func NewIntSet(col int, vals []int64) *IntSet {
+	slices.Sort(vals)
+	s := &IntSet{Col: col, vals: slices.Compact(vals)}
+	b := uint(6)
+	for 1<<b < 16*len(s.vals) {
+		b++
+	}
+	s.shift, s.bits = 64-b, make([]uint64, 1<<(b-6))
+	for _, v := range s.vals {
+		h := s.hash(v)
+		s.bits[h>>6] |= 1 << (h & 63)
+	}
+	return s
+}
+
+func (s *IntSet) hash(v int64) uint64 { return uint64(v) * 0x9E3779B97F4A7C15 >> s.shift }
+
+// Has reports whether v is in s.
+func (s *IntSet) Has(v int64) bool {
+	if h := s.hash(v); s.bits[h>>6]&(1<<(h&63)) == 0 {
+		return false
+	}
+	_, ok := slices.BinarySearch(s.vals, v)
+	return ok
+}
+
+// AliveKeyedAt is AliveAt that also hands fn each row's set key — the
+// stored string, not a re-encoding — in slot order, like AliveAt: an index
+// backfilled from it orders its buckets by the history, not by the key
+// map's iteration order.
+func (r *Relation) AliveKeyedAt(tau xtime.Time, fn func(key string, row Row)) {
+	keys := make([]string, len(r.slots))
 	for k, s := range r.keys {
-		if row := r.slots[s]; row.Texp > tau {
-			fn(k, row)
+		keys[s] = k
+	}
+	tau = r.effTau(tau)
+	for i, row := range r.slots {
+		if row.Texp > tau {
+			fn(keys[i], row)
 		}
 	}
 }
@@ -704,6 +834,26 @@ func (r *Relation) IndexNamed(name string) index.Index {
 
 // Indexes returns the attached named indexes (the engine's catalog view).
 func (r *Relation) Indexes() []NamedIndex { return r.indexes }
+
+// EnableIntArrays gives every INT column a slot array (see Relation.ints),
+// backfilled from the stored rows: a column already holding another value
+// gets none. Idempotent; caller holds the write lock.
+func (r *Relation) EnableIntArrays() {
+	if r.ints != nil {
+		return
+	}
+	r.ints = make([][]int64, len(r.schema.Cols))
+	for c, col := range r.schema.Cols {
+		if col.Kind == value.KindInt {
+			r.ints[c] = make([]int64, len(r.slots))
+		}
+	}
+	for s, row := range r.slots {
+		if row.Texp != hole {
+			r.setInts(slot(s), row.Tuple)
+		}
+	}
+}
 
 // EnableTexpIndex turns on the texp-ordered index, backfilling it from
 // the stored rows. Idempotent; caller holds the write lock.

@@ -1,18 +1,44 @@
 package relation
 
 import (
+	"slices"
 	"testing"
 
 	"expdb/internal/tuple"
+	"expdb/internal/value"
 	"expdb/internal/xtime"
 )
 
+// bigPol is a base table ⟨a, b⟩ of n rows, with its column arrays.
 func bigPol(n int) *Relation {
 	r := New(tuple.IntCols("a", "b"))
+	r.EnableIntArrays()
 	for i := 0; i < n; i++ {
 		r.MustInsertInts(xtime.Time(10+i%50), int64(i), int64(i%7))
 	}
 	return r
+}
+
+// arraysAgree fails unless every column array of r is as long as the slot
+// array and holds, in each slot that is not a hole, that row's INT.
+func arraysAgree(t *testing.T, r *Relation) {
+	t.Helper()
+	for c, vals := range r.ints {
+		if vals == nil {
+			continue
+		}
+		if len(vals) != len(r.slots) {
+			t.Fatalf("column %d: %d array entries for %d slots", c, len(vals), len(r.slots))
+		}
+		for s, row := range r.slots {
+			if row.Texp == hole {
+				continue
+			}
+			if v, ok := row.Tuple[c].Int64(); !ok || v != vals[s] {
+				t.Fatalf("slot %d, column %d: the array holds %d, the tuple %v", s, c, vals[s], row.Tuple)
+			}
+		}
+	}
 }
 
 // TestSnapshotSharedZeroCopy: taking a shared snapshot is O(1) — the cost
@@ -55,15 +81,20 @@ func TestSnapshotSharedEqualsSnapshot(t *testing.T) {
 // after the snapshot (insert, lifetime extension, delete, expiry sweep)
 // must not show through — the first write detaches via copy-on-write.
 func TestSnapshotSharedImmutableUnderSourceMutation(t *testing.T) {
-	r := New(tuple.IntCols("a", "b"))
+	r := bigPol(0)
 	r.MustInsertInts(10, 1, 1)
 	r.MustInsertInts(20, 2, 2)
 	snap := r.SnapshotShared(0)
 
-	r.MustInsertInts(30, 3, 3)     // new tuple
-	r.Insert(tuple.Ints(1, 1), 99) // lifetime extension
-	r.Delete(tuple.Ints(2, 2))     // deletion
-	r.RemoveExpired(15)            // physical sweep
+	for _, step := range []func(){
+		func() { r.MustInsertInts(30, 3, 3) },     // new tuple
+		func() { r.Insert(tuple.Ints(1, 1), 99) }, // lifetime extension
+		func() { r.Delete(tuple.Ints(2, 2)) },     // deletion
+		func() { r.RemoveExpired(15) },            // physical sweep
+	} {
+		step()
+		arraysAgree(t, r)
+	}
 
 	if snap.CountAt(0) != 2 {
 		t.Fatalf("snapshot sees %d rows after source mutations, want 2", snap.CountAt(0))
@@ -79,10 +110,14 @@ func TestSnapshotSharedImmutableUnderSourceMutation(t *testing.T) {
 // TestSnapshotSharedMutableHandle: the snapshot handle itself detaches on
 // its first mutation, leaving the source untouched.
 func TestSnapshotSharedMutableHandle(t *testing.T) {
-	r := New(tuple.IntCols("a", "b"))
+	r := bigPol(0)
 	r.MustInsertInts(10, 1, 1)
 	snap := r.SnapshotShared(0)
 	snap.MustInsertInts(50, 9, 9)
+	arraysAgree(t, r)
+	if snap.ints != nil {
+		t.Fatal("the snapshot detached with the source's column arrays")
+	}
 	if r.Contains(tuple.Ints(9, 9), 0) {
 		t.Fatal("mutating the snapshot leaked into the source")
 	}
@@ -94,11 +129,12 @@ func TestSnapshotSharedMutableHandle(t *testing.T) {
 // TestSnapshotSharedChained: a snapshot of a snapshot composes the floors
 // (the later instant wins) and stays immutable.
 func TestSnapshotSharedChained(t *testing.T) {
-	r := New(tuple.IntCols("a", "b"))
+	r := bigPol(0)
 	r.MustInsertInts(10, 1, 1)
 	r.MustInsertInts(20, 2, 2)
 	s1 := r.SnapshotShared(5)
 	s2 := s1.SnapshotShared(15) // row ⟨1,1⟩ (texp 10) dead here
+	arraysAgree(t, r)
 	if s2.CountAt(0) != 1 {
 		t.Fatalf("chained snapshot sees %d rows, want 1", s2.CountAt(0))
 	}
@@ -154,9 +190,10 @@ func TestRowsUnsortedMatchesSorted(t *testing.T) {
 // TestDeleteThroughACompactingDetach: a snapshot taken past the expiration
 // of nearly all of a large store detaches into a copy that is compacted on
 // the spot, every slot renumbered — the slot its delete looked up before
-// detaching is void, and the source keeps everything.
+// detaching is void, and the source keeps everything. Then the source
+// sweeps the 3 000 and compacts too, its column arrays with its slots.
 func TestDeleteThroughACompactingDetach(t *testing.T) {
-	r := New(tuple.IntCols("a", "b"))
+	r := bigPol(0)
 	for i := 0; i < 3000; i++ {
 		r.MustInsertInts(10, int64(i), 0)
 	}
@@ -171,5 +208,100 @@ func TestDeleteThroughACompactingDetach(t *testing.T) {
 	}
 	if r.Len() != 3002 || !r.Contains(tuple.Ints(5001, 0), 50) {
 		t.Fatal("the snapshot's delete reached the source")
+	}
+	arraysAgree(t, r)
+	r.RemoveExpired(50)
+	if r.Len() != 2 || len(r.slots) != 2 {
+		t.Fatalf("after the sweep the source holds %d rows in %d slots, want 2 in 2", r.Len(), len(r.slots))
+	}
+	arraysAgree(t, r)
+	scanAgrees(t, r, 50, []IntRange{{Col: 0, Lo: 5001, Hi: 6000}}, nil)
+}
+
+// scanAgrees fails unless ScanInts streams, each once, exactly the rows of
+// AliveAt whose tuples lie in ranges and in.
+func scanAgrees(t *testing.T, r *Relation, tau xtime.Time, ranges []IntRange, in []int64) {
+	t.Helper()
+	var set *IntSet
+	if in != nil {
+		set = NewIntSet(1, slices.Clone(in))
+	}
+	want := map[string]xtime.Time{}
+	r.AliveAt(tau, func(row Row) {
+		for _, rg := range ranges {
+			if v := row.Tuple[rg.Col].AsInt(); v < rg.Lo || v > rg.Hi {
+				return
+			}
+		}
+		if in == nil || slices.Contains(in, row.Tuple[1].AsInt()) {
+			want[row.Tuple.Key()] = row.Texp
+		}
+	})
+	n := 0
+	r.ScanInts(tau, ranges, set, func(row Row) {
+		if texp, ok := want[row.Tuple.Key()]; !ok || texp != row.Texp {
+			t.Fatalf("ScanInts(%v, %v, %v) streams %v@%v", tau, ranges, in, row.Tuple, row.Texp)
+		}
+		n++
+	})
+	if n != len(want) {
+		t.Fatalf("ScanInts(%v, %v, %v) streams %d rows, want %d", tau, ranges, in, n, len(want))
+	}
+}
+
+// TestIntArraysFollowTheSlots walks a base table's column arrays through
+// each store operation — an insert at the end, a delete and the insert
+// that reuses its slot, a lifetime extension, a detach after SnapshotShared,
+// a compaction — and a FLOAT and a NULL that make their columns drop their
+// arrays; after every step the arrays hold the tuples' INTs and ScanInts
+// agrees with AliveAt. Snapshots and copies never get the arrays.
+func TestIntArraysFollowTheSlots(t *testing.T) {
+	r := New(tuple.IntCols("a", "b", "c"))
+	for i := int64(0); i < 40; i++ {
+		r.Insert(tuple.Ints(i, i%5, -i), xtime.Time(10+i))
+	}
+	r.EnableIntArrays() // the backfill
+	var snaps []*Relation
+	steps := []func(){
+		func() { r.Insert(tuple.Ints(100, 2, 0), 90) },
+		func() { r.Delete(tuple.Ints(7, 2, -7)) },
+		func() { r.Insert(tuple.Ints(101, 3, 1), 90) }, // into slot 7
+		func() { r.Insert(tuple.Ints(3, 3, -3), 95) },
+		func() { snaps = append(snaps, r.SnapshotShared(20), r.Snapshot(0), r.Clone()) },
+		func() { r.Delete(tuple.Ints(30, 0, -30)) }, // detaches, dropping the rows dead at the floor
+		func() {
+			for i := int64(0); i < 2000; i++ {
+				r.Insert(tuple.Ints(1000+i, i%5, i), 30)
+			}
+		},
+		func() { r.RemoveExpired(30) }, // compacts
+		func() { r.Insert(tuple.T(value.Int(200), value.Float(2), value.Int(0)), 90) },
+		func() { r.Insert(tuple.T(value.Int(201), value.Int(4), value.Null), 90) },
+	}
+	for i, step := range steps {
+		step()
+		arraysAgree(t, r)
+		for _, tau := range []xtime.Time{0, 25, 40} {
+			scanAgrees(t, r, tau, []IntRange{{Col: 0, Lo: 5, Hi: 150}}, nil)
+			scanAgrees(t, r, tau, []IntRange{{Col: 0, Lo: 9, Hi: 8}}, nil)
+			if r.HasIntArray(2) {
+				scanAgrees(t, r, tau, []IntRange{{Col: 0, Lo: 20, Hi: 1500}, {Col: 2, Lo: -25, Hi: 700}}, nil)
+			}
+			if r.HasIntArray(1) {
+				scanAgrees(t, r, tau, nil, []int64{2, 3, 3})
+				scanAgrees(t, r, tau, []IntRange{{Col: 0, Lo: 0, Hi: 1100}}, []int64{0, 4})
+			}
+		}
+		if i == 7 && len(r.slots) != r.Len() {
+			t.Fatalf("the sweep left %d slots for %d rows: no compaction", len(r.slots), r.Len())
+		}
+	}
+	if !r.HasIntArray(0) || r.HasIntArray(1) || r.HasIntArray(2) {
+		t.Fatalf("arrays a %v, b %v, c %v; want a only", r.HasIntArray(0), r.HasIntArray(1), r.HasIntArray(2))
+	}
+	for _, s := range snaps {
+		if s.ints != nil {
+			t.Fatal("a snapshot or copy has column arrays")
+		}
 	}
 }

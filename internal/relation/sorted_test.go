@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"expdb/internal/tuple"
+	"expdb/internal/value"
 	"expdb/internal/xtime"
 )
 
@@ -48,7 +49,8 @@ const (
 	forkClone           // Clone(): a private copy of every visible row
 )
 
-func (h *handle) fork(kind int, tau xtime.Time) *handle {
+func (h *handle) fork(t *testing.T, kind int, tau xtime.Time) *handle {
+	t.Helper()
 	tau = max(tau, h.floor)
 	s := &handle{model: make(map[string]Row)}
 	switch kind {
@@ -58,6 +60,9 @@ func (h *handle) fork(kind int, tau xtime.Time) *handle {
 		s.rel = h.rel.Snapshot(tau)
 	case forkClone:
 		s.rel, tau = h.rel.Clone(), h.floor
+	}
+	if s.rel.ints != nil {
+		t.Fatal("a snapshot or copy was handed the column arrays")
 	}
 	for k, row := range h.model {
 		if row.Texp > tau {
@@ -109,9 +114,11 @@ func (h *handle) some(rng *rand.Rand, n int) []Row {
 
 // bounded is the store's shape: one hole per freed slot and no other, and
 // never more than 2×rows + slack slots — on a store that was just copied
-// or compacted as on any other.
+// or compacted as on any other. The column arrays, where the handle has
+// them, hold every stored row's INT.
 func (h *handle) bounded(t *testing.T) {
 	t.Helper()
+	arraysAgree(t, h.rel)
 	r := h.rel
 	if len(r.slots) > 2*len(r.keys)+slack {
 		t.Fatalf("%d slots for %d rows (bound %d)", len(r.slots), len(r.keys), 2*len(r.keys)+slack)
@@ -183,7 +190,9 @@ func (h *handle) check(t *testing.T, step int, rng *rand.Rand, domain []tuple.Tu
 // order, not through a slot written in place or reused, not through a
 // compaction. The schemas are ⟨a, b⟩ without and with the texp heap, and
 // the zero-column relation, whose one tuple ⟨⟩ has no values to tell it
-// from a hole by.
+// from a hole by. A source over ⟨a, b⟩ keeps the column arrays, through the
+// drain's detach and compaction and every slot reuse, until — in every
+// other such seed — column b takes a FLOAT and drops its array.
 func TestRowsSortedUnderRandomInterleavings(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -205,6 +214,7 @@ func TestRowsSortedUnderRandomInterleavings(t *testing.T) {
 		if seed%3 == 1 {
 			src.rel.EnableTexpIndex()
 		}
+		src.rel.EnableIntArrays()
 		live := []*handle{src}
 		adopt := func(s *handle) {
 			if len(live) < 6 {
@@ -251,24 +261,37 @@ func TestRowsSortedUnderRandomInterleavings(t *testing.T) {
 					nfresh++
 				}
 			case op < 10:
-				adopt(h.fork(forkSnapshot+rng.Intn(2), xtime.Time(rng.Intn(60))))
+				adopt(h.fork(t, forkSnapshot+rng.Intn(2), xtime.Time(rng.Intn(60))))
 			default:
-				adopt(h.fork(forkShared, xtime.Time(rng.Intn(60))))
+				adopt(h.fork(t, forkShared, xtime.Time(rng.Intn(60))))
 			}
 			if step == 150 {
 				// The drain: a table grows by 1 500 rows, is frozen, and
 				// loses them again. The holes pass rows + slack on the way
 				// down, so the store compacts — every slot renumbered —
-				// under a snapshot that must go on seeing all 1 500.
+				// under a snapshot that must go on seeing all 1 500. Every
+				// other seed drains the source, whose arrays are renumbered
+				// with the slots.
+				if seed%2 == 0 {
+					h = src
+				}
 				for i := 0; i < 1500; i++ {
 					h.insert(fresh(nfresh+i), xtime.Time(61+i%20))
 				}
-				frozen := h.fork(forkShared, 0)
+				frozen := h.fork(t, forkShared, 0)
 				for i := 0; i < 1500; i++ {
 					h.delete(t, fresh(nfresh+i))
 				}
 				nfresh += 1500
 				frozen.check(t, step, rng, domain)
+			}
+			if step == 300 && seed%3 == 2 {
+				// A FLOAT in an INT column, as Schema.Validate admits.
+				src.insert(tuple.T(value.Int(2000), value.Float(0.5)), 70)
+				if src.rel.HasIntArray(1) || !src.rel.HasIntArray(0) {
+					t.Fatalf("seed %d: after a FLOAT in b the arrays are a %v, b %v, want a only",
+						seed, src.rel.HasIntArray(0), src.rel.HasIntArray(1))
+				}
 			}
 			for _, h := range live {
 				h.check(t, step, rng, domain)
