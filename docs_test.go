@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -115,6 +116,30 @@ func TestDocsNameWhatExists(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestProductionImportsNoTestSupport: a module package whose last path
+// element ends in "test" (promtest, reltest) is test support, so no file
+// but a test or another test-support package's imports one.
+func TestProductionImportsNoTestSupport(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, _ fs.DirEntry, err error) error {
+		if err != nil || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || strings.HasSuffix(filepath.Dir(path), "test") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); strings.HasPrefix(p, "expdb/") && strings.HasSuffix(p, "test") {
+				t.Errorf("%s imports the test-support package %s", path, p)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -622,14 +622,8 @@ func (db *DB) MetricsHandler() http.Handler {
 			db.WritePrometheus(w)
 			return
 		}
-		snap := struct {
-			Engine MetricsSnapshot    `json:"engine"`
-			SQL    SQLMetricsSnapshot `json:"sql"`
-		}{db.eng.Metrics(), db.sess.Metrics().Snapshot()}
 		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(snap)
+		writeJSON(w, db.sess.MetricsReport())
 	})
 }
 

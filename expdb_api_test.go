@@ -15,6 +15,7 @@ import (
 
 	"expdb"
 	"expdb/algebra"
+	"expdb/internal/relation/reltest"
 )
 
 // apiDB loads the paper's Figure 1 database through the SQL surface.
@@ -348,7 +349,7 @@ func TestAPIAlgebraSurface(t *testing.T) {
 
 	// Expressions evaluate through the engine against live data.
 	for _, e := range []algebra.Expr{proj, prod, join, ej, union, inter, diff, rewritten} {
-		if _, err := eng.Query(e); err != nil {
+		if _, err := eng.QueryStamped(e, "", 0); err != nil {
 			t.Fatalf("query %s: %v", e, err)
 		}
 	}
@@ -757,12 +758,12 @@ func TestAPIReadInfoValidity(t *testing.T) {
 	// The stamp is true at its last instant: the stamped rows, aged to
 	// Until − 1, are a fresh evaluation there — and at Until they are not.
 	db.MustExec("ADVANCE TO 2")
-	if fresh := db.MustExec(diff); !at0.Rel.EqualAt(fresh.Rel, 2) {
+	if fresh := db.MustExec(diff); !reltest.EqualAt(at0.Rel, fresh.Rel, 2) {
 		t.Fatalf("the rows stamped [0, 3) at 2:\n%swant\n%s", at0.Rel.Render(2), fresh.Rel.Render(2))
 	}
 	db.MustExec("ADVANCE TO 3")
 	at3, fresh := db.MustExec("SELECT * FROM vp"), db.MustExec(diff)
-	if !at3.Rel.EqualAt(fresh.Rel, 3) || at0.Rel.EqualAt(fresh.Rel, 3) || at3.Validity.At != 3 || at3.Validity.ValidUntil != 5 {
+	if !reltest.EqualAt(at3.Rel, fresh.Rel, 3) || reltest.EqualAt(at0.Rel, fresh.Rel, 3) || at3.Validity.At != 3 || at3.Validity.ValidUntil != 5 {
 		t.Fatalf("vp at 3, stamped %v:\n%swant [3, 5) over\n%s", at3.Validity, at3.Rel.Render(3), fresh.Rel.Render(3))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"expdb/internal/relation"
+	"expdb/internal/relation/reltest"
 	"expdb/internal/tuple"
 	"expdb/internal/value"
 	"expdb/internal/xtime"
@@ -49,7 +50,7 @@ func TestFigure3Histogram(t *testing.T) {
 func aggInput(rows []relation.Row) Expr {
 	r := relation.New(tuple.IntCols("grp", "val", "id"))
 	for _, row := range rows {
-		r.InsertRow(row)
+		r.Insert(row.Tuple, row.Texp)
 	}
 	return NewBase("T", r)
 }
@@ -108,7 +109,7 @@ func TestNeutralSumZeroSlice(t *testing.T) {
 // three is 0.10000000000000002 and of the other two 0.1: a recomputation
 // after the slice expires differs, so the slice is not neutral.
 func TestNeutralAvgFloatRounding(t *testing.T) {
-	r := relation.New(tuple.NewSchema(tuple.Col("grp", value.KindInt), tuple.Col("x", value.KindFloat)))
+	r := relation.New(tuple.Schema{Cols: []tuple.Column{tuple.Col("grp", value.KindInt), tuple.Col("x", value.KindFloat)}})
 	r.Insert(tuple.T(value.Int(1), value.Float(0.1)), 2)
 	r.Insert(tuple.T(value.Int(1), value.Float(0)), 4)
 	r.Insert(tuple.T(value.Int(1), value.Float(0.2)), xtime.Infinity)
@@ -301,7 +302,7 @@ func TestPolicySafety(t *testing.T) {
 				texp := mustTexp(t, a, 0)
 				for tau := xtime.Time(0); tau < 12 && tau < texp; tau++ {
 					fresh := mustEval(t, a, tau)
-					if !fresh.EqualAt(mat, tau) {
+					if !reltest.EqualAt(fresh, mat, tau) {
 						t.Errorf("%s/%s: invalid before texp(e)=%v at τ=%v\nmat:\n%s\nfresh:\n%s",
 							f, policy, texp, tau, mat.Render(tau), fresh.Render(tau))
 					}
@@ -351,7 +352,7 @@ func TestAggValidityAgainstBruteForce(t *testing.T) {
 	}
 	for tau := xtime.Time(0); tau <= 12; tau++ {
 		fresh := mustEval(t, a, tau)
-		matches := fresh.EqualAt(mat, tau)
+		matches := reltest.EqualAt(fresh, mat, tau)
 		if v.Contains(tau) != matches {
 			t.Errorf("τ=%v: validity %v, brute force %v (I = %s)", tau, v.Contains(tau), matches, v)
 		}
@@ -421,11 +422,11 @@ func TestGlobalAggregation(t *testing.T) {
 // min/max/sum/avg, in line with the paper's remark that introduced values
 // must not contribute to expiration or aggregates.
 func TestAggNullsDoNotContribute(t *testing.T) {
-	r := relation.New(tuple.NewSchema(
+	r := relation.New(tuple.Schema{Cols: []tuple.Column{
 		tuple.Col("grp", value.KindInt),
 		tuple.Col("val", value.KindInt),
 		tuple.Col("id", value.KindInt),
-	))
+	}})
 	r.Insert(tuple.T(value.Int(1), value.Null, value.Int(0)), 10)
 	r.Insert(tuple.T(value.Int(1), value.Int(4), value.Int(1)), 10)
 	a, err := NewAgg([]int{0}, []AggFunc{

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"expdb/internal/relation"
+	"expdb/internal/relation/reltest"
 	"expdb/internal/tuple"
 	"expdb/internal/value"
 )
@@ -61,7 +62,7 @@ func TestReplaceChildrenPreservesSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !want.EqualAt(got, 0) {
+		if !reltest.EqualAt(want, got, 0) {
 			t.Errorf("%T: rebuilt node evaluates differently", e)
 		}
 	}

@@ -141,46 +141,7 @@ func (d *Diff) validity(tau xtime.Time) (interval.Set, error) {
 	return interval.From(tau).Subtract(interval.NewSet(invalid...)), err
 }
 
-// PaperValidity returns the closed form (12) as the paper's prose intends
-// it — "valid until the first tuple should appear at texp_S(t), and after
-// all critical tuples have expired":
-//
-//	I(R − S) = [τ,∞[ − [min{texp_S(t)}, max{texp_R(t)}[ over critical t.
-//
-// (Formula (12) as printed uses texp_S for the upper bound too, which
-// would declare the materialisation valid while a critical tuple is still
-// missing from it; the brute-force property tests confirm the prose
-// reading. PaperValidity is kept for comparison with the refined
-// per-tuple Validity, which additionally recovers gaps between critical
-// windows.)
-func (d *Diff) PaperValidity(tau xtime.Time) (interval.Set, error) {
-	crit, err := d.CriticalSet(tau)
-	if err != nil {
-		return interval.Set{}, err
-	}
-	if len(crit) == 0 {
-		return interval.From(tau), nil
-	}
-	lo, hi := xtime.Infinity, xtime.Time(0)
-	for _, c := range crit {
-		lo = xtime.Min(lo, c.InS)
-		hi = xtime.Max(hi, c.InR)
-	}
-	return interval.From(tau).Subtract(interval.NewSet(interval.Interval{Start: lo, End: hi})), nil
-}
-
 // Children implements Expr.
 func (d *Diff) Children() []Expr { return []Expr{d.Left, d.Right} }
 
 func (d *Diff) String() string { return fmt.Sprintf("(%s − %s)", d.Left, d.Right) }
-
-// Helper returns the helper relation R(R −exp S) of Theorem 3:
-// {r | r ∈ expτ(R) ∧ r ∈ expτ(S)} with texp_*(t) = texp_S(t). When a
-// helper tuple expires (in S), it is due for insertion into the
-// materialised difference with expiration texp_R(t); views drive this
-// through a patch queue, extending the materialisation's lifetime to ∞.
-func (d *Diff) Helper(tau xtime.Time) ([]CriticalRow, error) {
-	var rows []CriticalRow
-	_, err := d.run(tau, func(string, relation.Row) {}, func(h CriticalRow) { rows = append(rows, h) })
-	return rows, err
-}

@@ -5,9 +5,49 @@ import (
 
 	"expdb/internal/interval"
 	"expdb/internal/relation"
+	"expdb/internal/relation/reltest"
 	"expdb/internal/tuple"
 	"expdb/internal/xtime"
 )
+
+// PaperValidity returns the closed form (12) as the paper's prose intends
+// it — "valid until the first tuple should appear at texp_S(t), and after
+// all critical tuples have expired":
+//
+//	I(R − S) = [τ,∞[ − [min{texp_S(t)}, max{texp_R(t)}[ over critical t.
+//
+// (Formula (12) as printed uses texp_S for the upper bound too, which
+// would declare the materialisation valid while a critical tuple is still
+// missing from it; the brute-force property tests confirm the prose
+// reading. PaperValidity is kept for comparison with the refined
+// per-tuple Validity, which additionally recovers gaps between critical
+// windows.)
+func (d *Diff) PaperValidity(tau xtime.Time) (interval.Set, error) {
+	crit, err := d.CriticalSet(tau)
+	if err != nil {
+		return interval.Set{}, err
+	}
+	if len(crit) == 0 {
+		return interval.From(tau), nil
+	}
+	lo, hi := xtime.Infinity, xtime.Time(0)
+	for _, c := range crit {
+		lo = xtime.Min(lo, c.InS)
+		hi = xtime.Max(hi, c.InR)
+	}
+	return interval.From(tau).Subtract(interval.NewSet(interval.Interval{Start: lo, End: hi})), nil
+}
+
+// Helper returns the helper relation R(R −exp S) of Theorem 3:
+// {r | r ∈ expτ(R) ∧ r ∈ expτ(S)} with texp_*(t) = texp_S(t). When a
+// helper tuple expires (in S), it is due for insertion into the
+// materialised difference with expiration texp_R(t); views drive this
+// through a patch queue, extending the materialisation's lifetime to ∞.
+func (d *Diff) Helper(tau xtime.Time) ([]CriticalRow, error) {
+	var rows []CriticalRow
+	_, err := d.run(tau, func(string, relation.Row) {}, func(h CriticalRow) { rows = append(rows, h) })
+	return rows, err
+}
 
 // projUID returns πexp_1(e): the UID column of Pol/El.
 func projUID(t *testing.T, e Expr) Expr {
@@ -64,12 +104,12 @@ func TestFigure3InvalidFrom3(t *testing.T) {
 func TestTable2Cases(t *testing.T) {
 	r := relation.New(tuple.IntCols("v"))
 	s := relation.New(tuple.IntCols("v"))
-	r.MustInsertInts(10, 1) // case (1): only in R → texp_*(t) = texp_R(t)
-	s.MustInsertInts(10, 2) // case (2): only in S → not in result, no effect
-	r.MustInsertInts(9, 3)  // case (3a): in both with texp_R > texp_S
-	s.MustInsertInts(4, 3)
-	r.MustInsertInts(2, 5) // case (3b): in both with texp_R ≤ texp_S
-	s.MustInsertInts(8, 5)
+	reltest.MustInsertInts(r, 10, 1) // case (1): only in R → texp_*(t) = texp_R(t)
+	reltest.MustInsertInts(s, 10, 2) // case (2): only in S → not in result, no effect
+	reltest.MustInsertInts(r, 9, 3)  // case (3a): in both with texp_R > texp_S
+	reltest.MustInsertInts(s, 4, 3)
+	reltest.MustInsertInts(r, 2, 5) // case (3b): in both with texp_R ≤ texp_S
+	reltest.MustInsertInts(s, 8, 5)
 	d, err := NewDiff(NewBase("R", r), NewBase("S", s))
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +139,7 @@ func TestDiffValidityExactAgainstBruteForce(t *testing.T) {
 	}
 	for tau := xtime.Time(0); tau <= 20; tau++ {
 		fresh := mustEval(t, d, tau)
-		matches := fresh.EqualAt(mat, tau)
+		matches := reltest.EqualAt(fresh, mat, tau)
 		if v.Contains(tau) != matches {
 			t.Errorf("validity claims %v at %v but brute force says %v (I = %s)",
 				v.Contains(tau), tau, matches, v)
@@ -176,7 +216,7 @@ func TestPatchedDiffEqualsRecompute(t *testing.T) {
 			}
 		}
 		fresh := mustEval(t, d, tau)
-		if !fresh.EqualAt(mat, tau) {
+		if !reltest.EqualAt(fresh, mat, tau) {
 			t.Fatalf("patched materialisation diverges at %v:\nmat:\n%s\nfresh:\n%s",
 				tau, mat.Render(tau), fresh.Render(tau))
 		}
@@ -190,8 +230,8 @@ func TestDiffOfIdenticalRelationsNeverInvalid(t *testing.T) {
 	r := relation.New(tuple.IntCols("v"))
 	s := relation.New(tuple.IntCols("v"))
 	for i := int64(0); i < 5; i++ {
-		r.MustInsertInts(7, i)
-		s.MustInsertInts(7, i)
+		reltest.MustInsertInts(r, 7, i)
+		reltest.MustInsertInts(s, 7, i)
 	}
 	d, err := NewDiff(NewBase("R", r), NewBase("S", s))
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"expdb/internal/relation"
+	"expdb/internal/relation/reltest"
 	"expdb/internal/tuple"
 	"expdb/internal/value"
 	"expdb/internal/xtime"
@@ -12,18 +13,18 @@ import (
 // polRel builds the paper's Figure 1(a) Politics table at time 0.
 func polRel() *relation.Relation {
 	r := relation.New(tuple.IntCols("UID", "Deg"))
-	r.MustInsertInts(10, 1, 25)
-	r.MustInsertInts(15, 2, 25)
-	r.MustInsertInts(10, 3, 35)
+	reltest.MustInsertInts(r, 10, 1, 25)
+	reltest.MustInsertInts(r, 15, 2, 25)
+	reltest.MustInsertInts(r, 10, 3, 35)
 	return r
 }
 
 // elRel builds the paper's Figure 1(b) Elections table at time 0.
 func elRel() *relation.Relation {
 	r := relation.New(tuple.IntCols("UID", "Deg"))
-	r.MustInsertInts(5, 1, 75)
-	r.MustInsertInts(3, 2, 85)
-	r.MustInsertInts(2, 4, 90)
+	reltest.MustInsertInts(r, 5, 1, 75)
+	reltest.MustInsertInts(r, 3, 2, 85)
+	reltest.MustInsertInts(r, 2, 4, 90)
 	return r
 }
 
@@ -126,7 +127,7 @@ func TestMaterialiseThenExpireEqualsRecompute(t *testing.T) {
 		mat := mustEval(t, e, 0)
 		for tau := xtime.Time(0); tau <= 20; tau++ {
 			fresh := mustEval(t, e, tau)
-			if !fresh.EqualAt(mat, tau) {
+			if !reltest.EqualAt(fresh, mat, tau) {
 				t.Errorf("%s: materialised-at-0 diverges from recompute at %v:\nmat:\n%s\nfresh:\n%s",
 					e, tau, mat.Render(tau), fresh.Render(tau))
 			}
@@ -171,11 +172,11 @@ func TestProductMinRule(t *testing.T) {
 func TestUnionMaxRule(t *testing.T) {
 	// R and S share ⟨1, 25⟩ with texps 10 and 20: union keeps 20.
 	r := relation.New(tuple.IntCols("UID", "Deg"))
-	r.MustInsertInts(10, 1, 25)
-	r.MustInsertInts(4, 9, 9)
+	reltest.MustInsertInts(r, 10, 1, 25)
+	reltest.MustInsertInts(r, 4, 9, 9)
 	s := relation.New(tuple.IntCols("UID", "Deg"))
-	s.MustInsertInts(20, 1, 25)
-	s.MustInsertInts(7, 8, 8)
+	reltest.MustInsertInts(s, 20, 1, 25)
+	reltest.MustInsertInts(s, 7, 8, 8)
 	u, err := NewUnion(NewBase("R", r), NewBase("S", s))
 	if err != nil {
 		t.Fatal(err)
@@ -204,11 +205,11 @@ func TestUnionCompatibilityChecked(t *testing.T) {
 
 func TestIntersectMinRule(t *testing.T) {
 	r := relation.New(tuple.IntCols("UID"))
-	r.MustInsertInts(10, 1)
-	r.MustInsertInts(3, 2)
+	reltest.MustInsertInts(r, 10, 1)
+	reltest.MustInsertInts(r, 3, 2)
 	s := relation.New(tuple.IntCols("UID"))
-	s.MustInsertInts(6, 1)
-	s.MustInsertInts(9, 3)
+	reltest.MustInsertInts(s, 6, 1)
+	reltest.MustInsertInts(s, 9, 3)
 	x, err := NewIntersect(NewBase("R", r), NewBase("S", s))
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +231,7 @@ func TestJoinMatchesProductSelectRewrite(t *testing.T) {
 	}
 	for tau := xtime.Time(0); tau <= 16; tau++ {
 		a, b := mustEval(t, j, tau), mustEval(t, sel, tau)
-		if !a.EqualAt(b, tau) {
+		if !reltest.EqualAt(a, b, tau) {
 			t.Fatalf("join ≠ σ(×) at %v:\n%s\nvs\n%s", tau, a.Render(tau), b.Render(tau))
 		}
 	}
@@ -284,7 +285,7 @@ func TestTheorem1(t *testing.T) {
 			mat := mustEval(t, e, tau)
 			for tau2 := tau; tau2 <= 18; tau2++ {
 				fresh := mustEval(t, e, tau2)
-				if !fresh.EqualAt(mat, tau2) {
+				if !reltest.EqualAt(fresh, mat, tau2) {
 					t.Fatalf("Theorem 1 violated for %s: materialise at %v, check at %v", e, tau, tau2)
 				}
 			}

@@ -10,6 +10,7 @@ import (
 	"expdb/internal/index"
 	"expdb/internal/interval"
 	"expdb/internal/relation"
+	"expdb/internal/relation/reltest"
 	"expdb/internal/tuple"
 	"expdb/internal/value"
 	"expdb/internal/xtime"
@@ -23,8 +24,8 @@ import (
 // on g is attached for the IndexScan shape. R keeps the column arrays of a
 // base table: g's, and v's until its first NULL.
 func passRel(rng *rand.Rand, name string) *Base {
-	r := relation.New(tuple.NewSchema(
-		tuple.Col("g", value.KindInt), tuple.Col("v", value.KindInt), tuple.Col("x", value.KindFloat)))
+	r := relation.New(tuple.Schema{Cols: []tuple.Column{
+		tuple.Col("g", value.KindInt), tuple.Col("v", value.KindInt), tuple.Col("x", value.KindFloat)}})
 	r.AttachIndex(name+"_g", index.NewHash([]int{0}))
 	if name == "R" {
 		r.EnableIntArrays()
@@ -139,7 +140,7 @@ func checkAgainstReference(t *testing.T, label string, e Expr, tau xtime.Time) {
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	if !ev.Rel.EqualAt(want, tau) {
+	if !reltest.EqualAt(ev.Rel, want, tau) {
 		t.Fatalf("%s: rows differ\npass:\n%s\nreference:\n%s", label, ev.Rel.Render(tau), want.Render(tau))
 	}
 	if ev.Texp != wantTexp {
@@ -162,7 +163,7 @@ func checkAgainstReference(t *testing.T, label string, e Expr, tau xtime.Time) {
 	// to τ+24, past the last finite expiration time of the test relations.
 	v, _ := Validity(e, tau)
 	for at := tau; at <= tau+24; at++ {
-		if want, _ := refEval(e, at); v.Contains(at) && !ev.Rel.EqualAt(want, at) {
+		if want, _ := refEval(e, at); v.Contains(at) && !reltest.EqualAt(ev.Rel, want, at) {
 			t.Fatalf("%s: Validity %s holds %v, where the reference differs\n%s", label, v, at, want.Render(at))
 		}
 	}
@@ -188,7 +189,7 @@ func checkAgainstReference(t *testing.T, label string, e Expr, tau xtime.Time) {
 		// A materialising pass keeps the critical rows as births when the
 		// arguments are monotonic, and is the plain pass otherwise.
 		mv, err := Materialize(e, tau)
-		if got := xtime.Min(mv.Texp, mv.Births.Next()); err != nil || !mv.Rel.EqualAt(want, tau) || got != wantTexp {
+		if got := xtime.Min(mv.Texp, mv.Births.Next()); err != nil || !reltest.EqualAt(mv.Rel, want, tau) || got != wantTexp {
 			t.Fatalf("%s: Materialize: texp(e) = %v (%v), reference %v\n%s", label, got, err, wantTexp, mv.Rel.Render(tau))
 		}
 		births, wantBirths, wantPatched := mv.Births.Rows(), critical, xtime.Min(lt, rt)
@@ -229,7 +230,7 @@ func checkFutureAgainstReference(t *testing.T, label string, e Expr, tau xtime.T
 		var n int
 		rel, n = births.Apply(rel, at)
 		want, wantTexp := refEval(e, at)
-		if !rel.EqualAt(want, at) {
+		if !reltest.EqualAt(rel, want, at) {
 			t.Fatalf("%s: materialised at %v and given its births, at %v\n%sreference:\n%s", label, tau, at, rel.Render(at), want.Render(at))
 		}
 		if got := xtime.Min(mv.Texp, births.Next()); got != wantTexp {
@@ -270,7 +271,7 @@ func reinserted(t *testing.T, rng *rand.Rand, b *Base) *Base {
 	r.AttachIndex(b.Name+"_g", index.NewHash([]int{0}))
 	var again []relation.Row
 	for i, row := range rows {
-		r.InsertRow(row)
+		r.Insert(row.Tuple, row.Texp)
 		if i%3 == 0 {
 			again = append(again, rows[i/2])
 			r.Delete(rows[i/2].Tuple)
@@ -278,9 +279,9 @@ func reinserted(t *testing.T, rng *rand.Rand, b *Base) *Base {
 	}
 	for _, row := range again {
 		r.Insert(row.Tuple, 1)
-		r.InsertRow(row)
+		r.Insert(row.Tuple, row.Texp)
 	}
-	if !r.EqualAt(b.Rel, 0) || r.Len() != b.Rel.Len() {
+	if !reltest.EqualAt(r, b.Rel, 0) || r.Len() != b.Rel.Len() {
 		t.Fatalf("the reinserted %s is another set:\n%s\n%s", b.Name, r, b.Rel)
 	}
 	return NewBase(b.Name, r)
@@ -361,7 +362,7 @@ func TestInsertionOrderIndependence(t *testing.T) {
 						for at := tau; at <= tau+10; at++ {
 							ar, _ = a.Births.Apply(ar, at)
 							br, _ = b.Births.Apply(br, at)
-							if !ar.EqualAt(br, at) || ar.Render(at) != br.Render(at) {
+							if !reltest.EqualAt(ar, br, at) || ar.Render(at) != br.Render(at) {
 								t.Fatalf("%s: at %v one history gives\n%sthe other\n%s", label, at, ar.Render(at), br.Render(at))
 							}
 						}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"expdb/internal/relation/reltest"
 	"expdb/internal/tuple"
 	"expdb/internal/value"
 	"expdb/internal/xtime"
@@ -141,7 +142,7 @@ func TestUnknownPredicateStaysPut(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !got.EqualAt(want, tau) {
+			if !reltest.EqualAt(got, want, tau) {
 				t.Fatalf("%s at %v:\n%s\nwant\n%s", sel, tau, got.Render(tau), want.Render(tau))
 			}
 		}

@@ -35,7 +35,7 @@ func (s refSet) add(row relation.Row) {
 func (s refSet) rel(schema tuple.Schema) *relation.Relation {
 	out := relation.New(schema)
 	for _, row := range s {
-		out.InsertRow(row)
+		out.Insert(row.Tuple, row.Texp)
 	}
 	return out
 }
@@ -108,7 +108,7 @@ func refEval(e Expr, tau xtime.Time) (*relation.Relation, xtime.Time) {
 		out := relation.New(n.Schema())
 		l.AliveAt(tau, func(row relation.Row) { // formula (10)
 			if !r.Contains(row.Tuple, tau) {
-				out.InsertRow(row)
+				out.Insert(row.Tuple, row.Texp)
 			}
 		})
 		texp := xtime.Min(lt, rt) // formula (11)
@@ -170,7 +170,7 @@ func refAgg(a *Agg, in *relation.Relation, tau xtime.Time) (*relation.Relation, 
 			tp = xtime.Min(tp, refFuncTime(a.Policy, f, rows, tau))
 		}
 		for _, row := range rows {
-			out.InsertRow(relation.Row{Tuple: row.Tuple.Concat(vals), Texp: xtime.Min(row.Texp, tp)})
+			out.Insert(row.Tuple.Concat(vals), xtime.Min(row.Texp, tp))
 			if row.Texp > tp {
 				texp = xtime.Min(texp, tp)
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"expdb/internal/relation"
+	"expdb/internal/relation/reltest"
 	"expdb/internal/tuple"
 	"expdb/internal/value"
 	"expdb/internal/xtime"
@@ -19,11 +20,11 @@ func TestPushDownThroughDiffExtendsLifetime(t *testing.T) {
 	s := relation.New(tuple.IntCols("v"))
 	// Critical tuple ⟨1⟩ with small texp_S — but filtered out by the
 	// selection v >= 10.
-	r.MustInsertInts(20, 1)
-	s.MustInsertInts(2, 1)
+	reltest.MustInsertInts(r, 20, 1)
+	reltest.MustInsertInts(s, 2, 1)
 	// Critical tuple ⟨10⟩ that survives the selection.
-	r.MustInsertInts(20, 10)
-	s.MustInsertInts(8, 10)
+	reltest.MustInsertInts(r, 20, 10)
+	reltest.MustInsertInts(s, 8, 10)
 	d, err := NewDiff(NewBase("R", r), NewBase("S", s))
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +151,7 @@ func TestRewriteEquivalenceRandom(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			if !a.EqualAt(b, tau) {
+			if !reltest.EqualAt(a, b, tau) {
 				t.Fatalf("trial %d at %v: rewrite changed semantics\noriginal %s:\n%s\nrewritten %s:\n%s",
 					trial, tau, e, a.Render(tau), rewritten, b.Render(tau))
 			}

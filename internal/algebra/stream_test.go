@@ -8,6 +8,7 @@ import (
 
 	"expdb/internal/index"
 	"expdb/internal/relation"
+	"expdb/internal/relation/reltest"
 	"expdb/internal/tuple"
 	"expdb/internal/xtime"
 )
@@ -47,7 +48,7 @@ func bigRel(rng *rand.Rand, name string, n int) *Base {
 		if rng.Intn(10) == 0 {
 			texp = xtime.Infinity
 		}
-		r.MustInsertInts(texp, int64(rng.Intn(100)), int64(rng.Intn(20)))
+		reltest.MustInsertInts(r, texp, int64(rng.Intn(100)), int64(rng.Intn(20)))
 	}
 	return NewBase(name, r)
 }
@@ -78,7 +79,7 @@ func TestStreamConcurrent(t *testing.T) {
 					errs <- err
 					return
 				}
-				if !got.EqualAt(want, 5) {
+				if !reltest.EqualAt(got, want, 5) {
 					t.Error("concurrent stream diverged from the reference")
 					return
 				}

@@ -6,6 +6,7 @@ import (
 
 	"expdb/internal/index"
 	"expdb/internal/relation"
+	"expdb/internal/relation/reltest"
 	"expdb/internal/tuple"
 	"expdb/internal/value"
 	"expdb/internal/xtime"
@@ -27,7 +28,7 @@ func randRel(rng *rand.Rand, name string) *Base {
 		if rng.Intn(8) == 0 {
 			texp = xtime.Infinity
 		}
-		r.MustInsertInts(texp, int64(rng.Intn(4)), int64(rng.Intn(4)))
+		reltest.MustInsertInts(r, texp, int64(rng.Intn(4)), int64(rng.Intn(4)))
 	}
 	return NewBase(name, r)
 }
@@ -146,7 +147,7 @@ func TestTheorem1Random(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for tau2 := tau; tau2 <= 24; tau2++ {
-			if fresh, _ := refEval(e, tau2); !fresh.EqualAt(mat, tau2) {
+			if fresh, _ := refEval(e, tau2); !reltest.EqualAt(fresh, mat, tau2) {
 				t.Fatalf("trial %d: Theorem 1 violated for %s (materialised %v, checked %v)\nmat:\n%s\nfresh:\n%s",
 					trial, e, tau, tau2, mat.Render(tau2), fresh.Render(tau2))
 			}
@@ -172,7 +173,7 @@ func TestTheorem2Random(t *testing.T) {
 			t.Fatalf("trial %d: texp(e) = %v not after materialisation time %v", trial, texp, tau)
 		}
 		for tau2 := tau; tau2 <= 24 && tau2 < texp; tau2++ {
-			if fresh, _ := refEval(e, tau2); !fresh.EqualAt(mat, tau2) {
+			if fresh, _ := refEval(e, tau2); !reltest.EqualAt(fresh, mat, tau2) {
 				t.Fatalf("trial %d: Theorem 2 violated for %s (materialised %v, texp %v, checked %v)\nmat:\n%s\nfresh:\n%s",
 					trial, e, tau, texp, tau2, mat.Render(tau2), fresh.Render(tau2))
 			}

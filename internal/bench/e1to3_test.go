@@ -6,6 +6,7 @@ import (
 
 	"expdb/internal/algebra"
 	"expdb/internal/relation"
+	"expdb/internal/relation/reltest"
 	"expdb/internal/tuple"
 	"expdb/internal/workload"
 	"expdb/internal/xtime"
@@ -14,13 +15,13 @@ import (
 // figure1 rebuilds the paper's example database.
 func figure1() (pol, el *relation.Relation) {
 	pol = relation.New(tuple.IntCols("UID", "Deg"))
-	pol.MustInsertInts(10, 1, 25)
-	pol.MustInsertInts(15, 2, 25)
-	pol.MustInsertInts(10, 3, 35)
+	reltest.MustInsertInts(pol, 10, 1, 25)
+	reltest.MustInsertInts(pol, 15, 2, 25)
+	reltest.MustInsertInts(pol, 10, 3, 35)
 	el = relation.New(tuple.IntCols("UID", "Deg"))
-	el.MustInsertInts(5, 1, 75)
-	el.MustInsertInts(3, 2, 85)
-	el.MustInsertInts(2, 4, 90)
+	reltest.MustInsertInts(el, 5, 1, 75)
+	reltest.MustInsertInts(el, 3, 2, 85)
+	reltest.MustInsertInts(el, 2, 4, 90)
 	return pol, el
 }
 
@@ -75,7 +76,7 @@ func runE1(w io.Writer) error {
 			if e == algebra.Expr(join) {
 				mat = joinMat
 			}
-			if !fresh.EqualAt(mat, tau) {
+			if !reltest.EqualAt(fresh, mat, tau) {
 				return fmt.Errorf("materialisation diverged at %v for %s", tau, e)
 			}
 		}

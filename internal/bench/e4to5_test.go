@@ -8,6 +8,7 @@ import (
 
 	"expdb/internal/algebra"
 	"expdb/internal/relation"
+	"expdb/internal/relation/reltest"
 	"expdb/internal/tuple"
 	"expdb/internal/xtime"
 )
@@ -102,9 +103,9 @@ func totalRemainingLifetime(r *relation.Relation, tau xtime.Time) int64 {
 
 func TestTotalRemainingLifetime(t *testing.T) {
 	r := relation.New(tuple.IntCols("uid", "deg"))
-	r.MustInsertInts(10, 1, 25)
-	r.MustInsertInts(15, 2, 25)
-	r.MustInsertInts(xtime.Infinity, 3, 35) // a row that never expires adds nothing
+	reltest.MustInsertInts(r, 10, 1, 25)
+	reltest.MustInsertInts(r, 15, 2, 25)
+	reltest.MustInsertInts(r, xtime.Infinity, 3, 35) // a row that never expires adds nothing
 	if got := totalRemainingLifetime(r, 0); got != 25 {
 		t.Errorf("at 0: %d, want 10 + 15", got)
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -41,8 +42,8 @@ func remoteDiff(horizon xtime.Time, withPatches bool, budget int, refetch bool) 
 	pol, el := workload.NewsService(500, 99)
 	polT, _ := eng.Catalog().Table("pol")
 	elT, _ := eng.Catalog().Table("el")
-	pol.All(func(r relation.Row) { polT.InsertRow(r) })
-	el.All(func(r relation.Row) { elT.InsertRow(r) })
+	pol.All(func(r relation.Row) { polT.Insert(r.Tuple, r.Texp) })
+	el.All(func(r relation.Row) { elT.Insert(r.Tuple, r.Texp) })
 	srv := wire.NewServer(eng, nil)
 	defer srv.Close()
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -55,7 +56,7 @@ func remoteDiff(horizon xtime.Time, withPatches bool, budget int, refetch bool) 
 	}
 	defer c.Close()
 	const q = "SELECT uid FROM pol EXCEPT SELECT uid FROM el"
-	if err := c.MaterializeBudget(q, withPatches, budget); err != nil {
+	if err := c.MaterializeContext(context.Background(), q, withPatches, budget); err != nil {
 		return remoteRun{}, err
 	}
 	for tau := xtime.Time(1); tau <= horizon; tau++ {

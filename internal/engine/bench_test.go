@@ -84,7 +84,7 @@ func BenchmarkParallelInsertQuery(b *testing.B) {
 				for pb.Next() {
 					i++
 					if i%8 == 0 {
-						if _, err := e.Query(base); err != nil {
+						if _, err := e.QueryStamped(base, "", 0); err != nil {
 							b.Error(err)
 							return
 						}

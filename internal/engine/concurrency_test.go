@@ -49,7 +49,7 @@ func TestConcurrentInsertQueryAdvance(t *testing.T) {
 			return
 		}
 		for i := 0; i < 100; i++ {
-			if _, err := e.Query(b); err != nil {
+			if _, err := e.QueryStamped(b, "", 0); err != nil {
 				t.Error(err)
 				return
 			}
@@ -153,7 +153,7 @@ func TestCrossTableParallelStress(t *testing.T) {
 						return
 					}
 					for i := 0; i < 100; i++ {
-						if _, err := e.Query(j); err != nil {
+						if _, err := e.QueryStamped(j, "", 0); err != nil {
 							t.Error(err)
 							return
 						}
@@ -171,7 +171,7 @@ func TestCrossTableParallelStress(t *testing.T) {
 						return
 					}
 					for i := 0; i < 200; i++ {
-						if _, err := e.Query(b); err != nil {
+						if _, err := e.QueryStamped(b, "", 0); err != nil {
 							t.Error(err)
 							return
 						}

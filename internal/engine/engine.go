@@ -728,21 +728,6 @@ func (e *Engine) Base(table string) (*algebra.Base, error) {
 	return algebra.NewBase(table, rel), nil
 }
 
-// Query evaluates expr at the current tick. Expired tuples are invisible
-// regardless of whether they have been physically removed — the lazy
-// sweeper never leaks through queries. The read locks of every base
-// relation in expr are held for the duration of the evaluation, so Query
-// is safe against concurrent inserts, deletes and clock advances while
-// queries on disjoint tables proceed fully in parallel.
-func (e *Engine) Query(expr algebra.Expr) (*relation.Relation, error) {
-	unlock := e.rlockBases(expr)
-	defer unlock()
-	e.mu.RLock()
-	now := e.now
-	e.mu.RUnlock()
-	return algebra.EvalStream(expr, now)
-}
-
 // CreateView registers and materialises a view at the current tick.
 // Views created through this programmatic API carry no SQL definition
 // and are therefore NOT durable — they vanish on recovery. SQL-created

@@ -48,22 +48,22 @@ func TestInsertQueryExpire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := e.Query(b)
+	qr, err := e.QueryStamped(b, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel.CountAt(0) != 3 {
-		t.Fatalf("rows = %d, want 3", rel.CountAt(0))
+	if qr.Rel.CountAt(0) != 3 {
+		t.Fatalf("rows = %d, want 3", qr.Rel.CountAt(0))
 	}
 	if err := e.Advance(10); err != nil {
 		t.Fatal(err)
 	}
-	rel, err = e.Query(b)
+	qr, err = e.QueryStamped(b, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel.CountAt(10) != 1 {
-		t.Fatalf("rows at 10 = %d, want 1", rel.CountAt(10))
+	if qr.Rel.CountAt(10) != 1 {
+		t.Fatalf("rows at 10 = %d, want 1", qr.Rel.CountAt(10))
 	}
 }
 
@@ -152,9 +152,9 @@ func TestLazySweepBatchesAndBoundsLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := e.Base("el")
-	rel, _ := e.Query(b)
-	if rel.CountAt(4) != 1 {
-		t.Fatalf("visible rows at 4 = %d, want 1", rel.CountAt(4))
+	qr, _ := e.QueryStamped(b, "", 0)
+	if qr.Rel.CountAt(4) != 1 {
+		t.Fatalf("visible rows at 4 = %d, want 1", qr.Rel.CountAt(4))
 	}
 	if len(fired) != 0 {
 		t.Fatalf("triggers fired before sweep tick: %v", fired)
@@ -290,11 +290,11 @@ func TestQuerySeesLogicalNotPhysicalState(t *testing.T) {
 		t.Fatal("lazy mode should not have removed the tuple yet")
 	}
 	b, _ := e.Base("s")
-	out, err := e.Query(b)
+	out, err := e.QueryStamped(b, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.CountAt(20) != 0 {
+	if out.Rel.CountAt(20) != 0 {
 		t.Fatal("expired tuple visible through query")
 	}
 	e.Sweep()
@@ -397,12 +397,12 @@ func TestSelectValueConstPredicateThroughEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := e.Query(s)
+	qr, err := e.QueryStamped(s, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel.CountAt(0) != 2 {
-		t.Fatalf("rows = %d, want 2", rel.CountAt(0))
+	if qr.Rel.CountAt(0) != 2 {
+		t.Fatalf("rows = %d, want 2", qr.Rel.CountAt(0))
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"expdb/internal/metrics"
+	"expdb/internal/monitor/promtest"
 )
 
 func constant(v int64) func() int64 { return func() int64 { return v } }
@@ -28,7 +29,7 @@ func TestPromWriterRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.Bytes()
-	if err := LintExposition(out); err != nil {
+	if err := promtest.Lint(out); err != nil {
 		t.Fatalf("own output fails lint: %v\n%s", err, out)
 	}
 	text := string(out)
@@ -61,7 +62,7 @@ func TestPromWriterLabeledHistogram(t *testing.T) {
 		Hist:   func(i int) *metrics.Histogram { return []*metrics.Histogram{&steady, &catchup}[i] }}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := LintExposition(buf.Bytes()); err != nil {
+	if err := promtest.Lint(buf.Bytes()); err != nil {
 		t.Fatalf("labelled histogram fails lint: %v\n%s", err, buf.String())
 	}
 	if got := strings.Count(buf.String(), "# TYPE expdb_lag_ticks histogram"); got != 1 {
@@ -82,7 +83,7 @@ func TestPromWriterErrors(t *testing.T) {
 		"bad label name":        {{Name: "ok", Labels: [][]Label{{{Key: "bad-key", Value: "v"}}}, Value: func(int) int64 { return 1 }}},
 	} {
 		var buf bytes.Buffer
-		if err := WritePrometheus(&buf, fams); err != nil || LintExposition(buf.Bytes()) == nil {
+		if err := WritePrometheus(&buf, fams); err != nil || promtest.Lint(buf.Bytes()) == nil {
 			t.Errorf("%s: write error %v, or lint accepted\n%s", name, err, buf.String())
 		}
 	}
@@ -99,51 +100,10 @@ func TestPromWriterEscaping(t *testing.T) {
 		Labels: [][]Label{{{Key: "v", Value: "a\"b\\c\nd"}}}, Value: func(int) int64 { return 1 }}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := LintExposition(buf.Bytes()); err != nil {
+	if err := promtest.Lint(buf.Bytes()); err != nil {
 		t.Fatalf("escaped output fails lint: %v\n%s", err, buf.String())
 	}
 	if !strings.Contains(buf.String(), `v="a\"b\\c\nd"`) {
 		t.Fatalf("label not escaped:\n%s", buf.String())
-	}
-}
-
-func TestLintRejections(t *testing.T) {
-	cases := []struct {
-		name string
-		in   string
-	}{
-		{"sample without TYPE", "loose_metric 1\n"},
-		{"duplicate TYPE", "# TYPE a counter\na 1\n# TYPE a counter\n"},
-		{"unknown type", "# TYPE a widget\na 1\n"},
-		{"bad metric name", "# TYPE 9a counter\n9a 1\n"},
-		{"bad label name", "# TYPE a counter\na{9k=\"v\"} 1\n"},
-		{"non-contiguous family", "# TYPE a counter\na{l=\"1\"} 1\n# TYPE b counter\nb 1\na{l=\"2\"} 2\n"},
-		{"duplicate series", "# TYPE a counter\na{l=\"1\"} 1\na{l=\"1\"} 2\n"},
-		{"unparseable value", "# TYPE a counter\na pizza\n"},
-		{"bare sample in histogram", "# TYPE h histogram\nh 5\n"},
-		{"bucket without le", "# TYPE h histogram\nh_bucket 5\n"},
-		{"decreasing cumulative count", "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 5\nh_sum 9\nh_count 5\n"},
-		{"non-increasing le", "# TYPE h histogram\nh_bucket{le=\"2\"} 1\nh_bucket{le=\"2\"} 2\nh_bucket{le=\"+Inf\"} 2\nh_sum 4\nh_count 2\n"},
-		{"missing +Inf", "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n"},
-		{"count != +Inf", "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 3\n"},
-		{"missing _count", "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\n"},
-	}
-	for _, c := range cases {
-		if err := LintExposition([]byte(c.in)); err == nil {
-			t.Errorf("%s: lint accepted\n%s", c.name, c.in)
-		}
-	}
-}
-
-func TestLintAccepts(t *testing.T) {
-	good := "# random comment\n" +
-		"# HELP a Things.\n# TYPE a counter\na 1\n" +
-		"# TYPE g gauge\ng{x=\"1\"} 2\ng{x=\"2\"} 3\n" +
-		"# TYPE h histogram\n" +
-		"h_bucket{le=\"1\"} 1\nh_bucket{le=\"4\"} 2\nh_bucket{le=\"+Inf\"} 3\n" +
-		"h_sum 12\nh_count 3\n" +
-		"# TYPE ts counter\nts 5 1700000000000\n"
-	if err := LintExposition([]byte(good)); err != nil {
-		t.Fatalf("lint rejected valid exposition: %v", err)
 	}
 }

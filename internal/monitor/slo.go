@@ -36,8 +36,9 @@ type SLO struct {
 	HeartbeatGap metrics.Histogram
 
 	// lagThresholdTicks is the budget the watchdog compares the
-	// steady-state p99 lag against (0 disables the breach check).
-	lagThresholdTicks atomic.Int64
+	// steady-state p99 lag against (0 disables the breach check). It is
+	// fixed at construction.
+	lagThresholdTicks int64
 	// lastAdvance is the wall time of the most recent Advance in unix
 	// nanos (0 = never advanced).
 	lastAdvance atomic.Int64
@@ -48,9 +49,7 @@ type SLO struct {
 
 // NewSLO returns a tracker with the given lag budget in ticks.
 func NewSLO(lagThresholdTicks int64) *SLO {
-	s := &SLO{}
-	s.lagThresholdTicks.Store(lagThresholdTicks)
-	return s
+	return &SLO{lagThresholdTicks: lagThresholdTicks}
 }
 
 // ObserveDispatch records one expired tuple's lag (fire tick − texp).
@@ -88,11 +87,8 @@ func (s *SLO) LastAdvance() int64 {
 	return s.lastAdvance.Load()
 }
 
-// SetLagThreshold replaces the lag budget in ticks (0 disables).
-func (s *SLO) SetLagThreshold(ticks int64) { s.lagThresholdTicks.Store(ticks) }
-
 // LagThreshold returns the current lag budget in ticks.
-func (s *SLO) LagThreshold() int64 { return s.lagThresholdTicks.Load() }
+func (s *SLO) LagThreshold() int64 { return s.lagThresholdTicks }
 
 // P99Lag returns the p99 of the steady-state dispatch-lag distribution.
 // Because the histogram's Quantile is a one-sided (upper-bound)
@@ -104,7 +100,7 @@ func (s *SLO) P99Lag() int64 { return s.DispatchLag.Quantile(0.99) }
 // the threshold. Allocation-free (one bucket-array pass); the watchdog
 // calls it every evaluation tick.
 func (s *SLO) Breached() bool {
-	t := s.lagThresholdTicks.Load()
+	t := s.lagThresholdTicks
 	return t > 0 && s.P99Lag() > t
 }
 

@@ -23,22 +23,23 @@ func TestSLODispatchVsCatchup(t *testing.T) {
 }
 
 func TestSLOBreach(t *testing.T) {
-	s := NewSLO(4)
 	// 99 on-time, 2 late: the p99 rank lands in the late bucket.
-	for i := 0; i < 99; i++ {
-		s.ObserveDispatch(0, false)
+	observed := func(threshold int64) *SLO {
+		s := NewSLO(threshold)
+		for i := 0; i < 99; i++ {
+			s.ObserveDispatch(0, false)
+		}
+		s.ObserveDispatch(40, false)
+		s.ObserveDispatch(40, false)
+		return s
 	}
-	s.ObserveDispatch(40, false)
-	s.ObserveDispatch(40, false)
-	if !s.Breached() {
+	if s := observed(4); !s.Breached() {
 		t.Fatalf("p99=%d threshold=%d: want breached", s.P99Lag(), s.LagThreshold())
 	}
-	s.SetLagThreshold(1 << 10)
-	if s.Breached() {
+	if observed(1 << 10).Breached() {
 		t.Fatal("raised threshold should clear the breach")
 	}
-	s.SetLagThreshold(0)
-	if s.Breached() {
+	if observed(0).Breached() {
 		t.Fatal("threshold 0 must disable the breach check")
 	}
 }

@@ -372,9 +372,6 @@ func (r *Relation) InsertOwnedRow(row Row) bool {
 	return r.InsertOwned(row.Tuple.Key(), row.Tuple, row.Texp)
 }
 
-// InsertRow is Insert for a Row value.
-func (r *Relation) InsertRow(row Row) bool { return r.Insert(row.Tuple, row.Texp) }
-
 // Delete removes the tuple equal to t, reporting whether it was present.
 func (r *Relation) Delete(t tuple.Tuple) bool {
 	return r.DeleteKey(t.Key())
@@ -615,10 +612,6 @@ func (r *Relation) SnapshotShared(tau xtime.Time) *Relation {
 	}
 }
 
-// Clone returns an independent copy of r, expired rows included. Tuples
-// are shared (they are immutable); the store is private.
-func (r *Relation) Clone() *Relation { return r.Snapshot(r.floor) }
-
 // RemoveExpired physically deletes rows with texp ≤ tau and returns them.
 // This is the eager/lazy removal hook of §3.2: eager engines call it on
 // every expiration event, lazy ones batch calls. With the texp-ordered
@@ -709,37 +702,6 @@ func (r *Relation) RowsSorted(tau xtime.Time) []Row {
 		}
 	}
 	return out
-}
-
-// EqualAt reports whether expτ(r) and expτ(o) contain the same tuples with
-// the same expiration times.
-func (r *Relation) EqualAt(o *Relation, tau xtime.Time) bool {
-	if r.CountAt(tau) != o.CountAt(tau) {
-		return false
-	}
-	equal := true
-	r.AliveAt(tau, func(row Row) {
-		// row is alive at tau, so an equal texp in o is alive there too.
-		if texp, ok := o.Texp(row.Tuple); !ok || texp != row.Texp {
-			equal = false
-		}
-	})
-	return equal
-}
-
-// SameTuplesAt is EqualAt ignoring expiration times: the two relations are
-// equal as plain sets at time tau.
-func (r *Relation) SameTuplesAt(o *Relation, tau xtime.Time) bool {
-	if r.CountAt(tau) != o.CountAt(tau) {
-		return false
-	}
-	equal := true
-	r.AliveAt(tau, func(row Row) {
-		if !o.Contains(row.Tuple, tau) {
-			equal = false
-		}
-	})
-	return equal
 }
 
 // String renders expτ(R) at τ=-1 (i.e. every stored row) as an aligned
@@ -882,13 +844,4 @@ func (r *Relation) boundTexpIdx() {
 	if r.texpIdx != nil && r.texpIdx.Bloated(len(r.keys)) {
 		r.rebuildTexpIdx()
 	}
-}
-
-// MustInsertInts is a test/demo helper: insert an all-integer tuple.
-func (r *Relation) MustInsertInts(texp xtime.Time, vs ...int64) {
-	t := tuple.Ints(vs...)
-	if err := r.schema.Validate(t); err != nil {
-		panic(err)
-	}
-	r.Insert(t, texp)
 }

@@ -16,18 +16,18 @@ import (
 //	 10   3  35
 func pol() *Relation {
 	r := New(tuple.IntCols("UID", "Deg"))
-	r.MustInsertInts(10, 1, 25)
-	r.MustInsertInts(15, 2, 25)
-	r.MustInsertInts(10, 3, 35)
+	r.Insert(tuple.Ints(1, 25), 10)
+	r.Insert(tuple.Ints(2, 25), 15)
+	r.Insert(tuple.Ints(3, 35), 10)
 	return r
 }
 
 // el builds the paper's Figure 1(b) Elections table.
 func el() *Relation {
 	r := New(tuple.IntCols("UID", "Deg"))
-	r.MustInsertInts(5, 1, 75)
-	r.MustInsertInts(3, 2, 85)
-	r.MustInsertInts(2, 4, 90)
+	r.Insert(tuple.Ints(1, 75), 5)
+	r.Insert(tuple.Ints(2, 85), 3)
+	r.Insert(tuple.Ints(4, 90), 2)
 	return r
 }
 
@@ -136,31 +136,6 @@ func TestRowsSortedDeterministic(t *testing.T) {
 		if rows[i-1].Tuple.Compare(rows[i].Tuple) >= 0 {
 			t.Fatalf("rows not sorted: %v before %v", rows[i-1].Tuple, rows[i].Tuple)
 		}
-	}
-}
-
-func TestEqualAt(t *testing.T) {
-	a, b := pol(), pol()
-	if !a.EqualAt(b, 0) {
-		t.Error("identical relations must be EqualAt(0)")
-	}
-	b.Insert(tuple.Ints(9, 9), 20)
-	if a.EqualAt(b, 0) {
-		t.Error("different content must not be EqualAt")
-	}
-	// ...but at τ=19 the extra tuple in b is the only difference; at τ=20 it expired.
-	if !a.EqualAt(b, 20) {
-		t.Error("must be equal once extra tuple expired")
-	}
-	// Same tuples, different texp: SameTuplesAt true, EqualAt false.
-	c, d := New(tuple.IntCols("x")), New(tuple.IntCols("x"))
-	c.MustInsertInts(5, 1)
-	d.MustInsertInts(7, 1)
-	if c.EqualAt(d, 0) {
-		t.Error("different texp must break EqualAt")
-	}
-	if !c.SameTuplesAt(d, 0) {
-		t.Error("same tuples must satisfy SameTuplesAt")
 	}
 }
 

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -14,7 +15,7 @@ func bigPol(n int) *Relation {
 	r := New(tuple.IntCols("a", "b"))
 	r.EnableIntArrays()
 	for i := 0; i < n; i++ {
-		r.MustInsertInts(xtime.Time(10+i%50), int64(i), int64(i%7))
+		r.Insert(tuple.Ints(int64(i), int64(i%7)), xtime.Time(10+i%50))
 	}
 	return r
 }
@@ -60,9 +61,7 @@ func TestSnapshotSharedEqualsSnapshot(t *testing.T) {
 	for _, tau := range []xtime.Time{0, 15, 40, 70} {
 		phys := r.Snapshot(tau)
 		shared := r.SnapshotShared(tau)
-		if !shared.EqualAt(phys, 0) {
-			t.Fatalf("shared snapshot at %v diverges from physical", tau)
-		}
+		sameRows(t, fmt.Sprintf("shared snapshot at %v", tau), shared.RowsSorted(0), phys.RowsSorted(0))
 		if shared.Len() != phys.Len() {
 			t.Fatalf("Len: shared %d, physical %d", shared.Len(), phys.Len())
 		}
@@ -82,12 +81,12 @@ func TestSnapshotSharedEqualsSnapshot(t *testing.T) {
 // must not show through — the first write detaches via copy-on-write.
 func TestSnapshotSharedImmutableUnderSourceMutation(t *testing.T) {
 	r := bigPol(0)
-	r.MustInsertInts(10, 1, 1)
-	r.MustInsertInts(20, 2, 2)
+	r.Insert(tuple.Ints(1, 1), 10)
+	r.Insert(tuple.Ints(2, 2), 20)
 	snap := r.SnapshotShared(0)
 
 	for _, step := range []func(){
-		func() { r.MustInsertInts(30, 3, 3) },     // new tuple
+		func() { r.Insert(tuple.Ints(3, 3), 30) }, // new tuple
 		func() { r.Insert(tuple.Ints(1, 1), 99) }, // lifetime extension
 		func() { r.Delete(tuple.Ints(2, 2)) },     // deletion
 		func() { r.RemoveExpired(15) },            // physical sweep
@@ -111,9 +110,9 @@ func TestSnapshotSharedImmutableUnderSourceMutation(t *testing.T) {
 // its first mutation, leaving the source untouched.
 func TestSnapshotSharedMutableHandle(t *testing.T) {
 	r := bigPol(0)
-	r.MustInsertInts(10, 1, 1)
+	r.Insert(tuple.Ints(1, 1), 10)
 	snap := r.SnapshotShared(0)
-	snap.MustInsertInts(50, 9, 9)
+	snap.Insert(tuple.Ints(9, 9), 50)
 	arraysAgree(t, r)
 	if snap.ints != nil {
 		t.Fatal("the snapshot detached with the source's column arrays")
@@ -130,8 +129,8 @@ func TestSnapshotSharedMutableHandle(t *testing.T) {
 // (the later instant wins) and stays immutable.
 func TestSnapshotSharedChained(t *testing.T) {
 	r := bigPol(0)
-	r.MustInsertInts(10, 1, 1)
-	r.MustInsertInts(20, 2, 2)
+	r.Insert(tuple.Ints(1, 1), 10)
+	r.Insert(tuple.Ints(2, 2), 20)
 	s1 := r.SnapshotShared(5)
 	s2 := s1.SnapshotShared(15) // row ⟨1,1⟩ (texp 10) dead here
 	arraysAgree(t, r)
@@ -195,10 +194,10 @@ func TestRowsUnsortedMatchesSorted(t *testing.T) {
 func TestDeleteThroughACompactingDetach(t *testing.T) {
 	r := bigPol(0)
 	for i := 0; i < 3000; i++ {
-		r.MustInsertInts(10, int64(i), 0)
+		r.Insert(tuple.Ints(int64(i), 0), 10)
 	}
-	r.MustInsertInts(100, 5000, 0)
-	r.MustInsertInts(100, 5001, 0)
+	r.Insert(tuple.Ints(5000, 0), 100)
+	r.Insert(tuple.Ints(5001, 0), 100)
 	s := r.SnapshotShared(50)
 	if !s.Delete(tuple.Ints(5001, 0)) {
 		t.Fatal("the snapshot's delete missed a live row")
@@ -267,7 +266,7 @@ func TestIntArraysFollowTheSlots(t *testing.T) {
 		func() { r.Delete(tuple.Ints(7, 2, -7)) },
 		func() { r.Insert(tuple.Ints(101, 3, 1), 90) }, // into slot 7
 		func() { r.Insert(tuple.Ints(3, 3, -3), 95) },
-		func() { snaps = append(snaps, r.SnapshotShared(20), r.Snapshot(0), r.Clone()) },
+		func() { snaps = append(snaps, r.SnapshotShared(20), r.Snapshot(0), r.Snapshot(r.floor)) },
 		func() { r.Delete(tuple.Ints(30, 0, -30)) }, // detaches, dropping the rows dead at the floor
 		func() {
 			for i := int64(0); i < 2000; i++ {

@@ -59,7 +59,7 @@ func (h *handle) fork(t *testing.T, kind int, tau xtime.Time) *handle {
 	case forkSnapshot:
 		s.rel = h.rel.Snapshot(tau)
 	case forkClone:
-		s.rel, tau = h.rel.Clone(), h.floor
+		s.rel, tau = h.rel.Snapshot(h.rel.floor), h.floor
 	}
 	if s.rel.ints != nil {
 		t.Fatal("a snapshot or copy was handed the column arrays")
@@ -343,7 +343,7 @@ func TestFrozenMapSortsOnce(t *testing.T) {
 	}
 
 	// The source mutates: it alone leaves the map and its order.
-	r.MustInsertInts(99, 1000, 1)
+	r.Insert(tuple.Ints(1000, 1), 99)
 	if r.sorted != nil || r.shared {
 		t.Fatal("the mutator kept the frozen map's order")
 	}
@@ -435,7 +435,7 @@ func TestRowsSortedConcurrentSiblings(t *testing.T) {
 			owner.Insert(want[round+1].Tuple, xtime.Time(1000+round))
 		}
 		for i := 0; i < 10; i++ {
-			owner.MustInsertInts(xtime.Time(100+round), int64(10_000+round*10+i), 0)
+			owner.Insert(tuple.Ints(int64(10_000+round*10+i), 0), xtime.Time(100+round))
 		}
 		owner.Delete(want[round].Tuple)
 		owner.Delete(want[round+30].Tuple) // leaves a hole for the next round's first insert

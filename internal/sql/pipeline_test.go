@@ -14,6 +14,7 @@ import (
 	"expdb/internal/engine"
 	"expdb/internal/interval"
 	"expdb/internal/relation"
+	"expdb/internal/relation/reltest"
 	"expdb/internal/view"
 	"expdb/internal/xtime"
 )
@@ -74,7 +75,7 @@ func TestViewReadCarriesTheViewsWindow(t *testing.T) {
 			// The stamp is true up to its last instant…
 			mustExec(t, s, "ADVANCE TO "+(tc.until-1).String())
 			last, fresh := mustExec(t, s, "SELECT * FROM "+tc.view), mustExec(t, s, tc.query)
-			if !last.Rel.SameTuplesAt(fresh.Rel, last.At) {
+			if !reltest.SameTuplesAt(last.Rel, fresh.Rel, last.At) {
 				t.Fatalf("at Until-1 the view reads\n%swant\n%s", last.Rel.Render(last.At), fresh.Rel.Render(fresh.At))
 			}
 			if last.Validity != info.Validity {
@@ -87,7 +88,7 @@ func TestViewReadCarriesTheViewsWindow(t *testing.T) {
 			if next.Validity.At != tc.until || next.Validity.ValidUntil != fresh.Validity.ValidUntil {
 				t.Fatalf("at Until: stamped %v, fresh evaluation %v", next.Validity, fresh.Validity)
 			}
-			if !next.Rel.EqualAt(fresh.Rel, next.At) {
+			if !reltest.EqualAt(next.Rel, fresh.Rel, next.At) {
 				t.Fatalf("at Until the view reads\n%swant\n%s", next.Rel.Render(next.At), fresh.Rel.Render(fresh.At))
 			}
 			if v, _ := s.eng.Catalog().View(tc.view); v.Stats().Recomputations != 0 || v.Stats().PatchesApplied != 1 {
@@ -153,7 +154,7 @@ func TestComputedReadOverAnIntervalView(t *testing.T) {
 			}
 			fresh := mustExec(t, s, "SELECT uid FROM pol WHERE uid > 0 EXCEPT SELECT uid FROM el")
 			if res.At != tick || !res.Validity.Contains(tick) || res.Validity.ValidUntil != bare.Validity.ValidUntil ||
-				!res.Rel.EqualAt(fresh.Rel, tick) {
+				!reltest.EqualAt(res.Rel, fresh.Rel, tick) {
 				t.Fatalf("%s, tick %v: at %v, %v (view %v)\n%swant\n%s", recovery, tick, res.At, res.Validity,
 					bare.Validity, res.Rel.Render(tick), fresh.Rel.Render(tick))
 			}
@@ -205,7 +206,7 @@ func TestViewStoresThePhysicalPlan(t *testing.T) {
 		fresh := mustExec(t, s, def)
 		for _, name := range []string{"d", "r"} {
 			got := mustExec(t, s, "SELECT * FROM "+name)
-			if !got.Rel.EqualAt(fresh.Rel, got.At) {
+			if !reltest.EqualAt(got.Rel, fresh.Rel, got.At) {
 				t.Fatalf("%s: view %s reads\n%swant\n%s", when, name, got.Rel.Render(got.At), fresh.Rel.Render(fresh.At))
 			}
 		}

@@ -115,6 +115,18 @@ func NewSessionWithMetrics(eng *engine.Engine, notify io.Writer, m *Metrics) *Se
 // Metrics returns the session's metrics sink.
 func (s *Session) Metrics() *Metrics { return s.m }
 
+// MetricsReport is the metrics document SHOW METRICS prints and
+// DB.MetricsHandler serves as JSON.
+type MetricsReport struct {
+	Engine engine.MetricsSnapshot `json:"engine"`
+	SQL    MetricsSnapshot        `json:"sql"`
+}
+
+// MetricsReport snapshots the engine's metrics and this session's.
+func (s *Session) MetricsReport() MetricsReport {
+	return MetricsReport{s.eng.Metrics(), s.m.Snapshot()}
+}
+
 // Plan is what the planning pipeline makes of one statement. Every read
 // path — Exec, EXPLAIN, DELETE, CREATE VIEW, DB.Plan and the wire server —
 // takes its tree from Session.Plan and from nowhere else.
@@ -605,6 +617,19 @@ func (s *Session) execCreateView(st *CreateView) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if p.view != nil {
+		// The plan holds the inner view's one-time snapshot, which stops
+		// being that view's answer at Until; a view over it would not.
+		inner := ""
+		algebra.Walk(p.Logical, func(e algebra.Expr) {
+			if b, ok := e.(*algebra.Base); ok {
+				if _, err := s.eng.Catalog().Table(b.Name); err != nil {
+					inner = b.Name
+				}
+			}
+		})
+		return nil, fmt.Errorf("sql: view %s reads view %s: define it over base tables", st.Name, inner)
+	}
 	var opts []view.Option
 	if len(st.Options) == 0 && algebra.HasFuture(p.Physical) {
 		// The planner picks the maintenance strategy the theorems allow, as
@@ -730,11 +755,7 @@ func (s *Session) execShow(st *Show) (*Result, error) {
 	case "TIME":
 		return &Result{Msg: s.eng.Now().String(), At: s.eng.Now()}, nil
 	case "METRICS":
-		snap := struct {
-			Engine engine.MetricsSnapshot `json:"engine"`
-			SQL    MetricsSnapshot        `json:"sql"`
-		}{s.eng.Metrics(), s.m.Snapshot()}
-		buf, err := json.MarshalIndent(snap, "", "  ")
+		buf, err := json.MarshalIndent(s.MetricsReport(), "", "  ")
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 
 	"expdb/internal/algebra"
 	"expdb/internal/engine"
+	"expdb/internal/relation/reltest"
 	"expdb/internal/tuple"
 	"expdb/internal/xtime"
 )
@@ -184,7 +185,7 @@ func TestOptimisedChainsMatchTheLogicalPlan(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !res.Rel.EqualAt(want, tau) {
+				if !reltest.EqualAt(res.Rel, want, tau) {
 					t.Fatalf("%s at %v:\nphysical %s\n%s\nlogical %s\n%s", q, tau,
 						p.Physical, res.Rel.Render(tau), p.Logical, want.Render(tau))
 				}
@@ -224,7 +225,7 @@ func TestUnknownJoinPredicateIsNotReordered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.EqualAt(want, 0) || got.CountAt(0) == 0 {
+	if !reltest.EqualAt(got, want, 0) || got.CountAt(0) == 0 {
 		t.Fatalf("%s answers\n%s\nwant\n%s", phys, got.Render(0), want.Render(0))
 	}
 }

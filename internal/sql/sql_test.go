@@ -217,6 +217,26 @@ func TestCreateViewAndRead(t *testing.T) {
 	}
 }
 
+// TestViewOverViewRefused: a view over a view stored the inner view's
+// one-time snapshot, so once s(1) expired at 5 and v1 showed ⟨1⟩, v2 still
+// answered no rows, stamped [0, ∞[. Such a view is refused, naming the
+// inner view; a SELECT over a view is unchanged.
+func TestViewOverViewRefused(t *testing.T) {
+	s := NewSession(engine.New(), nil)
+	if _, err := s.ExecScript(`CREATE TABLE r (a INT); CREATE TABLE s (a INT);
+		INSERT INTO r VALUES (1) EXPIRES AT 100; INSERT INTO s VALUES (1) EXPIRES AT 5;
+		CREATE VIEW v1 AS SELECT a FROM r EXCEPT SELECT a FROM s`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec("CREATE VIEW v2 AS SELECT a FROM v1"); err == nil || !strings.Contains(err.Error(), "reads view v1") {
+		t.Fatalf("view over a view: err %v, want a refusal naming v1", err)
+	}
+	mustExec(t, s, "ADVANCE TO 5")
+	if res := mustExec(t, s, "SELECT a FROM v1"); !res.Rel.Contains(tuple.Ints(1), 5) || res.Validity.At != 5 {
+		t.Fatalf("SELECT over v1 at 5: valid %v\n%s", res.Validity, res.Rel.Render(5))
+	}
+}
+
 func TestViewModeOptions(t *testing.T) {
 	s := newSession(t)
 	mustExec(t, s, "CREATE VIEW vi WITH (mode=interval, recovery=backward) AS SELECT uid FROM pol EXCEPT SELECT uid FROM el")

@@ -165,9 +165,6 @@ type Schema struct {
 	Cols []Column
 }
 
-// NewSchema builds a schema from columns.
-func NewSchema(cols ...Column) Schema { return Schema{Cols: cols} }
-
 // Col is shorthand for constructing a Column.
 func Col(name string, kind value.Kind) Column { return Column{Name: name, Kind: kind} }
 

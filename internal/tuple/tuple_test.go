@@ -111,18 +111,18 @@ func TestUnionCompatible(t *testing.T) {
 	if a.UnionCompatible(IntCols("x")) {
 		t.Error("different arity must be incompatible")
 	}
-	f := NewSchema(Col("a", value.KindFloat), Col("b", value.KindInt))
+	f := Schema{Cols: []Column{Col("a", value.KindFloat), Col("b", value.KindInt)}}
 	if !a.UnionCompatible(f) {
 		t.Error("int and float columns are compatible")
 	}
-	s := NewSchema(Col("a", value.KindString), Col("b", value.KindInt))
+	s := Schema{Cols: []Column{Col("a", value.KindString), Col("b", value.KindInt)}}
 	if a.UnionCompatible(s) {
 		t.Error("int and string columns are incompatible")
 	}
 }
 
 func TestValidate(t *testing.T) {
-	s := NewSchema(Col("id", value.KindInt), Col("name", value.KindString))
+	s := Schema{Cols: []Column{Col("id", value.KindInt), Col("name", value.KindString)}}
 	if err := s.Validate(T(value.Int(1), value.String_("x"))); err != nil {
 		t.Errorf("valid tuple rejected: %v", err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"expdb/internal/algebra"
 	"expdb/internal/relation"
+	"expdb/internal/relation/reltest"
 	"expdb/internal/tuple"
 	"expdb/internal/value"
 	"expdb/internal/xtime"
@@ -18,13 +19,13 @@ func budgetDiff(t *testing.T) *algebra.Diff {
 	t.Helper()
 	r := relation.New(tuple.IntCols("v"))
 	s := relation.New(tuple.IntCols("v"))
-	r.MustInsertInts(20, 1)
-	s.MustInsertInts(4, 1)
-	r.MustInsertInts(20, 2)
-	s.MustInsertInts(6, 2)
-	r.MustInsertInts(20, 3)
-	s.MustInsertInts(8, 3)
-	r.MustInsertInts(20, 9) // never in S: plain result tuple
+	reltest.MustInsertInts(r, 20, 1)
+	reltest.MustInsertInts(s, 4, 1)
+	reltest.MustInsertInts(r, 20, 2)
+	reltest.MustInsertInts(s, 6, 2)
+	reltest.MustInsertInts(r, 20, 3)
+	reltest.MustInsertInts(s, 8, 3)
+	reltest.MustInsertInts(r, 20, 9) // never in S: plain result tuple
 	d, err := algebra.NewDiff(algebra.NewBase("R", r), algebra.NewBase("S", s))
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +72,7 @@ func TestPatchBudgetStillCorrect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !fresh.EqualAt(rel, tau) {
+		if !reltest.EqualAt(fresh, rel, tau) {
 			t.Fatalf("budgeted view diverges at %v:\nview:\n%s\nfresh:\n%s",
 				tau, rel.Render(tau), fresh.Render(tau))
 		}
@@ -121,8 +122,8 @@ func TestPatchBudgetRandom(t *testing.T) {
 		r := relation.New(tuple.IntCols("v"))
 		s := relation.New(tuple.IntCols("v"))
 		for i := 0; i < 20; i++ {
-			r.MustInsertInts(xtime.Time(1+rng.Intn(30)), int64(rng.Intn(12)))
-			s.MustInsertInts(xtime.Time(1+rng.Intn(30)), int64(rng.Intn(12)))
+			reltest.MustInsertInts(r, xtime.Time(1+rng.Intn(30)), int64(rng.Intn(12)))
+			reltest.MustInsertInts(s, xtime.Time(1+rng.Intn(30)), int64(rng.Intn(12)))
 		}
 		d, err := algebra.NewDiff(algebra.NewBase("R", r), algebra.NewBase("S", s))
 		if err != nil {
@@ -145,7 +146,7 @@ func TestPatchBudgetRandom(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !fresh.EqualAt(rel, tau) {
+			if !reltest.EqualAt(fresh, rel, tau) {
 				t.Fatalf("trial %d budget %d: diverges at %v", trial, budget, tau)
 			}
 		}
@@ -164,7 +165,7 @@ func futureDB(seed int64) (pol, el *algebra.Base) {
 		}
 		return xtime.Time(1 + rng.Intn(30))
 	}
-	p := relation.New(tuple.NewSchema(tuple.Col("uid", value.KindInt), tuple.Col("deg", value.KindInt), tuple.Col("score", value.KindFloat)))
+	p := relation.New(tuple.Schema{Cols: []tuple.Column{tuple.Col("uid", value.KindInt), tuple.Col("deg", value.KindInt), tuple.Col("score", value.KindFloat)}})
 	e := relation.New(tuple.IntCols("uid", "deg"))
 	for i := 0; i < 60; i++ {
 		score := value.Float(0)
@@ -277,7 +278,7 @@ func TestStoredFutureEqualsRecomputation(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !rel.EqualAt(fresh.Rel, tau) {
+					if !reltest.EqualAt(rel, fresh.Rel, tau) {
 						t.Fatalf("%s: the view reads\n%sa recomputation gives\n%s", label(tau), rel.Render(tau), fresh.Rel.Render(tau))
 					}
 					for _, row := range rel.RowsSorted(0) {
@@ -303,11 +304,11 @@ func TestStoredFutureEqualsRecomputation(t *testing.T) {
 						t.Fatalf("%s: stamped %v, births at %v", label(tau), info.Validity, born(t, e, info.Validity.At, tau))
 					}
 					last := xtime.Min(info.Validity.ValidUntil, horizon+1) - 1
-					if at, _ := algebra.Evaluate(e, last); !rel.EqualAt(at.Rel, last) {
+					if at, _ := algebra.Evaluate(e, last); !reltest.EqualAt(rel, at.Rel, last) {
 						t.Fatalf("%s: stamped %v, but at %v the rows are\n%sand the answer\n%s", label(tau), info.Validity, last, rel.Render(last), at.Rel.Render(last))
 					}
 					if until := info.Validity.ValidUntil; until <= horizon {
-						if at, _ := algebra.Evaluate(e, until); rel.EqualAt(at.Rel, until) {
+						if at, _ := algebra.Evaluate(e, until); reltest.EqualAt(rel, at.Rel, until) {
 							t.Fatalf("%s: stamped %v, but the rows are still the answer at %v", label(tau), info.Validity, until)
 						}
 					}

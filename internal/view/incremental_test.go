@@ -7,6 +7,7 @@ import (
 	"expdb/internal/algebra"
 	"expdb/internal/index"
 	"expdb/internal/relation"
+	"expdb/internal/relation/reltest"
 	"expdb/internal/tuple"
 	"expdb/internal/value"
 	"expdb/internal/xtime"
@@ -50,7 +51,7 @@ func TestIncrementalMatchesDirectEval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !want.EqualAt(got, tau) {
+		if !reltest.EqualAt(want, got, tau) {
 			t.Fatalf("incremental diverges at %v:\ninc:\n%s\ndirect:\n%s",
 				tau, got.Render(tau), want.Render(tau))
 		}
@@ -180,7 +181,7 @@ func TestIncrementalRandom(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !want.EqualAt(got, tau) {
+			if !reltest.EqualAt(want, got, tau) {
 				t.Fatalf("trial %d: incremental diverges at %v for %s", trial, tau, expr)
 			}
 		}
@@ -229,7 +230,7 @@ func TestIncrementalWalksIndexScans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !want.EqualAt(got, tau) {
+		if !reltest.EqualAt(want, got, tau) {
 			t.Fatalf("incremental diverges at %v:\ninc:\n%s\ndirect:\n%s", tau, got.Render(tau), want.Render(tau))
 		}
 		gotTexp, err := inc.Texp()

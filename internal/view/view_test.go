@@ -7,6 +7,7 @@ import (
 
 	"expdb/internal/algebra"
 	"expdb/internal/relation"
+	"expdb/internal/relation/reltest"
 	"expdb/internal/tuple"
 	"expdb/internal/xtime"
 )
@@ -14,13 +15,13 @@ import (
 // figure1DB rebuilds the paper's example database.
 func figure1DB() (polR, elR *relation.Relation) {
 	polR = relation.New(tuple.IntCols("UID", "Deg"))
-	polR.MustInsertInts(10, 1, 25)
-	polR.MustInsertInts(15, 2, 25)
-	polR.MustInsertInts(10, 3, 35)
+	reltest.MustInsertInts(polR, 10, 1, 25)
+	reltest.MustInsertInts(polR, 15, 2, 25)
+	reltest.MustInsertInts(polR, 10, 3, 35)
 	elR = relation.New(tuple.IntCols("UID", "Deg"))
-	elR.MustInsertInts(5, 1, 75)
-	elR.MustInsertInts(3, 2, 85)
-	elR.MustInsertInts(2, 4, 90)
+	reltest.MustInsertInts(elR, 5, 1, 75)
+	reltest.MustInsertInts(elR, 3, 2, 85)
+	reltest.MustInsertInts(elR, 2, 4, 90)
 	return polR, elR
 }
 
@@ -77,7 +78,7 @@ func TestMonotonicViewNeverRecomputes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !fresh.EqualAt(rel, tau) {
+		if !reltest.EqualAt(fresh, rel, tau) {
 			t.Fatalf("view diverges at %v", tau)
 		}
 	}
@@ -164,7 +165,7 @@ func TestPatchedViewNeverRecomputes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !fresh.EqualAt(rel, tau) {
+		if !reltest.EqualAt(fresh, rel, tau) {
 			t.Fatalf("patched view diverges at %v:\nview:\n%s\nfresh:\n%s",
 				tau, rel.Render(tau), fresh.Render(tau))
 		}
@@ -296,8 +297,8 @@ func TestPatchedViewRandom(t *testing.T) {
 		r := relation.New(tuple.IntCols("v"))
 		s := relation.New(tuple.IntCols("v"))
 		for i := 0; i < 12; i++ {
-			r.MustInsertInts(xtime.Time(1+rng.Intn(25)), int64(rng.Intn(8)))
-			s.MustInsertInts(xtime.Time(1+rng.Intn(25)), int64(rng.Intn(8)))
+			reltest.MustInsertInts(r, xtime.Time(1+rng.Intn(25)), int64(rng.Intn(8)))
+			reltest.MustInsertInts(s, xtime.Time(1+rng.Intn(25)), int64(rng.Intn(8)))
 		}
 		d, err := algebra.NewDiff(algebra.NewBase("R", r), algebra.NewBase("S", s))
 		if err != nil {
@@ -322,7 +323,7 @@ func TestPatchedViewRandom(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !fresh.EqualAt(rel, tau) {
+			if !reltest.EqualAt(fresh, rel, tau) {
 				t.Fatalf("trial %d: patched view diverges at %v\nview:\n%s\nfresh:\n%s",
 					trial, tau, rel.Render(tau), fresh.Render(tau))
 			}

@@ -6,6 +6,7 @@ import (
 
 	"expdb/internal/algebra"
 	"expdb/internal/relation"
+	"expdb/internal/relation/reltest"
 	"expdb/internal/tuple"
 	"expdb/internal/xtime"
 )
@@ -84,7 +85,7 @@ func TestPatchedViewDetachesFromEscapedReads(t *testing.T) {
 func TestReadAllocsConstant(t *testing.T) {
 	polR := relation.New(tuple.IntCols("UID", "Deg"))
 	for i := 0; i < 5000; i++ {
-		polR.MustInsertInts(xtime.Time(1000+i), int64(i), int64(i%100))
+		reltest.MustInsertInts(polR, xtime.Time(1000+i), int64(i), int64(i%100))
 	}
 	v, err := New("pol", algebra.NewBase("Pol", polR))
 	if err != nil {
@@ -135,9 +136,9 @@ func TestReadOrderAcrossPatchAndRefresh(t *testing.T) {
 	polR := relation.New(tuple.IntCols("UID", "Deg"))
 	elR := relation.New(tuple.IntCols("UID", "Deg"))
 	for i := int64(0); i < 60; i++ {
-		polR.MustInsertInts(xtime.Time(100+i%7), (i*37)%60, i)
+		reltest.MustInsertInts(polR, xtime.Time(100+i%7), (i*37)%60, i)
 		if uid := (i * 37) % 60; uid < 30 {
-			elR.MustInsertInts(xtime.Time(5+3*(uid%2)), uid, 0)
+			reltest.MustInsertInts(elR, xtime.Time(5+3*(uid%2)), uid, 0)
 		}
 	}
 	p1, err := algebra.NewProject([]int{0}, algebra.NewBase("Pol", polR))

@@ -396,18 +396,13 @@ func (c *Client) Materialize(query string, withPatches bool) error {
 	return c.MaterializeContext(context.Background(), query, withPatches, 0)
 }
 
-// MaterializeBudget is Materialize with a bound on the number of patches
-// shipped (0 = unlimited) — the §3.4.2 trade-off between up-front bytes
-// and future re-fetches. When the budget is exhausted the local copy
-// invalidates at the first unshipped critical event and Read re-fetches.
-func (c *Client) MaterializeBudget(query string, withPatches bool, budget int) error {
-	return c.MaterializeContext(context.Background(), query, withPatches, budget)
-}
-
-// MaterializeContext is MaterializeBudget under a caller-supplied
-// deadline. The query and its options become the copy's only together
-// with the answer: after a failed fetch the client still holds, and
-// re-fetches, the query its copy answers.
+// MaterializeContext is Materialize under a caller-supplied deadline,
+// with a bound on the number of patches shipped (0 = unlimited) — the
+// §3.4.2 trade-off between up-front bytes and future re-fetches. When the
+// budget is exhausted the local copy invalidates at the first unshipped
+// critical event and Read re-fetches. The query and its options become
+// the copy's only together with the answer: after a failed fetch the
+// client still holds, and re-fetches, the query its copy answers.
 func (c *Client) MaterializeContext(ctx context.Context, query string, withPatches bool, budget int) error {
 	// A fresh trace ID per materialisation: the server tags its events
 	// and echoes it, so this fetch is correlatable with server spans.

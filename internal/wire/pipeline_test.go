@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 	"expdb/internal/algebra"
 	"expdb/internal/engine"
 	"expdb/internal/relation"
+	"expdb/internal/relation/reltest"
 	"expdb/internal/sql"
 	"expdb/internal/view"
 	"expdb/internal/xtime"
@@ -126,7 +128,7 @@ func TestEveryEntryPointAgreesWithTheLogicalPlan(t *testing.T) {
 					until := xtime.Min(texp, p.Until)
 					check := func(entry string, got *relation.Relation, gotUntil, until xtime.Time) {
 						t.Helper()
-						if !got.EqualAt(want, now) {
+						if !reltest.EqualAt(got, want, now) {
 							t.Fatalf("%s at %v via %s (physical %s):\n%swant\n%s", sh.name, now, entry, p.Physical, got.Render(now), want.Render(now))
 						}
 						if gotUntil != until {
@@ -143,7 +145,7 @@ func TestEveryEntryPointAgreesWithTheLogicalPlan(t *testing.T) {
 					}
 					remote := func(entry string, patches bool, budget int, until xtime.Time) {
 						t.Helper()
-						if err := c.MaterializeBudget(sh.stmt, patches, budget); err != nil {
+						if err := c.MaterializeContext(context.Background(), sh.stmt, patches, budget); err != nil {
 							t.Fatal(err)
 						}
 						rel, err := c.Read(now)
@@ -342,7 +344,7 @@ func TestRemoteCopyOfAViewExpiresWithTheView(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := fresh(); !rel.SameTuplesAt(want.Rel, tc.until-1) || c.LocalReads != 1 || c.Rematerializations != 0 {
+			if want := fresh(); !reltest.SameTuplesAt(rel, want.Rel, tc.until-1) || c.LocalReads != 1 || c.Rematerializations != 0 {
 				t.Fatalf("at Until-1 (local reads %d, refetches %d):\n%swant\n%s", c.LocalReads, c.Rematerializations,
 					rel.Render(tc.until-1), want.Rel.Render(tc.until-1))
 			}
@@ -356,7 +358,7 @@ func TestRemoteCopyOfAViewExpiresWithTheView(t *testing.T) {
 			if c.Rematerializations != 1 {
 				t.Fatalf("a read at Until was served locally (%d refetches)", c.Rematerializations)
 			}
-			if want := fresh(); !rel.EqualAt(want.Rel, tc.until) || c.Texp() != want.Validity.ValidUntil {
+			if want := fresh(); !reltest.EqualAt(rel, want.Rel, tc.until) || c.Texp() != want.Validity.ValidUntil {
 				t.Fatalf("at Until, valid until %v (fresh %v):\n%swant\n%s", c.Texp(), want.Validity.ValidUntil,
 					rel.Render(tc.until), want.Rel.Render(tc.until))
 			}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"slices"
 	"sort"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"expdb/internal/algebra"
 	"expdb/internal/engine"
 	"expdb/internal/relation"
+	"expdb/internal/relation/reltest"
 	"expdb/internal/sql"
 	"expdb/internal/trace"
 	"expdb/internal/tuple"
@@ -145,7 +147,7 @@ func TestRemoteDiffRecomputeOnInvalid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !fresh.SameTuplesAt(rel, tau) {
+		if !reltest.SameTuplesAt(fresh, rel, tau) {
 			t.Fatalf("remote copy diverges at %v:\nremote:\n%s\nserver:\n%s",
 				tau, rel.Render(tau), fresh.Render(tau))
 		}
@@ -415,7 +417,7 @@ func TestPatchBudgetOverWire(t *testing.T) {
 	defer c.Close()
 	// Two critical tuples exist; a budget of 1 ships only the first, so
 	// the copy invalidates at the second event (texp_S(⟨1⟩) = 5).
-	if err := c.MaterializeBudget("SELECT uid FROM pol EXCEPT SELECT uid FROM el", true, 1); err != nil {
+	if err := c.MaterializeContext(context.Background(), "SELECT uid FROM pol EXCEPT SELECT uid FROM el", true, 1); err != nil {
 		t.Fatal(err)
 	}
 	if c.Texp() != 5 {

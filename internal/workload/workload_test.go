@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"expdb/internal/relation"
+	"expdb/internal/relation/reltest"
 	"expdb/internal/tuple"
 	"expdb/internal/xtime"
 )
@@ -44,11 +45,11 @@ func TestProfileInfiniteFraction(t *testing.T) {
 func TestProfileDeterministicPerSeed(t *testing.T) {
 	a := Profile{Users: 100, Degrees: 10, MinLife: 1, MaxLife: 5, Density: 0.8, Seed: 7}.Table(0)
 	b := Profile{Users: 100, Degrees: 10, MinLife: 1, MaxLife: 5, Density: 0.8, Seed: 7}.Table(0)
-	if !a.EqualAt(b, -1) {
+	if !reltest.EqualAt(a, b, -1) {
 		t.Fatal("same seed must generate identical tables")
 	}
 	c := Profile{Users: 100, Degrees: 10, MinLife: 1, MaxLife: 5, Density: 0.8, Seed: 8}.Table(0)
-	if a.EqualAt(c, -1) {
+	if reltest.EqualAt(a, c, -1) {
 		t.Fatal("different seeds should differ")
 	}
 }

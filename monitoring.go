@@ -99,7 +99,7 @@ func (db *DB) SLO() SLOSnapshot {
 // WritePrometheus writes every layer's metric families — the engine's,
 // the SQL session's, the wire servers' and, with monitoring, the SLO's
 // and health's — in Prometheus text exposition format 0.0.4. The output
-// is grammar-checked by monitor.LintExposition in tests; it needs no
+// is grammar-checked by promtest.Lint in tests; it needs no
 // client library and any Prometheus-compatible scraper can consume it.
 // Safe to call concurrently with traffic (counters may tear between
 // families, never within a histogram).

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"expdb"
-	"expdb/internal/monitor"
+	"expdb/internal/monitor/promtest"
 )
 
 // monitoredDB opens a durable, monitored database with some traffic in
@@ -45,7 +45,7 @@ func TestWritePrometheusLint(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if err := monitor.LintExposition(buf.Bytes()); err != nil {
+	if err := promtest.Lint(buf.Bytes()); err != nil {
 		t.Fatalf("exposition fails lint: %v\n%s", err, out)
 	}
 	scrape := map[string]bool{}
@@ -104,7 +104,7 @@ func TestMetricsHandlerFormats(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("prometheus content type = %q", ct)
 	}
-	if err := monitor.LintExposition(rec.Body.Bytes()); err != nil {
+	if err := promtest.Lint(rec.Body.Bytes()); err != nil {
 		t.Fatalf("handler exposition fails lint: %v", err)
 	}
 
@@ -208,7 +208,7 @@ func TestUnmonitoredDB(t *testing.T) {
 	if err := db.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := monitor.LintExposition(buf.Bytes()); err != nil {
+	if err := promtest.Lint(buf.Bytes()); err != nil {
 		t.Fatalf("unmonitored exposition fails lint: %v\n%s", err, buf.Bytes())
 	}
 	for _, absent := range []string{"expdb_health_state", "expdb_wal_appends_total", "expdb_wire_"} {
