@@ -61,8 +61,8 @@ type (
 	CmpOp = ialg.CmpOp
 	// CriticalRow is one element of a difference's critical set.
 	CriticalRow = ialg.CriticalRow
-	// Evaluation is what Evaluate returns: rows, texp(e) and a root
-	// difference's critical tuples.
+	// Evaluation is what Evaluate returns and what a kept answer is: rows,
+	// the instant they were evaluated at, texp(e) and the rows born later.
 	Evaluation = ialg.Evaluation
 )
 

@@ -24,7 +24,7 @@ type Births struct {
 	chains []chain       // one per partition that changes before it empties
 	aggs   []int         // the columns of a chain's tuple that its states overwrite
 	next   xtime.Time    // when the earliest pending birth falls due (settle)
-	since  xtime.Time    // when the latest birth consumed so far was born
+	since  xtime.Time    // when the latest birth consumed so far was born, 0 before the first
 }
 
 // chain is the future of one partition. Its states differ in the aggregate
@@ -113,10 +113,6 @@ func (b *Births) settle() {
 	}
 }
 
-// Since returns when the latest birth consumed so far was born, 0 before the
-// first: rows these births were applied to have been the answer since then.
-func (b *Births) Since() xtime.Time { return b.since }
-
 // Rows returns every pending birth as a whole row, in (InS, Tuple) order.
 func (b *Births) Rows() []CriticalRow {
 	out := slices.Clone(b.rows)
@@ -138,13 +134,13 @@ func (b *Births) state(c chain, i int) tuple.Tuple {
 	return t
 }
 
-// Apply brings rel, the materialisation these births belong to, to tau: every
+// apply brings rel, the materialisation these births belong to, to tau: every
 // birth due by then is consumed, and inserted if still alive. When one was
 // due the result is a private copy of rel's rows alive at tau — the copy a
 // shared row map is owed before a write anyway, made without the dead rows:
 // a materialisation that is never recomputed does not grow — otherwise rel
 // itself. The second result is the number of births consumed.
-func (b *Births) Apply(rel *relation.Relation, tau xtime.Time) (*relation.Relation, int) {
+func (b *Births) apply(rel *relation.Relation, tau xtime.Time) (*relation.Relation, int) {
 	if tau < b.Next() {
 		return rel, 0
 	}

@@ -189,7 +189,7 @@ func checkAgainstReference(t *testing.T, label string, e Expr, tau xtime.Time) {
 		// A materialising pass keeps the critical rows as births when the
 		// arguments are monotonic, and is the plain pass otherwise.
 		mv, err := Materialize(e, tau)
-		if got := xtime.Min(mv.Texp, mv.Births.Next()); err != nil || !reltest.EqualAt(mv.Rel, want, tau) || got != wantTexp {
+		if got := mv.Validity().ValidUntil; err != nil || !reltest.EqualAt(mv.Rel, want, tau) || got != wantTexp {
 			t.Fatalf("%s: Materialize: texp(e) = %v (%v), reference %v\n%s", label, got, err, wantTexp, mv.Rel.Render(tau))
 		}
 		births, wantBirths, wantPatched := mv.Births.Rows(), critical, xtime.Min(lt, rt)
@@ -215,29 +215,40 @@ func checkAgainstReference(t *testing.T, label string, e Expr, tau xtime.Time) {
 	}
 }
 
-// checkFutureAgainstReference: the rows Materialize returns at tau, given
-// their births as they fall due and expired as time passes, are the
-// reference evaluator's answer — tuples and expiration times — at every
-// later instant, and texp(e) there is when the next birth falls due.
+// checkFutureAgainstReference: the rows Materialize returns at tau, served
+// as time passes (births applied as they fall due, the dead expired), are
+// the reference evaluator's answer — tuples and expiration times — at every
+// later instant, and each is stamped from the last birth applied until
+// texp(e) there. A copy cut by Budget(1) is the answer, so stamped, up to
+// the first birth it dropped.
 func checkFutureAgainstReference(t *testing.T, label string, e Expr, tau xtime.Time) {
 	t.Helper()
-	mv, err := Materialize(e, tau)
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
-	rel, births := mv.Rel, mv.Births
-	for at := tau + 1; at < mv.Texp && at <= tau+200 && (births.Len() > 0 || at <= tau+10); at++ {
-		var n int
-		rel, n = births.Apply(rel, at)
-		want, wantTexp := refEval(e, at)
-		if !reltest.EqualAt(rel, want, at) {
-			t.Fatalf("%s: materialised at %v and given its births, at %v\n%sreference:\n%s", label, tau, at, rel.Render(at), want.Render(at))
+	for _, budget := range []int{0, 1} {
+		mv, err := Materialize(e, tau)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
-		if got := xtime.Min(mv.Texp, births.Next()); got != wantTexp {
-			t.Fatalf("%s: materialised at %v, at %v the next birth is due at %v; reference texp(e) %v", label, tau, at, got, wantTexp)
+		want := 0
+		if budget > 0 {
+			want = max(mv.Births.Len()-budget, 0)
 		}
-		if n > 0 && births.Since() != at { // tick by tick, what is applied at a tick was born at it
-			t.Fatalf("%s: %d births applied at %v, the last dated %v", label, n, at, births.Since())
+		if dropped := mv.Budget(budget); dropped != want {
+			t.Fatalf("%s: budget %d dropped %d births, want %d", label, budget, dropped, want)
+		}
+		last := tau
+		for at := tau + 1; at < mv.Texp && at <= tau+200 && (mv.Births.Len() > 0 || at <= tau+10); at++ {
+			rel, n := mv.Serve(at)
+			ref, refTexp := refEval(e, at)
+			if !reltest.EqualAt(rel, ref, at) {
+				t.Fatalf("%s: materialised at %v (budget %d) and served at %v\n%sreference:\n%s", label, tau, budget, at, rel.Render(at), ref.Render(at))
+			}
+			if n > 0 { // tick by tick, what is applied at a tick was born at it
+				last = at
+			}
+			if v := mv.Validity(); v.At != last || v.ValidUntil != refTexp {
+				t.Fatalf("%s: materialised at %v (budget %d), at %v stamped %v; last birth applied at %v, reference texp(e) %v",
+					label, tau, budget, at, v, last, refTexp)
+			}
 		}
 	}
 }
@@ -358,10 +369,9 @@ func TestInsertionOrderIndependence(t *testing.T) {
 						if ab, bb := birthList(a.Births), birthList(b.Births); ab != bb {
 							t.Fatalf("%s: births under one history\n%s\nunder the other\n%s", label, ab, bb)
 						}
-						ar, br := a.Rel, b.Rel
 						for at := tau; at <= tau+10; at++ {
-							ar, _ = a.Births.Apply(ar, at)
-							br, _ = b.Births.Apply(br, at)
+							ar, _ := a.Serve(at)
+							br, _ := b.Serve(at)
 							if !reltest.EqualAt(ar, br, at) || ar.Render(at) != br.Render(at) {
 								t.Fatalf("%s: at %v one history gives\n%sthe other\n%s", label, at, ar.Render(at), br.Render(at))
 							}

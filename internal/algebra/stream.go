@@ -3,6 +3,7 @@ package algebra
 import (
 	"slices"
 
+	"expdb/internal/interval"
 	"expdb/internal/relation"
 	"expdb/internal/xtime"
 )
@@ -52,11 +53,15 @@ func EvalStream(e Expr, tau xtime.Time) (*relation.Relation, error) {
 	return rel, err
 }
 
-// Evaluation is what one pass over an expression at one instant yields.
+// Evaluation is what one pass over an expression at one instant yields, and
+// the only form a kept answer takes: a view, a result-cache entry, a node of
+// a per-operator maintainer and a remote copy each hold one.
 type Evaluation struct {
 	// Rel holds the result with its derived per-tuple expiration times,
 	// owned by the caller.
 	Rel *relation.Relation
+	// At is the instant Rel was evaluated at.
+	At xtime.Time
 	// Texp is when Rel stops being maintainable: expired as time passes, and
 	// given its Births as they fall due, it equals a recomputation at every
 	// instant before (Theorems 2 and 3). Without births that is texp(e);
@@ -67,13 +72,49 @@ type Evaluation struct {
 	Births Births
 }
 
+// Serve brings the materialisation to tau, applying the births due by then
+// (§3.4.1), and returns an immutable O(1) snapshot of it at tau — which the
+// next birth or re-materialisation leaves alone — and the number applied.
+func (ev *Evaluation) Serve(tau xtime.Time) (*relation.Relation, int) {
+	var n int
+	ev.Rel, n = ev.Births.apply(ev.Rel, tau)
+	return ev.Rel.SnapshotShared(tau), n
+}
+
+// Validity is the stamp of what Serve returned last: the rows are the answer
+// since the materialisation or the last birth applied to it, and until
+// texp(e) or the next pending birth, whichever comes first.
+func (ev *Evaluation) Validity() interval.Validity {
+	return interval.Validity{At: xtime.Max(ev.At, ev.Births.since), ValidUntil: xtime.Min(ev.Texp, ev.Births.Next())}
+}
+
+// Holds reports whether tau lies in [At, Texp): whether the materialisation,
+// given its births, is the answer a recomputation at tau would give.
+func (ev *Evaluation) Holds(tau xtime.Time) bool { return tau >= ev.At && tau < ev.Texp }
+
+// Budget is the §3.4.2 size decision for a materialisation that keeps its
+// future: with k > 0 only the k births falling due soonest are kept, as whole
+// rows, and Texp moves back to when the first one that did not fit falls
+// due; with k ≤ 0, or room for all of them, nothing changes. It returns the
+// number of births dropped.
+func (ev *Evaluation) Budget(k int) int {
+	n := ev.Births.Len()
+	if k <= 0 || n <= k {
+		return 0
+	}
+	rows, since := ev.Births.Rows(), ev.Births.since
+	ev.Births, ev.Texp = BirthsOf(slices.Clone(rows[:k])), xtime.Min(ev.Texp, rows[k].InS)
+	ev.Births.since = since
+	return n - k
+}
+
 // Evaluate computes e at tau in one pass over the tree: the rows and texp(e)
 // come from the same walk, each base relation scanned once per occurrence
 // and each pipeline breaker doing its work once. It is the evaluation entry
 // point of queries; the caller holds the read locks of the base relations.
 func Evaluate(e Expr, tau xtime.Time) (Evaluation, error) {
 	rel, texp, err := collect(e, tau)
-	return Evaluation{Rel: rel, Texp: texp}, err
+	return Evaluation{Rel: rel, At: tau, Texp: texp}, err
 }
 
 // HasFuture reports whether a materialisation of e can carry its future: a
@@ -99,7 +140,7 @@ func Materialize(e Expr, tau xtime.Time) (Evaluation, error) {
 	if !HasFuture(e) {
 		return Evaluate(e, tau)
 	}
-	ev := Evaluation{Rel: relation.New(e.Schema())}
+	ev := Evaluation{Rel: relation.New(e.Schema()), At: tau}
 	var err error
 	switch n := e.(type) {
 	case *Diff:
@@ -115,19 +156,6 @@ func Materialize(e Expr, tau xtime.Time) (Evaluation, error) {
 		ev.Births.settle()
 	}
 	return ev, err
-}
-
-// Patches is the §3.4.2 size decision for a materialisation that keeps its
-// future: with budget > 0 only the budget births falling due soonest are
-// kept, as whole rows, and the copy is good until the first one that did not
-// fit falls due; with budget ≤ 0, or room for all of them, until Texp. It
-// returns the births to keep and that expiration time.
-func (ev Evaluation) Patches(budget int) (Births, xtime.Time) {
-	if budget <= 0 || ev.Births.Len() <= budget {
-		return ev.Births, ev.Texp
-	}
-	rows := ev.Births.Rows()
-	return BirthsOf(slices.Clone(rows[:budget])), xtime.Min(ev.Texp, rows[budget].InS)
 }
 
 // duplicateFree reports whether e streams each result tuple once, so that

@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"expdb/internal/algebra"
+	"expdb/internal/catalog"
 	"expdb/internal/relation"
 	"expdb/internal/tuple"
 	"expdb/internal/xtime"
@@ -81,6 +84,62 @@ func TestConcurrentInsertQueryAdvance(t *testing.T) {
 	if st.Inserts != writers*200 {
 		t.Fatalf("inserts = %d", st.Inserts)
 	}
+}
+
+// TestReadsOfAViewBeingCreated: CREATE VIEW registers a view before it
+// materialises it, under the view's lock, so a read that finds the name
+// waits for the rows and never meets a view with none, while the clock
+// advances under both; run with -race.
+func TestReadsOfAViewBeingCreated(t *testing.T) {
+	e := New()
+	if err := e.CreateTable("s", tuple.IntCols("id", "v")); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 100; i++ {
+		if err := e.Insert("s", tuple.Ints(i, i%7), xtime.Time(1+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, err := e.Base("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const views = 50
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < views; i++ {
+			if _, err := e.CreateView(fmt.Sprintf("v%d", i), &algebra.Select{Pred: algebra.True{}, Child: b}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < views; {
+			switch _, _, err := e.ReadView(fmt.Sprintf("v%d", i)); {
+			case err == nil:
+				i++
+			case errors.Is(err, catalog.ErrNoSuchView):
+				runtime.Gosched()
+			default:
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for tick := xtime.Time(1); tick <= 50; tick++ {
+			if err := e.Advance(tick); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
 }
 
 // TestCrossTableParallelStress hammers several tables at once — inserts,

@@ -748,18 +748,21 @@ func (e *Engine) CreateViewDef(name, def string, expr algebra.Expr, opts ...view
 	if err != nil {
 		return nil, err
 	}
+	// Registered before it is materialised, under its own lock: a read
+	// waits for the rows, and a name already taken is refused first.
+	v.Lock()
 	unlock := e.rlockBases(expr)
 	e.mu.RLock()
 	now := e.now
 	e.mu.RUnlock()
-	err = v.Materialize(now)
+	err = e.cat.RegisterView(v)
 	if err == nil {
-		err = e.cat.RegisterView(v)
-	}
-	if err == nil {
-		e.noteMaterialized(v)
+		if err = e.rematerialize(v, now, trace.NextID()); err != nil {
+			e.cat.DropView(name)
+		}
 	}
 	unlock()
+	v.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -777,10 +780,6 @@ func (e *Engine) CreateViewDef(name, def string, expr algebra.Expr, opts ...view
 			return nil, err
 		}
 	}
-	e.events.Emit(trace.Event{
-		Trace: trace.NextID(), Kind: trace.EvViewRecompute, Name: name,
-		Tick: now, Texp: v.Texp(),
-	})
 	if err := e.walSync(seq); err != nil {
 		if err = e.walFail(err, true); err != nil {
 			return nil, err
@@ -849,12 +848,19 @@ func (e *Engine) RefreshViewTraced(name string, tid trace.ID) error {
 	e.mu.RLock()
 	now := e.now
 	e.mu.RUnlock()
+	return e.rematerialize(v, now, tid)
+}
+
+// rematerialize (re)computes v at now, records what its base tables had been
+// written by then and reports the recomputation. The caller holds v's lock
+// and its base tables' read locks.
+func (e *Engine) rematerialize(v *view.View, now xtime.Time, tid trace.ID) error {
 	if err := v.Materialize(now); err != nil {
 		return err
 	}
 	e.noteMaterialized(v)
 	e.events.Emit(trace.Event{
-		Trace: tid, Kind: trace.EvViewRecompute, Name: name,
+		Trace: tid, Kind: trace.EvViewRecompute, Name: v.Name(),
 		Tick: now, Texp: v.Texp(),
 	})
 	return nil

@@ -68,15 +68,8 @@ func (e *Engine) checkWatches(now xtime.Time, tid trace.ID) []firedWatch {
 				Tick: now, Texp: v.Texp(),
 			})
 			due = append(due, firedWatch{watch: w, at: now})
-			if w.refresh {
-				if err := v.Materialize(now); err == nil {
-					e.noteMaterialized(v)
-					w.notified = false
-					e.events.Emit(trace.Event{
-						Trace: tid, Kind: trace.EvViewRecompute, Name: w.name,
-						Tick: now, Texp: v.Texp(),
-					})
-				}
+			if w.refresh && e.rematerialize(v, now, tid) == nil {
+				w.notified = false
 			}
 		}
 		unlock()

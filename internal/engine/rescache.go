@@ -40,18 +40,23 @@ type QueryResult struct {
 	Cached   bool
 }
 
-// cacheEntry is one cached materialisation. tables records, per base
-// relation the plan reads, the write epoch the rows were evaluated under and
-// what the plan's leaves select from it: what freshness tests. mono records
-// that the plan is monotonic (Theorem 1), so a write it selects is absorbed.
+// cacheEntry is one cached materialisation, kept without births: it is
+// dropped at its Texp. tables records, per base relation the plan reads, the
+// write epoch the rows were evaluated under and what the plan's leaves
+// select from it: what freshness tests. mono records that the plan is
+// monotonic (Theorem 1), so a write it selects is absorbed.
 type cacheEntry struct {
 	key        string
-	rel        *relation.Relation
-	at         xtime.Time
-	validUntil xtime.Time
+	ev         algebra.Evaluation
 	tables     []leafTable
 	mono       bool
 	prev, next *cacheEntry // LRU list, head = most recently used
+}
+
+// served is the answer en gives at now, stamped with its validity.
+func (en *cacheEntry) served(now xtime.Time) QueryResult {
+	rel, _ := en.ev.Serve(now)
+	return QueryResult{Rel: rel, At: now, Validity: en.ev.Validity(), Cached: true}
 }
 
 // leafTable is what a plan reads of one base table: every leaf over the
@@ -256,7 +261,7 @@ func (e *Engine) unseen(en *cacheEntry, fn func(*leafTable, relation.Row)) (move
 type resultCacheMetrics struct {
 	Hits               metrics.Counter // served from an entry: as stored, revalidated or patched
 	Misses             metrics.Counter // evaluated in full
-	Invalidations      metrics.Counter // clock reached ValidUntil
+	Invalidations      metrics.Counter // clock reached Texp
 	EpochInvalidations metrics.Counter // a write the entry could not absorb, or one that outran the tail
 	Revalidations      metrics.Counter // hits that outlived ≥ 1 write to a table they read, none selected
 	Patches            metrics.Counter // hits that absorbed the selected writes since (patch)
@@ -265,8 +270,8 @@ type resultCacheMetrics struct {
 }
 
 // resultCache is the validity-interval result cache: normalized-plan key
-// → materialisation valid on [at, validUntil). Entries are dropped three
-// ways: the Advance pipeline drains from pq the entries whose ValidUntil
+// → materialisation valid on [At, Texp). Entries are dropped three
+// ways: the Advance pipeline drains from pq the entries whose Texp
 // the clock has reached (the same heartbeat that expires tuples), lookups
 // discard entries a write left stale and they cannot absorb, and LRU
 // eviction bounds the entry count.
@@ -274,8 +279,8 @@ type resultCacheMetrics struct {
 // Lock hierarchy: mu nests above Engine.mu (a lookup reads the clock, the
 // epoch table and the write tails while holding it) and is never taken while
 // any table or view lock is held. pq is a table's kind of texp heap over
-// (plan key, ValidUntil) pairs: a pair counts only while its key's entry
-// still has that ValidUntil, and the stale ones — an entry replaced,
+// (plan key, Texp) pairs: a pair counts only while its key's entry
+// still has that Texp, and the stale ones — an entry replaced,
 // patched, dropped or evicted since — are rebuilt away as a table's are.
 type resultCache struct {
 	mu      sync.Mutex
@@ -430,14 +435,14 @@ func (e *Engine) QueryStamped(expr algebra.Expr, key string, tid trace.ID) (Quer
 	e.mu.RUnlock()
 	if src != nil {
 		switch {
-		case now >= src.validUntil: // the clock reached it since the lookup
+		case !src.ev.Holds(now): // the clock reached Texp since the lookup
 			c.m.Invalidations.Inc()
 		case e.patch(expr, src, now):
 			runlockRels(rels)
 			c.m.Hits.Inc()
 			c.m.Patches.Inc()
-			e.events.Emit(trace.Event{Trace: tid, Kind: trace.EvCacheHit, Tick: now, Texp: src.validUntil})
-			res := QueryResult{Rel: src.rel.SnapshotShared(now), At: now, Validity: interval.Validity{At: src.at, ValidUntil: src.validUntil}, Cached: true}
+			e.events.Emit(trace.Event{Trace: tid, Kind: trace.EvCacheHit, Tick: now, Texp: src.ev.Texp})
+			res := src.served(now)
 			e.cacheStore(c, src)
 			return res, nil
 		default:
@@ -449,15 +454,9 @@ func (e *Engine) QueryStamped(expr algebra.Expr, key string, tid trace.ID) (Quer
 		runlockRels(rels)
 		return QueryResult{}, err
 	}
-	rel, texp := ev.Rel, ev.Texp
-	res := QueryResult{
-		Rel:      rel,
-		At:       now,
-		Validity: interval.Validity{At: now, ValidUntil: texp},
-	}
 	if c == nil || key == "" {
 		runlockRels(rels)
-		return res, nil
+		return QueryResult{Rel: ev.Rel, At: now, Validity: ev.Validity()}, nil
 	}
 	// Capture the base tables' write epochs while their read locks are
 	// still held: no write can have slipped between the rows we evaluated
@@ -472,14 +471,16 @@ func (e *Engine) QueryStamped(expr algebra.Expr, key string, tid trace.ID) (Quer
 	runlockRels(rels)
 
 	c.m.Misses.Inc()
-	e.events.Emit(trace.Event{Trace: tid, Kind: trace.EvCacheMiss, Tick: now, Texp: texp})
+	e.events.Emit(trace.Event{Trace: tid, Kind: trace.EvCacheMiss, Tick: now, Texp: ev.Texp})
 	// Hand the caller a shared snapshot, not the stored relation itself:
 	// the store is immutable from here on, and a caller mutating its
 	// result copies-on-write instead of corrupting the cache. Taken before
 	// the entry is published: afterwards only cacheServe, under the cache
 	// lock, may snapshot the stored relation (a snapshot marks its source).
-	res.Rel = rel.SnapshotShared(now)
-	e.cacheStore(c, &cacheEntry{key: key, rel: rel, at: now, validUntil: texp, tables: tables, mono: expr.Monotonic()})
+	en := &cacheEntry{key: key, ev: ev, tables: tables, mono: expr.Monotonic()}
+	res := en.served(now)
+	res.Cached = false
+	e.cacheStore(c, en)
 	return res, nil
 }
 
@@ -496,7 +497,7 @@ func (e *Engine) QueryStamped(expr algebra.Expr, key string, tid trace.ID) (Quer
 // it lacks now is never shown or critical again. Either way at moves to now:
 // a tuple B gained may have hidden one A still held when it was written.
 func (e *Engine) patch(expr algebra.Expr, src *cacheEntry, now xtime.Time) bool {
-	into, root := src.rel, expr // where E[leaf := Δ] goes
+	into, root := src.ev.Rel, expr // where E[leaf := Δ] goes
 	diff, _ := expr.(*algebra.Diff)
 	if !src.mono {
 		if diff == nil {
@@ -536,7 +537,7 @@ func (e *Engine) patch(expr algebra.Expr, src *cacheEntry, now xtime.Time) bool 
 			return false
 		}
 	}
-	src.at = now
+	src.ev.At = now
 	return true
 }
 
@@ -549,7 +550,7 @@ const (
 )
 
 // freshness is the one test of whether en is the answer a re-evaluation at
-// the current tick would give: the clock is inside [at, validUntil) and the
+// the current tick would give: the clock is inside [At, Texp) and the
 // writes since en was evaluated hand the plan no Δ (revalidated, if there
 // were any) — or a patch away, when en can absorb every Δ. With adopt, a
 // revalidated entry takes the current epochs, so each entry × write pair is
@@ -561,7 +562,7 @@ func (e *Engine) freshness(en *cacheEntry, adopt bool) (state string, now xtime.
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	now = e.now
-	if now < en.at || now >= en.validUntil {
+	if !en.ev.Holds(now) {
 		return cacheExpired, now, false
 	}
 	absorb := false
@@ -595,8 +596,8 @@ func (e *Engine) cacheServe(c *resultCache, key string, tid trace.ID) (res Query
 	}
 	state, now, revalidated := e.freshness(en, true)
 	if state == cachePatch {
-		src = &cacheEntry{key: key, rel: en.rel.SnapshotShared(now), at: en.at, validUntil: en.validUntil,
-			tables: slices.Clone(en.tables), mono: en.mono}
+		src = &cacheEntry{key: key, ev: en.ev, tables: slices.Clone(en.tables), mono: en.mono}
+		src.ev.Rel = en.ev.Rel.SnapshotShared(now)
 		c.mu.Unlock()
 		return QueryResult{}, src, false
 	}
@@ -611,27 +612,22 @@ func (e *Engine) cacheServe(c *resultCache, key string, tid trace.ID) (res Query
 		return QueryResult{}, nil, false
 	}
 	c.touch(en)
-	snap := en.rel.SnapshotShared(now)
+	res = en.served(now)
 	c.mu.Unlock()
 	c.m.Hits.Inc()
 	if revalidated {
 		c.m.Revalidations.Inc()
 	}
 	c.m.HitNanos.Observe(time.Since(start).Nanoseconds())
-	e.events.Emit(trace.Event{Trace: tid, Kind: trace.EvCacheHit, Tick: now, Texp: en.validUntil})
-	return QueryResult{
-		Rel:      snap,
-		At:       now,
-		Validity: interval.Validity{At: en.at, ValidUntil: en.validUntil},
-		Cached:   true,
-	}, nil, true
+	e.events.Emit(trace.Event{Trace: tid, Kind: trace.EvCacheHit, Tick: now, Texp: en.ev.Texp})
+	return res, nil, true
 }
 
 // cacheStore inserts (or replaces) the entry for en.key, schedules its
 // expiry on the cache pq, and evicts from the LRU tail past capacity.
 // Results whose window is already empty are not worth storing.
 func (e *Engine) cacheStore(c *resultCache, en *cacheEntry) {
-	if en.validUntil <= en.at {
+	if !en.ev.Holds(en.ev.At) {
 		return
 	}
 	c.mu.Lock()
@@ -640,10 +636,10 @@ func (e *Engine) cacheStore(c *resultCache, en *cacheEntry) {
 	}
 	c.entries[en.key] = en
 	c.pushFront(en)
-	if c.pq.Push(en.key, en.validUntil); c.pq.Bloated(len(c.entries)) {
+	if c.pq.Push(en.key, en.ev.Texp); c.pq.Bloated(len(c.entries)) {
 		c.pq = index.NewTexpHeap()
 		for k, live := range c.entries {
-			c.pq.Push(k, live.validUntil)
+			c.pq.Push(k, live.ev.Texp)
 		}
 	}
 	var evicted int64
@@ -657,10 +653,10 @@ func (e *Engine) cacheStore(c *resultCache, en *cacheEntry) {
 	}
 }
 
-// cacheExpire drops every entry whose ValidUntil the clock has reached.
+// cacheExpire drops every entry whose Texp the clock has reached.
 // It runs inside the Advance pipeline — the same heartbeat that expires
 // tuples — after the clock has moved, so an entry is never servable at or
-// past its ValidUntil whether the lookup or the drain gets there first
+// past its Texp whether the lookup or the drain gets there first
 // (lookups re-check the window themselves).
 func (e *Engine) cacheExpire(to xtime.Time, tid trace.ID) {
 	c := e.cache.Load()
@@ -673,7 +669,7 @@ func (e *Engine) cacheExpire(to xtime.Time, tid trace.ID) {
 		if !ok {
 			return 0, false
 		}
-		return en.validUntil, true
+		return en.ev.Texp, true
 	}, func(key string, _ xtime.Time) { c.drop(c.entries[key]) }))
 	c.mu.Unlock()
 	if n > 0 {

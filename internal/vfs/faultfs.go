@@ -17,7 +17,7 @@ import (
 var ErrInjected = errors.New("vfs: injected fault")
 
 // FaultFS wraps another FS with a deterministic fault script — the
-// faultconn idiom applied to disk. All faults are armed explicitly and
+// faultconntest idiom applied to disk. All faults are armed explicitly and
 // fire at exact operation counts; nothing is random, so a failing test
 // reproduces byte-for-byte. The zero schedule is fully transparent.
 //

@@ -268,7 +268,7 @@ func TestStoredFutureEqualsRecomputation(t *testing.T) {
 					}
 					return xtime.Infinity
 				}
-				next, held := recomputeAt(0), v.mat.Len()
+				next, held := recomputeAt(0), v.ev.Rel.Len()
 				for tau := xtime.Time(0); tau <= horizon; tau++ {
 					rel, info, err := v.Read(tau)
 					if err != nil {
@@ -295,8 +295,8 @@ func TestStoredFutureEqualsRecomputation(t *testing.T) {
 					if info.PatchesApplied > 0 || info.Source == SourceRecomputed {
 						held = fresh.Rel.CountAt(tau)
 					}
-					if v.mat.Len() > held {
-						t.Fatalf("%s: the materialisation holds %d rows, %d were alive at its last birth", label(tau), v.mat.Len(), held)
+					if v.ev.Rel.Len() > held {
+						t.Fatalf("%s: the materialisation holds %d rows, %d were alive at its last birth", label(tau), v.ev.Rel.Len(), held)
 					}
 					// The stamp: nothing born since At, true at Until − 1, false
 					// at Until.

@@ -17,15 +17,8 @@ import (
 // invalidation.
 type Incremental struct {
 	root  algebra.Expr
-	nodes map[algebra.Expr]*nodeState
+	nodes map[algebra.Expr]*algebra.Evaluation // Texp: min of the node's own and its children's
 	stats IncStats
-}
-
-// nodeState caches one operator's materialisation.
-type nodeState struct {
-	mat   *relation.Relation
-	matAt xtime.Time
-	texp  xtime.Time // min of the node's own texp and its children's
 }
 
 // IncStats counts per-operator recomputations.
@@ -37,7 +30,7 @@ type IncStats struct {
 
 // NewIncremental builds a per-operator maintainer for expr.
 func NewIncremental(expr algebra.Expr) *Incremental {
-	return &Incremental{root: expr, nodes: make(map[algebra.Expr]*nodeState)}
+	return &Incremental{root: expr, nodes: make(map[algebra.Expr]*algebra.Evaluation)}
 }
 
 // Stats returns the recomputation counters.
@@ -52,7 +45,7 @@ func (inc *Incremental) Eval(tau xtime.Time) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return st.mat, nil
+	return st.Rel, nil
 }
 
 // Texp returns the current root expiration time (valid after an Eval).
@@ -61,11 +54,11 @@ func (inc *Incremental) Texp() (xtime.Time, error) {
 	if !ok {
 		return 0, fmt.Errorf("view: incremental maintainer not evaluated yet")
 	}
-	return st.texp, nil
+	return st.Texp, nil
 }
 
-func (inc *Incremental) eval(e algebra.Expr, tau xtime.Time) (*nodeState, error) {
-	if st, ok := inc.nodes[e]; ok && tau >= st.matAt && tau < st.texp {
+func (inc *Incremental) eval(e algebra.Expr, tau xtime.Time) (*algebra.Evaluation, error) {
+	if st, ok := inc.nodes[e]; ok && st.Holds(tau) {
 		// Theorem 2: the cached materialisation, filtered by expτ, equals
 		// recomputation while τ < texp(e).
 		inc.stats.NodeCached++
@@ -82,8 +75,8 @@ func (inc *Incremental) eval(e algebra.Expr, tau xtime.Time) (*nodeState, error)
 			if err != nil {
 				return nil, err
 			}
-			texp = xtime.Min(texp, cst.texp)
-			replaced[i] = algebra.NewBase(fmt.Sprintf("cached%d", i), cst.mat)
+			texp = xtime.Min(texp, cst.Texp)
+			replaced[i] = algebra.NewBase(fmt.Sprintf("cached%d", i), cst.Rel)
 		}
 		var err error
 		rebuilt, err = algebra.ReplaceChildren(e, replaced)
@@ -98,13 +91,13 @@ func (inc *Incremental) eval(e algebra.Expr, tau xtime.Time) (*nodeState, error)
 	if err != nil {
 		return nil, err
 	}
-	st := &nodeState{mat: ev.Rel, matAt: tau, texp: xtime.Min(texp, ev.Texp)}
-	inc.nodes[e] = st
-	return st, nil
+	ev.Texp = xtime.Min(texp, ev.Texp)
+	inc.nodes[e] = &ev
+	return &ev, nil
 }
 
 // Invalidate drops every cached materialisation (e.g. after base-data
 // updates, which are outside the paper's no-update assumption).
 func (inc *Incremental) Invalidate() {
-	inc.nodes = make(map[algebra.Expr]*nodeState)
+	inc.nodes = make(map[algebra.Expr]*algebra.Evaluation)
 }

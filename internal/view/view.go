@@ -213,12 +213,9 @@ type View struct {
 	recovery Recovery
 	patching bool
 
-	mat      *relation.Relation
-	matAt    xtime.Time
-	texp     xtime.Time // texp(e) as of matAt; with births kept, the arguments' only
+	ev       algebra.Evaluation // the materialisation; births kept when patching
 	validity interval.Set
-	births   algebra.Births // the rows mat will show next (patching)
-	budget   int            // max births kept; 0 = unlimited (§3.4.2 trade-off)
+	budget   int // max births kept; 0 = unlimited (§3.4.2 trade-off)
 	stats    Stats
 	agg      *AggMetrics // cross-view totals, shared when WithAggregate gave them
 	// recomputeNanos is the latency distribution of read-triggered full
@@ -324,13 +321,12 @@ func (v *View) Materialize(tau xtime.Time) error {
 	// With every birth kept only the arguments' own expiration remains of
 	// texp(e) (Theorem 3) — unless a budget bounds them (§3.4.2): then the
 	// materialisation is good up to the first birth that did not fit.
-	v.mat, v.matAt = ev.Rel, tau
-	v.births, v.texp = ev.Patches(v.budget)
-	if evicted := ev.Births.Len() - v.births.Len(); evicted > 0 {
+	v.ev = ev
+	if evicted := v.ev.Budget(v.budget); evicted > 0 {
 		v.stats.BudgetEvictions += evicted
 		v.agg.BudgetEvictions.Add(int64(evicted))
 	}
-	v.validity = interval.NewSet(interval.Interval{Start: tau, End: v.texp})
+	v.validity = interval.NewSet(interval.Interval{Start: tau, End: v.ev.Texp})
 	if v.mode == ModeInterval && !v.patching {
 		val, err := algebra.Validity(v.expr, tau)
 		if err != nil {
@@ -342,10 +338,10 @@ func (v *View) Materialize(tau xtime.Time) error {
 }
 
 // Texp returns texp(e) for the current materialisation.
-func (v *View) Texp() xtime.Time { return v.texp }
+func (v *View) Texp() xtime.Time { return v.ev.Texp }
 
 // MaterializedAt returns the time of the current materialisation.
-func (v *View) MaterializedAt() xtime.Time { return v.matAt }
+func (v *View) MaterializedAt() xtime.Time { return v.ev.At }
 
 // Validity returns the validity intervals of the current materialisation.
 func (v *View) Validity() interval.Set { return v.validity }
@@ -360,12 +356,12 @@ func (v *View) RecomputeLatency() metrics.HistogramSnapshot {
 }
 
 // PendingPatches returns the number of births not yet applied.
-func (v *View) PendingPatches() int { return v.births.Len() }
+func (v *View) PendingPatches() int { return v.ev.Births.Len() }
 
 // valid reports whether the materialisation may answer a read at tau
 // without recovery.
 func (v *View) valid(tau xtime.Time) bool {
-	return tau >= v.matAt && v.mode != ModeAlwaysRecompute && v.validity.Contains(tau)
+	return tau >= v.ev.At && v.mode != ModeAlwaysRecompute && v.validity.Contains(tau)
 }
 
 // Read answers a query against the view at time tau: a snapshot of the
@@ -373,7 +369,7 @@ func (v *View) valid(tau xtime.Time) bool {
 // tuples never escape — the paper's requirement that expiration is
 // transparent to querying users.
 func (v *View) Read(tau xtime.Time) (*relation.Relation, ReadInfo, error) {
-	if v.mat == nil {
+	if v.ev.Rel == nil {
 		return nil, ReadInfo{}, fmt.Errorf("view %s: not materialised", v.name)
 	}
 	v.stats.Reads++
@@ -382,20 +378,11 @@ func (v *View) Read(tau xtime.Time) (*relation.Relation, ReadInfo, error) {
 	if err != nil {
 		return nil, ReadInfo{}, err
 	}
-	// The births due by the instant served are applied first; then the
-	// caller gets an immutable O(1) view of the materialisation (lazy
-	// alive-at-τ filter), which the next birth or refresh leaves alone.
-	v.mat, info.PatchesApplied = v.births.Apply(v.mat, info.At)
-	rel := v.mat.SnapshotShared(info.At)
-	// Texp is stamped last so a recomputing read reports the refreshed
-	// texp(e), not the one that just invalidated — and the validity
-	// window is derived from the same post-read state: the rows are the
-	// answer since the last birth they received and until the next.
-	info.Texp = v.texp
-	info.Validity = interval.Validity{
-		At:         xtime.Max(v.matAt, v.births.Since()),
-		ValidUntil: xtime.Min(v.texp, v.births.Next()),
-	}
+	// Stamped after serving, so a recomputing read reports the refreshed
+	// texp(e), not the one that just invalidated, and the window of the
+	// births just applied.
+	rel, applied := v.ev.Serve(info.At)
+	info.PatchesApplied, info.Texp, info.Validity = applied, v.ev.Texp, v.ev.Validity()
 	if !info.Validity.Contains(info.At) {
 		// Interval mode answered from a later stretch of the validity set
 		// than the first: the stamp is the stretch holding that instant.
@@ -438,7 +425,7 @@ func (v *View) resolve(tau xtime.Time) (ReadInfo, error) {
 	case RecoverReject:
 		return info, fmt.Errorf("%w: %s at %v (valid %s)", ErrInvalid, v.name, tau, v.validity)
 	case RecoverBackward:
-		if at, ok := v.validity.PrevIn(tau); ok && at >= v.matAt {
+		if at, ok := v.validity.PrevIn(tau); ok && at >= v.ev.At {
 			info.Source, info.At = SourceMovedBackward, at
 			return info, nil
 		}
@@ -462,5 +449,5 @@ func (v *View) resolve(tau xtime.Time) (ReadInfo, error) {
 // NeedsRecomputation reports whether a read at tau could not be served
 // from the materialisation.
 func (v *View) NeedsRecomputation(tau xtime.Time) bool {
-	return v.mat == nil || !v.valid(tau)
+	return v.ev.Rel == nil || !v.valid(tau)
 }

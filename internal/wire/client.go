@@ -95,7 +95,7 @@ func WithJitterSeed(seed int64) ClientOption {
 }
 
 // WithDialer substitutes the transport dialer — the seam through which
-// the faultconn harness injects drops, delays, truncated writes and
+// the faultconntest harness injects drops, delays, truncated writes and
 // partitions.
 func WithDialer(dial func(addr string) (net.Conn, error)) ClientOption {
 	return func(c *clientConfig) { c.dialer = dial }
@@ -126,10 +126,7 @@ type Client struct {
 	query       string
 	wantPatches bool
 	patchBudget int
-	mat         *relation.Relation
-	matAt       xtime.Time
-	texp        xtime.Time
-	births      algebra.Births // the rows mat will show next, as shipped
+	mat         algebra.Evaluation // the local copy, births as shipped
 	lastTrace   trace.ID
 
 	// Maintenance counters for experiments.
@@ -414,7 +411,7 @@ func (c *Client) MaterializeContext(ctx context.Context, query string, withPatch
 	}
 	c.query, c.wantPatches, c.patchBudget = query, withPatches, budget
 	c.lastTrace = trace.ID(resp.TraceID)
-	c.mat, c.matAt, c.texp, c.births = resp.rel, resp.Now, resp.Texp, resp.births
+	c.mat = algebra.Evaluation{Rel: resp.rel, At: resp.Now, Texp: resp.Texp, Births: resp.births}
 	if resp.Cached {
 		c.ServerCacheHits++
 	}
@@ -422,15 +419,14 @@ func (c *Client) MaterializeContext(ctx context.Context, query string, withPatch
 }
 
 // Texp returns the expiration time of the local materialisation.
-func (c *Client) Texp() xtime.Time { return c.texp }
+func (c *Client) Texp() xtime.Time { return c.mat.Texp }
 
-// Validity returns the local copy's validity window [matAt, texp): the
-// span of ticks Read answers with zero round trips. The same interval a
-// Result carries locally, so remote and embedded readers reason about
-// freshness in one currency.
-func (c *Client) Validity() interval.Validity {
-	return interval.Validity{At: c.matAt, ValidUntil: c.texp}
-}
+// Validity returns the stamp of the last answer Read gave: the rows are the
+// answer since the copy was fetched or the last birth applied to it, and
+// until its texp or the next pending birth. The same interval a Result
+// carries locally, so remote and embedded readers reason about freshness in
+// one currency.
+func (c *Client) Validity() interval.Validity { return c.mat.Validity() }
 
 // LastTraceID returns the trace ID of the most recent materialisation,
 // as confirmed by the server — the key for finding this fetch in the
@@ -444,34 +440,34 @@ func (c *Client) Read(tau xtime.Time) (*relation.Relation, error) {
 }
 
 // ReadContext is Read under a caller-supplied deadline. This is where
-// the paper's validity guarantee turns into availability: while
-// matAt <= tau < texp the local copy is provably the correct answer
-// (Theorem 1), so a network partition degrades reads instead of failing
-// them — zero round trips, zero errors. Only a read outside the validity
+// the paper's validity guarantee turns into availability: while the copy
+// Holds tau (fetched at or before tau, and tau < texp) it is provably the
+// correct answer (Theorem 1), so a network partition degrades reads instead
+// of failing them — zero round trips, zero errors. Only a read outside the validity
 // window touches the network, reconnecting with capped backoff first if
 // the client is degraded; ErrDegraded surfaces only when the copy is
 // invalid AND every reconnect attempt failed.
 func (c *Client) ReadContext(ctx context.Context, tau xtime.Time) (*relation.Relation, error) {
-	if c.mat == nil {
+	if c.mat.Rel == nil {
 		return nil, fmt.Errorf("wire: client has no materialisation")
 	}
 	// Births due are applied (and counted) whether or not the copy is then
 	// found invalid and replaced: PatchesApplied keeps its meaning (E10).
-	var applied int
-	c.mat, applied = c.births.Apply(c.mat, tau)
+	// The caller gets a shared immutable snapshot of the local copy.
+	rel, applied := c.mat.Serve(tau)
 	c.PatchesApplied += applied
-	if tau >= c.texp || tau < c.matAt {
+	if !c.mat.Holds(tau) {
 		if err := c.MaterializeContext(ctx, c.query, c.wantPatches, c.patchBudget); err != nil {
 			return nil, err
 		}
 		c.Rematerializations++
+		rel, applied = c.mat.Serve(tau)
+		c.PatchesApplied += applied
 	} else {
 		c.LocalReads++
 		if c.State() == StateDegraded {
 			c.DegradedReads++
 		}
 	}
-	// Zero-copy: the caller gets a shared immutable snapshot of the local
-	// materialisation; later births or rematerialisations leave it alone.
-	return c.mat.SnapshotShared(tau), nil
+	return rel, nil
 }

@@ -1,7 +1,7 @@
 package wire
 
 // Fault-injection suite: every failure mode the wire layer claims to
-// survive is reproduced deterministically through the faultconn harness
+// survive is reproduced deterministically through the faultconntest harness
 // — partitions, truncated writes, server restarts, oversized and
 // malformed messages, handler panics, accept-loop hiccups — and each
 // test asserts both the behaviour (degraded-but-valid reads, clean
@@ -18,7 +18,7 @@ import (
 	"time"
 
 	"expdb/internal/trace"
-	"expdb/internal/wire/faultconn"
+	"expdb/internal/wire/faultconntest"
 	"expdb/internal/xtime"
 )
 
@@ -34,22 +34,22 @@ func fastOpts(extra ...ClientOption) []ClientOption {
 	return append(opts, extra...)
 }
 
-// partitionDialer routes every dial through faultconn and lets the test
+// partitionDialer routes every dial through faultconntest and lets the test
 // cut or heal the network for all existing and future connections at
 // once — a full one-way (or two-way) partition of this client.
 type partitionDialer struct {
 	mu          sync.Mutex
 	partitioned bool
-	conns       []*faultconn.Conn
+	conns       []*faultconntest.Conn
 }
 
 func (p *partitionDialer) dial(addr string) (net.Conn, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.partitioned {
-		return nil, errors.New("faultconn: dial lost in partition")
+		return nil, errors.New("faultconntest: dial lost in partition")
 	}
-	fc, err := faultconn.Dial(addr)
+	fc, err := faultconntest.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -442,7 +442,7 @@ func TestAcceptLoopRetriesTemporaryErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := faultconn.NewListener(inner, nil)
+	fl := faultconntest.NewListener(inner, nil)
 	fl.FailNextAccepts(3)
 	srv.Serve(fl)
 	t.Cleanup(func() { srv.Close() })

@@ -1,4 +1,4 @@
-// Package faultconn is a deterministic fault-injection harness for the
+// Package faultconntest is a deterministic fault-injection harness for the
 // wire layer: a net.Conn wrapper (and a matching net.Listener wrapper)
 // that injects drops, failures, truncated writes and one-way partitions on
 // command. Every fault is scripted explicitly — nothing is random — so a
@@ -9,7 +9,7 @@
 // on the live connection, which exercises exactly the code paths a real
 // partition would (blocked reads hitting deadlines, writes vanishing
 // into a black hole, accept loops seeing transient errors).
-package faultconn
+package faultconntest
 
 import (
 	"errors"
@@ -18,7 +18,7 @@ import (
 )
 
 // ErrInjected is the base error returned by scripted hard failures.
-var ErrInjected = errors.New("faultconn: injected fault")
+var ErrInjected = errors.New("faultconntest: injected fault")
 
 // Conn wraps a net.Conn with scriptable faults. The zero-fault wrapper
 // is transparent. All methods are safe for concurrent use with the
@@ -118,7 +118,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 	}
 	c.mu.Unlock()
 	if fail {
-		return 0, &net.OpError{Op: "read", Net: "faultconn", Err: ErrInjected}
+		return 0, &net.OpError{Op: "read", Net: "faultconntest", Err: ErrInjected}
 	}
 	for {
 		n, err := c.Conn.Read(p)
@@ -146,7 +146,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 	c.truncateNextWrite = -1
 	c.mu.Unlock()
 	if fail {
-		return 0, &net.OpError{Op: "write", Net: "faultconn", Err: ErrInjected}
+		return 0, &net.OpError{Op: "write", Net: "faultconntest", Err: ErrInjected}
 	}
 	if trunc >= 0 {
 		if trunc > len(p) {
@@ -157,7 +157,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 				return n, err
 			}
 		}
-		return trunc, &net.OpError{Op: "write", Net: "faultconn", Err: ErrInjected}
+		return trunc, &net.OpError{Op: "write", Net: "faultconntest", Err: ErrInjected}
 	}
 	if drop {
 		return len(p), nil // vanished into the partition
@@ -169,7 +169,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 // accept failures (ECONNABORTED, EMFILE) do.
 type tempError struct{}
 
-func (tempError) Error() string   { return "faultconn: injected temporary error" }
+func (tempError) Error() string   { return "faultconntest: injected temporary error" }
 func (tempError) Timeout() bool   { return false }
 func (tempError) Temporary() bool { return true }
 

@@ -1,4 +1,4 @@
-package faultconn
+package faultconntest
 
 import (
 	"errors"

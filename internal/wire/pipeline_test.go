@@ -12,6 +12,7 @@ import (
 
 	"expdb/internal/algebra"
 	"expdb/internal/engine"
+	"expdb/internal/interval"
 	"expdb/internal/relation"
 	"expdb/internal/relation/reltest"
 	"expdb/internal/sql"
@@ -69,7 +70,7 @@ func benchEngine(t testing.TB, rows int, indexDDL []string) (*engine.Engine, *sq
 	return eng, sess
 }
 
-func serve(t *testing.T, eng *engine.Engine) (*Server, *Client) {
+func serve(t testing.TB, eng *engine.Engine) (*Server, *Client) {
 	t.Helper()
 	srv := NewServer(eng, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -364,6 +365,40 @@ func TestRemoteCopyOfAViewExpiresWithTheView(t *testing.T) {
 			}
 		})
 	}
+	// A copy that keeps its future is stamped as the view is: until its next
+	// birth, and from the last one it applied.
+	t.Run("patched", func(t *testing.T) {
+		const q = "SELECT uid FROM pol EXCEPT SELECT uid FROM el"
+		eng := figure1Engine(t)
+		if _, err := sql.NewSession(eng, nil).Exec("CREATE VIEW onlypol AS " + q); err != nil {
+			t.Fatal(err)
+		}
+		_, c := serve(t, eng)
+		if err := c.Materialize(q, true); err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			at   xtime.Time
+			want interval.Validity
+		}{{0, interval.Validity{At: 0, ValidUntil: 3}}, {4, interval.Validity{At: 3, ValidUntil: 5}}} {
+			if err := eng.Advance(tc.at); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Read(tc.at); err != nil {
+				t.Fatal(err)
+			}
+			_, info, err := eng.ReadView("onlypol")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Validity() != info.Validity || info.Validity != tc.want {
+				t.Fatalf("read at %v: remote copy stamped %v, the view %v, want %v", tc.at, c.Validity(), info.Validity, tc.want)
+			}
+		}
+		if c.Rematerializations != 0 {
+			t.Fatalf("a copy that keeps its future was fetched again (%d times)", c.Rematerializations)
+		}
+	})
 }
 
 // TestMovedViewOverTheWire: while a recovery=backward view is invalid its
@@ -498,4 +533,66 @@ func BenchmarkWireRespondPoint(b *testing.B) {
 			b.Fatalf("%s: %d rows, err %q", reqs[i%len(reqs)].Query, rowsOf(resp), resp.Err)
 		}
 	}
+}
+
+// BenchmarkClientLocalRead is a read a remote copy that keeps its future
+// answers with no round trip: "serve" with no birth due, the shared snapshot
+// alone; "birth" applying one, the copy of the few live rows a birth is owed
+// plus the row born. The copy is a − b with 1 000 births, k born at k;
+// fetching it again once they are used up is not timed
+// (scripts/alloc-gates.sh).
+func BenchmarkClientLocalRead(b *testing.B) {
+	eng := engine.New()
+	sess := sql.NewSession(eng, nil)
+	exec := func(q string) {
+		if _, err := sess.Exec(q); err != nil {
+			b.Fatalf("%s: %v", q, err)
+		}
+	}
+	exec("CREATE TABLE a (k INT)")
+	exec("CREATE TABLE b (k INT)")
+	const births = 1000
+	for k := 1; k <= births; k++ {
+		exec(fmt.Sprintf("INSERT INTO a VALUES (%d) EXPIRES AT %d", k, k+5))
+		exec(fmt.Sprintf("INSERT INTO b VALUES (%d) EXPIRES AT %d", k, k))
+	}
+	_, c := serve(b, eng)
+	fetch := func() {
+		if err := c.Materialize("SELECT k FROM a EXCEPT SELECT k FROM b", true); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("serve", func(b *testing.B) {
+		fetch()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if rel, err := c.Read(0); err != nil || rel.CountAt(0) != 0 {
+				b.Fatalf("read at 0: %v", err)
+			}
+		}
+		if c.PatchesApplied != 0 || c.Rematerializations != 0 {
+			b.Fatalf("%d births applied, %d refetches", c.PatchesApplied, c.Rematerializations)
+		}
+	})
+	b.Run("birth", func(b *testing.B) {
+		fetch()
+		applied := c.PatchesApplied
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			at := xtime.Time(1 + i%births)
+			if at == 1 && i > 0 {
+				b.StopTimer()
+				fetch()
+				b.StartTimer()
+			}
+			if rel, err := c.Read(at); err != nil || rel.CountAt(at) != int(min(at, 5)) {
+				b.Fatalf("read at %v: %v", at, err)
+			}
+		}
+		if c.PatchesApplied-applied != b.N || c.Rematerializations != 0 {
+			b.Fatalf("%d births applied in %d reads, %d refetches", c.PatchesApplied-applied, b.N, c.Rematerializations)
+		}
+	})
 }

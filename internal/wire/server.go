@@ -520,13 +520,11 @@ func (s *Server) evaluate(sess *sql.Session, plan *sql.Plan, req *Request, resp 
 		// concurrently. The optimiser keeps the root's shape, so they are
 		// still there to ship.
 		var ev algebra.Evaluation
-		var now xtime.Time
 		err := s.eng.Inspect(plan.Physical, func(at xtime.Time) (err error) {
 			if at >= plan.Until {
 				return fmt.Errorf("wire: plan expired: it reads a view snapshot valid until %s and the clock is at %s: %w",
 					plan.Until, at, view.ErrInvalid)
 			}
-			now = at
 			ev, err = algebra.Materialize(plan.Physical, at)
 			return err
 		})
@@ -535,8 +533,8 @@ func (s *Server) evaluate(sess *sql.Session, plan *sql.Plan, req *Request, resp 
 		}
 		// Ship the births, soonest first; a budget keeps the earliest and
 		// pulls Texp back to the first that did not fit (§3.4.2).
-		births, texp := ev.Patches(req.PatchBudget)
-		rel, resp.Now, resp.Texp, resp.births = ev.Rel, now, xtime.Min(texp, plan.Until), births
+		ev.Budget(req.PatchBudget)
+		rel, resp.Now, resp.Texp, resp.births = ev.Rel, ev.At, xtime.Min(ev.Texp, plan.Until), ev.Births
 	}
 	// A relation is a set and the client rebuilds one: no order is owed.
 	resp.rel = rel

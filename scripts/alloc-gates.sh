@@ -34,6 +34,7 @@ BenchmarkPlanPoint             ./internal/sql     21 Session.Plan of a parsed po
 BenchmarkPlanRange             ./internal/sql     31 the same for a two-bound range over the unindexed column: the conjunction and its two comparisons, scanned (measured 31)
 BenchmarkPlanJoin              ./internal/sql     59 the same for a two-table join with a WHERE on each side: both conjuncts pushed below the join and renumbered into their sides (measured 59)
 BenchmarkPlanExcept            ./internal/sql     65 the same for an EXCEPT of two selections: two lowerings, one key (measured 65)
+BenchmarkClientLocalRead       ./internal/wire    9  a remote copy that keeps its future read locally, through the same Serve as a view read: the shared snapshot when no birth is due (measured 1); a birth applied, the copy of the few live rows it is owed and the row born (measured 9)
 BenchmarkWireCodec             ./internal/wire    211 a 100-row response appended to a reused frame buffer and decoded: per row only the decoded tuple and its set key; the answer relation, sized by the row count, its schema and the response are the constant (measured 211)
 '
 
