@@ -172,7 +172,7 @@ func checkScan(t *testing.T, rng *rand.Rand) {
 		switch op := rng.Intn(4); {
 		case op == 0 && len(stored) > 0:
 			k := rng.Intn(len(stored))
-			rel.Delete(stored[k])
+			rel.DeleteKey(stored[k].Key())
 			stored = slices.Delete(stored, k, k+1)
 		case op == 1 && len(stored) > 0:
 			rel.Insert(stored[rng.Intn(len(stored))], texp+5) // extends, or not

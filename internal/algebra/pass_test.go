@@ -140,6 +140,7 @@ func checkAgainstReference(t *testing.T, label string, e Expr, tau xtime.Time) {
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
+	checkDistinct(t, label, e, ev.Rel)
 	if !reltest.EqualAt(ev.Rel, want, tau) {
 		t.Fatalf("%s: rows differ\npass:\n%s\nreference:\n%s", label, ev.Rel.Render(tau), want.Render(tau))
 	}
@@ -149,6 +150,9 @@ func checkAgainstReference(t *testing.T, label string, e Expr, tau xtime.Time) {
 	// The readers of the same walk, at every node: ExprTexp is the texp its
 	// Stream returns, and Validity holds [τ, texp(n)[.
 	Walk(e, func(n Expr) {
+		if rel, _, err := collect(n, tau); err == nil {
+			checkDistinct(t, label, n, rel)
+		}
 		texp, err := n.Stream(tau, func(relation.Row) {})
 		if got := mustTexp(t, n, tau); err != nil || got != texp {
 			t.Fatalf("%s: at %s ExprTexp = %v, Stream's texp %v (%v)", label, n, got, texp, err)
@@ -212,6 +216,18 @@ func checkAgainstReference(t *testing.T, label string, e Expr, tau xtime.Time) {
 			t.Fatal(err)
 		}
 		sameHelperRows(t, label+": Helper", got, helper)
+	}
+}
+
+// checkDistinct fails unless rel, e collected, holds as many rows as
+// distinct tuples: a stream duplicateFree declares a set is appended as it
+// comes, so a wrong declaration leaves a tuple in it twice.
+func checkDistinct(t *testing.T, label string, e Expr, rel *relation.Relation) {
+	t.Helper()
+	keys := make(map[string]bool)
+	rel.All(func(row relation.Row) { keys[row.Tuple.Key()] = true })
+	if len(keys) != rel.Len() {
+		t.Fatalf("%s: at %s (duplicate-free: %v) %d rows hold %d distinct tuples", label, e, duplicateFree(e), rel.Len(), len(keys))
 	}
 }
 
@@ -285,7 +301,7 @@ func reinserted(t *testing.T, rng *rand.Rand, b *Base) *Base {
 		r.Insert(row.Tuple, row.Texp)
 		if i%3 == 0 {
 			again = append(again, rows[i/2])
-			r.Delete(rows[i/2].Tuple)
+			r.DeleteKey(rows[i/2].Tuple.Key())
 		}
 	}
 	for _, row := range again {

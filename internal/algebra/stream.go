@@ -34,11 +34,17 @@ import (
 
 // collect gathers the stream of e into a relation. Its duplicate handling
 // (max texp wins) is the single point of duplicate elimination for the
-// monotonic pipeline below it.
+// monotonic pipeline below it; a stream that is duplicate-free is already
+// the set, and is appended without a set key per row.
 func collect(e Expr, tau xtime.Time) (*relation.Relation, xtime.Time, error) {
 	out := relation.New(e.Schema())
+	distinct := duplicateFree(e)
 	texp, err := e.Stream(tau, func(row relation.Row) {
-		out.InsertOwnedRow(row)
+		if distinct {
+			out.AppendDistinct(row)
+		} else {
+			out.InsertOwnedRow(row)
+		}
 	})
 	if err != nil {
 		return nil, 0, err
@@ -158,15 +164,38 @@ func Materialize(e Expr, tau xtime.Time) (Evaluation, error) {
 	return ev, err
 }
 
-// duplicateFree reports whether e streams each result tuple once, so that
-// a pipeline breaker can take the stream for the set it needs.
+// duplicateFree reports whether e streams each result tuple at most once,
+// so that its stream is already the set its formulas define: a collector
+// appends it, and a pipeline breaker takes it for the set it needs. Only a
+// π that drops a column and ∪ derive a tuple twice; ∩, ⋈ and × concatenate
+// or keep whole tuples of inputs that are sets, and the non-monotonic
+// operators make one row per input row or partition of a set.
 func duplicateFree(e Expr) bool {
 	switch n := e.(type) {
 	case *Base, *IndexScan, *Agg, *Diff:
 		return true
 	case *Select:
 		return duplicateFree(n.Child)
-	default:
-		return false
+	case *Intersect:
+		return duplicateFree(n.Left)
+	case *Join:
+		return duplicateFree(n.Left) && duplicateFree(n.Right)
+	case *Product:
+		return duplicateFree(n.Left) && duplicateFree(n.Right)
+	case *Project:
+		kept := func(c int) bool { return slices.Contains(n.Cols, c) }
+		if a, ok := n.Grouped(); ok {
+			return !slices.ContainsFunc(a.GroupCols, func(c int) bool { return !kept(c) })
+		}
+		if !duplicateFree(n.Child) {
+			return false
+		}
+		for c := range n.Child.Schema().Arity() {
+			if !kept(c) {
+				return false
+			}
+		}
+		return true
 	}
+	return false
 }

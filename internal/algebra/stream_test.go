@@ -10,6 +10,7 @@ import (
 	"expdb/internal/relation"
 	"expdb/internal/relation/reltest"
 	"expdb/internal/tuple"
+	"expdb/internal/value"
 	"expdb/internal/xtime"
 )
 
@@ -35,6 +36,58 @@ func TestStreamEvalEquivalenceNonMonotonic(t *testing.T) {
 		bases := []*Base{randRel(rng, "R"), randRel(rng, "S"), randRel(rng, "T")}
 		e := randExpr(rng, bases, 1+rng.Intn(3), false)
 		checkAgainstReference(t, fmt.Sprintf("trial %d: %s", trial, e), e, xtime.Time(rng.Intn(10)))
+	}
+}
+
+// TestDuplicateFreeDeclarations pins duplicateFree for every operator: a
+// leaf, an aggregation and a difference stream a set; σ, ⋈, × and a π that
+// keeps every column do when their inputs do, ∩ when its left input does,
+// and a GROUP BY when it keeps every grouping column; a π that drops a
+// column and ∪ never do.
+func TestDuplicateFreeDeclarations(t *testing.T) {
+	must := func(e Expr, err error) Expr {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	p, e := pol(), el()
+	uid := must(NewProject([]int{0}, p)) // collides: Pol has two rows of Deg 25
+	deg := ColConst{Col: 1, Op: OpEq, Const: value.Int(25)}
+	agg := must(NewAgg([]int{1}, []AggFunc{countStar()}, PolicyExact, p))
+	for _, c := range []struct {
+		name string
+		e    Expr
+		want bool
+	}{
+		{"base", p, true},
+		{"index scan", NewIndexScan(p.(*Base), "pol_deg", deg, nil), true},
+		{"agg", agg, true},
+		{"diff", must(NewDiff(p, e)), true},
+		{"diff of colliding inputs", must(NewDiff(uid, must(NewProject([]int{0}, e)))), true},
+		{"σ", must(NewSelect(deg, p)), true},
+		{"σ over π dropping a column", must(NewSelect(ColConst{Col: 0, Op: OpEq, Const: value.Int(25)}, must(NewProject([]int{1}, p)))), false},
+		{"π keeping every column", must(NewProject([]int{1, 0}, p)), true},
+		{"π keeping every column and one twice", must(NewProject([]int{0, 1, 0}, p)), true},
+		{"π keeping every column of a ∪", must(NewProject([]int{0, 1}, must(NewUnion(p, e)))), false},
+		{"π dropping a column", uid, false},
+		{"group by", must(GroupBy([]int{1}, []AggFunc{countStar()}, PolicyExact, p)), true},
+		{"group by dropping its grouping column", must(NewProject([]int{2}, agg)), false},
+		{"π of an aggregation dropping a column", must(NewProject([]int{0, 2}, agg)), false},
+		{"⋈", must(EquiJoin(p, 0, e, 0)), true},
+		{"⋈ with a colliding left input", must(EquiJoin(uid, 0, e, 0)), false},
+		{"⋈ with a colliding right input", must(EquiJoin(p, 0, uid, 0)), false},
+		{"×", NewProduct(p, e), true},
+		{"× with a colliding input", NewProduct(p, uid), false},
+		{"∩", must(NewIntersect(p, e)), true},
+		{"∩ with a colliding right input", must(NewIntersect(p, must(NewUnion(p, e)))), true},
+		{"∩ with a colliding left input", must(NewIntersect(must(NewUnion(p, e)), p)), false},
+		{"∪", must(NewUnion(p, e)), false},
+	} {
+		if got := duplicateFree(c.e); got != c.want {
+			t.Errorf("%s, %s: duplicateFree %v, want %v", c.name, c.e, got, c.want)
+		}
 	}
 }
 

@@ -37,7 +37,8 @@ type Row struct {
 // per-table lock of its lock hierarchy (see DESIGN.md "Locking model"),
 // so concurrent access must go through Lock/RLock; relations used as
 // single-goroutine intermediates (operator results, snapshots) can skip
-// locking entirely and pay nothing.
+// locking entirely and pay nothing. A probe derives a key map not made yet
+// (AppendDistinct makes none): as far as locking goes, it is a write.
 //
 // Stored tuples are immutable: Insert clones caller-provided tuples, and
 // no reader may write into a tuple obtained from a relation. The
@@ -50,8 +51,9 @@ type Relation struct {
 	schema tuple.Schema
 	// slots is the row store: rows in insertion order, so expτ(R) is a walk
 	// in memory order. A deleted row leaves a hole (Texp == hole), listed in
-	// free until an insert reuses it or boundSlots squeezes it out. keys
-	// maps each stored tuple's set key to its slot. No key is kept beside a
+	// free until an insert reuses it or boundSlots squeezes it out (count).
+	// keys maps each stored tuple's set key to its slot, or is nil until a
+	// probe or a keyed write derives it (keyMap). No key is kept beside a
 	// row: a key is a function of its tuple, so the copy that must drop a
 	// row from keys re-derives it (Tuple.AppendKey).
 	slots []Row
@@ -120,7 +122,7 @@ type sortedRows struct {
 // for. Handles on different goroutines may race here: one sorts.
 func (s *sortedRows) of(r *Relation) []slot {
 	s.once.Do(func() {
-		s.perm = make([]slot, 0, len(r.keys))
+		s.perm = make([]slot, 0, r.count())
 		for i := range r.slots {
 			if r.slots[i].Texp != hole {
 				s.perm = append(s.perm, slot(i))
@@ -143,13 +145,7 @@ type NamedIndex struct {
 var lockSeq atomic.Uint64
 
 // New returns an empty relation with the given schema.
-func New(schema tuple.Schema) *Relation { return NewSized(schema, 0) }
-
-// NewSized is New with room for n rows, for a caller that knows how many it
-// is about to insert: the store and its key map never grow on the way.
-func NewSized(schema tuple.Schema, n int) *Relation {
-	return &Relation{order: lockSeq.Add(1), schema: schema, keys: make(map[string]slot, n), slots: make([]Row, 0, n)}
-}
+func New(schema tuple.Schema) *Relation { return &Relation{order: lockSeq.Add(1), schema: schema} }
 
 // Lock write-locks the relation.
 func (r *Relation) Lock() { r.mu.Lock() }
@@ -197,20 +193,41 @@ func (r *Relation) detach() {
 }
 
 // copyStore gives dst a private copy of r's store less the rows dead at
-// tau: two bulk clones, then each dead row is punched out — its slot made a
-// hole, its key re-derived into one scratch buffer and deleted (a map
-// delete by string(buf) does not allocate). Slot order survives the copy.
+// tau: bulk clones, then each dead row is punched out — its slot made a
+// hole, its key (if r keeps a map) re-derived into one scratch buffer and
+// deleted (a map delete by string(buf) does not allocate). Slot order
+// survives the copy.
 func (r *Relation) copyStore(dst *Relation, tau xtime.Time) {
 	dst.slots, dst.keys, dst.free = slices.Clone(r.slots), maps.Clone(r.keys), slices.Clone(r.free)
 	var key []byte
 	for i := range dst.slots {
 		if row := dst.slots[i]; row.Texp <= tau && row.Texp != hole {
-			key = row.Tuple.AppendKey(key[:0])
-			delete(dst.keys, string(key))
+			if dst.keys != nil {
+				key = row.Tuple.AppendKey(key[:0])
+				delete(dst.keys, string(key))
+			}
 			dst.release(slot(i))
 		}
 	}
 	dst.boundSlots()
+}
+
+// count is the number of stored rows: every hole is on the free list.
+func (r *Relation) count() int { return len(r.slots) - len(r.free) }
+
+// keyMap returns r.keys, deriving it from the rows on first use. Each
+// handle on a frozen store derives its own: a probe through one handle
+// writes nothing another can read.
+func (r *Relation) keyMap() map[string]slot {
+	if r.keys == nil {
+		r.keys = make(map[string]slot, r.count())
+		for i, row := range r.slots {
+			if row.Texp != hole {
+				r.keys[row.Tuple.Key()] = slot(i)
+			}
+		}
+	}
+	return r.keys
 }
 
 // release turns slot s into a hole an insert may reuse.
@@ -230,10 +247,10 @@ const slack = 1024
 // compaction is at least rows + slack deletes away: amortised O(1). Only
 // ever called on a private store; every slot number changes.
 func (r *Relation) boundSlots() {
-	if len(r.slots) <= 2*len(r.keys)+slack {
+	if len(r.slots) <= 2*r.count()+slack {
 		return
 	}
-	slots, moved := make([]Row, 0, len(r.keys)), make([]slot, len(r.slots))
+	slots, moved := make([]Row, 0, r.count()), make([]slot, len(r.slots))
 	for i, row := range r.slots {
 		if row.Texp != hole {
 			moved[i] = slot(len(slots))
@@ -251,11 +268,14 @@ func (r *Relation) boundSlots() {
 			r.ints[c] = kept
 		}
 	}
-	keys := make(map[string]slot, len(slots))
-	for k, s := range r.keys {
-		keys[k] = moved[s]
+	if r.keys != nil {
+		keys := make(map[string]slot, len(slots))
+		for k, s := range r.keys {
+			keys[k] = moved[s]
+		}
+		r.keys = keys
 	}
-	r.slots, r.keys, r.free = slots, keys, nil
+	r.slots, r.free = slots, nil
 }
 
 // Len returns the number of stored tuples, including ones that may already
@@ -263,7 +283,7 @@ func (r *Relation) boundSlots() {
 // A shared snapshot counts only the rows alive at its snapshot instant.
 func (r *Relation) Len() int {
 	if r.floor == 0 {
-		return len(r.keys)
+		return r.count()
 	}
 	return r.CountAt(r.floor)
 }
@@ -290,7 +310,7 @@ func (r *Relation) InsertKeyed(key string, t tuple.Tuple, texp xtime.Time) (chan
 // callers may retain but must not mutate.
 func (r *Relation) InsertStored(key string, t tuple.Tuple, texp xtime.Time) (stored tuple.Tuple, changed bool, prev xtime.Time, had bool) {
 	r.detach()
-	if s, ok := r.keys[key]; ok {
+	if s, ok := r.keyMap()[key]; ok {
 		stored, prev = r.slots[s].Tuple, r.slots[s].Texp
 		return stored, r.extend(key, s, texp), prev, true
 	}
@@ -329,7 +349,9 @@ func (r *Relation) place(key string, t tuple.Tuple, texp xtime.Time) {
 		r.slots = append(r.slots, Row{Tuple: t, Texp: texp})
 	}
 	r.setInts(s, t)
-	r.keys[key] = s
+	if r.keys != nil {
+		r.keys[key] = s
+	}
 	r.idxInsert(key, t, texp)
 }
 
@@ -355,12 +377,12 @@ func (r *Relation) setInts(s slot, t tuple.Tuple) {
 // InsertOwned is InsertKeyed for tuples the relation may store without a
 // defensive clone: tuples freshly built by an operator, or shared
 // immutable tuples already stored in another relation. key must equal
-// t.Key(). The streaming executor routes every operator result through
-// it, so tuples flow from base storage to query results without a single
-// copy.
+// t.Key(). The streaming executor routes every result that may derive a
+// tuple twice through it (the others through AppendDistinct), so tuples
+// flow from base storage to query results without a single copy.
 func (r *Relation) InsertOwned(key string, t tuple.Tuple, texp xtime.Time) bool {
 	r.detach()
-	if s, ok := r.keys[key]; ok {
+	if s, ok := r.keyMap()[key]; ok {
 		return r.extend(key, s, texp)
 	}
 	r.place(key, t, texp)
@@ -372,15 +394,23 @@ func (r *Relation) InsertOwnedRow(row Row) bool {
 	return r.InsertOwned(row.Tuple.Key(), row.Tuple, row.Texp)
 }
 
-// Delete removes the tuple equal to t, reporting whether it was present.
-func (r *Relation) Delete(t tuple.Tuple) bool {
-	return r.DeleteKey(t.Key())
+// AppendDistinct adds row, whose tuple the caller knows r does not hold —
+// a row of a duplicate-free stream or of a set a peer sent — without its
+// set key: a relation filled this way keeps no key map until one is needed.
+// Onto a relation that keeps a map, an index or column arrays, or shares its
+// store, it is InsertOwnedRow.
+func (r *Relation) AppendDistinct(row Row) {
+	if r.keys != nil || r.shared || r.indexes != nil || r.texpIdx != nil || r.ints != nil {
+		r.InsertOwnedRow(row)
+		return
+	}
+	r.place("", row.Tuple, row.Texp)
 }
 
 // DeleteKey removes the tuple stored under key (a value of Tuple.Key),
 // reporting whether it was present.
 func (r *Relation) DeleteKey(key string) bool {
-	s, ok := r.keys[key]
+	s, ok := r.keyMap()[key]
 	if !ok || r.slots[s].Texp <= r.floor {
 		return false
 	}
@@ -408,7 +438,7 @@ func (r *Relation) remove(key string, s slot) Row {
 // returned row's tuple is the relation's own storage: callers must not
 // mutate it, and should only retain it after deleting the row.
 func (r *Relation) RowByKey(key string) (Row, bool) {
-	s, ok := r.keys[key]
+	s, ok := r.keyMap()[key]
 	if !ok || r.slots[s].Texp <= r.floor {
 		return Row{}, false
 	}
@@ -429,7 +459,7 @@ func (r *Relation) TexpKey(key string) (xtime.Time, bool) {
 // Contains reports whether t ∈ expτ(R), i.e. t is present and unexpired at
 // time tau.
 func (r *Relation) Contains(t tuple.Tuple, tau xtime.Time) bool {
-	s, ok := r.keys[t.Key()]
+	s, ok := r.keyMap()[t.Key()]
 	return ok && r.slots[s].Texp > r.effTau(tau)
 }
 
@@ -542,7 +572,7 @@ func (s *IntSet) Has(v int64) bool {
 // map's iteration order.
 func (r *Relation) AliveKeyedAt(tau xtime.Time, fn func(key string, row Row)) {
 	keys := make([]string, len(r.slots))
-	for k, s := range r.keys {
+	for k, s := range r.keyMap() {
 		keys[s] = k
 	}
 	tau = r.effTau(tau)
@@ -597,7 +627,7 @@ func (r *Relation) SnapshotShared(tau xtime.Time) *Relation {
 		r.slots = slices.Clone(r.slots)
 	}
 	r.shared = true
-	if r.sorted == nil && len(r.keys) > 1 {
+	if r.sorted == nil && r.count() > 1 {
 		r.sorted = new(sortedRows)
 	}
 	return &Relation{
@@ -626,7 +656,7 @@ func (r *Relation) RemoveExpired(tau xtime.Time) []Row {
 		})
 		r.boundTexpIdx()
 	} else {
-		for k, s := range r.keys {
+		for k, s := range r.keyMap() {
 			if r.slots[s].Texp <= tau {
 				removed = append(removed, r.remove(k, s))
 			}
@@ -644,7 +674,7 @@ func (r *Relation) ExpiresBy(tau xtime.Time) bool {
 	if r.texpIdx != nil {
 		return r.texpIdx.Due(tau)
 	}
-	return len(r.keys) > 0
+	return r.count() > 0
 }
 
 // TexpPending returns the number of pairs in the texp-ordered index,
@@ -659,7 +689,7 @@ func (r *Relation) TexpPending() int {
 // currentTexp is the texp-heap's staleness oracle: the live expiration
 // time stored for key, if any.
 func (r *Relation) currentTexp(key string) (xtime.Time, bool) {
-	s, ok := r.keys[key]
+	s, ok := r.keyMap()[key]
 	if !ok {
 		return 0, false
 	}
@@ -671,7 +701,7 @@ func (r *Relation) currentTexp(key string) (xtime.Time, bool) {
 // set. Deterministic consumers (rendering, tests) want RowsSorted.
 func (r *Relation) Rows(tau xtime.Time) []Row {
 	tau = r.effTau(tau)
-	out := make([]Row, 0, len(r.keys))
+	out := make([]Row, 0, r.count())
 	for i := range r.slots {
 		if r.slots[i].Texp > tau {
 			out = append(out, r.slots[i])
@@ -829,7 +859,7 @@ func (r *Relation) EnableTexpIndex() {
 // finite-texp row.
 func (r *Relation) rebuildTexpIdx() {
 	th := index.NewTexpHeap()
-	for k, s := range r.keys {
+	for k, s := range r.keyMap() {
 		th.Push(k, r.slots[s].Texp)
 	}
 	r.texpIdx = th
@@ -841,7 +871,7 @@ func (r *Relation) rebuildTexpIdx() {
 // mutator that can break the bound calls it under the write lock it
 // already holds.
 func (r *Relation) boundTexpIdx() {
-	if r.texpIdx != nil && r.texpIdx.Bloated(len(r.keys)) {
+	if r.texpIdx != nil && r.texpIdx.Bloated(r.count()) {
 		r.rebuildTexpIdx()
 	}
 }

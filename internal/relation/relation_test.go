@@ -88,10 +88,10 @@ func TestInsertClones(t *testing.T) {
 
 func TestDelete(t *testing.T) {
 	r := pol()
-	if !r.Delete(tuple.Ints(1, 25)) {
+	if !r.DeleteKey(tuple.Ints(1, 25).Key()) {
 		t.Error("delete of present tuple must report true")
 	}
-	if r.Delete(tuple.Ints(1, 25)) {
+	if r.DeleteKey(tuple.Ints(1, 25).Key()) {
 		t.Error("second delete must report false")
 	}
 	if r.Len() != 2 {
@@ -120,7 +120,7 @@ func TestSnapshotIndependence(t *testing.T) {
 		// texp 10 and 15 are > 9.
 		t.Fatalf("snapshot size = %d, want 3", s.CountAt(9))
 	}
-	r.Delete(tuple.Ints(1, 25))
+	r.DeleteKey(tuple.Ints(1, 25).Key())
 	if s.CountAt(9) != 3 {
 		t.Error("snapshot must be independent of the source")
 	}
@@ -235,7 +235,7 @@ func TestTexpHeapBoundedUnderDeleteChurn(t *testing.T) {
 			texpBoundHolds(t, r, "insert")
 		}
 		for i := 0; i < live; i++ {
-			if !r.Delete(tuple.Ints(int64(round*live + i))) {
+			if !r.DeleteKey(tuple.Ints(int64(round*live + i)).Key()) {
 				t.Fatal("delete missed a live row")
 			}
 			texpBoundHolds(t, r, "delete")

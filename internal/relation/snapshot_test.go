@@ -86,10 +86,10 @@ func TestSnapshotSharedImmutableUnderSourceMutation(t *testing.T) {
 	snap := r.SnapshotShared(0)
 
 	for _, step := range []func(){
-		func() { r.Insert(tuple.Ints(3, 3), 30) }, // new tuple
-		func() { r.Insert(tuple.Ints(1, 1), 99) }, // lifetime extension
-		func() { r.Delete(tuple.Ints(2, 2)) },     // deletion
-		func() { r.RemoveExpired(15) },            // physical sweep
+		func() { r.Insert(tuple.Ints(3, 3), 30) },      // new tuple
+		func() { r.Insert(tuple.Ints(1, 1), 99) },      // lifetime extension
+		func() { r.DeleteKey(tuple.Ints(2, 2).Key()) }, // deletion
+		func() { r.RemoveExpired(15) },                 // physical sweep
 	} {
 		step()
 		arraysAgree(t, r)
@@ -199,7 +199,7 @@ func TestDeleteThroughACompactingDetach(t *testing.T) {
 	r.Insert(tuple.Ints(5000, 0), 100)
 	r.Insert(tuple.Ints(5001, 0), 100)
 	s := r.SnapshotShared(50)
-	if !s.Delete(tuple.Ints(5001, 0)) {
+	if !s.DeleteKey(tuple.Ints(5001, 0).Key()) {
 		t.Fatal("the snapshot's delete missed a live row")
 	}
 	if s.Len() != 1 || !s.Contains(tuple.Ints(5000, 0), 50) || len(s.slots) != 2 {
@@ -263,11 +263,11 @@ func TestIntArraysFollowTheSlots(t *testing.T) {
 	var snaps []*Relation
 	steps := []func(){
 		func() { r.Insert(tuple.Ints(100, 2, 0), 90) },
-		func() { r.Delete(tuple.Ints(7, 2, -7)) },
+		func() { r.DeleteKey(tuple.Ints(7, 2, -7).Key()) },
 		func() { r.Insert(tuple.Ints(101, 3, 1), 90) }, // into slot 7
 		func() { r.Insert(tuple.Ints(3, 3, -3), 95) },
 		func() { snaps = append(snaps, r.SnapshotShared(20), r.Snapshot(0), r.Snapshot(r.floor)) },
-		func() { r.Delete(tuple.Ints(30, 0, -30)) }, // detaches, dropping the rows dead at the floor
+		func() { r.DeleteKey(tuple.Ints(30, 0, -30).Key()) }, // detaches, dropping the rows dead at the floor
 		func() {
 			for i := int64(0); i < 2000; i++ {
 				r.Insert(tuple.Ints(1000+i, i%5, i), 30)

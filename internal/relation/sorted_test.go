@@ -119,17 +119,8 @@ func (h *handle) some(rng *rand.Rand, n int) []Row {
 func (h *handle) bounded(t *testing.T) {
 	t.Helper()
 	arraysAgree(t, h.rel)
-	r := h.rel
-	if len(r.slots) > 2*len(r.keys)+slack {
-		t.Fatalf("%d slots for %d rows (bound %d)", len(r.slots), len(r.keys), 2*len(r.keys)+slack)
-	}
-	if len(r.free) != len(r.slots)-len(r.keys) {
-		t.Fatalf("%d slots, %d rows, but %d free", len(r.slots), len(r.keys), len(r.free))
-	}
-	for _, s := range r.free {
-		if r.slots[s].Texp != hole {
-			t.Fatalf("free slot %d holds %v@%v", s, r.slots[s].Tuple, r.slots[s].Texp)
-		}
+	if msg := h.rel.ShapeError(); msg != "" {
+		t.Fatalf("%s: %d slots, %d free", msg, len(h.rel.slots), len(h.rel.free))
 	}
 }
 
@@ -357,7 +348,7 @@ func TestFrozenMapSortsOnce(t *testing.T) {
 	}
 
 	// A snapshot mutates: same on the other side.
-	s1.Delete(want1[0].Tuple)
+	s1.DeleteKey(want1[0].Tuple.Key())
 	if s1.sorted != nil || s2.sorted != held {
 		t.Fatal("a snapshot's mutation dropped the wrong handle's order")
 	}
@@ -437,8 +428,8 @@ func TestRowsSortedConcurrentSiblings(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			owner.Insert(tuple.Ints(int64(10_000+round*10+i), 0), xtime.Time(100+round))
 		}
-		owner.Delete(want[round].Tuple)
-		owner.Delete(want[round+30].Tuple) // leaves a hole for the next round's first insert
+		owner.DeleteKey(want[round].Tuple.Key())
+		owner.DeleteKey(want[round+30].Tuple.Key()) // leaves a hole for the next round's first insert
 		sameRows(t, "owner", owner.RowsSorted(0), freshSort(owner, 0))
 		wg.Wait()
 	}

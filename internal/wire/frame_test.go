@@ -9,6 +9,7 @@ import (
 	"net"
 	"reflect"
 	"runtime/metrics"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -159,10 +160,86 @@ func TestFrameLengthCheckedFirst(t *testing.T) {
 	waitFor(t, func() bool { return srv.WireMetrics().OversizedRejected == 1 })
 }
 
+// responseFrame is the payload of a response at tick 0 whose answer holds
+// rows as given — repeats included, which appendResponse, reading a set,
+// cannot write.
+func responseFrame(schema tuple.Schema, rows ...relation.Row) []byte {
+	p := appendBool(tuple.AppendString(nil, ""), false)
+	p = tuple.AppendTime(tuple.AppendTime(binary.BigEndian.AppendUint64(p, 0), 0), xtime.Infinity)
+	p = binary.AppendUvarint(schema.AppendTo(p), uint64(len(rows)))
+	for _, row := range rows {
+		p = tuple.AppendTime(row.Tuple.AppendTo(p), row.Texp)
+	}
+	return binary.AppendUvarint(p, 0) // no births
+}
+
+// claimedRows is the row count a response payload claims, or -1 when its
+// header does not decode.
+func claimedRows(p []byte) int {
+	d := tuple.NewDecoder(p)
+	d.Str()
+	d.Byte()
+	d.Uint64()
+	d.Time()
+	d.Time()
+	d.Schema()
+	if n := d.Uvarint(); d.Err() == nil {
+		return int(n)
+	}
+	return -1
+}
+
+// TestDecodeRejectsRepeatedRows: an answer is a set, so a response whose
+// rows repeat one another — the same bytes, or values whose set keys agree
+// (INT 1 and FLOAT 1, −0 and 0), next to each other or far apart — is
+// malformed, and distinct rows decode to a relation of exactly as many rows.
+func TestDecodeRejectsRepeatedRows(t *testing.T) {
+	ints := tuple.IntCols("a", "b")
+	one := []relation.Row{{Tuple: tuple.Ints(1, 2), Texp: 5}}
+	if got, want := responseFrame(ints, one...), appendResponse(nil, &Response{Texp: xtime.Infinity, rel: relationOf(ints, one)})[4:]; !bytes.Equal(got, want) {
+		t.Fatalf("responseFrame writes %x, appendResponse %x", got, want)
+	}
+	var many []relation.Row
+	for i := int64(0); i < 100; i++ {
+		many = append(many, relation.Row{Tuple: tuple.Ints(i, -i), Texp: xtime.Time(1 + i)})
+	}
+	floats := tuple.Schema{Cols: []tuple.Column{tuple.Col("x", value.KindFloat)}}
+	for _, c := range []struct {
+		name   string
+		schema tuple.Schema
+		rows   []relation.Row
+	}{
+		{"the same row twice", ints, []relation.Row{{Tuple: tuple.Ints(1, 2), Texp: 5}, {Tuple: tuple.Ints(1, 2), Texp: 7}}},
+		{"a repeat far from its twin", ints, append(slices.Clone(many), relation.Row{Tuple: tuple.Ints(37, -37), Texp: 3})},
+		{"INT 1 and FLOAT 1", floats, []relation.Row{{Tuple: tuple.T(value.Int(1)), Texp: 5}, {Tuple: tuple.T(value.Float(1)), Texp: 5}}},
+		{"−0 and 0", floats, []relation.Row{{Tuple: tuple.T(value.Float(math.Copysign(0, -1))), Texp: 5}, {Tuple: tuple.T(value.Float(0)), Texp: 5}}},
+		{"⟨⟩ twice", tuple.Schema{}, []relation.Row{{Tuple: tuple.T(), Texp: 5}, {Tuple: tuple.T(), Texp: 6}}},
+	} {
+		resp, err := decodeResponse(responseFrame(c.schema, c.rows...))
+		if err == nil || !strings.Contains(err.Error(), "malformed response") {
+			t.Fatalf("%s: decoded to %v (%v), want a malformed response", c.name, resp, err)
+		}
+	}
+	resp, err := decodeResponse(responseFrame(ints, many...))
+	if err != nil || resp.rel.Len() != len(many) || resp.rel.CountAt(0) != len(many) {
+		t.Fatalf("100 distinct rows: %v", err)
+	}
+}
+
+// relationOf is a relation holding rows.
+func relationOf(schema tuple.Schema, rows []relation.Row) *relation.Relation {
+	rel := relation.New(schema)
+	for _, row := range rows {
+		rel.InsertOwnedRow(row)
+	}
+	return rel
+}
+
 // FuzzWireFrame: any bytes, as a request or response payload or as a frame
 // on a stream, fail with an error or decode — never a panic — and cost
 // allocations in proportion to their length, whatever counts they claim. A
-// response that decodes encodes again to the same response.
+// response that decodes holds as many rows as it claims, each distinct, and
+// encodes again to the same response.
 func FuzzWireFrame(f *testing.F) {
 	for _, resp := range edgeResponses() {
 		f.Add(appendResponse(nil, resp)[4:])
@@ -183,6 +260,11 @@ func FuzzWireFrame(f *testing.F) {
 			t.Fatalf("%d bytes allocated decoding %d", n, len(in))
 		}
 		if err == nil {
+			keys := make(map[string]bool)
+			resp.rel.All(func(row relation.Row) { keys[row.Tuple.Key()] = true })
+			if n := claimedRows(in); resp.rel.Len() != n || len(keys) != n {
+				t.Fatalf("%d rows claimed, %d decoded, %d distinct", n, resp.rel.Len(), len(keys))
+			}
 			sameResponse(t, frameRoundTrip(t, resp), resp)
 		}
 	})
