@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math"
@@ -232,24 +233,21 @@ func byTexpThenTuple(a, b relation.Row) int {
 }
 
 // fold is the one function that walks the aggregation's child. A
-// duplicate-free child streams straight into the partitions, any other is
-// collected into a set first (a streamed duplicate would be counted twice);
-// each partition is put in expiration order once and handed to visit with
-// its aggregate values and its time T_P filled in. fold returns texp(e)
-// of the subtree: the child's, lowered to every T_P that part of its
-// partition outlives — a recomputation then shows tuples the
-// materialisation lost, the first case of the paper's χ analysis; a
-// partition that simply empties at T_P invalidates nothing (§2.6.1) — and
-// beside it the child's own, which is what remains of texp(e) for a
-// materialisation that keeps its future. The partition visit sees is
-// scratch, overwritten for the next one.
+// duplicate-free child streams straight into the partitions, filed in a
+// tuple.Set by their group columns; any other is collected into a set first
+// (a streamed duplicate would be counted twice). Each partition is put in
+// texp order once and handed to visit, scratch, with its aggregate values
+// and T_P. fold returns texp(e) of the subtree — the child's, lowered to
+// every T_P part of its partition outlives (a recomputation shows tuples
+// the materialisation lost: the first case of the χ analysis; a partition
+// that empties at T_P invalidates nothing, §2.6.1) — and beside it the
+// child's own, what remains of texp(e) for a materialisation with a future.
 func (a *Agg) fold(tau xtime.Time, visit func(*partition)) (texp, child xtime.Time, err error) {
 	var (
-		parts [][]relation.Row
-		byKey = map[string]int{}
-		key   []byte
-		sums  []int   // the columns a sum or avg adds up
-		mag   float64 // their values' magnitudes added up; ∞ once one is a FLOAT
+		parts  [][]relation.Row
+		groups tuple.Set
+		sums   []int   // the columns a sum or avg adds up
+		mag    float64 // their values' magnitudes added up; ∞ once one is a FLOAT
 	)
 	for _, f := range a.Funcs {
 		if f.Kind == AggSum || f.Kind == AggAvg {
@@ -257,11 +255,16 @@ func (a *Agg) fold(tau xtime.Time, visit func(*partition)) (texp, child xtime.Ti
 		}
 	}
 	add := func(row relation.Row) {
-		key = row.Tuple.AppendKeyCols(key[:0], a.GroupCols)
-		i, ok := byKey[string(key)]
+		var buf [tuple.KeyBuf]byte
+		key := row.Tuple.AppendKeyCols(buf[:0], a.GroupCols)
+		h := tuple.Hash(key)
+		i, ok := groups.Find(h, func(i int) bool {
+			var other [tuple.KeyBuf]byte
+			return bytes.Equal(parts[i][0].Tuple.AppendKeyCols(other[:0], a.GroupCols), key)
+		})
 		if !ok {
 			i = len(parts)
-			byKey[string(key)] = i
+			groups.Add(h, i)
 			parts = append(parts, nil)
 		}
 		parts[i] = append(parts[i], row)

@@ -48,28 +48,28 @@ func (d *Diff) Monotonic() bool { return false }
 // duplicate-free and is collected first otherwise (a duplicate's lower
 // texp_R must not decide whether a tuple is critical). A tuple of R alive
 // in S belongs to the helper relation of Theorem 3 and goes to helper; the
-// others are the result, formula (10), and go to emit beside their set key,
-// which the probe of S needed anyway. run returns min(texp(R), texp(S)).
-func (d *Diff) run(tau xtime.Time, emit func(key string, row relation.Row), helper func(CriticalRow)) (xtime.Time, error) {
+// others are the result, formula (10), a set, and go to emit. run returns
+// min(texp(R), texp(S)).
+func (d *Diff) run(tau xtime.Time, emit func(relation.Row), helper func(CriticalRow)) (xtime.Time, error) {
 	// Streams carry rows alive at tau only, so s holds no expired tuple.
 	s, st, err := collect(d.Right, tau)
 	if err != nil {
 		return 0, err
 	}
-	split := func(key string, row relation.Row) {
-		if inS, ok := s.TexpKey(key); ok {
+	split := func(row relation.Row) {
+		if inS, ok := s.Texp(row.Tuple); ok {
 			helper(CriticalRow{Tuple: row.Tuple, InS: inS, InR: row.Texp})
 		} else {
-			emit(key, row)
+			emit(row)
 		}
 	}
 	var rt xtime.Time
 	if duplicateFree(d.Left) {
-		rt, err = d.Left.Stream(tau, func(row relation.Row) { split(row.Tuple.Key(), row) })
+		rt, err = d.Left.Stream(tau, split)
 	} else {
 		var r *relation.Relation
 		if r, rt, err = collect(d.Left, tau); err == nil {
-			r.AliveKeyedAt(tau, split)
+			r.AliveAt(tau, split)
 		}
 	}
 	return xtime.Min(rt, st), err
@@ -96,7 +96,7 @@ func (c CriticalRow) critical() bool { return c.InR > c.InS }
 //	texp(R − S) = min(texp(R), texp(S), min{texp_S(t) | t critical}).
 func (d *Diff) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
 	first := xtime.Infinity
-	texp, err := d.run(tau, func(_ string, row relation.Row) { emit(row) }, func(h CriticalRow) {
+	texp, err := d.run(tau, emit, func(h CriticalRow) {
 		if h.critical() {
 			first = xtime.Min(first, h.InS)
 		}
@@ -106,7 +106,7 @@ func (d *Diff) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, erro
 
 // criticalSet runs the difference keeping its critical rows, in no order.
 // The second result is min(texp(R), texp(S)).
-func (d *Diff) criticalSet(tau xtime.Time, emit func(string, relation.Row)) ([]CriticalRow, xtime.Time, error) {
+func (d *Diff) criticalSet(tau xtime.Time, emit func(relation.Row)) ([]CriticalRow, xtime.Time, error) {
 	var crit []CriticalRow
 	texp, err := d.run(tau, emit, func(h CriticalRow) {
 		if h.critical() {
@@ -119,7 +119,7 @@ func (d *Diff) criticalSet(tau xtime.Time, emit func(string, relation.Row)) ([]C
 // CriticalSet returns the critical rows at time tau, the set §3.1's
 // rewrites aim to shrink, in (texp_S, tuple) order.
 func (d *Diff) CriticalSet(tau xtime.Time) ([]CriticalRow, error) {
-	crit, _, err := d.criticalSet(tau, func(string, relation.Row) {})
+	crit, _, err := d.criticalSet(tau, func(relation.Row) {})
 	slices.SortFunc(crit, byBirth)
 	return crit, err
 }
@@ -133,7 +133,7 @@ func (d *Diff) CriticalSet(tau xtime.Time) ([]CriticalRow, error) {
 // matches brute-force recomputation exactly, which the property tests
 // verify.
 func (d *Diff) validity(tau xtime.Time) (interval.Set, error) {
-	crit, _, err := d.criticalSet(tau, func(string, relation.Row) {})
+	crit, _, err := d.criticalSet(tau, func(relation.Row) {})
 	invalid := make([]interval.Interval, 0, len(crit))
 	for _, c := range crit {
 		invalid = append(invalid, interval.Interval{Start: c.InS, End: c.InR})

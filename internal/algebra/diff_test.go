@@ -45,7 +45,7 @@ func (d *Diff) PaperValidity(tau xtime.Time) (interval.Set, error) {
 // through a patch queue, extending the materialisation's lifetime to ∞.
 func (d *Diff) Helper(tau xtime.Time) ([]CriticalRow, error) {
 	var rows []CriticalRow
-	_, err := d.run(tau, func(string, relation.Row) {}, func(h CriticalRow) { rows = append(rows, h) })
+	_, err := d.run(tau, func(relation.Row) {}, func(h CriticalRow) { rows = append(rows, h) })
 	return rows, err
 }
 

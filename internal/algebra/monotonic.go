@@ -252,10 +252,8 @@ func (j *Join) equiCols() (left, right []int, rest []Predicate) {
 
 // Stream implements Expr, formula (5): the right (build) side is collected
 // into an index.Hash on the equi-join columns, then left (probe) rows stream
-// through it. Each probe encodes its key into one buffer that belongs to
-// this call — concurrent evaluations of a shared plan never see each
-// other's — and looks it up without building a string, so the probe side
-// allocates per result row, not per row probed. Without equality conjuncts
+// through it, each encoding its key on the stack: the probe side allocates
+// per result row, not per row probed. Without equality conjuncts
 // it is a streamed nested loop over the hoisted build rows. With one, over
 // a probe side that scans arrays (arrayBase) and build keys that are all
 // INTs, the keys go to the probe side's scan as a key set: a probe row
@@ -296,11 +294,8 @@ func (j *Join) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, erro
 		}
 	})
 	holds := compile(And{Preds: rest}) // what of the predicate each pair still tests
-	var key []byte
 	probe := func(pr relation.Row) {
-		var brows []index.Entry
-		brows, key = h.Lookup(pr.Tuple, probeCols, key)
-		for _, br := range brows {
+		for _, br := range h.Lookup(pr.Tuple, probeCols) {
 			// The concatenation order is always left ++ right, whichever
 			// side was hoisted.
 			l, r := pr.Tuple, br.Tuple

@@ -32,10 +32,12 @@ func (s refSet) add(row relation.Row) {
 	}
 }
 
+// rel returns the set as a relation. Its rows have distinct set keys
+// already, so they are appended without one.
 func (s refSet) rel(schema tuple.Schema) *relation.Relation {
 	out := relation.New(schema)
 	for _, row := range s {
-		out.Insert(row.Tuple, row.Texp)
+		out.AppendDistinct(row)
 	}
 	return out
 }

@@ -34,8 +34,8 @@ import (
 
 // collect gathers the stream of e into a relation. Its duplicate handling
 // (max texp wins) is the single point of duplicate elimination for the
-// monotonic pipeline below it; a stream that is duplicate-free is already
-// the set, and is appended without a set key per row.
+// monotonic pipeline below it; a duplicate-free stream, already the set,
+// is appended unhashed.
 func collect(e Expr, tau xtime.Time) (*relation.Relation, xtime.Time, error) {
 	out := relation.New(e.Schema())
 	distinct := duplicateFree(e)
@@ -151,9 +151,7 @@ func Materialize(e Expr, tau xtime.Time) (Evaluation, error) {
 	switch n := e.(type) {
 	case *Diff:
 		var crit []CriticalRow
-		crit, ev.Texp, err = n.criticalSet(tau, func(key string, row relation.Row) {
-			ev.Rel.InsertOwned(key, row.Tuple, row.Texp)
-		})
+		crit, ev.Texp, err = n.criticalSet(tau, ev.Rel.AppendDistinct)
 		ev.Births = BirthsOf(crit)
 	case *Project:
 		_, ev.Texp, err = n.Child.(*Agg).streamGroups(tau, n.Cols, func(row relation.Row) {

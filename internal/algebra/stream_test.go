@@ -132,7 +132,8 @@ func TestStreamConcurrent(t *testing.T) {
 					errs <- err
 					return
 				}
-				if !reltest.EqualAt(got, want, 5) {
+				// EqualAt probes its second argument: the goroutine's own.
+				if !reltest.EqualAt(want, got, 5) {
 					t.Error("concurrent stream diverged from the reference")
 					return
 				}

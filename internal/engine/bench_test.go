@@ -404,8 +404,9 @@ func BenchmarkIndexedDelete(b *testing.B) {
 // heapPerLiveRow builds an engine with one hash-indexed table ⟨a, b, c⟩ of
 // INTs, inserts n rows with finite lifetimes, and returns the live heap per
 // row: runtime.MemStats.HeapAlloc after a GC, less the same before the
-// engine was built, over n. Everything a row costs is in it — tuple, set
-// key, slot, column arrays, hash index entry, texp heap pair.
+// engine was built, over n. Everything a row costs is in it — tuple, key
+// string, slot, key set entry, column arrays, hash index entry and bucket,
+// texp heap pair.
 func heapPerLiveRow(tb testing.TB, n int) float64 {
 	tb.Helper()
 	var before, after runtime.MemStats
@@ -440,10 +441,10 @@ func BenchmarkHeapPerLiveRow(b *testing.B) {
 	b.ReportMetric(perRow, "B/row")
 }
 
-// heapPerLiveRowBudget is BenchmarkHeapPerLiveRow's figure before base
-// tables kept INT column arrays (356.6 B on linux/amd64, go1.24), plus the
-// 24 B of the three arrays and 8 B of slack for their growth.
-const heapPerLiveRowBudget = 356.6 + 24 + 8
+// heapPerLiveRowBudget is BenchmarkHeapPerLiveRow's figure (339.2 B on
+// linux/amd64, go1.24, since one tuple.Set replaced the key map and the
+// hash index's map; 383.1 B before) plus 8 B of slack.
+const heapPerLiveRowBudget = 339.2 + 8
 
 // TestHeapPerLiveRow is the memory gate of BenchmarkHeapPerLiveRow.
 func TestHeapPerLiveRow(t *testing.T) {

@@ -160,7 +160,7 @@ func (e *Engine) replay(r *wal.Recovered) (*RecoveryInfo, error) {
 			rel.EnableIntArrays()
 			for _, row := range t.Rows {
 				// Decoded tuples are fresh memory the relation may own.
-				rel.InsertOwned(row.Tuple.Key(), row.Tuple, row.Texp)
+				rel.InsertOwnedRow(relation.Row{Tuple: row.Tuple, Texp: row.Texp})
 			}
 		}
 		// Indexes after the rows — the attach-time backfill sees the full
@@ -204,7 +204,7 @@ func (e *Engine) applyRecord(rec *wal.Record) error {
 		if err != nil {
 			return err
 		}
-		rel.InsertOwned(rec.Tuple.Key(), rec.Tuple, rec.Texp)
+		rel.InsertOwnedRow(relation.Row{Tuple: rec.Tuple, Texp: rec.Texp})
 	case wal.KindDelete:
 		rel, err := e.cat.Table(rec.Name)
 		if err != nil {

@@ -637,10 +637,7 @@ func (e *Engine) cacheStore(c *resultCache, en *cacheEntry) {
 	c.entries[en.key] = en
 	c.pushFront(en)
 	if c.pq.Push(en.key, en.ev.Texp); c.pq.Bloated(len(c.entries)) {
-		c.pq = index.NewTexpHeap()
-		for k, live := range c.entries {
-			c.pq.Push(k, live.ev.Texp)
-		}
+		c.pq.Compact(c.current)
 	}
 	var evicted int64
 	for len(c.entries) > c.cap && c.tail != nil {
@@ -651,6 +648,15 @@ func (e *Engine) cacheStore(c *resultCache, en *cacheEntry) {
 	if evicted > 0 {
 		c.m.Evictions.Add(evicted)
 	}
+}
+
+// current is the pq's staleness oracle: the Texp of key's entry, if any.
+func (c *resultCache) current(key string) (xtime.Time, bool) {
+	en, ok := c.entries[key]
+	if !ok {
+		return 0, false
+	}
+	return en.ev.Texp, true
 }
 
 // cacheExpire drops every entry whose Texp the clock has reached.
@@ -664,13 +670,7 @@ func (e *Engine) cacheExpire(to xtime.Time, tid trace.ID) {
 		return
 	}
 	c.mu.Lock()
-	n := int64(c.pq.PopDue(to, func(key string) (xtime.Time, bool) {
-		en, ok := c.entries[key]
-		if !ok {
-			return 0, false
-		}
-		return en.ev.Texp, true
-	}, func(key string, _ xtime.Time) { c.drop(c.entries[key]) }))
+	n := int64(c.pq.PopDue(to, c.current, func(key string, _ xtime.Time) { c.drop(c.entries[key]) }))
 	c.mu.Unlock()
 	if n > 0 {
 		c.m.Invalidations.Add(n)

@@ -1,15 +1,12 @@
 // Package index implements expiration-aware secondary indexes for base
 // relations: a hash index for equality probes (also a hash join's build
 // side) and an ordered B+tree index for range predicates. Every entry
-// carries the tuple's expiration time texp, so a probe at logical instant
-// tau skips expired entries without consulting the base table — the index
-// alone answers "which tuples satisfy the key AND are alive at tau".
+// carries its tuple's texp, so a probe at tau skips expired entries
+// without consulting the base table.
 //
-// Indexes store the same tuple pointers the owning relation stores;
-// tuples are immutable after insertion, so sharing is safe. Maintenance
-// (Insert/Update/Remove) happens inside the relation's mutators under the
-// relation's write lock; probes run under its read lock. The package
-// itself is therefore unsynchronised.
+// Indexes share the owning relation's immutable tuples. Maintenance runs
+// inside the relation's mutators under its write lock, probes under its
+// read lock: the package itself is unsynchronised.
 package index
 
 import (
@@ -81,25 +78,20 @@ type Index interface {
 
 // Hash is the one hash table: a base table's equality index, maintained
 // through the Index methods, and the build side of a hash join, filled by
-// Insert and read by Lookup. Entries are filed under the key of their
-// indexed columns (Tuple.AppendKeyCols, the set key's encoding, so a
-// plan-time constant key and a tuple's key compare equal exactly when the
-// column values do). The map holds a bucket's position, not the bucket, and
-// the key is encoded into a scratch buffer: a key string is allocated once
-// per distinct key, never per entry.
+// Insert and read by Lookup. Entries equal on the indexed columns make a
+// bucket, filed in a tuple.Set under those columns' set key
+// (Tuple.AppendKeyCols), which a probe compares with the columns of the
+// bucket's first entry, re-encoded on the stack.
 type Hash struct {
 	cols    []int
-	pos     map[string]int // key of the indexed columns → position in buckets
+	set     tuple.Set // bucket positions, by the key of their indexed columns
 	buckets [][]Entry
-	free    []int  // positions of the buckets Remove emptied, for new keys
-	key     []byte // Insert / Update / Remove scratch: writers hold the write lock
+	free    []int // positions of the buckets Remove emptied, for new keys
 	n       int
 }
 
 // NewHash creates an empty hash index over the given column positions.
-func NewHash(cols []int) *Hash {
-	return &Hash{cols: append([]int(nil), cols...), pos: make(map[string]int)}
-}
+func NewHash(cols []int) *Hash { return &Hash{cols: append([]int(nil), cols...)} }
 
 // Kind implements Index.
 func (h *Hash) Kind() Kind { return KindHash }
@@ -110,11 +102,21 @@ func (h *Hash) Cols() []int { return h.cols }
 // Len implements Index.
 func (h *Hash) Len() int { return h.n }
 
+// bucket returns the bucket whose indexed columns encode to key, and its hash.
+func bucket[K string | []byte](h *Hash, key K) (int, uint64, bool) {
+	hk := tuple.Hash(key)
+	b, ok := h.set.Find(hk, func(b int) bool {
+		var buf [tuple.KeyBuf]byte
+		return string(h.buckets[b][0].Tuple.AppendKeyCols(buf[:0], h.cols)) == string(key)
+	})
+	return b, hk, ok
+}
+
 // Insert implements Index. A join's table leaves Entry.Key empty: it is
 // never updated or removed from.
 func (h *Hash) Insert(e Entry) {
-	h.key = e.Tuple.AppendKeyCols(h.key[:0], h.cols)
-	i, ok := h.pos[string(h.key)]
+	var buf [tuple.KeyBuf]byte
+	i, hk, ok := bucket(h, e.Tuple.AppendKeyCols(buf[:0], h.cols))
 	if !ok {
 		if n := len(h.free); n > 0 {
 			i, h.free = h.free[n-1], h.free[:n-1]
@@ -122,43 +124,39 @@ func (h *Hash) Insert(e Entry) {
 			i = len(h.buckets)
 			h.buckets = append(h.buckets, nil)
 		}
-		h.pos[string(h.key)] = i
+		h.set.Add(hk, i)
 	}
 	h.buckets[i] = append(h.buckets[i], e)
 	h.n++
 }
 
-// find returns the position of t's bucket and, within it, of the entry
-// stored under the set key key, leaving t's bucket key in h.key.
-func (h *Hash) find(key string, t tuple.Tuple) (b, i int, ok bool) {
-	h.key = t.AppendKeyCols(h.key[:0], h.cols)
-	if b, ok = h.pos[string(h.key)]; ok {
+// find returns the hash of t's bucket key, the bucket and its entry of key.
+func (h *Hash) find(key string, t tuple.Tuple) (hk uint64, b, i int, ok bool) {
+	var buf [tuple.KeyBuf]byte
+	if b, hk, ok = bucket(h, t.AppendKeyCols(buf[:0], h.cols)); ok {
 		for i := range h.buckets[b] {
 			if h.buckets[b][i].Key == key {
-				return b, i, true
+				return hk, b, i, true
 			}
 		}
 	}
-	return 0, 0, false
+	return 0, 0, 0, false
 }
 
 // Update implements Index.
 func (h *Hash) Update(key string, t tuple.Tuple, texp xtime.Time) {
-	if b, i, ok := h.find(key, t); ok {
+	if _, b, i, ok := h.find(key, t); ok {
 		h.buckets[b][i].Texp = texp
 		return
 	}
-	// The tuple was not indexed (e.g. the index was created between the
-	// row's insert and this update — cannot happen today because creation
-	// backfills, but stay self-healing).
-	h.Insert(Entry{Key: key, Tuple: t, Texp: texp})
+	h.Insert(Entry{Key: key, Tuple: t, Texp: texp}) // self-heal: it was never indexed
 }
 
-// Remove implements Index. A bucket left empty leaves the map, and the next
+// Remove implements Index. A bucket left empty leaves the set, and the next
 // new key takes its position and its array, so keys that come and go leave
 // nothing behind and cost no allocation.
 func (h *Hash) Remove(key string, t tuple.Tuple) {
-	b, i, ok := h.find(key, t)
+	hk, b, i, ok := h.find(key, t)
 	if !ok {
 		return
 	}
@@ -167,7 +165,7 @@ func (h *Hash) Remove(key string, t tuple.Tuple) {
 	last := len(ents) - 1
 	ents[i], ents[last] = ents[last], Entry{}
 	if h.buckets[b] = ents[:last]; last == 0 {
-		delete(h.pos, string(h.key)) // t's key, which find left there
+		h.set.Delete(hk, b)
 		h.free = append(h.free, b)
 	}
 }
@@ -176,11 +174,11 @@ func (h *Hash) Remove(key string, t tuple.Tuple) {
 // which is alive at tau (Texp > tau). emit returning false stops the
 // probe. The bucket walk allocates nothing.
 func (h *Hash) Probe(probeKey string, tau xtime.Time, emit func(Entry) bool) {
-	i, ok := h.pos[probeKey]
+	b, _, ok := bucket(h, probeKey)
 	if !ok {
 		return
 	}
-	for _, e := range h.buckets[i] {
+	for _, e := range h.buckets[b] {
 		if e.Texp > tau {
 			if !emit(e) {
 				return
@@ -190,28 +188,26 @@ func (h *Hash) Probe(probeKey string, tau xtime.Time, emit func(Entry) bool) {
 }
 
 // Lookup returns every entry, alive or not, whose indexed columns equal
-// t's columns cols. The key is encoded into buf and looked up without
-// becoming a string, so a lookup allocates nothing once buf has grown; buf
-// comes back for the next call. Lookups run under a read lock, so each
-// goroutine brings its own buffer: the table's scratch is its writers'.
-func (h *Hash) Lookup(t tuple.Tuple, cols []int, buf []byte) ([]Entry, []byte) {
-	buf = t.AppendKeyCols(buf[:0], cols)
-	if i, ok := h.pos[string(buf)]; ok {
-		return h.buckets[i], buf
+// t's columns cols. The key is encoded on the stack, so a lookup allocates
+// nothing, and lookups under a read lock share no scratch.
+func (h *Hash) Lookup(t tuple.Tuple, cols []int) []Entry {
+	var buf [tuple.KeyBuf]byte
+	if b, _, ok := bucket(h, t.AppendKeyCols(buf[:0], cols)); ok {
+		return h.buckets[b]
 	}
-	return nil, buf
+	return nil
 }
 
 // Ordered is the range index: a B+tree over the indexed column values
-// (compared column-by-column with value.Value.Compare, ties broken by the
-// full set key so duplicates on the indexed columns remain distinct
-// entries). Deletion is relaxed — leaves are never merged or rebalanced,
-// and separators are left in place (they remain valid bounds because
-// removal only shrinks subtrees). Range scans walk the leaf chain.
+// (value.Value.Compare column by column, ties broken by the set key).
+// Deletion is relaxed — no merge or rebalance, separators stay valid
+// bounds as subtrees only shrink — until empty leaves bloat the tree
+// (bound). Range scans walk the leaf chain.
 type Ordered struct {
-	cols []int
-	root *onode
-	n    int
+	cols   []int
+	root   *onode
+	n      int
+	leaves int
 }
 
 // maxEnts bounds entries per leaf and children per internal node; 64
@@ -228,9 +224,7 @@ type onode struct {
 
 // NewOrdered creates an empty ordered index over the given column
 // positions.
-func NewOrdered(cols []int) *Ordered {
-	return &Ordered{cols: append([]int(nil), cols...)}
-}
+func NewOrdered(cols []int) *Ordered { return &Ordered{cols: append([]int(nil), cols...)} }
 
 // Kind implements Index.
 func (o *Ordered) Kind() Kind { return KindOrdered }
@@ -280,9 +274,7 @@ func (o *Ordered) search(ents []Entry, e Entry) int {
 // Insert implements Index.
 func (o *Ordered) Insert(e Entry) {
 	if o.root == nil {
-		o.root = &onode{leaf: true, ents: []Entry{e}}
-		o.n++
-		return
+		o.root, o.leaves = &onode{leaf: true}, 1
 	}
 	right, sep := o.insert(o.root, e)
 	if right != nil {
@@ -307,6 +299,7 @@ func (o *Ordered) insert(n *onode, e Entry) (*onode, Entry) {
 		right := &onode{leaf: true, ents: append([]Entry(nil), n.ents[mid:]...), next: n.next}
 		n.ents = n.ents[:mid:mid]
 		n.next = right
+		o.leaves++
 		return right, right.ents[0]
 	}
 	k := o.childFor(n, e)
@@ -349,19 +342,23 @@ func (o *Ordered) childFor(n *onode, e Entry) int {
 	return lo
 }
 
-// Update implements Index.
-func (o *Ordered) Update(key string, t tuple.Tuple, texp xtime.Time) {
-	e := Entry{Key: key, Tuple: t}
-	n := o.root
-	if n == nil {
-		o.Insert(Entry{Key: key, Tuple: t, Texp: texp})
-		return
-	}
-	for !n.leaf {
+// locate returns the leaf that holds the entry of t stored under key, and
+// its position there, if the tree has it.
+func (o *Ordered) locate(key string, t tuple.Tuple) (*onode, int, bool) {
+	e, n := Entry{Key: key, Tuple: t}, o.root
+	for n != nil && !n.leaf {
 		n = n.kids[o.childFor(n, e)]
 	}
+	if n == nil {
+		return nil, 0, false
+	}
 	i := o.search(n.ents, e)
-	if i < len(n.ents) && n.ents[i].Key == key {
+	return n, i, i < len(n.ents) && n.ents[i].Key == key
+}
+
+// Update implements Index.
+func (o *Ordered) Update(key string, t tuple.Tuple, texp xtime.Time) {
+	if n, i, ok := o.locate(key, t); ok {
 		n.ents[i].Texp = texp
 		return
 	}
@@ -370,19 +367,32 @@ func (o *Ordered) Update(key string, t tuple.Tuple, texp xtime.Time) {
 
 // Remove implements Index.
 func (o *Ordered) Remove(key string, t tuple.Tuple) {
-	if o.root == nil {
-		return
-	}
-	e := Entry{Key: key, Tuple: t}
-	n := o.root
-	for !n.leaf {
-		n = n.kids[o.childFor(n, e)]
-	}
-	i := o.search(n.ents, e)
-	if i < len(n.ents) && n.ents[i].Key == key {
+	if n, i, ok := o.locate(key, t); ok {
 		n.ents = append(n.ents[:i], n.ents[i+1:]...)
 		o.n--
+		o.bound()
 	}
+}
+
+// bound rebuilds the tree from its leaf chain, the size of its entries and
+// not of its history, once its leaves, counted at the maxEnts/2 entries a
+// split leaves, pass 2×entries + 1024 (the slot array's rule). Reinserted
+// in order they fill leaves by half: the next rebuild is n/2 + 512 away.
+func (o *Ordered) bound() {
+	if o.leaves*maxEnts/2 <= 2*o.n+1024 {
+		return
+	}
+	n := o.root
+	for !n.leaf {
+		n = n.kids[0]
+	}
+	fresh := Ordered{cols: o.cols}
+	for ; n != nil; n = n.next {
+		for _, e := range n.ents {
+			fresh.Insert(e)
+		}
+	}
+	*o = fresh
 }
 
 // Ascend emits, in index order, every entry within the prefix bounds that

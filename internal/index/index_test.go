@@ -97,12 +97,10 @@ func TestHashJoinTableMatchesMaintained(t *testing.T) {
 		sort.Strings(out)
 		return fmt.Sprint(out)
 	}
-	var bufA, bufB []byte
 	for v := int64(-1); v <= 30; v++ {
 		probe := tuple.Tuple{value.Int(0), value.Int(v)} // the key is the probe's column 1
-		var a, b, c []Entry
-		a, bufA = join.Lookup(probe, []int{1}, bufA)
-		b, bufB = maintained.Lookup(probe, []int{1}, bufB)
+		var c []Entry
+		a, b := join.Lookup(probe, []int{1}), maintained.Lookup(probe, []int{1})
 		maintained.Probe(probe.Project([]int{1}).Key(), 0, func(e Entry) bool { c = append(c, e); return true })
 		if rows(a) != rows(b) || rows(b) != rows(c) {
 			t.Fatalf("key %d: join %v, maintained Lookup %v, Probe %v", v, rows(a), rows(b), rows(c))
@@ -112,22 +110,22 @@ func TestHashJoinTableMatchesMaintained(t *testing.T) {
 	k := tuple.Ints(3).Key()
 	var n int
 	maintained.Probe(k, 0, func(Entry) bool { n++; return true })
-	if got, _ := join.Lookup(tuple.T(value.Float(3)), []int{0}, nil); len(got) != n {
+	if got := join.Lookup(tuple.T(value.Float(3)), []int{0}); len(got) != n {
 		t.Errorf("Lookup(3.0) = %d entries, want %d", len(got), n)
 	}
-	if got, _ := join.Lookup(tuple.Ints(1000), []int{0}, nil); got != nil {
+	if got := join.Lookup(tuple.Ints(1000), []int{0}); got != nil {
 		t.Errorf("Lookup(1000) = %v, want nothing", got)
 	}
-	// Once the buffer has grown, a lookup allocates nothing.
+	// A lookup encodes its key on the stack: it allocates nothing.
 	probe := tuple.Ints(3)
-	if allocs := testing.AllocsPerRun(100, func() { _, bufA = join.Lookup(probe, []int{0}, bufA) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { join.Lookup(probe, []int{0}) }); allocs != 0 {
 		t.Errorf("Lookup allocates %v times per call", allocs)
 	}
 }
 
 // TestHashConcurrentLookups: lookups run under a table's read lock, so two
-// goroutines probe one table at once, each with its own buffer; under
-// -race neither sees the other's key.
+// goroutines probe one table at once; under -race neither writes what the
+// other reads.
 func TestHashConcurrentLookups(t *testing.T) {
 	h := NewHash([]int{0})
 	for a := int64(0); a < 50; a++ {
@@ -140,11 +138,9 @@ func TestHashConcurrentLookups(t *testing.T) {
 		wg.Add(1)
 		go func(g int64) {
 			defer wg.Done()
-			var buf []byte
 			for i := 0; i < 2000; i++ {
 				a := (int64(i)*2 + g) % 50
-				var got []Entry
-				got, buf = h.Lookup(tuple.Ints(a), []int{0}, buf)
+				got := h.Lookup(tuple.Ints(a), []int{0})
 				if len(got) != int(a%4)+1 || got[0].Tuple[0].AsInt() != a {
 					t.Errorf("goroutine %d: Lookup(%d) = %v", g, a, got)
 					return
@@ -253,6 +249,33 @@ func TestOrderedEarlyStop(t *testing.T) {
 	})
 	if seen != 10 {
 		t.Fatalf("early stop: want 10 emissions, got %d", seen)
+	}
+}
+
+// TestOrderedBoundedUnderSlidingWindow: an index over an increasing column
+// of an expiring table — each key removed 100 inserts after it went in —
+// stays the size of its 100 live entries, however many leaves splits left
+// behind, and a full scan walks only those.
+func TestOrderedBoundedUnderSlidingWindow(t *testing.T) {
+	o := NewOrdered([]int{0})
+	for i := int64(0); i < 200_000; i++ {
+		o.Insert(mk(i, 0, xtime.Infinity))
+		if i >= 100 {
+			gone := mk(i-100, 0, xtime.Infinity)
+			o.Remove(gone.Key, gone.Tuple)
+		}
+	}
+	leaves, n := 0, o.root
+	for !n.leaf {
+		n = n.kids[0]
+	}
+	for ; n != nil; n = n.next {
+		leaves++
+	}
+	seen := 0
+	o.Ascend(nil, true, nil, true, 0, func(Entry) bool { seen++; return true })
+	if leaves >= 64 || seen != 100 || o.Len() != 100 {
+		t.Fatalf("%d leaves for %d entries (%d scanned), want fewer than 64 for 100", leaves, o.Len(), seen)
 	}
 }
 

@@ -1,27 +1,23 @@
 package index
 
-import "expdb/internal/xtime"
+import (
+	"cmp"
+	"slices"
+	"strings"
+
+	"expdb/internal/xtime"
+)
 
 // TexpHeap is the per-table texp-ordered index: a binary min-heap of
-// (texp, set key) pairs with lazy deletion. It is the table's one record
-// of when its rows expire — the engine keeps no schedule of its own — and
-// makes the two operations that would otherwise scan the table cheap:
-//
-//   - whether anything is due by a tick (Due) becomes a peek, and
-//   - expiry enumeration (every row with texp <= tick) becomes
-//     O(k log n) pops instead of a full-table walk.
-//
-// Pairs order by texp, then by key, so the pop order — the order ON
-// EXPIRE triggers fire in — depends only on the table's contents, never
-// on the history that produced them (insertion order, heap rebuilds,
-// crash recovery).
-//
-// Deletes and texp extensions do not search the heap; they simply leave a
-// stale pair behind. A pair is authoritative only if the owning
-// relation's current texp for the key still equals the pair's texp — the
-// relation verifies that through the alive callback, and stale pairs are
-// discarded as they surface. Infinite texp is never pushed (those rows
-// never expire, so they have no business in an expiration queue).
+// (texp, set key) pairs with lazy deletion, and the table's one record of
+// when its rows expire. Due is a peek, and expiry enumeration O(k log n)
+// pops instead of a table walk. Pairs order by texp, then key, so the pop
+// order — the order ON EXPIRE triggers fire in — depends on the table's
+// contents only, never on its history (insertion order, compactions,
+// recovery). Deletes and extensions leave a stale pair behind: a pair
+// counts only while the owner's current texp for its key equals the
+// pair's, and stale ones are dropped as they surface or by Compact.
+// Infinite texp is never pushed.
 type TexpHeap struct {
 	h []texpPair
 }
@@ -59,22 +55,39 @@ func (th *TexpHeap) Push(key string, texp xtime.Time) {
 }
 
 // Bloated reports whether stale pairs have pushed the heap past 2×live +
-// 1024 pairs, live being the number of keys its owner holds: the point at
-// which the owner rebuilds it from what is live. A rebuild leaves at most
-// live pairs, so the next one is at least live + 1024 pushes away —
-// amortised O(1) — and steady churn over few keys never pays one.
+// 1024 pairs, live being its owner's key count: then the owner compacts it,
+// leaving at most live pairs, so compactions are amortised O(1).
 func (th *TexpHeap) Bloated(live int) bool { return len(th.h) > 2*live+1024 }
 
-// Due reports whether some pair, stale or not, has texp <= tick: a false
-// answer proves PopDue(tick) would deliver nothing. It does not modify
-// the heap, so the owning relation's read lock suffices.
+// Compact drops the pairs current does not confirm, as PopDue asks it, and
+// the repeats a key deleted and inserted again at one texp leaves; the rest
+// are sorted, which is a heap order.
+func (th *TexpHeap) Compact(current func(key string) (xtime.Time, bool)) {
+	th.h = slices.DeleteFunc(th.h, func(p texpPair) bool {
+		t, ok := current(p.key)
+		return !ok || t != p.texp
+	})
+	slices.SortFunc(th.h, func(p, q texpPair) int {
+		return cmp.Or(cmp.Compare(p.texp, q.texp), strings.Compare(p.key, q.key))
+	})
+	th.h = slices.Compact(th.h)
+}
+
+// Pairs calls fn for every retained pair, stale ones included, in no order.
+func (th *TexpHeap) Pairs(fn func(key string, texp xtime.Time)) {
+	for _, p := range th.h {
+		fn(p.key, p.texp)
+	}
+}
+
+// Due reports whether some pair, stale or not, has texp <= tick: false
+// proves PopDue(tick) would deliver nothing. It writes nothing.
 func (th *TexpHeap) Due(tick xtime.Time) bool {
 	return len(th.h) > 0 && th.h[0].texp <= tick
 }
 
-// PopDue pops every authoritative pair with texp <= tick, calling expire
-// for each. Stale pairs encountered on the way are discarded silently.
-// Returns the number of expirations delivered.
+// PopDue pops every pair with texp <= tick, calling expire for each one
+// current confirms and dropping the stale; it returns how many it expired.
 func (th *TexpHeap) PopDue(tick xtime.Time, current func(key string) (xtime.Time, bool), expire func(key string, texp xtime.Time)) int {
 	n := 0
 	for len(th.h) > 0 && th.h[0].texp <= tick {

@@ -52,7 +52,7 @@ func (p pair) agree(t *testing.T, what string, taus []xtime.Time, domain []tuple
 		}
 	}
 	if p.app.Keyed() != keyed {
-		t.Fatalf("%s: a walk derived the key map", what)
+		t.Fatalf("%s: a walk derived the key set", what)
 	}
 	for _, tau := range taus {
 		if !reltest.EqualAt(p.app, p.keyed, tau) || !reltest.EqualAt(p.keyed, p.app, tau) {
@@ -62,9 +62,6 @@ func (p pair) agree(t *testing.T, what string, taus []xtime.Time, domain []tuple
 			if a, k := p.app.Contains(tp, tau), p.keyed.Contains(tp, tau); a != k {
 				t.Fatalf("%s: Contains(%v, %v) %v by append, %v keyed", what, tp, tau, a, k)
 			}
-		}
-		if a, k := keyedRows(p.app, tau), keyedRows(p.keyed, tau); fmt.Sprint(a) != fmt.Sprint(k) {
-			t.Fatalf("%s: AliveKeyedAt(%v)\n%v by append\n%v keyed", what, tau, a, k)
 		}
 	}
 	for _, tp := range domain {
@@ -82,19 +79,6 @@ func (p pair) agree(t *testing.T, what string, taus []xtime.Time, domain []tuple
 
 func sameRow(a, b relation.Row) bool { return a.Tuple.Equal(b.Tuple) && a.Texp == b.Texp }
 
-// keyedRows is what AliveKeyedAt hands over, as a map fmt prints in key
-// order; every key must be its row's.
-func keyedRows(r *relation.Relation, tau xtime.Time) map[string]relation.Row {
-	out := make(map[string]relation.Row)
-	r.AliveKeyedAt(tau, func(k string, row relation.Row) {
-		if k != row.Tuple.Key() {
-			panic(fmt.Sprintf("AliveKeyedAt hands %v the key %q", row.Tuple, k))
-		}
-		out[k] = row
-	})
-	return out
-}
-
 // TestAppendDistinctAgreesWithKeyedInsert drives a relation filled by
 // AppendDistinct and one filled with the same distinct rows by
 // InsertOwnedRow through one seeded sequence of probes, keyed inserts that
@@ -102,7 +86,7 @@ func keyedRows(r *relation.Relation, tau xtime.Time) map[string]relation.Row {
 // write through either handle of a shared store, and a drain that compacts
 // the store, checking after each step that they agree on every accessor.
 // Every few steps the pair is filled anew, so that each kind of step also
-// meets a relation that has not derived its key map yet.
+// meets a relation that has not derived its key set yet.
 func TestAppendDistinctAgreesWithKeyedInsert(t *testing.T) {
 	schema := tuple.IntCols("a", "b")
 	var domain []tuple.Tuple // every tuple a step probes or writes, but the drain's
@@ -132,12 +116,13 @@ func TestAppendDistinctAgreesWithKeyedInsert(t *testing.T) {
 				p.fill(some(p, rng.Intn(25)))
 			}
 			switch op := rng.Intn(10); op {
-			case 0: // the probes alone, which derive the key map
+			case 0: // the probes alone, which derive the key set
 			case 1: // a keyed insert that extends, or is ignored
 				tp := domain[rng.Intn(len(domain))]
 				at := texp()
-				if a, k := p.app.InsertOwned(tp.Key(), tp, at), p.keyed.InsertOwned(tp.Key(), tp, at); a != k {
-					t.Fatalf("%s: InsertOwned(%v@%v) %v by append, %v keyed", what, tp, at, a, k)
+				row := relation.Row{Tuple: tp, Texp: at}
+				if a, k := p.app.InsertOwnedRow(row), p.keyed.InsertOwnedRow(row); a != k {
+					t.Fatalf("%s: InsertOwnedRow(%v@%v) %v by append, %v keyed", what, tp, at, a, k)
 				}
 			case 2: // keyed inserts that add
 				for _, row := range some(p, 3) {
@@ -178,16 +163,16 @@ func TestAppendDistinctAgreesWithKeyedInsert(t *testing.T) {
 					drain[i] = relation.Row{Tuple: tuple.Ints(int64(1000+i), 0), Texp: xtime.Time(40 + i%5)}
 				}
 				p.fill(drain)
-				if rng.Intn(2) == 0 { // by deletes, on a key map derived for them
+				if rng.Intn(2) == 0 { // by deletes, on a key set derived for them
 					for _, row := range drain[:1400] {
 						p.app.DeleteKey(row.Tuple.Key())
 						p.keyed.DeleteKey(row.Tuple.Key())
 					}
-				} else { // by a copy without the dead rows, which needs no key map
+				} else { // by a copy without the dead rows, which needs no key set
 					wasKeyed := p.app.Keyed()
 					p = pair{p.app.Snapshot(44), p.keyed.Snapshot(44)}
 					if !wasKeyed && p.app.Keyed() {
-						t.Fatalf("%s: the copy of an unkeyed store derived a key map", what)
+						t.Fatalf("%s: the copy of an unkeyed store derived a key set", what)
 					}
 				}
 			}
@@ -203,7 +188,7 @@ func sortedRows(rows []relation.Row) []relation.Row {
 
 // TestProbeHandlesOfFrozenUnkeyedStore probes three handles of one frozen
 // store filled by AppendDistinct from three goroutines at once: each derives
-// its own key map, so under -race none reads what another writes.
+// its own key set, so under -race none reads what another writes.
 func TestProbeHandlesOfFrozenUnkeyedStore(t *testing.T) {
 	r := relation.New(tuple.IntCols("a", "b"))
 	for i := int64(0); i < 300; i++ {
@@ -222,11 +207,10 @@ func TestProbeHandlesOfFrozenUnkeyedStore(t *testing.T) {
 					t.Errorf("%v: RowByKey %v (%v), Contains %v", tp, row.Tuple, ok, want)
 				}
 			}
-			h.AliveKeyedAt(0, func(string, relation.Row) {})
 		}()
 	}
 	wg.Wait()
 	if !r.Keyed() || !handles[0].Keyed() {
-		t.Fatal("a probe did not derive the handle's key map")
+		t.Fatal("a probe did not derive the handle's key set")
 	}
 }

@@ -1,11 +1,12 @@
 package relation
 
-// Keyed reports whether r has derived its key map.
-func (r *Relation) Keyed() bool { return r.keys != nil }
+// Keyed reports whether r has derived its key set.
+func (r *Relation) Keyed() bool { return r.set.Made() }
 
 // ShapeError describes how r's store breaks its invariants — a hole off the
-// free list, a free slot that is not a hole, a key map that does not name
-// every row, more than 2×rows + slack slots — or is "" when it keeps them.
+// free list, a free slot that is not a hole, a key set that does not file
+// every row under its own slot, more than 2×rows + slack slots — or is ""
+// when it keeps them.
 func (r *Relation) ShapeError() string {
 	holes := 0
 	for _, row := range r.slots {
@@ -23,12 +24,15 @@ func (r *Relation) ShapeError() string {
 		return "holes and free list differ"
 	case len(r.slots) > 2*r.count()+slack:
 		return "store past 2×rows + slack"
-	case r.keys != nil && len(r.keys) != r.count():
-		return "key map does not name every row"
+	case r.set.Made() && r.set.Len() != r.count():
+		return "key set does not name every row"
 	}
-	for k, s := range r.keys {
-		if r.slots[s].Texp == hole || r.slots[s].Tuple.Key() != k {
-			return "key map names the wrong slot"
+	for i, row := range r.slots {
+		if row.Texp == hole || !r.set.Made() {
+			continue
+		}
+		if s, _, ok := find(r, row.Tuple.AppendKey(nil)); !ok || s != slot(i) {
+			return "key set names the wrong slot"
 		}
 	}
 	return ""

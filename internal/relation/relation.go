@@ -10,7 +10,6 @@ package relation
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"strings"
@@ -32,94 +31,75 @@ type Row struct {
 // Relation is a mutable set of tuples with expiration times. The zero
 // value is not usable; construct with New.
 //
-// A Relation carries its own RWMutex but does not lock around its
-// methods: locking is the caller's job. The engine uses the mutex as the
-// per-table lock of its lock hierarchy (see DESIGN.md "Locking model"),
-// so concurrent access must go through Lock/RLock; relations used as
-// single-goroutine intermediates (operator results, snapshots) can skip
-// locking entirely and pay nothing. A probe derives a key map not made yet
-// (AppendDistinct makes none): as far as locking goes, it is a write.
+// A Relation embeds its RWMutex but does not lock around its methods:
+// locking is the caller's job. The engine uses the mutex as the per-table
+// lock of its lock hierarchy (DESIGN.md "Locking model"); single-goroutine
+// intermediates (operator results, snapshots) skip it and pay nothing. A
+// probe derives a key set not made yet: as far as locking goes, a write.
 //
 // Stored tuples are immutable: Insert clones caller-provided tuples, and
-// no reader may write into a tuple obtained from a relation. The
-// invariant is what makes the zero-copy execution paths safe — snapshots,
-// streamed rows and InsertOwned all share tuple storage rather than
-// cloning it (see DESIGN.md "Execution engine").
+// no reader may write into a tuple obtained from a relation, so snapshots,
+// streamed rows and InsertOwnedRow share tuple storage instead of cloning.
 type Relation struct {
-	mu     sync.RWMutex
+	sync.RWMutex
 	order  uint64 // global acquisition order for multi-relation locking
 	schema tuple.Schema
-	// slots is the row store: rows in insertion order, so expτ(R) is a walk
-	// in memory order. A deleted row leaves a hole (Texp == hole), listed in
-	// free until an insert reuses it or boundSlots squeezes it out (count).
-	// keys maps each stored tuple's set key to its slot, or is nil until a
-	// probe or a keyed write derives it (keyMap). No key is kept beside a
-	// row: a key is a function of its tuple, so the copy that must drop a
-	// row from keys re-derives it (Tuple.AppendKey).
+	// slots is the row store, in insertion order: expτ(R) is a walk in
+	// memory order. A deleted row leaves a hole (Texp == hole), listed in
+	// free until an insert reuses it or boundSlots squeezes it out. set files
+	// each row's slot under its set key's hash once a probe or a keyed write
+	// derives it (keySet); it keeps no key, and a base table's one key
+	// string per row is held by its texp heap pair and index entries.
 	slots []Row
-	keys  map[string]slot
+	set   tuple.Set
 	free  []slot
-	// floor is the snapshot instant of a SnapshotShared result: rows with
-	// texp ≤ floor are treated as absent by every accessor (the lazy
-	// alive-at-τ filter), so a shared snapshot observes exactly what a
-	// physical Snapshot(floor) would contain. 0 for ordinary relations.
+	// floor is the snapshot instant of a SnapshotShared result: every
+	// accessor treats rows with texp ≤ floor as absent, so a shared snapshot
+	// shows what Snapshot(floor) would hold. 0 for ordinary relations.
 	floor xtime.Time
-	// shared marks the store — slots, keys and free alike — as aliased by
-	// at least one other Relation (SnapshotShared). The first mutation
-	// through either handle detaches it: the three are copied (tuples stay
-	// shared — they are immutable) and the write goes to the private copy,
-	// so snapshots handed out earlier never observe later mutations. A
-	// lifetime extension writes a slot in place and an insert may reuse a
-	// freed one, so those detach first like any other write.
+	// shared marks the store — slots, set and free — as aliased by another
+	// Relation (SnapshotShared). The first write through either handle,
+	// lifetime extensions included, detaches it: the three are copied (the
+	// tuples stay shared) and the write goes to the copy.
 	shared bool
 	// sorted is the remembered tuple order of a shared store, the same
 	// pointer in every handle that aliases it; nil on a private store and
 	// on a shared one with fewer than two rows. See sortedRows.
 	sorted *sortedRows
-	// indexes are the attached secondary indexes, maintained inline by
-	// every mutator under the caller's write lock. Only engine-owned base
-	// tables carry them; snapshots, clones and operator results never do
-	// (New starts with none and Snapshot/SnapshotShared/Clone do not copy
-	// them), so result-relation churn pays nothing.
+	// indexes are the attached secondary indexes, maintained by every
+	// mutator. Only base tables carry them: New starts with none, and no
+	// snapshot copies them, so results pay nothing.
 	indexes []NamedIndex
-	// texpIdx is the per-table texp-ordered index (a lazy-deletion
-	// min-heap): it makes ExpiresBy a peek and RemoveExpired O(k) instead
-	// of O(n). Enabled by the engine on base tables, where it is the only
-	// record of when rows expire; boundTexpIdx keeps it within
-	// 2×rows + slack pairs.
+	// texpIdx is a base table's texp-ordered index (a lazy-deletion
+	// min-heap), its one record of when rows expire: ExpiresBy is a peek and
+	// RemoveExpired O(k). boundTexpIdx keeps it within 2×rows + slack pairs.
 	texpIdx *index.TexpHeap
-	// ints are the column arrays of a base table (EnableIntArrays):
-	// ints[c][s] is slots[s].Tuple[c] for each INT column c that has stored
-	// nothing but INTs (nil for the others), so that ScanInts tests ranges
-	// without loading tuples. They are this handle's alone — Snapshot,
-	// Clone and SnapshotShared hand none on — so a detached store keeps
-	// writing them in place. A hole's entry is stale.
+	// ints are a base table's column arrays (EnableIntArrays): ints[c][s] is
+	// slots[s].Tuple[c] for each INT column c that has stored only INTs (nil
+	// for the others), so ScanInts tests ranges without loading tuples. No
+	// snapshot hands them on. A hole's entry is stale.
 	ints [][]int64
 }
 
 // slot is a position in Relation.slots.
 type slot uint32
 
-// hole is the texp of a freed slot. It lies below every instant (xtime's
-// instants are the non-negative integers), so the texp > τ compare every
-// scan makes anyway skips a hole for free. A hole is told by this sentinel
-// and never by its nil tuple: a zero-column relation stores ⟨⟩.
+// hole is the texp of a freed slot: below every instant, so the texp > τ
+// test of every scan skips it. It, not a nil tuple, tells a hole: a
+// zero-column relation stores ⟨⟩.
 const hole xtime.Time = math.MinInt64
 
 // sortedRows holds the slot of every row of one frozen store in tuple
-// order — a permutation, 4 bytes a row, not a second copy of the rows —
-// sorted on first use and at most once. A shared store is never written
-// again, and expiry only hides rows — filtering a sorted sequence keeps it
-// sorted — so the order stands for as long as the store does: there is
-// nothing to invalidate, and a handle that detaches simply lets go of the
-// pointer.
+// order — a permutation, 4 bytes a row — sorted on first use, once. A
+// shared store is never written, and expiry only hides rows, which keeps
+// the order sorted: it stands as long as the store, and a handle that
+// detaches lets go of the pointer.
 type sortedRows struct {
 	once sync.Once
 	perm []slot
 }
 
-// of returns the tuple order of r's store, the frozen one s was created
-// for. Handles on different goroutines may race here: one sorts.
+// of returns the tuple order of r's frozen store; of racing handles, one sorts.
 func (s *sortedRows) of(r *Relation) []slot {
 	s.once.Do(func() {
 		s.perm = make([]slot, 0, r.count())
@@ -147,18 +127,6 @@ var lockSeq atomic.Uint64
 // New returns an empty relation with the given schema.
 func New(schema tuple.Schema) *Relation { return &Relation{order: lockSeq.Add(1), schema: schema} }
 
-// Lock write-locks the relation.
-func (r *Relation) Lock() { r.mu.Lock() }
-
-// Unlock releases a write lock.
-func (r *Relation) Unlock() { r.mu.Unlock() }
-
-// RLock read-locks the relation.
-func (r *Relation) RLock() { r.mu.RLock() }
-
-// RUnlock releases a read lock.
-func (r *Relation) RUnlock() { r.mu.RUnlock() }
-
 // LockOrder returns the relation's position in the global lock order.
 // Goroutines that hold locks on several relations at once must acquire
 // them in ascending LockOrder to stay deadlock-free.
@@ -176,13 +144,10 @@ func (r *Relation) effTau(tau xtime.Time) xtime.Time {
 	return tau
 }
 
-// detach gives r a private store before a mutation when the current one is
-// shared with snapshots. Rows dead at the floor are dropped from the copy —
-// they were invisible anyway. Tuples are never copied. This is the one
-// place a handle leaves a shared store, so also where it gives up the
-// store's remembered order; the handles still on the store keep theirs.
-// Slot numbers read before a detach are void after it (the copy may have
-// been compacted).
+// detach gives r a private store, less the rows dead at the floor, before
+// a mutation when its store is shared; tuples are never copied. It is the
+// one place a handle leaves a shared store and gives up its remembered
+// order. Slot numbers read before a detach are void after it.
 func (r *Relation) detach() {
 	if !r.shared {
 		return
@@ -193,19 +158,12 @@ func (r *Relation) detach() {
 }
 
 // copyStore gives dst a private copy of r's store less the rows dead at
-// tau: bulk clones, then each dead row is punched out — its slot made a
-// hole, its key (if r keeps a map) re-derived into one scratch buffer and
-// deleted (a map delete by string(buf) does not allocate). Slot order
-// survives the copy.
+// tau, made holes. Slot order survives the copy; the key set does not: the
+// copy's first probe derives its own.
 func (r *Relation) copyStore(dst *Relation, tau xtime.Time) {
-	dst.slots, dst.keys, dst.free = slices.Clone(r.slots), maps.Clone(r.keys), slices.Clone(r.free)
-	var key []byte
+	dst.slots, dst.set, dst.free = slices.Clone(r.slots), tuple.Set{}, slices.Clone(r.free)
 	for i := range dst.slots {
 		if row := dst.slots[i]; row.Texp <= tau && row.Texp != hole {
-			if dst.keys != nil {
-				key = row.Tuple.AppendKey(key[:0])
-				delete(dst.keys, string(key))
-			}
 			dst.release(slot(i))
 		}
 	}
@@ -215,19 +173,29 @@ func (r *Relation) copyStore(dst *Relation, tau xtime.Time) {
 // count is the number of stored rows: every hole is on the free list.
 func (r *Relation) count() int { return len(r.slots) - len(r.free) }
 
-// keyMap returns r.keys, deriving it from the rows on first use. Each
-// handle on a frozen store derives its own: a probe through one handle
-// writes nothing another can read.
-func (r *Relation) keyMap() map[string]slot {
-	if r.keys == nil {
-		r.keys = make(map[string]slot, r.count())
+// keySet returns r.set, derived from the rows on first use — by each handle
+// on a frozen store for itself, so no probe writes what another reads.
+func (r *Relation) keySet() *tuple.Set {
+	if !r.set.Made() {
+		r.set = tuple.MakeSet(r.count())
+		var buf [tuple.KeyBuf]byte
 		for i, row := range r.slots {
 			if row.Texp != hole {
-				r.keys[row.Tuple.Key()] = slot(i)
+				r.set.Add(tuple.Hash(row.Tuple.AppendKey(buf[:0])), i)
 			}
 		}
 	}
-	return r.keys
+	return &r.set
+}
+
+// find returns the slot of the row whose set key is key, and the key's hash.
+func find[K string | []byte](r *Relation, key K) (slot, uint64, bool) {
+	h := tuple.Hash(key)
+	s, ok := r.keySet().Find(h, func(s int) bool {
+		var buf [tuple.KeyBuf]byte
+		return string(r.slots[s].Tuple.AppendKey(buf[:0])) == string(key)
+	})
+	return slot(s), h, ok
 }
 
 // release turns slot s into a hole an insert may reuse.
@@ -237,23 +205,21 @@ func (r *Relation) release(s slot) {
 }
 
 // slack is what boundSlots tolerates beyond 2×rows, as the texp heap does
-// (index.TexpHeap.Bloated): large enough that steady churn on a small table
-// never pays a rebuild.
+// (index.TexpHeap.Bloated), so churn on a small table never compacts.
 const slack = 1024
 
 // boundSlots squeezes the holes out, in slot order, once they push the
-// store past 2×rows + slack slots, so a table that drains from 100 000 rows
-// to ten is scanned as ten. What is left holds no hole, so the next
-// compaction is at least rows + slack deletes away: amortised O(1). Only
-// ever called on a private store; every slot number changes.
+// store past 2×rows + slack slots, so a table drained from 100 000 rows to
+// ten is scanned as ten; the next compaction is rows + slack deletes away.
+// Only for a private store. Every slot number changes, so the key set goes,
+// to be derived again at the size of what is left.
 func (r *Relation) boundSlots() {
 	if len(r.slots) <= 2*r.count()+slack {
 		return
 	}
-	slots, moved := make([]Row, 0, r.count()), make([]slot, len(r.slots))
-	for i, row := range r.slots {
+	slots := make([]Row, 0, r.count())
+	for _, row := range r.slots {
 		if row.Texp != hole {
-			moved[i] = slot(len(slots))
 			slots = append(slots, row)
 		}
 	}
@@ -268,19 +234,11 @@ func (r *Relation) boundSlots() {
 			r.ints[c] = kept
 		}
 	}
-	if r.keys != nil {
-		keys := make(map[string]slot, len(slots))
-		for k, s := range r.keys {
-			keys[k] = moved[s]
-		}
-		r.keys = keys
-	}
-	r.slots, r.free = slots, nil
+	r.slots, r.set, r.free = slots, tuple.Set{}, nil
 }
 
-// Len returns the number of stored tuples, including ones that may already
-// have expired logically but have not been removed (lazy removal, §3.2).
-// A shared snapshot counts only the rows alive at its snapshot instant.
+// Len returns the number of stored tuples, expired-but-unswept ones
+// included (§3.2); a shared snapshot counts the rows alive at its floor.
 func (r *Relation) Len() int {
 	if r.floor == 0 {
 		return r.count()
@@ -296,10 +254,9 @@ func (r *Relation) Insert(t tuple.Tuple, texp xtime.Time) bool {
 	return changed
 }
 
-// InsertKeyed is Insert for callers that already computed t.Key(), sparing
-// the hot insert path a second key encoding (key must equal t.Key()). It
-// also reports the tuple's previous expiration time when an equal tuple was
-// already present (a changed insert with had set is a lifetime extension).
+// InsertKeyed is Insert for callers that computed key = t.Key(). It also
+// reports the previous texp when an equal tuple was there (had): a changed
+// insert with had set is a lifetime extension.
 func (r *Relation) InsertKeyed(key string, t tuple.Tuple, texp xtime.Time) (changed bool, prev xtime.Time, had bool) {
 	_, changed, prev, had = r.InsertStored(key, t, texp)
 	return changed, prev, had
@@ -309,34 +266,39 @@ func (r *Relation) InsertKeyed(key string, t tuple.Tuple, texp xtime.Time) (chan
 // key — the clone it just made, or the equal tuple already there — which
 // callers may retain but must not mutate.
 func (r *Relation) InsertStored(key string, t tuple.Tuple, texp xtime.Time) (stored tuple.Tuple, changed bool, prev xtime.Time, had bool) {
+	return insert(r, key, t, texp, false)
+}
+
+// insert is the one keyed insert: t, whose set key is key, goes in with
+// texp — cloned unless owned — or the equal tuple r holds keeps the later
+// texp, one word written in place. The key becomes a string only for an
+// index or the texp heap to hold.
+func insert[K string | []byte](r *Relation, key K, t tuple.Tuple, texp xtime.Time, owned bool) (stored tuple.Tuple, changed bool, prev xtime.Time, had bool) {
 	r.detach()
-	if s, ok := r.keyMap()[key]; ok {
-		stored, prev = r.slots[s].Tuple, r.slots[s].Texp
-		return stored, r.extend(key, s, texp), prev, true
+	s, h, had := find(r, key)
+	var str string
+	if r.indexes != nil || r.texpIdx != nil {
+		str = string(key)
 	}
-	stored = t.Clone()
-	r.place(key, stored, texp)
+	if had {
+		row := &r.slots[s]
+		if stored, prev = row.Tuple, row.Texp; texp > prev {
+			row.Texp = texp
+			r.idxUpdate(str, stored, texp)
+		}
+		return stored, texp > prev, prev, true
+	}
+	if stored = t; !owned {
+		stored = t.Clone()
+	}
+	r.place(h, str, stored, texp)
 	return stored, true, 0, false
 }
 
-// extend raises the texp of the row in slot s, stored under key, to texp —
-// one word written in place, on a store already private — unless it
-// already expires as late.
-func (r *Relation) extend(key string, s slot, texp xtime.Time) bool {
-	row := &r.slots[s]
-	if texp <= row.Texp {
-		return false
-	}
-	row.Texp = texp
-	r.idxUpdate(key, row.Tuple, texp)
-	return true
-}
-
-// place stores a row not yet present, in a freed slot when there is one and
-// at the end otherwise; t becomes the relation's own. A store grows
-// eightfold while it is small — a result of forty rows is three arrays
-// (1, 8 and 64 rows), not seven — and by append's rule from 64 rows on.
-func (r *Relation) place(key string, t tuple.Tuple, texp xtime.Time) {
+// place stores a row not yet present, its set key hashed to h, in a freed
+// slot if any, else at the end; t becomes r's own. A store under 64 rows
+// grows eightfold — forty rows are three arrays (1, 8, 64), not seven.
+func (r *Relation) place(h uint64, key string, t tuple.Tuple, texp xtime.Time) {
 	var s slot
 	if n := len(r.free); n > 0 {
 		s, r.free = r.free[n-1], r.free[:n-1]
@@ -349,8 +311,8 @@ func (r *Relation) place(key string, t tuple.Tuple, texp xtime.Time) {
 		r.slots = append(r.slots, Row{Tuple: t, Texp: texp})
 	}
 	r.setInts(s, t)
-	if r.keys != nil {
-		r.keys[key] = s
+	if r.set.Made() {
+		r.set.Add(h, int(s))
 	}
 	r.idxInsert(key, t, texp)
 }
@@ -374,61 +336,55 @@ func (r *Relation) setInts(s slot, t tuple.Tuple) {
 	}
 }
 
-// InsertOwned is InsertKeyed for tuples the relation may store without a
-// defensive clone: tuples freshly built by an operator, or shared
-// immutable tuples already stored in another relation. key must equal
-// t.Key(). The streaming executor routes every result that may derive a
-// tuple twice through it (the others through AppendDistinct), so tuples
-// flow from base storage to query results without a single copy.
-func (r *Relation) InsertOwned(key string, t tuple.Tuple, texp xtime.Time) bool {
-	r.detach()
-	if s, ok := r.keyMap()[key]; ok {
-		return r.extend(key, s, texp)
-	}
-	r.place(key, t, texp)
-	return true
-}
-
-// InsertOwnedRow is InsertOwned for a Row value, computing the set key.
+// InsertOwnedRow is Insert of a tuple r may store without a clone — built
+// by an operator, or stored immutable in another relation — so results
+// that may derive a tuple twice take rows from base storage uncopied (the
+// others take AppendDistinct). It reports whether r held no equal tuple.
 func (r *Relation) InsertOwnedRow(row Row) bool {
-	return r.InsertOwned(row.Tuple.Key(), row.Tuple, row.Texp)
+	var buf [tuple.KeyBuf]byte
+	_, _, _, had := insert(r, row.Tuple.AppendKey(buf[:0]), row.Tuple, row.Texp, true)
+	return !had
 }
 
-// AppendDistinct adds row, whose tuple the caller knows r does not hold —
-// a row of a duplicate-free stream or of a set a peer sent — without its
-// set key: a relation filled this way keeps no key map until one is needed.
-// Onto a relation that keeps a map, an index or column arrays, or shares its
-// store, it is InsertOwnedRow.
+// AppendDistinct adds row of a duplicate-free stream, which r does not
+// hold, unhashed: r has no key set until a probe derives one. Onto a
+// relation with a key set, an index or column arrays, or a shared store,
+// it is InsertOwnedRow.
 func (r *Relation) AppendDistinct(row Row) {
-	if r.keys != nil || r.shared || r.indexes != nil || r.texpIdx != nil || r.ints != nil {
+	if r.set.Made() || r.shared || r.indexes != nil || r.texpIdx != nil || r.ints != nil {
 		r.InsertOwnedRow(row)
 		return
 	}
-	r.place("", row.Tuple, row.Texp)
+	r.place(0, "", row.Tuple, row.Texp)
 }
 
-// DeleteKey removes the tuple stored under key (a value of Tuple.Key),
-// reporting whether it was present.
+// Grow makes room for n more rows, set entries included.
+func (r *Relation) Grow(n int) {
+	r.slots = slices.Grow(r.slots, n)
+	r.keySet().Grow(n)
+}
+
+// DeleteKey removes the tuple stored under key, reporting whether it was.
 func (r *Relation) DeleteKey(key string) bool {
-	s, ok := r.keyMap()[key]
+	s, h, ok := find(r, key)
 	if !ok || r.slots[s].Texp <= r.floor {
 		return false
 	}
 	if r.shared {
 		r.detach()
-		s = r.keys[key]
+		s, _, _ = find(r, key)
 	}
-	r.remove(key, s)
+	r.remove(h, key, s)
 	r.boundSlots()
 	r.boundTexpIdx()
 	return true
 }
 
-// remove drops the row stored under key, in slot s of a private store, from
-// the store and the secondary indexes, and returns it.
-func (r *Relation) remove(key string, s slot) Row {
+// remove drops the row in slot s of a private store, its set key hashed to
+// h and held in key ("" to derive it), from r and its indexes.
+func (r *Relation) remove(h uint64, key string, s slot) Row {
 	row := r.slots[s]
-	delete(r.keys, key)
+	r.set.Delete(h, int(s))
 	r.release(s)
 	r.idxRemove(key, row.Tuple)
 	return row
@@ -437,17 +393,20 @@ func (r *Relation) remove(key string, s slot) Row {
 // RowByKey returns the row stored under key (a value of Tuple.Key). The
 // returned row's tuple is the relation's own storage: callers must not
 // mutate it, and should only retain it after deleting the row.
-func (r *Relation) RowByKey(key string) (Row, bool) {
-	s, ok := r.keyMap()[key]
-	if !ok || r.slots[s].Texp <= r.floor {
-		return Row{}, false
+func (r *Relation) RowByKey(key string) (Row, bool) { return rowBy(r, key) }
+
+func rowBy[K string | []byte](r *Relation, key K) (Row, bool) {
+	if s, _, ok := find(r, key); ok && r.slots[s].Texp > r.floor {
+		return r.slots[s], true
 	}
-	return r.slots[s], true
+	return Row{}, false
 }
 
 // Texp returns texp_R(t) and whether t ∈ R.
 func (r *Relation) Texp(t tuple.Tuple) (xtime.Time, bool) {
-	return r.TexpKey(t.Key())
+	var buf [tuple.KeyBuf]byte
+	row, ok := rowBy(r, t.AppendKey(buf[:0]))
+	return row.Texp, ok
 }
 
 // TexpKey is Texp for callers that already computed t.Key().
@@ -456,15 +415,13 @@ func (r *Relation) TexpKey(key string) (xtime.Time, bool) {
 	return row.Texp, ok
 }
 
-// Contains reports whether t ∈ expτ(R), i.e. t is present and unexpired at
-// time tau.
+// Contains reports whether t ∈ expτ(R): present and unexpired at tau.
 func (r *Relation) Contains(t tuple.Tuple, tau xtime.Time) bool {
-	s, ok := r.keyMap()[t.Key()]
-	return ok && r.slots[s].Texp > r.effTau(tau)
+	texp, ok := r.Texp(t)
+	return ok && texp > r.effTau(tau)
 }
 
-// AliveAt calls fn for every row of expτ(R). Iteration order is
-// unspecified; fn must not mutate the relation.
+// AliveAt calls fn, which must not mutate r, for every row of expτ(R).
 func (r *Relation) AliveAt(tau xtime.Time, fn func(Row)) {
 	tau = r.effTau(tau)
 	slots := r.slots // fn is opaque: without the copy the header is reloaded after every call
@@ -488,11 +445,9 @@ func (r *Relation) HasIntArray(c int) bool { return c < len(r.ints) && r.ints[c]
 
 // ScanInts is AliveAt restricted to the rows whose INT in column rg.Col
 // lies in rg for every rg in ranges and, when in is not nil, whose INT in
-// column in.Col is in the set. Every column it tests must have an array
-// (HasIntArray). It walks the first interval's array in slot order —
-// uint64(v−lo) ≤ uint64(hi−lo), one subtraction and one unsigned compare a
-// row — and only for a row inside it reads the texp, the other arrays and,
-// when the row passes them all, the row itself.
+// column in.Col is in the set; every column tested has an array. It walks
+// the first interval's array — uint64(v−lo) ≤ uint64(hi−lo) a row — and
+// reads the texp, the other arrays and the row only for a row inside it.
 func (r *Relation) ScanInts(tau xtime.Time, ranges []IntRange, in *IntSet, fn func(Row)) {
 	if slices.ContainsFunc(ranges, func(rg IntRange) bool { return rg.Lo > rg.Hi }) {
 		return
@@ -527,60 +482,29 @@ func (r *Relation) passes(i int, ranges []IntRange, in *IntSet) bool {
 	return in == nil || in.Has(r.ints[in.Col][i])
 }
 
-// IntSet is a set of INTs that ScanInts tests column Col against — a hash
-// join's build keys. A bitmap indexed by a multiplicative hash, 16 bits a
-// member, turns most non-members away with one load; a binary search of
-// the sorted members settles the rest.
+// IntSet is the set of a hash join's INT build keys that ScanInts tests
+// column Col against, filed in a tuple.Set by a multiplicative hash.
 type IntSet struct {
-	Col   int
-	shift uint
-	bits  []uint64
-	vals  []int64
+	Col  int
+	vals []int64
+	set  tuple.Set
 }
 
-// NewIntSet returns the set of vals, tested against column col. It keeps
-// vals, sorted in place.
+// NewIntSet returns the set of vals, which it keeps, tested against col.
 func NewIntSet(col int, vals []int64) *IntSet {
-	slices.Sort(vals)
-	s := &IntSet{Col: col, vals: slices.Compact(vals)}
-	b := uint(6)
-	for 1<<b < 16*len(s.vals) {
-		b++
-	}
-	s.shift, s.bits = 64-b, make([]uint64, 1<<(b-6))
-	for _, v := range s.vals {
-		h := s.hash(v)
-		s.bits[h>>6] |= 1 << (h & 63)
+	s := &IntSet{Col: col, vals: vals, set: tuple.MakeSet(len(vals))}
+	for i, v := range vals {
+		if !s.Has(v) {
+			s.set.Add(uint64(v)*0x9E3779B97F4A7C15, i)
+		}
 	}
 	return s
 }
 
-func (s *IntSet) hash(v int64) uint64 { return uint64(v) * 0x9E3779B97F4A7C15 >> s.shift }
-
 // Has reports whether v is in s.
 func (s *IntSet) Has(v int64) bool {
-	if h := s.hash(v); s.bits[h>>6]&(1<<(h&63)) == 0 {
-		return false
-	}
-	_, ok := slices.BinarySearch(s.vals, v)
+	_, ok := s.set.Find(uint64(v)*0x9E3779B97F4A7C15, func(i int) bool { return s.vals[i] == v })
 	return ok
-}
-
-// AliveKeyedAt is AliveAt that also hands fn each row's set key — the
-// stored string, not a re-encoding — in slot order, like AliveAt: an index
-// backfilled from it orders its buckets by the history, not by the key
-// map's iteration order.
-func (r *Relation) AliveKeyedAt(tau xtime.Time, fn func(key string, row Row)) {
-	keys := make([]string, len(r.slots))
-	for k, s := range r.keyMap() {
-		keys[s] = k
-	}
-	tau = r.effTau(tau)
-	for i, row := range r.slots {
-		if row.Texp > tau {
-			fn(keys[i], row)
-		}
-	}
 }
 
 // All calls fn for every stored row regardless of expiration (for a
@@ -599,9 +523,8 @@ func (r *Relation) CountAt(tau xtime.Time) int {
 	return n
 }
 
-// Snapshot returns a new relation holding exactly expτ(R). The result has
-// a private store but shares the (immutable) tuples with r, so the cost is
-// one copy of the store, not a deep copy of the data.
+// Snapshot returns a new relation holding exactly expτ(R): a private copy
+// of the store that shares r's immutable tuples.
 func (r *Relation) Snapshot(tau xtime.Time) *Relation {
 	out := &Relation{order: lockSeq.Add(1), schema: r.schema}
 	r.copyStore(out, r.effTau(tau))
@@ -609,19 +532,15 @@ func (r *Relation) Snapshot(tau xtime.Time) *Relation {
 }
 
 // SnapshotShared returns expτ(R) as a zero-copy snapshot: the result
-// aliases r's store (O(1), no allocation beyond the header) and filters
-// rows dead at tau lazily on every access. Both handles stay safe to
-// mutate — the first mutation on either side copies the store before
-// writing (tuples are immutable and stay shared), so the snapshot is
-// effectively immutable from the moment it is taken. Views use it to
-// serve reads from the materialisation without copying it.
+// aliases r's store (O(1), a header) and hides rows dead at tau on every
+// access. The first mutation through either handle copies the store first
+// (detach), so the snapshot never changes. Views serve reads from it.
 //
 // A store is frozen far longer than it was built, so the first freeze moves
 // the slots to an array of their own size when growth left more than an
-// allocator size class of room behind them. Freezing the store freezes its
-// tuple order too, so every handle on it shares one sortedRows (fewer than
-// two rows have no order worth the allocation). Like any write to r, the
-// call needs r exclusively.
+// allocator size class of room. Its tuple order freezes too: every handle
+// shares one sortedRows (fewer than two rows have no order worth the
+// allocation). Like any write to r, the call needs r exclusively.
 func (r *Relation) SnapshotShared(tau xtime.Time) *Relation {
 	if !r.shared && cap(r.slots)-len(r.slots) > len(r.slots)/8 {
 		r.slots = slices.Clone(r.slots)
@@ -634,7 +553,7 @@ func (r *Relation) SnapshotShared(tau xtime.Time) *Relation {
 		order:  lockSeq.Add(1),
 		schema: r.schema,
 		slots:  r.slots,
-		keys:   r.keys,
+		set:    r.set,
 		free:   r.free,
 		floor:  r.effTau(tau),
 		shared: true,
@@ -642,23 +561,23 @@ func (r *Relation) SnapshotShared(tau xtime.Time) *Relation {
 	}
 }
 
-// RemoveExpired physically deletes rows with texp ≤ tau and returns them.
-// This is the eager/lazy removal hook of §3.2: eager engines call it on
-// every expiration event, lazy ones batch calls. With the texp-ordered
-// index enabled the candidates are enumerated by popping the heap —
-// O(k log n) for k removals — instead of walking the whole table.
+// RemoveExpired physically deletes rows with texp ≤ tau and returns them:
+// the eager/lazy removal hook of §3.2. With the texp-ordered index it pops
+// the k due rows, O(k log n), instead of walking the table.
 func (r *Relation) RemoveExpired(tau xtime.Time) []Row {
 	r.detach()
 	var removed []Row
 	if r.texpIdx != nil {
 		r.texpIdx.PopDue(tau, r.currentTexp, func(key string, _ xtime.Time) {
-			removed = append(removed, r.remove(key, r.keys[key]))
+			s, h, _ := find(r, key)
+			removed = append(removed, r.remove(h, key, s))
 		})
 		r.boundTexpIdx()
 	} else {
-		for k, s := range r.keyMap() {
-			if r.slots[s].Texp <= tau {
-				removed = append(removed, r.remove(k, s))
+		var buf [tuple.KeyBuf]byte
+		for i, row := range r.slots {
+			if row.Texp <= tau && row.Texp != hole {
+				removed = append(removed, r.remove(tuple.Hash(row.Tuple.AppendKey(buf[:0])), "", slot(i)))
 			}
 		}
 	}
@@ -666,10 +585,9 @@ func (r *Relation) RemoveExpired(tau xtime.Time) []Row {
 	return removed
 }
 
-// ExpiresBy reports whether RemoveExpired(tau) could remove anything. A
-// true answer may be a false alarm (a stale heap pair); a false one is
-// exact. It mutates nothing, so callers need only the read lock — the
-// engine uses it to leave tables with nothing due unlocked for writing.
+// ExpiresBy reports whether RemoveExpired(tau) could remove anything: true
+// may be a false alarm (a stale heap pair), false is exact. It writes
+// nothing, so the engine leaves tables with nothing due unlocked.
 func (r *Relation) ExpiresBy(tau xtime.Time) bool {
 	if r.texpIdx != nil {
 		return r.texpIdx.Due(tau)
@@ -689,16 +607,14 @@ func (r *Relation) TexpPending() int {
 // currentTexp is the texp-heap's staleness oracle: the live expiration
 // time stored for key, if any.
 func (r *Relation) currentTexp(key string) (xtime.Time, bool) {
-	s, ok := r.keyMap()[key]
-	if !ok {
-		return 0, false
+	if s, _, ok := find(r, key); ok {
+		return r.slots[s].Texp, true
 	}
-	return r.slots[s].Texp, true
+	return 0, false
 }
 
-// Rows returns the rows of expτ(R) in unspecified order — the
-// allocation-lean form for executor hot paths that only need the alive
-// set. Deterministic consumers (rendering, tests) want RowsSorted.
+// Rows returns the rows of expτ(R) in no order; deterministic consumers
+// (rendering, tests) want RowsSorted.
 func (r *Relation) Rows(tau xtime.Time) []Row {
 	tau = r.effTau(tau)
 	out := make([]Row, 0, r.count())
@@ -710,14 +626,11 @@ func (r *Relation) Rows(tau xtime.Time) []Row {
 	return out
 }
 
-// RowsSorted returns the rows of expτ(R) sorted by tuple order — a
-// deterministic view for tests, rendering and ORDER BY's base order. A set
-// has no order: callers that only consume the rows want AliveAt or Rows.
-// The slice is the caller's own (ORDER BY re-sorts it in place). A private
-// store is collected and sorted per call; a shared one — a materialised
-// view, a cached result, every snapshot of either — is sorted once for all
-// its handles and filtered to the rows alive past max(floor, τ) per call,
-// counted first so the result is as large as what is alive and no larger.
+// RowsSorted returns the rows of expτ(R) in tuple order, in a slice of the
+// caller's own (ORDER BY re-sorts it in place): for tests, rendering and
+// ORDER BY. A private store is sorted per call; a shared one — a view, a
+// cached result, their snapshots — once for all its handles, then filtered
+// per call into a slice sized by a count of what is alive.
 func (r *Relation) RowsSorted(tau xtime.Time) []Row {
 	if r.sorted == nil {
 		out := r.Rows(tau)
@@ -783,21 +696,37 @@ func (r *Relation) idxUpdate(key string, t tuple.Tuple, texp xtime.Time) {
 // texp heap is left alone: its pair is stale now and PopDue discards it
 // when it surfaces.
 func (r *Relation) idxRemove(key string, t tuple.Tuple) {
+	if key == "" && r.indexes != nil {
+		key = t.Key()
+	}
 	for _, ni := range r.indexes {
 		ni.Idx.Remove(key, t)
 	}
 }
 
-// AttachIndex attaches idx under name and backfills it from every stored
-// row (expired-but-unswept rows included — probes filter by tau, and the
-// sweep will remove them from the index like any other row). Caller holds
-// the write lock. Backfilling at attach time is what makes WAL replay
-// order-independent: a CREATE INDEX replayed after its table's inserts
-// sees them here, and inserts replayed later flow through the hooks.
+// AttachIndex attaches idx under name and backfills it, in slot order, from
+// every stored row, expired-but-unswept ones included (probes filter by
+// tau). A row shares the key string of its current texp heap pair; only a
+// row that never expires has its key derived. Caller holds the write lock.
+// Backfilling here makes WAL replay order-independent: a CREATE INDEX
+// replayed after its table's inserts sees them, later ones use the hooks.
 func (r *Relation) AttachIndex(name string, idx index.Index) {
-	r.AliveKeyedAt(r.floor, func(k string, row Row) {
-		idx.Insert(index.Entry{Key: k, Tuple: row.Tuple, Texp: row.Texp})
-	})
+	keys := make([]string, len(r.slots))
+	if r.texpIdx != nil {
+		r.texpIdx.Pairs(func(key string, texp xtime.Time) {
+			if s, _, ok := find(r, key); ok && r.slots[s].Texp == texp {
+				keys[s] = key
+			}
+		})
+	}
+	for i, row := range r.slots {
+		if row.Texp > r.floor {
+			if keys[i] == "" {
+				keys[i] = row.Tuple.Key()
+			}
+			idx.Insert(index.Entry{Key: keys[i], Tuple: row.Tuple, Texp: row.Texp})
+		}
+	}
 	r.indexes = append(r.indexes, NamedIndex{Name: name, Idx: idx})
 }
 
@@ -812,9 +741,8 @@ func (r *Relation) DetachIndex(name string) bool {
 	return false
 }
 
-// IndexNamed returns the attached index with the given name, or nil. The
-// executor resolves plan-time index choices through it at stream time, so
-// a concurrently dropped index degrades to a scan instead of failing.
+// IndexNamed returns the attached index with the given name, or nil: a
+// plan whose index was dropped since degrades to a scan.
 func (r *Relation) IndexNamed(name string) index.Index {
 	for _, ni := range r.indexes {
 		if ni.Name == name {
@@ -827,9 +755,8 @@ func (r *Relation) IndexNamed(name string) index.Index {
 // Indexes returns the attached named indexes (the engine's catalog view).
 func (r *Relation) Indexes() []NamedIndex { return r.indexes }
 
-// EnableIntArrays gives every INT column a slot array (see Relation.ints),
-// backfilled from the stored rows: a column already holding another value
-// gets none. Idempotent; caller holds the write lock.
+// EnableIntArrays gives every INT column not holding another value a slot
+// array (Relation.ints). Idempotent; caller holds the write lock.
 func (r *Relation) EnableIntArrays() {
 	if r.ints != nil {
 		return
@@ -847,31 +774,26 @@ func (r *Relation) EnableIntArrays() {
 	}
 }
 
-// EnableTexpIndex turns on the texp-ordered index, backfilling it from
-// the stored rows. Idempotent; caller holds the write lock.
+// EnableTexpIndex turns on the texp-ordered index with a pair per stored
+// finite-texp row (a recovering table's). Idempotent; caller holds the
+// write lock.
 func (r *Relation) EnableTexpIndex() {
-	if r.texpIdx == nil {
-		r.rebuildTexpIdx()
+	if r.texpIdx != nil {
+		return
+	}
+	r.texpIdx = index.NewTexpHeap()
+	for _, row := range r.slots {
+		if row.Texp != hole && row.Texp != xtime.Infinity {
+			r.texpIdx.Push(row.Tuple.Key(), row.Texp)
+		}
 	}
 }
 
-// rebuildTexpIdx replaces the texp heap with one pair per stored
-// finite-texp row.
-func (r *Relation) rebuildTexpIdx() {
-	th := index.NewTexpHeap()
-	for k, s := range r.keyMap() {
-		th.Push(k, r.slots[s].Texp)
-	}
-	r.texpIdx = th
-}
-
-// boundTexpIdx rebuilds the texp heap from the stored rows once the
-// stale pairs that deletes and lifetime extensions leave behind bloat it,
-// so delete-heavy churn with long TTLs cannot grow it without bound. Every
-// mutator that can break the bound calls it under the write lock it
-// already holds.
+// boundTexpIdx compacts the texp heap once the stale pairs deletes and
+// extensions leave behind bloat it, so churn with long TTLs cannot grow it
+// without bound. Every mutator that can break the bound calls it.
 func (r *Relation) boundTexpIdx() {
 	if r.texpIdx != nil && r.texpIdx.Bloated(r.count()) {
-		r.rebuildTexpIdx()
+		r.texpIdx.Compact(r.currentTexp)
 	}
 }

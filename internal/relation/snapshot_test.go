@@ -142,22 +142,19 @@ func TestSnapshotSharedChained(t *testing.T) {
 	}
 }
 
-// TestInsertOwnedSetSemantics: InsertOwned keeps the max expiration on
-// duplicates, like Insert, without cloning the tuple.
+// TestInsertOwnedSetSemantics: InsertOwnedRow keeps the max expiration on
+// duplicates, like Insert, and reports only the first as added.
 func TestInsertOwnedSetSemantics(t *testing.T) {
 	r := New(tuple.IntCols("a", "b"))
 	tp := tuple.Ints(1, 2)
-	if !r.InsertOwned(tp.Key(), tp, 10) {
-		t.Fatal("first InsertOwned must change the relation")
-	}
-	if r.InsertOwned(tp.Key(), tp, 5) {
-		t.Fatal("shorter lifetime must not win")
-	}
-	if !r.InsertOwned(tp.Key(), tp, 20) {
-		t.Fatal("longer lifetime must win")
-	}
-	if texp, _ := r.Texp(tp); texp != 20 {
-		t.Fatalf("texp = %v, want 20", texp)
+	for i, step := range []struct {
+		texp, want xtime.Time
+		added      bool
+	}{{10, 10, true}, {5, 10, false}, {20, 20, false}} {
+		added := r.InsertOwnedRow(Row{Tuple: tp, Texp: step.texp})
+		if texp, _ := r.Texp(tp); added != step.added || texp != step.want {
+			t.Fatalf("insert %d @%v: added %v, texp %v; want %v, %v", i, step.texp, added, texp, step.added, step.want)
+		}
 	}
 }
 

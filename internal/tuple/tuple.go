@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"expdb/internal/value"
 )
@@ -101,21 +100,15 @@ func (t Tuple) Concat(o Tuple) Tuple {
 	return append(out, o...)
 }
 
-// keyBufPool recycles the scratch buffers Key encodes into, so
-// the only allocation left on a key computation is the string itself.
-var keyBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// Key returns a self-delimiting binary set key for the tuple: two tuples
-// share a key exactly when they are Equal. Relations use it for duplicate
-// elimination and partitions use it for grouping.
+// Key returns the tuple's set key as a string: two tuples share a key
+// exactly when they are Equal. A base table's texp heap and indexes hold it.
 func (t Tuple) Key() string {
-	bp := keyBufPool.Get().(*[]byte)
-	b := t.AppendKey((*bp)[:0])
-	s := string(b)
-	*bp = b
-	keyBufPool.Put(bp)
-	return s
+	var buf [KeyBuf]byte
+	return string(t.AppendKey(buf[:0]))
 }
+
+// KeyBuf sizes the stack buffers set keys are encoded into: 14 numbers.
+const KeyBuf = 128
 
 // AppendKey appends the tuple's set key to dst.
 func (t Tuple) AppendKey(dst []byte) []byte {

@@ -17,11 +17,9 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"io"
 	"slices"
 
@@ -252,24 +250,21 @@ func appendResponse(dst []byte, resp *Response) []byte {
 }
 
 // decodeResponse decodes a response payload into a new answer relation and
-// its births. Every count is checked against the bytes left, so a corrupt
-// or hostile payload cannot make it allocate for rows it does not hold. The
-// answer is a set, so its rows are appended without a key map, and a frame
-// whose rows repeat one another is malformed.
+// its births. Every count is checked against the bytes left, so a hostile
+// payload cannot make it allocate for rows it does not hold. Each row goes
+// in by the relation's keyed insert: a frame whose row is there is malformed.
 func decodeResponse(p []byte) (*Response, error) {
 	d := tuple.NewDecoder(p)
 	resp := &Response{Err: d.Str(), Cached: d.Byte() != 0, TraceID: d.Uint64(), Now: d.Time(), Texp: d.Time()}
 	schema := d.Schema()
 	n := d.Count("row count", 9) // an empty tuple and a texp
 	resp.rel = relation.New(schema)
-	seen := newDistinct(p, n)
+	resp.rel.Grow(n)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		off := len(p) - d.Remaining()
 		row := relation.Row{Tuple: d.Tuple(), Texp: d.Time()}
-		if d.Err() == nil && !seen.add(row.Tuple, off) {
+		if d.Err() == nil && !resp.rel.InsertOwnedRow(row) {
 			return nil, fmt.Errorf("wire: malformed response: row %d repeats an earlier row", i+1)
 		}
-		resp.rel.AppendDistinct(row)
 	}
 	births := make([]algebra.CriticalRow, d.Count("birth count", 17))
 	for i := range births {
@@ -281,54 +276,6 @@ func decodeResponse(p []byte) (*Response, error) {
 	}
 	resp.births = algebra.BirthsOf(births)
 	return resp, nil
-}
-
-// distinct tells the rows of one response frame apart by their set keys
-// without a string per row: each key is encoded into one reused buffer and
-// hashed, and only rows whose hashes agree have their keys compared, the
-// earlier one decoded again from the frame.
-type distinct struct {
-	frame []byte
-	// table is open-addressed by the hash's low bits; an entry holds its
-	// upper 32 bits and, below them, 1 + the offset in frame of a row's
-	// tuple (frames are shorter than 4 GB). 0 is empty.
-	table      []uint64
-	key, other []byte
-}
-
-// rowSeed seeds the hash of every distinct.
-var rowSeed = maphash.MakeSeed()
-
-// newDistinct returns a distinct for up to n rows of frame, its table at
-// most half full.
-func newDistinct(frame []byte, n int) distinct {
-	size := 1
-	for size < 2*n {
-		size <<= 1
-	}
-	return distinct{frame: frame, table: make([]uint64, size)}
-}
-
-// add reports whether t, decoded from offset off of the frame, differs by
-// its set key from every tuple added before, and adds it.
-func (s *distinct) add(t tuple.Tuple, off int) bool {
-	const low = 1<<32 - 1
-	s.key = t.AppendKey(s.key[:0])
-	h := maphash.Bytes(rowSeed, s.key)
-	mask := uint64(len(s.table) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		e := s.table[i]
-		if e == 0 {
-			s.table[i] = h&^low | uint64(off+1)
-			return true
-		}
-		if e&^low == h&^low {
-			d := tuple.NewDecoder(s.frame[e&low-1:])
-			if s.other = d.Tuple().AppendKey(s.other[:0]); bytes.Equal(s.key, s.other) {
-				return false
-			}
-		}
-	}
 }
 
 // finish reports a payload that did not decode, or had bytes left over.
