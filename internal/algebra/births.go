@@ -16,9 +16,11 @@ import (
 // Theorem 3; for a GROUP BY, the later states of each partition (§3.4.1): a
 // state is born at the change point that expires its predecessor, until the
 // partition empties. A materialisation that applies them as they fall due
-// never invalidates before its arguments do. Births are only consumed,
-// earliest first, so both forms are stored latest first: consuming shortens
-// a slice, and a mostly consumed array is given back (shrink).
+// never invalidates before its arguments do: Evaluation.Serve takes those due
+// as one run of rows in tuple order (due) and merges it into its in-order
+// store. Births are only consumed, earliest first, so both forms are stored
+// latest first: consuming shortens a slice, and a mostly consumed array is
+// given back (shrink).
 type Births struct {
 	rows   []CriticalRow // whole rows, latest (InS, Tuple) first
 	chains []chain       // one per partition that changes before it empties
@@ -134,22 +136,19 @@ func (b *Births) state(c chain, i int) tuple.Tuple {
 	return t
 }
 
-// apply brings rel, the materialisation these births belong to, to tau: every
-// birth due by then is consumed, and inserted if still alive. When one was
-// due the result is a private copy of rel's rows alive at tau — the copy a
-// shared row map is owed before a write anyway, made without the dead rows:
-// a materialisation that is never recomputed does not grow — otherwise rel
-// itself. The second result is the number of births consumed.
-func (b *Births) apply(rel *relation.Relation, tau xtime.Time) (*relation.Relation, int) {
+// due consumes every birth due by tau and returns those still alive then, as
+// rows in tuple order — Serve merges them into the store — and the number
+// consumed. Of a chain's states born by tau only the latest can be alive.
+func (b *Births) due(tau xtime.Time) ([]relation.Row, int) {
 	if tau < b.Next() {
-		return rel, 0
+		return nil, 0
 	}
 	pending := b.Len()
-	rel = rel.Snapshot(tau)
+	var born []relation.Row
 	n := len(b.rows)
 	for ; n > 0 && b.rows[n-1].InS <= tau; n-- {
 		if h := b.rows[n-1]; h.InR > tau {
-			rel.InsertOwnedRow(relation.Row{Tuple: h.Tuple, Texp: h.InR})
+			born = append(born, relation.Row{Tuple: h.Tuple, Texp: h.InR})
 		}
 		b.since = b.rows[n-1].InS
 	}
@@ -161,10 +160,10 @@ func (b *Births) apply(rel *relation.Relation, tau xtime.Time) (*relation.Relati
 		for n > 0 && c.at[n-1] <= tau {
 			n--
 		}
-		if n < len(c.at) { // of the states born by tau only the latest can be alive
+		if n < len(c.at) {
 			b.since = xtime.Max(b.since, c.at[max(n, 1)])
 			if n > 0 {
-				rel.InsertOwnedRow(relation.Row{Tuple: b.state(c, n), Texp: c.at[n-1]})
+				born = append(born, relation.Row{Tuple: b.state(c, n), Texp: c.at[n-1]})
 			}
 			c.at, c.vals = shrink(c.at[:n]), shrink(c.vals[:max(n-1, 0)*len(b.aggs)])
 		}
@@ -175,7 +174,8 @@ func (b *Births) apply(rel *relation.Relation, tau xtime.Time) (*relation.Relati
 	clear(b.chains[len(live):])
 	b.chains = shrink(live)
 	b.settle()
-	return rel, pending - b.Len()
+	slices.SortFunc(born, func(x, y relation.Row) int { return x.Tuple.Compare(y.Tuple) })
+	return born, pending - b.Len()
 }
 
 // shrink moves s to an array of its own size once it fills at most half of

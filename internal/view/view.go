@@ -359,9 +359,10 @@ func (v *View) RecomputeLatency() metrics.HistogramSnapshot {
 func (v *View) PendingPatches() int { return v.ev.Births.Len() }
 
 // valid reports whether the materialisation may answer a read at tau
-// without recovery.
+// without recovery: not below its floor, where it shed rows or took births
+// a read there would not see.
 func (v *View) valid(tau xtime.Time) bool {
-	return tau >= v.ev.At && v.mode != ModeAlwaysRecompute && v.validity.Contains(tau)
+	return tau >= v.ev.Floor() && v.mode != ModeAlwaysRecompute && v.validity.Contains(tau)
 }
 
 // Read answers a query against the view at time tau: a snapshot of the
@@ -425,12 +426,12 @@ func (v *View) resolve(tau xtime.Time) (ReadInfo, error) {
 	case RecoverReject:
 		return info, fmt.Errorf("%w: %s at %v (valid %s)", ErrInvalid, v.name, tau, v.validity)
 	case RecoverBackward:
-		if at, ok := v.validity.PrevIn(tau); ok && at >= v.ev.At {
+		if at, ok := v.validity.PrevIn(tau); ok && at >= v.ev.Floor() {
 			info.Source, info.At = SourceMovedBackward, at
 			return info, nil
 		}
 	case RecoverForward:
-		if at, ok := v.validity.NextIn(tau); ok {
+		if at, ok := v.validity.NextIn(tau); ok && at >= v.ev.Floor() {
 			info.Source, info.At = SourceMovedForward, at
 			return info, nil
 		}

@@ -251,6 +251,38 @@ func TestMoveForward(t *testing.T) {
 	}
 }
 
+// TestReadBelowTheFloor: a read that sheds rows of the materialisation —
+// every join row dead at 16, the difference's births applied and its dead
+// compacted away — leaves no earlier instant to it: a read there, served,
+// moved or recomputed, is the evaluation at the instant it answers.
+func TestReadBelowTheFloor(t *testing.T) {
+	views := map[string][]Option{
+		"join":          nil,
+		"patched diff":  {WithPatching()},
+		"backward diff": {WithMode(ModeInterval), WithRecovery(RecoverBackward)},
+	}
+	for name, opts := range views {
+		expr := algebra.Expr(diffExpr(t))
+		if name == "join" {
+			expr = joinExpr(t)
+		}
+		v, err := New(name, expr, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Materialize(0); err != nil {
+			t.Fatal(err)
+		}
+		for _, tau := range []xtime.Time{16, 4, 2} {
+			rel, info, err := v.Read(tau)
+			want, werr := algebra.Evaluate(expr, info.At)
+			if err != nil || werr != nil || !reltest.EqualAt(rel, want.Rel, info.At) {
+				t.Fatalf("%s read at %v, answered at %v (%v):\n%swant\n%s", name, tau, info.At, err, rel.Render(info.At), want.Rel.Render(info.At))
+			}
+		}
+	}
+}
+
 func TestMovedRecoveryRequiresIntervalMode(t *testing.T) {
 	if _, err := New("d", diffExpr(t), WithRecovery(RecoverBackward)); err == nil {
 		t.Error("backward recovery accepted without interval mode")

@@ -103,8 +103,8 @@ func TestReadAllocsConstant(t *testing.T) {
 	}
 }
 
-// freshSort is what RowsSorted did before a frozen map remembered its
-// order: collect the alive rows and sort them, on every call.
+// freshSort is RowsSorted of a store not in order: collect the alive rows
+// and sort them, on every call.
 func freshSort(rel *relation.Relation, tau xtime.Time) []relation.Row {
 	rows := rel.Rows(tau)
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Tuple.Compare(rows[j].Tuple) < 0 })
@@ -124,8 +124,8 @@ func sameRows(t *testing.T, what string, got, want []relation.Row) {
 }
 
 // TestReadOrderAcrossPatchAndRefresh: the reads between two changes of the
-// materialisation share one sort, so the order has to survive exactly what
-// the rows survive. Read, Theorem 3 patch, read, REFRESH, read: every
+// materialisation share one in-order store, so the order has to survive
+// exactly what the rows survive. Read, Theorem 3 patch, read, REFRESH, read: every
 // RowsSorted equals a fresh sort of the same handle, a caller that
 // re-sorts its slice disturbs nobody, and a handle served before the patch
 // keeps the pre-patch answer.
