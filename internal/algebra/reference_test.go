@@ -52,7 +52,10 @@ func refEval(e Expr, tau xtime.Time) (*relation.Relation, xtime.Time) {
 	out := refSet{}
 	switch n := e.(type) {
 	case *Base:
-		return n.Rel.Snapshot(tau), xtime.Infinity // texp(R) = ∞ (§2.3)
+		for _, r := range n.Rel.Rows(tau) {
+			out.add(r)
+		}
+		return out.rel(n.Rel.Schema()), xtime.Infinity // texp(R) = ∞ (§2.3)
 	case *IndexScan: // ≡ σ[Full](Base)
 		return refEval(&Select{Pred: n.Full, Child: n.Base}, tau)
 	case *Select: // formula (1)

@@ -1,5 +1,16 @@
 package relation
 
+import "expdb/internal/xtime"
+
+// Snapshot returns a new relation holding exactly expτ(R): a private copy
+// of the store that shares r's immutable tuples.
+func (r *Relation) Snapshot(tau xtime.Time) *Relation {
+	out := &Relation{order: lockSeq.Add(1), schema: r.schema, slots: r.slots, free: r.free, floor: r.effTau(tau), shared: true}
+	out.detach()
+	out.floor = 0
+	return out
+}
+
 // Keyed reports whether r has derived its key set.
 func (r *Relation) Keyed() bool { return r.set.Made() }
 
