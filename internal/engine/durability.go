@@ -159,8 +159,9 @@ func (e *Engine) replay(r *wal.Recovered) (*RecoveryInfo, error) {
 			rel.EnableTexpIndex()
 			rel.EnableIntArrays()
 			for _, row := range t.Rows {
-				// Decoded tuples are fresh memory the relation may own.
-				rel.InsertOwnedRow(relation.Row{Tuple: row.Tuple, Texp: row.Texp})
+				// Decoded tuples are fresh memory the relation may own. A
+				// due lifetime precedes its tuple's row, so it is due again.
+				rel.InsertStored(row.Tuple.Key(), row.Tuple, row.Texp, e.now, true)
 			}
 		}
 		// Indexes after the rows — the attach-time backfill sees the full
@@ -204,7 +205,7 @@ func (e *Engine) applyRecord(rec *wal.Record) error {
 		if err != nil {
 			return err
 		}
-		rel.InsertOwnedRow(relation.Row{Tuple: rec.Tuple, Texp: rec.Texp})
+		rel.InsertStored(rec.Tuple.Key(), rec.Tuple, rec.Texp, e.now, true)
 	case wal.KindDelete:
 		rel, err := e.cat.Table(rec.Name)
 		if err != nil {

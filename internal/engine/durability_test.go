@@ -2,10 +2,12 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -503,6 +505,38 @@ func TestManualSweepReplay(t *testing.T) {
 	}
 	if len(*fired2) != 0 {
 		t.Fatalf("replayed sweep re-fired %d triggers", len(*fired2))
+	}
+}
+
+// TestReinsertOverAnUnsweptRow: a tuple re-inserted after its row expired
+// but before a sweep removed it starts a new lifetime; the ended one fires
+// once — at its texp eagerly, at the next sweep lazily — also when a crash,
+// with or without a checkpoint, cuts between the re-insert and that sweep.
+func TestReinsertOverAnUnsweptRow(t *testing.T) {
+	for _, mode := range []string{"eager", "lazy", "lazy/crash", "lazy/checkpoint/crash"} {
+		dir, opts, want := t.TempDir(), []Option{WithSweep(SweepLazy, 100)}, "[100 100]"
+		if mode == "eager" {
+			opts, want = nil, "[3 8]"
+		}
+		e, _ := openDurable(t, dir, opts...)
+		err := e.CreateTable("s", tuple.IntCols("id"))
+		fired := recordFirings(t, e, "s")
+		err = errors.Join(err, e.Insert("s", tuple.Ints(1), 3), e.Advance(5), e.Insert("s", tuple.Ints(1), 8))
+		if strings.Contains(mode, "checkpoint") {
+			err = errors.Join(err, e.Checkpoint())
+		}
+		if strings.HasSuffix(mode, "crash") {
+			e, _ = openDurable(t, dir, opts...)
+			fired = recordFirings(t, e, "s")
+		}
+		err = errors.Join(err, e.Advance(300), e.Advance(600))
+		var ats []xtime.Time
+		for _, f := range *fired {
+			ats = append(ats, f.at)
+		}
+		if got := fmt.Sprint(ats); err != nil || got != want || e.Metrics().TuplesExpired != 2 {
+			t.Errorf("%s: fired at %s, %d tuples expired (%v); want %s, 2", mode, got, e.Metrics().TuplesExpired, err, want)
+		}
 	}
 }
 

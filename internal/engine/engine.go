@@ -382,7 +382,7 @@ func (e *Engine) insert(table string, t tuple.Tuple, texpAt func(xtime.Time) xti
 		rel.Unlock()
 		return err
 	}
-	stored, changed, _, _ := rel.InsertStored(key, t, texp)
+	stored, changed, _, _ := rel.InsertStored(key, t, texp, e.now, false)
 	e.m.Inserts.Inc()
 	if changed {
 		// Cached results whose leaves select the tuple absorb it or are

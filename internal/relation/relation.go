@@ -9,6 +9,7 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -77,6 +78,10 @@ type Relation struct {
 	// min-heap), its one record of when rows expire: ExpiresBy is a peek and
 	// RemoveExpired O(k). boundTexpIdx keeps it within 2×rows + slack pairs.
 	texpIdx *index.TexpHeap
+	// due are lifetimes that ended unswept and that a re-insert of the same
+	// tuple extended in place: their heap pairs went stale, so the next
+	// RemoveExpired returns them from here and their triggers still fire.
+	due []Row
 	// ints are a base table's column arrays (EnableIntArrays): ints[c][s] is
 	// slots[s].Tuple[c] for each INT column c that has stored only INTs (nil
 	// for the others), so ScanInts tests ranges without loading tuples. No
@@ -231,22 +236,25 @@ func (r *Relation) Insert(t tuple.Tuple, texp xtime.Time) bool {
 // reports the previous texp when an equal tuple was there (had): a changed
 // insert with had set is a lifetime extension.
 func (r *Relation) InsertKeyed(key string, t tuple.Tuple, texp xtime.Time) (changed bool, prev xtime.Time, had bool) {
-	_, changed, prev, had = r.InsertStored(key, t, texp)
+	_, changed, prev, had = insert(r, key, t, texp, false, hole)
 	return changed, prev, had
 }
 
-// InsertStored is InsertKeyed that also returns the tuple now stored under
-// key — the clone it just made, or the equal tuple already there — which
-// callers may retain but must not mutate.
-func (r *Relation) InsertStored(key string, t tuple.Tuple, texp xtime.Time) (stored tuple.Tuple, changed bool, prev xtime.Time, had bool) {
-	return insert(r, key, t, texp, false)
+// InsertStored is InsertKeyed at the clock reading now that also returns
+// the tuple now stored under key — t, cloned unless owned, or the equal
+// tuple already there — which callers may retain but must not mutate. An
+// equal tuple that expired by now but is not swept yet keeps its ended
+// lifetime for the next RemoveExpired (due).
+func (r *Relation) InsertStored(key string, t tuple.Tuple, texp, now xtime.Time, owned bool) (stored tuple.Tuple, changed bool, prev xtime.Time, had bool) {
+	return insert(r, key, t, texp, owned, now)
 }
 
 // insert is the one keyed insert: t, whose set key is key, goes in with
 // texp — cloned unless owned — or the equal tuple r holds keeps the later
-// texp, one word written in place. The key becomes a string only for an
-// index or the texp heap to hold.
-func insert[K string | []byte](r *Relation, key K, t tuple.Tuple, texp xtime.Time, owned bool) (stored tuple.Tuple, changed bool, prev xtime.Time, had bool) {
+// texp, one word written in place (the lifetime it ends goes to due if it
+// ended by now). The key becomes a string only for an index or the texp
+// heap to hold.
+func insert[K string | []byte](r *Relation, key K, t tuple.Tuple, texp xtime.Time, owned bool, now xtime.Time) (stored tuple.Tuple, changed bool, prev xtime.Time, had bool) {
 	r.detach()
 	s, h, had := find(r, key)
 	var str string
@@ -256,6 +264,9 @@ func insert[K string | []byte](r *Relation, key K, t tuple.Tuple, texp xtime.Tim
 	if had {
 		row := &r.slots[s]
 		if stored, prev = row.Tuple, row.Texp; texp > prev {
+			if prev <= now {
+				r.due = append(r.due, *row)
+			}
 			row.Texp = texp
 			r.idxUpdate(str, stored, texp)
 		}
@@ -315,7 +326,7 @@ func (r *Relation) setInts(s slot, t tuple.Tuple) {
 // others take AppendDistinct). It reports whether r held no equal tuple.
 func (r *Relation) InsertOwnedRow(row Row) bool {
 	var buf [tuple.KeyBuf]byte
-	_, _, _, had := insert(r, row.Tuple.AppendKey(buf[:0]), row.Tuple, row.Texp, true)
+	_, _, _, had := insert(r, row.Tuple.AppendKey(buf[:0]), row.Tuple, row.Texp, true, hole)
 	return !had
 }
 
@@ -481,8 +492,16 @@ func (s *IntSet) Has(v int64) bool {
 }
 
 // All calls fn for every stored row regardless of expiration (for a
-// shared snapshot: every row alive at its snapshot instant).
-func (r *Relation) All(fn func(Row)) { r.AliveAt(r.floor, fn) }
+// shared snapshot: every row alive at its snapshot instant), after the due
+// lifetimes, which reach the row of their tuple in the order they ended.
+func (r *Relation) All(fn func(Row)) {
+	for _, row := range r.due {
+		if row.Texp > r.floor {
+			fn(row)
+		}
+	}
+	r.AliveAt(r.floor, fn)
+}
 
 // CountAt returns |expτ(R)|.
 func (r *Relation) CountAt(tau xtime.Time) int {
@@ -520,6 +539,7 @@ func (r *Relation) SnapshotShared(tau xtime.Time) *Relation {
 		set:     r.set,
 		free:    r.free,
 		floor:   r.effTau(tau),
+		due:     slices.Clone(r.due),
 		shared:  true,
 		inOrder: r.inOrder,
 		texps:   r.texps,
@@ -601,7 +621,10 @@ func (r *Relation) Merge(tau xtime.Time, run []Row) *Relation {
 // the k due rows, O(k log n), instead of walking the table.
 func (r *Relation) RemoveExpired(tau xtime.Time) []Row {
 	r.detach()
-	var removed []Row
+	// A sweep runs at or after the tick of the re-insert that made a row
+	// due, so every due row goes now.
+	removed, displaced := r.due, len(r.due) > 0
+	r.due = nil
 	if r.texpIdx != nil {
 		r.texpIdx.PopDue(tau, r.currentTexp, func(key string, _ xtime.Time) {
 			s, h, _ := find(r, key)
@@ -617,6 +640,9 @@ func (r *Relation) RemoveExpired(tau xtime.Time) []Row {
 		}
 	}
 	r.boundSlots()
+	if displaced {
+		slices.SortStableFunc(removed, func(a, b Row) int { return cmp.Compare(a.Texp, b.Texp) })
+	}
 	return removed
 }
 
@@ -625,7 +651,7 @@ func (r *Relation) RemoveExpired(tau xtime.Time) []Row {
 // nothing, so the engine leaves tables with nothing due unlocked.
 func (r *Relation) ExpiresBy(tau xtime.Time) bool {
 	if r.texpIdx != nil {
-		return r.texpIdx.Due(tau)
+		return len(r.due) > 0 || r.texpIdx.Due(tau)
 	}
 	return r.count() > 0
 }
