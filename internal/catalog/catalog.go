@@ -179,13 +179,20 @@ func (c *Catalog) TableIndexes(table string) []*IndexDef {
 
 // Table returns the named relation.
 func (c *Catalog) Table(name string) (*relation.Relation, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	r, ok := c.tables[name]
+	r, ok := c.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, name)
 	}
 	return r, nil
+}
+
+// Lookup is Table for a caller that has somewhere else to look: a miss is
+// false, with no error built.
+func (c *Catalog) Lookup(name string) (*relation.Relation, bool) {
+	c.mu.RLock()
+	r, ok := c.tables[name]
+	c.mu.RUnlock()
+	return r, ok
 }
 
 // Tables returns the table names in sorted order.

@@ -322,6 +322,83 @@ func BenchmarkCachePatchAfterInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkCachePatchAfterDelete measures what a write costs a cached join:
+// σ[score ≥ 76 000](sess) ⋈[uid = uid] σ[grp = 3](usr) over 20 000 sessions
+// and 2 000 users, about 100 rows. insert writes one session the join
+// selects and pairs — the 64 tuples cycle to later lifetimes, so after the
+// first 64 each is an extension — and delete removes one session the left
+// leaf selects whose user is in another group; then the lookup absorbs the
+// write. Δ, one row, is the hash join's build side and usr's column array is
+// scanned for Δ's key: a patch streams E[sess := Δ] and merges it, a lost row
+// streams it and finds nothing, and neither collects usr or re-evaluates.
+func BenchmarkCachePatchAfterDelete(b *testing.B) {
+	for _, write := range []string{"insert", "delete"} {
+		b.Run(write, func(b *testing.B) {
+			e := New()
+			if err := e.CreateTable("sess", tuple.IntCols("sid", "uid", "score")); err != nil {
+				b.Fatal(err)
+			}
+			if err := e.CreateTable("usr", tuple.IntCols("uid", "grp")); err != nil {
+				b.Fatal(err)
+			}
+			for u := int64(0); u < 2000; u++ {
+				if err := e.Insert("usr", tuple.Ints(u, u%50), xtime.Infinity); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for s := int64(0); s < 20_000; s++ {
+				if err := e.Insert("sess", tuple.Ints(s, s%2000, s*7919%100_000), xtime.Infinity); err != nil {
+					b.Fatal(err)
+				}
+			}
+			lost := func(i int) tuple.Tuple { return tuple.Ints(int64(1_000_000+i), 4, 80_000) } // user 4 is in group 4
+			if write == "delete" {
+				for i := 0; i < b.N; i++ {
+					if err := e.Insert("sess", lost(i), xtime.Infinity); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			sess, _ := e.Base("sess")
+			usr, _ := e.Base("usr")
+			join, err := algebra.EquiJoin(
+				&algebra.Select{Pred: algebra.ColConst{Col: 2, Op: algebra.OpGe, Const: value.Int(76_000)}, Child: sess}, 1,
+				&algebra.Select{Pred: algebra.ColConst{Col: 1, Op: algebra.OpEq, Const: value.Int(3)}, Child: usr}, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			key := join.String()
+			tid := trace.NextID()
+			if _, err := e.QueryStamped(join, key, tid); err != nil {
+				b.Fatal(err) // warm the entry
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if write == "insert" {
+					err = e.Insert("sess", tuple.Ints(int64(2_000_000+i%64), 3, 80_000), xtime.Time(1000+i))
+				} else if ok, derr := e.Delete("sess", lost(i)); !ok {
+					err = fmt.Errorf("delete %d: %v", i, derr)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				qr, err := e.QueryStamped(join, key, tid)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !qr.Cached {
+					b.Fatalf("the %s was not absorbed into the entry", write)
+				}
+			}
+			b.StopTimer()
+			if m, _ := e.ResultCacheStats(); m.Patches != int64(b.N) {
+				b.Fatalf("patches = %d, want %d", m.Patches, b.N)
+			}
+		})
+	}
+}
+
 // BenchmarkIndexedPointLookup measures the uncached indexed read path:
 // lock plan, hash-index probe, one-row result relation, validity stamp.
 // CI pins it at ≤6 allocs/op — the result relation (header, row map,

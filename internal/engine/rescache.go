@@ -44,7 +44,8 @@ type QueryResult struct {
 // dropped at its Texp. tables records, per base relation the plan reads, the
 // write epoch the rows were evaluated under and what the plan's leaves
 // select from it: what freshness tests. mono records that the plan is
-// monotonic (Theorem 1), so a write it selects is absorbed.
+// monotonic (Theorem 1): rows a selected write adds merge into the answer,
+// and rows a DELETE takes are tested to derive nothing (patch).
 type cacheEntry struct {
 	key        string
 	ev         algebra.Evaluation
@@ -123,7 +124,10 @@ func planTables(expr algebra.Expr) []leafTable {
 // leafVariants calls fn with E[leaf := delta] once per leaf of expr over the
 // named table: that one leaf replaced, every other leaf as it is. An
 // IndexScan leaf becomes σ[Full](delta), the selection it replaced, so its
-// probe never runs against delta.
+// probe never runs against delta. A join rebuilt around delta builds its hash
+// table on delta's side — a write tail's worth of rows at most — and streams
+// the other side as the probe, which a σ over an array-backed table scans for
+// delta's join keys only; its output is left ++ right either way.
 func leafVariants(expr algebra.Expr, name string, delta *algebra.Base, fn func(algebra.Expr) error) error {
 	switch x := expr.(type) {
 	case *algebra.Base:
@@ -143,6 +147,9 @@ func leafVariants(expr algebra.Expr, name string, delta *algebra.Base, fn func(a
 				x, err := algebra.ReplaceChildren(expr, with)
 				if err != nil {
 					return err
+				}
+				if j, ok := x.(*algebra.Join); ok {
+					j.BuildLeft = i == 0
 				}
 				return fn(x)
 			}); err != nil {
@@ -212,14 +219,15 @@ func (e *Engine) wrote(table string, row relation.Row, del, more bool) {
 // evaluated under; the caller holds e.mu, and moved reports a write since. A
 // row no leaf selects changed nothing the plan reads (σ_p(R ∪ {r}) = σ_p(R) =
 // σ_p(R − {r}) whenever ¬p(r)); each one a leaf selects goes to fn as Δ of
-// lt's table, and no Δ is a revalidation. ok is false when en cannot absorb Δ:
-// a tail does not reach back to lt.epoch, a tuple does not fit the schema (the
-// name was re-created under the plan), a rigid leaf selects one, a monotonic
-// plan lost a selected row, or lost rows reach two leaves of a difference's
-// right argument B. Each Δ replaces one leaf, the others read their tables
-// without those rows, so a tuple B lost through two — a self-join pairing a
-// row with itself, a join losing both sides — would go unseen.
-func (e *Engine) unseen(en *cacheEntry, fn func(*leafTable, relation.Row)) (moved, ok bool) {
+// lt's table, del marking a row a DELETE removed, and no Δ is a revalidation.
+// ok is false when en cannot absorb Δ: a tail does not reach back to
+// lt.epoch, a tuple does not fit the schema (the name was re-created under the
+// plan), a rigid leaf selects one, or lost rows reach two leaves outside the
+// rigid ones. patch tests each lost row through one leaf at a time, the other
+// leaves reading their tables without it, so a derivation that used two lost
+// rows — a self-join pairing a row with itself, a join losing both sides —
+// would go unseen.
+func (e *Engine) unseen(en *cacheEntry, fn func(lt *leafTable, row relation.Row, del bool)) (moved, ok bool) {
 	reach := 0
 	for i := range en.tables {
 		lt := &en.tables[i]
@@ -240,11 +248,11 @@ func (e *Engine) unseen(en *cacheEntry, fn func(*leafTable, relation.Row)) (move
 			}
 			for k, p := range lt.preds {
 				if p.Holds(rec.row.Tuple) {
-					if k < lt.rigid || rec.del && en.mono {
+					if k < lt.rigid {
 						return true, false
 					}
 					del = del || rec.del
-					fn(lt, rec.row)
+					fn(lt, rec.row, rec.del)
 					break
 				}
 			}
@@ -487,15 +495,19 @@ func (e *Engine) QueryStamped(expr algebra.Expr, key string, tid trace.ID) (Quer
 // patch brings src — a private copy of a patchable entry, rel a snapshot of
 // its rows — up to the writes since, or reports that only a full evaluation
 // will do. The caller holds the read locks of expr's tables, so the Δ read
-// off the tails under Engine.mu is all those tables gained.
+// off the tails under Engine.mu is all those tables gained and lost.
 //
-// A monotonic plan streams E[leaf := Δ] once per leaf over each written
-// table, every other leaf as it is now — Δ⋈B ∪ A⋈Δ ∪ Δ⋈Δ for a self-join —
-// and merges each row into rel by max, as ∪ and π merge duplicates. A root
-// A − B whose B alone was written keeps its rows and texp(e) unless
-// B[leaf := Δ], lost rows included, meets A(now): A only shrinks, so a tuple
-// it lacks now is never shown or critical again. Either way at moves to now:
-// a tuple B gained may have hidden one A still held when it was written.
+// A Δ is streamed as E[leaf := Δ], once per leaf over its table, every other
+// leaf as it is now: Δ⋈B ∪ A⋈Δ ∪ Δ⋈Δ for a self-join. Under a monotonic root
+// the rows a table gained are merged into rel by max, as ∪ and π merge
+// duplicates. Lost rows are tested, never merged: a lost row must derive
+// nothing that the entry shows at now. A derivation through a lost row alive
+// at some τ ≥ now has its other inputs alive and present now (unseen refuses
+// a second lost input), so E[leaf := Δlost] at now emits it. Under a
+// monotonic root that stream must be empty; for a root A − B, B[leaf := Δ],
+// gained rows included, must meet nothing in A(now): A only shrinks, so a
+// tuple it lacks now is never shown or critical again. Either way at moves to
+// now: a write may have changed the answer before the read.
 func (e *Engine) patch(expr algebra.Expr, src *cacheEntry, now xtime.Time) bool {
 	into, root := src.ev.Rel, expr // where E[leaf := Δ] goes
 	diff, _ := expr.(*algebra.Diff)
@@ -505,13 +517,19 @@ func (e *Engine) patch(expr algebra.Expr, src *cacheEntry, now xtime.Time) bool 
 		}
 		root, into = diff.Right, relation.New(diff.Right.Schema())
 	}
-	var deltas []*algebra.Base // one per written table: unseen walks its rows together
+	// One Δ per written table (unseen walks its rows together) for the rows
+	// streamed into into, and one for a monotonic root's lost rows.
+	var deltas, lost []*algebra.Base
 	e.mu.RLock()
-	_, ok := e.unseen(src, func(lt *leafTable, row relation.Row) {
-		if n := len(deltas); n == 0 || deltas[n-1].Name != lt.name {
-			deltas = append(deltas, algebra.NewBase(lt.name, relation.New(lt.schema)))
+	_, ok := e.unseen(src, func(lt *leafTable, row relation.Row, del bool) {
+		ds := &deltas
+		if del && src.mono {
+			ds = &lost
 		}
-		deltas[len(deltas)-1].Rel.InsertOwnedRow(row)
+		if n := len(*ds); n == 0 || (*ds)[n-1].Name != lt.name {
+			*ds = append(*ds, algebra.NewBase(lt.name, relation.New(lt.schema)))
+		}
+		(*ds)[len(*ds)-1].Rel.InsertOwnedRow(row)
 	})
 	for i := range src.tables {
 		src.tables[i].epoch = e.epochs[src.tables[i].name]
@@ -519,6 +537,15 @@ func (e *Engine) patch(expr algebra.Expr, src *cacheEntry, now xtime.Time) bool 
 	e.mu.RUnlock()
 	if !ok {
 		return false
+	}
+	for _, d := range lost {
+		derives := false
+		if leafVariants(root, d.Name, d, func(x algebra.Expr) error {
+			_, err := x.Stream(now, func(relation.Row) { derives = true })
+			return err
+		}) != nil || derives {
+			return false
+		}
 	}
 	for _, d := range deltas {
 		if leafVariants(root, d.Name, d, func(x algebra.Expr) error {
@@ -566,7 +593,7 @@ func (e *Engine) freshness(en *cacheEntry, adopt bool) (state string, now xtime.
 		return cacheExpired, now, false
 	}
 	absorb := false
-	moved, ok := e.unseen(en, func(*leafTable, relation.Row) { absorb = true })
+	moved, ok := e.unseen(en, func(*leafTable, relation.Row, bool) { absorb = true })
 	switch {
 	case !ok:
 		return cacheEpochStale, now, false
@@ -684,7 +711,8 @@ func (e *Engine) cacheExpire(to xtime.Time, tid trace.ID) {
 // touching LRU order, how the result cache would answer the plan key right
 // now: "hit", "patch", "cold", "expired", "epoch-stale" or "disabled" — by
 // the test cacheServe applies, so EXPLAIN ANALYZE reports what a SELECT would
-// get; "patch" does not test a difference's right-side Δ against A(now).
+// get; "patch" runs none of patch's tests: of lost rows, nor of a
+// difference's right-side Δ against A(now).
 func (e *Engine) CacheProbe(key string) string {
 	c := e.cache.Load()
 	if c == nil {

@@ -74,19 +74,42 @@ type Relation struct {
 	// mutator. Only base tables carry them: New starts with none, and no
 	// snapshot copies them, so results pay nothing.
 	indexes []NamedIndex
-	// texpIdx is a base table's texp-ordered index (a lazy-deletion
-	// min-heap), its one record of when rows expire: ExpiresBy is a peek and
-	// RemoveExpired O(k). boundTexpIdx keeps it within 2×rows + slack pairs.
-	texpIdx *index.TexpHeap
-	// due are lifetimes that ended unswept and that a re-insert of the same
-	// tuple extended in place: their heap pairs went stale, so the next
-	// RemoveExpired returns them from here and their triggers still fire.
-	due []Row
+	// exp is a base table's record of when its rows expire; a snapshot of
+	// one keeps its due rows there, and every other relation has none.
+	exp *expiry
 	// ints are a base table's column arrays (EnableIntArrays): ints[c][s] is
 	// slots[s].Tuple[c] for each INT column c that has stored only INTs (nil
 	// for the others), so ScanInts tests ranges without loading tuples. No
 	// snapshot hands them on. A hole's entry is stale.
 	ints [][]int64
+}
+
+// expiry is what a base table keeps of when its rows expire. heap is its
+// texp-ordered index (a lazy-deletion min-heap): ExpiresBy is a peek and
+// RemoveExpired O(k); boundTexpIdx keeps it within 2×rows + slack pairs. due
+// are lifetimes that ended unswept and that a re-insert of the same tuple
+// extended in place: their heap pairs went stale, so the next RemoveExpired
+// returns them from here and their triggers still fire. A snapshot of the
+// table keeps its due rows and no heap.
+type expiry struct {
+	heap *index.TexpHeap
+	due  []Row
+}
+
+// heap is r's texp-ordered index, nil unless r is a base table.
+func (r *Relation) heap() *index.TexpHeap {
+	if r.exp == nil {
+		return nil
+	}
+	return r.exp.heap
+}
+
+// due is what RemoveExpired returns ahead of the heap (expiry).
+func (r *Relation) due() []Row {
+	if r.exp == nil {
+		return nil
+	}
+	return r.exp.due
 }
 
 // slot is a position in Relation.slots.
@@ -258,14 +281,17 @@ func insert[K string | []byte](r *Relation, key K, t tuple.Tuple, texp xtime.Tim
 	r.detach()
 	s, h, had := find(r, key)
 	var str string
-	if r.indexes != nil || r.texpIdx != nil {
+	if r.indexes != nil || r.heap() != nil {
 		str = string(key)
 	}
 	if had {
 		row := &r.slots[s]
 		if stored, prev = row.Tuple, row.Texp; texp > prev {
 			if prev <= now {
-				r.due = append(r.due, *row)
+				if r.exp == nil {
+					r.exp = &expiry{}
+				}
+				r.exp.due = append(r.exp.due, *row)
 			}
 			row.Texp = texp
 			r.idxUpdate(str, stored, texp)
@@ -335,7 +361,7 @@ func (r *Relation) InsertOwnedRow(row Row) bool {
 // relation with a key set, an index or column arrays, or a shared store,
 // it is InsertOwnedRow.
 func (r *Relation) AppendDistinct(row Row) {
-	if r.set.Made() || r.shared || r.indexes != nil || r.texpIdx != nil || r.ints != nil {
+	if r.set.Made() || r.shared || r.indexes != nil || r.heap() != nil || r.ints != nil {
 		r.InsertOwnedRow(row)
 		return
 	}
@@ -495,7 +521,7 @@ func (s *IntSet) Has(v int64) bool {
 // shared snapshot: every row alive at its snapshot instant), after the due
 // lifetimes, which reach the row of their tuple in the order they ended.
 func (r *Relation) All(fn func(Row)) {
-	for _, row := range r.due {
+	for _, row := range r.due() {
 		if row.Texp > r.floor {
 			fn(row)
 		}
@@ -532,18 +558,21 @@ func (r *Relation) SnapshotShared(tau xtime.Time) *Relation {
 		r.slots = slices.Clone(r.slots)
 	}
 	r.shared = true
-	return &Relation{
+	out := &Relation{
 		order:   lockSeq.Add(1),
 		schema:  r.schema,
 		slots:   r.slots,
 		set:     r.set,
 		free:    r.free,
 		floor:   r.effTau(tau),
-		due:     slices.Clone(r.due),
 		shared:  true,
 		inOrder: r.inOrder,
 		texps:   r.texps,
 	}
+	if due := r.due(); len(due) > 0 {
+		out.exp = &expiry{due: slices.Clone(due)}
+	}
+	return out
 }
 
 // InOrder reports whether r's store is laid out in tuple order (Merge).
@@ -623,10 +652,13 @@ func (r *Relation) RemoveExpired(tau xtime.Time) []Row {
 	r.detach()
 	// A sweep runs at or after the tick of the re-insert that made a row
 	// due, so every due row goes now.
-	removed, displaced := r.due, len(r.due) > 0
-	r.due = nil
-	if r.texpIdx != nil {
-		r.texpIdx.PopDue(tau, r.currentTexp, func(key string, _ xtime.Time) {
+	var removed []Row
+	if r.exp != nil {
+		removed, r.exp.due = r.exp.due, nil
+	}
+	displaced := len(removed) > 0
+	if heap := r.heap(); heap != nil {
+		heap.PopDue(tau, r.currentTexp, func(key string, _ xtime.Time) {
 			s, h, _ := find(r, key)
 			removed = append(removed, r.remove(h, key, s))
 		})
@@ -650,8 +682,8 @@ func (r *Relation) RemoveExpired(tau xtime.Time) []Row {
 // may be a false alarm (a stale heap pair), false is exact. It writes
 // nothing, so the engine leaves tables with nothing due unlocked.
 func (r *Relation) ExpiresBy(tau xtime.Time) bool {
-	if r.texpIdx != nil {
-		return len(r.due) > 0 || r.texpIdx.Due(tau)
+	if h := r.heap(); h != nil {
+		return len(r.exp.due) > 0 || h.Due(tau)
 	}
 	return r.count() > 0
 }
@@ -659,10 +691,10 @@ func (r *Relation) ExpiresBy(tau xtime.Time) bool {
 // TexpPending returns the number of pairs in the texp-ordered index,
 // stale ones included (0 when the index is not enabled).
 func (r *Relation) TexpPending() int {
-	if r.texpIdx == nil {
-		return 0
+	if h := r.heap(); h != nil {
+		return h.Len()
 	}
-	return r.texpIdx.Len()
+	return 0
 }
 
 // currentTexp is the texp-heap's staleness oracle: the live expiration
@@ -735,8 +767,8 @@ func (r *Relation) idxInsert(key string, t tuple.Tuple, texp xtime.Time) {
 	for _, ni := range r.indexes {
 		ni.Idx.Insert(index.Entry{Key: key, Tuple: t, Texp: texp})
 	}
-	if r.texpIdx != nil {
-		r.texpIdx.Push(key, texp)
+	if h := r.heap(); h != nil {
+		h.Push(key, texp)
 	}
 }
 
@@ -746,8 +778,8 @@ func (r *Relation) idxUpdate(key string, t tuple.Tuple, texp xtime.Time) {
 	for _, ni := range r.indexes {
 		ni.Idx.Update(key, t, texp)
 	}
-	if r.texpIdx != nil {
-		r.texpIdx.Push(key, texp)
+	if h := r.heap(); h != nil {
+		h.Push(key, texp)
 		r.boundTexpIdx()
 	}
 }
@@ -772,8 +804,8 @@ func (r *Relation) idxRemove(key string, t tuple.Tuple) {
 // replayed after its table's inserts sees them, later ones use the hooks.
 func (r *Relation) AttachIndex(name string, idx index.Index) {
 	keys := make([]string, len(r.slots))
-	if r.texpIdx != nil {
-		r.texpIdx.Pairs(func(key string, texp xtime.Time) {
+	if h := r.heap(); h != nil {
+		h.Pairs(func(key string, texp xtime.Time) {
 			if s, _, ok := find(r, key); ok && r.slots[s].Texp == texp {
 				keys[s] = key
 			}
@@ -838,13 +870,16 @@ func (r *Relation) EnableIntArrays() {
 // finite-texp row (a recovering table's). Idempotent; caller holds the
 // write lock.
 func (r *Relation) EnableTexpIndex() {
-	if r.texpIdx != nil {
+	if r.heap() != nil {
 		return
 	}
-	r.texpIdx = index.NewTexpHeap()
+	if r.exp == nil {
+		r.exp = &expiry{}
+	}
+	r.exp.heap = index.NewTexpHeap()
 	for _, row := range r.slots {
 		if row.Texp != hole && row.Texp != xtime.Infinity {
-			r.texpIdx.Push(row.Tuple.Key(), row.Texp)
+			r.exp.heap.Push(row.Tuple.Key(), row.Texp)
 		}
 	}
 }
@@ -853,7 +888,7 @@ func (r *Relation) EnableTexpIndex() {
 // extensions leave behind bloat it, so churn with long TTLs cannot grow it
 // without bound. Every mutator that can break the bound calls it.
 func (r *Relation) boundTexpIdx() {
-	if r.texpIdx != nil && r.texpIdx.Bloated(r.count()) {
-		r.texpIdx.Compact(r.currentTexp)
+	if h := r.heap(); h != nil && h.Bloated(r.count()) {
+		h.Compact(r.currentTexp)
 	}
 }

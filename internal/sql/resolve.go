@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"expdb/internal/algebra"
+	"expdb/internal/trace"
 	"expdb/internal/tuple"
 	"expdb/internal/view"
 	"expdb/internal/xtime"
@@ -207,16 +208,19 @@ func (s *Session) planSelect(p *Plan, sel *Select) (algebra.Expr, error) {
 // bound to the live relation; a view becomes a leaf over the view's
 // current answer (reads go through the view's maintenance machinery).
 func (s *Session) planFrom(p *Plan, ref TableRef) (algebra.Expr, *scope, error) {
-	base, tblErr := s.eng.Base(ref.Name)
-	if tblErr == nil {
-		return base, newScope(ref.Name, base.Schema()), nil
+	if rel, ok := s.eng.Catalog().Lookup(ref.Name); ok {
+		return algebra.NewBase(ref.Name, rel), newScope(ref.Name, rel.Schema()), nil
 	}
-	sp := s.span.Child("read view " + ref.Name)
+	var sp *trace.Span
+	if s.span != nil {
+		sp = s.span.Child("read view " + ref.Name)
+	}
 	rel, info, err := s.eng.ReadViewTraced(ref.Name, s.tid)
 	sp.End()
 	if err != nil {
 		// Join both lookup failures so errors.Is matches ErrNoSuchTable as
 		// well as ErrNoSuchView (or ErrInvalidRead) through this wrapper.
+		_, tblErr := s.eng.Catalog().Table(ref.Name)
 		return nil, nil, fmt.Errorf("sql: %q is neither a table nor a readable view: %w",
 			ref.Name, errors.Join(tblErr, err))
 	}
