@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,7 +14,6 @@ import (
 	"expdb/internal/trace"
 	"expdb/internal/tuple"
 	"expdb/internal/value"
-	"expdb/internal/workload"
 	"expdb/internal/xtime"
 )
 
@@ -91,180 +89,6 @@ func recordFirings(t *testing.T, e *Engine, tables ...string) *[]firing {
 		}
 	}
 	return fired
-}
-
-// walOp is one engine operation of the crash-recovery property test,
-// together with how many WAL records it emits.
-type walOp struct {
-	kind  byte // 'T' create table, 'i' insert, 'd' delete, 'a' advance
-	table string
-	tup   tuple.Tuple
-	texp  xtime.Time
-	to    xtime.Time
-}
-
-// applyOp runs op against e, returning the number of WAL records the
-// durable engine emitted for it (deletes of absent rows emit none).
-func applyOp(t *testing.T, e *Engine, op walOp) int {
-	t.Helper()
-	switch op.kind {
-	case 'T':
-		if err := e.CreateTable(op.table, tuple.IntCols("id", "v")); err != nil {
-			t.Fatalf("create %s: %v", op.table, err)
-		}
-		return 1
-	case 'i':
-		if err := e.Insert(op.table, op.tup, op.texp); err != nil {
-			t.Fatalf("insert: %v", err)
-		}
-		return 1
-	case 'd':
-		ok, err := e.Delete(op.table, op.tup)
-		if err != nil {
-			t.Fatalf("delete: %v", err)
-		}
-		if ok {
-			return 1
-		}
-		return 0
-	case 'a':
-		if err := e.Advance(op.to); err != nil {
-			t.Fatalf("advance: %v", err)
-		}
-		return 1
-	}
-	panic("unknown op")
-}
-
-// genOps builds a deterministic workload mix: two tables, session-shaped
-// inserts, random deletes and interleaved advances.
-func genOps(seed int64) []walOp {
-	rng := rand.New(rand.NewSource(seed))
-	tables := []string{"sess_a", "sess_b"}
-	ops := []walOp{{kind: 'T', table: "sess_a"}, {kind: 'T', table: "sess_b"}}
-	sessions := workload.Sessions(120, 3, 5, 60, seed)
-	var now xtime.Time
-	var inserted []walOp
-	for _, s := range sessions {
-		table := tables[rng.Intn(len(tables))]
-		// Keep the clock behind the session start so texp is in the future.
-		if s.Start > now+4 {
-			now = s.Start - xtime.Time(rng.Int63n(4)) - 1
-			ops = append(ops, walOp{kind: 'a', to: now})
-		}
-		op := walOp{kind: 'i', table: table, tup: tuple.Ints(s.ID, s.ID%7), texp: s.Start + s.TTL}
-		ops = append(ops, op)
-		inserted = append(inserted, op)
-		if len(inserted) > 0 && rng.Intn(4) == 0 {
-			victim := inserted[rng.Intn(len(inserted))]
-			ops = append(ops, walOp{kind: 'd', table: victim.table, tup: victim.tup})
-		}
-	}
-	ops = append(ops, walOp{kind: 'a', to: now + 10})
-	return ops
-}
-
-// TestCrashRecoveryProperty is the durability property test: run a
-// seeded workload against a durable engine, cut its log at a random byte
-// offset (a torn tail), recover, and require the result to be byte-for-
-// byte the state of an in-memory oracle that executed exactly the
-// operations whose records survived the cut. Post-recovery trigger
-// firings must also match the oracle's, each at its original texp.
-func TestCrashRecoveryProperty(t *testing.T) {
-	configs := []struct {
-		name string
-		opts []Option
-	}{
-		{"eager", nil},
-		{"lazy-16", []Option{WithSweep(SweepLazy, 16)}},
-	}
-	for _, cfg := range configs {
-		for seed := int64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("%s/seed=%d", cfg.name, seed), func(t *testing.T) {
-				dir := t.TempDir()
-				e, _ := openDurable(t, dir, cfg.opts...)
-				ops := genOps(seed)
-				recs := make([]int, len(ops))
-				for i, op := range ops {
-					recs[i] = applyOp(t, e, op)
-				}
-				// Crash: abandon e without closing, then tear the log at a
-				// random offset. Every record was fsynced, so the file
-				// holds all of them; the cut simulates a tail lost inside
-				// the kernel or the disk.
-				seg := filepath.Join(dir, "wal-00000001.log")
-				fi, err := os.Stat(seg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cut := rand.New(rand.NewSource(seed * 977)).Int63n(fi.Size() + 1)
-				if err := os.Truncate(seg, cut); err != nil {
-					t.Fatal(err)
-				}
-
-				recovered, info := openDurable(t, dir, cfg.opts...)
-				// The oracle replays the operation prefix whose records
-				// survived the cut.
-				oracle := New(cfg.opts...)
-				applied, want := 0, info.Records
-				for i, op := range ops {
-					if applied+recs[i] > want {
-						break
-					}
-					applied += recs[i]
-					applyOp(t, oracle, op)
-				}
-				if applied != want {
-					t.Fatalf("cannot align oracle: %d records recovered, reached %d", want, applied)
-				}
-				sameState(t, "post-recovery", recovered, oracle)
-
-				// Recovery rebuilt the texp-ordered indexes from the
-				// replayed rows and nothing else: every finite row has its
-				// pair, and stale pairs stay within the per-table bound.
-				finite, rows := 0, 0
-				for _, byKey := range tableRows(recovered) {
-					for _, texp := range byKey {
-						rows++
-						if texp.IsFinite() {
-							finite++
-						}
-					}
-				}
-				if pending := recovered.texpPending(); pending < finite || pending > 2*rows+2*1024 {
-					t.Errorf("texp index holds %d pairs for %d finite rows of %d", pending, finite, rows)
-				}
-
-				// From here both engines must fire identical triggers at
-				// identical (original) expiration times, in the same order:
-				// dispatch order is a function of the stored rows alone. A cut inside the
-				// create-table records leaves fewer tables; register on
-				// what survived (identical in both by sameState above).
-				var tables []string
-				for name := range tableRows(recovered) {
-					tables = append(tables, name)
-				}
-				gotF := recordFirings(t, recovered, tables...)
-				wantF := recordFirings(t, oracle, tables...)
-				horizon := recovered.Now() + 200
-				if err := recovered.Advance(horizon); err != nil {
-					t.Fatal(err)
-				}
-				if err := oracle.Advance(horizon); err != nil {
-					t.Fatal(err)
-				}
-				if len(*gotF) != len(*wantF) {
-					t.Fatalf("firings = %d, want %d", len(*gotF), len(*wantF))
-				}
-				for i := range *gotF {
-					if (*gotF)[i] != (*wantF)[i] {
-						t.Errorf("firing %d = %+v, want %+v", i, (*gotF)[i], (*wantF)[i])
-					}
-				}
-				sameState(t, "post-advance", recovered, oracle)
-			})
-		}
-	}
 }
 
 // TestRecoveryCatchUpAdvance: expirations whose tick passed while the

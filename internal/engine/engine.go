@@ -78,7 +78,8 @@ func (m SweepMode) String() string {
 
 // TriggerFunc is invoked when a tuple expires. at is the tick the trigger
 // fires; row.Texp is the tick the tuple expired (they differ under lazy
-// sweeping).
+// sweeping). Triggers run under the Advance/Sweep pipeline's mutex, so a
+// trigger must not call Advance, Sweep or DropTable.
 type TriggerFunc func(table string, row relation.Row, at xtime.Time)
 
 // Stats carries engine counters — the legacy flat form, derived from the
@@ -101,8 +102,9 @@ type Stats struct {
 type Engine struct {
 	// advMu serialises the Advance/Sweep pipeline (clock movement,
 	// physical expiry, watch checks, trigger dispatch) without blocking
-	// Insert/Delete/Query, which never take it. Triggers run while it is
-	// held and therefore must not call Advance or Sweep.
+	// Insert/Delete/Query, which never take it; DropTable takes it to sweep
+	// first. Triggers run while it is held and therefore must not call
+	// Advance, Sweep or DropTable.
 	advMu sync.Mutex
 
 	// mu guards the clock, write epochs, triggers and watches, and orders
@@ -284,21 +286,36 @@ func (e *Engine) CreateTable(name string, schema tuple.Schema) error {
 }
 
 // DropTable removes a base relation; its expiration bookkeeping dies with
-// it.
+// it. Rows it holds that expired unswept are owed their triggers, which
+// eager mode fired at their texp: a table with one due first runs Sweep's
+// pipeline, a logged sweep of every table at now, under advMu, which the
+// drop then keeps until its record is logged, so no advance can leave a
+// row due between the two.
 func (e *Engine) DropTable(name string) error {
+	e.advMu.Lock()
+	rel, err := e.cat.Table(name)
+	if err == nil {
+		rel.RLock()
+		due := rel.ExpiresBy(e.Now())
+		rel.RUnlock()
+		if due {
+			e.sweep()
+		}
+	}
 	e.mu.Lock()
-	if _, err := e.cat.Table(name); err != nil {
-		e.mu.Unlock()
-		return err
+	seq := uint64(0)
+	if _, err = e.cat.Table(name); err == nil {
+		seq, err = e.walAppend(&wal.Record{Kind: wal.KindDropTable, Name: name})
 	}
-	seq, err := e.walAppend(&wal.Record{Kind: wal.KindDropTable, Name: name})
-	if err != nil {
-		e.mu.Unlock()
-		return err
+	if err == nil {
+		e.cat.DropTable(name)
+		e.wrote(name, relation.Row{}, false, false)
 	}
-	e.cat.DropTable(name)
-	e.wrote(name, relation.Row{}, false, false)
 	e.mu.Unlock()
+	e.advMu.Unlock()
+	if err != nil {
+		return err
+	}
 	if err := e.walSync(seq); err != nil {
 		return e.walFail(err, true)
 	}
@@ -507,8 +524,8 @@ type firedEvent struct {
 // the way. It is the heartbeat of the engine. Triggers run after the
 // clock has moved and without holding the engine or table locks, so they
 // may freely issue engine operations (inserts, deletes, queries, view
-// reads) — but not Advance or Sweep, which serialise on the same
-// pipeline mutex.
+// reads) — but not Advance, Sweep or DropTable, which serialise on the
+// same pipeline mutex.
 func (e *Engine) Advance(to xtime.Time) error { return e.AdvanceTraced(to, 0) }
 
 // AdvanceTraced is Advance with the caller's trace ID, so the lifecycle
@@ -673,6 +690,12 @@ func (e *Engine) sweepTables(tick xtime.Time, tid trace.ID, catchup, eager bool)
 func (e *Engine) Sweep() error {
 	e.advMu.Lock()
 	defer e.advMu.Unlock()
+	e.sweep()
+	return nil
+}
+
+// sweep is Sweep's pipeline; the caller holds advMu.
+func (e *Engine) sweep() {
 	e.mu.Lock()
 	now := e.now
 	seq, walErr := e.walAppendRelaxed(&wal.Record{Kind: wal.KindSweep, Texp: now})
@@ -686,9 +709,7 @@ func (e *Engine) Sweep() error {
 	if walErr != nil {
 		e.walFail(walErr, false)
 	}
-	events := e.sweepTables(now, trace.NextID(), false, false)
-	e.dispatch(events)
-	return nil
+	e.dispatch(e.sweepTables(now, trace.NextID(), false, false))
 }
 
 // dispatch runs triggers outside the engine and table locks, snapshotting

@@ -499,26 +499,37 @@ func (e *Engine) QueryStamped(expr algebra.Expr, key string, tid trace.ID) (Quer
 //
 // A Δ is streamed as E[leaf := Δ], once per leaf over its table, every other
 // leaf as it is now: Δ⋈B ∪ A⋈Δ ∪ Δ⋈Δ for a self-join. Under a monotonic root
-// the rows a table gained are merged into rel by max, as ∪ and π merge
-// duplicates. Lost rows are tested, never merged: a lost row must derive
-// nothing that the entry shows at now. A derivation through a lost row alive
-// at some τ ≥ now has its other inputs alive and present now (unseen refuses
-// a second lost input), so E[leaf := Δlost] at now emits it. Under a
-// monotonic root that stream must be empty; for a root A − B, B[leaf := Δ],
-// gained rows included, must meet nothing in A(now): A only shrinks, so a
-// tuple it lacks now is never shown or critical again. Either way at moves to
-// now: a write may have changed the answer before the read.
+// the rows a table gained are sorted and merged with rel by max into a new
+// store in tuple order (relation.Merge), as ∪ and π merge duplicates: no
+// answer is written once published. Lost rows are tested, never merged: a
+// lost row must derive nothing that the entry shows at now. A derivation
+// through a lost row alive at some τ ≥ now has its other inputs alive and
+// present now (unseen refuses a second lost input), so E[leaf := Δlost] at
+// now emits it. Under a monotonic root that stream must be empty; for a root
+// A − B, B[leaf := Δ], gained rows included, must meet nothing in A(now): A
+// only shrinks, so a tuple it lacks now is never shown or critical again.
+// Either way at moves to now: a write may have changed the answer before the
+// read.
 func (e *Engine) patch(expr algebra.Expr, src *cacheEntry, now xtime.Time) bool {
-	into, root := src.ev.Rel, expr // where E[leaf := Δ] goes
+	root := expr
+	// Where E[leaf := Δ] goes: a monotonic root's rows gained, a root A − B's
+	// B[leaf := Δ]. One variable, which the stream's closure moves to the
+	// heap, room for a few rows gained included.
+	var out struct {
+		gained []relation.Row
+		buf    [4]relation.Row
+		into   *relation.Relation
+	}
+	out.gained = out.buf[:0]
 	diff, _ := expr.(*algebra.Diff)
 	if !src.mono {
 		if diff == nil {
 			return false
 		}
-		root, into = diff.Right, relation.New(diff.Right.Schema())
+		root, out.into = diff.Right, relation.New(diff.Right.Schema())
 	}
 	// One Δ per written table (unseen walks its rows together) for the rows
-	// streamed into into, and one for a monotonic root's lost rows.
+	// streamed into out, and one for a monotonic root's lost rows.
 	var deltas, lost []*algebra.Base
 	e.mu.RLock()
 	_, ok := e.unseen(src, func(lt *leafTable, row relation.Row, del bool) {
@@ -529,7 +540,11 @@ func (e *Engine) patch(expr algebra.Expr, src *cacheEntry, now xtime.Time) bool 
 		if n := len(*ds); n == 0 || (*ds)[n-1].Name != lt.name {
 			*ds = append(*ds, algebra.NewBase(lt.name, relation.New(lt.schema)))
 		}
-		(*ds)[len(*ds)-1].Rel.InsertOwnedRow(row)
+		if d := (*ds)[len(*ds)-1].Rel; d.Len() == 0 {
+			d.AppendDistinct(row) // a first row meets no other: no key set yet
+		} else {
+			d.InsertOwnedRow(row)
+		}
 	})
 	for i := range src.tables {
 		src.tables[i].epoch = e.epochs[src.tables[i].name]
@@ -549,13 +564,23 @@ func (e *Engine) patch(expr algebra.Expr, src *cacheEntry, now xtime.Time) bool 
 	}
 	for _, d := range deltas {
 		if leafVariants(root, d.Name, d, func(x algebra.Expr) error {
-			_, err := x.Stream(now, func(row relation.Row) { into.InsertOwnedRow(row) })
+			_, err := x.Stream(now, func(row relation.Row) {
+				if out.into != nil {
+					out.into.InsertOwnedRow(row)
+				} else {
+					out.gained = append(out.gained, row)
+				}
+			})
 			return err
 		}) != nil {
 			return false
 		}
 	}
-	if !src.mono && into.Len() > 0 {
+	if len(out.gained) > 0 {
+		slices.SortFunc(out.gained, func(a, b relation.Row) int { return a.Tuple.Compare(b.Tuple) })
+		src.ev.Rel = src.ev.Rel.Merge(now, out.gained)
+	}
+	if into := out.into; into != nil && into.Len() > 0 {
 		clash := false
 		_, err := diff.Left.Stream(now, func(row relation.Row) {
 			clash = clash || into.Contains(row.Tuple, now)

@@ -9,6 +9,7 @@
 package relation
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math"
@@ -673,7 +674,13 @@ func (r *Relation) RemoveExpired(tau xtime.Time) []Row {
 	}
 	r.boundSlots()
 	if displaced {
-		slices.SortStableFunc(removed, func(a, b Row) int { return cmp.Compare(a.Texp, b.Texp) })
+		// Due lifetimes are filed in the order of the writes that ended them:
+		// sorted in among the popped rows by (texp, set key), as the heap pops,
+		// the order is the rows' own.
+		var ka, kb [tuple.KeyBuf]byte
+		slices.SortFunc(removed, func(a, b Row) int {
+			return cmp.Or(cmp.Compare(a.Texp, b.Texp), bytes.Compare(a.Tuple.AppendKey(ka[:0]), b.Tuple.AppendKey(kb[:0])))
+		})
 	}
 	return removed
 }

@@ -1,14 +1,19 @@
 package sql
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"expdb/internal/algebra"
 	"expdb/internal/catalog"
@@ -16,13 +21,18 @@ import (
 	"expdb/internal/relation"
 	"expdb/internal/tuple"
 	"expdb/internal/value"
+	"expdb/internal/vfs"
 	"expdb/internal/xtime"
 )
 
 // The replay matrix: one statement stream over pol and el runs on a
-// reference session and on twelve cells — result cache on / off × no, hash
-// or ordered indexes × eager / lazy sweep — and one checker judges every
-// cell after every step against the reference (Theorems 1–2).
+// reference session and on fifteen cells — result cache on / off × no, hash
+// or ordered indexes × eager / lazy sweep in memory, and three durable cells
+// that between them take each of those values — and one checker judges
+// every cell after every step against the reference (Theorems 1–2). A
+// durable cell logs to its own directory through a vfs.FaultFS: the stream
+// restarts it, recovers its log cut inside a write, and arms and heals
+// disk faults.
 
 // rowsKey renders a result set order-independently for equality checks.
 func rowsKey(rows []relation.Row) string {
@@ -154,15 +164,19 @@ var propertyQueries = []propertyQuery{
 // engineWriteTail is engine.writeTailLen: bursts are sized around it.
 const engineWriteTail = 64
 
-// lazyPeriod is the lazy cells' sweep period: until finish, no row is swept.
+// lazyPeriod is the lazy cells' sweep period: until finish, no row is swept
+// but by a DROP TABLE or a full disk.
 const lazyPeriod = 1 << 20
 
 // cell is one configuration: a session over an engine with or without the
-// result cache, one kind of index on uid and deg or none, eager or lazy. It
-// counts what its checks saw, so a run that never applied a rule fails.
+// result cache, one kind of index on uid and deg or none, eager or lazy, in
+// memory or durable — logging to dir through ffs, a disk that faults on
+// cue. It counts what its checks saw, so a run that never applied a rule
+// fails.
 type cell struct {
 	name                string
 	s                   *Session
+	opts                []engine.Option // all but a durable cell's disk
 	cache, lazy         bool
 	using               string // "HASH", "ORDERED", or "" for no index
 	fired               []string
@@ -171,18 +185,77 @@ type cell struct {
 	lastRead            []int  // per propertyQueries entry: len(matrix.lost) at its last read
 	probed              [2]int // reads, DELETEs planned with an IndexScan
 	unswept             int    // reads and DELETEs run over an expired row not swept
+	ffs                 *vfs.FaultFS
+	dir                 string
+	retired             engine.ResultCacheMetrics // what the engines a restart replaced counted
+	retiredDeletes      int64
+	fault, injected     int      // the armed faultClasses entry (-1: none), ffs.Injected() then
+	owed                []string // writes the fault refused or cut short, for heal to re-run
+	refused             bool     // a write met ErrReadOnly since the fault was armed
+	restarts, readOnly  int
+	cuts                [2]int // logs recovered cut inside a record, at a boundary
+	faults              [4]int // armed faults, by class, that failed an operation
 }
 
-func newCell(cache bool, using string, lazy bool) *cell {
-	var opts []engine.Option
+func newCell(cache bool, using string, lazy, durable bool) *cell {
+	c := &cell{name: fmt.Sprintf("cache=%v/index=%s/lazy=%v", cache, strings.ToLower(using), lazy),
+		cache: cache, lazy: lazy, using: using, lastRead: make([]int, len(propertyQueries)), fault: -1}
 	if !cache {
-		opts = append(opts, engine.WithResultCache(0))
+		c.opts = append(c.opts, engine.WithResultCache(0))
 	}
 	if lazy {
-		opts = append(opts, engine.WithSweep(engine.SweepLazy, lazyPeriod))
+		c.opts = append(c.opts, engine.WithSweep(engine.SweepLazy, lazyPeriod))
 	}
-	return &cell{name: fmt.Sprintf("cache=%v/index=%s/lazy=%v", cache, strings.ToLower(using), lazy),
-		s: NewSession(engine.New(opts...), nil), cache: cache, lazy: lazy, using: using, lastRead: make([]int, len(propertyQueries))}
+	if durable {
+		c.name, c.ffs = "durable/"+c.name, vfs.NewFault(vfs.OS())
+	}
+	return c
+}
+
+func (c *cell) durable() bool { return c.ffs != nil }
+
+func inMemory(c *cell) bool { return !c.durable() }
+
+// open gives c a new engine and session. A durable cell's engine retries a
+// degraded disk only when the stream heals it.
+func (c *cell) open(t testing.TB) {
+	opts := c.opts
+	if c.durable() {
+		if c.dir == "" {
+			c.dir = t.TempDir()
+		}
+		opts = append(slices.Clip(opts), engine.WithDurability(c.dir), engine.WithVFS(c.ffs), engine.WithDiskRetryBackoff(time.Hour))
+	}
+	c.s, _ = openSession(t, opts...)
+}
+
+// watch registers c's ON EXPIRE trigger on both tables.
+func (c *cell) watch(t testing.TB) {
+	for _, table := range []string{"pol", "el"} {
+		if err := c.s.eng.OnExpire(table, func(table string, row relation.Row, _ xtime.Time) { c.fire(table, row) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// openSession returns a session over a new engine built with opts. A
+// durable engine recovers its directory with the session as its statement
+// compiler, as the facade's does, and is closed when the test ends.
+func openSession(t testing.TB, opts ...engine.Option) (*Session, *engine.RecoveryInfo) {
+	eng := engine.New(opts...)
+	s := NewSession(eng, nil)
+	if eng.DurabilityDir() == "" {
+		return s, nil
+	}
+	info, err := eng.OpenDurability(func(def string) error {
+		_, err := s.Exec(def)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.CloseDurability() })
+	return s, info
 }
 
 // indexDDL makes an index on table (%[1]s) column (%[2]s), of the running
@@ -194,8 +267,7 @@ func (c *cell) fire(table string, row relation.Row) {
 }
 
 // before runs ahead of statement q in c ("" for a read). It counts reads
-// and DELETEs over unswept rows and DELETEs planned as probes; the unswept
-// rows a DROP TABLE discards count as fired, as an eager engine fired them.
+// and DELETEs over unswept rows and DELETEs planned as probes.
 func (c *cell) before(t testing.TB, s *Session, q string) {
 	now, del := c.s.eng.Now(), strings.HasPrefix(q, "DELETE")
 	if c.lazy && (del || q == "") && slices.ContainsFunc(c.s.eng.Catalog().TableSet(), func(nt catalog.NamedTable) bool {
@@ -208,32 +280,181 @@ func (c *cell) before(t testing.TB, s *Session, q string) {
 			c.probed[1]++
 		}
 	}
-	if table, ok := strings.CutPrefix(q, "DROP TABLE "); ok && c.lazy {
-		rel, _ := c.s.eng.Catalog().Table(table) // the stream drops only tables it made
-		rel.All(func(row relation.Row) {
-			if row.Texp <= now {
-				c.fire(table, row)
-			}
-		})
-	}
 }
 
-// stats are c's result-cache counters, zero with the cache off.
+// stats are c's result-cache counters, zero with the cache off;
+// revalidations and drops count those of the engines a restart replaced.
 func (c *cell) stats() engine.ResultCacheMetrics {
 	m, _ := c.s.eng.ResultCacheStats()
+	m.Revalidations += c.retired.Revalidations
+	m.EpochInvalidations += c.retired.EpochInvalidations
 	return m
 }
 
-// matrix replays one stream on the reference and the twelve cells.
+// deletes is the rows c's DELETEs took, on every engine it has had.
+func (c *cell) deletes() int64 { return c.retiredDeletes + c.s.eng.Metrics().Deletes }
+
+// image is what recovery must give back of an engine: by table and set key
+// every stored row's texp, unswept ones included; each index; the clock.
+type image map[string]xtime.Time
+
+func imageOf(eng *engine.Engine) image {
+	im := image{"": eng.Now()}
+	for _, def := range eng.Catalog().Indexes() {
+		im["index "+def.Name] = xtime.Infinity
+	}
+	for _, nt := range eng.Catalog().TableSet() {
+		nt.Rel.RLock()
+		nt.Rel.All(func(row relation.Row) { im[nt.Name+" "+row.Tuple.Key()] = row.Texp })
+		nt.Rel.RUnlock()
+	}
+	return im
+}
+
+// less reports whether im is before less k rows, each of which after lacks:
+// what a log cut inside a write's records gives back when k of them
+// survived. An INSERT logs one record, so a cut inside it keeps none.
+func (im image) less(before, after image, k int) bool {
+	lost := 0
+	for key, texp := range before {
+		got, ok := im[key]
+		if _, kept := after[key]; ok && got != texp || !ok && kept {
+			return false
+		} else if !ok {
+			lost++
+		}
+	}
+	return lost == k && len(im) == len(before)-k
+}
+
+// restart closes c's log and recovers its directory into a new engine and
+// session, which must hold what the old one held; the ON EXPIRE triggers
+// and the aggregation policy carry over.
+func (c *cell) restart(t testing.TB) {
+	old, im := c.s, imageOf(c.s.eng)
+	if err := old.eng.CloseDurability(); err != nil {
+		t.Fatalf("%s: close: %v", c.name, err)
+	}
+	c.retired, c.retiredDeletes = c.stats(), c.deletes()
+	c.open(t)
+	c.watch(t)
+	if c.s.policy, c.restarts = old.policy, c.restarts+1; !reflect.DeepEqual(imageOf(c.s.eng), im) {
+		t.Fatalf("%s: a restart recovered\n%v\nnot\n%v", c.name, imageOf(c.s.eng), im)
+	}
+}
+
+// faultClasses are the disk faults a FAULT step arms, in turn: a sticky
+// and a transient fsync failure, a torn write, a full disk.
+var faultClasses = [4]func(*vfs.FaultFS){
+	func(f *vfs.FaultFS) { f.FailSyncs(0, -1, nil) },
+	func(f *vfs.FaultFS) { f.FailSyncs(0, 2, nil) },
+	func(f *vfs.FaultFS) { f.TornWrite(5) },
+	func(f *vfs.FaultFS) { f.SetQuota(f.Used() + 4) },
+}
+
+// failed takes the error write q met under c's armed fault: ErrReadOnly,
+// which must have changed nothing, or the injected error that cut it short,
+// applied in memory. Either way heal re-runs q.
+func (c *cell) failed(t testing.TB, q string, err error, pre image) {
+	if c.owed = append(c.owed, q); errors.Is(err, engine.ErrReadOnly) {
+		c.readOnly, c.refused = c.readOnly+1, true
+		if !reflect.DeepEqual(imageOf(c.s.eng), pre) {
+			t.Fatalf("%s: %q was refused with ErrReadOnly and changed the tables", c.name, q)
+		}
+	} else if !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("%s: %q: %v", c.name, q, err)
+	}
+}
+
+// heal clears c's fault, recovers the disk to healthy and re-runs the
+// writes the fault refused or cut short, at the tick they met it.
+func (c *cell) heal(t testing.TB) {
+	if c.ffs.Injected() > c.injected {
+		c.faults[c.fault]++
+	}
+	c.ffs.Heal()
+	c.ffs.SetQuota(-1)
+	if err := c.s.eng.TryDiskRecovery(); err != nil || c.s.eng.DurabilityState() != engine.DurabilityHealthy {
+		t.Fatalf("%s: a healed disk recovers to %v (%v)", c.name, c.s.eng.DurabilityState(), err)
+	}
+	for _, q := range c.owed {
+		if _, err := c.s.Exec(q); err != nil {
+			t.Fatalf("%s: %q re-run on a healed disk: %v", c.name, q, err)
+		}
+	}
+	c.owed, c.fault, c.refused = nil, -1, false
+}
+
+// segment returns the name and size of c's newest log segment.
+func (c *cell) segment(t testing.TB) (string, int64) {
+	segs, _ := filepath.Glob(filepath.Join(c.dir, "wal-*.log"))
+	fi, err := os.Stat(segs[len(segs)-1]) // an open log has one
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Name(), fi.Size()
+}
+
+// recoverCut recovers, on the real disk, a copy of c's directory whose log
+// segment seg is cut to n bytes (the reserve file is headroom, not state),
+// and checks the expiration order it rebuilt: a pair per finite row and at
+// most 2×rows + 1024 per table in the texp heaps; advanced past every texp,
+// the engine then fires each finite row, in (texp, table, key) order — a
+// lazy sweep fires its batch at one tick, table by table.
+func (c *cell) recoverCut(t testing.TB, seg string, n int64) (image, int) {
+	dir := t.TempDir()
+	logs, _ := filepath.Glob(filepath.Join(c.dir, "*.log"))
+	snaps, _ := filepath.Glob(filepath.Join(c.dir, "*.snap"))
+	for _, name := range append(logs, snaps...) {
+		data, err := os.ReadFile(name)
+		if name = filepath.Base(name); err == nil && name == seg {
+			data = data[:n]
+		}
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, name), data, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, info := openSession(t, append(slices.Clip(c.opts), engine.WithDurability(dir))...)
+	if info.Truncated {
+		c.cuts[0]++
+	}
+	im, finite, bound, fired := imageOf(s.eng), 0, 0, []string(nil)
+	for _, nt := range s.eng.Catalog().TableSet() {
+		bound += 2*nt.Rel.Len() + 1024
+		if err := s.eng.OnExpire(nt.Name, func(table string, row relation.Row, at xtime.Time) {
+			fired = append(fired, fmt.Sprintf("%020d %s %020d %s", at, table, row.Texp, row.Tuple.Key()))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for key, texp := range im {
+		if key != "" && texp.IsFinite() {
+			finite++
+		}
+	}
+	if p := s.eng.Metrics().Scheduler.Pending; p < finite || p > bound {
+		t.Fatalf("%s: the recovered texp heaps hold %d pairs for %d finite rows (bound %d)", c.name, p, finite, bound)
+	}
+	if err := s.eng.Advance(2 * lazyPeriod); err != nil || len(fired) < finite || !slices.IsSorted(fired) {
+		t.Fatalf("%s: %d finite rows recovered fired %q (%v)", c.name, finite, fired, err)
+	}
+	return im, info.Records
+}
+
+// matrix replays one stream on the reference and the cells.
 type matrix struct {
-	t           testing.TB
-	ref         *cell // cache off, no index, eager
-	cells       []*cell
-	indexed     map[string]bool // the indexes an indexed cell has, by table_col
-	now         int64
-	step, reads int
-	changedAt   []xtime.Time // per propertyQueries entry: the last write that changed its answer
-	lost        []lostRow    // every row a DELETE took, in order
+	t                  testing.TB
+	ref                *cell // cache off, no index, eager, in memory
+	cells, durable     []*cell
+	indexed            map[string]bool // the indexes an indexed cell has, by table_col
+	now                int64
+	step, reads, stmts int
+	faults             int          // FAULT steps so far: the next arms faultClasses[faults%4]
+	changedAt          []xtime.Time // per propertyQueries entry: the last write that changed its answer
+	lost               []lostRow    // every row a DELETE took, in order
 }
 
 // lostRow is a row a DELETE took from table.
@@ -242,23 +463,28 @@ type lostRow struct {
 	tuple tuple.Tuple
 }
 
-// newMatrix makes the reference and the cells keep selects (all twelve when
-// keep is nil).
+// newMatrix makes the reference and the cells keep selects (all fifteen when
+// keep is nil): twelve in memory, and three durable ones between which every
+// value of cache, index kind and sweep mode appears.
 func newMatrix(t testing.TB, keep func(*cell) bool) *matrix {
-	m := &matrix{t: t, ref: newCell(false, "", false), indexed: map[string]bool{}, changedAt: make([]xtime.Time, len(propertyQueries))}
+	m := &matrix{t: t, ref: newCell(false, "", false, false), indexed: map[string]bool{}, changedAt: make([]xtime.Time, len(propertyQueries))}
 	m.ref.name = "reference"
-	for k := 0; k < 12; k++ {
-		if c := newCell(k < 6, [3]string{"", "HASH", "ORDERED"}[k/2%3], k%2 == 1); keep == nil || keep(c) {
-			m.cells = append(m.cells, c)
+	m.ref.open(t)
+	cells := []*cell{newCell(true, "", true, true), newCell(false, "HASH", false, true), newCell(true, "ORDERED", false, true)}
+	for k := 11; k >= 0; k-- {
+		cells = append([]*cell{newCell(k < 6, [3]string{"", "HASH", "ORDERED"}[k/2%3], k%2 == 1, false)}, cells...)
+	}
+	for _, c := range cells {
+		if keep == nil || keep(c) {
+			c.open(t)
+			if m.cells = append(m.cells, c); c.durable() {
+				m.durable = append(m.durable, c)
+			}
 		}
 	}
 	m.each(false, append(m.create("pol", "uid INT, deg INT"), m.create("el", "uid INT, deg INT")...)...)
 	for _, c := range m.all() {
-		for _, table := range []string{"pol", "el"} {
-			if err := c.s.eng.OnExpire(table, func(table string, row relation.Row, _ xtime.Time) { c.fire(table, row) }); err != nil {
-				t.Fatal(err)
-			}
-		}
+		c.watch(t)
 	}
 	return m
 }
@@ -273,11 +499,15 @@ func (m *matrix) create(table, cols string) []string {
 
 // each runs one step in the reference, which forgets its statement memo
 // before every statement, and in every cell (elsewhere: in a new session on
-// its engine). DELETEs must print the reference's messages and counts.
+// its engine). DELETEs must print the reference's messages and counts; a
+// durable cell whose armed fault failed one of them must reach the count
+// once healed, which it is at the end of a step in which a write was refused.
 func (m *matrix) each(elsewhere bool, qs ...string) {
+	m.stmts += len(qs)
+	del := slices.ContainsFunc(qs, func(q string) bool { return strings.HasPrefix(q, "DELETE") })
 	var want []string
 	for _, c := range m.all() {
-		s, deleted := c.s, []string(nil)
+		s, deleted, failed := c.s, []string(nil), false
 		if elsewhere {
 			s = NewSession(c.s.eng, nil)
 		}
@@ -293,19 +523,31 @@ func (m *matrix) each(elsewhere bool, qs ...string) {
 			if c == m.ref {
 				s.memo = nil
 			}
+			var pre image
+			if c.fault >= 0 {
+				pre = imageOf(c.s.eng)
+			}
 			res, err := s.Exec(q)
-			if err != nil {
+			switch {
+			case err != nil && c.fault >= 0:
+				c.failed(m.t, q, err, pre)
+				failed = true
+			case err != nil:
 				m.t.Fatalf("%s: %q: %v", c.name, q, err)
-			} else if strings.HasPrefix(q, "DELETE") {
+			case strings.HasPrefix(q, "DELETE"):
 				deleted = append(deleted, res.Msg)
 			}
 		}
-		if deleted != nil {
-			deleted = append(deleted, fmt.Sprint(c.s.eng.Metrics().Deletes, " deletes"))
+		if c.refused {
+			c.heal(m.t)
 		}
-		if c == m.ref {
+		if del {
+			deleted = append(deleted, fmt.Sprint(c.deletes(), " deletes"))
+		}
+		switch {
+		case c == m.ref:
 			want = deleted
-		} else if !slices.Equal(deleted, want) {
+		case failed && del && deleted[len(deleted)-1] != want[len(want)-1], !failed && !slices.Equal(deleted, want):
 			m.t.Fatalf("step %d: %s: DELETE printed and counted %q, the reference %q", m.step, c.name, deleted, want)
 		}
 	}
@@ -367,8 +609,14 @@ func (m *matrix) write(elsewhere bool, qs ...string) {
 	}
 }
 
-// advance moves every clock: not a write, so no stamp given must end.
+// advance moves every clock: not a write, so no stamp given must end. A
+// durable cell that owes writes is healed first, so they run at their tick.
 func (m *matrix) advance(to int64) {
+	for _, c := range m.durable {
+		if c.owed != nil {
+			c.heal(m.t)
+		}
+	}
 	m.now = to
 	m.each(false, fmt.Sprintf("ADVANCE TO %d", to))
 }
@@ -379,6 +627,7 @@ func (m *matrix) advance(to int64) {
 // no earlier than the last write that changed the answer.
 func (m *matrix) read(i int) {
 	m.reads++
+	m.stmts++
 	q := propertyQueries[i]
 	want, err := q.run(m.ref.s, false)
 	if err != nil {
@@ -390,7 +639,7 @@ func (m *matrix) read(i int) {
 			m.t.Fatalf("step %d: %s over its logical plan differs from the reference (%v)", m.step, q.sql, err)
 		}
 	}
-	seen, served := false, false // whether a cache-on cell read, and was served
+	seen, served := false, false // whether a cache-on cell in memory read, and was served
 	for _, c := range m.all() {
 		got, bad := want, ""
 		if c != m.ref {
@@ -402,14 +651,14 @@ func (m *matrix) read(i int) {
 		case got.At != want.At || got.Validity.At > got.At || got.At >= got.Validity.ValidUntil ||
 			got.Validity.ValidUntil > want.Validity.ValidUntil || got.Validity.At < m.changedAt[i]:
 			bad = fmt.Sprintf("the stamp is not true (a write at %v last changed the answer)", m.changedAt[i])
-		case got.Cached && !c.cache || c.cache && seen && got.Cached != served:
-			bad = "Cached with the cache off, or unlike the other cache-on cells"
+		case got.Cached && !c.cache || c.cache && !c.durable() && seen && got.Cached != served:
+			bad = "Cached with the cache off, or unlike the other cache-on cells in memory"
 		}
 		if bad != "" {
 			m.t.Fatalf("step %d: %s: %s: %s\ngot (cached=%v): %s at %v under %v\nreference: %s at %v under %v",
 				m.step, c.name, q.sql, bad, got.Cached, got.rows, got.At, got.Validity, want.rows, want.At, want.Validity)
 		}
-		if c.cache {
+		if c.cache && !c.durable() {
 			seen, served = true, got.Cached
 		}
 	}
@@ -472,7 +721,10 @@ func (m *matrix) readAll() {
 }
 
 // next runs one step of the stream in every cell, each decision src(n),
-// an int in [0, n).
+// an int in [0, n). With a durable cell in the matrix a step first decides
+// whether it restarts the durable cells, crashes one or arms a disk fault;
+// while one is armed the stream writes one INSERT or DELETE a step,
+// advances, reads and heals.
 func (m *matrix) next(src func(n int) int) {
 	table := func() string { return [2]string{"pol", "el"}[src(2)] }
 	// Mostly multiples of five, so that equal tuples recur (an extension or
@@ -488,19 +740,55 @@ func (m *matrix) next(src func(n int) int) {
 		}
 		return q
 	}
-	switch r := src(100); {
-	case r < 14:
-		m.write(false, insert(table(), src(30), deg()))
-	case r < 18:
-		if t := table(); src(2) == 0 {
-			m.write(false, fmt.Sprintf("DELETE FROM %s WHERE uid = %d", t, src(30)))
-		} else {
-			m.write(false, fmt.Sprintf("DELETE FROM %s WHERE deg = %d", t, 15+src(6)*5))
+	// write is the INSERT or DELETE of decision r < 21.
+	write := func(r int) string {
+		switch {
+		case r < 14:
+			return insert(table(), src(30), deg())
+		case r < 18:
+			t, col, c := table(), "uid", 0
+			if src(2) == 0 {
+				c = src(30)
+			} else {
+				col, c = "deg", 15+src(6)*5
+			}
+			return fmt.Sprintf("DELETE FROM %s WHERE %s = %d", t, col, c)
+		case r < 20:
+			return fmt.Sprintf("DELETE FROM %s WHERE deg >= %d AND uid < %d", table(), 15+src(6)*5, src(30))
 		}
-	case r < 20:
-		m.write(false, fmt.Sprintf("DELETE FROM %s WHERE deg >= %d AND uid < %d", table(), 15+src(6)*5, src(30)))
+		return "DELETE FROM " + table()
+	}
+	if m.durable != nil {
+		r, armed := src(100), slices.ContainsFunc(m.durable, func(c *cell) bool { return c.fault >= 0 })
+		switch {
+		case armed && r < 40:
+			m.write(false, write(src(21)))
+		case armed && r < 50:
+			m.advance(m.now + 1 + int64(src(3)))
+		case armed && r < 60:
+			m.heal(false)
+		case armed:
+			m.read(src(len(propertyQueries)))
+		case r < 2:
+			for _, c := range m.durable {
+				c.restart(m.t)
+			}
+		case r < 6:
+			m.crash(m.durable[src(len(m.durable))], write(src(21)), src)
+		case r < 9:
+			for _, c := range m.durable {
+				c.fault, c.injected = m.faults%len(faultClasses), c.ffs.Injected()
+				faultClasses[c.fault](c.ffs)
+			}
+			m.faults++
+		}
+		if armed || r < 9 {
+			return
+		}
+	}
+	switch r := src(100); {
 	case r < 21:
-		m.write(false, "DELETE FROM "+table())
+		m.write(false, write(r))
 	case r < 22:
 		// One write the filters may select, then a burst none does: one fewer
 		// than the write tail holds, as many, one more, many more.
@@ -556,9 +844,44 @@ func (m *matrix) next(src func(n int) int) {
 	}
 }
 
-// finish advances past every finite texp: every cell must have fired ON
-// EXPIRE for the reference's multiset of (table, tuple, texp).
+// heal heals every durable cell with a fault armed that has failed an
+// operation, or with all, every one with a fault armed.
+func (m *matrix) heal(all bool) {
+	for _, c := range m.durable {
+		if c.fault >= 0 && (all || c.ffs.Injected() > c.injected) {
+			c.heal(m.t)
+		}
+	}
+}
+
+// crash runs write q in every cell; then it recovers copies of durable cell
+// c's directory whose newest segment is cut where q's records start and at
+// a byte drawn from inside them. The first must give back the state before
+// q, the second that state less as many of q's victims as delete records
+// survived.
+func (m *matrix) crash(c *cell, q string, src func(n int) int) {
+	seg, from := c.segment(m.t)
+	before := imageOf(c.s.eng)
+	m.write(false, q)
+	after := imageOf(c.s.eng)
+	im, records := c.recoverCut(m.t, seg, from)
+	if c.cuts[1]++; !reflect.DeepEqual(im, before) {
+		m.t.Fatalf("step %d: %s: the log cut where %q starts recovers\n%v\nnot\n%v", m.step, c.name, q, im, before)
+	}
+	if _, to := c.segment(m.t); to-from > 1 {
+		at := from + 1 + int64(src(int(to-from-1)))
+		if im, n := c.recoverCut(m.t, seg, at); !im.less(before, after, n-records) {
+			m.t.Fatalf("step %d: %s: the log of %q cut at %d of [%d, %d] keeps %d records and recovers\n%v\nbefore\n%v\nafter\n%v",
+				m.step, c.name, q, at, from, to, n-records, im, before, after)
+		}
+	}
+}
+
+// finish heals every disk and advances past every finite texp: every cell
+// must have fired ON EXPIRE for the reference's multiset of (table, tuple,
+// texp).
 func (m *matrix) finish() {
+	m.heal(true)
 	m.advance(2 * lazyPeriod)
 	slices.Sort(m.ref.fired)
 	for _, c := range m.cells {
@@ -571,9 +894,11 @@ func (m *matrix) finish() {
 // replay runs steps of the stream seeded by seed on the cells keep selects,
 // then finish, and fails as vacuous if a cache-on cell never hits,
 // revalidates, patches, keeps a difference, absorbs a DELETE into a monotonic
-// entry or drops an entry, an indexed
-// cell never probes for a read or a DELETE, or a lazy cell never runs one
-// over an unswept row.
+// entry or drops an entry, an indexed cell never probes for a read or a
+// DELETE, a lazy cell never runs one over an unswept row, or a durable cell
+// never restarts, recovers a log cut inside a record and one cut at a
+// boundary, refuses a write with ErrReadOnly or fails an operation under
+// each fault class.
 func replay(t *testing.T, seed int64, steps int, keep func(*cell) bool) *matrix {
 	m := newMatrix(t, keep)
 	for rng := rand.New(rand.NewSource(seed)); m.step < steps; m.step++ {
@@ -586,51 +911,80 @@ func replay(t *testing.T, seed int64, steps int, keep func(*cell) bool) *matrix 
 			t.Fatalf("%s: %d hits, %d revalidated, %d patched (%d kept differences, %d absorbed DELETEs), %d dropped by a write; %d reads and %d DELETEs probed; %d over unswept rows — the test is vacuous",
 				c.name, c.hits, st.Revalidations, c.patched, c.kept, c.absorbed, st.EpochInvalidations, c.probed[0], c.probed[1], c.unswept)
 		}
+		if c.durable() && (c.restarts == 0 || c.cuts[0] == 0 || c.cuts[1] == 0 || c.readOnly == 0 || slices.Contains(c.faults[:], 0)) {
+			t.Fatalf("%s: %d restarts, %d logs cut inside a record and %d at a boundary recovered, %d writes refused read-only, %v faults taken by class — the test is vacuous",
+				c.name, c.restarts, c.cuts[0], c.cuts[1], c.readOnly, c.faults)
+		}
 	}
 	return m
 }
 
-// TestReplayMatrix replays a seeded stream on all twelve cells.
+// TestReplayMatrix replays a seeded stream on all fifteen cells.
 func TestReplayMatrix(t *testing.T) { replay(t, 20060418, 1000, nil) }
 
 // TestCachedEqualsUncachedProperty replays its own seeds on the cache-on
-// cells, unindexed (scan) and indexed, against the cache-off reference.
+// cells in memory, unindexed (scan) and indexed, against the cache-off
+// reference.
 func TestCachedEqualsUncachedProperty(t *testing.T) {
 	for seed, name := range []string{"scan", "indexed"} {
 		t.Run(name, func(t *testing.T) {
-			replay(t, int64(101+seed), 500, func(c *cell) bool { return c.cache && (c.using != "") == (name == "indexed") })
+			replay(t, int64(101+seed), 500, func(c *cell) bool { return inMemory(c) && c.cache && (c.using != "") == (name == "indexed") })
 		})
 	}
 }
 
 // TestIndexedEquivalenceProperty replays its own seeds on the cache-off
-// indexed cells, hash and ordered, eager and lazy, against the unindexed
-// reference.
+// indexed cells in memory, hash and ordered, eager and lazy, against the
+// unindexed reference.
 func TestIndexedEquivalenceProperty(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			replay(t, 200+seed, 400, func(c *cell) bool { return !c.cache && c.using != "" })
+			replay(t, 200+seed, 400, func(c *cell) bool { return inMemory(c) && !c.cache && c.using != "" })
 		})
 	}
 }
 
 // TestDeleteEquivalenceProperty replays its own seeds on the cache-off
-// cells: every DELETE, by equality, by range or of every row, prints and
-// counts what the reference's does, and ON EXPIRE fires alike.
+// cells in memory: every DELETE, by equality, by range or of every row,
+// prints and counts what the reference's does, and ON EXPIRE fires alike.
 func TestDeleteEquivalenceProperty(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			replay(t, 300+seed, 400, func(c *cell) bool { return !c.cache })
+			replay(t, 300+seed, 400, func(c *cell) bool { return inMemory(c) && !c.cache })
+		})
+	}
+}
+
+// TestCrashRecoveryProperty replays its own seeds on the durable cells,
+// eager and lazy apart: each restarts, and recovers logs cut inside and
+// between the records of a write into the state before or after it.
+func TestCrashRecoveryProperty(t *testing.T) {
+	for _, mode := range []string{"eager", "lazy"} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", mode, seed), func(t *testing.T) {
+				replay(t, 400+seed, 400, func(c *cell) bool { return c.durable() && c.lazy == (mode == "lazy") })
+			})
+		}
+	}
+}
+
+// TestDiskFaultProperty replays its own seeds on the three durable cells:
+// under each fault class reads match the reference, a refused write changes
+// nothing, and a healed cell re-runs what the fault refused or cut short.
+func TestDiskFaultProperty(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			replay(t, 500+seed, 400, func(c *cell) bool { return c.durable() })
 		})
 	}
 }
 
 // TestIndexedConcurrentReads is the matrix's concurrent phase: after a
 // seeded replay, four readers race a writer (-race checks the locking) on
-// the cell that caches, indexes and sweeps lazily, until a read was
-// patched; every eighth tick it re-inserts a row that expired unswept.
+// the cell in memory that caches, indexes and sweeps lazily, until a read
+// was patched; every eighth tick it re-inserts a row that expired unswept.
 func TestIndexedConcurrentReads(t *testing.T) {
-	m := replay(t, 20060418, 300, func(c *cell) bool { return c.cache && c.using == "ORDERED" && c.lazy })
+	m := replay(t, 20060418, 300, func(c *cell) bool { return inMemory(c) && c.cache && c.using == "ORDERED" && c.lazy })
 	c := m.cells[0]
 	var wg sync.WaitGroup
 	var stop atomic.Bool
@@ -662,22 +1016,31 @@ func TestIndexedConcurrentReads(t *testing.T) {
 	}
 }
 
+// fuzzStatements bounds an input the fuzzer makes by the statements the
+// stream runs, reads included, past the six that make the tables: a step
+// that reads every query of the catalogue, or writes a burst, counts as
+// what it runs. The fuzzer runs each input that finds new coverage over and
+// over while it shortens it, so an input must stay short to leave it time
+// to fuzz. A named seed runs to its end.
+const fuzzStatements = 6 + 32
+
 // FuzzCachePatch reads its input as the stream's decisions, each the next
-// byte modulo n (0 once spent), for at most 64 steps. A named seed — not
+// byte modulo n (0 once spent), on the cells in memory. A named seed — not
 // one the fuzzer wrote under a hash — must read.
 func FuzzCachePatch(f *testing.F) {
 	hashed := regexp.MustCompile(`^FuzzCachePatch(/[0-9a-f]{16})?$`)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, src := newMatrix(t, nil), func(n int) (v int) {
+		named := !hashed.MatchString(t.Name())
+		m, src := newMatrix(t, inMemory), func(n int) (v int) {
 			if len(data) > 0 {
 				v, data = int(data[0])%n, data[1:]
 			}
 			return v
 		}
-		for ; len(data) > 0 && m.step < 64; m.step++ {
+		for ; len(data) > 0 && (named || m.stmts < fuzzStatements); m.step++ {
 			m.next(src)
 		}
-		if m.reads == 0 && !hashed.MatchString(t.Name()) {
+		if m.reads == 0 && named {
 			t.Fatal("the seed makes no read, so it checks nothing")
 		}
 		m.finish()

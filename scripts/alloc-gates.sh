@@ -22,8 +22,8 @@ BenchmarkViewRecomputeHist     ./internal/engine  255 REFRESH of a GROUP BY view
 BenchmarkViewRecomputeDiff     ./internal/engine  885 REFRESH of π(pol) − π(el) over 500 / 250 rows, its critical rows kept as births: each argument collected once, a projected tuple per argument row and a key set per argument; the output, a set, appended unhashed; no second pass for texp(e) (measured 804; 1 569 with a key string per argument row, 4 147 before)
 BenchmarkCacheHit              ./internal/engine  4  map probe, epoch check, LRU touch, snapshot header (measured 1, 240 B/op from 10^5 iterations and 247 at 10 000, a fixed warm-up amortised: the 240-B size class, since a base table keeps its texp heap and due rows behind one pointer; 288 while the due slice was a field of every relation header)
 BenchmarkCacheHitAfterWrite    ./internal/engine  9  one insert that the leaf of the cached plan rejects, then the lookup that tests it and serves the hit: insert budget plus hit budget; the write tail of the table and the revalidation allocate nothing (measured 4)
-BenchmarkCachePatchAfterInsert ./internal/engine  27 one insert that a cached 40-row indexed range selects, then the lookup that patches it: the tail walk, a one-row Δ relation, the IndexScan leaf replaced by σ[Full](Δ) and streamed, the copy of the cached answer the row is merged into, the new entry, laid out in tuple order only when a hit serves it again; the same at 2 000 and 20 000 table rows, never the table (measured 19 at both; 20 while serving allocated the holder of an order sorted on first read, 26 while the copy cloned a key map and the merge made a key string, 32 while each bound of the range was a closure of its own, 33 while every patch allocated the EXCEPT clash flag)
-BenchmarkCachePatchAfterDelete ./internal/engine  56 one write to a cached σ(sess) ⋈ σ(usr), then the lookup that absorbs it: insert, a session the join pairs, streamed as E[sess := Δ] and merged; delete, a selected session with no partner, streamed and found to derive nothing. Δ is the build side and the usr array is scanned for its key, so nothing follows usr; it replaces the re-evaluation of the join, 181 allocs and ≈20× the time (measured 50 insert, 48 delete; 97 for the insert while Δ was probed against a hash of all of σ(usr))
+BenchmarkCachePatchAfterInsert ./internal/engine  27 one insert that a cached 40-row indexed range selects, then the lookup that patches it: the tail walk, a one-row Δ relation, the IndexScan leaf replaced by σ[Full](Δ) and streamed, the row gained merged with the cached answer into a new in-order store (slot array, texps, header), the new entry; the same at 2 000 and 20 000 table rows, never the table (measured 19 at both; 19 while the row was inserted into a detached copy of the answer, its slot array cloned and re-keyed, left out of tuple order for the next hit to sort; 20 while serving allocated the holder of an order sorted on first read, 26 while the copy cloned a key map and the merge made a key string, 32 while each bound of the range was a closure of its own, 33 while every patch allocated the EXCEPT clash flag)
+BenchmarkCachePatchAfterDelete ./internal/engine  56 one write to a cached σ(sess) ⋈ σ(usr), then the lookup that absorbs it: insert, a session the join pairs, streamed as E[sess := Δ] and merged; delete, a selected session with no partner, streamed and found to derive nothing. Δ is the build side and the usr array is scanned for its key, so nothing follows usr; it replaces the re-evaluation of the join, 181 allocs and ≈20× the time (measured 50 insert, 47 delete, the first row of a Δ appended unhashed; 97 for the insert while Δ was probed against a hash of all of σ(usr))
 BenchmarkIndexedPointLookup    ./internal/engine  4  lock plan and probe free; the result relation, its one-row slot array and the closure of the collector: an index probe streams a set, appended unhashed (measured 3; 6 with a key string, a map and its bucket per result)
 BenchmarkScanFilter            ./internal/engine  16 an unindexed range over 2 000 rows returning about 40: the memoised parse and lowering, the optimiser, the one interval of the predicate, which the array scan tests on the column array with no closure, loading only the rows that pass; then the growth of the slot array (1, 8, 64 rows) the rows returned are appended to, σ over a table being a set: appended unhashed (measured 13; 69 with a key string per row returned and a map, 71 when the interval was a compiled test over tuples, 76 when each bound was a closure of its own, 120 when every read parsed and lowered)
 BenchmarkJoinProbe             ./internal/engine  175 2 000 rows through the array scan of a selection and a hash probe against a 20-row build side, about 40 rows out: the build side, a set, appended unhashed; a bucket per build key in the join table and its tuple.Set, and the set of build keys (values, table, header) the scan tests so that only rows a build key equals are loaded and probed; a tuple and a projection per row returned, which the projection, dropping columns, merges in a key set; each probe encodes its key on the stack and allocates nothing per probed row (measured 159; 234 with a key string per build key and per row returned, 261 when every scanned row was loaded and probed, 371 when every read parsed and lowered, 1 331 when every probe made a string)
