@@ -8,8 +8,7 @@ import "fmt"
 // cached materialisations (wrapped as Base leaves) for still-valid
 // subtrees and re-evaluate only the invalid operator.
 func ReplaceChildren(e Expr, children []Expr) (Expr, error) {
-	need := len(e.Children())
-	if len(children) != need {
+	if need := arity(e); len(children) != need {
 		return nil, fmt.Errorf("algebra: %T needs %d children, got %d", e, need, len(children))
 	}
 	switch n := e.(type) {
@@ -48,4 +47,15 @@ func ReplaceChildren(e Expr, children []Expr) (Expr, error) {
 	default:
 		return nil, fmt.Errorf("algebra: ReplaceChildren: unsupported node %T", e)
 	}
+}
+
+// arity is len(e.Children()) without the slice Children allocates.
+func arity(e Expr) int {
+	switch e.(type) {
+	case *Base:
+		return 0
+	case *Product, *Union, *Join, *Intersect, *Diff:
+		return 2
+	}
+	return 1
 }

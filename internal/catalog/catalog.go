@@ -6,7 +6,9 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"expdb/internal/index"
@@ -54,6 +56,10 @@ type Catalog struct {
 	set     []NamedTable
 	views   map[string]*view.View
 	indexes map[string]*IndexDef
+	// byTable holds each table's index definitions sorted by name, the
+	// image TableIndexes hands out. A table's slice is rebuilt, never
+	// edited, on CREATE/DROP INDEX, so the planner reads it unlocked.
+	byTable map[string][]*IndexDef
 }
 
 // New returns an empty catalog.
@@ -62,6 +68,7 @@ func New() *Catalog {
 		tables:  make(map[string]*relation.Relation),
 		views:   make(map[string]*view.View),
 		indexes: make(map[string]*IndexDef),
+		byTable: make(map[string][]*IndexDef),
 	}
 }
 
@@ -102,11 +109,10 @@ func (c *Catalog) DropTable(name string) error {
 	}
 	delete(c.tables, name)
 	c.rebuildSet()
-	for n, def := range c.indexes {
-		if def.Table == name {
-			delete(c.indexes, n)
-		}
+	for _, def := range c.byTable[name] {
+		delete(c.indexes, def.Name)
 	}
+	delete(c.byTable, name)
 	return nil
 }
 
@@ -123,6 +129,9 @@ func (c *Catalog) AddIndex(def *IndexDef) error {
 		return fmt.Errorf("%w: %q", ErrNoSuchTable, def.Table)
 	}
 	c.indexes[def.Name] = def
+	defs := append(slices.Clone(c.byTable[def.Table]), def)
+	slices.SortFunc(defs, func(a, b *IndexDef) int { return strings.Compare(a.Name, b.Name) })
+	c.byTable[def.Table] = defs
 	return nil
 }
 
@@ -136,6 +145,7 @@ func (c *Catalog) DropIndex(name string) (*IndexDef, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchIndex, name)
 	}
 	delete(c.indexes, name)
+	c.byTable[def.Table] = slices.DeleteFunc(slices.Clone(c.byTable[def.Table]), func(d *IndexDef) bool { return d == def })
 	return def, nil
 }
 
@@ -163,18 +173,12 @@ func (c *Catalog) Indexes() []*IndexDef {
 }
 
 // TableIndexes returns the definitions of the indexes on one table,
-// sorted by name — the planner's access-path candidates.
+// sorted by name — the planner's access-path candidates. The slice is
+// shared and immutable: callers must not modify it.
 func (c *Catalog) TableIndexes(table string) []*IndexDef {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	var out []*IndexDef
-	for _, def := range c.indexes {
-		if def.Table == table {
-			out = append(out, def)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return c.byTable[table]
 }
 
 // Table returns the named relation.

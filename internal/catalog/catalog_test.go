@@ -89,6 +89,58 @@ func TestListingsSorted(t *testing.T) {
 	}
 }
 
+// TestTableIndexes: a table's index definitions come sorted by name and
+// leave with DROP INDEX and DROP TABLE; a slice handed out earlier never
+// changes under later DDL.
+func TestTableIndexes(t *testing.T) {
+	c := New()
+	for _, name := range []string{"a", "b"} {
+		if _, err := c.CreateTable(name, tuple.IntCols("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names := func(defs []*IndexDef) string {
+		var out []string
+		for _, d := range defs {
+			out = append(out, d.Name)
+		}
+		return fmt.Sprint(out)
+	}
+	for _, def := range []*IndexDef{{Name: "z", Table: "a"}, {Name: "b1", Table: "b"}, {Name: "m", Table: "a"}, {Name: "c", Table: "a"}} {
+		if err := c.AddIndex(def); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.AddIndex(&IndexDef{Name: "m", Table: "b"}); err == nil {
+		t.Fatal("a duplicate index name accepted")
+	}
+	held := c.TableIndexes("a")
+	if got := names(held); got != "[c m z]" {
+		t.Fatalf("TableIndexes(a) = %s", got)
+	}
+	if _, err := c.DropIndex("m"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddIndex(&IndexDef{Name: "d", Table: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := names(c.TableIndexes("a")); got != "[c d z]" {
+		t.Fatalf("after DROP m and ADD d: TableIndexes(a) = %s", got)
+	}
+	if got := names(held); got != "[c m z]" {
+		t.Fatalf("a slice handed out changed under DDL: %s", got)
+	}
+	if err := c.DropTable("a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Index("c"); err == nil || len(c.TableIndexes("a")) != 0 {
+		t.Fatal("DROP TABLE left its indexes")
+	}
+	if got := names(c.TableIndexes("b")); got != "[b1]" {
+		t.Fatalf("TableIndexes(b) = %s", got)
+	}
+}
+
 func TestConcurrentAccess(t *testing.T) {
 	c := New()
 	var wg sync.WaitGroup

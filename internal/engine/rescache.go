@@ -127,37 +127,59 @@ func planTables(expr algebra.Expr) []leafTable {
 // probe never runs against delta. A join rebuilt around delta builds its hash
 // table on delta's side — a write tail's worth of rows at most — and streams
 // the other side as the probe, which a σ over an array-backed table scans for
-// delta's join keys only; its output is left ++ right either way.
+// delta's join keys only; its output is left ++ right either way. A variant
+// copies only the nodes on the path from the root to its leaf, once each.
 func leafVariants(expr algebra.Expr, name string, delta *algebra.Base, fn func(algebra.Expr) error) error {
+	var path [8]ancestor
+	return variants(expr, name, delta, path[:0], fn)
+}
+
+// ancestor is a node above the leaf a variant replaces: its children and the
+// one on the way down to the leaf.
+type ancestor struct {
+	node algebra.Expr
+	kids []algebra.Expr
+	i    int
+}
+
+// variants is leafVariants below path, the ancestors of expr, root first.
+func variants(expr algebra.Expr, name string, delta *algebra.Base, path []ancestor, fn func(algebra.Expr) error) error {
+	var v algebra.Expr
 	switch x := expr.(type) {
 	case *algebra.Base:
-		if x.Name == name {
-			return fn(delta)
+		if x.Name != name {
+			return nil
 		}
+		v = delta
 	case *algebra.IndexScan:
-		if x.Base.Name == name {
-			return fn(&algebra.Select{Pred: x.Full, Child: delta})
+		if x.Base.Name != name {
+			return nil
 		}
+		v = &algebra.Select{Pred: x.Full, Child: delta}
 	default:
 		kids := expr.Children()
 		for i := range kids {
-			if err := leafVariants(kids[i], name, delta, func(v algebra.Expr) error {
-				with := slices.Clone(kids)
-				with[i] = v
-				x, err := algebra.ReplaceChildren(expr, with)
-				if err != nil {
-					return err
-				}
-				if j, ok := x.(*algebra.Join); ok {
-					j.BuildLeft = i == 0
-				}
-				return fn(x)
-			}); err != nil {
+			if err := variants(kids[i], name, delta, append(path, ancestor{expr, kids, i}), fn); err != nil {
 				return err
 			}
 		}
+		return nil
 	}
-	return nil
+	for k := len(path) - 1; k >= 0; k-- {
+		a := &path[k]
+		var with [2]algebra.Expr
+		n := copy(with[:], a.kids)
+		with[a.i] = v
+		x, err := algebra.ReplaceChildren(a.node, with[:n])
+		if err != nil {
+			return err
+		}
+		if j, ok := x.(*algebra.Join); ok {
+			j.BuildLeft = a.i == 0
+		}
+		v = x
+	}
+	return fn(v)
 }
 
 // writeTailLen is how many written tuples a table remembers; an entry that
@@ -410,14 +432,23 @@ func (e *Engine) ResultCacheStats() (ResultCacheMetrics, error) {
 	}, nil
 }
 
-// QueryStamped evaluates expr at the current tick and stamps the answer
-// with its validity interval [now, texp(e)), both from one evaluation pass.
-// With a non-empty cache key — the normalized plan string — a cached
-// materialisation still inside its window is served instead: as stored or
-// revalidated (one map probe, an epoch compare per table, an O(1) shared
-// snapshot), or patched under the plan's table read locks (patch). A key of
-// "" stamps without caching, so every result still carries its validity.
+// QueryStamped is QueryPlan for a plan already made.
 func (e *Engine) QueryStamped(expr algebra.Expr, key string, tid trace.ID) (QueryResult, error) {
+	return e.QueryPlan(key, tid, func() algebra.Expr { return expr })
+}
+
+// QueryPlan evaluates the expression plan returns at the current tick and
+// stamps the answer with its validity interval [now, texp(e)), both from one
+// evaluation pass. With a non-empty cache key — the normalized logical plan
+// string — a cached materialisation still inside its window is served
+// instead: as stored or revalidated (one map probe, an epoch compare per
+// table, an O(1) shared snapshot), or patched under the plan's table read
+// locks (patch). A key of "" stamps without caching, so every result still
+// carries its validity. The key names the answer, not the physical plan, so a
+// hit never calls plan: it is called once, only to evaluate or to patch,
+// outside the cache lock and before any table lock is taken, so it may read
+// the catalog and the tables' cardinalities.
+func (e *Engine) QueryPlan(key string, tid trace.ID, plan func() algebra.Expr) (QueryResult, error) {
 	if tid == 0 {
 		tid = trace.NextID()
 	}
@@ -430,6 +461,7 @@ func (e *Engine) QueryStamped(expr algebra.Expr, key string, tid trace.ID) (Quer
 			return res, nil
 		}
 	}
+	expr := plan()
 
 	// Closure-free lock plan: a stack-backed slice, linear dedup and an
 	// insertion sort keep the uncached read path (point lookups through an

@@ -91,8 +91,8 @@ type planner struct {
 }
 
 // optimize lowers a logical expression to its physical plan. The input
-// must already be selection-pushed (Session.Plan, the only caller, hands
-// over the canonical rewrite it computed for the cache key). Returns the
+// must already be selection-pushed (Session.Physical, the only caller, hands
+// over the canonical rewrite computed for the cache key). Returns the
 // physical plan and the costed decisions for EXPLAIN.
 func (s *Session) optimize(rewritten algebra.Expr) (algebra.Expr, []Choice) {
 	p := &planner{s: s}

@@ -667,7 +667,7 @@ func (m *matrix) read(i int) {
 // readIn reads query i in c through Exec and its memo, counts what served
 // it — a patch of a monotonic entry that lost a row one of its leaves selects
 // since c last read it absorbed a DELETE — and checks that the plan the memo
-// gives it is the one c makes afresh.
+// gives it is the one c makes afresh. Both checks share one fresh plan.
 func (m *matrix) readIn(c *cell, i int) answer {
 	q := propertyQueries[i]
 	c.before(m.t, c.s, "")
@@ -679,12 +679,16 @@ func (m *matrix) readIn(c *cell, i int) answer {
 	if got.Cached {
 		c.hits++
 	}
-	if got.Cached && c.stats().Patches > patches {
+	patched := got.Cached && c.stats().Patches > patches
+	sel := c.s.memo[q.sql]
+	var fresh algebra.Expr
+	if q.build == nil && (patched || sel != nil) {
+		fresh = freshPlan(m.t, c.s, q.sql).Physical
+	}
+	if patched {
 		c.patched++
-		var plan algebra.Expr
-		if q.build == nil {
-			plan = freshPlan(m.t, c.s, q.sql).Physical
-		} else {
+		plan := fresh
+		if q.build != nil {
 			pol, _ := c.s.eng.Base("pol")
 			el, _ := c.s.eng.Base("el")
 			plan, _ = q.build(pol, el)
@@ -696,12 +700,11 @@ func (m *matrix) readIn(c *cell, i int) answer {
 		}
 	}
 	c.lastRead[i] = len(m.lost)
-	if sel := c.s.memo[q.sql]; sel != nil && q.build == nil {
+	if sel != nil && q.build == nil {
 		p, err := c.s.Plan(sel)
 		if err != nil {
 			m.t.Fatal(err)
 		}
-		fresh := freshPlan(m.t, c.s, q.sql).Physical
 		if p.Physical.String() != fresh.String() {
 			m.t.Fatalf("step %d: %s: %s through the memo plans %s, afresh %s", m.step, c.name, q.sql, p.Physical, fresh)
 		}

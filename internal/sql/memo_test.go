@@ -2,10 +2,15 @@ package sql
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"expdb/internal/engine"
+	"expdb/internal/relation"
 	"expdb/internal/tuple"
 )
 
@@ -141,9 +146,27 @@ func TestPlanMemoAdmission(t *testing.T) {
 	}
 }
 
-// TestPlanMemoFollowsIndexDDL: the optimiser runs on every read, so a
-// memoised statement probes an index created after it was memoised and
-// scans again once the index is dropped.
+// TestPlanMemoHitRunsNoOptimiser: a memoised read the result cache answers
+// is served by its key alone. Such a read allocates the Result and the
+// snapshot header the cache hands out; the optimiser, which costs the probe
+// and builds it, would add 10 allocations.
+func TestPlanMemoHitRunsNoOptimiser(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s, "CREATE INDEX pol_uid ON pol (uid)")
+	q := "SELECT * FROM pol WHERE uid = 2"
+	memoised(t, s, q)
+	if n := testing.AllocsPerRun(100, func() {
+		if res, err := s.Exec(q); err != nil || !res.Cached {
+			t.Fatalf("cached %v, err %v", res != nil && res.Cached, err)
+		}
+	}); n > 4 {
+		t.Fatalf("a cached read through Exec: %.1f allocs, budget 4", n)
+	}
+}
+
+// TestPlanMemoFollowsIndexDDL: the optimiser runs on every read that
+// evaluates, so a memoised statement probes an index created after it was
+// memoised and scans again once the index is dropped.
 func TestPlanMemoFollowsIndexDDL(t *testing.T) {
 	s := newSession(t)
 	for uid := 10; uid < 200; uid++ {
@@ -161,6 +184,113 @@ func TestPlanMemoFollowsIndexDDL(t *testing.T) {
 	mustExec(t, s, "DROP INDEX pol_uid")
 	if p := memoRead(t, s, q); strings.Contains(p.Physical.String(), "ixscan") {
 		t.Fatalf("after DROP INDEX: %s", p.Physical)
+	}
+}
+
+// TestPlanMemoReadersRaceIndexDDL: four readers read through their memos
+// while a writer creates and drops indexes, inserts and advances the clock,
+// so the optimiser a read leaves to the engine runs while DDL is in flight.
+// Each answer must be the one a cache-off session gives in some state the
+// engine passed through during the read, and no row it returns may be dead
+// at its instant.
+func TestPlanMemoReadersRaceIndexDDL(t *testing.T) {
+	queries := []string{
+		"SELECT * FROM pol WHERE uid = 7",
+		"SELECT uid FROM pol WHERE deg >= 20 AND deg < 40",
+		"SELECT deg, COUNT(*) FROM pol GROUP BY deg",
+		"SELECT uid FROM pol EXCEPT SELECT uid FROM el",
+		"SELECT pol.uid, el.deg FROM pol JOIN el ON pol.uid = el.uid WHERE pol.deg < 30",
+	}
+	setup := []string{"CREATE TABLE pol (uid INT, deg INT)", "CREATE TABLE el (uid INT, deg INT)"}
+	r := rand.New(rand.NewSource(48))
+	var ops []string
+	now, indexed := 0, false
+	for len(ops) < 300 {
+		switch k := r.Intn(10); {
+		case k == 0 && !indexed:
+			ops = append(ops, "CREATE INDEX ix ON "+[]string{"pol (uid)", "pol (deg) USING ORDERED", "el (uid)", "pol (uid, deg)"}[r.Intn(4)])
+			indexed = true
+		case k == 0:
+			ops = append(ops, "DROP INDEX ix")
+			indexed = false
+		case k <= 2:
+			now++
+			ops = append(ops, fmt.Sprintf("ADVANCE TO %d", now))
+		default:
+			ops = append(ops, fmt.Sprintf("INSERT INTO %s VALUES (%d, %d) EXPIRES AT %d",
+				[]string{"pol", "el"}[r.Intn(2)], r.Intn(12), 5*r.Intn(10), now+1+r.Intn(8)))
+		}
+	}
+
+	// want[v][i] is query i's answer after the first v ops, cache off.
+	ref := NewSession(engine.New(engine.WithResultCache(0)), nil)
+	answers := func() []string {
+		out := make([]string, len(queries))
+		for i, q := range queries {
+			out[i] = rowsKey(mustExec(t, ref, q).Rows())
+		}
+		return out
+	}
+	for _, op := range setup {
+		mustExec(t, ref, op)
+	}
+	want := [][]string{answers()}
+	for _, op := range ops {
+		mustExec(t, ref, op)
+		want = append(want, answers())
+	}
+
+	eng := engine.New()
+	writer := NewSession(eng, nil)
+	for _, op := range setup {
+		mustExec(t, writer, op)
+	}
+	var done atomic.Int64 // ops the writer has finished
+	var ready, wg sync.WaitGroup
+	for g := int64(0); g < 4; g++ {
+		ready.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, r := NewSession(eng, nil), rand.New(rand.NewSource(g))
+			read := func(i int) bool {
+				from := done.Load()
+				res, err := s.Exec(queries[i])
+				to := min(done.Load()+1, int64(len(ops)))
+				if err != nil {
+					t.Errorf("%s: %v", queries[i], err)
+					return false
+				}
+				res.Rel.All(func(row relation.Row) {
+					if row.Texp <= res.At {
+						t.Errorf("%s at %s: the row %s@%s is dead", queries[i], res.At, row.Tuple, row.Texp)
+					}
+				})
+				got := rowsKey(res.Rows())
+				if !slices.ContainsFunc(want[from:to+1], func(w []string) bool { return w[i] == got }) {
+					t.Errorf("%s at %s (cached %v, ops %d–%d): %s, which no cache-off state between gives", queries[i], res.At, res.Cached, from, to, got)
+					return false
+				}
+				return true
+			}
+			ok := true
+			for i := range queries {
+				ok = ok && read(i) && read(i)
+			}
+			ready.Done()
+			for ok && done.Load() < int64(len(ops)) {
+				ok = read(r.Intn(len(queries)))
+			}
+		}()
+	}
+	ready.Wait()
+	for _, op := range ops {
+		mustExec(t, writer, op)
+		done.Add(1)
+	}
+	wg.Wait()
+	if stats, _ := eng.ResultCacheStats(); stats.Hits == 0 || stats.Misses == 0 {
+		t.Fatalf("hits %d, misses %d: the readers never both hit and evaluated", stats.Hits, stats.Misses)
 	}
 }
 

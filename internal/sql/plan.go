@@ -129,7 +129,9 @@ func (s *Session) MetricsReport() MetricsReport {
 
 // Plan is what the planning pipeline makes of one statement. Every read
 // path — Exec, EXPLAIN, DELETE, CREATE VIEW, DB.Plan and the wire server —
-// takes its tree from Session.Plan and from nowhere else.
+// takes its tree from one pipeline and from nowhere else: Session.Plan
+// fills every field, and PlanAndRun leaves Physical and Choices to
+// Session.Physical, which a read calls only when it must evaluate.
 type Plan struct {
 	// Logical is the statement lowered as written, over the engine's live
 	// relations and, where it names a view, the snapshot the view's read
@@ -143,7 +145,8 @@ type Plan struct {
 	Key string
 	// Physical is the cost-based plan that runs. Each substitution keeps
 	// rows, per-tuple texp and texp(e) (Theorem 1 applied to a physical
-	// plan), which is why Key may stay logical.
+	// plan), which is why Key may stay logical, and why a read the result
+	// cache answers needs none: nil until Session.Physical makes it.
 	Physical algebra.Expr
 	// Choices are the costed decisions behind Physical, for EXPLAIN.
 	Choices []Choice
@@ -161,17 +164,38 @@ type Plan struct {
 // the aggregation policy alone: Logical, its rewrite and Key. It stands
 // while every leaf is still its table's relation and the policy is
 // unchanged; index DDL, writes and actuals steer only the optimiser, which
-// runs on every plan. Only a statement in the memo keeps one, and a plan
-// that read a view keeps none.
+// runs on every plan that is evaluated. Only a statement in the memo keeps
+// one, and a plan that read a view keeps none.
 type lowering struct {
 	Plan
 	leaves []*algebra.Base // the tables Logical reads
 	policy algebra.AggPolicy
 }
 
-// Plan runs the pipeline on a parsed SELECT (ORDER BY/LIMIT are the
-// caller's to apply) or DELETE: lower, canonicalise, optimise.
+// Plan runs the whole pipeline on a parsed SELECT (ORDER BY/LIMIT are the
+// caller's to apply) or DELETE: lower, canonicalise, optimise. EXPLAIN,
+// DELETE, CREATE VIEW and DB.Plan take their tree from it; a SELECT that
+// runs goes through PlanAndRun, which optimises only a read that evaluates.
 func (s *Session) Plan(stmt Statement) (Plan, error) {
+	p, err := s.canonical(stmt)
+	if err != nil {
+		return Plan{}, err
+	}
+	s.Physical(&p)
+	return p, nil
+}
+
+// Physical returns p's physical plan, running the optimiser on p's rewrite
+// first when the plan was made without one.
+func (s *Session) Physical(p *Plan) algebra.Expr {
+	if p.Physical == nil {
+		p.Physical, p.Choices = s.optimize(p.rewritten)
+	}
+	return p.Physical
+}
+
+// canonical is the pipeline up to the optimiser: lower and canonicalise.
+func (s *Session) canonical(stmt Statement) (Plan, error) {
 	p := Plan{Until: xtime.Infinity}
 	switch st := stmt.(type) {
 	case *Select:
@@ -196,7 +220,6 @@ func (s *Session) Plan(stmt Statement) (Plan, error) {
 	default:
 		return Plan{}, fmt.Errorf("sql: only SELECT and DELETE are planned, got %T", stmt)
 	}
-	p.Physical, p.Choices = s.optimize(p.rewritten)
 	return p, nil
 }
 
@@ -245,7 +268,9 @@ func (s *Session) current(leaves []*algebra.Base) bool {
 }
 
 // Query evaluates p at the current tick and stamps the answer with its
-// validity window. A plan that is a view's own leaf is served as ReadView
+// validity window. The result cache answers p by its Key: only a read that
+// evaluates or patches makes p's physical plan, under an "optimize" span of
+// the statement's trace. A plan that is a view's own leaf is served as ReadView
 // serves it: the shared snapshot, at the instant and under the window the
 // view reported. Any other answer holds until texp(e) or until a view it
 // was computed from changes, whichever comes first. When the clock has
@@ -258,7 +283,14 @@ func (s *Session) Query(p *Plan) (engine.QueryResult, error) {
 	if b, ok := p.Physical.(*algebra.Base); ok && p.view != nil {
 		return engine.QueryResult{Rel: b.Rel, At: p.view.At, Validity: p.view.Validity}, nil
 	}
-	qr, err := s.eng.QueryStamped(p.Physical, p.Key, s.tid)
+	qr, err := s.eng.QueryPlan(p.Key, s.tid, func() algebra.Expr {
+		if p.Physical == nil {
+			sp := s.span.Child("optimize")
+			s.Physical(p)
+			sp.End()
+		}
+		return p.Physical
+	})
 	if err == nil {
 		err = p.expiredAt(qr.At)
 	}
@@ -287,12 +319,18 @@ const planAttempts = 3
 // plan expired under it, by an error matching view.ErrInvalid, the
 // statement is planned again against the views' new answers — planAttempts
 // times in all, then the error stands. Every path that evaluates a plan
-// over a view goes through it. run gets the Plan by value: a pointer handed
+// over a view goes through it. A plan with a cache key comes without its
+// physical plan, which Query makes only when the cache cannot answer and
+// run otherwise asks Session.Physical for; one without (a view read) is
+// optimised here, as Plan does. run gets the Plan by value: a pointer handed
 // to a func value would move every statement's Plan to the heap.
 func (s *Session) PlanAndRun(stmt Statement, run func(Plan) error) error {
 	for attempt := 1; ; attempt++ {
 		sp := s.span.Child("plan")
-		p, err := s.Plan(stmt)
+		p, err := s.canonical(stmt)
+		if err == nil && p.Key == "" {
+			s.Physical(&p)
+		}
 		sp.End()
 		if err != nil {
 			return err
@@ -476,9 +514,12 @@ func (s *Session) execStmt(stmt Statement) (*Result, error) {
 	case *Select:
 		var res *Result
 		err := s.PlanAndRun(st, func(p Plan) error {
-			sp := s.span.Child("execute")
+			// Query's optimiser span, if it runs, nests under execute.
+			root := s.span
+			s.span = root.Child("execute")
 			qr, err := s.Query(&p)
-			sp.End()
+			s.span.End()
+			s.span = root
 			if err != nil {
 				return err
 			}
@@ -845,6 +886,7 @@ func (s *Session) execShow(st *Show) (*Result, error) {
 func (s *Session) execExplain(st *Explain) (*Result, error) {
 	var res *Result
 	err := s.PlanAndRun(st.Query, func(p Plan) (err error) {
+		s.Physical(&p)
 		if st.Analyze {
 			res, err = s.execExplainAnalyze(&p)
 		} else {

@@ -168,6 +168,69 @@ func TestShowTracesSlowQueryLog(t *testing.T) {
 	}
 }
 
+// slowTrace is the slow-query trace of the statement id; s's engine logs
+// every statement.
+func slowTrace(t *testing.T, s *Session, id trace.ID) *trace.Span {
+	t.Helper()
+	for _, tr := range s.eng.Traces().Snapshot(0) {
+		if tr.ID == id {
+			return tr.Root
+		}
+	}
+	t.Fatalf("no slow-query trace %s", id)
+	return nil
+}
+
+// spanNamed is the first span called name in the tree under sp, nil if none.
+func spanNamed(sp *trace.Span, name string) *trace.Span {
+	if sp.Name == name {
+		return sp
+	}
+	for _, c := range sp.Children {
+		if found := spanNamed(c, name); found != nil {
+			return found
+		}
+	}
+	return nil
+}
+
+// TestTraceOptimizeSpanOnMiss: a read the result cache cannot answer makes
+// its physical plan only when the engine is about to evaluate it, and the
+// slow-query trace shows that step as its own span under execute.
+func TestTraceOptimizeSpanOnMiss(t *testing.T) {
+	s := newSession(t)
+	s.eng.SetSlowQueryThreshold(time.Nanosecond)
+	res := mustExec(t, s, "SELECT uid FROM pol WHERE deg = 25")
+	if res.Cached {
+		t.Fatal("the first read was served from the cache")
+	}
+	root := slowTrace(t, s, res.TraceID)
+	exec := spanNamed(root, "execute")
+	if exec == nil || len(exec.Children) != 1 || exec.Children[0].Name != "optimize" {
+		t.Fatalf("no optimize span under execute:\n%s", root)
+	}
+	if opt := spanNamed(root, "optimize"); opt != exec.Children[0] {
+		t.Fatalf("an optimize span outside execute:\n%s", root)
+	}
+}
+
+// TestTraceNoOptimizeSpanOnHit: a read the result cache answers runs no
+// optimiser, so its trace has no optimize span.
+func TestTraceNoOptimizeSpanOnHit(t *testing.T) {
+	s := newSession(t)
+	s.eng.SetSlowQueryThreshold(time.Nanosecond)
+	q := "SELECT uid FROM pol WHERE deg = 25"
+	mustExec(t, s, q)
+	res := mustExec(t, s, q)
+	if !res.Cached {
+		t.Fatal("the second read was not served from the cache")
+	}
+	root := slowTrace(t, s, res.TraceID)
+	if spanNamed(root, "execute") == nil || spanNamed(root, "optimize") != nil {
+		t.Fatalf("a cache hit's trace:\n%s", root)
+	}
+}
+
 // TestViewReadEventAgreement: one authoritative ReadInfo feeds both the
 // SELECT's trace ID and the lifecycle events, so SHOW EVENTS and the
 // statement agree on source, patch count and trace.

@@ -484,8 +484,9 @@ func (s *Server) respond(sess *sql.Session, req *Request) *Response {
 }
 
 // materialize answers one MsgMaterialize into resp. The plan is the one
-// sql.Session.Plan gives every read path: the physical tree runs (a point
-// query probes its index), under the logical key.
+// the session's pipeline gives every read path: the physical tree runs (a
+// point query probes its index), under the logical key, and is made only
+// when the result cache cannot answer.
 func (s *Server) materialize(sess *sql.Session, req *Request, resp *Response) error {
 	sel, err := sql.ParseQuery(req.Query)
 	if err != nil {
@@ -503,7 +504,10 @@ func (s *Server) materialize(sess *sql.Session, req *Request, resp *Response) er
 // matching view.ErrInvalid, with resp untouched.
 func (s *Server) evaluate(sess *sql.Session, plan *sql.Plan, req *Request, resp *Response) error {
 	var rel *relation.Relation
-	if !req.WantPatches || !algebra.HasFuture(plan.Physical) {
+	// HasFuture reads only the root, and a lowering's root is its physical
+	// plan's: SQL puts a WHERE under any set operation, so pushdown moves no
+	// σ past the root, and the optimiser keeps it.
+	if !req.WantPatches || !algebra.HasFuture(plan.Logical) {
 		// Without births (none wanted, or a root whose future is not
 		// determined) a materialisation goes through the validity-interval
 		// result cache: a repeated remote query costs zero re-evaluation while
@@ -519,13 +523,14 @@ func (s *Server) evaluate(sess *sql.Session, plan *sql.Plan, req *Request, resp 
 		// consistent snapshot even while the server's clock advances
 		// concurrently. The optimiser keeps the root's shape, so they are
 		// still there to ship.
+		phys := sess.Physical(plan)
 		var ev algebra.Evaluation
-		err := s.eng.Inspect(plan.Physical, func(at xtime.Time) (err error) {
+		err := s.eng.Inspect(phys, func(at xtime.Time) (err error) {
 			if at >= plan.Until {
 				return fmt.Errorf("wire: plan expired: it reads a view snapshot valid until %s and the clock is at %s: %w",
 					plan.Until, at, view.ErrInvalid)
 			}
-			ev, err = algebra.Materialize(plan.Physical, at)
+			ev, err = algebra.Materialize(phys, at)
 			return err
 		})
 		if err != nil {
