@@ -399,6 +399,77 @@ func BenchmarkCachePatchAfterDelete(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheJoinAfterWrites measures a cached join read after more
+// writes than a short write tail holds: the σ(sess) ⋈ σ(usr) of
+// BenchmarkCachePatchAfterDelete, then per iteration 100 inserts into sess
+// — 4 sessions the join selects and pairs, 96 its left leaf rejects, each an
+// extension of a row the iteration before wrote, so the table stays one
+// size — and the lookup. The untimed first round overruns the 64-row tail,
+// which widens it; from then on every lookup finds its 100 writes in the
+// tail and patches the entry instead of re-evaluating the join.
+func BenchmarkCacheJoinAfterWrites(b *testing.B) {
+	e := New()
+	if err := e.CreateTable("sess", tuple.IntCols("sid", "uid", "score")); err != nil {
+		b.Fatal(err)
+	}
+	if err := e.CreateTable("usr", tuple.IntCols("uid", "grp")); err != nil {
+		b.Fatal(err)
+	}
+	for u := int64(0); u < 2000; u++ {
+		if err := e.Insert("usr", tuple.Ints(u, u%50), xtime.Infinity); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for s := int64(0); s < 20_000; s++ {
+		if err := e.Insert("sess", tuple.Ints(s, s%2000, s*7919%100_000), xtime.Infinity); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sess, _ := e.Base("sess")
+	usr, _ := e.Base("usr")
+	join, err := algebra.EquiJoin(
+		&algebra.Select{Pred: algebra.ColConst{Col: 2, Op: algebra.OpGe, Const: value.Int(76_000)}, Child: sess}, 1,
+		&algebra.Select{Pred: algebra.ColConst{Col: 1, Op: algebra.OpEq, Const: value.Int(3)}, Child: usr}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := join.String()
+	tid := trace.NextID()
+	round := func(i int) QueryResult {
+		for k := 0; k < 100; k++ {
+			row := tuple.Ints(int64(3_000_000+k), int64(k), 10) // score 10: the left leaf rejects it
+			if k%25 == 0 {
+				row = tuple.Ints(int64(2_000_000+k/25), 3, 80_000) // selected, paired with user 3
+			}
+			if err := e.Insert("sess", row, xtime.Time(1000+i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		qr, err := e.QueryStamped(join, key, tid)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return qr
+	}
+	if _, err := e.QueryStamped(join, key, tid); err != nil {
+		b.Fatal(err) // warm the entry
+	}
+	if round(0).Cached {
+		b.Fatal("100 writes were absorbed by a 64-row tail")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !round(1 + i).Cached {
+			b.Fatal("100 writes to a widened tail were not absorbed into the entry")
+		}
+	}
+	b.StopTimer()
+	if m, _ := e.ResultCacheStats(); m.Patches != int64(b.N) || m.TailOverruns != 1 {
+		b.Fatalf("patches/tail overruns = %d/%d, want %d/1", m.Patches, m.TailOverruns, b.N)
+	}
+}
+
 // BenchmarkIndexedPointLookup measures the uncached indexed read path:
 // lock plan, hash-index probe, one-row result relation, validity stamp.
 // CI pins it at ≤6 allocs/op — the result relation (header, row map,

@@ -161,8 +161,10 @@ var propertyQueries = []propertyQuery{
 	{sql: "SELECT uid FROM pol EXCEPT SELECT uid FROM el WHERE deg = 25"},
 }
 
-// engineWriteTail is engine.writeTailLen: bursts are sized around it.
-const engineWriteTail = 64
+// engineWriteTail and engineWriteTailWide are engine.writeTailLen and
+// engine.writeTailWide, a write tail's length before and after its first
+// overrun: bursts are sized around both.
+const engineWriteTail, engineWriteTailWide = 64, 512
 
 // lazyPeriod is the lazy cells' sweep period: until finish, no row is swept
 // but by a DROP TABLE or a full disk.
@@ -288,6 +290,7 @@ func (c *cell) stats() engine.ResultCacheMetrics {
 	m, _ := c.s.eng.ResultCacheStats()
 	m.Revalidations += c.retired.Revalidations
 	m.EpochInvalidations += c.retired.EpochInvalidations
+	m.TailOverruns += c.retired.TailOverruns
 	return m
 }
 
@@ -453,6 +456,7 @@ type matrix struct {
 	now                int64
 	step, reads, stmts int
 	faults             int          // FAULT steps so far: the next arms faultClasses[faults%4]
+	outran             int          // bursts longer than a short write tail
 	changedAt          []xtime.Time // per propertyQueries entry: the last write that changed its answer
 	lost               []lostRow    // every row a DELETE took, in order
 }
@@ -794,14 +798,19 @@ func (m *matrix) next(src func(n int) int) {
 		m.write(false, write(r))
 	case r < 22:
 		// One write the filters may select, then a burst none does: one fewer
-		// than the write tail holds, as many, one more, many more.
+		// than a short or a widened write tail holds, as many, one more, many
+		// more — an overrun widens a short tail, a longer burst overruns it
+		// again.
 		m.readAll()
 		t := table()
 		burst := []string{insert(t, src(30), deg())}
-		for i := engineWriteTail + []int{-2, -1, 0, 16}[src(4)]; i > 0; i-- {
+		for i := []int{engineWriteTail, engineWriteTailWide}[src(2)] + []int{-2, -1, 0, 16}[src(4)]; i > 0; i-- {
 			burst = append(burst, fmt.Sprintf("INSERT INTO %s VALUES (%d, %d) EXPIRES AT %d", t, i, 100+i%3, m.now+1+int64(i%3)))
 		}
 		m.write(false, burst...)
+		if len(burst) > engineWriteTail {
+			m.outran++
+		}
 		m.readAll()
 	case r < 23:
 		// Three uids into pol (two rows) and el, then each uid's low-degree
@@ -897,11 +906,12 @@ func (m *matrix) finish() {
 // replay runs steps of the stream seeded by seed on the cells keep selects,
 // then finish, and fails as vacuous if a cache-on cell never hits,
 // revalidates, patches, keeps a difference, absorbs a DELETE into a monotonic
-// entry or drops an entry, an indexed cell never probes for a read or a
-// DELETE, a lazy cell never runs one over an unswept row, or a durable cell
-// never restarts, recovers a log cut inside a record and one cut at a
-// boundary, refuses a write with ErrReadOnly or fails an operation under
-// each fault class.
+// entry or drops an entry, or never overruns a write tail though the stream
+// wrote a burst longer than a short one, an indexed cell never probes for a
+// read or a DELETE, a lazy cell never runs one over an unswept row, or a
+// durable cell never restarts, recovers a log cut inside a record and one
+// cut at a boundary, refuses a write with ErrReadOnly or fails an operation
+// under each fault class.
 func replay(t *testing.T, seed int64, steps int, keep func(*cell) bool) *matrix {
 	m := newMatrix(t, keep)
 	for rng := rand.New(rand.NewSource(seed)); m.step < steps; m.step++ {
@@ -909,10 +919,10 @@ func replay(t *testing.T, seed int64, steps int, keep func(*cell) bool) *matrix 
 	}
 	m.finish()
 	for _, c := range m.cells {
-		if st := c.stats(); c.cache && (c.hits == 0 || st.Revalidations == 0 || c.patched == 0 || c.kept == 0 || c.absorbed == 0 || st.EpochInvalidations == 0) ||
+		if st := c.stats(); c.cache && (c.hits == 0 || st.Revalidations == 0 || c.patched == 0 || c.kept == 0 || c.absorbed == 0 || st.EpochInvalidations == 0 || m.outran > 0 && st.TailOverruns == 0) ||
 			c.using != "" && (c.probed[0] == 0 || c.probed[1] == 0) || c.lazy && c.unswept == 0 {
-			t.Fatalf("%s: %d hits, %d revalidated, %d patched (%d kept differences, %d absorbed DELETEs), %d dropped by a write; %d reads and %d DELETEs probed; %d over unswept rows — the test is vacuous",
-				c.name, c.hits, st.Revalidations, c.patched, c.kept, c.absorbed, st.EpochInvalidations, c.probed[0], c.probed[1], c.unswept)
+			t.Fatalf("%s: %d hits, %d revalidated, %d patched (%d kept differences, %d absorbed DELETEs), %d dropped by a write, %d of them tail overruns after %d bursts longer than a short tail; %d reads and %d DELETEs probed; %d over unswept rows — the test is vacuous",
+				c.name, c.hits, st.Revalidations, c.patched, c.kept, c.absorbed, st.EpochInvalidations, st.TailOverruns, m.outran, c.probed[0], c.probed[1], c.unswept)
 		}
 		if c.durable() && (c.restarts == 0 || c.cuts[0] == 0 || c.cuts[1] == 0 || c.readOnly == 0 || slices.Contains(c.faults[:], 0)) {
 			t.Fatalf("%s: %d restarts, %d logs cut inside a record and %d at a boundary recovered, %d writes refused read-only, %v faults taken by class — the test is vacuous",

@@ -438,3 +438,42 @@ func TestExplainNamesProbesWithResiduals(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanQueryRunsNoOptimiser: PlanQuery, which DB.Plan is, returns the
+// tree Plan makes as Logical and runs no optimiser for it. With the
+// lowering kept in the memo it allocates less than Plan of the same
+// statement, which optimises.
+func TestPlanQueryRunsNoOptimiser(t *testing.T) {
+	s := newSession(t)
+	for _, q := range []string{
+		"SELECT uid FROM pol EXCEPT SELECT uid FROM el",
+		"SELECT pol.uid, el.deg FROM pol JOIN el ON pol.uid = el.uid WHERE pol.deg >= 30 AND el.deg < 80",
+	} {
+		sel, err := ParseQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := s.Plan(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ { // the second read admits q to the memo, the third reuses its lowering
+			expr, err := s.PlanQuery(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := expr.String(), p.Logical.String(); got != want {
+				t.Fatalf("PlanQuery(%q) = %s, want Plan's Logical %s", q, got, want)
+			}
+		}
+		memo := s.memo[q]
+		if memo == nil {
+			t.Fatalf("%q is not in the memo", q)
+		}
+		planQuery := testing.AllocsPerRun(50, func() { _, _ = s.PlanQuery(q) })
+		plan := testing.AllocsPerRun(50, func() { _, _ = s.Plan(memo) })
+		if planQuery >= plan {
+			t.Fatalf("%q: PlanQuery allocates %.0f, Plan %.0f: PlanQuery optimised", q, planQuery, plan)
+		}
+	}
+}

@@ -174,8 +174,9 @@ type lowering struct {
 
 // Plan runs the whole pipeline on a parsed SELECT (ORDER BY/LIMIT are the
 // caller's to apply) or DELETE: lower, canonicalise, optimise. EXPLAIN,
-// DELETE, CREATE VIEW and DB.Plan take their tree from it; a SELECT that
-// runs goes through PlanAndRun, which optimises only a read that evaluates.
+// DELETE and CREATE VIEW take their tree from it; a SELECT that runs goes
+// through PlanAndRun, which optimises only a read that evaluates, and
+// DB.Plan through PlanQuery, which never does.
 func (s *Session) Plan(stmt Statement) (Plan, error) {
 	p, err := s.canonical(stmt)
 	if err != nil {
@@ -367,14 +368,15 @@ func query(stmt Statement, err error) (*Select, error) {
 }
 
 // PlanQuery lowers the SELECT q to an algebra expression bound to the
-// engine's relations, without evaluating it: Plan.Logical. It shares the
-// statement memo with Exec.
+// engine's relations, without evaluating it: Plan.Logical, which the
+// optimiser does not make, so none runs. It shares the statement memo with
+// Exec.
 func (s *Session) PlanQuery(q string) (algebra.Expr, error) {
 	sel, err := query(s.parse(q))
 	if err != nil {
 		return nil, err
 	}
-	p, err := s.Plan(sel)
+	p, err := s.canonical(sel)
 	if err != nil {
 		return nil, err
 	}
