@@ -484,7 +484,10 @@ func (db *DB) Close() error {
 // result cache entry, as stored, revalidated or patched. Query is the documented entry
 // point for the SQL surface; Exec is a long-standing alias. Rows come
 // out of Result.Rows() (presentation order under ORDER BY/LIMIT,
-// deterministic set order otherwise).
+// deterministic set order otherwise). They are read-only: a cached or view
+// answer hands out the rows it keeps, with no copy, and no later statement
+// changes them; rows the caller may reorder come from ORDER BY or from
+// Result.Rel.RowsSorted(Result.At).
 func (db *DB) Query(q string) (*Result, error) { return db.sess.Exec(q) }
 
 // QueryContext is Query honouring ctx at the statement boundary. A

@@ -637,8 +637,9 @@ func TestAPIQueryAndResultCache(t *testing.T) {
 
 // BenchmarkExecCachedPoint times DB.Exec and Rows() of an indexed point read
 // that the result cache answers, once the statement memo holds its parse
-// and lowering: the memo lookup, the optimiser's probe choice, the cache
-// lookup and the result (scripts/alloc-gates.sh budgets its allocations).
+// and lowering: the memo lookup, the cache lookup and the result, whose one
+// row is the cached answer's own (scripts/alloc-gates.sh budgets its
+// allocations).
 func BenchmarkExecCachedPoint(b *testing.B) {
 	db := expdb.Open()
 	db.MustExec("CREATE TABLE sess (sid INT, uid INT, score INT)")

@@ -18,8 +18,8 @@ var viewRows []relation.Row
 // SELECT * FROM v over a valid 2 000-row view, then Result.Rows(). It
 // lives in the external test package because the statement needs the sql
 // layer, which imports this one. The second read lays the materialisation
-// out in tuple order, and every later one filters it, in one pass, into one
-// result slice (scripts/alloc-gates.sh).
+// out in tuple order, and every later one hands out its rows, all alive,
+// with no copy (scripts/alloc-gates.sh).
 func BenchmarkViewReadRows(b *testing.B) {
 	e := engine.New()
 	if err := e.CreateTable("t0", tuple.IntCols("id", "v")); err != nil {

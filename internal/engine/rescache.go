@@ -184,11 +184,12 @@ func variants(expr algebra.Expr, name string, delta *algebra.Base, path []ancest
 
 // A table remembers its last writeTailLen written tuples, and its last
 // writeTailWide once an entry has been found older than the tail's floor
-// (an overrun): an entry that sleeps through more writes to one of its
-// tables is re-evaluated. The wide ring reaches back past the gaps the
-// entries of a read-heavy workload sleep through, and bounds what freshness
-// walks under the cache and engine locks to a few µs; a table whose entries
-// keep up, or that no entry reads, keeps the short one (3 KB, not 24).
+// (an overrun) by at most writeTailWide writes: an entry that sleeps through
+// more writes to one of its tables is re-evaluated. The wide ring reaches
+// back past the gaps the entries of a read-heavy workload sleep through, and
+// bounds what freshness walks under the cache and engine locks to a few µs;
+// a table whose entries keep up, that no entry reads, or whose entries sleep
+// through more than any ring holds keeps the short one (3 KB, not 24).
 // DDL and writes while the cache is off discard the tail, so a new one
 // starts short again. Both are powers of two: a slot is a sequence number
 // masked by the length less one.
@@ -253,14 +254,26 @@ func (e *Engine) wrote(table string, row relation.Row, del, more bool) {
 	w.n++
 }
 
+// overrun names the table whose tail no longer reached back for an entry,
+// and whether the wide ring could have: the entry is at most writeTailWide
+// epochs behind. Each epoch is at least one row, so a larger gap is one no
+// ring length reaches, and widening for it would only cost memory.
+type overrun struct {
+	table string
+	widen bool
+}
+
 // stale counts an entry a write dropped. When a tail no longer reached
-// back for it (an overrun), short is that table: the overrun is counted too
-// and the table's tail widened. The caller holds neither c.mu nor Engine.mu.
-func (e *Engine) stale(c *resultCache, short string) {
+// back for it, the overrun is counted too and, if a wider ring would have
+// reached, the table's tail widened. The caller holds neither c.mu nor
+// Engine.mu.
+func (e *Engine) stale(c *resultCache, over overrun) {
 	c.m.EpochInvalidations.Inc()
-	if short != "" {
+	if over.table != "" {
 		c.m.TailOverruns.Inc()
-		e.widen(short)
+		if over.widen {
+			e.widen(over.table)
+		}
 	}
 }
 
@@ -295,10 +308,10 @@ func (e *Engine) widen(table string) {
 // leaves reading their tables without it, so a derivation that used two lost
 // rows — a self-join pairing a row with itself, a join losing both sides —
 // would go unseen. When ok is false because a tail no longer reaches back to
-// writes it once held (an overrun), short names its table; a tail that began
-// after lt.epoch (DDL or a write with the cache off discarded the last one)
-// is no overrun.
-func (e *Engine) unseen(en *cacheEntry, fn func(lt *leafTable, row relation.Row, del bool)) (moved, ok bool, short string) {
+// writes it once held, over names its table; a tail that began after
+// lt.epoch (DDL or a write with the cache off discarded the last one) is no
+// overrun.
+func (e *Engine) unseen(en *cacheEntry, fn func(lt *leafTable, row relation.Row, del bool)) (moved, ok bool, over overrun) {
 	reach := 0
 	for i := range en.tables {
 		lt := &en.tables[i]
@@ -307,13 +320,13 @@ func (e *Engine) unseen(en *cacheEntry, fn func(lt *leafTable, row relation.Row,
 		}
 		w, del := e.tails[lt.name], false
 		if w == nil {
-			return true, false, ""
+			return true, false, overrun{}
 		}
 		if lt.epoch < w.floor {
 			if lt.epoch >= w.start {
-				short = lt.name
+				over = overrun{lt.name, e.epochs[lt.name]-lt.epoch <= writeTailWide}
 			}
-			return true, false, short
+			return true, false, over
 		}
 		mask := uint64(len(w.ring) - 1)
 		for j := w.n; j > 0 && j+mask >= w.n; j-- {
@@ -322,12 +335,12 @@ func (e *Engine) unseen(en *cacheEntry, fn func(lt *leafTable, row relation.Row,
 				break
 			}
 			if len(rec.row.Tuple) != lt.schema.Arity() {
-				return true, false, ""
+				return true, false, overrun{}
 			}
 			for k, p := range lt.preds {
 				if p.Holds(rec.row.Tuple) {
 					if k < lt.rigid {
-						return true, false, ""
+						return true, false, overrun{}
 					}
 					del = del || rec.del
 					fn(lt, rec.row, rec.del)
@@ -340,7 +353,7 @@ func (e *Engine) unseen(en *cacheEntry, fn func(lt *leafTable, row relation.Row,
 		}
 		moved = true
 	}
-	return moved, reach <= 1, ""
+	return moved, reach <= 1, overrun{}
 }
 
 // resultCacheMetrics are the cache's atomic hot-path counters.
@@ -535,8 +548,8 @@ func (e *Engine) QueryPlan(key string, tid trace.ID, plan func() algebra.Expr) (
 	if src != nil {
 		if !src.ev.Holds(now) { // the clock reached Texp since the lookup
 			c.m.Invalidations.Inc()
-		} else if ok, short := e.patch(expr, src, now); !ok {
-			e.stale(c, short)
+		} else if ok, over := e.patch(expr, src, now); !ok {
+			e.stale(c, over)
 		} else {
 			runlockRels(rels)
 			c.m.Hits.Inc()
@@ -600,7 +613,7 @@ func (e *Engine) QueryPlan(key string, tid trace.ID, plan func() algebra.Expr) (
 // only shrinks, so a tuple it lacks now is never shown or critical again.
 // Either way at moves to now: a write may have changed the answer before the
 // read.
-func (e *Engine) patch(expr algebra.Expr, src *cacheEntry, now xtime.Time) (ok bool, short string) {
+func (e *Engine) patch(expr algebra.Expr, src *cacheEntry, now xtime.Time) (ok bool, over overrun) {
 	root := expr
 	// Where E[leaf := Δ] goes: a monotonic root's rows gained, a root A − B's
 	// B[leaf := Δ]. One variable, which the stream's closure moves to the
@@ -614,7 +627,7 @@ func (e *Engine) patch(expr algebra.Expr, src *cacheEntry, now xtime.Time) (ok b
 	diff, _ := expr.(*algebra.Diff)
 	if !src.mono {
 		if diff == nil {
-			return false, ""
+			return false, overrun{}
 		}
 		root, out.into = diff.Right, relation.New(diff.Right.Schema())
 	}
@@ -622,7 +635,7 @@ func (e *Engine) patch(expr algebra.Expr, src *cacheEntry, now xtime.Time) (ok b
 	// streamed into out, and one for a monotonic root's lost rows.
 	var deltas, lost []*algebra.Base
 	e.mu.RLock()
-	_, ok, short = e.unseen(src, func(lt *leafTable, row relation.Row, del bool) {
+	_, ok, over = e.unseen(src, func(lt *leafTable, row relation.Row, del bool) {
 		ds := &deltas
 		if del && src.mono {
 			ds = &lost
@@ -641,7 +654,7 @@ func (e *Engine) patch(expr algebra.Expr, src *cacheEntry, now xtime.Time) (ok b
 	}
 	e.mu.RUnlock()
 	if !ok {
-		return false, short
+		return false, over
 	}
 	for _, d := range lost {
 		derives := false
@@ -649,7 +662,7 @@ func (e *Engine) patch(expr algebra.Expr, src *cacheEntry, now xtime.Time) (ok b
 			_, err := x.Stream(now, func(relation.Row) { derives = true })
 			return err
 		}) != nil || derives {
-			return false, ""
+			return false, overrun{}
 		}
 	}
 	for _, d := range deltas {
@@ -663,7 +676,7 @@ func (e *Engine) patch(expr algebra.Expr, src *cacheEntry, now xtime.Time) (ok b
 			})
 			return err
 		}) != nil {
-			return false, ""
+			return false, overrun{}
 		}
 	}
 	if len(out.gained) > 0 {
@@ -676,11 +689,11 @@ func (e *Engine) patch(expr algebra.Expr, src *cacheEntry, now xtime.Time) (ok b
 			clash = clash || into.Contains(row.Tuple, now)
 		})
 		if err != nil || clash {
-			return false, ""
+			return false, overrun{}
 		}
 	}
 	src.ev.At = now
-	return true, ""
+	return true, overrun{}
 }
 
 // What freshness finds an entry to be, as CacheProbe prints it.
@@ -700,26 +713,26 @@ const (
 // the engine leaf lock — a writer moves them in the critical section that
 // mutates the table, so data and history are seen to move together — which
 // up to writeTailWide Holds calls per moved table and leaf prolong, a few µs.
-func (e *Engine) freshness(en *cacheEntry, adopt bool) (state string, now xtime.Time, revalidated bool, short string) {
+func (e *Engine) freshness(en *cacheEntry, adopt bool) (state string, now xtime.Time, revalidated bool, over overrun) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	now = e.now
 	if !en.ev.Holds(now) {
-		return cacheExpired, now, false, ""
+		return cacheExpired, now, false, overrun{}
 	}
 	absorb := false
-	moved, ok, short := e.unseen(en, func(*leafTable, relation.Row, bool) { absorb = true })
+	moved, ok, over := e.unseen(en, func(*leafTable, relation.Row, bool) { absorb = true })
 	switch {
 	case !ok:
-		return cacheEpochStale, now, false, short
+		return cacheEpochStale, now, false, over
 	case absorb:
-		return cachePatch, now, false, ""
+		return cachePatch, now, false, overrun{}
 	case moved && adopt:
 		for i := range en.tables {
 			en.tables[i].epoch = e.epochs[en.tables[i].name]
 		}
 	}
-	return cacheHit, now, moved, ""
+	return cacheHit, now, moved, overrun{}
 }
 
 // cacheServe answers key from the cache if a fresh entry exists. Stale
@@ -736,7 +749,7 @@ func (e *Engine) cacheServe(c *resultCache, key string, tid trace.ID) (res Query
 		c.mu.Unlock()
 		return QueryResult{}, nil, false
 	}
-	state, now, revalidated, short := e.freshness(en, true)
+	state, now, revalidated, over := e.freshness(en, true)
 	if state == cachePatch {
 		src = &cacheEntry{key: key, ev: en.ev, tables: slices.Clone(en.tables), mono: en.mono}
 		src.ev.Rel = en.ev.Rel.SnapshotShared(now)
@@ -749,7 +762,7 @@ func (e *Engine) cacheServe(c *resultCache, key string, tid trace.ID) (res Query
 		if state == cacheExpired {
 			c.m.Invalidations.Inc()
 		} else {
-			e.stale(c, short)
+			e.stale(c, over)
 		}
 		return QueryResult{}, nil, false
 	}

@@ -513,7 +513,9 @@ func TestCacheExpiryHeapStaysBounded(t *testing.T) {
 // A table remembers writeTailLen written tuples, and writeTailWide once an
 // entry has overrun its tail: an entry that slept through exactly that many
 // is still checked and served, one more and it is re-evaluated, whatever was
-// written. The first overrun widens the tail; the second leaves it wide.
+// written. The first overrun widens the tail; the second leaves it wide. An
+// entry more than writeTailWide writes behind, which no ring reaches, is an
+// overrun that leaves the tail short.
 func TestCacheTailOverflowIsAMiss(t *testing.T) {
 	e := newsEngine(t)
 	q := degAtLeast(t, e, 30)
@@ -544,6 +546,16 @@ func TestCacheTailOverflowIsAMiss(t *testing.T) {
 		}
 		if g := tailLen(e, "pol"); g != writeTailWide {
 			t.Fatalf("after overrun %d the tail holds %d rows, want %d", n, g, writeTailWide)
+		}
+	}
+	e = newsEngine(t)
+	q = degAtLeast(t, e, 30)
+	for i, size := range []int{writeTailWide + 1, writeTailLen + 1} {
+		stamped(t, e, q)
+		rejected(size)
+		want := []int{writeTailLen, writeTailWide}[i]
+		if qr, m, g := stamped(t, e, q), cacheStats(t, e), tailLen(e, "pol"); qr.Cached || m.TailOverruns != int64(i+1) || g != want {
+			t.Fatalf("an entry %d writes behind: cached %v, %d tail overruns, a %d-row tail; want re-evaluated, %d, %d rows", size, qr.Cached, m.TailOverruns, g, i+1, want)
 		}
 	}
 }

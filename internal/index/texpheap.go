@@ -88,6 +88,8 @@ func (th *TexpHeap) Due(tick xtime.Time) bool {
 
 // PopDue pops every pair with texp <= tick, calling expire for each one
 // current confirms and dropping the stale; it returns how many it expired.
+// expire runs right after the current call that confirmed its pair, with no
+// other call between, so current may leave what its lookup found for expire.
 func (th *TexpHeap) PopDue(tick xtime.Time, current func(key string) (xtime.Time, bool), expire func(key string, texp xtime.Time)) int {
 	n := 0
 	for len(th.h) > 0 && th.h[0].texp <= tick {

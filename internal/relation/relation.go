@@ -659,8 +659,17 @@ func (r *Relation) RemoveExpired(tau xtime.Time) []Row {
 	}
 	displaced := len(removed) > 0
 	if heap := r.heap(); heap != nil {
-		heap.PopDue(tau, r.currentTexp, func(key string, _ xtime.Time) {
-			s, h, _ := find(r, key)
+		// PopDue expires the pair current just confirmed: its probe's slot
+		// and hash are the row to remove.
+		var s slot
+		var h uint64
+		heap.PopDue(tau, func(key string) (xtime.Time, bool) {
+			var ok bool
+			if s, h, ok = find(r, key); ok {
+				return r.slots[s].Texp, true
+			}
+			return 0, false
+		}, func(key string, _ xtime.Time) {
 			removed = append(removed, r.remove(h, key, s))
 		})
 		r.boundTexpIdx()
@@ -730,14 +739,30 @@ func (r *Relation) Rows(tau xtime.Time) []Row {
 // caller's own (ORDER BY re-sorts it in place): for tests, rendering and
 // ORDER BY. A store in order — a view, a cached result, a remote copy — is
 // filtered in one pass into a slice its texps size; any other is sorted.
-func (r *Relation) RowsSorted(tau xtime.Time) []Row {
-	if !r.inOrder {
+func (r *Relation) RowsSorted(tau xtime.Time) []Row { return r.sorted(tau, false) }
+
+// RowsShared is RowsSorted without the copy when the store already is
+// expτ(R) in tuple order: frozen (shared), laid out by Merge or holding one
+// row, and every row alive at tau. It then returns the store's own rows, the
+// capacity clipped so that an append copies; like the tuples in them they
+// are read-only, and no write through any handle changes them (detach).
+// Any other store gets RowsSorted's copy.
+func (r *Relation) RowsShared(tau xtime.Time) []Row { return r.sorted(tau, true) }
+
+// sorted is RowsSorted, and RowsShared with share.
+func (r *Relation) sorted(tau xtime.Time, share bool) []Row {
+	share = share && r.shared
+	if !r.inOrder && !(share && len(r.slots) == 1) {
 		out := r.Rows(tau)
 		slices.SortFunc(out, compareRows)
 		return out
 	}
 	tau = r.effTau(tau)
-	out := make([]Row, 0, r.CountAt(tau))
+	n := r.CountAt(tau)
+	if share && n == len(r.slots) {
+		return r.slots[:n:n]
+	}
+	out := make([]Row, 0, n)
 	for _, row := range r.slots {
 		if row.Texp > tau {
 			out = append(out, row)

@@ -56,6 +56,13 @@ type Result struct {
 // statement had ORDER BY/LIMIT, otherwise the result set in the
 // deterministic order RowsSorted defines. Nil for statements without a
 // result relation.
+//
+// The rows are read-only, as their tuples are. When the answer's frozen
+// store already is the result — in tuple order, every row alive at At, as a
+// cache hit or a view read mostly is — Rows hands out the store's own rows
+// (relation.RowsShared), which no later write or ADVANCE changes, and an
+// append copies them; otherwise it returns a filtered copy. Rows of an
+// ORDER BY/LIMIT result are the caller's own; so is Rel.RowsSorted(At).
 func (r *Result) Rows() []relation.Row {
 	if r.hasOrdered {
 		return r.ordered
@@ -63,7 +70,7 @@ func (r *Result) Rows() []relation.Row {
 	if r.Rel == nil {
 		return nil
 	}
-	return r.Rel.RowsSorted(r.At)
+	return r.Rel.RowsShared(r.At)
 }
 
 // Ordered returns the presentation-ordered rows and true when the

@@ -2,10 +2,15 @@ package sql
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"expdb/internal/engine"
+	"expdb/internal/relation"
 )
 
 func TestSelectCarriesValidityAndCached(t *testing.T) {
@@ -188,5 +193,133 @@ func TestExplainAnalyzeCacheLineAgreesWithExec(t *testing.T) {
 	}
 	if got := len(res.Rows()); got != 3 {
 		t.Fatalf("rows = %d, want 3 (uids 8, 9 and 10; el now hides 3)", got)
+	}
+}
+
+// rowsSession holds pol with uids 0–39, uid u of degree u%5×10 expiring at
+// 10+u, hash-indexed on uid, and a view of it.
+func rowsSession(t *testing.T) *Session {
+	t.Helper()
+	s := NewSession(engine.New(), nil)
+	mustExec(t, s, "CREATE TABLE pol (uid INT, deg INT)")
+	mustExec(t, s, "CREATE INDEX pol_uid ON pol (uid) USING HASH")
+	for u := 0; u < 40; u++ {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO pol VALUES (%d, %d) EXPIRES AT %d", (u*17)%40, (u*17)%40%5*10, 10+(u*17)%40))
+	}
+	mustExec(t, s, "CREATE MATERIALIZED VIEW v AS SELECT uid, deg FROM pol")
+	return s
+}
+
+// Rows hands out the rows a cache hit, a patched hit, a view read and a
+// one-row point hit keep, with no copy, while every row is alive at At;
+// with one dead, a fresh filtered copy. Neither changes under an ORDER BY
+// of the same answer reversed by its caller.
+func TestRowsHandsOutTheKeptRows(t *testing.T) {
+	for _, tc := range []struct {
+		name, q string
+		prime   []string // run before the read measured; "" is q
+		rows    int
+		cached  bool // a view read never comes from the result cache
+	}{
+		{"cache hit", "SELECT * FROM pol WHERE deg >= 0", []string{"", ""}, 40, true},
+		// The patch extends a row: the merge leaves a slot to spare.
+		{"patched hit", "SELECT * FROM pol WHERE deg < 20", []string{"", "INSERT INTO pol VALUES (1, 10) EXPIRES AT 100"}, 16, true},
+		{"view read", "SELECT * FROM v", []string{"", ""}, 40, false},
+		{"point hit", "SELECT * FROM pol WHERE uid = 0", []string{"", ""}, 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := rowsSession(t)
+			for _, q := range tc.prime {
+				if q == "" {
+					q = tc.q
+				}
+				mustExec(t, s, q)
+			}
+			res := mustExec(t, s, tc.q)
+			rows := res.Rows()
+			if len(rows) != tc.rows || res.Cached != tc.cached {
+				t.Fatalf("%d rows, cached %v; want %d, cached %v", len(rows), res.Cached, tc.rows, tc.cached)
+			}
+			if a := testing.AllocsPerRun(100, func() { res.Rows() }); a != 0 || &res.Rows()[0] != &rows[0] || cap(rows) != len(rows) {
+				t.Fatalf("every row alive: Rows made %.0f allocations, the same rows each call %v, capacity %d of %d; want the kept rows, clipped",
+					a, &res.Rows()[0] == &rows[0], cap(rows), len(rows))
+			}
+			kept := rowsKey(rows)
+			ord := mustExec(t, s, tc.q+" ORDER BY uid DESC LIMIT 100")
+			slices.Reverse(ord.Rows())
+			if next := mustExec(t, s, tc.q); rowsKey(next.Rows()) != kept || rowsKey(rows) != kept {
+				t.Fatalf("an ORDER BY reversed by its caller changed the kept rows: %v, next read %v", rows, next.Rows())
+			}
+			// uid 0 expires at 10: every answer above holds it.
+			mustExec(t, s, "ADVANCE TO 10")
+			res = mustExec(t, s, tc.q)
+			dead := res.Rows()
+			if len(dead) != tc.rows-1 || res.Cached != tc.cached || rowsKey(dead) != rowsKey(res.Rel.RowsSorted(res.At)) {
+				t.Fatalf("a row dead at %d: %d rows, cached %v; want %d in tuple order, cached %v", res.At, len(dead), res.Cached, tc.rows-1, tc.cached)
+			}
+			if len(dead) > 0 && &res.Rows()[0] == &dead[0] || rowsKey(rows) != kept {
+				t.Fatal("a row dead at At: Rows handed out the kept store, or an ADVANCE changed rows handed out before")
+			}
+		})
+	}
+}
+
+// Rows handed out by hits stay what they were while a writer patches the
+// entry and ADVANCE sheds rows under it (run it under -race).
+func TestKeptRowsSurvivePatchesAndAdvance(t *testing.T) {
+	s := rowsSession(t)
+	q := "SELECT * FROM pol WHERE deg < 30"
+	mustExec(t, s, q)
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	defer wg.Wait()
+	defer stop.Store(true)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := NewSession(s.eng, nil)
+			type held struct {
+				rows []relation.Row
+				key  string
+			}
+			var kept []held
+			check := func() bool {
+				for _, h := range kept {
+					if got := rowsKey(h.rows); got != h.key {
+						t.Errorf("the rows Rows returned changed to %s, were %s", got, h.key)
+						return false
+					}
+				}
+				kept = kept[:0]
+				return true
+			}
+			for !stop.Load() {
+				res, err := r.Exec(q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				rows := res.Rows()
+				if kept = append(kept, held{rows, rowsKey(rows)}); len(kept) == 64 && !check() {
+					return
+				}
+			}
+			check()
+		}()
+	}
+	w := NewSession(s.eng, nil)
+	raced := func() bool {
+		m, err := s.eng.ResultCacheStats()
+		return err == nil && m.Patches > 0 && m.Hits > m.Patches
+	}
+	for i := 0; i < 200 || !raced() && i < 5000; i++ {
+		mustExec(t, w, fmt.Sprintf("INSERT INTO pol VALUES (%d, 10) EXPIRES AT %d", 100+i, 12+i))
+		if i%4 == 3 {
+			mustExec(t, w, fmt.Sprintf("ADVANCE TO %d", 10+i/4))
+		}
+	}
+	if !raced() {
+		t.Fatal("no read racing the writer was a hit and none was patched")
 	}
 }
