@@ -331,8 +331,8 @@ func birthList(b Births) string {
 // order of the additions unless the operator fixes one — return the same
 // tuples with the same expiration times, the same texp(e), the same
 // rendering and the same births, which applied as they fall due keep the
-// two materialisations the same; served, each sheds its dead rows once they
-// outnumber the live.
+// two materialisations the same; served, each keeps only the rows alive at
+// the instant served.
 func TestInsertionOrderIndependence(t *testing.T) {
 	must := func(e Expr, err error) Expr {
 		t.Helper()
@@ -392,7 +392,7 @@ func TestInsertionOrderIndependence(t *testing.T) {
 							if !reltest.EqualAt(ar, br, at) || ar.Render(at) != br.Render(at) {
 								t.Fatalf("%s: at %v one history gives\n%sthe other\n%s", label, at, ar.Render(at), br.Render(at))
 							}
-							if n, live := a.Rel.Len(), ar.CountAt(at); n > 2*live+1 {
+							if n, live := a.Rel.Len(), ar.CountAt(at); n != live {
 								t.Fatalf("%s: served at %v, the store keeps %d rows for %d alive", label, at, n, live)
 							}
 						}

@@ -84,9 +84,9 @@ type Evaluation struct {
 // births applied. The births due are merged into Rel (relation.Merge), which
 // drops the rows dead at tau; with none due, an answer served before is laid
 // out in tuple order by the same merge once two rows are alive, and compacted
-// once the rows dead at tau, which pay for it, outnumber the live. An answer
-// served the first time — a cache miss, a remote copy fetched once — is
-// neither counted nor sorted.
+// as soon as it holds a row dead at tau: the first read after a death merges,
+// every later read shares the store. An answer served the first time — a
+// cache miss, a remote copy fetched once — is neither counted nor sorted.
 func (ev *Evaluation) Serve(tau xtime.Time) (*relation.Relation, int) {
 	born, n := ev.Births.due(tau)
 	var live, dead int
@@ -94,7 +94,7 @@ func (ev *Evaluation) Serve(tau xtime.Time) (*relation.Relation, int) {
 		live = ev.Rel.CountAt(tau)
 		dead = ev.Rel.Len() - live
 	}
-	if n > 0 || dead > live || live > 1 && !ev.Rel.InOrder() {
+	if n > 0 || dead > 0 || live > 1 && !ev.Rel.InOrder() {
 		ev.Rel = ev.Rel.Merge(tau, born)
 		if n+dead > 0 {
 			ev.floor = xtime.Max(ev.floor, tau)

@@ -50,7 +50,7 @@ func BenchmarkViewReadRows(b *testing.B) {
 // BenchmarkViewReadDrained is BenchmarkViewReadRows once every row of the
 // view has expired: "drained" reads a 2 000-row materialisation whose rows
 // all died under it, "empty" one materialised over an empty table. A kept
-// answer sheds its dead rows once they outnumber the live, so a read soon
+// answer sheds its dead rows at the first read that finds one, so the read
 // after the drain compacts it and every later one walks nothing: the two
 // cost the same (scripts/alloc-gates.sh).
 func BenchmarkViewReadDrained(b *testing.B) {
@@ -85,6 +85,56 @@ func BenchmarkViewReadDrained(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkViewReadTicks is one tick of a view read while its rows expire:
+// an ADVANCE under which one row of a 2 000-row view dies, then eight
+// SELECT * FROM v + Rows(). The first read of the tick sheds the dead row
+// into a new in-order store (one Merge: slot array, texps, header), and it
+// and the seven after it hand out that store's rows with no copy; while a
+// store kept its dead rows until they outnumbered the live, each of the
+// eight copied the live rows (scripts/alloc-gates.sh). Every 100 ticks the
+// view is refilled to 2 000 rows, untimed: 100 inserts and a REFRESH VIEW.
+func BenchmarkViewReadTicks(b *testing.B) {
+	const size, refill = 2000, 100
+	e := engine.New()
+	if err := e.CreateTable("t0", tuple.IntCols("id", "v")); err != nil {
+		b.Fatal(err)
+	}
+	s := sql.NewSession(e, nil)
+	if _, err := s.Exec("CREATE VIEW v AS SELECT * FROM t0"); err != nil {
+		b.Fatal(err)
+	}
+	// Row id expires at id+1: at tick t the rows t … t+size-1 are alive.
+	next := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%refill == 0 {
+			b.StopTimer()
+			for ; next < i+size; next++ {
+				if err := e.Insert("t0", tuple.Ints(int64(next), int64(next%100)), xtime.Time(next+1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := s.Exec("REFRESH VIEW v"); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if err := e.Advance(xtime.Time(i + 1)); err != nil {
+			b.Fatal(err)
+		}
+		for r := 0; r < 8; r++ {
+			res, err := s.Exec("SELECT * FROM v")
+			if err != nil {
+				b.Fatal(err)
+			}
+			if viewRows = res.Rows(); len(viewRows) != size-1-i%refill {
+				b.Fatalf("tick %d: %d rows", i+1, len(viewRows))
+			}
+		}
 	}
 }
 

@@ -12,9 +12,11 @@ import (
 	"expdb/internal/catalog"
 	"expdb/internal/interval"
 	"expdb/internal/relation"
+	"expdb/internal/relation/reltest"
 	"expdb/internal/trace"
 	"expdb/internal/tuple"
 	"expdb/internal/value"
+	"expdb/internal/view"
 	"expdb/internal/xtime"
 )
 
@@ -1281,4 +1283,105 @@ func TestCacheHitsKeepTupleOrder(t *testing.T) {
 	}
 	check(6, true, 181)
 	check(7, true, 171)
+}
+
+// TestShedMovesTheFloorNotTheStamp: a view read and a cache hit that find a
+// row of their kept answer dead shed it, and the floor of the answer moves to
+// the instant read while its stamp keeps describing the materialisation:
+// the stamp holds that instant and may start below it, the rows are the
+// evaluation there and, when the stamp ends, the evaluation at its last
+// instant. A projection keeps its answer for ever; the difference's ends
+// when uid 1 comes back at 10. wire's TestClientShedMovesTheFloorNotTheStamp
+// holds a remote copy to the same.
+func TestShedMovesTheFloorNotTheStamp(t *testing.T) {
+	e := New()
+	uids := func(table string) algebra.Expr {
+		b, err := e.Base(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := algebra.NewProject([]int{0}, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, table := range []string{"pol", "el"} {
+		if err := e.CreateTable(table, tuple.IntCols("uid", "deg")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range []struct {
+		table    string
+		uid, exp int64
+	}{{"pol", 1, 20}, {"pol", 2, 5}, {"pol", 3, 30}, {"el", 1, 10}} {
+		if err := e.Insert(r.table, tuple.Ints(r.uid, 0), xtime.Time(r.exp)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	diff, err := algebra.NewDiff(uids("pol"), uids("el"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exprs := map[string]algebra.Expr{"projection": uids("pol"), "difference": diff}
+	views := map[string]*view.View{}
+	for name, expr := range exprs {
+		v, err := e.CreateView(name, expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views[name] = v
+	}
+	// read serves each answer as a surface hands it out, with its floor.
+	read := func(surface, name string) (*relation.Relation, interval.Validity, xtime.Time) {
+		if surface == "view read" {
+			rel, info, err := e.ReadView(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The view answers from its floor on and recomputes below it.
+			floor := info.At
+			for floor > 0 && !views[name].NeedsRecomputation(floor-1) {
+				floor--
+			}
+			return rel, info.Validity, floor
+		}
+		res := stamped(t, e, exprs[name])
+		return res.Rel, res.Validity, e.cache.Load().entries[algebra.PushDownSelections(exprs[name]).String()].ev.Floor()
+	}
+	for _, surface := range []string{"view read", "cache hit"} {
+		for name := range exprs {
+			read(surface, name) // a view's first read, a cache miss
+			read(surface, name) // served again: laid out in tuple order
+		}
+	}
+	// uid 2 dies at 5 under both answers.
+	if err := e.Advance(5); err != nil {
+		t.Fatal(err)
+	}
+	tau := e.Now()
+	for _, surface := range []string{"view read", "cache hit"} {
+		for name, expr := range exprs {
+			label := surface + " of the " + name
+			rel, v, floor := read(surface, name)
+			if floor != tau || !v.Contains(tau) {
+				t.Fatalf("%s at %v: floor %v, stamped %v", label, tau, floor, v)
+			}
+			at := []xtime.Time{tau}
+			if v.ValidUntil != xtime.Infinity {
+				at = append(at, v.ValidUntil-1)
+			} else if name == "difference" {
+				t.Fatalf("%s stamped %v, want an end at 10", label, v)
+			}
+			for _, at := range at {
+				want, err := algebra.Evaluate(expr, at)
+				if err != nil || !reltest.EqualAt(rel, want.Rel, at) {
+					t.Fatalf("%s at %v, stamped %v, shows at %v (%v)\n%swant\n%s", label, tau, v, at, err, rel.Render(at), want.Rel.Render(at))
+				}
+			}
+		}
+	}
+	if m := cacheStats(t, e); m.Hits != 4 {
+		t.Fatalf("%d cache hits, want one before and one after the ADVANCE per answer", m.Hits)
+	}
 }

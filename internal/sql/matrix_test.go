@@ -455,6 +455,7 @@ type matrix struct {
 	indexed            map[string]bool // the indexes an indexed cell has, by table_col
 	now                int64
 	step, reads, stmts int
+	bound              int          // statements a fuzz input may run, 0 for no bound; see fuzzStatements
 	faults             int          // FAULT steps so far: the next arms faultClasses[faults%4]
 	outran             int          // bursts longer than a short write tail
 	changedAt          []xtime.Time // per propertyQueries entry: the last write that changed its answer
@@ -801,7 +802,12 @@ func (m *matrix) next(src func(n int) int) {
 		// one more, many more — an overrun widens a short tail, a longer
 		// burst overruns it again.
 		t := table()
-		m.burst(t, insert(t, src(30), deg()), []int{engineWriteTail, engineWriteTailWide}[src(2)]+[]int{-2, -1, 0, 16}[src(4)])
+		first, n := insert(t, src(30), deg()), []int{engineWriteTail, engineWriteTailWide}[src(2)]+[]int{-2, -1, 0, 16}[src(4)]
+		if m.bound > 0 && m.stmts+1+n > m.bound {
+			m.bound = m.stmts // the stream ends before a burst past its bound
+			return
+		}
+		m.burst(t, first, n)
 	case r < 23:
 		// Three uids into pol (two rows) and el, then each uid's low-degree
 		// pol rows deleted, with or without its el rows: a difference whose
@@ -1042,9 +1048,10 @@ func TestIndexedConcurrentReads(t *testing.T) {
 // fuzzStatements bounds an input the fuzzer makes by the statements the
 // stream runs, reads included, past the six that make the tables: a step
 // that reads every query of the catalogue, or writes a burst, counts as
-// what it runs. The fuzzer runs each input that finds new coverage over and
-// over while it shortens it, so an input must stay short to leave it time
-// to fuzz. A named seed runs to its end.
+// what it runs, and a burst whose rows would take the stream past the bound
+// ends it instead of running. The fuzzer runs each input that finds new
+// coverage over and over while it shortens it, so an input must stay short
+// to leave it time to fuzz. A named seed runs to its end.
 const fuzzStatements = 6 + 32
 
 // FuzzCachePatch reads its input as the stream's decisions, each the next
@@ -1060,7 +1067,10 @@ func FuzzCachePatch(f *testing.F) {
 			}
 			return v
 		}
-		for ; len(data) > 0 && (named || m.stmts < fuzzStatements); m.step++ {
+		if !named {
+			m.bound = fuzzStatements
+		}
+		for ; len(data) > 0 && (m.bound == 0 || m.stmts < m.bound); m.step++ {
 			m.next(src)
 		}
 		if m.reads == 0 && named {

@@ -211,9 +211,11 @@ func rowsSession(t *testing.T) *Session {
 }
 
 // Rows hands out the rows a cache hit, a patched hit, a view read and a
-// one-row point hit keep, with no copy, while every row is alive at At;
-// with one dead, a fresh filtered copy. Neither changes under an ORDER BY
-// of the same answer reversed by its caller.
+// one-row point hit keep, with no copy. Once a row of the answer dies, the
+// first read sheds it into a new store, and that read and every later one
+// hand out the new store's rows, again with no copy. Neither the rows handed
+// out before nor the kept ones change under an ORDER BY of the same answer
+// reversed by its caller.
 func TestRowsHandsOutTheKeptRows(t *testing.T) {
 	for _, tc := range []struct {
 		name, q string
@@ -250,15 +252,32 @@ func TestRowsHandsOutTheKeptRows(t *testing.T) {
 			if next := mustExec(t, s, tc.q); rowsKey(next.Rows()) != kept || rowsKey(rows) != kept {
 				t.Fatalf("an ORDER BY reversed by its caller changed the kept rows: %v, next read %v", rows, next.Rows())
 			}
-			// uid 0 expires at 10: every answer above holds it.
+			// uid 0 expires at 10: every answer above holds it, and the
+			// first read after the ADVANCE sheds it.
 			mustExec(t, s, "ADVANCE TO 10")
 			res = mustExec(t, s, tc.q)
-			dead := res.Rows()
-			if len(dead) != tc.rows-1 || res.Cached != tc.cached || rowsKey(dead) != rowsKey(res.Rel.RowsSorted(res.At)) {
-				t.Fatalf("a row dead at %d: %d rows, cached %v; want %d in tuple order, cached %v", res.At, len(dead), res.Cached, tc.rows-1, tc.cached)
+			shed := res.Rows()
+			if len(shed) != tc.rows-1 || res.Cached != tc.cached || rowsKey(shed) != rowsKey(res.Rel.RowsSorted(res.At)) {
+				t.Fatalf("a row dead at %d: %d rows, cached %v; want %d in tuple order, cached %v", res.At, len(shed), res.Cached, tc.rows-1, tc.cached)
 			}
-			if len(dead) > 0 && &res.Rows()[0] == &dead[0] || rowsKey(rows) != kept {
-				t.Fatal("a row dead at At: Rows handed out the kept store, or an ADVANCE changed rows handed out before")
+			for _, row := range shed {
+				if row.Texp <= res.At {
+					t.Fatalf("Rows at %d handed out %v, dead at %d", res.At, row.Tuple, row.Texp)
+				}
+			}
+			if a := testing.AllocsPerRun(100, func() { res.Rows() }); a != 0 || rowsKey(rows) != kept {
+				t.Fatalf("after the shed Rows made %.0f allocations; the rows handed out before the ADVANCE changed: %v", a, rowsKey(rows) != kept)
+			}
+			if len(shed) > 0 {
+				next := mustExec(t, s, tc.q)
+				if &res.Rows()[0] != &shed[0] || &next.Rows()[0] != &shed[0] || cap(shed) != len(shed) {
+					t.Fatal("after the shed Rows and the next read did not hand out the one store, clipped")
+				}
+				for i := range rows {
+					if &rows[i] == &shed[0] {
+						t.Fatal("the shed store is the array handed out before the ADVANCE")
+					}
+				}
 			}
 		})
 	}

@@ -597,6 +597,66 @@ func BenchmarkClientLocalRead(b *testing.B) {
 	})
 }
 
+// TestClientShedMovesTheFloorNotTheStamp is engine's
+// TestShedMovesTheFloorNotTheStamp for a remote copy: a Read that finds a
+// row of the copy dead sheds it, the floor of the copy moves to the instant
+// read, and the stamp still describes the materialisation: it holds that
+// instant, and the rows are the evaluation there and, when the stamp ends,
+// at its last instant.
+func TestClientShedMovesTheFloorNotTheStamp(t *testing.T) {
+	eng := engine.New()
+	if _, err := sql.NewSession(eng, nil).ExecScript(`
+		CREATE TABLE pol (uid INT, deg INT);
+		CREATE TABLE el (uid INT, deg INT);
+		INSERT INTO pol VALUES (1, 0) EXPIRES AT 20;
+		INSERT INTO pol VALUES (2, 0) EXPIRES AT 5;
+		INSERT INTO pol VALUES (3, 0) EXPIRES AT 30;
+		INSERT INTO el VALUES (1, 0) EXPIRES AT 10;
+	`); err != nil {
+		t.Fatal(err)
+	}
+	_, c := serve(t, eng)
+	uids := func(table string) algebra.Expr {
+		b, err := eng.Base(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _ := algebra.NewProject([]int{0}, b)
+		return p
+	}
+	diff, _ := algebra.NewDiff(uids("pol"), uids("el"))
+	for query, expr := range map[string]algebra.Expr{"SELECT uid FROM pol": uids("pol"), "SELECT uid FROM pol EXCEPT SELECT uid FROM el": diff} {
+		if err := c.Materialize(query, true); err != nil {
+			t.Fatal(err)
+		}
+		for _, tau := range []xtime.Time{0, 0, 5} { // the second read lays the copy out; uid 2 dies at 5
+			rel, err := c.Read(tau)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tau == 0 {
+				continue
+			}
+			v := c.Validity()
+			if c.mat.Floor() != tau || !v.Contains(tau) || c.Rematerializations != 0 {
+				t.Fatalf("%s read at %v: floor %v, stamped %v, %d re-fetches", query, tau, c.mat.Floor(), v, c.Rematerializations)
+			}
+			at := []xtime.Time{tau}
+			if v.ValidUntil != xtime.Infinity {
+				at = append(at, v.ValidUntil-1)
+			} else if expr == diff {
+				t.Fatalf("%s stamped %v, want an end at 10", query, v)
+			}
+			for _, at := range at {
+				want, err := algebra.Evaluate(expr, at)
+				if err != nil || !reltest.EqualAt(rel, want.Rel, at) {
+					t.Fatalf("%s read at %v, stamped %v, shows at %v (%v)\n%swant\n%s", query, tau, v, at, err, rel.Render(at), want.Rel.Render(at))
+				}
+			}
+		}
+	}
+}
+
 // TestClientReadBelowTheFloor: a read that sheds rows of the local copy —
 // births applied and the dead compacted away at 12 — leaves no earlier
 // instant to the copy: a read there re-fetches, and its answer is the
