@@ -191,6 +191,12 @@ func checkScan(t *testing.T, rng *rand.Rand) {
 		for i := range keys {
 			keys[i] = kernelInt(rng)
 		}
+		// The edges of IntSet's dense rule: the first key moved below the
+		// others so that the span is one bit short of 64 a key + 4 096, at
+		// it, or one past it.
+		if e := int64(rng.Intn(4)); e > 0 && len(keys) > 1 {
+			keys[0] = slices.Max(keys[1:]) - (64*int64(len(keys)) + 4096 - 3 + e)
+		}
 	}
 	base := NewBase("R", rel)
 	for _, withKeys := range []bool{false, true} {
@@ -234,7 +240,11 @@ func TestScanMatchesHolds(t *testing.T) {
 }
 
 // FuzzScanMatchesHolds: the input draws checkScan's table, history,
-// predicate, τ and key set one byte a decision (byteSource).
+// predicate, τ and key set one byte a decision (byteSource). The named
+// seeds in testdata/fuzz/FuzzScanMatchesHolds are the edges of IntSet:
+// an empty key set, one key, duplicates, MinInt64, MaxInt64 and both, and
+// spans one bit below, at and one past the dense limit, each over a table
+// with a row at the set's largest key.
 func FuzzScanMatchesHolds(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		checkScan(t, rand.New((*byteSource)(&in)))

@@ -44,35 +44,43 @@ func (d *Diff) Schema() tuple.Schema { return d.Left.Schema() }
 func (d *Diff) Monotonic() bool { return false }
 
 // run is the one function that walks the difference's arguments, each
-// once: S is collected into a set; R streams past it when it is
-// duplicate-free and is collected first otherwise (a duplicate's lower
-// texp_R must not decide whether a tuple is critical). A tuple of R alive
-// in S belongs to the helper relation of Theorem 3 and goes to helper; the
+// once. R is collected first (a duplicate's lower texp_R must not decide
+// whether a tuple is critical), then S into a set that R's rows probe. S is
+// read only at R's tuples (formula (10)), so R − S = R − (S ⋉ R): when S
+// scans arrays (arrayBase) under a column where every value of R is an INT,
+// only the rows of S that share one with R are built. A tuple of R alive in
+// S belongs to the helper relation of Theorem 3 and goes to helper; the
 // others are the result, formula (10), a set, and go to emit. run returns
 // min(texp(R), texp(S)).
 func (d *Diff) run(tau xtime.Time, emit func(relation.Row), helper func(CriticalRow)) (xtime.Time, error) {
-	// Streams carry rows alive at tau only, so s holds no expired tuple.
-	s, st, err := collect(d.Right, tau)
+	// Streams carry rows alive at tau only, so neither holds an expired tuple.
+	r, rt, err := collect(d.Left, tau)
 	if err != nil {
 		return 0, err
 	}
-	split := func(row relation.Row) {
+	s, st, err := d.right(r, tau)
+	if err != nil {
+		return 0, err
+	}
+	r.AliveAt(tau, func(row relation.Row) {
 		if inS, ok := s.Texp(row.Tuple); ok {
 			helper(CriticalRow{Tuple: row.Tuple, InS: inS, InR: row.Texp})
 		} else {
 			emit(row)
 		}
-	}
-	var rt xtime.Time
-	if duplicateFree(d.Left) {
-		rt, err = d.Left.Stream(tau, split)
-	} else {
-		var r *relation.Relation
-		if r, rt, err = collect(d.Left, tau); err == nil {
-			r.AliveAt(tau, split)
+	})
+	return xtime.Min(rt, st), nil
+}
+
+// right collects S at tau, only S ⋉ R when it can (run).
+func (d *Diff) right(r *relation.Relation, tau xtime.Time) (*relation.Relation, xtime.Time, error) {
+	s, emit := sink(d.Right)
+	for c := range d.Right.Schema().Arity() {
+		if arrayBase(d.Right, c, tau, r, c, emit) {
+			return s, xtime.Infinity, nil
 		}
 	}
-	return xtime.Min(rt, st), err
+	return collect(d.Right, tau)
 }
 
 // CriticalRow describes one tuple alive in both R and S — a row of the

@@ -1,12 +1,14 @@
 package algebra
 
 import (
+	"fmt"
 	"testing"
 
 	"expdb/internal/interval"
 	"expdb/internal/relation"
 	"expdb/internal/relation/reltest"
 	"expdb/internal/tuple"
+	"expdb/internal/value"
 	"expdb/internal/xtime"
 )
 
@@ -259,5 +261,101 @@ func TestDiffEmptyRight(t *testing.T) {
 	wantRows(t, mustEval(t, d, 0), 0, []relation.Row{row(10, 1), row(15, 2), row(10, 3)})
 	if got := mustTexp(t, d, 0); got != xtime.Infinity {
 		t.Errorf("texp = %v, want ∞", got)
+	}
+}
+
+// TestDiffScansWhatItsLeftMeets holds R − S with S built only as S ⋉ R
+// (Diff.right, over a base with column arrays) to the same difference over
+// the same rows in a base without arrays, which collects S whole: rows,
+// texps, texp(e), the critical set, the validity and the births Materialize
+// keeps, at instants on both sides of S's expirations. S keeps an array
+// for k only (m holds a NULL), under a π that keeps k, one that moves it to
+// the second column, and a σ with a conjunct that is no interval. A left
+// side whose keys are all INTs must build less of S; one with a NULL, a
+// FLOAT or a FLOAT equal to an INT of S must build all of it.
+func TestDiffScansWhatItsLeftMeets(t *testing.T) {
+	base := func(arrays bool) *Base {
+		r := relation.New(tuple.IntCols("k", "m"))
+		for _, x := range []struct {
+			k    int64
+			m    value.Value
+			texp xtime.Time
+		}{{1, value.Int(5), 4}, {2, value.Int(5), 9}, {3, value.Int(5), 6}, {3, value.Int(7), 12},
+			{4, value.Int(7), 3}, {5, value.Int(5), 20}, {6, value.Int(7), 7}, {7, value.Int(5), 2}, {8, value.Null, 5}} {
+			r.Insert(tuple.T(value.Int(x.k), x.m), x.texp)
+		}
+		if arrays {
+			r.EnableIntArrays()
+		}
+		return NewBase("S", r)
+	}
+	must := func(e Expr, err error) Expr {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	rights := map[string]func(*Base) Expr{
+		"π keeps k": func(b *Base) Expr { return must(NewProject([]int{0}, b)) },
+		"π moves k": func(b *Base) Expr { return must(NewProject([]int{1, 0}, b)) },
+		"σ": func(b *Base) Expr {
+			return must(NewSelect(And{Preds: []Predicate{ColConst{Col: 0, Op: OpGe, Const: value.Int(2)},
+				ColConst{Col: 0, Op: OpNe, Const: value.Int(6)}}}, b))
+		},
+	}
+	lefts := map[string][]value.Value{
+		"INTs":      {value.Int(1), value.Int(3), value.Int(4), value.Int(6)},
+		"NULL":      {value.Int(1), value.Null, value.Int(6)},
+		"FLOAT":     {value.Int(1), value.Float(22.5), value.Int(6)},
+		"FLOAT 3.0": {value.Int(1), value.Float(3), value.Int(6)},
+	}
+	for rn, right := range rights {
+		for ln, keys := range lefts {
+			arity := right(base(false)).Schema().Arity()
+			l := relation.New(right(base(false)).Schema())
+			for i, k := range append(keys, value.Int(100)) {
+				tp := tuple.T(k)
+				if arity == 2 && rn == "π moves k" {
+					tp = tuple.T(value.Int(int64(5+2*(i%2))), k)
+				} else if arity == 2 {
+					tp = tuple.T(k, value.Int(int64(5+2*(i%2))))
+				}
+				l.Insert(tp, xtime.Time(20-4*i))
+			}
+			left := NewBase("R", l)
+			pushed := must(NewDiff(left, right(base(true)))).(*Diff)
+			whole := must(NewDiff(left, right(base(false)))).(*Diff)
+			name := rn + ", left " + ln
+			for _, tau := range []xtime.Time{0, 1, 3, 5, 8} {
+				r, _, _ := collect(left, tau)
+				s, _, err := pushed.right(r, tau)
+				if err != nil {
+					t.Fatal(err)
+				}
+				all := mustEval(t, pushed.Right, tau)
+				if got, want := s.CountAt(tau), all.CountAt(tau); ln == "INTs" && got >= want || ln != "INTs" && got != want {
+					t.Errorf("%s at %v: S built with %d of its %d rows", name, tau, got, want)
+				}
+				for _, what := range []func(d *Diff) (string, error){
+					func(d *Diff) (string, error) {
+						rel, err := EvalStream(d, tau)
+						return rel.Render(tau), err
+					},
+					func(d *Diff) (string, error) { x, err := ExprTexp(d, tau); return fmt.Sprint(x), err },
+					func(d *Diff) (string, error) { c, err := d.CriticalSet(tau); return fmt.Sprint(c), err },
+					func(d *Diff) (string, error) { v, err := Validity(d, tau); return fmt.Sprint(v), err },
+					func(d *Diff) (string, error) {
+						ev, err := Materialize(d, tau)
+						return fmt.Sprint(ev.Rel.Render(tau), ev.Texp, ev.Births.Rows()), err
+					},
+				} {
+					got, err1 := what(pushed)
+					want, err2 := what(whole)
+					if err1 != nil || err2 != nil || got != want {
+						t.Errorf("%s at %v: with S ⋉ R\n%s (%v), with S\n%s (%v)", name, tau, got, err1, want, err2)
+					}
+				}
+			}
+		}
 	}
 }

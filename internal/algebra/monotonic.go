@@ -253,11 +253,12 @@ func (j *Join) equiCols() (left, right []int, rest []Predicate) {
 // Stream implements Expr, formula (5): the right (build) side is collected
 // into an index.Hash on the equi-join columns, then left (probe) rows stream
 // through it, each encoding its key on the stack: the probe side allocates
-// per result row, not per row probed. Without equality conjuncts
-// it is a streamed nested loop over the hoisted build rows. With one, over
-// a probe side that scans arrays (arrayBase) and build keys that are all
-// INTs, the keys go to the probe side's scan as a key set: a probe row
-// whose key none of them equals is turned away in the kernel, unloaded.
+// per result row, not per row probed. Without equality conjuncts it is a
+// streamed nested loop over the hoisted build rows. With one, over a probe
+// side that scans arrays (arrayBase) and build keys that are all INTs, the
+// keys go to the probe side's scan as a key set, a bitmap that leads it when
+// dense: a probe row whose key none of them equals is turned away in the
+// kernel, unloaded.
 func (j *Join) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, error) {
 	build, probeSide := j.Right, j.Left
 	if j.BuildLeft {
@@ -275,24 +276,7 @@ func (j *Join) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, erro
 		buildCols, probeCols = leftCols, rightCols
 	}
 	h := index.NewHash(buildCols)
-	var base *Base
-	var pred Predicate
-	var keys []int64
-	if len(probeCols) == 1 {
-		if base, pred = arrayBase(probeSide, probeCols[0]); base != nil {
-			keys = make([]int64, 0, b.Len())
-		}
-	}
-	b.AliveAt(tau, func(r relation.Row) {
-		h.Insert(index.Entry{Tuple: r.Tuple, Texp: r.Texp})
-		if base != nil {
-			v, ok := r.Tuple[buildCols[0]].Int64()
-			if !ok {
-				base = nil
-			}
-			keys = append(keys, v)
-		}
-	})
+	b.AliveAt(tau, func(r relation.Row) { h.Insert(index.Entry{Tuple: r.Tuple, Texp: r.Texp}) })
 	holds := compile(And{Preds: rest}) // what of the predicate each pair still tests
 	probe := func(pr relation.Row) {
 		for _, br := range h.Lookup(pr.Tuple, probeCols) {
@@ -307,26 +291,47 @@ func (j *Join) Stream(tau xtime.Time, emit func(relation.Row)) (xtime.Time, erro
 			}
 		}
 	}
-	if base != nil {
-		base.scan(tau, pred, relation.NewIntSet(probeCols[0], keys), probe)
+	if len(probeCols) == 1 && arrayBase(probeSide, probeCols[0], tau, b, buildCols[0], probe) {
 		return bt, nil
 	}
 	pt, err := probeSide.Stream(tau, probe)
 	return xtime.Min(bt, pt), err
 }
 
-// arrayBase returns e's base relation and selection (nil for none) when e
-// is a Base, or σ over one, whose column col has an array: the probe sides
-// a join can hand its build keys to.
-func arrayBase(e Expr, col int) (*Base, Predicate) {
-	var p Predicate
+// arrayBase streams e at tau to emit, restricted to the rows whose value
+// in column col equals the value in column kcol of a row of keys alive at
+// tau: one array scan (Base.scan), whose key set turns the other rows away
+// unloaded. A join's probe side and a difference's right side hand it the
+// rows they meet. It streams nothing and returns false unless e is a Base,
+// or σ, π or π∘σ over one, the base column under col has an INT array, and
+// every key is an INT (a FLOAT equal to one, or a NULL, is not).
+func arrayBase(e Expr, col int, tau xtime.Time, keys *relation.Relation, kcol int, emit func(relation.Row)) bool {
+	var cols []int
+	if p, ok := e.(*Project); ok {
+		e, cols, col = p.Child, p.Cols, p.Cols[col]
+	}
+	var pred Predicate
 	if s, ok := e.(*Select); ok {
-		e, p = s.Child, s.Pred
+		e, pred = s.Child, s.Pred
 	}
-	if b, ok := e.(*Base); ok && b.Rel.HasIntArray(col) {
-		return b, p
+	b, ok := e.(*Base)
+	if !ok || !b.Rel.HasIntArray(col) {
+		return false
 	}
-	return nil, nil
+	vals := make([]int64, 0, keys.Len())
+	keys.AliveAt(tau, func(row relation.Row) {
+		v, isInt := row.Tuple[kcol].Int64()
+		vals, ok = append(vals, v), ok && isInt
+	})
+	if !ok {
+		return false
+	}
+	if cols != nil {
+		out := emit
+		emit = func(row relation.Row) { out(relation.Row{Tuple: row.Tuple.Project(cols), Texp: row.Texp}) }
+	}
+	b.scan(tau, pred, relation.NewIntSet(col, vals), emit)
+	return true
 }
 
 // Children implements Expr.

@@ -32,24 +32,23 @@ import (
 // produces its rows from. So the rows and texp(e) come out of one pass, a
 // minimum handed up the tree beside the stream.
 
-// collect gathers the stream of e into a relation. Its duplicate handling
-// (max texp wins) is the single point of duplicate elimination for the
-// monotonic pipeline below it; a duplicate-free stream, already the set,
-// is appended unhashed.
+// collect gathers the stream of e into a relation (sink).
 func collect(e Expr, tau xtime.Time) (*relation.Relation, xtime.Time, error) {
+	out, emit := sink(e)
+	texp, err := e.Stream(tau, emit)
+	return out, texp, err
+}
+
+// sink returns an empty relation of e's schema and the emit that gathers
+// e's rows into it. Its duplicate handling (max texp wins) is the single
+// point of duplicate elimination for the monotonic pipeline below it; a
+// duplicate-free stream, already the set, is appended unhashed.
+func sink(e Expr) (*relation.Relation, func(relation.Row)) {
 	out := relation.New(e.Schema())
-	distinct := duplicateFree(e)
-	texp, err := e.Stream(tau, func(row relation.Row) {
-		if distinct {
-			out.AppendDistinct(row)
-		} else {
-			out.InsertOwnedRow(row)
-		}
-	})
-	if err != nil {
-		return nil, 0, err
+	if duplicateFree(e) {
+		return out, out.AppendDistinct
 	}
-	return out, texp, nil
+	return out, func(row relation.Row) { out.InsertOwnedRow(row) }
 }
 
 // EvalStream computes e at tau: Evaluate for callers that want the rows

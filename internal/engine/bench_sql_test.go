@@ -292,6 +292,12 @@ func benchRead(b *testing.B, sessRows, usrRows int, query string, indexDDL ...st
 const (
 	rangeQuery = "SELECT * FROM sess WHERE score >= 40000 AND score < 42000"
 	joinQuery  = "SELECT sess.sid, sess.score, usr.grp FROM sess JOIN usr ON sess.uid = usr.uid WHERE usr.grp = 7 AND sess.score >= "
+	// sessDiffQuery is remote_reads' EXCEPT: the 20 users of a group less those
+	// with a session in a fifth of the scores, about 1 000 of 5 000 rows.
+	sessDiffQuery = "SELECT uid FROM usr WHERE grp = 7 EXCEPT SELECT uid FROM sess WHERE score >= 40000 AND score < 60000"
+	// diffLeftQuery's left side, 5 000 sessions, outnumbers the right
+	// side's base, 500 users, so scanning only the users it meets skips none.
+	diffLeftQuery = "SELECT sid FROM sess EXCEPT SELECT uid FROM usr WHERE grp = 7"
 )
 
 // BenchmarkScanFilter and BenchmarkJoinProbe are the two statements most of
@@ -309,6 +315,8 @@ func BenchmarkJoinProbe(b *testing.B) { benchRead(b, 2000, 500, joinQuery+"50000
 func BenchmarkReadFull(b *testing.B) {
 	b.Run("range5000", func(b *testing.B) { benchRead(b, 5000, 500, rangeQuery) })
 	b.Run("join5000", func(b *testing.B) { benchRead(b, 5000, 500, joinQuery+"50000") })
+	b.Run("diff5000", func(b *testing.B) { benchRead(b, 5000, 500, sessDiffQuery) })
+	b.Run("diffleft5000", func(b *testing.B) { benchRead(b, 5000, 500, diffLeftQuery) })
 	b.Run("join20000indexed", func(b *testing.B) {
 		benchRead(b, 20000, 2000, joinQuery+"75000",
 			"CREATE INDEX sess_sid ON sess (sid)", "CREATE INDEX sess_score ON sess (score) USING ORDERED")

@@ -48,3 +48,6 @@ func (r *Relation) ShapeError() string {
 	}
 	return ""
 }
+
+// Dense reports whether s is a bitmap over its span.
+func (s *IntSet) Dense() bool { return s.bits != nil }

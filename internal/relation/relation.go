@@ -457,14 +457,19 @@ func (r *Relation) HasIntArray(c int) bool { return c < len(r.ints) && r.ints[c]
 // ScanInts is AliveAt restricted to the rows whose INT in column rg.Col
 // lies in rg for every rg in ranges and, when in is not nil, whose INT in
 // column in.Col is in the set; every column tested has an array. It walks
-// the first interval's array — uint64(v−lo) ≤ uint64(hi−lo) a row — and
-// reads the texp, the other arrays and the row only for a row inside it.
+// one array, uint64(v−lo) ≤ uint64(hi−lo) a row, and reads the texp, the
+// other arrays and the row only for a row that passes there. A bitmap key
+// set leads with its span and a bit test, well predicted where an interval
+// that passes half the rows is not; else the first interval leads.
 func (r *Relation) ScanInts(tau xtime.Time, ranges []IntRange, in *IntSet, fn func(Row)) {
 	if slices.ContainsFunc(ranges, func(rg IntRange) bool { return rg.Lo > rg.Hi }) {
 		return
 	}
 	first := IntRange{Lo: math.MinInt64, Hi: math.MaxInt64} // tested before the texp
+	var bits []uint64
 	switch {
+	case in != nil && in.bits != nil:
+		first, bits, in = IntRange{Col: in.Col, Lo: in.lo, Hi: in.lo + int64(len(in.bits))*64 - 1}, in.bits, nil
 	case len(ranges) > 0:
 		first, ranges = ranges[0], ranges[1:]
 	case in != nil:
@@ -476,7 +481,7 @@ func (r *Relation) ScanInts(tau xtime.Time, ranges []IntRange, in *IntSet, fn fu
 	tau = r.effTau(tau)
 	slots, lo, width := r.slots, first.Lo, uint64(first.Hi-first.Lo)
 	for i, v := range r.ints[first.Col][:len(slots)] {
-		if uint64(v-lo) > width || slots[i].Texp <= tau || !r.passes(i, ranges, in) {
+		if d := uint64(v - lo); d > width || bits != nil && bits[d/64]&(1<<(d%64)) == 0 || slots[i].Texp <= tau || !r.passes(i, ranges, in) {
 			continue
 		}
 		fn(slots[i])
@@ -493,29 +498,47 @@ func (r *Relation) passes(i int, ranges []IntRange, in *IntSet) bool {
 	return in == nil || in.Has(r.ints[in.Col][i])
 }
 
-// IntSet is the set of a hash join's INT build keys that ScanInts tests
-// column Col against, filed in a tuple.Set by a multiplicative hash.
+// IntSet is a set of INT keys that ScanInts tests column Col against: a
+// hash join's build keys, a difference's left values. When its span
+// [lo, max] is no more bits than 64 a key plus 4 096 — no more memory than a
+// hash table of the keys — it is a bitmap over the span, which leads the
+// scan; a wider one is a map.
 type IntSet struct {
-	Col  int
-	vals []int64
-	set  tuple.Set
+	Col    int
+	lo     int64
+	bits   []uint64 // nil for a sparse set
+	sparse map[int64]struct{}
 }
 
-// NewIntSet returns the set of vals, which it keeps, tested against col.
+// NewIntSet returns the set of vals tested against col.
 func NewIntSet(col int, vals []int64) *IntSet {
-	s := &IntSet{Col: col, vals: vals, set: tuple.MakeSet(len(vals))}
-	for i, v := range vals {
-		if !s.Has(v) {
-			s.set.Add(uint64(v)*0x9E3779B97F4A7C15, i)
+	s, hi := &IntSet{Col: col}, int64(0)
+	if len(vals) > 0 {
+		s.lo, hi = slices.Min(vals), slices.Max(vals)
+	}
+	if span := uint64(hi - s.lo); span < 64*uint64(len(vals))+4096 {
+		s.bits = make([]uint64, span/64+1)
+		for _, v := range vals {
+			d := uint64(v - s.lo)
+			s.bits[d/64] |= 1 << (d % 64)
 		}
+		return s
+	}
+	s.sparse = make(map[int64]struct{}, len(vals))
+	for _, v := range vals {
+		s.sparse[v] = struct{}{}
 	}
 	return s
 }
 
 // Has reports whether v is in s.
 func (s *IntSet) Has(v int64) bool {
-	_, ok := s.set.Find(uint64(v)*0x9E3779B97F4A7C15, func(i int) bool { return s.vals[i] == v })
-	return ok
+	if s.bits == nil {
+		_, ok := s.sparse[v]
+		return ok
+	}
+	d := uint64(v - s.lo)
+	return d < uint64(len(s.bits))*64 && s.bits[d/64]&(1<<(d%64)) != 0
 }
 
 // All calls fn for every stored row regardless of expiration (for a

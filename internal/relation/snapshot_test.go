@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -242,6 +243,57 @@ func scanAgrees(t *testing.T, r *Relation, tau xtime.Time, ranges []IntRange, in
 	})
 	if n != len(want) {
 		t.Fatalf("ScanInts(%v, %v, %v) streams %d rows, want %d", tau, ranges, in, n, len(want))
+	}
+}
+
+// TestIntSetMatchesMap holds an IntSet to a map of its keys: Has, and
+// ScanInts with it alone, under an interval that cuts the key column and
+// under one on another column. The key sets are the edges of the dense
+// rule (a bitmap while the span is no more than 64 bits a key + 4 096):
+// empty, one key, duplicates, MinInt64 and MaxInt64 alone and together, and
+// two keys whose span is one below, at and one above the limit, so a bitmap
+// a bit short or a word short of its span loses its last key.
+func TestIntSetMatchesMap(t *testing.T) {
+	const limit = 64*2 + 4096 // the densest span two keys may have as a bitmap
+	sets := []struct {
+		keys  []int64
+		dense bool
+	}{
+		{[]int64{}, true},
+		{[]int64{42}, true},
+		{[]int64{7, -3, 7, 7, -3}, true},
+		{[]int64{math.MinInt64}, true},
+		{[]int64{math.MaxInt64, math.MaxInt64 - 4000}, true},
+		{[]int64{math.MinInt64, math.MaxInt64}, false},
+		{[]int64{-5, -5 + limit - 2}, true},
+		{[]int64{-5, -5 + limit - 1}, true},
+		{[]int64{-5, -5 + limit}, false},
+		{[]int64{math.MaxInt64 - limit + 1, math.MaxInt64}, true},
+	}
+	for _, set := range sets {
+		in := NewIntSet(1, slices.Clone(set.keys))
+		if in.Dense() != set.dense {
+			t.Errorf("NewIntSet(%v) dense %v, want %v", set.keys, in.Dense(), set.dense)
+		}
+		probes := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+		for _, k := range set.keys {
+			probes = append(probes, k-64, k-1, k, k+1, k+63, k+64)
+		}
+		r := New(tuple.IntCols("i", "v"))
+		for i, v := range probes {
+			r.Insert(tuple.Ints(int64(i), v), xtime.Time(10+i%3))
+		}
+		r.EnableIntArrays()
+		for _, v := range probes {
+			if got, want := in.Has(v), slices.Contains(set.keys, v); got != want {
+				t.Errorf("NewIntSet(%v).Has(%d) = %v, want %v", set.keys, v, got, want)
+			}
+		}
+		for _, tau := range []xtime.Time{0, 10} {
+			scanAgrees(t, r, tau, nil, set.keys)
+			scanAgrees(t, r, tau, []IntRange{{Col: 1, Lo: -4, Hi: math.MaxInt64 - 1}}, set.keys)
+			scanAgrees(t, r, tau, []IntRange{{Col: 0, Lo: 3, Hi: int64(len(probes)) - 3}}, set.keys)
+		}
 	}
 }
 

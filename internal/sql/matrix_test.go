@@ -803,8 +803,7 @@ func (m *matrix) next(src func(n int) int) {
 		// burst overruns it again.
 		t := table()
 		first, n := insert(t, src(30), deg()), []int{engineWriteTail, engineWriteTailWide}[src(2)]+[]int{-2, -1, 0, 16}[src(4)]
-		if m.bound > 0 && m.stmts+1+n > m.bound {
-			m.bound = m.stmts // the stream ends before a burst past its bound
+		if m.past(2*len(propertyQueries) + 1 + n) {
 			return
 		}
 		m.burst(t, first, n)
@@ -812,7 +811,6 @@ func (m *matrix) next(src func(n int) int) {
 		// Three uids into pol (two rows) and el, then each uid's low-degree
 		// pol rows deleted, with or without its el rows: a difference whose
 		// right argument joins pol with el, or with itself, may show it again.
-		m.readAll()
 		var ins, del []string
 		for i := 0; i < 3; i++ {
 			uid := src(30)
@@ -822,6 +820,10 @@ func (m *matrix) next(src func(n int) int) {
 			}
 			del = append(del, fmt.Sprintf("DELETE FROM pol WHERE uid = %d AND deg < 30", uid))
 		}
+		if m.past(3*len(propertyQueries) + len(ins) + len(del)) {
+			return
+		}
+		m.readAll()
 		m.write(false, ins...)
 		m.readAll()
 		m.write(false, del...)
@@ -831,6 +833,9 @@ func (m *matrix) next(src func(n int) int) {
 		// memo keeps lowerings over the dropped relation for Session.current
 		// to refuse.
 		t, x := table(), src(4)
+		if m.past(2*len(propertyQueries) + 1 + 3) {
+			return
+		}
 		m.readAll()
 		m.write(x/2 == 1, append([]string{"DROP TABLE " + t}, m.create(t, [2]string{"uid INT, deg INT", "deg INT, uid INT"}[x%2])...)...)
 		m.readAll()
@@ -850,6 +855,17 @@ func (m *matrix) next(src func(n int) int) {
 	default:
 		m.read(src(len(propertyQueries)))
 	}
+}
+
+// past reports whether n more statements would take the stream past its
+// bound, and then ends the stream where it is: a step that runs several
+// statements checks before it runs any.
+func (m *matrix) past(n int) bool {
+	if m.bound > 0 && m.stmts+n > m.bound {
+		m.bound = m.stmts
+		return true
+	}
+	return false
 }
 
 // burst reads every query, writes first, a row the filters may select, and
@@ -1048,8 +1064,8 @@ func TestIndexedConcurrentReads(t *testing.T) {
 // fuzzStatements bounds an input the fuzzer makes by the statements the
 // stream runs, reads included, past the six that make the tables: a step
 // that reads every query of the catalogue, or writes a burst, counts as
-// what it runs, and a burst whose rows would take the stream past the bound
-// ends it instead of running. The fuzzer runs each input that finds new
+// what it runs, and a burst, a join burst or a DROP + CREATE that would take
+// the stream past the bound ends it instead of running (matrix.past). The fuzzer runs each input that finds new
 // coverage over and over while it shortens it, so an input must stay short
 // to leave it time to fuzz. A named seed runs to its end.
 const fuzzStatements = 6 + 32

@@ -20,6 +20,12 @@
 // pairs, whose order effect is unknown); any other is "resolved". Whether a
 // resolved ratio is inside the metric's bound is benchmark/run.sh
 // -compare's to say.
+//
+//	go run scripts/pairstats.go -bench parent.txt change.txt
+//
+// reads go test -bench output instead (scripts/pairs.sh -bench): a
+// benchmark is a workload, and its ns/op, B/op and allocs/op are the
+// metrics, lower better.
 package main
 
 import (
@@ -31,6 +37,8 @@ import (
 	"math/rand"
 	"os"
 	"slices"
+	"strconv"
+	"strings"
 )
 
 type record struct {
@@ -43,19 +51,24 @@ type metric struct{ Name, Better string }
 
 func main() {
 	spec := flag.String("spec", "BENCHMARK.json", "BENCHMARK.json, for the end-to-end metrics and their sense")
+	bench := flag.Bool("bench", false, "read go test -bench output: ns/op, B/op and allocs/op per benchmark")
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: go run scripts/pairstats.go [-spec BENCHMARK.json] parent.jsonl change.jsonl")
+		fmt.Fprintln(os.Stderr, "usage: go run scripts/pairstats.go [-spec BENCHMARK.json | -bench] parent change")
 		os.Exit(2)
 	}
 	var sp struct {
 		EndToEnd []metric `json:"end_to_end"`
 	}
-	b, err := os.ReadFile(*spec)
-	check(err)
-	check(json.Unmarshal(b, &sp))
-	parent, order := read(flag.Arg(0))
-	change, _ := read(flag.Arg(1))
+	if *bench {
+		sp.EndToEnd = []metric{{"ns/op", "lower"}, {"B/op", "lower"}, {"allocs/op", "lower"}}
+	} else {
+		b, err := os.ReadFile(*spec)
+		check(err)
+		check(json.Unmarshal(b, &sp))
+	}
+	parent, order := read(flag.Arg(0), *bench)
+	change, _ := read(flag.Arg(1), *bench)
 	for _, w := range order {
 		a, c := parent[w], change[w]
 		n := min(len(a), len(c))
@@ -103,8 +116,10 @@ func main() {
 }
 
 // read returns the records of a file by workload, and the workloads in the
-// order they first appear.
-func read(path string) (map[string][]record, []string) {
+// order they first appear. With bench the file is go test -bench output: a
+// result line is a record of its benchmark, each value–unit pair after the
+// iteration count a metric, and other lines are skipped.
+func read(path string, bench bool) (map[string][]record, []string) {
 	f, err := os.Open(path)
 	check(err)
 	defer f.Close()
@@ -113,7 +128,18 @@ func read(path string) (map[string][]record, []string) {
 	sc.Buffer(nil, 1<<24)
 	for sc.Scan() {
 		var r record
-		check(json.Unmarshal(sc.Bytes(), &r))
+		if w := strings.Fields(sc.Text()); !bench {
+			check(json.Unmarshal(sc.Bytes(), &r))
+		} else if len(w) < 4 || !strings.HasPrefix(w[0], "Benchmark") {
+			continue
+		} else {
+			r.Workload, r.Metrics = w[0], map[string]struct{ Value float64 }{}
+			for i := 2; i+1 < len(w); i += 2 {
+				v, err := strconv.ParseFloat(w[i], 64)
+				check(err)
+				r.Metrics[w[i+1]] = struct{ Value float64 }{v}
+			}
+		}
 		if _, ok := by[r.Workload]; !ok {
 			order = append(order, r.Workload)
 		}
