@@ -182,21 +182,14 @@ func variants(expr algebra.Expr, name string, delta *algebra.Base, path []ancest
 	return fn(v)
 }
 
-// A table remembers its last writeTailLen written tuples, and its last
-// writeTailWide once an entry has been found older than the tail's floor
-// (an overrun) by at most writeTailWide writes: an entry that sleeps through
-// more writes to one of its tables is re-evaluated. The wide ring reaches
-// back past the gaps the entries of a read-heavy workload sleep through, and
-// bounds what freshness walks under the cache and engine locks to a few µs;
-// a table whose entries keep up, that no entry reads, or whose entries sleep
-// through more than any ring holds keeps the short one (3 KB, not 24).
-// DDL and writes while the cache is off discard the tail, so a new one
-// starts short again. Both are powers of two: a slot is a sequence number
-// masked by the length less one.
-const (
-	writeTailLen  = 64
-	writeTailWide = 512
-)
+// A table remembers its last writeTailLen written tuples: an entry that
+// sleeps through more writes to one of its tables (an overrun) is
+// re-evaluated. 512 rows reach back past the gaps the entries of a
+// read-heavy workload sleep through, and bound what freshness walks under
+// the cache and engine locks to a few µs, for 24 KB a table. DDL and writes
+// while the cache is off discard the tail. A power of two, so a slot is a
+// sequence number masked by a constant.
+const writeTailLen = 512
 
 // writeTail is a base table's recent write history, kept beside its epoch
 // under Engine.mu: the rows its last writes changed — the stored (immutable,
@@ -207,10 +200,10 @@ type writeTail struct {
 	// floor is the latest epoch some of whose rows the ring no longer
 	// holds: only an entry evaluated at floor or later can be checked.
 	// start is the floor the tail began with: an entry below it predates
-	// the tail, which no ring length would have let it reach.
+	// the tail, which it could never have reached.
 	floor, start uint64
-	n            uint64    // rows ever recorded; ring[n&(len(ring)-1)] is overwritten next
-	ring         []tailRec // writeTailLen rows, or writeTailWide once widened
+	n            uint64 // rows ever recorded; ring[n%writeTailLen] is overwritten next
+	ring         [writeTailLen]tailRec
 }
 
 // tailRec is one written row, del marking one a DELETE removed.
@@ -239,61 +232,25 @@ func (e *Engine) wrote(table string, row relation.Row, del, more bool) {
 	epoch := e.epochs[table]
 	w := e.tails[table]
 	if w == nil {
-		w = &writeTail{floor: epoch - 1, start: epoch - 1, ring: make([]tailRec, writeTailLen)}
+		w = &writeTail{floor: epoch - 1, start: epoch - 1}
 		e.tails[table] = w
 	}
-	mask := uint64(len(w.ring) - 1)
-	rec := &w.ring[w.n&mask]
-	if w.n > mask {
+	rec := &w.ring[w.n%writeTailLen]
+	if w.n >= writeTailLen {
 		// A DELETE's rows share an epoch: losing one loses the whole write.
-		// The max keeps the floor where it was while a widened ring
-		// overwrites the slots it has not filled yet (epoch 0).
-		w.floor = max(w.floor, rec.epoch)
+		w.floor = rec.epoch
 	}
 	*rec = tailRec{epoch: epoch, row: row, del: del}
 	w.n++
 }
 
-// overrun names the table whose tail no longer reached back for an entry,
-// and whether the wide ring could have: the entry is at most writeTailWide
-// epochs behind. Each epoch is at least one row, so a larger gap is one no
-// ring length reaches, and widening for it would only cost memory.
-type overrun struct {
-	table string
-	widen bool
-}
-
-// stale counts an entry a write dropped. When a tail no longer reached
-// back for it, the overrun is counted too and, if a wider ring would have
-// reached, the table's tail widened. The caller holds neither c.mu nor
-// Engine.mu.
-func (e *Engine) stale(c *resultCache, over overrun) {
+// stale counts an entry a write dropped, and over one a tail no longer
+// reached back for.
+func (c *resultCache) stale(over bool) {
 	c.m.EpochInvalidations.Inc()
-	if over.table != "" {
+	if over {
 		c.m.TailOverruns.Inc()
-		if over.widen {
-			e.widen(over.table)
-		}
 	}
-}
-
-// widen lets the tail of table hold writeTailWide rows, once: the overrun
-// was seen under Engine.mu's read lock, and the ring is re-laid out here
-// under its write lock. Each row held moves to the slot its sequence number
-// picks in the wider ring, and n and floor stay, so every entry that could
-// be checked still can.
-func (e *Engine) widen(table string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	w := e.tails[table]
-	if w == nil || len(w.ring) == writeTailWide {
-		return
-	}
-	ring := make([]tailRec, writeTailWide)
-	for j := w.n - min(w.n, uint64(len(w.ring))); j < w.n; j++ {
-		ring[j&(writeTailWide-1)] = w.ring[j&uint64(len(w.ring)-1)]
-	}
-	w.ring = ring
 }
 
 // unseen is the one walk of the tails of en's tables since the epochs en was
@@ -307,11 +264,10 @@ func (e *Engine) widen(table string) {
 // rigid ones. patch tests each lost row through one leaf at a time, the other
 // leaves reading their tables without it, so a derivation that used two lost
 // rows — a self-join pairing a row with itself, a join losing both sides —
-// would go unseen. When ok is false because a tail no longer reaches back to
-// writes it once held, over names its table; a tail that began after
-// lt.epoch (DDL or a write with the cache off discarded the last one) is no
-// overrun.
-func (e *Engine) unseen(en *cacheEntry, fn func(lt *leafTable, row relation.Row, del bool)) (moved, ok bool, over overrun) {
+// would go unseen. over reports that ok is false because a tail no longer
+// holds writes it once held; a tail that began after lt.epoch (DDL or a
+// write with the cache off discarded the last one) is no overrun.
+func (e *Engine) unseen(en *cacheEntry, fn func(lt *leafTable, row relation.Row, del bool)) (moved, ok, over bool) {
 	reach := 0
 	for i := range en.tables {
 		lt := &en.tables[i]
@@ -320,27 +276,23 @@ func (e *Engine) unseen(en *cacheEntry, fn func(lt *leafTable, row relation.Row,
 		}
 		w, del := e.tails[lt.name], false
 		if w == nil {
-			return true, false, overrun{}
+			return true, false, false
 		}
 		if lt.epoch < w.floor {
-			if lt.epoch >= w.start {
-				over = overrun{lt.name, e.epochs[lt.name]-lt.epoch <= writeTailWide}
-			}
-			return true, false, over
+			return true, false, lt.epoch >= w.start
 		}
-		mask := uint64(len(w.ring) - 1)
-		for j := w.n; j > 0 && j+mask >= w.n; j-- {
-			rec := &w.ring[(j-1)&mask]
+		for j := w.n; j > 0 && j+writeTailLen > w.n; j-- {
+			rec := &w.ring[(j-1)%writeTailLen]
 			if rec.epoch <= lt.epoch {
 				break
 			}
 			if len(rec.row.Tuple) != lt.schema.Arity() {
-				return true, false, overrun{}
+				return true, false, false
 			}
 			for k, p := range lt.preds {
 				if p.Holds(rec.row.Tuple) {
 					if k < lt.rigid {
-						return true, false, overrun{}
+						return true, false, false
 					}
 					del = del || rec.del
 					fn(lt, rec.row, rec.del)
@@ -353,7 +305,7 @@ func (e *Engine) unseen(en *cacheEntry, fn func(lt *leafTable, row relation.Row,
 		}
 		moved = true
 	}
-	return moved, reach <= 1, overrun{}
+	return moved, reach <= 1, false
 }
 
 // resultCacheMetrics are the cache's atomic hot-path counters.
@@ -549,7 +501,7 @@ func (e *Engine) QueryPlan(key string, tid trace.ID, plan func() algebra.Expr) (
 		if !src.ev.Holds(now) { // the clock reached Texp since the lookup
 			c.m.Invalidations.Inc()
 		} else if ok, over := e.patch(expr, src, now); !ok {
-			e.stale(c, over)
+			c.stale(over)
 		} else {
 			runlockRels(rels)
 			c.m.Hits.Inc()
@@ -613,7 +565,7 @@ func (e *Engine) QueryPlan(key string, tid trace.ID, plan func() algebra.Expr) (
 // only shrinks, so a tuple it lacks now is never shown or critical again.
 // Either way at moves to now: a write may have changed the answer before the
 // read.
-func (e *Engine) patch(expr algebra.Expr, src *cacheEntry, now xtime.Time) (ok bool, over overrun) {
+func (e *Engine) patch(expr algebra.Expr, src *cacheEntry, now xtime.Time) (ok, over bool) {
 	root := expr
 	// Where E[leaf := Δ] goes: a monotonic root's rows gained, a root A − B's
 	// B[leaf := Δ]. One variable, which the stream's closure moves to the
@@ -627,7 +579,7 @@ func (e *Engine) patch(expr algebra.Expr, src *cacheEntry, now xtime.Time) (ok b
 	diff, _ := expr.(*algebra.Diff)
 	if !src.mono {
 		if diff == nil {
-			return false, overrun{}
+			return false, false
 		}
 		root, out.into = diff.Right, relation.New(diff.Right.Schema())
 	}
@@ -662,7 +614,7 @@ func (e *Engine) patch(expr algebra.Expr, src *cacheEntry, now xtime.Time) (ok b
 			_, err := x.Stream(now, func(relation.Row) { derives = true })
 			return err
 		}) != nil || derives {
-			return false, overrun{}
+			return false, false
 		}
 	}
 	for _, d := range deltas {
@@ -676,7 +628,7 @@ func (e *Engine) patch(expr algebra.Expr, src *cacheEntry, now xtime.Time) (ok b
 			})
 			return err
 		}) != nil {
-			return false, overrun{}
+			return false, false
 		}
 	}
 	if len(out.gained) > 0 {
@@ -689,11 +641,11 @@ func (e *Engine) patch(expr algebra.Expr, src *cacheEntry, now xtime.Time) (ok b
 			clash = clash || into.Contains(row.Tuple, now)
 		})
 		if err != nil || clash {
-			return false, overrun{}
+			return false, false
 		}
 	}
 	src.ev.At = now
-	return true, overrun{}
+	return true, false
 }
 
 // What freshness finds an entry to be, as CacheProbe prints it.
@@ -712,13 +664,14 @@ const (
 // tested once. The caller holds c.mu. Clock, epochs and tails are read under
 // the engine leaf lock — a writer moves them in the critical section that
 // mutates the table, so data and history are seen to move together — which
-// up to writeTailWide Holds calls per moved table and leaf prolong, a few µs.
-func (e *Engine) freshness(en *cacheEntry, adopt bool) (state string, now xtime.Time, revalidated bool, over overrun) {
+// up to writeTailLen Holds calls per moved table and leaf prolong, a few µs.
+// over marks an epoch-stale entry a tail overran.
+func (e *Engine) freshness(en *cacheEntry, adopt bool) (state string, now xtime.Time, revalidated, over bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	now = e.now
 	if !en.ev.Holds(now) {
-		return cacheExpired, now, false, overrun{}
+		return cacheExpired, now, false, false
 	}
 	absorb := false
 	moved, ok, over := e.unseen(en, func(*leafTable, relation.Row, bool) { absorb = true })
@@ -726,13 +679,13 @@ func (e *Engine) freshness(en *cacheEntry, adopt bool) (state string, now xtime.
 	case !ok:
 		return cacheEpochStale, now, false, over
 	case absorb:
-		return cachePatch, now, false, overrun{}
+		return cachePatch, now, false, false
 	case moved && adopt:
 		for i := range en.tables {
 			en.tables[i].epoch = e.epochs[en.tables[i].name]
 		}
 	}
-	return cacheHit, now, moved, overrun{}
+	return cacheHit, now, moved, false
 }
 
 // cacheServe answers key from the cache if a fresh entry exists. Stale
@@ -762,7 +715,7 @@ func (e *Engine) cacheServe(c *resultCache, key string, tid trace.ID) (res Query
 		if state == cacheExpired {
 			c.m.Invalidations.Inc()
 		} else {
-			e.stale(c, over)
+			c.stale(over)
 		}
 		return QueryResult{}, nil, false
 	}

@@ -512,12 +512,9 @@ func TestCacheExpiryHeapStaysBounded(t *testing.T) {
 	}
 }
 
-// A table remembers writeTailLen written tuples, and writeTailWide once an
-// entry has overrun its tail: an entry that slept through exactly that many
-// is still checked and served, one more and it is re-evaluated, whatever was
-// written. The first overrun widens the tail; the second leaves it wide. An
-// entry more than writeTailWide writes behind, which no ring reaches, is an
-// overrun that leaves the tail short.
+// A table remembers writeTailLen written tuples: an entry that slept through
+// exactly that many is still checked and served, one more and it is
+// re-evaluated, whatever was written, and so is one the ring has lapped.
 func TestCacheTailOverflowIsAMiss(t *testing.T) {
 	e := newsEngine(t)
 	q := degAtLeast(t, e, 30)
@@ -532,127 +529,37 @@ func TestCacheTailOverflowIsAMiss(t *testing.T) {
 			next++
 		}
 	}
-	for i, size := range []int{writeTailLen, writeTailWide} {
+	rejected(writeTailLen)
+	if !stamped(t, e, q).Cached {
+		t.Fatalf("%d writes the leaf rejects fit the tail: the entry must be served", writeTailLen)
+	}
+	for i, size := range []int{writeTailLen + 1, 2*writeTailLen + 1} {
 		rejected(size)
-		if !stamped(t, e, q).Cached {
-			t.Fatalf("%d writes the leaf rejects fit the tail: the entry must be served", size)
-		}
-		rejected(size + 1)
-		if stamped(t, e, q).Cached {
-			t.Fatalf("%d writes overflow the tail: the entry cannot be checked and must not be served", size+1)
-		}
 		n := int64(i + 1)
-		if m := cacheStats(t, e); m.EpochInvalidations != n || m.TailOverruns != n || m.Revalidations != n {
-			t.Fatalf("epoch invalidations/tail overruns/revalidations = %d/%d/%d, want %d/%d/%d",
-				m.EpochInvalidations, m.TailOverruns, m.Revalidations, n, n, n)
+		if qr, m := stamped(t, e, q), cacheStats(t, e); qr.Cached || m.EpochInvalidations != n || m.TailOverruns != n || m.Revalidations != 1 {
+			t.Fatalf("an entry %d writes behind: cached %v, epoch invalidations/tail overruns/revalidations = %d/%d/%d; want re-evaluated, %d/%d/1",
+				size, qr.Cached, m.EpochInvalidations, m.TailOverruns, m.Revalidations, n, n)
 		}
-		if g := tailLen(e, "pol"); g != writeTailWide {
-			t.Fatalf("after overrun %d the tail holds %d rows, want %d", n, g, writeTailWide)
-		}
-	}
-	e = newsEngine(t)
-	q = degAtLeast(t, e, 30)
-	for i, size := range []int{writeTailWide + 1, writeTailLen + 1} {
-		stamped(t, e, q)
-		rejected(size)
-		want := []int{writeTailLen, writeTailWide}[i]
-		if qr, m, g := stamped(t, e, q), cacheStats(t, e), tailLen(e, "pol"); qr.Cached || m.TailOverruns != int64(i+1) || g != want {
-			t.Fatalf("an entry %d writes behind: cached %v, %d tail overruns, a %d-row tail; want re-evaluated, %d, %d rows", size, qr.Cached, m.TailOverruns, g, i+1, want)
-		}
-	}
-}
-
-// Widening keeps what the short tail vouched for: an entry the overrun
-// did not reach is still patched with the selected row the short ring
-// held, and one older than the floor still overruns, also once the wide
-// ring has wrapped.
-func TestCacheWidenKeepsWhatTheTailVouchesFor(t *testing.T) {
-	e := newsEngine(t)
-	old, deg20 := degAtLeast(t, e, 30), degAtLeast(t, e, 20)
-	stamped(t, e, old)
-	stamped(t, e, deg20)
-	insert := func(uid, deg int64) {
-		t.Helper()
-		if err := e.Insert("pol", tuple.Ints(uid, deg), 50); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := int64(0); i < writeTailLen-4; i++ {
-		insert(100+i, 10) // no leaf selects it
-	}
-	recent := degAtLeast(t, e, 40)
-	stamped(t, e, recent)
-	insert(200, 45)
-	for i := int64(0); i < 10; i++ {
-		insert(300+i, 10)
-	}
-	if stamped(t, e, old).Cached || tailLen(e, "pol") != writeTailWide {
-		t.Fatal("an entry past the tail was served, or its overrun did not widen the tail")
-	}
-	qr := stamped(t, e, recent)
-	if g := qr.Rel.CountAt(qr.At); !qr.Cached || g != 1 {
-		t.Fatalf("the entry within the short tail: cached %v, %d rows; want a patch to 1 row", qr.Cached, g)
-	}
-	// Past writeTailWide rows the ring overwrites the slots the short one
-	// never filled: the floor stays where the short ring left it.
-	for i := int64(0); tailRows(e, "pol") <= writeTailWide; i++ {
-		insert(400+i, 10)
-	}
-	qr = stamped(t, e, deg20)
-	if g := qr.Rel.CountAt(qr.At); qr.Cached || g != 4 {
-		t.Fatalf("the entry below the floor: cached %v, %d rows; want re-evaluated, 4 rows", qr.Cached, g)
-	}
-	if m := cacheStats(t, e); m.TailOverruns != 2 || m.Patches != 1 {
-		t.Fatalf("tail overruns/patches = %d/%d, want 2/1", m.TailOverruns, m.Patches)
-	}
-}
-
-// tailLen is how many rows table's write tail holds, 0 without one.
-func tailLen(e *Engine, table string) int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if w := e.tails[table]; w != nil {
-		return len(w.ring)
-	}
-	return 0
-}
-
-// tailRows is how many rows table's write tail has recorded.
-func tailRows(e *Engine, table string) uint64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.tails[table].n
-}
-
-// widenPolTail widens pol's tail by an overrun: an entry over pol that
-// sleeps through writeTailLen+1 rejected writes (uids from 10 000 on, Deg 20).
-func widenPolTail(t *testing.T, e *Engine) {
-	t.Helper()
-	q := degAtLeast(t, e, 1000)
-	stamped(t, e, q)
-	for i := 0; i <= writeTailLen; i++ {
-		if err := e.Insert("pol", tuple.Ints(int64(10_000+i), 20), 50); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if stamped(t, e, q).Cached || tailLen(e, "pol") != writeTailWide {
-		t.Fatalf("an overrun left pol's tail at %d rows", tailLen(e, "pol"))
 	}
 }
 
 // The tuples of a multi-row DELETE share one epoch. When the ring overwrites
 // the first of them the whole DELETE is below the floor: an entry from
 // before it is dropped, although the DELETE's tuples still in the ring — and
-// everything after — are ones its leaf rejects. So on a short tail and on a
-// widened one, whose slots the rows of the short one were moved to.
+// everything after — are ones its leaf rejects. Each case names the rows pol's
+// tail holds when the DELETE begins: at 64 the DELETE lies inside a ring not
+// yet full; at writeTailLen-2 its tuples straddle the slot where the ring wraps.
 func TestCacheMultiRowDeleteNotSplitAcrossFloor(t *testing.T) {
-	for _, size := range []int{writeTailLen, writeTailWide} {
-		t.Run(fmt.Sprint(size), func(t *testing.T) {
+	for _, before := range []uint64{64, writeTailLen - 2} {
+		t.Run(fmt.Sprint(before), func(t *testing.T) {
 			e := newsEngine(t)
-			if size == writeTailWide {
-				widenPolTail(t, e)
-			}
 			for uid := int64(20); uid < 24; uid++ {
+				if err := e.Insert("pol", tuple.Ints(uid, 20), 50); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Rows the leaf rejects, until the tail holds before rows.
+			for uid := int64(1000); e.tails["pol"].n < before; uid++ {
 				if err := e.Insert("pol", tuple.Ints(uid, 20), 50); err != nil {
 					t.Fatal(err)
 				}
@@ -675,7 +582,7 @@ func TestCacheMultiRowDeleteNotSplitAcrossFloor(t *testing.T) {
 				t.Fatalf("deleteKeys = %d, %v", n, err)
 			}
 			// Exactly enough rejected writes to overwrite the DELETE's first tuple.
-			for i := 0; i < size-len(keys)+1; i++ {
+			for i := 0; i < writeTailLen-len(keys)+1; i++ {
 				if err := e.Insert("pol", tuple.Ints(int64(100+i), 20), 50); err != nil {
 					t.Fatal(err)
 				}
@@ -691,17 +598,16 @@ func TestCacheMultiRowDeleteNotSplitAcrossFloor(t *testing.T) {
 	}
 }
 
-// Readers overrun pol's tail while a writer writes to it, so the widening
-// races lookups, patches and the writes themselves. Each reader reads its
-// own σ[Deg ≥ 30+r]; the writer inserts bursts of rows they all reject,
-// sized around both tail lengths, each after one row (Deg 35) they all
-// select, and reads a σ[Deg ≥ 29] of its own after each burst, which
+// Readers overrun pol's tail while a writer writes to it, so overruns race
+// lookups, patches and the writes themselves. Each reader reads its own
+// σ[Deg ≥ 30+r]; the writer inserts bursts of rows they all reject, one
+// shorter and a few longer than the tail, each after one row (Deg 35) they
+// all select, and reads a σ[Deg ≥ 29] of its own after each burst, which
 // overruns whenever the burst outran the tail. A reader sees at least the
 // selected rows whose inserts had returned before its read began and at
 // most those begun before it ended, so an entry that lost a row fails at
-// its next read. Where the widened ring puts each row is
-// TestCacheWidenKeepsWhatTheTailVouchesFor's to check.
-func TestCacheTailWidensUnderConcurrentReads(t *testing.T) {
+// its next read.
+func TestCacheTailOverrunsUnderConcurrentReads(t *testing.T) {
 	e := newsEngine(t)
 	var begun, done atomic.Int64 // selected inserts started, returned
 	var wg sync.WaitGroup
@@ -747,7 +653,7 @@ func TestCacheTailWidensUnderConcurrentReads(t *testing.T) {
 		}
 		done.Add(1)
 		next++
-		n := []int{writeTailLen - 1, writeTailLen + 8, writeTailWide - 1, writeTailWide + 8}[burst%4]
+		n := []int{writeTailLen - 1, writeTailLen + 8}[burst%2]
 		for i := 0; i < n; i++ {
 			if err := e.Insert("pol", tuple.Ints(next, 20), 50); err != nil {
 				t.Fatal(err)
@@ -765,8 +671,8 @@ func TestCacheTailWidensUnderConcurrentReads(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if m := cacheStats(t, e); m.TailOverruns == 0 || m.Patches == 0 || tailLen(e, "pol") != writeTailWide {
-		t.Fatalf("%d overruns, %d patches, a tail of %d rows: the race was not run", m.TailOverruns, m.Patches, tailLen(e, "pol"))
+	if m := cacheStats(t, e); m.TailOverruns == 0 || m.Patches == 0 {
+		t.Fatalf("%d overruns, %d patches: the race was not run", m.TailOverruns, m.Patches)
 	}
 }
 
@@ -899,8 +805,8 @@ func TestCacheDropRecreateDoesNotAlias(t *testing.T) {
 }
 
 // A tail that DDL discarded is no overrun: an entry from before DROP +
-// CREATE is dropped once writes follow, as many as a short tail holds and
-// one more, but that is no overrun, and the new tail stays short.
+// CREATE is dropped once writes follow, as many as the tail holds and one
+// more, but that is no overrun.
 func TestCacheDDLDropIsNoOverrun(t *testing.T) {
 	e := newsEngine(t)
 	stamped(t, e, degAtLeast(t, e, 30))
@@ -918,9 +824,8 @@ func TestCacheDDLDropIsNoOverrun(t *testing.T) {
 	if stamped(t, e, degAtLeast(t, e, 30)).Cached {
 		t.Fatal("an entry from before DROP + CREATE was served")
 	}
-	if m := cacheStats(t, e); m.EpochInvalidations != 1 || m.TailOverruns != 0 || tailLen(e, "pol") != writeTailLen {
-		t.Fatalf("epoch invalidations/tail overruns = %d/%d, a tail of %d rows; want 1/0, %d",
-			m.EpochInvalidations, m.TailOverruns, tailLen(e, "pol"), writeTailLen)
+	if m := cacheStats(t, e); m.EpochInvalidations != 1 || m.TailOverruns != 0 {
+		t.Fatalf("epoch invalidations/tail overruns = %d/%d, want 1/0", m.EpochInvalidations, m.TailOverruns)
 	}
 }
 

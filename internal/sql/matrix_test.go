@@ -161,10 +161,9 @@ var propertyQueries = []propertyQuery{
 	{sql: "SELECT uid FROM pol EXCEPT SELECT uid FROM el WHERE deg = 25"},
 }
 
-// engineWriteTail and engineWriteTailWide are engine.writeTailLen and
-// engine.writeTailWide, a write tail's length before and after its first
-// overrun: bursts are sized around both.
-const engineWriteTail, engineWriteTailWide = 64, 512
+// engineWriteTail is engine.writeTailLen, the rows a table's write tail
+// holds: bursts are sized around it.
+const engineWriteTail = 512
 
 // lazyPeriod is the lazy cells' sweep period: until finish, no row is swept
 // but by a DROP TABLE or a full disk.
@@ -457,7 +456,7 @@ type matrix struct {
 	step, reads, stmts int
 	bound              int          // statements a fuzz input may run, 0 for no bound; see fuzzStatements
 	faults             int          // FAULT steps so far: the next arms faultClasses[faults%4]
-	outran             int          // bursts longer than a short write tail
+	outran             int          // bursts longer than a write tail
 	changedAt          []xtime.Time // per propertyQueries entry: the last write that changed its answer
 	lost               []lostRow    // every row a DELETE took, in order
 }
@@ -798,11 +797,11 @@ func (m *matrix) next(src func(n int) int) {
 	case r < 21:
 		m.write(false, write(r))
 	case r < 22:
-		// One fewer rows than a short or a widened write tail holds, as many,
-		// one more, many more — an overrun widens a short tail, a longer
-		// burst overruns it again.
+		// One fewer rows than a write tail holds, as many, one more, many
+		// more; or as many around a short burst, which the tail absorbs.
+		const short = 64
 		t := table()
-		first, n := insert(t, src(30), deg()), []int{engineWriteTail, engineWriteTailWide}[src(2)]+[]int{-2, -1, 0, 16}[src(4)]
+		first, n := insert(t, src(30), deg()), []int{short, engineWriteTail}[src(2)]+[]int{-2, -1, 0, 16}[src(4)]
 		if m.past(2*len(propertyQueries) + 1 + n) {
 			return
 		}
@@ -931,7 +930,7 @@ func (m *matrix) finish() {
 }
 
 // replay runs steps of the stream seeded by seed on the cells keep selects —
-// ending, if the stream wrote no burst longer than a short write tail, with
+// ending, if the stream wrote no burst longer than a write tail, with
 // one burst of a row more, every disk healed first — then finish, and fails
 // as vacuous if a cache-on cell never hits, revalidates, patches, keeps a
 // difference, absorbs a DELETE into a monotonic entry, drops an entry or
@@ -953,7 +952,7 @@ func replay(t *testing.T, seed int64, steps int, keep func(*cell) bool) *matrix 
 	for _, c := range m.cells {
 		if st := c.stats(); c.cache && (c.hits == 0 || st.Revalidations == 0 || c.patched == 0 || c.kept == 0 || c.absorbed == 0 || st.EpochInvalidations == 0 || st.TailOverruns == 0) ||
 			c.using != "" && (c.probed[0] == 0 || c.probed[1] == 0) || c.lazy && c.unswept == 0 {
-			t.Fatalf("%s: %d hits, %d revalidated, %d patched (%d kept differences, %d absorbed DELETEs), %d dropped by a write, %d of them tail overruns after %d bursts longer than a short tail; %d reads and %d DELETEs probed; %d over unswept rows — the test is vacuous",
+			t.Fatalf("%s: %d hits, %d revalidated, %d patched (%d kept differences, %d absorbed DELETEs), %d dropped by a write, %d of them tail overruns after %d bursts longer than a tail; %d reads and %d DELETEs probed; %d over unswept rows — the test is vacuous",
 				c.name, c.hits, st.Revalidations, c.patched, c.kept, c.absorbed, st.EpochInvalidations, st.TailOverruns, m.outran, c.probed[0], c.probed[1], c.unswept)
 		}
 		if c.durable() && (c.restarts == 0 || c.cuts[0] == 0 || c.cuts[1] == 0 || c.readOnly == 0 || slices.Contains(c.faults[:], 0)) {
