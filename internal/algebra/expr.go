@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 
 	"expdb/internal/interval"
 	"expdb/internal/relation"
@@ -73,6 +74,36 @@ func Walk(e Expr, fn func(Expr)) {
 	for _, c := range e.Children() {
 		Walk(c, fn)
 	}
+}
+
+// LockPlan returns the distinct base relations of e in ascending
+// Relation.LockOrder, in buf's array while it has room: the order in which
+// a reader spanning several tables takes their read locks, since a pending
+// writer blocks later readers and two unordered readers could cycle. A
+// plan reads a handful of tables, so the dedup is linear and the sort an
+// insertion sort: with buf on the caller's stack only Children allocates.
+func LockPlan(e Expr, buf []*relation.Relation) []*relation.Relation {
+	rels := appendBases(e, buf[:0])
+	for i := 1; i < len(rels); i++ {
+		for j := i; j > 0 && rels[j].LockOrder() < rels[j-1].LockOrder(); j-- {
+			rels[j], rels[j-1] = rels[j-1], rels[j]
+		}
+	}
+	return rels
+}
+
+// appendBases appends the base relations of e that rels lacks.
+func appendBases(e Expr, rels []*relation.Relation) []*relation.Relation {
+	if b, ok := e.(*Base); ok {
+		if b.Rel == nil || slices.Contains(rels, b.Rel) {
+			return rels
+		}
+		return append(rels, b.Rel)
+	}
+	for _, k := range e.Children() {
+		rels = appendBases(k, rels)
+	}
+	return rels
 }
 
 // ExprTexp is texp(e) for a materialisation computed at tau: what

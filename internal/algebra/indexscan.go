@@ -59,7 +59,7 @@ type IndexScan struct {
 	Full     Predicate
 
 	// children caches the one-element child slice so repeated Walks
-	// (rlockBases on the query hot path) do not allocate.
+	// (LockPlan on the query hot path) do not allocate.
 	children []Expr
 }
 

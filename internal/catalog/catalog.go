@@ -183,20 +183,26 @@ func (c *Catalog) TableIndexes(table string) []*IndexDef {
 
 // Table returns the named relation.
 func (c *Catalog) Table(name string) (*relation.Relation, error) {
-	r, ok := c.Lookup(name)
+	c.mu.RLock()
+	r, ok := c.tables[name]
+	c.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, name)
 	}
 	return r, nil
 }
 
-// Lookup is Table for a caller that has somewhere else to look: a miss is
-// false, with no error built.
-func (c *Catalog) Lookup(name string) (*relation.Relation, bool) {
+// Resolve looks name up as a table and as a view in one lookup, for a
+// FROM source, which may be either: one of the two is non-nil, or the
+// error matches both ErrNoSuchTable and ErrNoSuchView.
+func (c *Catalog) Resolve(name string) (*relation.Relation, *view.View, error) {
 	c.mu.RLock()
-	r, ok := c.tables[name]
+	r, v := c.tables[name], c.views[name]
 	c.mu.RUnlock()
-	return r, ok
+	if r == nil && v == nil {
+		return nil, nil, errors.Join(fmt.Errorf("%w: %q", ErrNoSuchTable, name), fmt.Errorf("%w: %q", ErrNoSuchView, name))
+	}
+	return r, v, nil
 }
 
 // Tables returns the table names in sorted order.

@@ -772,7 +772,7 @@ func (e *Engine) CreateViewDef(name, def string, expr algebra.Expr, opts ...view
 	// Registered before it is materialised, under its own lock: a read
 	// waits for the rows, and a name already taken is refused first.
 	v.Lock()
-	unlock := e.rlockBases(expr)
+	rlockRels(v.Bases())
 	e.mu.RLock()
 	now := e.now
 	e.mu.RUnlock()
@@ -782,7 +782,7 @@ func (e *Engine) CreateViewDef(name, def string, expr algebra.Expr, opts ...view
 			e.cat.DropView(name)
 		}
 	}
-	unlock()
+	runlockRels(v.Bases())
 	v.Unlock()
 	if err != nil {
 		return nil, err
@@ -813,30 +813,31 @@ func (e *Engine) CreateViewDef(name, def string, expr algebra.Expr, opts ...view
 // Reads may mutate the view (patch application, recomputation), so the
 // view's own lock is held, plus read locks on its base relations.
 func (e *Engine) ReadView(name string) (*relation.Relation, view.ReadInfo, error) {
-	return e.ReadViewTraced(name, 0)
-}
-
-// ReadViewTraced is ReadView with the caller's trace ID; a zero ID is
-// replaced with a fresh one. The returned ReadInfo carries the ID
-// actually used, and the lifecycle events the read emits (cache hit vs
-// patch vs recompute vs move, plus budget evictions) are derived from
-// that same ReadInfo.
-func (e *Engine) ReadViewTraced(name string, tid trace.ID) (*relation.Relation, view.ReadInfo, error) {
-	if tid == 0 {
-		tid = trace.NextID()
-	}
 	v, err := e.cat.View(name)
 	if err != nil {
 		return nil, view.ReadInfo{}, err
 	}
+	return e.ReadViewTraced(v, 0)
+}
+
+// ReadViewTraced is ReadView of a view the caller has looked up, with the
+// caller's trace ID; a zero ID is replaced with a fresh one. The returned
+// ReadInfo carries the ID actually used, and the lifecycle events the read
+// emits (cache hit vs patch vs recompute vs move, plus budget evictions)
+// are derived from that same ReadInfo. The base relations are locked
+// through the plan the view made once, v.Bases.
+func (e *Engine) ReadViewTraced(v *view.View, tid trace.ID) (*relation.Relation, view.ReadInfo, error) {
+	if tid == 0 {
+		tid = trace.NextID()
+	}
 	v.Lock()
 	defer v.Unlock()
-	unlock := e.rlockBases(v.Expr())
-	defer unlock()
+	rlockRels(v.Bases())
+	defer runlockRels(v.Bases())
 	e.mu.RLock()
 	now := e.now
 	e.mu.RUnlock()
-	evictedBefore := v.Stats().BudgetEvictions
+	evictedBefore := v.BudgetEvictions()
 	rel, info, err := v.Read(now)
 	if err != nil {
 		return nil, view.ReadInfo{}, err
@@ -845,7 +846,7 @@ func (e *Engine) ReadViewTraced(name string, tid trace.ID) (*relation.Relation, 
 	if info.Source == view.SourceRecomputed {
 		e.noteMaterialized(v)
 	}
-	e.emitReadEvents(name, now, info, v.Stats().BudgetEvictions-evictedBefore)
+	e.emitReadEvents(v.Name(), now, info, v.BudgetEvictions()-evictedBefore)
 	return rel, info, nil
 }
 
@@ -864,8 +865,8 @@ func (e *Engine) RefreshViewTraced(name string, tid trace.ID) error {
 	}
 	v.Lock()
 	defer v.Unlock()
-	unlock := e.rlockBases(v.Expr())
-	defer unlock()
+	rlockRels(v.Bases())
+	defer runlockRels(v.Bases())
 	e.mu.RLock()
 	now := e.now
 	e.mu.RUnlock()

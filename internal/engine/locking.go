@@ -1,46 +1,9 @@
 package engine
 
-import (
-	"expdb/internal/algebra"
-	"expdb/internal/relation"
-)
+import "expdb/internal/relation"
 
-// collectBases appends the distinct base relations of expr to rels and
-// returns the extended slice. It is written as a plain recursion with a
-// linear dedup (plans reference a handful of tables at most) so the
-// query hot path performs no map or closure allocations; with a
-// stack-backed rels it can run allocation-free.
-func collectBases(expr algebra.Expr, rels []*relation.Relation) []*relation.Relation {
-	if b, ok := expr.(*algebra.Base); ok {
-		if b.Rel == nil {
-			return rels
-		}
-		for _, r := range rels {
-			if r == b.Rel {
-				return rels
-			}
-		}
-		return append(rels, b.Rel)
-	}
-	for _, k := range expr.Children() {
-		rels = collectBases(k, rels)
-	}
-	return rels
-}
-
-// sortByLockOrder insertion-sorts rels into ascending LockOrder — the
-// canonical acquisition order that keeps multi-table locking
-// deadlock-free. Insertion sort keeps the hot path free of sort.Slice's
-// closure and reflection allocations.
-func sortByLockOrder(rels []*relation.Relation) {
-	for i := 1; i < len(rels); i++ {
-		for j := i; j > 0 && rels[j].LockOrder() < rels[j-1].LockOrder(); j-- {
-			rels[j], rels[j-1] = rels[j-1], rels[j]
-		}
-	}
-}
-
-// rlockRels read-locks rels, which must already be in LockOrder.
+// rlockRels read-locks rels, which must already be in LockOrder: a view's
+// Bases, or algebra.LockPlan of a plan.
 func rlockRels(rels []*relation.Relation) {
 	for _, r := range rels {
 		r.RLock()
@@ -52,28 +15,4 @@ func runlockRels(rels []*relation.Relation) {
 	for i := len(rels) - 1; i >= 0; i-- {
 		rels[i].RUnlock()
 	}
-}
-
-// baseRels returns the distinct base relations referenced by exprs, in
-// ascending LockOrder. Writers in the engine only ever hold one table
-// lock at a time; readers spanning several tables (joins, differences)
-// must take them in this order because a pending writer on one of the
-// tables would otherwise close a wait cycle between two overlapping
-// readers.
-func baseRels(exprs ...algebra.Expr) []*relation.Relation {
-	var rels []*relation.Relation
-	for _, expr := range exprs {
-		rels = collectBases(expr, rels)
-	}
-	sortByLockOrder(rels)
-	return rels
-}
-
-// rlockBases read-locks every base relation of exprs and returns the
-// matching unlock. The base relations need not belong to this engine's
-// catalog — expressions over foreign relations simply lock those.
-func (e *Engine) rlockBases(exprs ...algebra.Expr) func() {
-	rels := baseRels(exprs...)
-	rlockRels(rels)
-	return func() { runlockRels(rels) }
 }

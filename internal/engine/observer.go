@@ -53,7 +53,7 @@ func (e *Engine) checkWatches(now xtime.Time, tid trace.ID) []firedWatch {
 			continue // view dropped
 		}
 		v.Lock()
-		unlock := e.rlockBases(v.Expr())
+		rlockRels(v.Bases())
 		switch {
 		case !v.NeedsRecomputation(now):
 			w.notified = false
@@ -72,7 +72,7 @@ func (e *Engine) checkWatches(now xtime.Time, tid trace.ID) []firedWatch {
 				w.notified = false
 			}
 		}
-		unlock()
+		runlockRels(v.Bases())
 		v.Unlock()
 	}
 	return due

@@ -491,8 +491,7 @@ func (e *Engine) QueryPlan(key string, tid trace.ID, plan func() algebra.Expr) (
 	// insertion sort keep the uncached read path (point lookups through an
 	// index in particular) free of lock-bookkeeping allocations.
 	var relArr [4]*relation.Relation
-	rels := collectBases(expr, relArr[:0])
-	sortByLockOrder(rels)
+	rels := algebra.LockPlan(expr, relArr[:0])
 	rlockRels(rels)
 	e.mu.RLock()
 	now := e.now

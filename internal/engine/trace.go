@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"expdb/internal/algebra"
+	"expdb/internal/relation"
 	"expdb/internal/trace"
 	"expdb/internal/view"
 	"expdb/internal/xtime"
@@ -55,8 +56,10 @@ func (e *Engine) SetSlowQueryThreshold(d time.Duration) {
 // texp/validity derivations) thereby sees one consistent snapshot — the
 // clock cannot advance and no tuple can expire mid-derivation.
 func (e *Engine) Inspect(expr algebra.Expr, fn func(now xtime.Time) error) error {
-	unlock := e.rlockBases(expr)
-	defer unlock()
+	var relArr [4]*relation.Relation
+	rels := algebra.LockPlan(expr, relArr[:0])
+	rlockRels(rels)
+	defer runlockRels(rels)
 	e.mu.RLock()
 	now := e.now
 	e.mu.RUnlock()

@@ -129,7 +129,11 @@ func TestViewReadEmitsLifecycleEvents(t *testing.T) {
 
 	// Cache hit.
 	tid := trace.NextID()
-	if _, info, err := e.ReadViewTraced("onlypol", tid); err != nil {
+	onlypol, err := e.Catalog().View("onlypol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, info, err := e.ReadViewTraced(onlypol, tid); err != nil {
 		t.Fatal(err)
 	} else if info.TraceID != tid {
 		t.Fatalf("ReadInfo trace = %s, want %s", info.TraceID, tid)

@@ -619,8 +619,17 @@ func (r *Relation) Merge(tau xtime.Time, run []Row) *Relation {
 	if !r.inOrder {
 		own = r.RowsSorted(tau)
 	}
-	texps, both := make([]xtime.Time, n+len(run)), false
-	born := texps[n:n]
+	// A compaction of an in-order store keeps the texps it carries, the
+	// last n of r's: no code writes a store's texps once Merge has built
+	// them, so the two stores share them.
+	shed := r.inOrder && len(run) == 0
+	var texps []xtime.Time
+	if shed {
+		texps = r.texps[len(r.texps)-n:]
+	} else {
+		texps = make([]xtime.Time, n+len(run))
+	}
+	born, both := texps[n:n], false
 	w, i := 0, 0
 	for _, b := range run {
 		c := -1
@@ -646,11 +655,14 @@ func (r *Relation) Merge(tau xtime.Time, run []Row) *Relation {
 			rows[w], w = own[i], w+1
 		}
 	}
-	// The texps ascending: those carried over merged in one pass with those
-	// born, sorted in texps[n:], past every place the merge writes; for an r
-	// not in order, or a tuple in both, every row's, sorted.
+	// The texps ascending: for a compaction, r's own; else those carried
+	// over merged in one pass with those born, sorted in texps[n:], past
+	// every place the merge writes; for an r not in order, or a tuple in
+	// both, every row's, sorted.
 	texps = texps[:w]
-	if r.inOrder && !both {
+	switch {
+	case shed:
+	case r.inOrder && !both:
 		slices.Sort(born)
 		carried, i, j := r.texps[len(r.texps)-n:], 0, 0
 		for p := range texps {
@@ -660,7 +672,7 @@ func (r *Relation) Merge(tau xtime.Time, run []Row) *Relation {
 				texps[p], j = born[j], j+1
 			}
 		}
-	} else {
+	default:
 		for i, row := range rows[:w] {
 			texps[i] = row.Texp
 		}

@@ -371,6 +371,56 @@ func TestMerge(t *testing.T) {
 	}
 }
 
+// TestMergeShedKeepsTexps: a compaction of an in-order store (a Merge with
+// no run) keeps the texps it carries, the tail of its parent's, with no
+// copy; a birth merged in every third step makes texps of its own. Store
+// after store, each store's texps are its rows' texps ascending, and once
+// all the sheds are done every older store and its snapshot count at every
+// τ what they counted when it was made.
+func TestMergeShedKeepsTexps(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	r := New(tuple.IntCols("a"))
+	for a := int64(0); a < 300; a++ {
+		r.Insert(tuple.Ints(a), xtime.Time(1+rng.Intn(120)))
+	}
+	counts := func(s *Relation) []int {
+		out := make([]int, 130)
+		for tau := range out {
+			out[tau] = s.CountAt(xtime.Time(tau))
+		}
+		return out
+	}
+	stores := []*Relation{r.Merge(0, nil)}
+	before := [][]int{counts(stores[0])}
+	snaps := []*Relation{stores[0].SnapshotShared(0)}
+	for step, tau := 0, xtime.Time(4); tau < 128; step, tau = step+1, tau+4 {
+		prev := stores[len(stores)-1]
+		var run []Row
+		if step%3 == 2 {
+			run = []Row{{Tuple: tuple.Ints(int64(1000 + step)), Texp: tau + xtime.Time(1+rng.Intn(20))}}
+		}
+		next := prev.Merge(tau, run)
+		want := make([]xtime.Time, len(next.slots))
+		for i, row := range next.slots {
+			want[i] = row.Texp
+		}
+		slices.Sort(want)
+		if !slices.Equal(next.texps, want) {
+			t.Fatalf("step %d: texps %v, want %v", step, next.texps, want)
+		}
+		if shares := len(want) > 0 && &next.texps[0] == &prev.texps[len(prev.texps)-len(want)]; shares != (run == nil && len(want) > 0) {
+			t.Fatalf("step %d: run of %d, texps shared with the parent %v", step, len(run), shares)
+		}
+		stores, before = append(stores, next), append(before, counts(next))
+		snaps = append(snaps, next.SnapshotShared(0))
+	}
+	for i := range stores {
+		if got := counts(stores[i]); !slices.Equal(got, before[i]) || !slices.Equal(counts(snaps[i]), before[i]) {
+			t.Fatalf("store %d counts %v after the sheds, %v when it was made", i, got, before[i])
+		}
+	}
+}
+
 // TestRowsSharedCopiesADeadRow: RowsShared hands out a frozen in-order
 // store's own rows only while every row is alive; at a τ where one is dead
 // it returns a fresh copy without that row, and the store is unchanged.

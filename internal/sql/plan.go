@@ -162,9 +162,13 @@ type Plan struct {
 	// then, so nothing computed from it may be stamped valid any later.
 	Until xtime.Time
 
-	rewritten algebra.Expr   // Logical, selections pushed: what Key prints
-	view      *view.ReadInfo // how the last view resolved was read; nil without one
-	moved     error          // set when a view's read was moved off the current tick
+	rewritten algebra.Expr // Logical, selections pushed: what Key prints
+	// The stamp of the last view resolved, if viewed: the instant its read
+	// answers for and the window, as ReadInfo.At and ReadInfo.Validity.
+	viewAt    xtime.Time
+	viewStamp interval.Validity
+	viewed    bool
+	moved     error // set when a view's read was moved off the current tick
 }
 
 // lowering is what a SELECT's plan owes to the statement, the catalogue and
@@ -218,7 +222,7 @@ func (s *Session) canonical(stmt Statement) (Plan, error) {
 		}
 		p.Logical = base
 		if st.Where != nil {
-			pred, err := condToPredicate(st.Where, newScope(st.Table, base.Schema()))
+			pred, err := condToPredicate(st.Where, scope{{st.Table, base.Schema()}})
 			if err != nil {
 				return Plan{}, err
 			}
@@ -251,7 +255,7 @@ func (s *Session) lower(p *Plan, sel *Select) error {
 		return p.moved
 	}
 	p.Logical, p.rewritten = expr, algebra.PushDownSelections(expr)
-	if p.view == nil {
+	if !p.viewed {
 		p.Key = p.rewritten.String()
 		if l != nil {
 			*l = lowering{Plan: *p, policy: s.policy}
@@ -288,8 +292,8 @@ func (s *Session) current(leaves []*algebra.Base) bool {
 // plan expired (an error matching view.ErrInvalid) and the caller plans
 // again, as Exec, EXPLAIN and the wire server do.
 func (s *Session) Query(p *Plan) (engine.QueryResult, error) {
-	if b, ok := p.Physical.(*algebra.Base); ok && p.view != nil {
-		return engine.QueryResult{Rel: b.Rel, At: p.view.At, Validity: p.view.Validity}, nil
+	if b, ok := p.Physical.(*algebra.Base); ok && p.viewed {
+		return engine.QueryResult{Rel: b.Rel, At: p.viewAt, Validity: p.viewStamp}, nil
 	}
 	qr, err := s.eng.QueryPlan(p.Key, s.tid, func() algebra.Expr {
 		if p.Physical == nil {
@@ -667,7 +671,7 @@ func (s *Session) execCreateView(st *CreateView) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.view != nil {
+	if p.viewed {
 		// The plan holds the inner view's one-time snapshot, which stops
 		// being that view's answer at Until; a view over it would not.
 		inner := ""

@@ -13,43 +13,33 @@ import (
 )
 
 // scope maps column references to 0-based indices of the current
-// intermediate schema during planning.
-type scope struct {
-	entries []scopeEntry
-}
+// intermediate schema during planning: the columns of its FROM sources,
+// in order. It names the sources' schemas and copies no column.
+type scope []scopeSource
 
-type scopeEntry struct {
-	table string // source name ("" never matches a qualifier)
-	col   string
-}
-
-func newScope(table string, schema tuple.Schema) *scope {
-	sc := &scope{}
-	sc.add(table, schema)
-	return sc
-}
-
-func (sc *scope) add(table string, schema tuple.Schema) {
-	for _, c := range schema.Cols {
-		sc.entries = append(sc.entries, scopeEntry{table: table, col: c.Name})
-	}
+type scopeSource struct {
+	table  string // source name ("" never matches a qualifier)
+	schema tuple.Schema
 }
 
 // resolve returns the index of ref, insisting on uniqueness for
 // unqualified names.
-func (sc *scope) resolve(ref ColRef) (int, error) {
-	found := -1
-	for i, e := range sc.entries {
-		if !strings.EqualFold(e.col, ref.Name) {
-			continue
+func (sc scope) resolve(ref ColRef) (int, error) {
+	found, off := -1, 0
+	for _, src := range sc {
+		for i, c := range src.schema.Cols {
+			if !strings.EqualFold(c.Name, ref.Name) {
+				continue
+			}
+			if ref.Table != "" && !strings.EqualFold(src.table, ref.Table) {
+				continue
+			}
+			if found >= 0 {
+				return 0, fmt.Errorf("sql: column %s is ambiguous", refString(ref))
+			}
+			found = off + i
 		}
-		if ref.Table != "" && !strings.EqualFold(e.table, ref.Table) {
-			continue
-		}
-		if found >= 0 {
-			return 0, fmt.Errorf("sql: column %s is ambiguous", refString(ref))
-		}
-		found = i
+		off += len(src.schema.Cols)
 	}
 	if found < 0 {
 		return 0, fmt.Errorf("sql: unknown column %s", refString(ref))
@@ -66,7 +56,7 @@ func refString(ref ColRef) string {
 
 // condToPredicate lowers a parsed condition into an algebra predicate
 // over the scope's schema.
-func condToPredicate(c Cond, sc *scope) (algebra.Predicate, error) {
+func condToPredicate(c Cond, sc scope) (algebra.Predicate, error) {
 	switch n := c.(type) {
 	case *Compare:
 		return compareToPredicate(n, sc)
@@ -110,7 +100,7 @@ var flipped = map[string]string{
 	"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<=",
 }
 
-func compareToPredicate(n *Compare, sc *scope) (algebra.Predicate, error) {
+func compareToPredicate(n *Compare, sc scope) (algebra.Predicate, error) {
 	op, ok := cmpOps[n.Op]
 	if !ok {
 		return nil, fmt.Errorf("sql: unknown operator %q", n.Op)
@@ -151,17 +141,18 @@ func compareToPredicate(n *Compare, sc *scope) (algebra.Predicate, error) {
 // planSelect lowers a SELECT into an algebra expression over the engine's
 // base relations (or view snapshots, whose reads it records in p).
 func (s *Session) planSelect(p *Plan, sel *Select) (algebra.Expr, error) {
-	expr, sc, err := s.planFrom(p, sel.From)
+	expr, src, err := s.planFrom(p, sel.From)
 	if err != nil {
 		return nil, err
 	}
+	sc := append(make(scope, 0, 4), src)
 	for i := range sel.Joins {
 		j := &sel.Joins[i]
-		right, rightSc, err := s.planFrom(p, j.Table)
+		right, src, err := s.planFrom(p, j.Table)
 		if err != nil {
 			return nil, err
 		}
-		sc.entries = append(sc.entries, rightSc.entries...)
+		sc = append(sc, src)
 		// The ON condition may reference every table joined so far
 		// (left-deep chain), so it is lowered against the widened scope.
 		pred, err := condToPredicate(j.On, sc)
@@ -204,39 +195,45 @@ func (s *Session) planSelect(p *Plan, sel *Select) (algebra.Expr, error) {
 	return expr, nil
 }
 
-// planFrom resolves a FROM source: a base table becomes an algebra leaf
-// bound to the live relation; a view becomes a leaf over the view's
-// current answer (reads go through the view's maintenance machinery).
-func (s *Session) planFrom(p *Plan, ref TableRef) (algebra.Expr, *scope, error) {
-	if rel, ok := s.eng.Catalog().Lookup(ref.Name); ok {
-		return algebra.NewBase(ref.Name, rel), newScope(ref.Name, rel.Schema()), nil
+// planFrom resolves a FROM source, a table or a view, in one catalogue
+// lookup: a base table becomes an algebra leaf bound to the live relation;
+// a view becomes a leaf over the view's current answer (reads go through
+// the view's maintenance machinery).
+func (s *Session) planFrom(p *Plan, ref TableRef) (algebra.Expr, scopeSource, error) {
+	rel, v, err := s.eng.Catalog().Resolve(ref.Name)
+	switch {
+	case rel != nil:
+		return algebra.NewBase(ref.Name, rel), scopeSource{ref.Name, rel.Schema()}, nil
+	case err != nil:
+		return nil, scopeSource{}, fmt.Errorf("sql: %q is neither a table nor a readable view: %w", ref.Name, err)
 	}
 	var sp *trace.Span
 	if s.span != nil {
 		sp = s.span.Child("read view " + ref.Name)
 	}
-	rel, info, err := s.eng.ReadViewTraced(ref.Name, s.tid)
+	rel, info, err := s.eng.ReadViewTraced(v, s.tid)
 	sp.End()
 	if err != nil {
-		// Join both lookup failures so errors.Is matches ErrNoSuchTable as
-		// well as ErrNoSuchView (or ErrInvalidRead) through this wrapper.
+		// Join the table lookup's failure too, so errors.Is matches
+		// ErrNoSuchTable as well as the read's error through this wrapper.
 		_, tblErr := s.eng.Catalog().Table(ref.Name)
-		return nil, nil, fmt.Errorf("sql: %q is neither a table nor a readable view: %w",
+		return nil, scopeSource{}, fmt.Errorf("sql: %q is neither a table nor a readable view: %w",
 			ref.Name, errors.Join(tblErr, err))
 	}
 	sp.Set("source", info.Source.String())
 	if info.PatchesApplied > 0 {
 		sp.Set("patches", fmt.Sprint(info.PatchesApplied))
 	}
-	p.view, p.Until = &info, xtime.Min(p.Until, info.Validity.ValidUntil)
+	p.viewAt, p.viewStamp, p.viewed = info.At, info.Validity, true
+	p.Until = xtime.Min(p.Until, info.Validity.ValidUntil)
 	if info.Source == view.SourceMovedBackward || info.Source == view.SourceMovedForward {
 		p.moved = fmt.Errorf("sql: view %[1]s is not valid now and answers for instant %[2]s instead: read it whole (SELECT * FROM %[1]s) or REFRESH it", ref.Name, info.At)
 	}
-	return algebra.NewBase(ref.Name, rel), newScope(ref.Name, rel.Schema()), nil
+	return algebra.NewBase(ref.Name, rel), scopeSource{ref.Name, rel.Schema()}, nil
 }
 
 // planItems applies grouping/aggregation and the final projection.
-func (s *Session) planItems(sel *Select, expr algebra.Expr, sc *scope) (algebra.Expr, error) {
+func (s *Session) planItems(sel *Select, expr algebra.Expr, sc scope) (algebra.Expr, error) {
 	hasAgg := false
 	hasStar := false
 	for _, it := range sel.Items {

@@ -209,6 +209,7 @@ type View struct {
 	mu       sync.Mutex
 	name     string
 	expr     algebra.Expr
+	bases    []*relation.Relation // algebra.LockPlan(expr), made once: expr never changes
 	mode     ReadMode
 	recovery Recovery
 	patching bool
@@ -283,7 +284,7 @@ func WithPatchBudget(k int) Option {
 
 // New builds a view over expr. Call Materialize before Read.
 func New(name string, expr algebra.Expr, opts ...Option) (*View, error) {
-	v := &View{name: name, expr: expr, agg: new(AggMetrics)}
+	v := &View{name: name, expr: expr, bases: algebra.LockPlan(expr, nil), agg: new(AggMetrics)}
 	for _, opt := range opts {
 		if err := opt(v); err != nil {
 			return nil, err
@@ -305,6 +306,12 @@ func (v *View) Unlock() { v.mu.Unlock() }
 
 // Expr returns the view's expression.
 func (v *View) Expr() algebra.Expr { return v.expr }
+
+// Bases returns the view's lock plan: the distinct base relations of its
+// expression in ascending LockOrder, which a caller holding the view lock
+// read-locks before a Read or Materialize. The slice is shared: callers
+// must not modify it.
+func (v *View) Bases() []*relation.Relation { return v.bases }
 
 // Materialize (re)computes the view at time tau: one evaluation pass gives
 // the rows, texp(e) and, for a view that keeps its future, the births.
@@ -348,6 +355,10 @@ func (v *View) Validity() interval.Set { return v.validity }
 
 // Stats returns the maintenance counters so far.
 func (v *View) Stats() Stats { return v.stats }
+
+// BudgetEvictions is Stats().BudgetEvictions, for a read that compares it
+// before and after without copying the counters twice.
+func (v *View) BudgetEvictions() int { return v.stats.BudgetEvictions }
 
 // RecomputeLatency returns the distribution of read-triggered full
 // recomputation latencies, in nanoseconds.
